@@ -1,18 +1,20 @@
 #!/usr/bin/env python
-"""Emit ``BENCH_core.json``: legacy vs vectorized timings of the hot kernels.
+"""Emit ``BENCH_core.json``: reference vs vectorized timings of hot kernels.
 
 A lightweight, dependency-free companion to ``bench_core_micro.py``: each
 kernel runs a few times under ``time.perf_counter`` (best-of-N, no
-statistics machinery) in both engines, and the resulting before/after
-numbers are written as JSON. The committed file is the performance
-baseline referenced by the ROADMAP; regenerate it after touching a hot
-kernel with::
+statistics machinery) next to the slower path it replaced, and the
+resulting before/after numbers are written as JSON. The slow side of each
+kernel is either the plain-loop reference in ``tests/reference`` or a
+composition of public API (a full rebuild instead of a derivation). The
+committed file is the performance baseline referenced by the ROADMAP;
+regenerate it after touching a hot kernel with::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py
 
 ``--check`` re-runs the benches without touching the baseline file and
 exits non-zero if any recorded speedup drops below 1.0 — i.e. if a
-"vectorized" kernel has regressed behind its legacy loop::
+"vectorized" kernel has regressed behind its reference::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py --check
 
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -36,8 +39,9 @@ from repro.capacity.provisioning import ProportionalCapacity
 from repro.core.agent import NegotiationAgent
 from repro.core.evaluators import FortzCostEvaluator, LoadAwareEvaluator
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.core.strategies import ReassignEveryFraction
+from repro.core.strategies import MaxCombinedProposals, ReassignEveryFraction
 from repro.experiments.config import ExperimentConfig
+from repro.optimal import bandwidth_lp
 from repro.optimal.bandwidth_lp import _link_constraint_rows, solve_min_max_load_lp
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
@@ -45,6 +49,16 @@ from repro.routing.flows import Flow, FlowSet, build_full_flowset
 from repro.routing.paths import IntradomainRouting
 from repro.topology.builders import build_scale_pair
 from repro.topology.dataset import build_default_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import evaluators as reference_evaluators  # noqa: E402
+from reference import loads as reference_loads  # noqa: E402
+from reference import tables as reference_tables  # noqa: E402
+from reference.negotiation import (  # noqa: E402
+    RescanningProposals,
+    ScanningAgent,
+)
+from reference.sssp import NetworkxRouting  # noqa: E402
 
 #: The scale axis: synthetic grid pairs (PoPs per ISP) far beyond what the
 #: measured dataset provides, exercising the csgraph SSSP batch, the
@@ -80,7 +94,8 @@ def _case_setup(table, derived: bool):
 
     Both variants end with the per-case table, early-exit choices and both
     compiled incidences (the load/LP machinery touches all of them every
-    case), so the timings compare equal amounts of delivered state.
+    case), so the timings compare equal amounts of delivered state. The
+    slow side rebuilds the table over the failed pair.
     """
     pair = table.pair
 
@@ -90,7 +105,7 @@ def _case_setup(table, derived: bool):
         post.incidence("a")
         post.incidence("b")
 
-    def legacy(routing_a, routing_b):
+    def rebuild(routing_a, routing_b):
         failed = pair.without_interconnection(0)
         flowset = build_full_flowset(failed)
         post = build_pair_cost_table(failed, flowset, routing_a, routing_b)
@@ -100,11 +115,11 @@ def _case_setup(table, derived: bool):
 
     if derived:
         return fast
-    # Warm per-pair routing caches, as _build_context shares them per pair.
+    # Warm per-pair routing caches, as one pair's cases would share them.
     routing_a = IntradomainRouting(pair.isp_a)
     routing_b = IntradomainRouting(pair.isp_b)
-    legacy(routing_a, routing_b)
-    return lambda: legacy(routing_a, routing_b)
+    rebuild(routing_a, routing_b)
+    return lambda: rebuild(routing_a, routing_b)
 
 
 def _scenario_batch_setup(table, batch: bool):
@@ -115,9 +130,8 @@ def _scenario_batch_setup(table, batch: bool):
     with both compiled incidences. The batch side derives all of them
     structurally from the one warm parent
     (:meth:`~repro.routing.costs.PairCostTable.batch_without_alternatives`);
-    the legacy side pays a full per-scenario rebuild (failed pair +
-    flowset + cost table + CSR compilation), with the per-pair routing
-    caches warm, as the pre-derive experiment would have.
+    the slow side pays a full per-scenario rebuild (failed pair + flowset +
+    cost table + CSR compilation), with the per-pair routing caches warm.
     """
     from repro.routing.scenarios import (
         FailureModel,
@@ -144,7 +158,7 @@ def _scenario_batch_setup(table, batch: bool):
     routing_a = IntradomainRouting(pair.isp_a)
     routing_b = IntradomainRouting(pair.isp_b)
 
-    def legacy():
+    def rebuild():
         for ks in drop_sets:
             failed = pair.without_interconnections(ks)
             flowset = build_full_flowset(failed)
@@ -152,24 +166,24 @@ def _scenario_batch_setup(table, batch: bool):
             post.incidence("a")
             post.incidence("b")
 
-    legacy()  # warm the per-pair SSSP caches outside the timer
-    return legacy
+    rebuild()  # warm the per-pair SSSP caches outside the timer
+    return rebuild
 
 
-def _scope_setup(table, engine: str):
+def _scope_setup(table, subset):
     """One failure's negotiation-scope setup, as run_bandwidth_case performs it.
 
-    Both engines end with the affected-flows sub-table, its flow-size
-    buffer and both compiled incidences (the session, the LPs and the load
-    kernels touch all of them every case), so the timings compare equal
-    amounts of delivered state. ``engine="incidence"`` derives everything
-    structurally from the warm parent; ``engine="legacy"`` rebuilds the
-    flowset flow by flow and recompiles the CSR from the ragged rows.
+    Both sides end with the affected-flows sub-table, its flow-size buffer
+    and both compiled incidences (the session, the LPs and the load kernels
+    touch all of them every case), so the timings compare equal amounts of
+    delivered state. ``PairCostTable.subset`` derives everything
+    structurally from the warm parent; the reference rebuilds the flowset
+    flow by flow and recompiles the CSR from the ragged rows.
     """
     affected = np.flatnonzero(early_exit_choices(table) == 0)
 
     def setup():
-        sub = table.subset(affected, engine=engine)
+        sub = subset(table, affected)
         sub.flowset.sizes()
         sub.incidence("a")
         sub.incidence("b")
@@ -183,12 +197,14 @@ def _multi_isp_round_setup(config: ExperimentConfig):
     The multi-ISP coordinator's hot recompute path: a link failure severs
     one interconnection column, and every ISP's transit background must be
     brought current before the next color class runs. The incremental
-    engine re-derives only the chains actually crossing the severed edge
+    index re-derives only the chains actually crossing the severed edge
     (:meth:`~repro.routing.interdomain.TransitLoadIndex.loads_after`); the
-    legacy engine re-walks every transit demand through the internetwork.
+    reference re-walks every transit demand through the internetwork.
     Both sides deliver the identical per-ISP load arrays (asserted once at
     setup), so the timings compare equal amounts of delivered state.
     """
+    from reference.transit import demand_loads
+
     from repro.core.multi_session import MultiSessionCoordinator
     from repro.topology.generator import GeneratorConfig
     from repro.topology.internetwork import (
@@ -201,8 +217,7 @@ def _multi_isp_round_setup(config: ExperimentConfig):
         generator=GeneratorConfig(min_pops=6, max_pops=10),
     ))
     coordinator = MultiSessionCoordinator(
-        net, config=config, transit_scale=3.0,
-        transit_engine="incremental",
+        net, config=config, transit_scale=3.0
     )
     index = coordinator._transit_index
     # A representative severance: the crossed edge with the smallest
@@ -216,13 +231,16 @@ def _multi_isp_round_setup(config: ExperimentConfig):
     def fast():
         return index.loads_after(edge, (column,))
 
-    def legacy():
-        return coordinator._transit_loads(blocked={edge: {column}})
+    def rewalk():
+        return demand_loads(
+            net, coordinator._interdomain_routes(), coordinator._routings,
+            coordinator._transit_demands(), {edge: {column}},
+        )
 
-    after_fast, after_legacy = fast(), legacy()
+    after_fast, after_rewalk = fast(), rewalk()
     for name in after_fast:
-        assert np.array_equal(after_fast[name], after_legacy[name])
-    return fast, legacy
+        assert np.array_equal(after_fast[name], after_rewalk[name])
+    return fast, rewalk
 
 
 def _damped_redrive_setup(config: ExperimentConfig):
@@ -232,7 +250,7 @@ def _damped_redrive_setup(config: ExperimentConfig):
     between its first two alternatives and both endpoint MELs are pinned
     flat, so an undamped run enters the canonical two-cycle immediately.
     The damped side escalates the ladder once and converges in place —
-    one coordinator build plus one extra (all-skip) round. The legacy
+    one coordinator build plus one extra (all-skip) round. The slow
     side is the operational alternative damping replaces: run to the
     oscillation diagnosis, throw the trajectory away, rebuild the
     coordinator from scratch and try again — which oscillates
@@ -287,14 +305,14 @@ def _damped_redrive_setup(config: ExperimentConfig):
         result = coordinator("ladder").run()
         assert result.stop_reason == "converged"
 
-    def legacy():
+    def restart():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             first = coordinator("off").run()
             retry = coordinator("off").run()
         assert first.stop_reason == retry.stop_reason == "oscillating"
 
-    return fast, legacy
+    return fast, restart
 
 
 def _warm_start_setup(config: ExperimentConfig, warm: bool):
@@ -327,27 +345,40 @@ def _warm_start_setup(config: ExperimentConfig, warm: bool):
     return setup
 
 
-def _lp_assembly(table, caps_a, caps_b, engine: str):
+def _lp_assembly(table, caps_a, caps_b, rows):
     """Assemble both sides' link-constraint triplets, as the LP does."""
     base_a = np.zeros(caps_a.shape[0])
     base_b = np.zeros(caps_b.shape[0])
     t_col = table.n_flows * table.n_alternatives
 
     def assemble():
-        _link_constraint_rows(table, "a", caps_a, base_a, 0, t_col,
-                              engine=engine)
-        _link_constraint_rows(table, "b", caps_b, base_b, caps_a.shape[0],
-                              t_col, engine=engine)
+        rows(table, "a", caps_a, base_a, 0, t_col)
+        rows(table, "b", caps_b, base_b, caps_a.shape[0], t_col)
 
     return assemble
+
+
+def _with_loop_assembly(solve):
+    """Run ``solve`` with the LP's constraint assembler swapped for the
+    reference loop (same LP, assembled triplet by triplet)."""
+
+    def run():
+        vectorized = bandwidth_lp._link_constraint_rows
+        bandwidth_lp._link_constraint_rows = reference_loads.link_constraint_rows
+        try:
+            return solve()
+        finally:
+            bandwidth_lp._link_constraint_rows = vectorized
+
+    return run
 
 
 def _scale_flowset(pair, target_flows: int) -> FlowSet:
     """An evenly strided sub-sampling of the pair's full (src, dst) space.
 
-    The scale pairs' full flowsets (n_pops² flows) would make the legacy
+    The scale pairs' full flowsets (n_pops² flows) would make the
     reference loops dominate the bench wall clock; a deterministic stride
-    keeps both engines' work proportional without biasing either.
+    keeps both sides' work proportional without biasing either.
     """
     n_b = pair.isp_b.n_pops()
     total = pair.isp_a.n_pops() * n_b
@@ -359,17 +390,17 @@ def _scale_flowset(pair, target_flows: int) -> FlowSet:
     return FlowSet(pair, flows)
 
 
-def _sssp_batch_kernel(pair, engine: str):
+def _sssp_batch_kernel(pair, routing_cls):
     """All-sources SSSP warm on one scale ISP, from a cold routing state.
 
-    A fresh :class:`IntradomainRouting` per run keeps the cache cold, so
-    the timing is the engine's actual batch cost: one csgraph call plus
-    predecessor-DP reconstruction versus per-source networkx Dijkstra.
+    A fresh routing per run keeps the cache cold, so the timing is the
+    actual batch cost: one csgraph call plus predecessor-DP reconstruction
+    versus per-source networkx Dijkstra.
     """
     sources = range(pair.isp_a.n_pops())
 
     def run():
-        IntradomainRouting(pair.isp_a, engine=engine).warm(sources)
+        routing_cls(pair.isp_a).warm(sources)
 
     return run
 
@@ -393,16 +424,15 @@ def _scale_kernels(benches: dict) -> None:
         table.incidence("b")  # LP sub-tables arrive warm in the experiments
 
         benches[f"sssp_batch_{preset}"] = (
-            _sssp_batch_kernel(pair, "csgraph"),
-            _sssp_batch_kernel(pair, "legacy"),
+            _sssp_batch_kernel(pair, IntradomainRouting),
+            _sssp_batch_kernel(pair, NetworkxRouting),
             3,
         )
         benches[f"table_build_chunked_{preset}"] = (
             lambda p=pair, f=flowset, ra=routing_a, rb=routing_b:
-                build_pair_cost_table(p, f, ra, rb, engine="chunked",
-                                      chunk_rows=512),
+                build_pair_cost_table(p, f, ra, rb, chunk_rows=512),
             lambda p=pair, f=flowset, ra=routing_a, rb=routing_b:
-                build_pair_cost_table(p, f, ra, rb, engine="legacy"),
+                reference_tables.build_pair_cost_table(p, f, ra, rb),
             3,
         )
         # The LP the experiments actually solve per failure case: the
@@ -414,10 +444,11 @@ def _scale_kernels(benches: dict) -> None:
         lp_table.incidence("b")
         benches[f"lp_solver_{preset}"] = (
             lambda t=lp_table, ca=caps_a, cb=caps_b:
-                solve_min_max_load_lp(t, ca, cb, engine="sparse",
-                                      solver="highs"),
-            lambda t=lp_table, ca=caps_a, cb=caps_b:
-                solve_min_max_load_lp(t, ca, cb, engine="legacy"),
+                solve_min_max_load_lp(t, ca, cb, solver="highs"),
+            _with_loop_assembly(
+                lambda t=lp_table, ca=caps_a, cb=caps_b:
+                    solve_min_max_load_lp(t, ca, cb)
+            ),
             3,
         )
 
@@ -441,44 +472,44 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
     table.incidence("a")
     table.incidence("b")  # pay the one-time compilation outside the timers
 
-    def evaluator_reassign(cls, engine):
-        evaluator = cls(table, "a", caps_a, defaults, engine=engine)
+    def evaluator_reassign(cls):
+        evaluator = cls(table, "a", caps_a, defaults)
         return lambda: evaluator.reassign(remaining)
 
-    def scenario_aware_reassign(scenario_engine):
-        from repro.core.scenario_aware import ScenarioAwareEvaluator
+    def scenario_aware_reassign(cls):
         from repro.routing.scenarios import FailureModel
 
-        evaluator = ScenarioAwareEvaluator(
+        evaluator = cls(
             table, "a", caps_a, defaults,
             FailureModel(link_probability=0.05, cutoff=1e-6, max_failed=2),
-            scenario_engine=scenario_engine,
         )
         return lambda: evaluator.reassign(remaining)
 
-    def session_run(engine, incremental):
+    def session_run(evaluator_cls, agent_cls, proposals_cls):
         def run():
             session = NegotiationSession(
-                NegotiationAgent(
-                    "a",
-                    LoadAwareEvaluator(table, "a", caps_a, defaults,
-                                       engine=engine),
+                agent_cls(
+                    "a", evaluator_cls(table, "a", caps_a, defaults)
                 ),
-                NegotiationAgent(
-                    "b",
-                    LoadAwareEvaluator(table, "b", caps_b, defaults,
-                                       engine=engine),
+                agent_cls(
+                    "b", evaluator_cls(table, "b", caps_b, defaults)
                 ),
                 sizes=table.flowset.sizes(),
                 defaults=defaults,
                 config=SessionConfig(
                     reassignment_policy=ReassignEveryFraction(0.05),
-                    incremental_proposals=incremental,
+                    proposal_policy=proposals_cls(),
                 ),
             )
             return session.run()
 
         return run
+
+    from reference.scenario import (
+        ScenarioAwareEvaluator as ReferenceScenarioAwareEvaluator,
+    )
+
+    from repro.core.scenario_aware import ScenarioAwareEvaluator
 
     flowset = table.flowset
     pair = table.pair
@@ -489,13 +520,14 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
     benches = {
         "link_loads": (
             lambda: link_loads(table, defaults, "a"),
-            lambda: link_loads(table, defaults, "a", engine="legacy"),
+            lambda: reference_loads.link_loads(table, defaults, "a"),
             20,
         ),
         "pair_table_build": (
             lambda: build_pair_cost_table(pair, flowset, warm_a, warm_b),
-            lambda: build_pair_cost_table(pair, flowset, warm_a, warm_b,
-                                          engine="legacy"),
+            lambda: reference_tables.build_pair_cost_table(
+                pair, flowset, warm_a, warm_b
+            ),
             5,
         ),
         "bandwidth_case_setup": (
@@ -509,33 +541,40 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             3,
         ),
         "negotiation_scope_setup": (
-            _scope_setup(table, "incidence"),
-            _scope_setup(table, "legacy"),
+            _scope_setup(table, lambda t, idx: t.subset(idx)),
+            _scope_setup(table, reference_tables.subset),
             10,
         ),
         "lp_assembly": (
-            _lp_assembly(table, caps_a, caps_b, "sparse"),
-            _lp_assembly(table, caps_a, caps_b, "legacy"),
+            _lp_assembly(table, caps_a, caps_b, _link_constraint_rows),
+            _lp_assembly(
+                table, caps_a, caps_b, reference_loads.link_constraint_rows
+            ),
             10,
         ),
         "loadaware_reassign": (
-            evaluator_reassign(LoadAwareEvaluator, "sparse"),
-            evaluator_reassign(LoadAwareEvaluator, "legacy"),
+            evaluator_reassign(LoadAwareEvaluator),
+            evaluator_reassign(reference_evaluators.LoadAwareEvaluator),
             10,
         ),
         "fortz_reassign": (
-            evaluator_reassign(FortzCostEvaluator, "sparse"),
-            evaluator_reassign(FortzCostEvaluator, "legacy"),
+            evaluator_reassign(FortzCostEvaluator),
+            evaluator_reassign(reference_evaluators.FortzCostEvaluator),
             10,
         ),
         "scenario_aware_scoring": (
-            scenario_aware_reassign("batch"),
-            scenario_aware_reassign("legacy"),
+            scenario_aware_reassign(ScenarioAwareEvaluator),
+            scenario_aware_reassign(ReferenceScenarioAwareEvaluator),
             3,
         ),
         "session_reassign_loadaware": (
-            session_run("sparse", None),
-            session_run("legacy", False),
+            session_run(
+                LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals
+            ),
+            session_run(
+                reference_evaluators.LoadAwareEvaluator, ScanningAgent,
+                RescanningProposals,
+            ),
             3,
         ),
         "sweep_warm_start": (
@@ -549,16 +588,16 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
     _scale_kernels(benches)
 
     results = {}
-    for name, (vectorized, legacy, repeats) in benches.items():
+    for name, (vectorized, reference, repeats) in benches.items():
         v = _best_of(vectorized, repeats)
-        l = _best_of(legacy, repeats)
+        r = _best_of(reference, repeats)
         results[name] = {
             "vectorized_s": round(v, 6),
-            "legacy_s": round(l, 6),
-            "speedup": round(l / v, 2) if v > 0 else None,
+            "reference_s": round(r, 6),
+            "speedup": round(r / v, 2) if v > 0 else None,
         }
-        print(f"{name:30s} legacy {l * 1e3:9.2f} ms   "
-              f"vectorized {v * 1e3:9.2f} ms   {l / v:6.1f}x")
+        print(f"{name:30s} reference {r * 1e3:9.2f} ms   "
+              f"vectorized {v * 1e3:9.2f} ms   {r / v:6.1f}x")
 
     report = {
         "preset": preset_name,
@@ -580,9 +619,9 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             if bench["speedup"] is not None and bench["speedup"] < 1.0
         }
         if slow:
-            print(f"FAIL: kernels slower than their legacy loops: {slow}")
+            print(f"FAIL: kernels slower than their references: {slow}")
             raise SystemExit(1)
-        print("OK: every kernel at or above 1.0x its legacy loop")
+        print("OK: every kernel at or above 1.0x its reference")
         return report
     output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {output}")

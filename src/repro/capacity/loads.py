@@ -5,18 +5,12 @@ interconnection index per flow), these helpers accumulate per-link loads in
 each ISP. :class:`LoadTracker` supports the incremental updates the
 negotiation engine needs during preference reassignment.
 
-Two engines implement every kernel:
-
-* ``"sparse"`` (default) — batched array expressions over the table's
-  compiled :class:`~repro.routing.incidence.PathIncidence` (one
-  ``bincount`` scatter-add for a whole placement, one segment-max pass for
-  a whole preference matrix);
-* ``"legacy"`` — the original per-flow/per-link Python loops, kept for the
-  equivalence tests that pin the vectorized kernels bit-for-bit.
-
-The sparse engine accumulates floats in exactly the order the legacy loops
-do (flows ascending, links in path order), so the two engines agree
-exactly, not just approximately.
+Every kernel is a batched array expression over the table's compiled
+:class:`~repro.routing.incidence.PathIncidence` (one ``bincount``
+scatter-add for a whole placement, one segment-max pass for a whole
+preference matrix). Floats accumulate in exactly the order a per-flow,
+per-link Python loop would (flows ascending, links in path order); the
+test suite pins the kernels against such reference loops with ``==``.
 """
 
 from __future__ import annotations
@@ -26,11 +20,8 @@ import numpy as np
 from repro.errors import CapacityError
 from repro.routing.costs import PairCostTable
 from repro.routing.incidence import segment_max
-from repro.util.validation import validate_choice
 
 __all__ = ["link_loads", "pair_link_loads", "LoadTracker"]
-
-_ENGINES = ("sparse", "legacy")
 
 
 def _validate_choices(table: PairCostTable, choices: np.ndarray) -> np.ndarray:
@@ -44,16 +35,11 @@ def _validate_choices(table: PairCostTable, choices: np.ndarray) -> np.ndarray:
     return choices
 
 
-def _validate_engine(engine: str) -> str:
-    return validate_choice(engine, _ENGINES, "engine")
-
-
 def link_loads(
     table: PairCostTable,
     choices: np.ndarray,
     side: str,
     active: np.ndarray | None = None,
-    engine: str = "sparse",
     base: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-link loads in one ISP ('a' = upstream, 'b' = downstream).
@@ -62,23 +48,16 @@ def link_loads(
     ``base`` optionally seeds the accumulation with precomputed loads
     (e.g. the background traffic of a failure case), so a placement's
     total loads derive from the base in one pass instead of recomputing
-    the base flows' contribution: the sparse engine feeds the base through
-    the scatter-add as leading per-link entries and the legacy engine
-    starts its loop from ``base.copy()``, so each link accumulates
-    ``base, flow, flow, ...`` in the identical float order — the two
-    engines stay bit-identical.
-    ``engine="sparse"`` computes the whole placement in one scatter-add;
-    ``engine="legacy"`` runs the original Python loop (same result, kept
-    for equivalence testing).
+    the base flows' contribution: the base enters the scatter-add as
+    leading per-link entries, so each link accumulates ``base, flow, flow,
+    ...`` in the float order of a loop started from ``base.copy()``.
+    The whole placement is one scatter-add.
     """
     choices = _validate_choices(table, choices)
-    _validate_engine(engine)
     if side == "a":
         n_links = table.pair.isp_a.n_links()
-        link_table = table.up_links
     elif side == "b":
         n_links = table.pair.isp_b.n_links()
-        link_table = table.down_links
     else:
         raise CapacityError(f"side must be 'a' or 'b', got {side!r}")
     if base is not None:
@@ -88,31 +67,20 @@ def link_loads(
                 f"base must have shape ({n_links},), got {base.shape}"
             )
 
-    sizes = table.flowset.sizes()
-    if engine == "sparse":
-        return table.incidence(side).accumulate_loads(
-            choices, sizes, active, base=base
-        )
-
-    loads = np.zeros(n_links) if base is None else base.copy()
-    for flow in table.flowset:
-        if active is not None and not active[flow.index]:
-            continue
-        for li in link_table[flow.index][choices[flow.index]]:
-            loads[li] += sizes[flow.index]
-    return loads
+    return table.incidence(side).accumulate_loads(
+        choices, table.flowset.sizes(), active, base=base
+    )
 
 
 def pair_link_loads(
     table: PairCostTable,
     choices: np.ndarray,
     active: np.ndarray | None = None,
-    engine: str = "sparse",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Loads in both ISPs: ``(loads_a, loads_b)``."""
     return (
-        link_loads(table, choices, "a", active, engine=engine),
-        link_loads(table, choices, "b", active, engine=engine),
+        link_loads(table, choices, "a", active),
+        link_loads(table, choices, "b", active),
     )
 
 
@@ -131,19 +99,15 @@ class LoadTracker:
     """
 
     def __init__(self, table: PairCostTable, side: str,
-                 base_loads: np.ndarray | None = None,
-                 engine: str = "sparse"):
+                 base_loads: np.ndarray | None = None):
         if side == "a":
             n_links = table.pair.isp_a.n_links()
-            self._link_table = table.up_links
         elif side == "b":
             n_links = table.pair.isp_b.n_links()
-            self._link_table = table.down_links
         else:
             raise CapacityError(f"side must be 'a' or 'b', got {side!r}")
-        self.engine = _validate_engine(engine)
         self._table = table
-        self._incidence = table.incidence(side) if engine == "sparse" else None
+        self._incidence = table.incidence(side)
         self._sizes = table.flowset.sizes()
         if base_loads is None:
             self._loads = np.zeros(n_links)
@@ -168,28 +132,15 @@ class LoadTracker:
         """
         return self._loads
 
-    def _links(self, flow_index: int, alternative: int) -> np.ndarray:
-        if self._incidence is not None:
-            return self._incidence.row_links(flow_index, alternative)
-        return self._link_table[flow_index][alternative]
-
     def place(self, flow_index: int, alternative: int) -> None:
         """Add one flow's load along its path for ``alternative``."""
-        if self._incidence is not None:
-            links = self._incidence.row_links(flow_index, alternative)
-            np.add.at(self._loads, links, self._sizes[flow_index])
-            return
-        for li in self._link_table[flow_index][alternative]:
-            self._loads[li] += self._sizes[flow_index]
+        links = self._incidence.row_links(flow_index, alternative)
+        np.add.at(self._loads, links, self._sizes[flow_index])
 
     def remove(self, flow_index: int, alternative: int) -> None:
         """Remove a previously placed flow (inverse of :meth:`place`)."""
-        if self._incidence is not None:
-            links = self._incidence.row_links(flow_index, alternative)
-            np.subtract.at(self._loads, links, self._sizes[flow_index])
-            return
-        for li in self._link_table[flow_index][alternative]:
-            self._loads[li] -= self._sizes[flow_index]
+        links = self._incidence.row_links(flow_index, alternative)
+        np.subtract.at(self._loads, links, self._sizes[flow_index])
 
     def peek_max_ratio(
         self, flow_index: int, alternative: int, capacities: np.ndarray
@@ -200,26 +151,19 @@ class LoadTracker:
         increase in link load along the path". Returns 0.0 for an empty
         path (source at the interconnection).
         """
-        links = self._links(flow_index, alternative)
+        links = self._incidence.row_links(flow_index, alternative)
         if len(links) == 0:
             return 0.0
         size = self._sizes[flow_index]
         ratios = (self._loads[links] + size) / capacities[links]
         return float(ratios.max())
 
-    # -- batch kernels (sparse engine) ---------------------------------------
+    # -- batch kernels ---------------------------------------------------------
 
     def peek_max_ratio_all(
         self, flow_index: int, capacities: np.ndarray
     ) -> np.ndarray:
         """:meth:`peek_max_ratio` for every alternative of one flow, (I,)."""
-        if self._incidence is None:
-            return np.asarray(
-                [
-                    self.peek_max_ratio(flow_index, i, capacities)
-                    for i in range(self._table.n_alternatives)
-                ]
-            )
         inc = self._incidence
         n_alt = inc.n_alternatives
         start = inc.indptr[flow_index * n_alt]
@@ -243,10 +187,6 @@ class LoadTracker:
         n_alt = self._table.n_alternatives
         if not flows.size:
             return np.zeros((0, n_alt))
-        if self._incidence is None:
-            return np.stack(
-                [self.peek_max_ratio_all(int(f), capacities) for f in flows]
-            )
         inc = self._incidence
         positions, row_ptr = inc.flow_entries(flows)
         links = inc.indices[positions]

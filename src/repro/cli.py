@@ -39,6 +39,10 @@ and prints the per-round convergence trajectory. ``robust`` compares
 nominal-only against CVaR-aware agents across seeded fault plans
 (session aborts, deadlines, link failures) and prints the
 expected/VaR/CVaR MEL deltas.
+
+A library error (:class:`~repro.errors.ReproError`: bad parameters, an
+unroutable topology, ...) ends the command with one ``repro: error:`` line
+on stderr and exit status 2, the status argparse uses for bad arguments.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
+from repro.errors import ReproError
 from repro.experiments.analysis import gain_by_interconnection_count
 from repro.experiments.bandwidth import run_bandwidth_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import run_distance_experiment
 from repro.experiments.report import format_claims, format_series_table
 from repro.optimal.solver import available_lp_solvers
-from repro.routing.paths import SSSP_ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -88,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=available_lp_solvers(),
                        help="LP backend for every solved LP "
                             "(default: highs; see repro.optimal.solver)")
-        p.add_argument("--routing-engine", default=None,
-                       choices=SSSP_ENGINES,
-                       help="intradomain SSSP engine (default: csgraph; "
-                            "legacy = per-source networkx)")
 
     def add_runner(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=None,
@@ -184,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable inter-domain transit background")
     p_multi.add_argument("--transit-scale", type=float, default=3.0,
                          help="mean per-PoP transit demand (default: 3.0)")
-    p_multi.add_argument("--transit-engine",
-                         choices=("incremental", "legacy"),
-                         default="incremental",
-                         help="transit load backend; both are bit-identical "
-                              "(default: incremental)")
     p_multi.add_argument("--coord-workers", type=int, default=None,
                          metavar="W",
                          help="processes per color class inside each "
@@ -267,13 +262,8 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     config = _PRESETS[args.preset]()
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    overrides = {}
     if getattr(args, "lp_solver", None) is not None:
-        overrides["lp_solver"] = args.lp_solver
-    if getattr(args, "routing_engine", None) is not None:
-        overrides["routing_engine"] = args.routing_engine
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, lp_solver=args.lp_solver)
     return config
 
 
@@ -440,7 +430,6 @@ def _run_multi_isp(args: argparse.Namespace, out) -> int:
         order=args.order,
         include_transit=not args.no_transit,
         transit_scale=args.transit_scale,
-        transit_engine=args.transit_engine,
         coord_workers=args.coord_workers,
         damping=args.damping,
         hysteresis_margin=args.hysteresis_margin,
@@ -530,6 +519,15 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args, out)
+    except ReproError as exc:
+        message = " ".join(str(exc).split())
+        print(f"repro: error: {message}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace, out) -> int:
     if args.command == "distance":
         return _run_distance(args, out)
     if args.command == "bandwidth":

@@ -36,7 +36,6 @@ class NegotiationAgent:
         evaluator: Evaluator,
         termination: TerminationMode = TerminationMode.EARLY,
         acceptance: AcceptancePolicy | None = None,
-        incremental_stop: bool = True,
     ):
         if not name:
             raise NegotiationError("agent name cannot be empty")
@@ -44,11 +43,7 @@ class NegotiationAgent:
         self.evaluator = evaluator
         self.termination = termination
         self.acceptance = acceptance or AlwaysAccept()
-        #: Maintain the remaining-rows preference maximum incrementally
-        #: (a lazily pruned heap over per-flow row maxima) instead of
-        #: rescanning the masked (F, I) matrix every :meth:`wants_to_stop`
-        #: call. ``False`` forces the legacy full scan (equivalence tests).
-        self.incremental_stop = incremental_stop
+        #: The remaining-rows preference maximum is kept incrementally: a
         #: (heap of (-row_max, flow), previous remaining mask) — rebuilt on
         #: reassignment and whenever the mask is not a subset of the last.
         self._stop_cache: tuple[list[tuple[int, int]], np.ndarray] | None = None
@@ -88,8 +83,7 @@ class NegotiationAgent:
         alternative is strictly negative. Full termination: never stop
         unilaterally (the session stops when joint gain is exhausted).
 
-        With ``incremental_stop`` (default) the remaining-rows maximum is
-        answered from a heap of per-flow row maxima, built once per
+        The remaining-rows maximum is answered from a heap of per-flow row maxima, built once per
         disclosure and lazily pruned as flows leave ``remaining`` —
         amortized O(log F) per round instead of an O(F·I) masked rescan.
         Falls back to a rebuild whenever the mask is not a subset of the
@@ -99,12 +93,6 @@ class NegotiationAgent:
             return False
         remaining = np.asarray(remaining, dtype=bool)
         threshold = 0 if reassignable else 1
-        if not self.incremental_stop:
-            prefs = self.true_preferences()
-            masked = prefs[remaining]
-            if not masked.size:
-                return True
-            return int(masked.max()) < threshold
         cache = self._stop_cache
         if (
             cache is None

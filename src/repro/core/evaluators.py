@@ -18,12 +18,10 @@ Three concrete evaluators:
 
 The load-dependent evaluators (:class:`LoadAwareEvaluator`,
 :class:`FortzCostEvaluator`) recompute whole preference matrices per
-reassignment. With the default ``engine="sparse"`` they do it as a handful
-of array expressions over the table's compiled path incidence (gather,
-per-entry score, segment reduction) — no Python-level per-(flow,
-alternative) calls. ``engine="legacy"`` keeps the original loops; both
-engines produce bit-identical preferences (asserted by the equivalence
-tests), so the flag is purely a performance/verification switch.
+reassignment as a handful of array expressions over the table's compiled
+path incidence (gather, per-entry score, segment reduction) — no
+Python-level per-(flow, alternative) calls. The equivalence tests pin them
+bit for bit against per-(flow, alternative) reference loops.
 """
 
 from __future__ import annotations
@@ -223,22 +221,19 @@ class LoadAwareEvaluator:
         range_: PreferenceRange | None = None,
         ratio_unit: float = 0.1,
         conservative: bool = True,
-        engine: str = "sparse",
     ):
         if ratio_unit <= 0:
             raise PreferenceError(f"ratio_unit must be > 0, got {ratio_unit}")
         self.range = range_ or PreferenceRange()
         self.ratio_unit = float(ratio_unit)
         self.conservative = conservative
-        self.engine = engine
         self._table = table
         self._side = side
         self._capacities = np.asarray(capacities, dtype=float)
         self._defaults = np.asarray(defaults, dtype=np.intp)
         if self._defaults.shape != (table.n_flows,):
             raise PreferenceError("defaults shape mismatch")
-        self._tracker = LoadTracker(table, side, base_loads=base_loads,
-                                    engine=engine)
+        self._tracker = LoadTracker(table, side, base_loads=base_loads)
         self._prefs = np.zeros((table.n_flows, table.n_alternatives), dtype=np.int64)
         self._recompute(np.ones(table.n_flows, dtype=bool))
 
@@ -282,16 +277,12 @@ class LoadAwareEvaluator:
     def _recompute(self, remaining: np.ndarray) -> None:
         """Refresh classes for the remaining flows from current loads.
 
-        Sparse engine: one gather + segment-max over the whole remaining
-        block (:meth:`_score_block`), then a whole-matrix class mapping
-        (:meth:`_apply_scores`). Legacy engine: the original per-(flow,
-        alternative) loop. Identical outputs. Subclasses override
-        :meth:`_score_block` to substitute their own internal score while
-        inheriting the class mapping unchanged.
+        One gather + segment-max over the whole remaining block
+        (:meth:`_score_block`), then a whole-matrix class mapping
+        (:meth:`_apply_scores`). Subclasses override :meth:`_score_block`
+        to substitute their own internal score while inheriting the class
+        mapping unchanged.
         """
-        if self.engine == "legacy":
-            self._recompute_legacy(remaining)
-            return
         flows = np.flatnonzero(remaining)
         if not flows.size:
             return
@@ -313,21 +304,6 @@ class LoadAwareEvaluator:
         # The default is 0 by construction; enforce against fp noise.
         prefs[rows, defaults] = 0
         self._prefs[flows] = prefs
-
-    def _recompute_legacy(self, remaining: np.ndarray) -> None:
-        for f in np.flatnonzero(remaining):
-            scores = np.asarray(
-                [
-                    self._tracker.peek_max_ratio(int(f), i, self._capacities)
-                    for i in range(self.n_alternatives)
-                ]
-            )
-            default_score = scores[self._defaults[f]]
-            units = (default_score - scores) / self.ratio_unit
-            if self.conservative:
-                units = conservative_round(units)
-            self._prefs[f] = self.range.clamp_array(units)
-            self._prefs[f, self._defaults[f]] = 0
 
 
 class FortzCostEvaluator:
@@ -353,7 +329,6 @@ class FortzCostEvaluator:
         range_: PreferenceRange | None = None,
         cost_unit: float | None = None,
         conservative: bool = True,
-        engine: str = "sparse",
     ):
         from repro.metrics.fortz import (
             piecewise_link_cost,
@@ -363,7 +338,6 @@ class FortzCostEvaluator:
         self._piecewise = piecewise_link_cost
         self._piecewise_array = piecewise_link_cost_array
         self.range = range_ or PreferenceRange()
-        self.engine = engine
         self._table = table
         self._side = side
         self._capacities = np.asarray(capacities, dtype=float)
@@ -371,8 +345,7 @@ class FortzCostEvaluator:
         if self._defaults.shape != (table.n_flows,):
             raise PreferenceError("defaults shape mismatch")
         self._link_table = table.up_links if side == "a" else table.down_links
-        self._tracker = LoadTracker(table, side, base_loads=base_loads,
-                                    engine=engine)
+        self._tracker = LoadTracker(table, side, base_loads=base_loads)
         self._sizes = table.flowset.sizes()
         # Default unit: half the cost of one mean-size flow crossing one
         # low-utilization (slope-1) link — a scale that keeps typical
@@ -440,14 +413,10 @@ class FortzCostEvaluator:
     def _recompute(self, remaining: np.ndarray) -> None:
         """Refresh classes from the current loads.
 
-        Sparse engine: gather all remaining rows' path entries, evaluate
-        the piecewise marginal cost per entry, and segment-sum per row —
-        three array passes instead of F·I Python calls. Legacy engine:
-        the original loop. Identical outputs.
+        Gathers all remaining rows' path entries, evaluates the piecewise
+        marginal cost per entry, and segment-sums per row — three array
+        passes instead of F·I Python calls.
         """
-        if self.engine == "legacy":
-            self._recompute_legacy(remaining)
-            return
         flows = np.flatnonzero(remaining)
         if not flows.size:
             return
@@ -473,19 +442,3 @@ class FortzCostEvaluator:
         prefs = self.range.clamp_array(units)
         prefs[rows, defaults] = 0
         self._prefs[flows] = prefs
-
-    def _recompute_legacy(self, remaining: np.ndarray) -> None:
-        for f in np.flatnonzero(remaining):
-            f = int(f)
-            scores = np.asarray(
-                [
-                    self._placement_cost_increase(f, i)
-                    for i in range(self.n_alternatives)
-                ]
-            )
-            default_score = scores[self._defaults[f]]
-            units = (default_score - scores) / self.cost_unit
-            if self.conservative:
-                units = conservative_round(units)
-            self._prefs[f] = self.range.clamp_array(units)
-            self._prefs[f, self._defaults[f]] = 0

@@ -60,10 +60,10 @@ a class's sessions on a fork-inherited :class:`ProcessPoolExecutor`
 (mutable per-edge state travels in the payload, warm tables by fork) and
 adoptions drain in deterministic edge order afterwards, so parallel
 execution is bit-identical to the canonical serial schedule — a round
-scales with the number of colors, not edges. ``transit_engine=
-"incremental"`` keeps a :class:`~repro.routing.interdomain.TransitLoadIndex`
-so a severance re-routes only the transit demands crossing the failed
-edge (``"legacy"`` re-derives all of them; both pinned bit-identical).
+scales with the number of colors, not edges. Transit background lives in
+a :class:`~repro.routing.interdomain.TransitLoadIndex`, so a severance
+re-routes only the transit demands crossing the failed edge (pinned
+bit-identical to re-deriving every demand).
 ``run()`` also instruments convergence: per-round potential (global MEL,
 flows moved), per-color/per-edge wall timings, and oscillation detection
 — a round that moves flows yet lands on a previously seen global
@@ -132,7 +132,6 @@ from repro.routing.interdomain import (
     TransitDemand,
     TransitLoadIndex,
     propagate_interdomain_routes,
-    transit_demand_hops,
 )
 from repro.routing.paths import IntradomainRouting
 from repro.topology.internetwork import Internetwork
@@ -148,7 +147,6 @@ __all__ = [
 ]
 
 _ORDERS = ("round_robin", "random")
-_TRANSIT_ENGINES = ("incremental", "legacy")
 _EPS = 1e-12
 _STOP_REASONS = ("converged", "max_rounds", "quarantined", "oscillating")
 
@@ -370,7 +368,7 @@ class MultiSessionCoordinator:
     slots bench an edge for ``quarantine_backoff_rounds`` rounds, doubling
     per quarantine up to ``quarantine_backoff_cap``. A ``failure_model``
     switches the edge agents to CVaR-blended scenario-aware preferences
-    (``tail_weight``/``tail_quantile``/``scenario_engine``) and adds the
+    (``tail_weight``/``tail_quantile``) and adds the
     per-endpoint CVaR_q MEL to the re-agreement Pareto gate. All default
     to off; the defaults leave every pre-existing code path untouched.
 
@@ -389,11 +387,7 @@ class MultiSessionCoordinator:
     per CPU, N >= 2 exactly N) runs each color class's sessions on a
     fork pool, bit-identical to serial by the frozen-snapshot argument;
     it cannot be combined with a non-empty ``fault_plan`` (fault events
-    mutate shared edge state mid-round). ``transit_engine`` selects how
-    transit background reacts to severances: ``"incremental"`` (default)
-    re-routes only the demands crossing the severed edge via
-    :class:`~repro.routing.interdomain.TransitLoadIndex`; ``"legacy"``
-    re-derives every demand. Both engines are bit-identical.
+    mutate shared edge state mid-round).
     """
 
     def __init__(
@@ -407,14 +401,11 @@ class MultiSessionCoordinator:
         max_rounds: int = 8,
         include_transit: bool = True,
         transit_scale: float = 1.0,
-        subset_engine: str = "incidence",
-        transit_engine: str = "incremental",
         coord_workers: int | None = None,
         fault_plan: FaultPlan | None = None,
         failure_model: FailureModel | None = None,
         tail_weight: float = 0.5,
         tail_quantile: float = 0.95,
-        scenario_engine: str = "batch",
         quarantine_after: int = 2,
         quarantine_backoff_rounds: int = 1,
         quarantine_backoff_cap: int = 8,
@@ -427,7 +418,6 @@ class MultiSessionCoordinator:
         from repro.experiments.parallel import resolve_workers
 
         validate_choice(order, _ORDERS, "order")
-        validate_choice(transit_engine, _TRANSIT_ENGINES, "transit_engine")
         if max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
         if transit_scale < 0:
@@ -467,8 +457,6 @@ class MultiSessionCoordinator:
         self.max_rounds = max_rounds
         self.include_transit = include_transit
         self.transit_scale = transit_scale
-        self.subset_engine = subset_engine
-        self.transit_engine = transit_engine
         self.coord_workers = resolve_workers(coord_workers)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         if self.coord_workers > 1 and not self.fault_plan.is_empty():
@@ -480,7 +468,6 @@ class MultiSessionCoordinator:
         self.failure_model = failure_model
         self.tail_weight = float(tail_weight)
         self.tail_quantile = float(tail_quantile)
-        self.scenario_engine = scenario_engine
         self.quarantine_after = quarantine_after
         self.quarantine_backoff_rounds = quarantine_backoff_rounds
         self.quarantine_backoff_cap = quarantine_backoff_cap
@@ -499,10 +486,7 @@ class MultiSessionCoordinator:
         self._damping: DampingController | None = None
 
         self._routings = {
-            isp.name: IntradomainRouting(
-                isp, engine=self.config.routing_engine
-            )
-            for isp in self.net.isps
+            isp.name: IntradomainRouting(isp) for isp in self.net.isps
         }
         self._tables = []
         self._defaults = []
@@ -545,11 +529,11 @@ class MultiSessionCoordinator:
                 planned = planned + self._edge_side_loads(index, side)
             self._caps[isp.name] = self.provisioner.capacities(planned)
         #: Lazily propagated BGP next-hop tables and the canonical transit
-        #: demand list — shared by both transit engines and the benches.
+        #: demand list.
         self._routes = None
         self._transit_demands_cache: list[TransitDemand] | None = None
         self._transit_index: TransitLoadIndex | None = None
-        if self.transit_engine == "incremental" and self._has_transit():
+        if self._has_transit():
             self._transit_index = TransitLoadIndex(
                 self.net,
                 self._interdomain_routes(),
@@ -558,9 +542,9 @@ class MultiSessionCoordinator:
             )
             self._transit = self._transit_index.loads()
         else:
-            # Explicit empty blocked map: nothing is severed at build time
-            # (the severed-column state is initialized further down).
-            self._transit = self._transit_loads(blocked={})
+            self._transit = {
+                isp.name: np.zeros(isp.n_links()) for isp in self.net.isps
+            }
         #: The colored schedule: the round's canonical semantics. Seeded
         #: by the coordinator's seed, stable across platforms and edge
         #: enumeration orders.
@@ -646,15 +630,14 @@ class MultiSessionCoordinator:
         return self._routes
 
     def _transit_demands(self) -> list[TransitDemand]:
-        """The canonical transit demand list, shared by both engines.
+        """The canonical transit demand list.
 
         One demand per (source PoP, destination ISP) over every ordered
         *non-adjacent* reachable ISP pair (adjacent traffic is modelled by
         the edge flowsets); volumes are gravity-normalized so the mean
         per-source-PoP demand equals ``transit_scale``. Deterministic:
-        ISP pairs in member order, source PoPs ascending — the legacy
-        loop's exact enumeration, which is what makes the engines
-        bit-comparable.
+        ISP pairs in member order, source PoPs ascending — the enumeration
+        order in which the transit index accumulates its loads.
         """
         if self._transit_demands_cache is not None:
             return self._transit_demands_cache
@@ -686,49 +669,6 @@ class MultiSessionCoordinator:
                     )
         self._transit_demands_cache = demands
         return demands
-
-    def _blocked_columns(self) -> dict[int, set[int]]:
-        """The severed-column map in the routing layer's ``blocked`` shape."""
-        return {
-            edge_index: set(columns)
-            for edge_index, columns in enumerate(self._severed)
-            if columns
-        }
-
-    def _transit_loads(
-        self, blocked: dict[int, set[int]] | None = None
-    ) -> dict[str, np.ndarray]:
-        """Background link loads from inter-ISP transit demands (legacy).
-
-        Walks every canonical demand's hop chain and accumulates with the
-        reference ``loads[links] += volume`` loop; ``blocked`` (default:
-        the currently severed columns) restricts hot-potato exits to the
-        survivors. The incremental engine re-derives only crossing
-        demands but accumulates the identical entries in the identical
-        order, so the two are bit-for-bit equal.
-        """
-        loads = {
-            isp.name: np.zeros(isp.n_links()) for isp in self.net.isps
-        }
-        if not self._has_transit():
-            return loads
-        if blocked is None:
-            blocked = self._blocked_columns()
-        routes = self._interdomain_routes()
-        for demand in self._transit_demands():
-            hops = transit_demand_hops(
-                self.net,
-                routes,
-                demand.src_isp,
-                demand.src_pop,
-                demand.dst_isp,
-                self._routings,
-                blocked=blocked or None,
-            )
-            for hop in hops:
-                if hop.links.size:
-                    loads[hop.isp][hop.links] += demand.volume
-        return loads
 
     def _edge_side_loads(self, edge_index: int, side: str) -> np.ndarray:
         """One edge's current per-link loads on one side, cached.
@@ -825,7 +765,6 @@ class MultiSessionCoordinator:
             base_loads=base_loads,
             range_=p_range,
             ratio_unit=self.config.ratio_unit,
-            scenario_engine=self.scenario_engine,
         )
 
     def _run_session(
@@ -862,7 +801,7 @@ class MultiSessionCoordinator:
             table, choices, "b", active=out_of_scope, base=base_b
         )
         work_table, keep = self._working(edge_index)
-        sub_table = work_table.subset(scope, engine=self.subset_engine)
+        sub_table = work_table.subset(scope)
         if self._severed[edge_index]:
             defaults_sub = self._inverse_keep(edge_index)[choices[scope]]
         else:
@@ -1013,9 +952,8 @@ class MultiSessionCoordinator:
         early-exit column among the survivors (the default rule applied
         to the working table); the edge's derived caches drop and its
         next slot renegotiates over every flow. Transit background
-        crossing the edge re-routes too — incrementally under
-        ``transit_engine="incremental"``, by full re-derivation under
-        ``"legacy"``. Returns the number of re-routed flows.
+        crossing the edge re-routes too, incrementally through the
+        transit index. Returns the number of re-routed flows.
         """
         fresh = [
             c for c in columns if c not in self._severed[edge_index]
@@ -1023,12 +961,9 @@ class MultiSessionCoordinator:
         if not fresh:
             return 0
         self._severed[edge_index].update(fresh)
-        if self._has_transit():
-            if self._transit_index is not None:
-                self._transit_index.sever(edge_index, fresh)
-                self._transit = self._transit_index.loads()
-            else:
-                self._transit = self._transit_loads()
+        if self._transit_index is not None:
+            self._transit_index.sever(edge_index, fresh)
+            self._transit = self._transit_index.loads()
         self._working_cache[edge_index] = None
         self._edge_model_cache[edge_index] = None
         self._edge_scenarios_cache[edge_index] = None

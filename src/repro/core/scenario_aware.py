@@ -22,19 +22,13 @@ a greedy refuge is by construction no worse than any survivor. The
 pessimistic bound is the preference-side counterpart of
 ``conservative_round``: never promise a gain the tail cannot deliver.)
 
-Engine contract (mirrors every other kernel pair in the repo):
-
-* ``scenario_engine="batch"`` computes the whole (scenario, flow,
-  alternative) value stack from **one** nominal
-  :meth:`~repro.capacity.loads.LoadTracker.peek_max_ratio_block` call —
-  valid because a derived table's ratio entries are bit-identical to the
-  parent's restricted to its surviving columns (the PR 6 derive
-  contract), so masking the parent's block *is* deriving.
-* ``scenario_engine="legacy"`` materializes each scenario's post-failure
-  table (:meth:`~repro.routing.costs.PairCostTable.without_alternatives`)
-  and a per-scenario :class:`~repro.capacity.loads.LoadTracker` seeded
-  with the live loads, scoring each scenario independently. Both engines
-  are pinned bit-identical by the equivalence tests.
+The whole (scenario, flow, alternative) value stack comes from **one**
+nominal :meth:`~repro.capacity.loads.LoadTracker.peek_max_ratio_block`
+call — valid because a derived table's ratio entries are bit-identical to
+the parent's restricted to its surviving columns (the derive contract), so
+masking the parent's block *is* deriving. The equivalence tests pin it
+against a reference that materializes each scenario's post-failure table
+and scores it with its own tracker.
 
 Degenerate mass: scenarios that sever *every* column have a
 candidate-independent (infinite) value, so they cannot reorder
@@ -68,14 +62,11 @@ from repro.routing.scenarios import (
     FailureScenarioSet,
     enumerate_failure_scenarios,
 )
-from repro.util.validation import validate_choice
 
 __all__ = [
     "ScenarioAwareEvaluator",
     "scenario_placement_mels",
 ]
-
-_SCENARIO_ENGINES = ("batch", "legacy")
 
 
 class ScenarioAwareEvaluator(LoadAwareEvaluator):
@@ -101,7 +92,6 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         range_: PreferenceRange | None = None,
         ratio_unit: float = 0.1,
         conservative: bool = True,
-        scenario_engine: str = "batch",
     ):
         if not 0.0 <= tail_weight <= 1.0 or math.isnan(tail_weight):
             raise ConfigurationError(
@@ -111,11 +101,9 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
             raise ConfigurationError(
                 f"tail_quantile must be in (0, 1), got {tail_quantile}"
             )
-        validate_choice(scenario_engine, _SCENARIO_ENGINES, "scenario_engine")
         self.model = model
         self.tail_weight = float(tail_weight)
         self.tail_quantile = float(tail_quantile)
-        self.scenario_engine = scenario_engine
         n_alternatives = table.n_alternatives
         scenario_set = enumerate_failure_scenarios(n_alternatives, model)
         routable = tuple(
@@ -128,7 +116,6 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
                 "scenario; raise cutoff coverage or lower probabilities"
             )
         self.scenario_set = scenario_set
-        self._routable = routable
         self._scn_probs = np.array(
             [s.probability for s in routable], dtype=float
         )
@@ -141,13 +128,12 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
                 masks[si, list(s.failed)] = True
         self._failed_masks = masks
         self._any_failure = bool(masks.any()) or self._residual > 0.0
-        self._scn_tables: list[PairCostTable] | None = None
         # The parent __init__ runs the first _recompute, which reads the
         # scenario state above — it must already be in place.
         super().__init__(
             table, side, capacities, defaults,
             base_loads=base_loads, range_=range_, ratio_unit=ratio_unit,
-            conservative=conservative, engine="sparse",
+            conservative=conservative,
         )
 
     # -- scoring ----------------------------------------------------------
@@ -174,8 +160,6 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         floored at its own nominal score (the conservative contended
         re-route bound — see the module docstring).
         """
-        if self.scenario_engine == "legacy":
-            return self._scenario_stack_legacy(flows, sel)
         masks = self._failed_masks[:, np.newaxis, :]  # (S, 1, I)
         spread = np.broadcast_to(
             sel, (self._failed_masks.shape[0],) + sel.shape
@@ -184,37 +168,6 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         return np.where(
             masks, np.maximum(worst[:, :, np.newaxis], spread), spread
         )
-
-    def _scenario_stack_legacy(
-        self, flows: np.ndarray, sel: np.ndarray
-    ) -> np.ndarray:
-        """Per-scenario derived-table scoring (the pinned reference loop)."""
-        if self._scn_tables is None:
-            self._scn_tables = [
-                self._table if not s.failed
-                else self._table.without_alternatives(s.failed)
-                for s in self._routable
-            ]
-        n_alt = self.n_alternatives
-        stack = np.empty((len(self._routable), flows.size, n_alt))
-        for si, scenario in enumerate(self._routable):
-            if not scenario.failed:
-                stack[si] = sel
-                continue
-            table_s = self._scn_tables[si]
-            tracker_s = LoadTracker(
-                table_s, self._side,
-                base_loads=self._tracker.loads_view().copy(),
-                engine=self.engine,
-            )
-            block = tracker_s.peek_max_ratio_block(flows, self._capacities)
-            keep = np.setdiff1d(
-                np.arange(n_alt), np.asarray(scenario.failed)
-            )
-            worst = block.max(axis=1)
-            stack[si] = np.maximum(sel, worst[:, np.newaxis])
-            stack[si][:, keep] = block
-        return stack
 
     def _cvar_from_stack(self, stack: np.ndarray) -> np.ndarray:
         probs = self._scn_probs

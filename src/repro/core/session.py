@@ -18,9 +18,9 @@ Performance: with the stock MaxCombined proposal rule the engine keeps the
 candidate combined-preference scores in an incremental scoreboard (see
 :class:`~repro.core.strategies.CombinedScoreboard`) — per round it touches
 only what a ban or reassignment changed instead of rescanning the (F, I)
-matrix, taking the session loop from O(F²·I) toward O(F·I). Outcomes are
-identical to the rescanning path (``SessionConfig.incremental_proposals=False``
-forces the rescanning loop; the equivalence tests compare the two exactly).
+matrix, taking the session loop from O(F²·I) toward O(F·I). Any other
+proposal rule (a subclass included) runs the rescanning loop; outcomes are
+identical either way, and the equivalence tests compare the two exactly.
 """
 
 from __future__ import annotations
@@ -75,16 +75,6 @@ class SessionConfig:
             preference classes.
         max_rounds: safety valve (default: flows + slack).
         record_messages: keep a full wire-message transcript.
-        incremental_proposals: maintain candidate combined-preference
-            scores incrementally across rounds (update only what a ban or
-            reassignment changes) instead of rescanning the full (F, I)
-            matrix every round. ``None``/``True`` enable the incremental
-            path only when it is safe — the proposal policy is exactly
-            :class:`MaxCombinedProposals` and both agents declare stable
-            disclosure between reassignments — falling back to rescanning
-            otherwise; ``False`` always forces the legacy rescanning loop
-            (equivalence tests, benchmarks). Outcomes are identical either
-            way.
     """
 
     turn_policy: TurnPolicy = field(default_factory=AlternatingTurns)
@@ -94,7 +84,6 @@ class SessionConfig:
     rollback_floors: tuple[float, float] = (0.0, 0.0)
     max_rounds: int | None = None
     record_messages: bool = False
-    incremental_proposals: bool | None = None
 
     def __post_init__(self) -> None:
         if len(self.rollback_floors) != 2:
@@ -198,17 +187,15 @@ class NegotiationSession:
         # stock MaxCombined rule and disclosures only change on
         # reassignment, candidate combined scores are maintained across
         # rounds (O(F) per round) instead of rescanned (O(F·I) per round).
-        use_scoreboard = cfg.incremental_proposals
-        if use_scoreboard is None or use_scoreboard:
-            use_scoreboard = (
-                type(cfg.proposal_policy) is MaxCombinedProposals
-                and getattr(
-                    self.agent_a, "disclosure_changes_only_on_reassign", False
-                )
-                and getattr(
-                    self.agent_b, "disclosure_changes_only_on_reassign", False
-                )
+        use_scoreboard = (
+            type(cfg.proposal_policy) is MaxCombinedProposals
+            and getattr(
+                self.agent_a, "disclosure_changes_only_on_reassign", False
             )
+            and getattr(
+                self.agent_b, "disclosure_changes_only_on_reassign", False
+            )
+        )
         scoreboard: CombinedScoreboard | None = None
 
         reason = TerminationReason.EXHAUSTED

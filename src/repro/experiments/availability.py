@@ -81,7 +81,6 @@ from repro.routing.scenarios import (
 from repro.topology.interconnect import IspPair
 from repro.traffic.gravity import GravityWorkload
 from repro.util.cdf import Cdf
-from repro.util.validation import validate_choice
 
 __all__ = [
     "ScenarioOutcome",
@@ -225,30 +224,18 @@ def run_pair_availability(
     model: FailureModel,
     workload,
     provisioner: ProportionalCapacity | None = None,
-    table_engine: str = "batch",
 ) -> PairAvailabilityResult:
     """Score every enumerated failure scenario of one pair.
 
-    ``table_engine="batch"`` (default) derives every scenario's
-    post-failure table from the pre-failure table in one structural batch;
-    ``"legacy"`` folds per-column legacy drops per scenario instead —
-    bit-identical by the derive contract, kept for the equivalence tests.
+    Every scenario's post-failure table is derived from the pre-failure
+    table in one structural batch (no routing work).
     """
-    validate_choice(table_engine, ("batch", "legacy"), "table_engine")
     context = _build_context(pair, workload, provisioner)
     table_pre = context.table_pre
     scenario_set: FailureScenarioSet = enumerate_failure_scenarios(
         pair.n_interconnections(), model
     )
-    if table_engine == "batch":
-        tables = derive_scenario_tables(table_pre, scenario_set)
-    else:
-        tables = [
-            table_pre if not s.failed
-            else None if s.severs_all(table_pre.n_alternatives)
-            else table_pre.without_alternatives(s.failed, engine="legacy")
-            for s in scenario_set.scenarios
-        ]
+    tables = derive_scenario_tables(table_pre, scenario_set)
 
     total_demand = float(table_pre.flowset.sizes().sum())
     result = PairAvailabilityResult(
@@ -444,7 +431,6 @@ def _availability_unit(config, params, pair_index):
         _failure_model(params),
         workload,
         params["provisioner"],
-        table_engine=params["table_engine"],
     )
 
 
@@ -469,7 +455,6 @@ AVAILABILITY_SCENARIO = register_scenario(ScenarioSpec(
         "max_failed": None,
         "quantiles": (0.95, 0.99),
         "survivability_threshold": 1.0,
-        "table_engine": "batch",
         "workload": None,
         "provisioner": None,
     },
@@ -486,7 +471,6 @@ def run_availability_experiment(
     max_failed: int | None = None,
     quantiles: tuple[float, ...] = (0.95, 0.99),
     survivability_threshold: float = 1.0,
-    table_engine: str = "batch",
     workload=None,
     provisioner: ProportionalCapacity | None = None,
     workers: int | None = None,
@@ -511,7 +495,6 @@ def run_availability_experiment(
         max_failed=max_failed,
         quantiles=tuple(quantiles),
         survivability_threshold=survivability_threshold,
-        table_engine=table_engine,
         workload=workload,
         provisioner=provisioner,
     )

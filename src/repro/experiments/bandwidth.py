@@ -16,13 +16,13 @@ Per (pair, failed interconnection) case:
    upstream (Figure 11).
 4. Score everything by MEL (max load/capacity over a network's links).
 
-Failure-case fast path: by default (``derived_tables=True``) step 2 does no
-routing work at all — the post-failure cost table is *derived* from the
-pair's pre-failure table by dropping the failed column
+Failure-case fast path: step 2 does no routing work at all — the
+post-failure cost table is *derived* from the pair's pre-failure table by
+dropping the failed column
 (:meth:`~repro.routing.costs.PairCostTable.without_alternative`), flowset
-and compiled CSR incidence included, which is bit-identical to the legacy
-per-case rebuild (``derived_tables=False``: ``build_full_flowset`` +
-``build_pair_cost_table`` per case, kept for the equivalence tests).
+and compiled CSR incidence included, which is bit-identical to rebuilding
+the flowset and table over the failed pair (the equivalence tests compare
+the two).
 
 Negotiation-scope fast path: step 3 negotiates over the affected flows
 only, and the sub-table it hands to the session, the joint/unilateral LPs
@@ -30,8 +30,7 @@ and the load kernels is *derived* too — ``table_post.subset`` row-filters
 the dense arrays, the flowset (an array-backed view) and the already
 compiled CSR incidence (:meth:`~repro.routing.incidence.PathIncidence.subset_rows`),
 so the per-case negotiation setup performs zero ragged recompilation end to
-end (``subset_engine="legacy"`` forces the per-flow rebuild for the
-equivalence tests). Default-routing loads are likewise derived from the
+end. Default-routing loads are likewise derived from the
 just-computed background loads (``link_loads(..., base=...)``) instead of
 a second full pass, and a failure that affects no flow short-circuits to
 the default MELs without spinning up the LP or a zero-flow session.
@@ -54,12 +53,7 @@ from repro.core.session import NegotiationSession, SessionConfig
 from repro.core.strategies import ReassignEveryFraction
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    _bandwidth_pair_worker,
-    pairs_for,
-    parallel_map,
-    resolve_workers,
-)
+from repro.experiments.parallel import pairs_for
 from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
@@ -74,8 +68,6 @@ from repro.optimal.unilateral import solve_upstream_unilateral_lp
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
-from repro.routing.paths import IntradomainRouting
-from repro.topology.dataset import build_default_dataset
 from repro.topology.interconnect import IspPair
 from repro.traffic.gravity import GravityWorkload
 from repro.util.cdf import Cdf
@@ -151,23 +143,15 @@ class _CaseContext:
     default_pre: np.ndarray
     caps_a: np.ndarray
     caps_b: np.ndarray
-    routing_a: IntradomainRouting
-    routing_b: IntradomainRouting
-    size_fn: object
 
 
 def _build_context(
     pair: IspPair,
     workload,
     provisioner: ProportionalCapacity | None = None,
-    config: ExperimentConfig | None = None,
 ) -> _CaseContext:
-    engine = config.routing_engine if config is not None else "csgraph"
-    routing_a = IntradomainRouting(pair.isp_a, engine=engine)
-    routing_b = IntradomainRouting(pair.isp_b, engine=engine)
-    size_fn = workload.size_fn(pair)
-    flowset = build_full_flowset(pair, size_fn)
-    table_pre = build_pair_cost_table(pair, flowset, routing_a, routing_b)
+    flowset = build_full_flowset(pair, workload.size_fn(pair))
+    table_pre = build_pair_cost_table(pair, flowset)
     default_pre = early_exit_choices(table_pre)
     provisioner = provisioner or ProportionalCapacity()
     caps_a = provisioner.capacities(link_loads(table_pre, default_pre, "a"))
@@ -178,9 +162,6 @@ def _build_context(
         default_pre=default_pre,
         caps_a=caps_a,
         caps_b=caps_b,
-        routing_a=routing_a,
-        routing_b=routing_b,
-        size_fn=size_fn,
     )
 
 
@@ -293,10 +274,9 @@ def run_pair_cases(
     The single per-pair unit of the experiment sweep — both the serial
     loop and the parallel workers call exactly this, so the two paths
     cannot drift apart. ``flags`` carries the per-case keyword arguments
-    of :func:`run_bandwidth_case` (``include_*``, ``derived_tables``,
-    ``subset_engine``).
+    of :func:`run_bandwidth_case` (the ``include_*`` variants).
     """
-    context = _build_context(pair, workload, provisioner, config)
+    context = _build_context(pair, workload, provisioner)
     n_fail = pair.n_interconnections()
     if config.max_failures_per_pair is not None:
         n_fail = min(n_fail, config.max_failures_per_pair)
@@ -311,26 +291,14 @@ def run_bandwidth_case(
     include_unilateral: bool = False,
     include_cheating: bool = False,
     include_diverse: bool = False,
-    derived_tables: bool = True,
-    subset_engine: str = "incidence",
 ) -> BandwidthCaseResult:
-    """Evaluate one interconnection failure (see module docstring).
-
-    ``derived_tables=True`` (default) derives the post-failure cost table
-    from the pair context's pre-failure table instead of re-routing the
-    flowset; ``False`` forces the legacy per-case rebuild.
-    ``subset_engine`` selects the negotiation-scope derivation
-    (:meth:`~repro.routing.costs.PairCostTable.subset`): ``"incidence"``
-    (default) filters the compiled CSR structurally, ``"legacy"`` rebuilds
-    the sub-table flow by flow. Results are bit-identical for every
-    combination.
-    """
+    """Evaluate one interconnection failure (see module docstring)."""
     config = config or ExperimentConfig()
     if isinstance(context_or_pair, IspPair):
         workload = workload or GravityWorkload(
             PopulationModel(default_city_database())
         )
-        context = _build_context(context_or_pair, workload, config=config)
+        context = _build_context(context_or_pair, workload)
     else:
         context = context_or_pair
     pair = context.pair
@@ -340,14 +308,7 @@ def run_bandwidth_case(
         )
 
     failed_city = pair.interconnections[failed_ic_index].city
-    if derived_tables:
-        table_post = context.table_pre.without_alternative(failed_ic_index)
-    else:
-        failed_pair = pair.without_interconnection(failed_ic_index)
-        flowset_post = build_full_flowset(failed_pair, context.size_fn)
-        table_post = build_pair_cost_table(
-            failed_pair, flowset_post, context.routing_a, context.routing_b
-        )
+    table_post = context.table_pre.without_alternative(failed_ic_index)
     default_post = early_exit_choices(table_post)
 
     affected = np.asarray(context.default_pre) == failed_ic_index
@@ -359,9 +320,8 @@ def run_bandwidth_case(
     # derived from the background loads just computed: seed with base and
     # accumulate only the affected flows' contribution, instead of a second
     # full link_loads pass over every flow. Per link the floats accumulate
-    # base-first then affected flows in order (the seeded legacy loop's
-    # order, identical across engines and across derived_tables paths) —
-    # not the interleaved order of the removed full pass.
+    # base-first then affected flows in order — not the interleaved order
+    # of a full pass.
     loads_def_a = link_loads(
         table_post, default_post, "a", active=affected, base=base_a
     )
@@ -404,7 +364,7 @@ def run_bandwidth_case(
     # (dense rows gathered, flowset reindexed as a view, compiled CSR
     # incidence row-filtered) — the session, LPs and load kernels below
     # trigger no recompilation.
-    sub_table = table_post.subset(affected_idx, engine=subset_engine)
+    sub_table = table_post.subset(affected_idx)
     defaults_sub = default_post[affected_idx]
 
     # Globally optimal (fractional LP over both ISPs).
@@ -549,10 +509,7 @@ class BandwidthExperimentResult:
 # Sweep scenario: "bandwidth" (one unit per pair; all its failure cases)
 # ---------------------------------------------------------------------------
 
-_FLAG_KEYS = (
-    "include_unilateral", "include_cheating", "include_diverse",
-    "derived_tables",
-)
+_FLAG_KEYS = ("include_unilateral", "include_cheating", "include_diverse")
 
 
 def _bandwidth_units(config, params):
@@ -596,7 +553,6 @@ BANDWIDTH_SCENARIO = register_scenario(ScenarioSpec(
         "include_unilateral": False,
         "include_cheating": False,
         "include_diverse": False,
-        "derived_tables": True,
         "workload": None,
         "provisioner": None,
     },
@@ -612,8 +568,6 @@ def run_bandwidth_experiment(
     workload=None,
     provisioner: ProportionalCapacity | None = None,
     workers: int | None = None,
-    derived_tables: bool = True,
-    runner: str = "sweep",
     checkpoint_dir=None,
     resume: bool = False,
     max_retries: int | None = None,
@@ -625,67 +579,24 @@ def run_bandwidth_experiment(
     (gravity traffic, capacity proportional to pre-failure load with
     median fill-in); pass alternates for the robustness sweeps.
 
-    Executes through the unified :class:`~repro.experiments.runner.SweepRunner`
-    (``runner="sweep"``, the default): ``workers`` parallelizes at pair
+    Executes through the unified :class:`~repro.experiments.runner.SweepRunner`:
+    ``workers`` parallelizes at pair
     granularity (each worker handles all failure cases of its pair,
     sharing the pair's precomputed context) with a shared-dataset warm
     start, and ``checkpoint_dir`` / ``resume`` persist per-pair shards for
     restartable sweeps. Results are collected in (pair, failure) order, so
     any worker count produces identical results; custom ``workload`` /
     ``provisioner`` objects must be picklable when ``workers > 1``.
-    ``runner="legacy"`` keeps the pre-runner driver loop for the
-    equivalence tests.
-
-    ``derived_tables`` selects the per-case table strategy (see
-    :func:`run_bandwidth_case`); the default fast path derives each
-    failure's table from the pair's pre-failure table.
     """
     config = config or ExperimentConfig()
     params = dict(
         include_unilateral=include_unilateral,
         include_cheating=include_cheating,
         include_diverse=include_diverse,
-        derived_tables=derived_tables,
         workload=workload,
         provisioner=provisioner,
     )
-    if runner == "legacy":
-        return _run_bandwidth_experiment_legacy(config, params, workers)
-    if runner != "sweep":
-        raise ConfigurationError(f"unknown runner {runner!r}")
     return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),
     ).run(BANDWIDTH_SCENARIO, config, params)
-
-
-def _run_bandwidth_experiment_legacy(
-    config: ExperimentConfig,
-    params: dict,
-    workers: int | None,
-) -> BandwidthExperimentResult:
-    """The pre-runner driver loop, pinned by the equivalence tests."""
-    workload = params["workload"]
-    provisioner = params["provisioner"]
-    dataset = build_default_dataset(config.dataset)
-    pairs = dataset.pairs(
-        min_interconnections=3, max_pairs=config.max_pairs_bandwidth
-    )
-    result = BandwidthExperimentResult()
-    flags = {key: params[key] for key in _FLAG_KEYS}
-    if resolve_workers(workers) > 1:
-        payloads = [
-            (config, i, flags, workload, provisioner)
-            for i in range(len(pairs))
-        ]
-        for cases in parallel_map(
-            _bandwidth_pair_worker, payloads, workers=workers
-        ):
-            result.cases.extend(cases)
-        return result
-    workload = workload or GravityWorkload(PopulationModel(dataset.city_db))
-    for pair in pairs:
-        result.cases.extend(
-            run_pair_cases(pair, config, flags, workload, provisioner)
-        )
-    return result

@@ -37,9 +37,6 @@ class ExperimentConfig:
         lp_solver: registered LP backend name for every LP the experiment
             solves ("highs" = the default scipy-HiGHS backend; see
             :mod:`repro.optimal.solver`).
-        routing_engine: SSSP engine for intradomain routing ("csgraph" =
-            batched scipy.sparse.csgraph Dijkstra, "legacy" = per-source
-            networkx; bit-identical on tie-free topologies).
         damping: what multi-ISP coordination does on a fingerprint
             revisit ("off" = stop with ``stop_reason="oscillating"``,
             the PR 9 behaviour; "ladder" = escalate through hysteresis
@@ -59,18 +56,15 @@ class ExperimentConfig:
     reassign_fraction: float = 0.05
     seed: int = 7
     lp_solver: str = "highs"
-    routing_engine: str = "csgraph"
     damping: str = "off"
     hysteresis_margin: float = 0.05
 
     def __post_init__(self) -> None:
         from repro.core.damping import DAMPING_MODES
         from repro.optimal.solver import available_lp_solvers
-        from repro.routing.paths import SSSP_ENGINES
         from repro.util.validation import validate_choice
 
         validate_choice(self.lp_solver, available_lp_solvers(), "lp_solver")
-        validate_choice(self.routing_engine, SSSP_ENGINES, "routing_engine")
         validate_choice(self.damping, DAMPING_MODES, "damping")
         if self.hysteresis_margin <= 0:
             raise ConfigurationError("hysteresis_margin must be > 0")

@@ -31,14 +31,8 @@ from repro.core.evaluators import StaticCostEvaluator
 from repro.core.mapping import AutoScaleDeltaMapper
 from repro.core.preferences import PreferenceRange
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    _distance_pair_worker,
-    pairs_for,
-    parallel_map,
-    resolve_workers,
-)
+from repro.experiments.parallel import pairs_for
 from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
@@ -50,7 +44,6 @@ from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices, optimal_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.paths import IntradomainRouting
-from repro.topology.dataset import build_default_dataset
 from repro.topology.interconnect import IspPair
 from repro.util.cdf import Cdf
 from repro.util.rng import derive_rng
@@ -396,7 +389,6 @@ def run_distance_experiment(
     config: ExperimentConfig | None = None,
     include_cheating: bool = False,
     workers: int | None = None,
-    runner: str = "sweep",
     checkpoint_dir=None,
     resume: bool = False,
     max_retries: int | None = None,
@@ -404,50 +396,20 @@ def run_distance_experiment(
 ) -> DistanceExperimentResult:
     """Run the Section 5.1 experiment over the configured dataset.
 
-    Executes through the unified :class:`~repro.experiments.runner.SweepRunner`
-    (``runner="sweep"``, the default): ``workers`` parallelizes at pair
-    granularity with a shared-dataset warm start, and ``checkpoint_dir`` /
-    ``resume`` persist per-pair results for restartable sweeps. Each pair
-    is an independent, config-seeded computation and results are collected
-    in pair order, so any worker count produces identical results.
-    ``runner="legacy"`` keeps the pre-runner driver loop for the
-    equivalence tests.
+    Executes through the unified :class:`~repro.experiments.runner.SweepRunner`:
+    ``workers`` parallelizes at pair granularity with a shared-dataset warm
+    start, and ``checkpoint_dir`` / ``resume`` persist per-pair results for
+    restartable sweeps. Each pair is an independent, config-seeded
+    computation and results are collected in pair order, so any worker
+    count produces identical results.
     """
     config = config or ExperimentConfig()
-    if runner == "legacy":
-        return _run_distance_experiment_legacy(config, include_cheating, workers)
-    if runner != "sweep":
-        raise ConfigurationError(f"unknown runner {runner!r}")
     return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),
     ).run(
         DISTANCE_SCENARIO, config, {"include_cheating": include_cheating}
     )
-
-
-def _run_distance_experiment_legacy(
-    config: ExperimentConfig,
-    include_cheating: bool,
-    workers: int | None,
-) -> DistanceExperimentResult:
-    """The pre-runner driver loop, pinned by the equivalence tests."""
-    dataset = build_default_dataset(config.dataset)
-    pairs = dataset.pairs(
-        min_interconnections=2, max_pairs=config.max_pairs_distance
-    )
-    result = DistanceExperimentResult()
-    if resolve_workers(workers) > 1:
-        payloads = [(config, i, include_cheating) for i in range(len(pairs))]
-        result.pairs = parallel_map(
-            _distance_pair_worker, payloads, workers=workers
-        )
-    else:
-        for pair in pairs:
-            result.pairs.append(
-                run_distance_pair(pair, config, include_cheating=include_cheating)
-            )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +422,7 @@ def _memo_distance_problem(pair: IspPair) -> DistanceProblem:
     """Per-process problem memo (identity-keyed; pairs hash by identity).
 
     The serial grouped sweep passes the same pair object for every group
-    count, so the problem is built once — matching the legacy driver. A
-    parallel worker unpickles its own pair copy per payload and rebuilds,
+    count, so the problem is built once. A parallel worker unpickles its own pair copy per payload and rebuilds,
     which is the same determinism story as the dataset sweeps.
     """
     return build_distance_problem(pair)
@@ -515,46 +476,14 @@ def run_grouped_ablation(
     group_counts: list[int],
     config: ExperimentConfig | None = None,
     workers: int | None = None,
-    runner: str = "sweep",
 ) -> dict[int, float]:
     """Total % gain when negotiating in separate groups (in-text ablation).
 
     Executes through the sweep runner (one unit per group count; the
     distance problem is built once per process and shared across units).
-    ``runner="legacy"`` keeps the pre-runner loop for the equivalence
-    tests.
     """
     config = config or ExperimentConfig()
-    if runner == "legacy":
-        return _run_grouped_ablation_legacy(pair, group_counts, config)
-    if runner != "sweep":
-        raise ConfigurationError(f"unknown runner {runner!r}")
     return SweepRunner(workers=workers).run(
         GROUPED_SCENARIO, config,
         {"pair": pair, "group_counts": list(group_counts)},
     )
-
-
-def _run_grouped_ablation_legacy(
-    pair: IspPair,
-    group_counts: list[int],
-    config: ExperimentConfig,
-) -> dict[int, float]:
-    """The pre-runner ablation loop, pinned by the equivalence tests."""
-    p_range = PreferenceRange(config.preference_p)
-    problem = build_distance_problem(pair)
-    tot_def, _, _ = problem.totals(problem.defaults)
-    gains: dict[int, float] = {}
-    for n_groups in group_counts:
-        choices = grouped_negotiation_choices(
-            problem.cost_a,
-            problem.cost_b,
-            problem.defaults,
-            AutoScaleDeltaMapper(p_range),
-            AutoScaleDeltaMapper(p_range),
-            n_groups=n_groups,
-            seed=derive_rng(config.seed, "grouped", pair.name, n_groups),
-        )
-        tot, _, _ = problem.totals(choices)
-        gains[n_groups] = percent_gain(tot_def, tot)
-    return gains

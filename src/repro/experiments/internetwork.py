@@ -63,8 +63,6 @@ _MULTI_ISP_DEFAULTS: dict[str, Any] = {
     "peering_probability": 0.5,
     "include_transit": True,
     "transit_scale": 3.0,
-    "subset_engine": "incidence",
-    "transit_engine": "incremental",
     "coord_workers": None,
     # None = inherit config.damping / config.hysteresis_margin, so one
     # ExperimentConfig threads the damping ladder through whole sweeps.
@@ -137,8 +135,6 @@ def _coordinator_result(config: ExperimentConfig, params: Mapping[str, Any]):
         max_rounds=int(params["rounds"]),
         include_transit=bool(params["include_transit"]),
         transit_scale=float(params["transit_scale"]),
-        subset_engine=str(params["subset_engine"]),
-        transit_engine=str(params["transit_engine"]),
         coord_workers=params["coord_workers"],
         damping=params["damping"],
         hysteresis_margin=params["hysteresis_margin"],
@@ -363,8 +359,8 @@ def run_multi_isp(
     # multi_isp sweep run the identical scenario out of the box.
     coordinator_kwargs.setdefault("max_rounds", _MULTI_ISP_DEFAULTS["rounds"])
     for key in (
-        "order", "include_transit", "transit_scale", "subset_engine",
-        "transit_engine", "coord_workers", "damping", "hysteresis_margin",
+        "order", "include_transit", "transit_scale", "coord_workers",
+        "damping", "hysteresis_margin",
     ):
         coordinator_kwargs.setdefault(key, _MULTI_ISP_DEFAULTS[key])
     return MultiSessionCoordinator(
@@ -384,7 +380,6 @@ def run_multi_isp_experiment(
     peering_probability: float = 0.5,
     include_transit: bool = True,
     transit_scale: float = 3.0,
-    transit_engine: str = "incremental",
     coord_workers: int | None = None,
     damping: str | None = None,
     hysteresis_margin: float | None = None,
@@ -402,8 +397,7 @@ def run_multi_isp_experiment(
     ``checkpoint_dir`` / ``resume`` persist per-cell shards. Any worker
     count, interrupt/resume split, or serial run produces bit-identical
     results. ``coord_workers`` is orthogonal: it parallelizes the color
-    classes *inside* the replayed coordination (also bit-identical), while
-    ``transit_engine`` picks the pinned-identical transit backend.
+    classes *inside* the replayed coordination (also bit-identical).
     ``damping`` / ``hysteresis_margin`` select the oscillation response
     (see :mod:`repro.core.damping`); ``None`` inherits the config's
     values, and the controller runs entirely in the replay parent, so
@@ -420,7 +414,6 @@ def run_multi_isp_experiment(
         peering_probability=peering_probability,
         include_transit=include_transit,
         transit_scale=transit_scale,
-        transit_engine=transit_engine,
         coord_workers=coord_workers,
         damping=damping,
         hysteresis_margin=hysteresis_margin,

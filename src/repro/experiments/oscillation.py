@@ -238,7 +238,7 @@ def run_oscillation_pair(
         from repro.geo.cities import default_city_database
 
         workload = GravityWorkload(PopulationModel(default_city_database()))
-    context = _build_context(pair, workload, config=config)
+    context = _build_context(pair, workload)
     table_post = context.table_pre.without_alternative(failed_ic_index)
     default_post = early_exit_choices(table_post)
     failed_city = pair.interconnections[failed_ic_index].city

@@ -3,21 +3,17 @@
 The figure experiments iterate independent units of work — one ISP pair
 (distance) or one pair's failure set (bandwidth) — and every unit is a pure
 function of the experiment config, so the sweeps parallelize trivially.
-This module provides the shared machinery:
+This module provides the machinery the sweep runner shares:
 
 * :func:`resolve_workers` — normalize a ``workers`` argument (see its
   contract table);
-* :func:`parallel_map` — ordered :class:`~concurrent.futures.ProcessPoolExecutor`
-  map with a serial fast path;
+* :func:`fork_context` — the start method that lets workers inherit the
+  parent's warm caches;
 * :func:`dataset_for` / :func:`pairs_for` — the bounded, fingerprint-keyed
   per-process dataset cache, plus :func:`warm_dataset` to prime it in the
   parent *before* forking so workers inherit the built dataset instead of
   each rebuilding it (the shared-dataset warm start; see
-  :class:`repro.experiments.runner.SweepRunner`);
-* picklable worker functions for the legacy distance and bandwidth sweep
-  paths, so payloads are tiny (config + indices) and nothing unpicklable —
-  routing caches, size-function closures — ever crosses the process
-  boundary.
+  :class:`repro.experiments.runner.SweepRunner`).
 
 **Determinism contract:** results are returned in submission order and
 each unit's computation is independent and seeded by the config, so
@@ -31,8 +27,6 @@ import multiprocessing
 import operator
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -41,16 +35,11 @@ from repro.topology.serialization import config_fingerprint
 
 __all__ = [
     "resolve_workers",
-    "parallel_map",
     "fork_context",
     "dataset_for",
     "pairs_for",
     "warm_dataset",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``workers`` argument to an explicit process count.
@@ -105,32 +94,6 @@ def fork_context() -> multiprocessing.context.BaseContext | None:
     if multiprocessing.get_start_method() == "fork":
         return multiprocessing.get_context("fork")
     return None
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    payloads: Sequence[T] | Iterable[T],
-    workers: int | None = None,
-    chunksize: int = 1,
-    mp_context: multiprocessing.context.BaseContext | None = None,
-) -> list[R]:
-    """Ordered map over ``payloads``, optionally across processes.
-
-    With ``resolve_workers(workers) <= 1`` this is a plain list
-    comprehension (no executor, no pickling). Otherwise ``fn`` must be a
-    module-level function and each payload picklable; results come back in
-    submission order regardless of which worker finished first.
-    ``mp_context`` selects the process start method (the sweep runner
-    passes :func:`fork_context` so workers inherit the warm dataset).
-    """
-    n_workers = resolve_workers(workers)
-    payloads = list(payloads)
-    if n_workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(
-        max_workers=min(n_workers, len(payloads)), mp_context=mp_context
-    ) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -219,42 +182,3 @@ def warm_dataset(config: ExperimentConfig, dataset=None):
         _cache_put(_dataset_cache, key, dataset, DATASET_CACHE_SIZE)
         return dataset
     return dataset_for(config)
-
-
-# ---------------------------------------------------------------------------
-# Legacy sweep workers (top-level, hence picklable)
-# ---------------------------------------------------------------------------
-
-
-def _distance_pair_worker(payload):
-    """One distance-experiment pair: (config, pair_index, include_cheating)."""
-    from repro.experiments.distance import run_distance_pair
-
-    config, pair_index, include_cheating = payload
-    _, pairs = pairs_for(config, 2, config.max_pairs_distance)
-    return run_distance_pair(
-        pairs[pair_index], config, include_cheating=include_cheating
-    )
-
-
-def _bandwidth_pair_worker(payload):
-    """All failure cases of one bandwidth-experiment pair.
-
-    Payload: ``(config, pair_index, flags_dict, workload, provisioner)``.
-    ``flags_dict`` holds the per-case keyword arguments (``include_*``,
-    ``derived_tables``), so the workers honor the same table strategy as
-    the serial sweep. ``workload``/``provisioner`` are ``None`` for the
-    defaults (rebuilt here from the dataset, avoiding pickling); custom
-    objects are passed through and must be picklable. The per-pair work
-    itself is ``run_pair_cases`` — the same function the serial sweep
-    calls.
-    """
-    from repro.experiments.bandwidth import run_pair_cases
-    from repro.geo.population import PopulationModel
-    from repro.traffic.gravity import GravityWorkload
-
-    config, pair_index, flags, workload, provisioner = payload
-    dataset, pairs = pairs_for(config, 3, config.max_pairs_bandwidth)
-    pair = pairs[pair_index]
-    workload = workload or GravityWorkload(PopulationModel(dataset.city_db))
-    return run_pair_cases(pair, config, flags, workload, provisioner)

@@ -66,14 +66,12 @@ _ROBUSTNESS_DEFAULTS: dict[str, Any] = {
     "order": "round_robin",
     "include_transit": False,
     "transit_scale": 0.0,
-    "subset_engine": "incidence",
     # Failure distribution the agents plan against (and are assessed on).
     "link_probability": 0.05,
     "cutoff": 1e-4,
     "max_failed": 2,
     "tail_weight": 0.5,
     "tail_quantile": 0.9,
-    "scenario_engine": "batch",
     # Injected fault plans: one coordination per (seed, mode).
     "fault_seeds": (0, 1, 2),
     "abort_rate": 0.15,
@@ -192,14 +190,12 @@ def _robustness_unit(config, params, unit):
         max_rounds=int(params["rounds"]),
         include_transit=bool(params["include_transit"]),
         transit_scale=float(params["transit_scale"]),
-        subset_engine=str(params["subset_engine"]),
         fault_plan=plan,
         failure_model=model,
         tail_weight=(
             0.0 if mode == "nominal" else float(params["tail_weight"])
         ),
         tail_quantile=float(params["tail_quantile"]),
-        scenario_engine=str(params["scenario_engine"]),
     )
     result = coordinator.run()
     report = coordinator.risk_report()

@@ -29,8 +29,8 @@ ordered reducer — and executed by a :class:`SweepRunner` that owns:
 **Determinism contract:** unit enumeration is deterministic in the config,
 every unit is independent, and results are reduced in unit order — so any
 ``workers=N``, any interrupt/resume split, and the serial loop all produce
-bit-identical aggregates. The equivalence tests assert this against the
-legacy drivers (kept behind ``runner="legacy"``).
+bit-identical aggregates. The equivalence tests assert this against plain
+loops over the per-unit functions.
 
 Scenarios register themselves by name (``distance``, ``bandwidth``,
 ``grouped``, ``oscillation``, ``destination``) so the CLI ``sweep``
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import ConfigurationError, SweepUnitError
+from repro.errors import ConfigurationError, RoutingError, SweepUnitError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     fork_context,
@@ -58,6 +58,11 @@ from repro.experiments.parallel import (
 from repro.topology.serialization import stable_fingerprint
 
 _log = logging.getLogger(__name__)
+
+#: Errors a unit raises the same way on every attempt: bad parameters and
+#: unroutable topologies. They are never retried and abort the sweep at
+#: once instead of failing every unit in turn.
+_DETERMINISTIC_ERRORS = (ConfigurationError, RoutingError)
 
 __all__ = [
     "ScenarioSpec",
@@ -347,7 +352,11 @@ class SweepRunner:
             that exhausts its budget does *not* kill the sweep: every
             other unit still completes (and checkpoints), then a
             :class:`~repro.errors.SweepUnitError` surfaces the exceptions
-            with their unit payloads attached.
+            with their unit payloads attached. A
+            :class:`~repro.errors.ConfigurationError` or
+            :class:`~repro.errors.RoutingError` is deterministic: it is
+            raised as is on its first occurrence, without retries and
+            without running the remaining units.
         retry_backoff_s: base backoff; attempt ``k`` sleeps
             ``retry_backoff_s * 2**(k-1)``, capped at 1 s — deterministic,
             no jitter, so reruns behave identically.
@@ -432,13 +441,16 @@ class SweepRunner:
         A unit whose execution raises is retried ``max_retries`` times
         with deterministic backoff; one that keeps failing is appended to
         ``failures`` as ``(index, unit_payload, exception)`` and skipped,
-        leaving the remaining units to complete.
+        leaving the remaining units to complete. A deterministic error
+        propagates at once.
         """
         if n_workers <= 1 or len(todo) <= 1:
             for index in todo:
                 for attempt in range(self.max_retries + 1):
                     try:
                         result = spec.run_unit(config, params, units[index])
+                    except _DETERMINISTIC_ERRORS:
+                        raise
                     except Exception as exc:
                         if attempt >= self.max_retries:
                             _log.warning(
@@ -490,6 +502,10 @@ class SweepRunner:
                     try:
                         result = futures[index].result()
                     except KeyboardInterrupt:
+                        raise
+                    except _DETERMINISTIC_ERRORS:
+                        for future in futures.values():
+                            future.cancel()
                         raise
                     except Exception as exc:
                         attempt += 1

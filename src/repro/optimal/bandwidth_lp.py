@@ -30,15 +30,8 @@ from repro.errors import OptimizationError
 from repro.optimal.solver import LpProblem, LpSolver, resolve_lp_solver
 from repro.routing.costs import PairCostTable
 from repro.routing.incidence import multirange_gather
-from repro.util.validation import validate_choice
 
 __all__ = ["LpRoutingResult", "solve_min_max_load_lp", "fractional_loads"]
-
-_ASSEMBLY_ENGINES = ("sparse", "legacy")
-
-
-def _validate_assembly_engine(engine: str) -> str:
-    return validate_choice(engine, _ASSEMBLY_ENGINES, "engine")
 
 
 @dataclass(frozen=True)
@@ -66,48 +59,19 @@ def _link_constraint_rows(
     base: np.ndarray,
     row_offset: int,
     t_col: int,
-    engine: str = "sparse",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """COO triplets and RHS for one ISP side's link constraints.
 
-    ``engine="sparse"`` (default) reads the table's compiled CSR incidence:
-    the x-variable triplets *are* the incidence arrays — row ids come from
-    ``indices``, column ids from the CSR row of each entry, values from
-    ``sizes[entry_flow]`` — produced in exactly the (flow, alternative,
-    path-order) sequence the legacy loop emits. ``engine="legacy"`` keeps
-    the original ragged-table loop for the equivalence tests.
+    The x-variable triplets *are* the table's compiled CSR incidence: row
+    ids come from ``indices``, column ids from the CSR row of each entry,
+    values from ``sizes[entry_flow]`` — in (flow, alternative, path-order)
+    sequence, the order a loop over the ragged link table emits them.
 
     Negotiation sub-tables arrive warm (``PairCostTable.subset`` re-derives
     the compiled incidence structurally), so ``table.incidence(side)`` here
     is a cache hit — the assembler performs no ragged recompilation.
     """
     n_links = caps.shape[0]
-    if engine == "legacy":
-        link_table = table.up_links if side == "a" else table.down_links
-        sizes = table.flowset.sizes()
-        n_i = table.n_alternatives
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for f in range(table.n_flows):
-            for i in range(n_i):
-                col = f * n_i + i
-                for li in link_table[f][i]:
-                    rows.append(row_offset + int(li))
-                    cols.append(col)
-                    vals.append(float(sizes[f]))
-        # -t * cap_l on the left-hand side.
-        for li in range(n_links):
-            rows.append(row_offset + li)
-            cols.append(t_col)
-            vals.append(-float(caps[li]))
-        rhs = -np.asarray(base, dtype=float)
-        return (
-            np.asarray(rows, dtype=np.intp),
-            np.asarray(cols, dtype=np.intp),
-            np.asarray(vals, dtype=float),
-            rhs,
-        )
     inc = table.incidence(side)
     sizes = table.flowset.sizes()
     n_matrix_rows = inc.n_flows * inc.n_alternatives
@@ -134,7 +98,6 @@ def solve_min_max_load_lp(
     base_a: np.ndarray | None = None,
     base_b: np.ndarray | None = None,
     sides: tuple[str, ...] = ("a", "b"),
-    engine: str = "sparse",
     solver: str | LpSolver | None = None,
 ) -> LpRoutingResult:
     """Solve the fractional min-max-load LP over the given sides.
@@ -143,16 +106,11 @@ def solve_min_max_load_lp(
     upstream-unilateral optimization of Figure 8. Both capacity arrays must
     always be supplied (shapes are validated against the pair).
 
-    ``engine`` selects the constraint assembler (see
-    :func:`_link_constraint_rows`); the resulting LP is identical either
-    way, so the flag is purely a performance/verification switch.
-
     ``solver`` selects the LP backend by registry name (or an injected
     :class:`~repro.optimal.solver.LpSolver` instance); ``None`` means the
     default scipy-HiGHS backend, which is bit-identical to the historical
     hardwired ``linprog`` call. See :mod:`repro.optimal.solver`.
     """
-    _validate_assembly_engine(engine)
     backend = resolve_lp_solver(solver)
     n_f, n_i = table.n_flows, table.n_alternatives
     caps_a = np.asarray(caps_a, dtype=float)
@@ -193,7 +151,7 @@ def solve_min_max_load_lp(
         caps = caps_a if side == "a" else caps_b
         base = base_a if side == "a" else base_b
         r, c, v, rhs = _link_constraint_rows(
-            table, side, caps, base, offset, t_col, engine=engine
+            table, side, caps, base, offset, t_col
         )
         row_parts.append(r)
         col_parts.append(c)
@@ -250,18 +208,15 @@ def fractional_loads(
     fractions: np.ndarray,
     side: str,
     base: np.ndarray | None = None,
-    engine: str = "sparse",
 ) -> np.ndarray:
     """Per-link loads in one ISP under a fractional placement.
 
-    ``engine="sparse"`` (default) computes the whole placement as one
-    ``bincount`` scatter-add over the table's CSR incidence. The base loads
-    are fed through the same bincount as leading per-link entries, so each
-    link accumulates ``base, entry, entry, ...`` sequentially — exactly the
-    legacy loop's float order, hence bit-identical results.
-    ``engine="legacy"`` keeps the original per-(flow, alternative) loop.
+    The whole placement is one ``bincount`` scatter-add over the table's
+    CSR incidence. The base loads are fed through the same bincount as
+    leading per-link entries, so each link accumulates ``base, entry,
+    entry, ...`` sequentially — the float order of a per-(flow,
+    alternative) loop started from ``base.copy()``.
     """
-    _validate_assembly_engine(engine)
     fractions = np.asarray(fractions, dtype=float)
     if fractions.shape != (table.n_flows, table.n_alternatives):
         raise OptimizationError(
@@ -269,42 +224,24 @@ def fractional_loads(
         )
     if side == "a":
         n_links = table.pair.isp_a.n_links()
-        link_table = table.up_links
     elif side == "b":
         n_links = table.pair.isp_b.n_links()
-        link_table = table.down_links
     else:
         raise OptimizationError(f"side must be 'a' or 'b', got {side!r}")
     sizes = table.flowset.sizes()
-
-    if engine == "sparse":
-        inc = table.incidence(side)
-        flat = fractions.ravel()  # row id = f * I + i, matching the CSR rows
-        placed_rows = np.flatnonzero(flat > 0)
-        positions, counts = multirange_gather(
-            inc.indptr[placed_rows], inc.indptr[placed_rows + 1]
+    inc = table.incidence(side)
+    flat = fractions.ravel()  # row id = f * I + i, matching the CSR rows
+    placed_rows = np.flatnonzero(flat > 0)
+    positions, counts = multirange_gather(
+        inc.indptr[placed_rows], inc.indptr[placed_rows + 1]
+    )
+    seed = np.zeros(n_links) if base is None else np.asarray(base, dtype=float)
+    bins = np.arange(n_links, dtype=np.intp)
+    weights = seed
+    if positions.size:
+        row_weight = (
+            sizes[placed_rows // table.n_alternatives] * flat[placed_rows]
         )
-        seed = (
-            np.zeros(n_links)
-            if base is None
-            else np.asarray(base, dtype=float)
-        )
-        bins = np.arange(n_links, dtype=np.intp)
-        weights = seed
-        if positions.size:
-            row_weight = (
-                sizes[placed_rows // table.n_alternatives] * flat[placed_rows]
-            )
-            bins = np.concatenate([bins, inc.indices[positions]])
-            weights = np.concatenate([seed, np.repeat(row_weight, counts)])
-        return np.bincount(bins, weights=weights, minlength=n_links)
-
-    loads = np.zeros(n_links) if base is None else np.asarray(base, float).copy()
-    for f in range(table.n_flows):
-        for i in range(table.n_alternatives):
-            share = fractions[f, i]
-            if share <= 0:
-                continue
-            for li in link_table[f][i]:
-                loads[li] += sizes[f] * share
-    return loads
+        bins = np.concatenate([bins, inc.indices[positions]])
+        weights = np.concatenate([seed, np.repeat(row_weight, counts)])
+    return np.bincount(bins, weights=weights, minlength=n_links)

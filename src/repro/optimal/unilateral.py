@@ -26,13 +26,12 @@ def solve_upstream_unilateral_lp(
     caps_b: np.ndarray,
     base_a: np.ndarray | None = None,
     base_b: np.ndarray | None = None,
-    engine: str = "sparse",
     solver: str | LpSolver | None = None,
 ) -> LpRoutingResult:
     """Minimize the maximum load ratio over *upstream* links only.
 
     Shares :func:`solve_min_max_load_lp`'s incidence-backed constraint
-    assembler (``engine``), so the Figure 8 sweep benefits from the same
+    assembler, so the Figure 8 sweep benefits from the same
     vectorized setup as the joint LP — including warm negotiation
     sub-tables (the compiled incidence a ``PairCostTable.subset`` carries
     over is consumed as-is) and the zero-flow degenerate return, which
@@ -45,6 +44,5 @@ def solve_upstream_unilateral_lp(
         base_a=base_a,
         base_b=base_b,
         sides=("a",),
-        engine=engine,
         solver=solver,
     )

@@ -12,9 +12,8 @@ precomputed tables: for each flow ``f`` and each interconnection ``i``,
   by the bandwidth/load machinery.
 
 Building the table costs one Dijkstra per interconnection per side; the
-default ``engine="batched"`` builder then fills the (F, I) arrays column by
-column from dense per-PoP SSSP views instead of issuing F·I per-cell
-routing queries.
+builder then fills the (F, I) arrays column by column from dense per-PoP
+SSSP views instead of issuing F·I per-cell routing queries.
 
 The ragged link tables are the *authoring* format; the load/preference hot
 path consumes their compiled CSR form instead — see :meth:`PairCostTable.incidence`
@@ -35,8 +34,9 @@ of the (F, I) space:
   view, any compiled incidence filtered via
   :meth:`PathIncidence.subset_rows`).
 
-Both derivations are bit-identical to a from-scratch rebuild, which stays
-behind ``engine="legacy"`` flags for the equivalence tests.
+Both derivations are bit-identical to a from-scratch rebuild over the
+reduced pair or flowset; the test suite pins them against cell-by-cell
+reference builders.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, RoutingError
-from repro.routing.flows import Flow, FlowSet
+from repro.routing.flows import FlowSet
 from repro.routing.incidence import PathIncidence
 from repro.routing.paths import IntradomainRouting
 from repro.topology.interconnect import IspPair
-from repro.util.validation import validate_choice
 
 __all__ = [
     "PairCostTable",
@@ -59,7 +58,7 @@ __all__ = [
     "DEFAULT_CHUNK_ROWS",
 ]
 
-#: Default flow-row block size for the chunked builder and block iterators.
+#: Default flow-row block size for the streaming block iterators.
 DEFAULT_CHUNK_ROWS = 2048
 
 
@@ -192,11 +191,7 @@ class PairCostTable:
         derived.validate()
         return derived
 
-    def without_alternatives(
-        self,
-        failed_indices,
-        engine: str = "structural",
-    ) -> "PairCostTable":
+    def without_alternatives(self, failed_indices) -> "PairCostTable":
         """The post-failure table with a *set* of columns dropped at once.
 
         The correlated-multi-failure generalization of
@@ -210,11 +205,9 @@ class PairCostTable:
         :meth:`PathIncidence.without_alternatives`. No shortest path is
         recomputed.
 
-        ``engine="structural"`` (default) is the single pass;
-        ``engine="legacy"`` folds single :meth:`without_alternative` drops
-        (descending, so indices never shift). Both are bit-identical to
-        each other, to any composition order of single drops, and to
-        rebuilding the table from scratch over the reduced pair.
+        The result is bit-identical to any composition order of single
+        drops and to rebuilding the table from scratch over the reduced
+        pair.
 
         The drop set must be unique and in range (validated by the same
         contract as :meth:`subset`), and must leave at least one
@@ -223,7 +216,9 @@ class PairCostTable:
         graceful-degradation case (see
         :mod:`repro.routing.scenarios`).
         """
-        validate_choice(engine, _DROP_ENGINES, "engine")
+        return self._drop_columns(self._validate_drop_set(failed_indices))
+
+    def _validate_drop_set(self, failed_indices) -> np.ndarray:
         idx = _validate_index_set(
             failed_indices, self.n_alternatives, "alternative drop"
         )
@@ -232,17 +227,10 @@ class PairCostTable:
                 "cannot drop every alternative column "
                 f"(got all {self.n_alternatives} indices)"
             )
-        if engine == "legacy":
-            table = self
-            for k in sorted(idx.tolist(), reverse=True):
-                table = table.without_alternative(k)
-            return table
-        return self._without_alternatives_structural(idx)
+        return idx
 
-    def _without_alternatives_structural(
-        self, idx: np.ndarray
-    ) -> "PairCostTable":
-        """Internal single-pass drop for already-validated indices."""
+    def _drop_columns(self, idx: np.ndarray) -> "PairCostTable":
+        """The single-pass drop for an already-validated drop set."""
         keep = np.setdiff1d(
             np.arange(self.n_alternatives, dtype=np.intp), idx,
             assume_unique=True,
@@ -287,65 +275,39 @@ class PairCostTable:
         so the whole scenario set shares the parent's memory and pays zero
         routing work. Validation runs once per drop set against this
         table's column count; each result is bit-identical to the
-        equivalent :meth:`without_alternatives` call (and hence to the
-        legacy per-scenario rebuild).
+        equivalent :meth:`without_alternatives` call (and hence to a
+        per-scenario rebuild).
 
         Drop sets that sever every column are rejected here the same way
         :meth:`without_alternatives` rejects them — filter those scenarios
         out first (they have no representable table).
         """
-        validated = [
-            _validate_index_set(ks, self.n_alternatives, "alternative drop")
-            for ks in drop_sets
-        ]
-        for idx in validated:
-            if idx.size >= self.n_alternatives:
-                raise RoutingError(
-                    "cannot drop every alternative column "
-                    f"(got all {self.n_alternatives} indices)"
-                )
-        return [self._without_alternatives_structural(idx) for idx in validated]
+        validated = [self._validate_drop_set(ks) for ks in drop_sets]
+        return [self._drop_columns(idx) for idx in validated]
 
-    def subset(
-        self, indices: np.ndarray, engine: str = "incidence"
-    ) -> "PairCostTable":
+    def subset(self, indices: np.ndarray) -> "PairCostTable":
         """A reindexed table containing only the given flow rows.
 
         Used by the bandwidth experiment to negotiate over just the flows
         affected by a failure without recomputing any shortest paths.
 
-        ``engine="incidence"`` (default) derives everything structurally:
-        the dense arrays are row-gathered, the ragged link rows aliased,
-        the flowset becomes an array-backed reindexing view
-        (:meth:`FlowSet.subset`), and any compiled CSR incidence is
-        re-derived by filtering its rows
+        Everything is derived structurally: the dense arrays are
+        row-gathered, the ragged link rows aliased, the flowset becomes an
+        array-backed reindexing view (:meth:`FlowSet.subset`), and any
+        compiled CSR incidence is re-derived by filtering its rows
         (:meth:`PathIncidence.subset_rows`) instead of being dropped — the
         negotiation machinery of a failure case starts warm, with zero
-        ragged recompilation. ``engine="legacy"`` keeps the original
-        per-flow Python rebuild (the incidence recompiles lazily from the
-        ragged rows); both engines produce bit-identical tables.
+        ragged recompilation. The result is bit-identical to a per-flow
+        rebuild whose incidence is compiled from the ragged rows.
 
         Indices must be unique and within ``0..F-1``; out-of-range,
         negative and duplicate indices raise :class:`RoutingError`.
         """
-        validate_choice(engine, _SUBSET_ENGINES, "engine")
         idx = _validate_index_set(indices, self.n_flows, "subset flow")
-        if engine == "legacy":
-            sub_flowset = FlowSet(
-                self.pair,
-                [
-                    Flow(index=new, src=old.src, dst=old.dst, size=old.size)
-                    for new, old in enumerate(
-                        self.flowset[int(i)] for i in idx
-                    )
-                ],
-            )
-        else:
-            sub_flowset = self.flowset._subset_view(idx)  # idx validated above
         rows = idx.tolist()
         derived = PairCostTable(
             pair=self.pair,
-            flowset=sub_flowset,
+            flowset=self.flowset._subset_view(idx),  # idx validated above
             up_weight=self.up_weight[idx],
             down_weight=self.down_weight[idx],
             up_km=self.up_km[idx],
@@ -354,32 +316,31 @@ class PairCostTable:
             up_links=tuple(self.up_links[i] for i in rows),
             down_links=tuple(self.down_links[i] for i in rows),
         )
-        if engine == "incidence":
-            if idx.size == 0:
-                # An empty scope (e.g. a zero-flow internetwork edge) gets
-                # structurally-empty incidences up front — identical to
-                # what compiling the empty ragged table would build, but
-                # without ever invoking the compiler, warm parent or not.
-                for attr, isp in (
-                    ("_incidence_a", self.pair.isp_a),
-                    ("_incidence_b", self.pair.isp_b),
-                ):
-                    object.__setattr__(
-                        derived, attr,
-                        PathIncidence(
-                            n_flows=0,
-                            n_alternatives=self.n_alternatives,
-                            n_links=isp.n_links(),
-                            indptr=np.zeros(1, dtype=np.intp),
-                            indices=np.empty(0, dtype=np.intp),
-                            entry_flow=np.empty(0, dtype=np.intp),
-                        ),
-                    )
-                return derived
-            for attr in ("_incidence_a", "_incidence_b"):
-                cached = self.__dict__.get(attr)
-                if cached is not None:
-                    object.__setattr__(derived, attr, cached.subset_rows(idx))
+        if idx.size == 0:
+            # An empty scope (e.g. a zero-flow internetwork edge) gets
+            # structurally-empty incidences up front — identical to what
+            # compiling the empty ragged table would build, but without
+            # ever invoking the compiler, warm parent or not.
+            for attr, isp in (
+                ("_incidence_a", self.pair.isp_a),
+                ("_incidence_b", self.pair.isp_b),
+            ):
+                object.__setattr__(
+                    derived, attr,
+                    PathIncidence(
+                        n_flows=0,
+                        n_alternatives=self.n_alternatives,
+                        n_links=isp.n_links(),
+                        indptr=np.zeros(1, dtype=np.intp),
+                        indices=np.empty(0, dtype=np.intp),
+                        entry_flow=np.empty(0, dtype=np.intp),
+                    ),
+                )
+            return derived
+        for attr in ("_incidence_a", "_incidence_b"):
+            cached = self.__dict__.get(attr)
+            if cached is not None:
+                object.__setattr__(derived, attr, cached.subset_rows(idx))
         return derived
 
     def iter_blocks(self, chunk_rows: int = DEFAULT_CHUNK_ROWS):
@@ -414,11 +375,6 @@ class PairCostTable:
             raise RoutingError("link tables have wrong flow dimension")
 
 
-_BUILD_ENGINES = ("batched", "chunked", "legacy")
-_SUBSET_ENGINES = ("incidence", "legacy")
-_DROP_ENGINES = ("structural", "legacy")
-
-
 def _check_reachable(
     pair: IspPair, arr: np.ndarray, what: str, side_isp: str, pops: np.ndarray
 ) -> None:
@@ -437,13 +393,75 @@ def _check_reachable(
         )
 
 
-def _validate_chunk_rows(chunk_rows: int | None) -> int:
+def _validate_chunk_rows(chunk_rows: int | None, default: int) -> int:
     if chunk_rows is None:
-        return DEFAULT_CHUNK_ROWS
+        return default
     chunk_rows = int(chunk_rows)
     if chunk_rows < 1:
         raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
     return chunk_rows
+
+
+class _ColumnFill:
+    """One pair's per-interconnection SSSP views, gathered by flow rows.
+
+    Both builders fill through this: :func:`build_pair_cost_table` into
+    its preallocated (F, I) arrays, :func:`iter_pair_cost_table_blocks`
+    into one fresh block at a time. Each column of a block is one gather
+    from a dense per-PoP view, so every cell is exactly the float a
+    per-cell routing query returns.
+    """
+
+    def __init__(self, pair, flowset, routing_a, routing_b):
+        if flowset.pair is not pair and flowset.pair.name != pair.name:
+            raise RoutingError("flowset was built for a different pair")
+        routing_a = routing_a or IntradomainRouting(pair.isp_a)
+        routing_b = routing_b or IntradomainRouting(pair.isp_b)
+        ics = pair.interconnections
+        self.pair = pair
+        self.n_flows, self.n_alternatives = len(flowset), len(ics)
+        self.ic_km = np.asarray([ic.length_km for ic in ics], dtype=float)
+        # Warm the SSSP caches from the interconnection PoPs: paths are
+        # symmetric on an undirected graph, so dist(src, exit) =
+        # dist(exit, src).
+        routing_a.warm([ic.pop_a for ic in ics])
+        routing_b.warm([ic.pop_b for ic in ics])
+        self.srcs = flowset.srcs()
+        self.dsts = flowset.dsts()
+        self._links_up = [routing_a.path_links_array(ic.pop_a) for ic in ics]
+        self._links_down = [routing_b.path_links_array(ic.pop_b) for ic in ics]
+        self._up_w = [routing_a.weight_distance_array(ic.pop_a) for ic in ics]
+        self._up_k = [routing_a.geo_distance_array(ic.pop_a) for ic in ics]
+        self._dn_w = [routing_b.weight_distance_array(ic.pop_b) for ic in ics]
+        self._dn_k = [routing_b.geo_distance_array(ic.pop_b) for ic in ics]
+
+    def fill(self, lo, hi, up_weight, down_weight, up_km, down_km) -> None:
+        """Gather flow rows ``lo:hi`` into four (hi - lo, I) arrays."""
+        src_blk = self.srcs[lo:hi]
+        dst_blk = self.dsts[lo:hi]
+        for i in range(self.n_alternatives):
+            up_weight[:, i] = self._up_w[i][src_blk]
+            up_km[:, i] = self._up_k[i][src_blk]
+            down_weight[:, i] = self._dn_w[i][dst_blk]
+            down_km[:, i] = self._dn_k[i][dst_blk]
+        pair = self.pair
+        _check_reachable(pair, up_weight, "source", pair.isp_a.name, src_blk)
+        _check_reachable(
+            pair, down_weight, "destination", pair.isp_b.name, dst_blk
+        )
+
+    def links(self, lo, hi):
+        """The ragged ``(up_links, down_links)`` rows of flows ``lo:hi``."""
+        n_i = self.n_alternatives
+        up = tuple(
+            tuple(self._links_up[i][src] for i in range(n_i))
+            for src in self.srcs[lo:hi].tolist()
+        )
+        down = tuple(
+            tuple(self._links_down[i][dst] for i in range(n_i))
+            for dst in self.dsts[lo:hi].tolist()
+        )
+        return up, down
 
 
 def build_pair_cost_table(
@@ -451,7 +469,6 @@ def build_pair_cost_table(
     flowset: FlowSet,
     routing_a: IntradomainRouting | None = None,
     routing_b: IntradomainRouting | None = None,
-    engine: str = "batched",
     chunk_rows: int | None = None,
 ) -> PairCostTable:
     """Build the cost table for ``flowset`` over ``pair`` (direction A->B).
@@ -460,101 +477,32 @@ def build_pair_cost_table(
     across multiple tables over the same ISPs (e.g. both directions, or
     several failure scenarios).
 
-    ``engine="batched"`` (default) fills the (F, I) arrays column by column
-    from each interconnection's dense per-PoP SSSP views — one gather per
-    column instead of F·I per-cell routing queries. ``engine="chunked"``
-    fills the same preallocated arrays in flow-row blocks of at most
-    ``chunk_rows`` (default :data:`DEFAULT_CHUNK_ROWS`), bounding the
-    intermediate per-block state; for a table that should never fully
-    materialize, use :func:`iter_pair_cost_table_blocks` instead.
-    ``engine="legacy"`` keeps the original cell-by-cell loop. All three
-    produce bit-identical tables (the per-PoP views are exactly the
-    per-cell floats, and chunked fills are the same gathers split by row
-    range).
+    The (F, I) arrays fill column by column from each interconnection's
+    dense per-PoP SSSP views — one gather per column instead of F·I
+    per-cell routing queries. ``chunk_rows`` splits the fill into flow-row
+    blocks of at most that many rows, bounding the per-block intermediate
+    state; ``None`` (default) fills everything as one block. The result is
+    bit-identical for every block size. For a table that should never
+    fully materialize, use :func:`iter_pair_cost_table_blocks` instead.
 
     Disconnected src/dst PoPs raise :class:`RoutingError` naming the pair
     and the offending PoPs instead of letting non-finite distances into
     the table.
     """
-    if flowset.pair is not pair and flowset.pair.name != pair.name:
-        raise RoutingError("flowset was built for a different pair")
-    validate_choice(engine, _BUILD_ENGINES, "engine")
-    chunk_rows = _validate_chunk_rows(chunk_rows)
-    routing_a = routing_a or IntradomainRouting(pair.isp_a)
-    routing_b = routing_b or IntradomainRouting(pair.isp_b)
-
-    ics = pair.interconnections
-    n_f, n_i = len(flowset), len(ics)
+    block = _validate_chunk_rows(chunk_rows, max(len(flowset), 1))
+    fill = _ColumnFill(pair, flowset, routing_a, routing_b)
+    n_f, n_i = fill.n_flows, fill.n_alternatives
     up_weight = np.zeros((n_f, n_i))
     down_weight = np.zeros((n_f, n_i))
     up_km = np.zeros((n_f, n_i))
     down_km = np.zeros((n_f, n_i))
-    ic_km = np.asarray([ic.length_km for ic in ics], dtype=float)
-
-    # Warm the SSSP caches from the interconnection PoPs: paths are
-    # symmetric on an undirected graph, so dist(src, exit) = dist(exit, src).
-    routing_a.warm([ic.pop_a for ic in ics])
-    routing_b.warm([ic.pop_b for ic in ics])
-
-    if engine == "legacy":
-        up_links_l: list[tuple[np.ndarray, ...]] = []
-        down_links_l: list[tuple[np.ndarray, ...]] = []
-        for flow in flowset:
-            f_up_links = []
-            f_down_links = []
-            for i, ic in enumerate(ics):
-                up_weight[flow.index, i] = routing_a.weight_distance(
-                    ic.pop_a, flow.src
-                )
-                up_km[flow.index, i] = routing_a.geo_distance_km(
-                    ic.pop_a, flow.src
-                )
-                f_up_links.append(routing_a.path_links(ic.pop_a, flow.src))
-                down_weight[flow.index, i] = routing_b.weight_distance(
-                    ic.pop_b, flow.dst
-                )
-                down_km[flow.index, i] = routing_b.geo_distance_km(
-                    ic.pop_b, flow.dst
-                )
-                f_down_links.append(routing_b.path_links(ic.pop_b, flow.dst))
-            up_links_l.append(tuple(f_up_links))
-            down_links_l.append(tuple(f_down_links))
-        up_links = tuple(up_links_l)
-        down_links = tuple(down_links_l)
-    else:
-        srcs = flowset.srcs()
-        dsts = flowset.dsts()
-        links_up_cols = [routing_a.path_links_array(ic.pop_a) for ic in ics]
-        links_down_cols = [routing_b.path_links_array(ic.pop_b) for ic in ics]
-        up_w_views = [routing_a.weight_distance_array(ic.pop_a) for ic in ics]
-        up_k_views = [routing_a.geo_distance_array(ic.pop_a) for ic in ics]
-        dn_w_views = [routing_b.weight_distance_array(ic.pop_b) for ic in ics]
-        dn_k_views = [routing_b.geo_distance_array(ic.pop_b) for ic in ics]
-        block = chunk_rows if engine == "chunked" else max(n_f, 1)
-        for lo in range(0, n_f, block):
-            hi = min(lo + block, n_f)
-            src_blk = srcs[lo:hi]
-            dst_blk = dsts[lo:hi]
-            for i in range(n_i):
-                up_weight[lo:hi, i] = up_w_views[i][src_blk]
-                up_km[lo:hi, i] = up_k_views[i][src_blk]
-                down_weight[lo:hi, i] = dn_w_views[i][dst_blk]
-                down_km[lo:hi, i] = dn_k_views[i][dst_blk]
-            _check_reachable(
-                pair, up_weight[lo:hi], "source", pair.isp_a.name, src_blk
-            )
-            _check_reachable(
-                pair, down_weight[lo:hi], "destination", pair.isp_b.name, dst_blk
-            )
-        up_links = tuple(
-            tuple(links_up_cols[i][src] for i in range(n_i))
-            for src in srcs.tolist()
+    for lo in range(0, n_f, block):
+        hi = min(lo + block, n_f)
+        fill.fill(
+            lo, hi, up_weight[lo:hi], down_weight[lo:hi], up_km[lo:hi],
+            down_km[lo:hi],
         )
-        down_links = tuple(
-            tuple(links_down_cols[i][dst] for i in range(n_i))
-            for dst in dsts.tolist()
-        )
-
+    up_links, down_links = fill.links(0, n_f)
     table = PairCostTable(
         pair=pair,
         flowset=flowset,
@@ -562,9 +510,9 @@ def build_pair_cost_table(
         down_weight=down_weight,
         up_km=up_km,
         down_km=down_km,
-        ic_km=ic_km,
-        up_links=tuple(up_links),
-        down_links=tuple(down_links),
+        ic_km=fill.ic_km,
+        up_links=up_links,
+        down_links=down_links,
     )
     table.validate()
     return table
@@ -592,45 +540,16 @@ def iter_pair_cost_table_blocks(
     Reachability failures raise :class:`RoutingError` naming the pair, at
     the first block that touches a disconnected PoP.
     """
-    if flowset.pair is not pair and flowset.pair.name != pair.name:
-        raise RoutingError("flowset was built for a different pair")
-    chunk_rows = _validate_chunk_rows(chunk_rows)
-    routing_a = routing_a or IntradomainRouting(pair.isp_a)
-    routing_b = routing_b or IntradomainRouting(pair.isp_b)
-
-    ics = pair.interconnections
-    n_f, n_i = len(flowset), len(ics)
-    ic_km = np.asarray([ic.length_km for ic in ics], dtype=float)
-    routing_a.warm([ic.pop_a for ic in ics])
-    routing_b.warm([ic.pop_b for ic in ics])
-
-    srcs = flowset.srcs()
-    dsts = flowset.dsts()
-    links_up_cols = [routing_a.path_links_array(ic.pop_a) for ic in ics]
-    links_down_cols = [routing_b.path_links_array(ic.pop_b) for ic in ics]
-    up_w_views = [routing_a.weight_distance_array(ic.pop_a) for ic in ics]
-    up_k_views = [routing_a.geo_distance_array(ic.pop_a) for ic in ics]
-    dn_w_views = [routing_b.weight_distance_array(ic.pop_b) for ic in ics]
-    dn_k_views = [routing_b.geo_distance_array(ic.pop_b) for ic in ics]
-
+    chunk_rows = _validate_chunk_rows(chunk_rows, DEFAULT_CHUNK_ROWS)
+    fill = _ColumnFill(pair, flowset, routing_a, routing_b)
+    n_f, n_i = fill.n_flows, fill.n_alternatives
     for lo in range(0, n_f, chunk_rows):
         hi = min(lo + chunk_rows, n_f)
-        rows = hi - lo
-        src_blk = srcs[lo:hi]
-        dst_blk = dsts[lo:hi]
-        up_weight = np.zeros((rows, n_i))
-        down_weight = np.zeros((rows, n_i))
-        up_km = np.zeros((rows, n_i))
-        down_km = np.zeros((rows, n_i))
-        for i in range(n_i):
-            up_weight[:, i] = up_w_views[i][src_blk]
-            up_km[:, i] = up_k_views[i][src_blk]
-            down_weight[:, i] = dn_w_views[i][dst_blk]
-            down_km[:, i] = dn_k_views[i][dst_blk]
-        _check_reachable(pair, up_weight, "source", pair.isp_a.name, src_blk)
-        _check_reachable(
-            pair, down_weight, "destination", pair.isp_b.name, dst_blk
+        up_weight, down_weight, up_km, down_km = (
+            np.zeros((hi - lo, n_i)) for _ in range(4)
         )
+        fill.fill(lo, hi, up_weight, down_weight, up_km, down_km)
+        up_links, down_links = fill.links(lo, hi)
         block = PairCostTable(
             pair=pair,
             flowset=flowset._subset_view(np.arange(lo, hi, dtype=np.intp)),
@@ -638,15 +557,9 @@ def iter_pair_cost_table_blocks(
             down_weight=down_weight,
             up_km=up_km,
             down_km=down_km,
-            ic_km=ic_km.copy(),
-            up_links=tuple(
-                tuple(links_up_cols[i][src] for i in range(n_i))
-                for src in src_blk.tolist()
-            ),
-            down_links=tuple(
-                tuple(links_down_cols[i][dst] for i in range(n_i))
-                for dst in dst_blk.tolist()
-            ),
+            ic_km=fill.ic_km.copy(),
+            up_links=up_links,
+            down_links=down_links,
         )
         block.validate()
         yield block

@@ -14,7 +14,7 @@ session bookkeeping) consumes directly. Derived flowsets —
 :meth:`FlowSet.with_pair` for failure cases, :meth:`FlowSet.subset` for
 negotiation scopes — are array-backed reindexing views that never rebuild
 per-flow Python objects; the ``Flow`` tuple is materialized lazily only if
-a legacy loop iterates the set.
+a per-flow loop iterates the set.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class FlowSet:
         """Internal: an array-backed view over already-validated flow data.
 
         The ``Flow`` tuple is *not* built here; :attr:`flows` materializes
-        it lazily if a legacy consumer iterates the set. All three buffers
+        it lazily if a per-flow consumer iterates the set. All three buffers
         are stored read-only and served as-is by the accessors.
         """
         view = object.__new__(cls)

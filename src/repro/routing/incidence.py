@@ -22,12 +22,12 @@ whole load/preference pipeline becomes a handful of array expressions:
 scatter-adds via :func:`numpy.bincount` and segment reductions via
 :func:`segment_max` / :func:`segment_sum`.
 
-**Bit-exactness contract.** Entries are stored in exactly the order the
-legacy Python loops visit them (flows ascending, path order within a row),
-and the segment reductions below accumulate sequentially in that order
-(``bincount`` adds entries one by one; ``maximum`` is order-independent).
-Every vectorized kernel built on this module therefore produces
-*bit-identical* floats to its legacy loop counterpart — the equivalence
+**Bit-exactness contract.** Entries are stored in exactly the order a
+per-flow Python loop visits them (flows ascending, path order within a
+row), and the segment reductions below accumulate sequentially in that
+order (``bincount`` adds entries one by one; ``maximum`` is
+order-independent). Every vectorized kernel built on this module therefore
+produces *bit-identical* floats to its reference loop — the equivalence
 tests assert ``==``, not ``allclose``.
 """
 
@@ -69,7 +69,7 @@ def segment_max(vals: np.ndarray, ptr: np.ndarray, fill: float = 0.0) -> np.ndar
     """Per-segment maximum of ``vals`` delimited by row pointers ``ptr``.
 
     Segment ``k`` covers ``vals[ptr[k]:ptr[k+1]]``; empty segments yield
-    ``fill`` (the legacy kernels return 0.0 for empty paths). Uses
+    ``fill`` (a scalar peek returns 0.0 for an empty path). Uses
     ``np.maximum.reduceat`` over the non-empty starts only — empty segments
     contribute no entries, so consecutive non-empty starts delimit exactly
     one segment's data and the reduceat quirk for empty slices never fires.
@@ -86,7 +86,7 @@ def segment_sum(vals: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """Per-segment sum of ``vals`` delimited by row pointers ``ptr``.
 
     Accumulates entries sequentially in storage order (``bincount``), so a
-    segment's sum is bit-identical to the legacy ``acc = 0.0; acc += v``
+    segment's sum is bit-identical to an ``acc = 0.0; acc += v``
     loop over the same values.
     """
     counts = np.diff(ptr)
@@ -358,13 +358,13 @@ class PathIncidence:
 
         ``choices`` is the (F,) alternative per flow, ``sizes`` the (F,)
         flow sizes; ``active`` optionally masks which flows are placed.
-        Entries accumulate in (flow, path) order, matching the legacy
+        Entries accumulate in (flow, path) order, matching a per-flow
         double loop bit for bit.
 
         ``base`` optionally seeds each link's accumulator: the base loads
         enter the bincount as leading per-link entries, so link ``l``
         accumulates ``base[l], entry, entry, ...`` sequentially — exactly
-        the float order of the legacy ``loads = base.copy()`` loop.
+        the float order of a loop started from ``loads = base.copy()``.
         """
         choices = np.asarray(choices, dtype=np.intp)
         if active is None:

@@ -272,7 +272,7 @@ class TransitLoadIndex:
     Per-ISP link loads accumulate as one :func:`numpy.bincount` over the
     canonically ordered (demand, hop, link) entries. NumPy's weighted
     bincount adds entries sequentially in input order, which is exactly
-    the legacy ``loads[hop.links] += volume`` loop's per-link accumulation
+    the reference ``loads[hop.links] += volume`` loop's per-link accumulation
     order, so the result is **bit-identical** to the loop (the equivalence
     tests pin this).
     """

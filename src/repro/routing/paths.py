@@ -5,47 +5,38 @@ Section 5.1 is measured over the geographic *length* of the chosen path —
 the same split the paper inherits from Rocketfuel, whose inferred weights
 approximate but do not equal geographic distance.
 
-Two SSSP engines fill the per-source caches:
+The per-source caches are filled by one batched
+``scipy.sparse.csgraph.dijkstra`` call over the ISP's compiled CSR link
+graph for all missing sources; distances and paths are then reconstructed
+from the predecessor matrix by dynamic programming in ascending-distance
+order. Accumulating ``d[pred] + w`` along the shortest-path tree gives the
+same floats as a per-source networkx Dijkstra whenever shortest paths are
+unique (the repo's jittered continuous weights guarantee this; equal-cost
+ties may legitimately route a different, equally short path). The networkx
+reference lives in the test suite.
 
-- ``"csgraph"`` (default) runs one batched ``scipy.sparse.csgraph.dijkstra``
-  call over the ISP's compiled CSR link graph for all missing sources, then
-  reconstructs distances and paths from the predecessor matrix by dynamic
-  programming in ascending-distance order. Because both engines accumulate
-  ``d[pred] + w`` along the same shortest-path tree, results are
-  bit-identical to ``"legacy"`` whenever shortest paths are unique (the
-  repo's jittered continuous weights guarantee this; equal-cost ties may
-  legitimately route differently between engines).
-- ``"legacy"`` runs networkx ``single_source_dijkstra`` per source, exactly
-  as before.
-
-Either way, paths are computed lazily and cached; an ISP with ``k``
-interconnections only ever needs ``k + |sources|`` single-source runs, and
-``warm()`` batches them into a single csgraph call.
+Paths are computed lazily and cached; an ISP with ``k`` interconnections
+only ever needs ``k + |sources|`` single-source runs, and ``warm()``
+batches them into a single csgraph call.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import RoutingError
 from repro.topology.isp import ISPTopology
-from repro.util.validation import validate_choice
 
-__all__ = ["IntradomainRouting", "SSSP_ENGINES"]
-
-SSSP_ENGINES = ("csgraph", "legacy")
+__all__ = ["IntradomainRouting"]
 
 
 class IntradomainRouting:
     """Shortest-path routing state for one ISP, with per-source caching."""
 
-    def __init__(self, isp: ISPTopology, engine: str = "csgraph"):
-        validate_choice(engine, SSSP_ENGINES, "engine")
-        self._engine = engine
+    def __init__(self, isp: ISPTopology):
         self._isp = isp
         # src -> (weight-dist dict, path dict)
         self._sssp_cache: dict[int, tuple[dict[int, float], dict[int, list[int]]]] = {}
@@ -60,8 +51,8 @@ class IntradomainRouting:
             [link.length_km for link in isp.links], dtype=float
         )
         # link index -> routing weight, mirrored from the topology so the
-        # csgraph DP accumulates the exact Python floats nx reads off the
-        # graph's edge attributes.
+        # csgraph DP accumulates the exact Python floats of the link
+        # attributes.
         self._link_weights = np.asarray(
             [link.weight for link in isp.links], dtype=float
         )
@@ -77,22 +68,11 @@ class IntradomainRouting:
     def isp(self) -> ISPTopology:
         return self._isp
 
-    @property
-    def engine(self) -> str:
-        return self._engine
-
     # -- internals ----------------------------------------------------------
 
     def _sssp(self, src: int) -> tuple[dict[int, float], dict[int, list[int]]]:
         if src not in self._sssp_cache:
-            self._isp.pop(src)  # validates the index
-            if self._engine == "csgraph":
-                self._sssp_batch([src])
-            else:
-                dists, paths = nx.single_source_dijkstra(
-                    self._isp.graph, src, weight="weight"
-                )
-                self._sssp_cache[src] = (dists, paths)
+            self._sssp_batch([src])
         return self._sssp_cache[src]
 
     def _edge_link_map(self) -> dict[tuple[int, int], int]:
@@ -107,13 +87,13 @@ class IntradomainRouting:
     def _sssp_batch(self, sources: Sequence[int]) -> None:
         """Fill the SSSP cache for every missing source in one csgraph call.
 
-        The predecessor matrix is turned back into the exact ``(dists,
-        paths)`` dicts the legacy engine caches: processing destinations in
-        ascending-distance order (strictly positive weights put every
-        predecessor before its children) lets each entry be derived from
-        its predecessor's — ``d[dst] = d[pred] + w`` is the same
-        left-associated accumulation both Dijkstra implementations
-        perform, so cached floats match the legacy engine bit for bit.
+        The predecessor matrix is turned back into ``(dists, paths)``
+        dicts: processing destinations in ascending-distance order
+        (strictly positive weights put every predecessor before its
+        children) lets each entry be derived from its predecessor's —
+        ``d[dst] = d[pred] + w`` is the left-associated accumulation a
+        textbook Dijkstra performs, so cached floats match a per-source
+        networkx run bit for bit.
         """
         missing: list[int] = []
         for src in sources:
@@ -209,16 +189,9 @@ class IntradomainRouting:
         return dict(dists)
 
     def warm(self, sources: Sequence[int]) -> None:
-        """Pre-compute SSSP state for the given sources (optional).
-
-        Under the csgraph engine all missing sources share one batched
-        Dijkstra call; the legacy engine runs them one by one.
-        """
-        if self._engine == "csgraph":
-            self._sssp_batch(list(sources))
-        else:
-            for src in sources:
-                self._sssp(src)
+        """Pre-compute SSSP state for the given sources (optional): all
+        missing sources share one batched Dijkstra call."""
+        self._sssp_batch(list(sources))
 
     # -- batched per-source views (the column-fill table builder) -------------
 

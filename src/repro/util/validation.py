@@ -17,10 +17,10 @@ __all__ = [
 
 
 def validate_choice(value, choices, name: str):
-    """The one engine-/backend-selection convention of the library.
+    """The one choice-validation convention of the library.
 
-    Every API that exposes a backend choice (``engine=``, ``solver=``,
-    ``table_engine=``, ...) validates it here: an unknown value raises
+    Every API that exposes a named choice (``solver=``, ``order=``,
+    ``damping=``, ...) validates it here: an unknown value raises
     :class:`ConfigurationError` naming the parameter and the allowed
     values. Returns ``value`` unchanged so call sites can validate inline.
     """

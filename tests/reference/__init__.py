@@ -1,0 +1,21 @@
+"""Reference implementations the equivalence tests pin production code to.
+
+Each module holds the plain per-flow / per-cell loop a vectorized kernel in
+``src/repro`` replaced, written as straightforwardly as possible and with
+no options. The tests assert bit-identity (``==``, never ``allclose``)
+between a production kernel and its reference here; the golden digests in
+``tests/test_goldens.py`` pin the end-to-end results on top.
+
+* :mod:`reference.sssp` — per-source networkx Dijkstra routing;
+* :mod:`reference.tables` — cell-by-cell cost-table build and the per-flow
+  table subset;
+* :mod:`reference.loads` — link loads, a ragged-table load tracker,
+  fractional loads and the LP's link-constraint triplets;
+* :mod:`reference.evaluators` — load-aware and Fortz evaluators that
+  recompute preferences one (flow, alternative) at a time;
+* :mod:`reference.negotiation` — the masked-rescan stop rule and a
+  proposal rule that keeps the session on its rescanning loop;
+* :mod:`reference.scenario` — scenario-aware scoring over materialized
+  per-scenario tables;
+* :mod:`reference.transit` — transit background by walking every demand.
+"""

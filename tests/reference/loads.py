@@ -1,0 +1,105 @@
+"""Load kernels as loops over the ragged link tables."""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _side(table, side: str):
+    if side == "a":
+        return table.up_links, table.pair.isp_a.n_links()
+    return table.down_links, table.pair.isp_b.n_links()
+
+
+def link_loads(table, choices, side, active=None, base=None):
+    """Per-link loads: flows ascending, links in path order, from ``base``."""
+    link_table, n_links = _side(table, side)
+    sizes = table.flowset.sizes()
+    loads = np.zeros(n_links) if base is None else np.asarray(base, float).copy()
+    for f in range(table.n_flows):
+        if active is not None and not active[f]:
+            continue
+        for li in link_table[f][choices[f]]:
+            loads[li] += sizes[f]
+    return loads
+
+
+def fractional_loads(table, fractions, side, base=None):
+    """Per-link loads of a fractional placement, cell by cell."""
+    link_table, n_links = _side(table, side)
+    sizes = table.flowset.sizes()
+    loads = np.zeros(n_links) if base is None else np.asarray(base, float).copy()
+    for f in range(table.n_flows):
+        for i in range(table.n_alternatives):
+            share = fractions[f, i]
+            if share <= 0:
+                continue
+            for li in link_table[f][i]:
+                loads[li] += sizes[f] * share
+    return loads
+
+
+def link_constraint_rows(table, side, caps, base, row_offset, t_col):
+    """COO triplets and RHS of one side's LP link constraints."""
+    link_table, _ = _side(table, side)
+    sizes = table.flowset.sizes()
+    n_i = table.n_alternatives
+    rows, cols, vals = [], [], []
+    for f in range(table.n_flows):
+        for i in range(n_i):
+            for li in link_table[f][i]:
+                rows.append(row_offset + int(li))
+                cols.append(f * n_i + i)
+                vals.append(float(sizes[f]))
+    for li in range(caps.shape[0]):  # -t * cap_l on the left-hand side
+        rows.append(row_offset + li)
+        cols.append(t_col)
+        vals.append(-float(caps[li]))
+    return (
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp),
+        np.asarray(vals, dtype=float),
+        -np.asarray(base, dtype=float),
+    )
+
+
+class LoadTracker:
+    """Per-link loads of one side, updated one link at a time."""
+
+    def __init__(self, table, side, base_loads=None):
+        self._link_table, n_links = _side(table, side)
+        self._table = table
+        self._sizes = table.flowset.sizes()
+        self._loads = (
+            np.zeros(n_links)
+            if base_loads is None
+            else np.asarray(base_loads, float).copy()
+        )
+
+    @property
+    def loads(self) -> np.ndarray:
+        return self._loads.copy()
+
+    def loads_view(self) -> np.ndarray:
+        return self._loads
+
+    def place(self, flow_index, alternative) -> None:
+        for li in self._link_table[flow_index][alternative]:
+            self._loads[li] += self._sizes[flow_index]
+
+    def remove(self, flow_index, alternative) -> None:
+        for li in self._link_table[flow_index][alternative]:
+            self._loads[li] -= self._sizes[flow_index]
+
+    def peek_max_ratio(self, flow_index, alternative, capacities) -> float:
+        links = self._link_table[flow_index][alternative]
+        if len(links) == 0:
+            return 0.0
+        ratios = (self._loads[links] + self._sizes[flow_index]) / capacities[links]
+        return float(ratios.max())
+
+    def peek_max_ratio_all(self, flow_index, capacities) -> np.ndarray:
+        return np.asarray([
+            self.peek_max_ratio(flow_index, i, capacities)
+            for i in range(self._table.n_alternatives)
+        ])

@@ -2,8 +2,9 @@
 
 The tier-1 test command executes each hot kernel exactly once — no timing,
 no statistics — so a refactor that breaks a vectorized kernel (shape drift,
-engine-flag rot, incidence-cache invalidation) fails fast here rather than
-silently in the nightly benchmarks. The timed counterparts live in
+incidence-cache invalidation) fails fast here rather than silently in the
+nightly benchmarks. Each kernel is checked against its reference in
+``tests/reference``. The timed counterparts live in
 ``benchmarks/bench_core_micro.py``; the committed baseline numbers in
 ``BENCH_core.json`` come from ``benchmarks/bench_smoke.py``.
 
@@ -30,6 +31,11 @@ from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 
+from reference import evaluators as reference_evaluators
+from reference import loads as reference_loads
+from reference import tables as reference_tables
+from reference.negotiation import ScanningAgent
+
 pytestmark = pytest.mark.bench_smoke
 
 
@@ -49,7 +55,7 @@ def test_smoke_link_loads(fixture):
     for side in "ab":
         assert np.array_equal(
             link_loads(table, defaults, side),
-            link_loads(table, defaults, side, engine="legacy"),
+            reference_loads.link_loads(table, defaults, side),
         )
 
 
@@ -67,11 +73,13 @@ def test_smoke_tracker_batch_kernels(fixture):
 def test_smoke_evaluator_reassign(fixture, evaluator_cls):
     table, defaults, caps_a, _ = fixture
     sparse = evaluator_cls(table, "a", caps_a, defaults)
-    legacy = evaluator_cls(table, "a", caps_a, defaults, engine="legacy")
+    reference = getattr(reference_evaluators, evaluator_cls.__name__)(
+        table, "a", caps_a, defaults
+    )
     remaining = np.ones(table.n_flows, dtype=bool)
     sparse.reassign(remaining)
-    legacy.reassign(remaining)
-    assert np.array_equal(sparse.preferences(), legacy.preferences())
+    reference.reassign(remaining)
+    assert np.array_equal(sparse.preferences(), reference.preferences())
 
 
 def test_smoke_batched_table_build(fixture, tiny_dataset):
@@ -79,9 +87,9 @@ def test_smoke_batched_table_build(fixture, tiny_dataset):
     pair = table.pair
     flowset = build_full_flowset(pair)
     batched = build_pair_cost_table(pair, flowset)
-    legacy = build_pair_cost_table(pair, flowset, engine="legacy")
-    assert np.array_equal(batched.up_weight, legacy.up_weight)
-    assert np.array_equal(batched.down_km, legacy.down_km)
+    reference = reference_tables.build_pair_cost_table(pair, flowset)
+    assert np.array_equal(batched.up_weight, reference.up_weight)
+    assert np.array_equal(batched.down_km, reference.down_km)
 
 
 def test_smoke_derived_failure_table(fixture):
@@ -105,16 +113,16 @@ def test_smoke_negotiation_scope_setup(fixture):
     table.incidence("b")
     affected = np.flatnonzero(defaults == 0)
     fast = table.subset(affected)
-    legacy = table.subset(affected, engine="legacy")
+    reference = reference_tables.subset(table, affected)
     assert "_incidence_a" in fast.__dict__  # structurally re-derived
     assert "_incidence_b" in fast.__dict__
     for side in "ab":
-        fast_inc, legacy_inc = fast.incidence(side), legacy.incidence(side)
-        assert np.array_equal(fast_inc.indptr, legacy_inc.indptr)
-        assert np.array_equal(fast_inc.indices, legacy_inc.indices)
-        assert np.array_equal(fast_inc.entry_flow, legacy_inc.entry_flow)
-    assert np.array_equal(fast.flowset.sizes(), legacy.flowset.sizes())
-    assert np.array_equal(fast.up_weight, legacy.up_weight)
+        fast_inc, reference_inc = fast.incidence(side), reference.incidence(side)
+        assert np.array_equal(fast_inc.indptr, reference_inc.indptr)
+        assert np.array_equal(fast_inc.indices, reference_inc.indices)
+        assert np.array_equal(fast_inc.entry_flow, reference_inc.entry_flow)
+    assert np.array_equal(fast.flowset.sizes(), reference.flowset.sizes())
+    assert np.array_equal(fast.up_weight, reference.up_weight)
 
 
 def test_smoke_base_seeded_link_loads(fixture):
@@ -123,8 +131,9 @@ def test_smoke_base_seeded_link_loads(fixture):
     base = link_loads(table, defaults, "a", active=~mask)
     assert np.array_equal(
         link_loads(table, defaults, "a", active=mask, base=base),
-        link_loads(table, defaults, "a", active=mask, base=base,
-                   engine="legacy"),
+        reference_loads.link_loads(
+            table, defaults, "a", active=mask, base=base
+        ),
     )
 
 
@@ -133,16 +142,16 @@ def test_smoke_lp_assembly_and_fractional_loads(fixture):
     t_col = table.n_flows * table.n_alternatives
     base = np.zeros(caps_a.shape[0])
     sparse = _link_constraint_rows(table, "a", caps_a, base, 0, t_col)
-    legacy = _link_constraint_rows(
-        table, "a", caps_a, base, 0, t_col, engine="legacy"
+    reference = reference_loads.link_constraint_rows(
+        table, "a", caps_a, base, 0, t_col
     )
-    for got, want in zip(sparse, legacy):
+    for got, want in zip(sparse, reference):
         assert np.array_equal(np.asarray(got), np.asarray(want))
     lp = solve_min_max_load_lp(table, caps_a, caps_b)
     for side in "ab":
         assert np.array_equal(
             fractional_loads(table, lp.fractions, side),
-            fractional_loads(table, lp.fractions, side, engine="legacy"),
+            reference_loads.fractional_loads(table, lp.fractions, side),
         )
 
 
@@ -151,9 +160,8 @@ def test_smoke_incremental_stop(fixture):
     fast = NegotiationAgent(
         "a", LoadAwareEvaluator(table, "a", caps_a, defaults)
     )
-    slow = NegotiationAgent(
-        "a", LoadAwareEvaluator(table, "a", caps_a, defaults),
-        incremental_stop=False,
+    slow = ScanningAgent(
+        "a", LoadAwareEvaluator(table, "a", caps_a, defaults)
     )
     remaining = np.ones(table.n_flows, dtype=bool)
     remaining[:: 2] = False
@@ -164,28 +172,35 @@ def test_smoke_incremental_stop(fixture):
 
 
 def test_smoke_sweep_runner_path(tmp_path):
-    """The unified sweep runner: warm start + checkpoint + legacy parity.
+    """The unified sweep runner: warm start + checkpoint + plain-loop parity.
 
     One-shot exercise of the runner machinery under tier-1: the sweep
-    path must stay bit-identical to the legacy driver loop, a warm-started
-    dataset must be a cache hit (not a rebuild), and a checkpointed rerun
-    must reproduce the sweep from shards alone.
+    path must stay bit-identical to a plain loop over the per-pair unit, a
+    warm-started dataset must be a cache hit (not a rebuild), and a
+    checkpointed rerun must reproduce the sweep from shards alone.
     """
     from dataclasses import replace
 
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.distance import run_distance_experiment
-    from repro.experiments.parallel import dataset_for, warm_dataset
+    from repro.experiments.distance import (
+        DistanceExperimentResult,
+        run_distance_experiment,
+        run_distance_pair,
+    )
+    from repro.experiments.parallel import dataset_for, pairs_for, warm_dataset
 
     config = replace(ExperimentConfig.quick(), max_pairs_distance=1)
     assert dataset_for(config) is warm_dataset(config)
 
     sweep = run_distance_experiment(config, checkpoint_dir=tmp_path)
-    legacy = run_distance_experiment(config, runner="legacy")
+    _, pairs = pairs_for(config, 2, config.max_pairs_distance)
+    reference = DistanceExperimentResult(
+        pairs=[run_distance_pair(pair, config) for pair in pairs]
+    )
     resumed = run_distance_experiment(
         config, checkpoint_dir=tmp_path, resume=True
     )
-    for a, b in ((sweep, legacy), (sweep, resumed)):
+    for a, b in ((sweep, reference), (sweep, resumed)):
         for s, o in zip(a.pairs, b.pairs):
             assert s.pair_name == o.pair_name
             assert s.total_gain_negotiated == o.total_gain_negotiated
@@ -198,8 +213,9 @@ def test_bench_smoke_check_guards_recorded_speedups(tmp_path):
     """``bench_smoke.py --check`` under tier-1: speedups must stay >= 1.0.
 
     Runs the real benchmark script (quick preset, no baseline write) in a
-    subprocess; a vectorized kernel regressing behind its legacy loop fails
-    the build here instead of silently rotting the committed baseline.
+    subprocess; a vectorized kernel regressing behind its reference loop
+    fails the build here instead of silently rotting the committed
+    baseline.
     """
     import os
     import subprocess

@@ -9,6 +9,8 @@ from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 
+from reference import loads as reference_loads
+
 
 @pytest.fixture()
 def table(small_pair):
@@ -45,13 +47,13 @@ class TestLinkLoads:
         assert np.allclose(half + other, full)
 
     def test_base_seeds_accumulation(self, table):
-        """Seeded accumulation: base + masked flows, both engines bit-equal."""
+        """Seeded accumulation: base + masked flows, equal to the loop."""
         choices = early_exit_choices(table)
         mask = np.arange(table.n_flows) % 2 == 0
         base = link_loads(table, choices, "a", active=~mask)
         seeded = link_loads(table, choices, "a", active=mask, base=base)
-        seeded_legacy = link_loads(
-            table, choices, "a", active=mask, base=base, engine="legacy"
+        seeded_legacy = reference_loads.link_loads(
+            table, choices, "a", active=mask, base=base
         )
         assert np.array_equal(seeded, seeded_legacy)
         assert np.allclose(seeded, link_loads(table, choices, "a"))

@@ -114,3 +114,36 @@ class TestCommands:
         assert main(args + ["--resume"], out=out2) == 0
         # The resumed run reproduces the report from shards alone.
         assert out2.getvalue() == out.getvalue()
+
+
+class TestErrors:
+    """A library error ends the command with one stderr line and exit 2."""
+
+    def test_bad_link_probability_fails_once(self, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+        out = io.StringIO()
+        code = main(
+            ["availability", "--preset", "quick", "--link-prob", "0.7"],
+            out=out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert "link_probability=0.7" in lines[0]
+        assert "Traceback" not in err
+        assert out.getvalue() == ""
+        assert sleeps == []  # a ConfigurationError is never retried
+
+    def test_removed_engine_flags_are_argparse_errors(self):
+        for argv in (
+            ["multi-isp", "--transit-engine", "legacy"],
+            ["distance", "--routing-engine", "legacy"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2

@@ -8,6 +8,8 @@ from repro.core.evaluators import StaticPreferenceEvaluator
 from repro.core.strategies import TerminationMode
 from repro.errors import NegotiationError
 
+from reference.negotiation import ScanningAgent
+
 
 def make_agent(prefs, defaults=None, term=TerminationMode.EARLY):
     prefs = np.asarray(prefs)
@@ -77,13 +79,12 @@ class TestStop:
 
 
 class TestIncrementalStop:
-    """The heap-backed remaining-max vs the legacy masked rescan."""
+    """The heap-backed remaining-max vs the reference masked rescan."""
 
     def _legacy(self, prefs):
-        return NegotiationAgent(
+        return ScanningAgent(
             "legacy",
             StaticPreferenceEvaluator(prefs, np.zeros(prefs.shape[0], int)),
-            incremental_stop=False,
         )
 
     def _incremental(self, prefs, stages=None):
@@ -136,16 +137,10 @@ class TestIncrementalStop:
         prefs_a[np.arange(25), defaults] = 0
         prefs_b[np.arange(25), defaults] = 0
 
-        def run(incremental_stop):
+        def run(agent_cls):
             session = NegotiationSession(
-                NegotiationAgent(
-                    "a", StaticPreferenceEvaluator(prefs_a, defaults),
-                    incremental_stop=incremental_stop,
-                ),
-                NegotiationAgent(
-                    "b", StaticPreferenceEvaluator(prefs_b, defaults),
-                    incremental_stop=incremental_stop,
-                ),
+                agent_cls("a", StaticPreferenceEvaluator(prefs_a, defaults)),
+                agent_cls("b", StaticPreferenceEvaluator(prefs_b, defaults)),
                 defaults=defaults,
             )
             outcome = session.run()
@@ -156,7 +151,7 @@ class TestIncrementalStop:
                 outcome.reason,
             )
 
-        assert run(True) == run(False)
+        assert run(NegotiationAgent) == run(ScanningAgent)
 
 
 class TestCommit:

@@ -1,18 +1,21 @@
-"""Failure-case fast path: derived tables vs legacy per-case rebuilds.
+"""Failure-case fast path: derived tables vs per-case rebuilds.
 
 The derive-don't-recompute contract, on both axes of the (F, I) space:
 
 * column axis — evaluating one interconnection failure does zero routing
   work; the post-failure cost table (dense arrays, ragged link tables,
   compiled CSR incidence, flowset) is *derived* from the pre-failure table
-  by dropping the failed column, and must equal the legacy
-  ``build_full_flowset`` + ``build_pair_cost_table`` rebuild bit for bit;
+  by dropping the failed column, and must equal a
+  ``build_full_flowset`` + ``build_pair_cost_table`` rebuild over
+  ``pair.without_interconnection(k)`` bit for bit;
 * flow axis — restricting negotiation to the affected flows does zero
   recompilation; ``PairCostTable.subset`` row-filters the table, the
   array-backed flowset view and the compiled incidence, and must equal the
-  legacy per-flow rebuild (``engine="legacy"``) bit for bit.
+  per-flow reference rebuild (``reference.tables.subset``) bit for bit.
 
-Both contracts hold all the way up to complete ``BandwidthCaseResult``s.
+Both contracts hold all the way up to complete ``BandwidthCaseResult``s:
+the case-level tests swap the reference in at the derivation seam and
+compare whole results.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, RoutingError, TrafficError
+from repro.errors import RoutingError, TrafficError
 from repro.experiments.bandwidth import (
     _build_context,
     run_bandwidth_case,
@@ -28,12 +31,14 @@ from repro.experiments.bandwidth import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.geo.population import PopulationModel
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.incidence import PathIncidence
 from repro.topology.dataset import build_default_dataset
 from repro.traffic.gravity import GravityWorkload
+
+from reference import tables as reference_tables
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +52,23 @@ def bandwidth_fixture():
     return config, pair, workload, context
 
 
-def _rebuild_post_table(context, k):
-    failed_pair = context.pair.without_interconnection(k)
-    flowset = build_full_flowset(failed_pair, context.size_fn)
-    return build_pair_cost_table(
-        failed_pair, flowset, context.routing_a, context.routing_b
+def _rebuild(pair, workload, k):
+    """The per-case rebuild: route the full flowset over the failed pair."""
+    failed_pair = pair.without_interconnection(k)
+    flowset = build_full_flowset(failed_pair, workload.size_fn(pair))
+    return build_pair_cost_table(failed_pair, flowset)
+
+
+def _rebuild_instead_of_deriving(monkeypatch, workload):
+    """Make every ``without_alternative`` a from-scratch rebuild."""
+    monkeypatch.setattr(
+        PairCostTable, "without_alternative",
+        lambda table, k: _rebuild(table.pair, workload, k),
     )
+
+
+def _cases(pair, config, workload, **includes):
+    return run_pair_cases(pair, config, includes, workload)
 
 
 def _assert_tables_identical(derived, rebuilt):
@@ -82,10 +98,10 @@ def _assert_tables_identical(derived, rebuilt):
 
 class TestWithoutAlternative:
     def test_equals_legacy_rebuild(self, bandwidth_fixture):
-        _, pair, _, context = bandwidth_fixture
+        _, pair, workload, context = bandwidth_fixture
         for k in range(pair.n_interconnections()):
             derived = context.table_pre.without_alternative(k)
-            rebuilt = _rebuild_post_table(context, k)
+            rebuilt = _rebuild(pair, workload, k)
             _assert_tables_identical(derived, rebuilt)
             # Early-exit decisions (ties included) must agree.
             assert np.array_equal(
@@ -102,17 +118,16 @@ class TestWithoutAlternative:
         assert "_incidence_b" in derived.__dict__
 
     def test_derived_of_derived(self, bandwidth_fixture):
-        _, pair, _, context = bandwidth_fixture
+        _, pair, workload, context = bandwidth_fixture
         if pair.n_interconnections() < 4:
             pytest.skip("needs >= 4 interconnections for a double failure")
         twice = context.table_pre.without_alternative(0).without_alternative(0)
-        rebuilt = _rebuild_post_table(context, 0)
+        once = pair.without_interconnection(0)
         rebuilt_twice = build_pair_cost_table(
-            rebuilt.pair.without_interconnection(0),
-            build_full_flowset(rebuilt.pair.without_interconnection(0),
-                               context.size_fn),
-            context.routing_a,
-            context.routing_b,
+            once.without_interconnection(0),
+            build_full_flowset(
+                once.without_interconnection(0), workload.size_fn(pair)
+            ),
         )
         _assert_tables_identical(twice, rebuilt_twice)
 
@@ -151,12 +166,13 @@ class TestBatchedBuild:
         _, pair, workload, context = bandwidth_fixture
         flowset = build_full_flowset(pair, workload.size_fn(pair))
         batched = build_pair_cost_table(pair, flowset)
-        legacy = build_pair_cost_table(pair, flowset, engine="legacy")
-        _assert_tables_identical(batched, legacy)
+        cells = reference_tables.build_pair_cost_table(pair, flowset)
+        _assert_tables_identical(batched, cells)
 
     def test_unknown_engine_rejected(self, bandwidth_fixture):
+        # One build path: the engine option is gone.
         _, pair, _, _ = bandwidth_fixture
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="engine"):
             build_pair_cost_table(pair, build_full_flowset(pair), engine="nope")
 
 
@@ -184,7 +200,7 @@ class TestFlowsetView:
 
 
 class TestSubsetEquivalence:
-    """Flow-axis structural derivation: subset(engine="incidence") vs legacy."""
+    """Flow-axis structural derivation: subset vs the per-flow rebuild."""
 
     @staticmethod
     def _index_sets(n_flows):
@@ -204,8 +220,8 @@ class TestSubsetEquivalence:
         table.incidence("b")
         for idx in self._index_sets(table.n_flows):
             derived = table.subset(idx)
-            legacy = table.subset(idx, engine="legacy")
-            _assert_tables_identical(derived, legacy)
+            rebuilt = reference_tables.subset(table, idx)
+            _assert_tables_identical(derived, rebuilt)
 
     def test_incidence_derived_from_cache_not_recompiled(self, bandwidth_fixture):
         _, _, _, context = bandwidth_fixture
@@ -216,8 +232,8 @@ class TestSubsetEquivalence:
         # Attached eagerly by the structural filter, not lazily recompiled.
         assert "_incidence_a" in derived.__dict__
         assert "_incidence_b" in derived.__dict__
-        legacy = table.subset(np.array([0, 2]), engine="legacy")
-        assert "_incidence_a" not in legacy.__dict__
+        rebuilt = reference_tables.subset(table, np.array([0, 2]))
+        assert "_incidence_a" not in rebuilt.__dict__
 
     def test_subset_of_derived_failure_table(self, bandwidth_fixture):
         """The bandwidth composition: without_alternative then subset."""
@@ -228,7 +244,7 @@ class TestSubsetEquivalence:
         post = table.without_alternative(0)
         idx = np.arange(0, post.n_flows, 2)
         _assert_tables_identical(
-            post.subset(idx), post.subset(idx, engine="legacy")
+            post.subset(idx), reference_tables.subset(post, idx)
         )
 
     def test_incidence_subset_rows_structural(self):
@@ -252,20 +268,27 @@ class TestSubsetEquivalence:
             inc.subset_rows(np.array([-1]))
 
     def test_case_results_bit_identical_across_subset_engines(
-        self, bandwidth_fixture
+        self, bandwidth_fixture, monkeypatch
     ):
         config, pair, _, context = bandwidth_fixture
-        for k in range(pair.n_interconnections()):
-            includes = dict(
+        includes = [
+            dict(
                 include_unilateral=(k == 0),
                 include_cheating=(k == 0),
                 include_diverse=(k == 0),
             )
-            fast = run_bandwidth_case(context, k, config, **includes)
-            legacy_scope = run_bandwidth_case(
-                context, k, config, subset_engine="legacy", **includes
-            )
-            assert fast == legacy_scope  # dataclass ==: every field, exact floats
+            for k in range(pair.n_interconnections())
+        ]
+        fast = [
+            run_bandwidth_case(context, k, config, **flags)
+            for k, flags in enumerate(includes)
+        ]
+        monkeypatch.setattr(PairCostTable, "subset", reference_tables.subset)
+        rebuilt_scope = [
+            run_bandwidth_case(context, k, config, **flags)
+            for k, flags in enumerate(includes)
+        ]
+        assert fast == rebuilt_scope  # dataclass ==: every field, exact floats
 
     def test_no_recompilation_end_to_end(self, bandwidth_fixture, monkeypatch):
         """A warm context's case must never compile a ragged link table."""
@@ -284,20 +307,24 @@ class TestSubsetEquivalence:
 
 
 class TestCaseEquivalence:
-    def test_full_case_results_bit_identical(self, bandwidth_fixture):
-        config, pair, _, context = bandwidth_fixture
-        for k in range(pair.n_interconnections()):
-            fast = run_bandwidth_case(
-                context, k, config,
-                include_unilateral=True, include_cheating=True,
-                include_diverse=True,
-            )
-            slow = run_bandwidth_case(
-                context, k, config,
-                include_unilateral=True, include_cheating=True,
-                include_diverse=True, derived_tables=False,
-            )
-            assert fast == slow  # dataclass ==: every field, exact floats
+    def test_full_case_results_bit_identical(
+        self, bandwidth_fixture, monkeypatch
+    ):
+        config, pair, workload, context = bandwidth_fixture
+        every_variant = dict(
+            include_unilateral=True, include_cheating=True,
+            include_diverse=True,
+        )
+        fast = [
+            run_bandwidth_case(context, k, config, **every_variant)
+            for k in range(pair.n_interconnections())
+        ]
+        _rebuild_instead_of_deriving(monkeypatch, workload)
+        slow = [
+            run_bandwidth_case(context, k, config, **every_variant)
+            for k in range(pair.n_interconnections())
+        ]
+        assert fast == slow  # dataclass ==: every field, exact floats
 
     def test_no_per_case_rebuild_on_fast_path(
         self, bandwidth_fixture, monkeypatch
@@ -316,28 +343,30 @@ class TestCaseEquivalence:
         result = run_bandwidth_case(context, 0, config)
         assert result.n_affected >= 0
 
-    def test_run_pair_cases_honors_flag(self, bandwidth_fixture):
+    def test_run_pair_cases_honors_flag(self, bandwidth_fixture, monkeypatch):
+        """The per-pair unit: derived cases equal rebuilt ones."""
         config, pair, workload, _ = bandwidth_fixture
-        fast = run_pair_cases(
-            pair, config, {"derived_tables": True}, workload
-        )
-        slow = run_pair_cases(
-            pair, config, {"derived_tables": False}, workload
-        )
+        fast = _cases(pair, config, workload)
+        _rebuild_instead_of_deriving(monkeypatch, workload)
+        slow = _cases(pair, config, workload)
         assert fast == slow
         assert len(fast) >= 1
 
-    def test_experiment_matches_legacy_across_workers(self):
-        """Derived tables + parallel workers vs legacy serial: identical."""
+    def test_experiment_matches_legacy_across_workers(self, monkeypatch):
+        """Derived tables + parallel workers vs a rebuilding serial loop."""
         from dataclasses import replace
 
         from repro.experiments.bandwidth import run_bandwidth_experiment
+        from repro.experiments.parallel import pairs_for
 
         config = replace(ExperimentConfig.quick(), max_pairs_bandwidth=2)
-        legacy_serial = run_bandwidth_experiment(
-            config, derived_tables=False, workers=1
-        )
         derived_serial = run_bandwidth_experiment(config, workers=1)
         derived_parallel = run_bandwidth_experiment(config, workers=2)
-        assert derived_serial.cases == legacy_serial.cases
-        assert derived_parallel.cases == legacy_serial.cases
+        dataset, pairs = pairs_for(config, 3, config.max_pairs_bandwidth)
+        workload = GravityWorkload(PopulationModel(dataset.city_db))
+        _rebuild_instead_of_deriving(monkeypatch, workload)
+        rebuilt_serial = [
+            case for pair in pairs for case in _cases(pair, config, workload)
+        ]
+        assert derived_serial.cases == rebuilt_serial
+        assert derived_parallel.cases == rebuilt_serial

@@ -153,22 +153,41 @@ class TestPairAvailability:
         assert math.isinf(deep.cvar[0][1])
 
     def test_batch_and_legacy_table_engines_bit_identical(
-        self, pair, tiny_config
+        self, pair, tiny_config, monkeypatch
     ):
+        """Batch-derived tables vs per-scenario folds of single drops."""
+
+        def folded_scenario_tables(table, scenario_set):
+            tables = []
+            for scenario in scenario_set.scenarios:
+                if scenario.severs_all(table.n_alternatives):
+                    tables.append(None)
+                    continue
+                derived = table
+                for k in sorted(scenario.failed, reverse=True):
+                    derived = derived.without_alternative(k)
+                tables.append(derived)
+            return tables
+
         model = FailureModel(link_probability=0.2, cutoff=1e-4)
         batch = run_pair_availability(
-            pair, tiny_config, model, _UnitWorkload(), table_engine="batch"
+            pair, tiny_config, model, _UnitWorkload()
+        )
+        monkeypatch.setattr(
+            "repro.experiments.availability.derive_scenario_tables",
+            folded_scenario_tables,
         )
         legacy = run_pair_availability(
-            pair, tiny_config, model, _UnitWorkload(), table_engine="legacy"
+            pair, tiny_config, model, _UnitWorkload()
         )
         assert batch == legacy  # dataclass equality: exact floats
 
     def test_unknown_table_engine_rejected(self, pair, tiny_config):
-        with pytest.raises(ConfigurationError, match="table_engine"):
+        # One derivation path: the table_engine option is gone.
+        with pytest.raises(TypeError, match="table_engine"):
             run_pair_availability(
                 pair, tiny_config, FailureModel(), _UnitWorkload(),
-                table_engine="nope",
+                table_engine="batch",
             )
 
 

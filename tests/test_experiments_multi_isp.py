@@ -13,6 +13,8 @@ from repro.experiments.internetwork import (
 )
 from repro.experiments.runner import CheckpointStore, sweep_fingerprint
 
+from reference.transit import RewalkTransitIndex
+
 
 @pytest.fixture(scope="module")
 def config():
@@ -234,26 +236,39 @@ class TestCli:
         assert second == first
 
 
+def _rewalk_transit(monkeypatch):
+    """Route the sweep's transit through the full re-walk reference, with
+    a fresh trajectory memo so no replay of the indexed run is reused."""
+    from collections import OrderedDict
+
+    import repro.core.multi_session as multi_session
+    import repro.experiments.internetwork as internetwork
+
+    monkeypatch.setattr(multi_session, "TransitLoadIndex", RewalkTransitIndex)
+    monkeypatch.setattr(internetwork, "_trajectory_cache", OrderedDict())
+
+
 class TestScaleKnobThreading:
-    def test_transit_engines_sweep_bit_identical(self, config, serial_result):
-        legacy = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, transit_engine="legacy"
-        )
-        # Equal content cell by cell; only the engine label itself may
-        # differ, and it is not part of the records.
+    def test_transit_engines_sweep_bit_identical(
+        self, config, serial_result, monkeypatch
+    ):
+        _rewalk_transit(monkeypatch)
+        legacy = run_multi_isp_experiment(config, n_isps=3, rounds=3)
         assert legacy.records == serial_result.records
         assert legacy.final_mel == serial_result.final_mel
 
-    def test_legacy_engine_checkpoint_resume(self, config, tmp_path):
+    def test_legacy_engine_checkpoint_resume(
+        self, config, serial_result, tmp_path, monkeypatch
+    ):
+        _rewalk_transit(monkeypatch)
         checkpointed = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, transit_engine="legacy",
-            checkpoint_dir=tmp_path / "ck",
+            config, n_isps=3, rounds=3, checkpoint_dir=tmp_path / "ck",
         )
         resumed = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, transit_engine="legacy",
+            config, n_isps=3, rounds=3,
             checkpoint_dir=tmp_path / "ck", resume=True,
         )
-        assert resumed == checkpointed
+        assert resumed == checkpointed == serial_result
 
     def test_coord_workers_sweep_bit_identical(self, config, serial_result):
         parallel = run_multi_isp_experiment(
@@ -262,12 +277,18 @@ class TestScaleKnobThreading:
         assert parallel.records == serial_result.records
 
     def test_bad_transit_engine_rejected(self, config):
-        from repro.errors import SweepUnitError
+        # One transit backend: the option is gone from the sweep driver,
+        # its params and the CLI.
+        from repro.cli import build_parser
 
-        with pytest.raises(SweepUnitError, match="transit_engine"):
+        with pytest.raises(TypeError, match="transit_engine"):
             run_multi_isp_experiment(
-                config, n_isps=2, rounds=2, transit_engine="psychic",
-                max_retries=0,
+                config, n_isps=2, rounds=2, transit_engine="incremental",
+            )
+        assert "transit_engine" not in MULTI_ISP_SCENARIO.default_params
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["multi-isp", "--transit-engine", "legacy"]
             )
 
 

@@ -17,7 +17,6 @@ from repro.experiments.parallel import (
     DATASET_CACHE_SIZE,
     _dataset_cache,
     dataset_for,
-    parallel_map,
     pairs_for,
     resolve_workers,
     warm_dataset,
@@ -44,11 +43,6 @@ class TestResolveWorkers:
     def test_non_integers_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             resolve_workers(bad)
-
-
-def test_parallel_map_serial_path():
-    assert parallel_map(abs, [-2, 3, -4], workers=1) == [2, 3, 4]
-    assert parallel_map(abs, [], workers=4) == []
 
 
 class TestDatasetCache:

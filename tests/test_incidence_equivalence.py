@@ -1,11 +1,11 @@
-"""Sparse path-incidence engine vs legacy loops: exact equivalence.
+"""Sparse path-incidence kernels vs reference loops: exact equivalence.
 
 The vectorized hot path (CSR incidence + batched kernels + incremental
 session proposals) must be a pure performance change: on randomized
 topologies across several seeds, every kernel produces *bit-identical*
-results to the legacy Python-loop implementations — loads, preference
-matrices, true deltas, and whole session outcomes. All assertions here are
-exact (``array_equal`` / ``==``), never approximate.
+results to the Python-loop references in ``tests/reference`` — loads,
+preference matrices, true deltas, and whole session outcomes. All
+assertions here are exact (``array_equal`` / ``==``), never approximate.
 """
 
 from __future__ import annotations
@@ -21,13 +21,17 @@ from repro.core.mapping import AutoScaleDeltaMapper
 from repro.core.evaluators import StaticCostEvaluator
 from repro.core.preferences import PreferenceRange
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.core.strategies import ReassignEveryFraction
+from repro.core.strategies import MaxCombinedProposals, ReassignEveryFraction
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.incidence import segment_max, segment_sum
 from repro.topology.dataset import DatasetConfig, build_default_dataset
 from repro.topology.generator import GeneratorConfig
+
+from reference import evaluators as reference_evaluators
+from reference import loads as reference_loads
+from reference.negotiation import RescanningProposals, ScanningAgent
 
 SEEDS = [11, 202, 3033]
 
@@ -114,19 +118,20 @@ class TestLoadKernelEquivalence:
             for _ in range(3):
                 choices = rng.integers(0, table.n_alternatives, table.n_flows)
                 sparse = link_loads(table, choices, side)
-                legacy = link_loads(table, choices, side, engine="legacy")
+                legacy = reference_loads.link_loads(table, choices, side)
                 assert np.array_equal(sparse, legacy)
                 active = rng.random(table.n_flows) < 0.6
                 assert np.array_equal(
                     link_loads(table, choices, side, active=active),
-                    link_loads(table, choices, side, active=active,
-                               engine="legacy"),
+                    reference_loads.link_loads(
+                        table, choices, side, active=active
+                    ),
                 )
 
     def test_tracker_place_remove_peek(self, problem):
         table, defaults, caps_a, _, rng = problem
         sparse = LoadTracker(table, "a")
-        legacy = LoadTracker(table, "a", engine="legacy")
+        legacy = reference_loads.LoadTracker(table, "a")
         for _ in range(min(30, table.n_flows)):
             f = int(rng.integers(table.n_flows))
             i = int(rng.integers(table.n_alternatives))
@@ -164,12 +169,20 @@ class TestLoadKernelEquivalence:
                 assert (matrix[f] == 0.0).all()
 
 
+_REFERENCE_EVALUATORS = {
+    LoadAwareEvaluator: reference_evaluators.LoadAwareEvaluator,
+    FortzCostEvaluator: reference_evaluators.FortzCostEvaluator,
+}
+
+
 @pytest.mark.parametrize("evaluator_cls", [LoadAwareEvaluator, FortzCostEvaluator])
 class TestEvaluatorEquivalence:
     def test_recompute_and_true_delta(self, problem, evaluator_cls):
         table, defaults, caps_a, _, rng = problem
         sparse = evaluator_cls(table, "a", caps_a, defaults)
-        legacy = evaluator_cls(table, "a", caps_a, defaults, engine="legacy")
+        legacy = _REFERENCE_EVALUATORS[evaluator_cls](
+            table, "a", caps_a, defaults
+        )
         assert np.array_equal(sparse.preferences(), legacy.preferences())
         # Commit a third of the flows, reassign, and compare again.
         committed = np.zeros(table.n_flows, dtype=bool)
@@ -208,32 +221,33 @@ def _outcome_signature(outcome):
 
 class TestSessionEquivalence:
     def test_bandwidth_session(self, problem):
-        """Sparse + incremental vs legacy + rescan: identical outcomes."""
+        """Sparse + incremental vs reference loops + rescan: identical."""
         table, defaults, caps_a, caps_b, _ = problem
 
-        def run(engine, incremental):
+        def run(evaluator_cls, agent_cls, proposals):
             session = NegotiationSession(
-                NegotiationAgent(
-                    "a",
-                    LoadAwareEvaluator(table, "a", caps_a, defaults,
-                                       engine=engine),
+                agent_cls(
+                    "a", evaluator_cls(table, "a", caps_a, defaults)
                 ),
-                NegotiationAgent(
-                    "b",
-                    LoadAwareEvaluator(table, "b", caps_b, defaults,
-                                       engine=engine),
+                agent_cls(
+                    "b", evaluator_cls(table, "b", caps_b, defaults)
                 ),
                 sizes=table.flowset.sizes(),
                 defaults=defaults,
                 config=SessionConfig(
                     reassignment_policy=ReassignEveryFraction(0.05),
-                    incremental_proposals=incremental,
+                    proposal_policy=proposals,
                 ),
             )
             return session.run()
 
-        fast = _outcome_signature(run("sparse", None))
-        slow = _outcome_signature(run("legacy", False))
+        fast = _outcome_signature(
+            run(LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals())
+        )
+        slow = _outcome_signature(run(
+            reference_evaluators.LoadAwareEvaluator, ScanningAgent,
+            RescanningProposals(),
+        ))
         assert fast == slow
 
     def test_distance_session(self, problem):
@@ -241,7 +255,7 @@ class TestSessionEquivalence:
         table, defaults, *_ = problem
         p_range = PreferenceRange(10)
 
-        def run(incremental):
+        def run(proposals):
             mapper = AutoScaleDeltaMapper(p_range, conservative=False,
                                           quantile=100.0)
             session = NegotiationSession(
@@ -252,8 +266,10 @@ class TestSessionEquivalence:
                     "b", StaticCostEvaluator(table.down_km, defaults, mapper)
                 ),
                 defaults=defaults,
-                config=SessionConfig(incremental_proposals=incremental),
+                config=SessionConfig(proposal_policy=proposals),
             )
             return session.run()
 
-        assert _outcome_signature(run(None)) == _outcome_signature(run(False))
+        assert _outcome_signature(
+            run(MaxCombinedProposals())
+        ) == _outcome_signature(run(RescanningProposals()))

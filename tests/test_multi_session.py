@@ -32,6 +32,9 @@ from repro.topology.internetwork import (
 )
 from repro.traffic.gravity import GravityWorkload
 
+from reference.sssp import NetworkxRouting
+from reference.transit import RewalkTransitIndex
+
 GEN = GeneratorConfig(min_pops=6, max_pops=14)
 
 
@@ -286,21 +289,23 @@ class TestDisconnectedInternetwork:
 
 
 class TestScaleSpineThreading:
-    def test_routing_engine_threaded_and_identical(self, config):
-        from dataclasses import replace
-
+    def test_routing_engine_threaded_and_identical(
+        self, config, monkeypatch
+    ):
         fast = MultiSessionCoordinator(_net(2), config=config, max_rounds=4)
-        slow = MultiSessionCoordinator(
-            _net(2),
-            config=replace(config, routing_engine="legacy"),
-            max_rounds=4,
+        monkeypatch.setattr(multi_session, "IntradomainRouting", NetworkxRouting)
+        slow = MultiSessionCoordinator(_net(2), config=config, max_rounds=4)
+        assert not any(
+            isinstance(r, NetworkxRouting) for r in fast._routings.values()
         )
-        assert all(r.engine == "csgraph" for r in fast._routings.values())
-        assert all(r.engine == "legacy" for r in slow._routings.values())
+        assert all(
+            isinstance(r, NetworkxRouting) for r in slow._routings.values()
+        )
         result_fast = fast.run()
         result_slow = slow.run()
         # Generated topologies have jittered continuous weights (unique
-        # shortest paths), so the engines must coordinate identically.
+        # shortest paths), so csgraph and networkx routing must coordinate
+        # identically.
         assert result_fast.final_mel == result_slow.final_mel
         for a, b in zip(result_fast.choices, result_slow.choices):
             assert np.array_equal(a, b)
@@ -352,9 +357,10 @@ def _trajectory_signature(result):
 
 class TestScaleKnobValidation:
     def test_bad_transit_engine(self, config):
-        with pytest.raises(ConfigurationError, match="transit_engine"):
+        # One transit backend: the transit_engine option is gone.
+        with pytest.raises(TypeError, match="transit_engine"):
             MultiSessionCoordinator(
-                _net(2), config=config, transit_engine="psychic"
+                _net(2), config=config, transit_engine="incremental"
             )
 
     def test_bad_coord_workers(self, config):
@@ -459,38 +465,36 @@ class TestWorkerDifferential:
 
 
 class TestTransitEngines:
-    """incremental and legacy transit backends are pinned bit-identical."""
+    """The incremental transit index is pinned to a full re-walk."""
+
+    @staticmethod
+    def _incremental_and_rewalk(monkeypatch, net, **kwargs):
+        incremental = MultiSessionCoordinator(net, **kwargs).run()
+        monkeypatch.setattr(
+            multi_session, "TransitLoadIndex", RewalkTransitIndex
+        )
+        rewalk = MultiSessionCoordinator(net, **kwargs).run()
+        return incremental, rewalk
 
     @pytest.mark.parametrize("shape", ["chain", "random"])
-    def test_engines_bit_identical(self, config, shape):
-        net = _net(4, shape=shape)
-        kwargs = dict(config=config, max_rounds=6, transit_scale=3.0)
-        incremental = MultiSessionCoordinator(
-            net, transit_engine="incremental", **kwargs
-        ).run()
-        legacy = MultiSessionCoordinator(
-            net, transit_engine="legacy", **kwargs
-        ).run()
+    def test_engines_bit_identical(self, config, shape, monkeypatch):
+        incremental, legacy = self._incremental_and_rewalk(
+            monkeypatch, _net(4, shape=shape),
+            config=config, max_rounds=6, transit_scale=3.0,
+        )
         assert _trajectory_signature(incremental) == \
             _trajectory_signature(legacy)
 
-    def test_engines_bit_identical_under_severance(self, config):
+    def test_engines_bit_identical_under_severance(self, config, monkeypatch):
         from repro.core.faults import FaultEvent, FaultPlan
 
-        net = _net(4)
         plan = FaultPlan(events=(
             FaultEvent(1, 1, "link_failure", columns=(0,)),
         ))
-        kwargs = dict(
-            config=config, max_rounds=6, transit_scale=3.0,
-            fault_plan=plan,
+        incremental, legacy = self._incremental_and_rewalk(
+            monkeypatch, _net(4),
+            config=config, max_rounds=6, transit_scale=3.0, fault_plan=plan,
         )
-        incremental = MultiSessionCoordinator(
-            net, transit_engine="incremental", **kwargs
-        ).run()
-        legacy = MultiSessionCoordinator(
-            net, transit_engine="legacy", **kwargs
-        ).run()
         assert _trajectory_signature(incremental) == \
             _trajectory_signature(legacy)
 

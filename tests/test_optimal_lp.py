@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.capacity.loads import link_loads
-from repro.errors import ConfigurationError, OptimizationError
+from repro.errors import OptimizationError
 from repro.metrics.mel import max_excess_load
 from repro.optimal.bandwidth_lp import (
     LpRoutingResult,
@@ -17,6 +17,8 @@ from repro.optimal.unilateral import solve_upstream_unilateral_lp
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices, optimal_exit_choices
 from repro.routing.flows import build_full_flowset
+
+from reference import loads as reference_loads
 
 
 @pytest.fixture()
@@ -130,13 +132,21 @@ class TestLpValidation:
 
 
 class TestAssemblyEquivalence:
-    """Incidence-backed LP assembly vs the legacy ragged-table loops.
+    """Incidence-backed LP assembly vs the reference ragged-table loops.
 
     The vectorized assembler must emit the *same triplet sequence* as the
     loops (not merely an equivalent matrix), and vectorized
     ``fractional_loads`` must match the loop bit for bit — base loads and
-    entries accumulate in the legacy order.
+    entries accumulate in the loop's order. The solution tests swap the
+    reference assembler in and solve both LPs.
     """
+
+    @staticmethod
+    def _loop_assembly(monkeypatch):
+        monkeypatch.setattr(
+            "repro.optimal.bandwidth_lp._link_constraint_rows",
+            reference_loads.link_constraint_rows,
+        )
 
     def test_constraint_triplets_identical(self, table, caps):
         caps_a, caps_b = caps
@@ -147,29 +157,27 @@ class TestAssemblyEquivalence:
             sparse = _link_constraint_rows(
                 table, side, caps_side, base, offset, t_col
             )
-            legacy = _link_constraint_rows(
-                table, side, caps_side, base, offset, t_col, engine="legacy"
+            legacy = reference_loads.link_constraint_rows(
+                table, side, caps_side, base, offset, t_col
             )
             for got, want in zip(sparse, legacy):
                 assert np.array_equal(np.asarray(got), np.asarray(want))
             offset += caps_side.shape[0]
 
-    def test_solution_identical(self, table, caps):
+    def test_solution_identical(self, table, caps, monkeypatch):
         caps_a, caps_b = caps
         base_a = np.full(caps_a.shape[0], 0.25)
         sparse = solve_min_max_load_lp(table, caps_a, caps_b, base_a=base_a)
-        legacy = solve_min_max_load_lp(
-            table, caps_a, caps_b, base_a=base_a, engine="legacy"
-        )
+        self._loop_assembly(monkeypatch)
+        legacy = solve_min_max_load_lp(table, caps_a, caps_b, base_a=base_a)
         assert sparse.t == legacy.t
         assert np.array_equal(sparse.fractions, legacy.fractions)
 
-    def test_unilateral_engines_identical(self, table, caps):
+    def test_unilateral_engines_identical(self, table, caps, monkeypatch):
         caps_a, caps_b = caps
         sparse = solve_upstream_unilateral_lp(table, caps_a, caps_b)
-        legacy = solve_upstream_unilateral_lp(
-            table, caps_a, caps_b, engine="legacy"
-        )
+        self._loop_assembly(monkeypatch)
+        legacy = solve_upstream_unilateral_lp(table, caps_a, caps_b)
         assert sparse.t == legacy.t
         assert np.array_equal(sparse.fractions, legacy.fractions)
 
@@ -182,15 +190,16 @@ class TestAssemblyEquivalence:
             for base in (None, rng.random(n_links)):
                 assert np.array_equal(
                     fractional_loads(table, fractions, side, base),
-                    fractional_loads(
-                        table, fractions, side, base, engine="legacy"
+                    reference_loads.fractional_loads(
+                        table, fractions, side, base
                     ),
                 )
 
     def test_unknown_engine_rejected(self, table, caps):
-        with pytest.raises(ConfigurationError):
+        # One assembler: the engine option is gone.
+        with pytest.raises(TypeError, match="engine"):
             solve_min_max_load_lp(table, *caps, engine="nope")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="engine"):
             fractional_loads(
                 table,
                 np.ones((table.n_flows, table.n_alternatives)),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import RoutingError
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
 from repro.routing.paths import IntradomainRouting
@@ -112,13 +112,17 @@ class TestSubsetValidation:
             table.subset(np.array([[0], [1]]))
 
     def test_unknown_engine_rejected(self, table):
-        with pytest.raises(ConfigurationError, match="engine"):
+        # One structural subset path: the engine option is gone.
+        with pytest.raises(TypeError, match="engine"):
             table.subset(np.array([0]), engine="nope")
 
     @pytest.mark.parametrize("engine", ["incidence", "legacy"])
     def test_both_engines_validate(self, table, engine):
+        """Validation precedes derivation, warm parent or cold."""
+        if engine == "incidence":
+            table.incidence("a")
         with pytest.raises(RoutingError):
-            table.subset(np.array([99]), engine=engine)
+            table.subset(np.array([99]))
 
 
 class TestReversedDirection:

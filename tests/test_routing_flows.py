@@ -117,7 +117,7 @@ class TestSubsetView:
         fs = build_full_flowset(small_pair, size_fn=lambda s, d: s + d + 1)
         sub = fs.subset([2, 5, 7])
         # The view is served from arrays; no Flow tuple exists until a
-        # legacy consumer iterates it.
+        # per-flow consumer iterates it.
         assert sub._flows is None
         assert np.array_equal(sub.srcs(), fs.srcs()[[2, 5, 7]])
         assert np.array_equal(sub.dsts(), fs.dsts()[[2, 5, 7]])

@@ -24,6 +24,8 @@ from repro.topology.internetwork import (
     build_internetwork,
 )
 
+from reference.transit import demand_loads
+
 GEN = GeneratorConfig(min_pops=6, max_pops=14)
 
 
@@ -244,16 +246,7 @@ def _chain4_demands(net):
 
 
 def _legacy_loads(net, routes, demands, blocked=None):
-    loads = {isp.name: np.zeros(isp.n_links()) for isp in net.isps}
-    routings: dict = {}
-    for demand in demands:
-        hops = transit_demand_hops(
-            net, routes, demand.src_isp, demand.src_pop, demand.dst_isp,
-            routings, blocked=blocked,
-        )
-        for hop in hops:
-            loads[hop.isp][hop.links] += demand.volume
-    return loads
+    return demand_loads(net, routes, {}, demands, blocked)
 
 
 class TestTransitLoadIndex:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.bandwidth import run_bandwidth_experiment
+from repro.experiments.bandwidth import run_bandwidth_experiment, run_pair_cases
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import (
+    build_distance_problem,
     run_distance_experiment,
+    run_distance_pair,
     run_grouped_ablation,
 )
 from repro.experiments.parallel import pairs_for
@@ -56,18 +58,21 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Legacy equivalence: runner output bit-identical to the pre-runner drivers
+# Plain-loop equivalence: runner output bit-identical to a loop over the
+# per-unit functions (what the pre-runner drivers were)
 # ---------------------------------------------------------------------------
 
 
 class TestLegacyEquivalence:
     def test_distance(self, tiny_config):
         sweep = run_distance_experiment(tiny_config, include_cheating=True)
-        legacy = run_distance_experiment(
-            tiny_config, include_cheating=True, runner="legacy"
-        )
-        assert len(sweep.pairs) == len(legacy.pairs) > 0
-        for s, l in zip(sweep.pairs, legacy.pairs):
+        _, pairs = pairs_for(tiny_config, 2, tiny_config.max_pairs_distance)
+        legacy = [
+            run_distance_pair(pair, tiny_config, include_cheating=True)
+            for pair in pairs
+        ]
+        assert len(sweep.pairs) == len(legacy) > 0
+        for s, l in zip(sweep.pairs, legacy):
             assert s.pair_name == l.pair_name
             assert s.total_gain_optimal == l.total_gain_optimal
             assert s.total_gain_negotiated == l.total_gain_negotiated
@@ -78,26 +83,56 @@ class TestLegacyEquivalence:
             )
 
     def test_bandwidth(self, tiny_config):
+        from repro.geo.population import PopulationModel
+        from repro.traffic.gravity import GravityWorkload
+
         sweep = run_bandwidth_experiment(tiny_config, include_unilateral=True)
-        legacy = run_bandwidth_experiment(
-            tiny_config, include_unilateral=True, runner="legacy"
+        dataset, pairs = pairs_for(
+            tiny_config, 3, tiny_config.max_pairs_bandwidth
         )
-        assert len(sweep.cases) == len(legacy.cases) > 0
-        assert sweep.cases == legacy.cases  # whole dataclasses, bit-exact
+        workload = GravityWorkload(PopulationModel(dataset.city_db))
+        legacy = [
+            case
+            for pair in pairs
+            for case in run_pair_cases(
+                pair, tiny_config, {"include_unilateral": True}, workload
+            )
+        ]
+        assert len(sweep.cases) == len(legacy) > 0
+        assert sweep.cases == legacy  # whole dataclasses, bit-exact
 
     def test_grouped(self, tiny_config):
+        from repro.baselines.grouped import grouped_negotiation_choices
+        from repro.core.mapping import AutoScaleDeltaMapper
+        from repro.core.preferences import PreferenceRange
+        from repro.metrics.distance import percent_gain
+        from repro.util.rng import derive_rng
+
         _, pairs = pairs_for(tiny_config, 2, tiny_config.max_pairs_distance)
         sweep = run_grouped_ablation(pairs[0], [1, 3], tiny_config)
-        legacy = run_grouped_ablation(
-            pairs[0], [1, 3], tiny_config, runner="legacy"
-        )
+        problem = build_distance_problem(pairs[0])
+        p_range = PreferenceRange(tiny_config.preference_p)
+        total_default, _, _ = problem.totals(problem.defaults)
+        legacy = {}
+        for n_groups in (1, 3):
+            choices = grouped_negotiation_choices(
+                problem.cost_a, problem.cost_b, problem.defaults,
+                AutoScaleDeltaMapper(p_range), AutoScaleDeltaMapper(p_range),
+                n_groups=n_groups,
+                seed=derive_rng(
+                    tiny_config.seed, "grouped", pairs[0].name, n_groups
+                ),
+            )
+            total, _, _ = problem.totals(choices)
+            legacy[n_groups] = percent_gain(total_default, total)
         assert sweep == legacy
 
     def test_unknown_runner_rejected(self, tiny_config):
-        with pytest.raises(ConfigurationError, match="unknown runner"):
-            run_distance_experiment(tiny_config, runner="turbo")
-        with pytest.raises(ConfigurationError, match="unknown runner"):
-            run_bandwidth_experiment(tiny_config, runner="turbo")
+        # One driver path: the runner option is gone.
+        with pytest.raises(TypeError, match="runner"):
+            run_distance_experiment(tiny_config, runner="sweep")
+        with pytest.raises(TypeError, match="runner"):
+            run_bandwidth_experiment(tiny_config, runner="sweep")
 
 
 # ---------------------------------------------------------------------------

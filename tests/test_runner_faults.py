@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SweepUnitError
+from repro.errors import ConfigurationError, RoutingError, SweepUnitError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     CORRUPT_SHARD,
@@ -128,6 +128,37 @@ class TestRetries:
         with pytest.raises(SweepUnitError):
             SweepRunner(max_retries=0).run(spec, tiny_config, params)
         assert _attempts(tmp_path / "log").count("0") == 1
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("error", [ConfigurationError, RoutingError])
+    def test_deterministic_error_fails_once(
+        self, tiny_config, tmp_path, workers, error
+    ):
+        """Bad parameters or unroutable topologies fail the same way on
+        every attempt: no retries, and the sweep stops at the first one."""
+        log = tmp_path / "log"
+
+        def run_unit(config, params, unit):
+            with open(params["log"], "a", encoding="utf-8") as fh:
+                fh.write(f"{unit}\n")
+            if unit == 1:
+                raise error(f"deterministic failure of unit {unit}")
+            return unit
+
+        spec = register_scenario(ScenarioSpec(
+            name=f"_test_deterministic_{error.__name__}_{workers}",
+            enumerate_units=lambda config, params: [0, 1, 2, 3],
+            run_unit=run_unit,
+            reduce=lambda config, params, results: list(results),
+        ))
+        with pytest.raises(error, match="deterministic failure of unit 1"):
+            SweepRunner(
+                workers=workers, max_retries=3, retry_backoff_s=0.0,
+            ).run(spec, tiny_config, {"log": str(log)})
+        attempts = _attempts(log)
+        assert attempts.count("1") == 1
+        if workers is None:
+            assert attempts == ["0", "1"]  # later units never started
 
     def test_backoff_is_bounded_and_deterministic(self, monkeypatch):
         sleeps: list[float] = []

@@ -2,13 +2,14 @@
 
 Covers the PR 8 contracts end to end:
 
-* the ``"csgraph"`` SSSP engine is bit-identical to ``"legacy"`` on every
-  public routing surface (distances, paths, dense per-source views);
+* batched csgraph SSSP is bit-identical to the per-source networkx
+  reference on every public routing surface (distances, paths, dense
+  per-source views);
 * ``build_scale_pair`` manufactures deterministic grid pairs beyond the
   city database's ~136-city ceiling;
 * chunked table builds and the streaming block iterator are bit-identical
-  to the monolithic batched build and to ``engine="legacy"`` across chunk
-  sizes (Hypothesis property, satellite 3);
+  to the single-block build and to the cell-by-cell reference build across
+  chunk sizes (Hypothesis property);
 * disconnected PoPs surface as a typed :class:`RoutingError` naming the
   pair (satellite 2);
 * the LP solver registry resolves, validates, injects, and falls back to
@@ -49,8 +50,11 @@ from repro.routing.costs import (
 )
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
-from repro.routing.paths import SSSP_ENGINES, IntradomainRouting
+from repro.routing.paths import IntradomainRouting
 from repro.topology.builders import build_scale_pair
+
+from reference import tables as reference_tables
+from reference.sssp import NetworkxRouting
 
 
 def _assert_tables_equal(left, right) -> None:
@@ -83,19 +87,21 @@ def _strided_flowset(pair, target_flows: int) -> FlowSet:
 
 
 # ---------------------------------------------------------------------------
-# csgraph SSSP engine
+# csgraph SSSP vs the networkx reference
 # ---------------------------------------------------------------------------
 
 
 class TestCsgraphEngine:
     def test_unknown_engine_rejected(self, fig1):
-        with pytest.raises(ConfigurationError, match="engine"):
+        # One SSSP path: there is no engine to select any more.
+        with pytest.raises(TypeError, match="engine"):
             IntradomainRouting(fig1.pair.isp_a, engine="dijkstra2000")
 
     def test_engine_property_and_default(self, fig1):
-        assert IntradomainRouting(fig1.pair.isp_a).engine == "csgraph"
-        assert IntradomainRouting(fig1.pair.isp_a, engine="legacy").engine == "legacy"
-        assert SSSP_ENGINES == ("csgraph", "legacy")
+        import repro.routing.paths as paths
+
+        assert not hasattr(IntradomainRouting(fig1.pair.isp_a), "engine")
+        assert not hasattr(paths, "SSSP_ENGINES")
 
     def test_bit_identical_on_figure1_pair(self, fig1):
         for isp in (fig1.pair.isp_a, fig1.pair.isp_b):
@@ -103,11 +109,11 @@ class TestCsgraphEngine:
 
     def test_distances_identical_under_ties(self, fig2):
         # Figure 2's hand-built integer weights contain equal-cost ties —
-        # the one case where the engines may legitimately route different
-        # (equally short) paths. Distances must still agree exactly.
+        # the one case where csgraph and networkx may legitimately route
+        # different (equally short) paths. Distances must still agree.
         for isp in (fig2.pair.isp_a, fig2.pair.isp_b):
-            fast = IntradomainRouting(isp, engine="csgraph")
-            slow = IntradomainRouting(isp, engine="legacy")
+            fast = IntradomainRouting(isp)
+            slow = NetworkxRouting(isp)
             for src in range(isp.n_pops()):
                 assert fast.distances_to_all(src) == slow.distances_to_all(src)
 
@@ -118,8 +124,8 @@ class TestCsgraphEngine:
 
     @staticmethod
     def _assert_engines_identical(isp) -> None:
-        fast = IntradomainRouting(isp, engine="csgraph")
-        slow = IntradomainRouting(isp, engine="legacy")
+        fast = IntradomainRouting(isp)
+        slow = NetworkxRouting(isp)
         sources = range(isp.n_pops())
         fast.warm(sources)  # one batched csgraph call for all sources
         slow.warm(sources)
@@ -213,7 +219,7 @@ class TestBuildScalePair:
 
 
 # ---------------------------------------------------------------------------
-# chunked builds == monolithic builds == legacy (satellite 3)
+# chunked builds == single-block builds == the cell-by-cell reference
 # ---------------------------------------------------------------------------
 
 
@@ -231,14 +237,14 @@ def chunk_flowset(chunk_pair):
 
 @pytest.fixture(scope="module")
 def chunk_tables(chunk_pair, chunk_flowset):
-    """(legacy, batched) reference tables over shared routing caches."""
+    """(cell-by-cell, single-block) tables over shared routing caches."""
     routing_a = IntradomainRouting(chunk_pair.isp_a)
     routing_b = IntradomainRouting(chunk_pair.isp_b)
-    legacy = build_pair_cost_table(
-        chunk_pair, chunk_flowset, routing_a, routing_b, engine="legacy"
+    legacy = reference_tables.build_pair_cost_table(
+        chunk_pair, chunk_flowset, routing_a, routing_b
     )
     batched = build_pair_cost_table(
-        chunk_pair, chunk_flowset, routing_a, routing_b, engine="batched"
+        chunk_pair, chunk_flowset, routing_a, routing_b
     )
     return legacy, batched
 
@@ -259,10 +265,7 @@ class TestChunkedBuildEquivalence:
     ):
         legacy, batched = chunk_tables
         chunked = build_pair_cost_table(
-            chunk_pair,
-            chunk_flowset,
-            engine="chunked",
-            chunk_rows=chunk_rows,
+            chunk_pair, chunk_flowset, chunk_rows=chunk_rows
         )
         _assert_tables_equal(chunked, batched)
         _assert_tables_equal(chunked, legacy)
@@ -301,14 +304,16 @@ class TestChunkedBuildEquivalence:
     def test_default_chunk_rows(self, chunk_pair, chunk_flowset, chunk_tables):
         _, batched = chunk_tables
         assert DEFAULT_CHUNK_ROWS >= 1
-        chunked = build_pair_cost_table(chunk_pair, chunk_flowset, engine="chunked")
+        chunked = build_pair_cost_table(
+            chunk_pair, chunk_flowset, chunk_rows=DEFAULT_CHUNK_ROWS
+        )
         _assert_tables_equal(chunked, batched)
+        blocks = list(iter_pair_cost_table_blocks(chunk_pair, chunk_flowset))
+        assert len(blocks) == -(-len(chunk_flowset) // DEFAULT_CHUNK_ROWS)
 
     def test_bad_chunk_rows_rejected(self, chunk_pair, chunk_flowset):
         with pytest.raises(ConfigurationError, match="chunk_rows"):
-            build_pair_cost_table(
-                chunk_pair, chunk_flowset, engine="chunked", chunk_rows=0
-            )
+            build_pair_cost_table(chunk_pair, chunk_flowset, chunk_rows=0)
         with pytest.raises(ConfigurationError, match="chunk_rows"):
             list(iter_pair_cost_table_blocks(chunk_pair, chunk_flowset, chunk_rows=-3))
 
@@ -343,11 +348,15 @@ class TestUnreachableDiagnostics:
         )
         return pair, flowset, routing_a, routing_b
 
-    @pytest.mark.parametrize("engine", ["batched", "chunked"])
-    def test_build_names_pair_and_pops(self, poisoned, engine):
+    @pytest.mark.parametrize(
+        "chunk_rows", [None, 4], ids=["batched", "chunked"]
+    )
+    def test_build_names_pair_and_pops(self, poisoned, chunk_rows):
         pair, flowset, routing_a, routing_b = poisoned
         with pytest.raises(RoutingError) as err:
-            build_pair_cost_table(pair, flowset, routing_a, routing_b, engine=engine)
+            build_pair_cost_table(
+                pair, flowset, routing_a, routing_b, chunk_rows=chunk_rows
+            )
         message = str(err.value)
         assert f"pair {pair.name}" in message
         assert pair.isp_a.name in message
@@ -479,16 +488,15 @@ class TestConfigThreading:
     def test_config_validates_solver_and_engine(self):
         with pytest.raises(ConfigurationError, match="lp_solver"):
             ExperimentConfig(lp_solver="gurobi")
-        with pytest.raises(ConfigurationError, match="routing_engine"):
-            ExperimentConfig(routing_engine="bfs")
-        config = ExperimentConfig(lp_solver="highs-ds", routing_engine="legacy")
+        # The SSSP engine is no longer a config field.
+        with pytest.raises(TypeError, match="routing_engine"):
+            ExperimentConfig(routing_engine="csgraph")
+        config = ExperimentConfig(lp_solver="highs-ds")
         assert config.lp_solver == "highs-ds"
-        assert config.routing_engine == "legacy"
 
     def test_quick_defaults(self):
         config = ExperimentConfig.quick()
         assert config.lp_solver == DEFAULT_LP_SOLVER
-        assert config.routing_engine == "csgraph"
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +511,7 @@ def _run_scale_spine(n_pops: int, target_flows: int, chunk_rows: int):
     routing_b = IntradomainRouting(pair.isp_b)
     flowset = _strided_flowset(pair, target_flows)
     table = build_pair_cost_table(
-        pair, flowset, routing_a, routing_b, engine="chunked", chunk_rows=chunk_rows
+        pair, flowset, routing_a, routing_b, chunk_rows=chunk_rows
     )
     assert table.up_weight.shape == (len(flowset), 6)
     assert np.isfinite(table.up_weight).all()
@@ -576,7 +584,8 @@ class TestScaleEndToEnd:
         pair = build_scale_pair(300, n_interconnections=6, seed=11)
         flowset = _strided_flowset(pair, 4000)
         fast = build_pair_cost_table(pair, flowset)
-        legacy_a = IntradomainRouting(pair.isp_a, engine="legacy")
-        legacy_b = IntradomainRouting(pair.isp_b, engine="legacy")
-        slow = build_pair_cost_table(pair, flowset, legacy_a, legacy_b)
+        slow = build_pair_cost_table(
+            pair, flowset, NetworkxRouting(pair.isp_a),
+            NetworkxRouting(pair.isp_b),
+        )
         _assert_tables_equal(fast, slow)

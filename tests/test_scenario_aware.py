@@ -1,7 +1,7 @@
 """Scenario-aware (CVaR-blended) negotiation preferences.
 
-Covers the PR 7 tentpole evaluator: batch vs legacy scenario-engine
-bit-identity, the ``tail_weight=0`` short-circuit (bit-identical to a
+Covers the PR 7 tentpole evaluator: batch scenario scoring vs the
+per-scenario derived-table reference (bit-identity), the ``tail_weight=0`` short-circuit (bit-identical to a
 plain :class:`LoadAwareEvaluator`), constructor validation, the
 pessimistic re-route bound's risk ordering, the fixed-placement
 per-scenario MEL helper, and the pinned CVaR-advantage fixture from the
@@ -36,6 +36,8 @@ from repro.topology.builders import build_custom_isp
 from repro.topology.dataset import DatasetConfig, build_default_dataset
 from repro.topology.generator import GeneratorConfig
 from repro.topology.interconnect import Interconnection, IspPair
+
+from reference import scenario as reference_scenario
 
 
 def star_pair_table(n_flows: int) -> "tuple":
@@ -103,11 +105,11 @@ class TestEngineEquivalence:
     def _pair_of_evaluators(self, problem, **kw):
         table, defaults, caps_a = problem
         return tuple(
-            ScenarioAwareEvaluator(
-                table, "a", caps_a, defaults, MODEL,
-                scenario_engine=engine, **kw,
+            evaluator_cls(table, "a", caps_a, defaults, MODEL, **kw)
+            for evaluator_cls in (
+                ScenarioAwareEvaluator,
+                reference_scenario.ScenarioAwareEvaluator,
             )
-            for engine in ("batch", "legacy")
         )
 
     def test_bit_identical_through_commits(self, problem):
@@ -180,8 +182,9 @@ class TestValidation:
                 )
 
     def test_rejects_unknown_engine(self, problem):
+        # One scoring path: the scenario_engine option is gone.
         table, defaults, caps_a = problem
-        with pytest.raises(ConfigurationError, match="scenario_engine"):
+        with pytest.raises(TypeError, match="scenario_engine"):
             ScenarioAwareEvaluator(
                 table, "a", caps_a, defaults, MODEL,
                 scenario_engine="vectorised",

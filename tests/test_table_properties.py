@@ -5,8 +5,9 @@ derivations on :class:`~repro.routing.costs.PairCostTable` (the PR 2/3
 derive-don't-recompute contract), over seeded random flow sizes and random
 index sets:
 
-* ``subset`` is bit-identical to ``engine="legacy"`` for any valid index
-  set — singleton, full-range (empty complement), reordered, empty;
+* ``subset`` is bit-identical to the per-flow reference rebuild
+  (``reference.tables.subset``) for any valid index set — singleton,
+  full-range (empty complement), reordered, empty;
 * ``without_alternative`` and ``subset`` commute:
   ``t.without_alternative(k).subset(idx) == t.subset(idx).without_alternative(k)``;
 * ``subset`` composes: ``t.subset(i).subset(j) == t.subset(i[j])``;
@@ -26,6 +27,8 @@ from repro.routing.flows import build_full_flowset
 from repro.routing.incidence import PathIncidence
 from repro.topology.builders import build_custom_isp
 from repro.topology.interconnect import Interconnection, IspPair
+
+from reference import tables as reference_tables
 
 
 def _property_table() -> PairCostTable:
@@ -123,7 +126,7 @@ def test_subset_bit_identical_to_legacy(seed):
     idx = _random_indices(seed)
     table = _warm_parent()
     fast = table.subset(idx)
-    legacy = table.subset(idx, engine="legacy")
+    legacy = reference_tables.subset(table, idx)
     assert_tables_identical(fast, legacy)
     for side in "ab":
         assert_incidences_identical(
@@ -152,8 +155,8 @@ def test_column_drop_and_subset_commute(seed, k):
         assert_incidences_identical(
             drop_first.incidence(side), _recompiled(drop_first, side)
         )
-    # And both stay bit-identical to the all-legacy derivation chain.
-    legacy = table.without_alternative(k).subset(idx, engine="legacy")
+    # And both stay bit-identical to the per-flow rebuild of the scope.
+    legacy = reference_tables.subset(table.without_alternative(k), idx)
     assert_tables_identical(drop_first, legacy)
 
 
@@ -191,7 +194,7 @@ def test_named_index_cases(indices):
     idx = np.asarray(indices, dtype=np.intp)
     table = _warm_parent()
     fast = table.subset(idx)
-    legacy = table.subset(idx, engine="legacy")
+    legacy = reference_tables.subset(table, idx)
     assert_tables_identical(fast, legacy)
     for side in "ab":
         assert_incidences_identical(
@@ -215,8 +218,10 @@ class TestEmptySubsetShortCircuit:
     def test_cold_parent_empty_subset_never_compiles(self, monkeypatch):
         table = _property_table()  # cold: no incidence compiled yet
         reference = {
-            side: _recompiled(table.subset(np.empty(0, dtype=np.intp),
-                                           engine="legacy"), side)
+            side: _recompiled(
+                reference_tables.subset(table, np.empty(0, dtype=np.intp)),
+                side,
+            )
             for side in "ab"
         }
 
@@ -282,6 +287,13 @@ def _compose_single_drops(
     return result
 
 
+def _folded_drops(table: PairCostTable, ks) -> PairCostTable:
+    """Single drops folded in descending order, so no index shifts."""
+    for k in sorted((int(k) for k in ks), reverse=True):
+        table = table.without_alternative(k)
+    return table
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), order_seed=st.integers(0, 2**31 - 1))
 def test_multi_drop_equals_any_composition_order(seed, order_seed):
@@ -291,7 +303,7 @@ def test_multi_drop_equals_any_composition_order(seed, order_seed):
     multi = table.without_alternatives(ks)
     composed = _compose_single_drops(table, ks, order)
     assert_tables_identical(multi, composed)
-    legacy = table.without_alternatives(ks, engine="legacy")
+    legacy = _folded_drops(table, ks)
     assert_tables_identical(multi, legacy)
     for side in "ab":
         assert_incidences_identical(
@@ -329,9 +341,7 @@ def test_batch_derive_matches_individual_drops(seeds):
     assert len(batch) == len(drop_sets)
     for derived, ks in zip(batch, drop_sets):
         assert_tables_identical(derived, table.without_alternatives(ks))
-        assert_tables_identical(
-            derived, table.without_alternatives(ks, engine="legacy")
-        )
+        assert_tables_identical(derived, _folded_drops(table, ks))
         for side in "ab":
             assert_incidences_identical(
                 derived.incidence(side), _recompiled(derived, side)
@@ -352,9 +362,7 @@ def test_named_drop_cases(ks):
     table = _warm_parent()
     multi = table.without_alternatives(ks)
     assert multi.n_alternatives == table.n_alternatives - len(ks)
-    assert_tables_identical(
-        multi, table.without_alternatives(ks, engine="legacy")
-    )
+    assert_tables_identical(multi, _folded_drops(table, ks))
     composed = _compose_single_drops(
         table, np.asarray(ks, dtype=np.intp), np.arange(len(ks))
     )
@@ -368,7 +376,7 @@ def test_named_drop_cases(ks):
 
 
 def test_drop_validation_unified_with_subset():
-    from repro.errors import ConfigurationError, RoutingError
+    from repro.errors import RoutingError
 
     table = _warm_parent()
     with pytest.raises(RoutingError, match="duplicates"):
@@ -381,7 +389,5 @@ def test_drop_validation_unified_with_subset():
         table.without_alternatives([0, 1, 2])
     with pytest.raises(RoutingError, match="must be in 0"):
         table.without_alternative(7)
-    with pytest.raises(ConfigurationError, match="engine"):
-        table.without_alternatives([0], engine="nope")
     with pytest.raises(RoutingError, match="every alternative"):
         table.batch_without_alternatives([[0], [0, 1, 2]])
