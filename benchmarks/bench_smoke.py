@@ -37,10 +37,21 @@ import numpy as np
 from repro.capacity.loads import link_loads
 from repro.capacity.provisioning import ProportionalCapacity
 from repro.core.agent import NegotiationAgent
-from repro.core.evaluators import FortzCostEvaluator, LoadAwareEvaluator
+from repro.core.evaluators import (
+    FortzCostEvaluator,
+    LoadAwareEvaluator,
+    StaticCostEvaluator,
+)
+from repro.core.mapping import AutoScaleDeltaMapper, LinearDeltaMapper
+from repro.core.preferences import PreferenceRange
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.core.strategies import MaxCombinedProposals, ReassignEveryFraction
+from repro.core.strategies import (
+    MaxCombinedProposals,
+    ReassignEveryFraction,
+    TerminationMode,
+)
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.distance import build_distance_problem
 from repro.optimal import bandwidth_lp
 from repro.optimal.bandwidth_lp import _link_constraint_rows, solve_min_max_load_lp
 from repro.routing.costs import build_pair_cost_table
@@ -55,8 +66,10 @@ from reference import evaluators as reference_evaluators  # noqa: E402
 from reference import loads as reference_loads  # noqa: E402
 from reference import tables as reference_tables  # noqa: E402
 from reference.negotiation import (  # noqa: E402
+    ReferenceRollbackSession,
     RescanningProposals,
     ScanningAgent,
+    outcome_signature,
 )
 from reference.sssp import NetworkxRouting  # noqa: E402
 
@@ -189,6 +202,57 @@ def _scope_setup(table, subset):
         sub.incidence("b")
 
     return setup
+
+
+def _rollback_session_setup(table):
+    """A distance-style static-cost session whose rollback undoes every trade.
+
+    Both directions of the sample pair, as the distance experiment stacks
+    them: A's preference classes come from its path lengths, while B
+    charges a flat one-class cost for moving any flow off its default. Both
+    sides run under full termination, so the session accepts every trade
+    with a positive joint gain, and B ends below its default by one class
+    per trade. The win-win rollback then undoes all of them, one tie
+    (pref_b = -1) at a time. The production side is the presorted proposal
+    and stop cursors plus the heap rollback; the reference side rescans
+    the (F, I) matrix every round and rolls back by min-and-remove. Both
+    deliver the identical outcome (asserted once at setup).
+    """
+    problem = build_distance_problem(table.pair)
+    rows = np.arange(problem.n_flows)
+    flat_cost = np.ones_like(problem.cost_b)
+    flat_cost[rows, problem.defaults] = 0.0
+    p_range = PreferenceRange(10)
+
+    def session(session_cls, agent_cls, proposals_cls):
+        def run():
+            mapper_a = AutoScaleDeltaMapper(
+                p_range, conservative=False, quantile=100.0
+            )
+            mapper_b = LinearDeltaMapper(p_range, unit=1.0)
+            return session_cls(
+                agent_cls(
+                    "a",
+                    StaticCostEvaluator(
+                        problem.cost_a, problem.defaults, mapper_a
+                    ),
+                    termination=TerminationMode.FULL,
+                ),
+                agent_cls(
+                    "b",
+                    StaticCostEvaluator(flat_cost, problem.defaults, mapper_b),
+                    termination=TerminationMode.FULL,
+                ),
+                defaults=problem.defaults,
+                config=SessionConfig(proposal_policy=proposals_cls()),
+            ).run()
+
+        return run
+
+    fast = session(NegotiationSession, NegotiationAgent, MaxCombinedProposals)
+    slow = session(ReferenceRollbackSession, ScanningAgent, RescanningProposals)
+    assert outcome_signature(fast()) == outcome_signature(slow())
+    return fast, slow
 
 
 def _multi_isp_round_setup(config: ExperimentConfig):
@@ -583,6 +647,7 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             3,
         ),
     }
+    benches["session_rollback_static"] = (*_rollback_session_setup(table), 5)
     benches["multi_isp_round"] = (*_multi_isp_round_setup(config), 5)
     benches["damped_redrive"] = (*_damped_redrive_setup(config), 3)
     _scale_kernels(benches)

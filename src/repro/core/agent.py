@@ -9,8 +9,6 @@ sits on top of the routing infrastructure.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.core.evaluators import Evaluator
@@ -25,7 +23,7 @@ class NegotiationAgent:
 
     #: Disclosed preferences are stable between reassignments, so the
     #: session may cache structures derived from them across rounds (the
-    #: incremental proposal scoreboard). Subclasses whose
+    #: presorted proposal scoreboard). Subclasses whose
     #: ``disclosed_preferences`` varies round-to-round for other reasons
     #: must set this to False to keep the session on the rescanning path.
     disclosure_changes_only_on_reassign = True
@@ -43,10 +41,10 @@ class NegotiationAgent:
         self.evaluator = evaluator
         self.termination = termination
         self.acceptance = acceptance or AlwaysAccept()
-        #: The remaining-rows preference maximum is kept incrementally: a
-        #: (heap of (-row_max, flow), previous remaining mask) — rebuilt on
-        #: reassignment and whenever the mask is not a subset of the last.
-        self._stop_cache: tuple[list[tuple[int, int]], np.ndarray] | None = None
+        #: The remaining-rows preference maximum is kept incrementally:
+        #: [flows by descending row max (array and list), their row maxima,
+        #: cursor] — rebuilt on reassignment (see :meth:`wants_to_stop`).
+        self._stop_cache: list | None = None
         self.cumulative_gain = 0
         #: Private accounting on the ISP's actual metric (never disclosed).
         self.true_cumulative = 0.0
@@ -83,41 +81,34 @@ class NegotiationAgent:
         alternative is strictly negative. Full termination: never stop
         unilaterally (the session stops when joint gain is exhausted).
 
-        The remaining-rows maximum is answered from a heap of per-flow row maxima, built once per
-        disclosure and lazily pruned as flows leave ``remaining`` —
-        amortized O(log F) per round instead of an O(F·I) masked rescan.
-        Falls back to a rebuild whenever the mask is not a subset of the
-        previous one, so arbitrary callers still get exact answers.
+        The remaining-rows maximum is answered from one descending sort of
+        the per-flow row maxima, built once per disclosure, plus a cursor
+        that advances past flows no longer in ``remaining`` — amortized
+        O(1) per round instead of an O(F·I) masked rescan. If a flow the
+        cursor already skipped is back in the mask (the mask is not a
+        subset of the earlier ones), the cursor rewinds to the start, so
+        arbitrary callers still get exact answers.
         """
         if self.termination is TerminationMode.FULL:
             return False
         remaining = np.asarray(remaining, dtype=bool)
-        threshold = 0 if reassignable else 1
         cache = self._stop_cache
-        if (
-            cache is None
-            or cache[1].shape != remaining.shape
-            or bool(np.any(remaining & ~cache[1]))
-        ):
+        if cache is None or cache[0].shape != remaining.shape:
             prefs = self.true_preferences()
             if prefs.shape[1] == 0:
                 return True
             row_max = prefs.max(axis=1)
-            heap = [
-                (-int(row_max[f]), f) for f in np.flatnonzero(remaining)
-            ]
-            heapq.heapify(heap)
-            cache = (heap, remaining.copy())
+            order = np.argsort(-row_max, kind="stable")
+            cache = [order, order.tolist(), row_max[order].tolist(), 0]
             self._stop_cache = cache
-        else:
-            cache = (cache[0], remaining.copy())
-            self._stop_cache = cache
-        heap = cache[0]
-        while heap and not remaining[heap[0][1]]:
-            heapq.heappop(heap)
-        if not heap:
-            return True
-        return -heap[0][0] < threshold
+        order, flows, maxima, k = cache
+        if k and np.count_nonzero(remaining[order[:k]]):
+            k = 0
+        n = len(flows)
+        while k < n and not remaining[flows[k]]:
+            k += 1
+        cache[3] = k
+        return k == n or maxima[k] < (0 if reassignable else 1)
 
     def decide_accept(self, flow_index: int, alternative: int,
                       other_pref: int) -> bool:

@@ -14,17 +14,30 @@ the compromises made", Section 6) until both sides are at or above the
 default. With truthful agents and early termination this rarely triggers,
 but it makes the no-loss property structural rather than statistical.
 
-Performance: with the stock MaxCombined proposal rule the engine keeps the
-candidate combined-preference scores in an incremental scoreboard (see
-:class:`~repro.core.strategies.CombinedScoreboard`) — per round it touches
-only what a ban or reassignment changed instead of rescanning the (F, I)
-matrix, taking the session loop from O(F²·I) toward O(F·I). Any other
-proposal rule (a subclass included) runs the rescanning loop; outcomes are
-identical either way, and the equivalence tests compare the two exactly.
+Performance: every round costs amortized O(1) on top of the agents' own
+evaluator work, and a disclosure (the initial one and each reassignment)
+costs O(F·I·log(F·I)) once:
+
+* with the stock MaxCombined proposal rule, the candidate cells are sorted
+  once per disclosure into each proposer's pick order and ``propose``
+  advances a monotone cursor past committed flows and banned cells (see
+  :class:`~repro.core.strategies.CombinedScoreboard`);
+* ``wants_to_stop`` reads the remaining-rows maximum from a cursor over the
+  flows sorted by row maximum, also sorted once per disclosure (see
+  :meth:`~repro.core.agent.NegotiationAgent.wants_to_stop`);
+* the win-win rollback picks each victim from lazily pruned per-key heaps,
+  O(A·log A) for A accepted rounds (see :func:`rollback_victims`);
+* wire-message objects are only built when ``record_messages`` is on.
+
+A whole session is therefore O(R + D·F·I·log(F·I)) for R rounds and D
+disclosures, against O(R·F·I) for the rescanning loop. Any other proposal
+rule (a subclass included) runs the rescanning loop; outcomes are identical
+either way, and the equivalence tests compare the two exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +107,77 @@ class SessionConfig:
             )
 
 
+def rollback_victims(
+    accepted: list[RoundRecord],
+    gains: tuple[float, float, float, float],
+    floors: tuple[float, float],
+) -> tuple[list[RoundRecord], tuple[float, float, float, float]]:
+    """The win-win rollback: which accepted rounds to undo, and the gains after.
+
+    Undoes concessions while either side is below its floor — on the
+    disclosed classes *or* on its private metric ("the ISP can partially or
+    fully rollback the compromises made", Section 6). Each step removes the
+    worst remaining trade for the first side found below its floor (class
+    gain A, class gain B, then the true metric of A and B, the latter only
+    under a strict 0 floor), so as few good trades as possible are
+    sacrificed; among equal keys the earliest accepted round goes first.
+    Terminates at the empty agreement (0, 0).
+
+    ``accepted`` is in acceptance order and ``gains`` is
+    ``(gain_a, gain_b, true_a, true_b)``. Returns the victims in removal
+    order and the gains with their contributions subtracted. Each key's
+    heap of ``(key, position)`` is built on first use and prunes rounds
+    another key already removed lazily, so the whole rollback is
+    O(A·log A) for A accepted rounds.
+    """
+    gain_a, gain_b, true_a, true_b = gains
+    floor_a, floor_b = floors
+    # The private true-metric guard only applies under the strict floor;
+    # credit (negative floors) is class-denominated.
+    guard_true_a = floor_a == 0.0
+    guard_true_b = floor_b == 0.0
+    tol = 1e-9
+    heaps: dict[str, list[tuple[float, int]]] = {}
+    removed = [False] * len(accepted)
+    victims: list[RoundRecord] = []
+    while len(victims) < len(accepted):
+        if gain_a < floor_a:
+            key = "pref_a"
+        elif gain_b < floor_b:
+            key = "pref_b"
+        elif guard_true_a and true_a < -tol:
+            key = "true_a"
+        elif guard_true_b and true_b < -tol:
+            key = "true_b"
+        else:
+            break
+        heap = heaps.get(key)
+        if heap is None:
+            heap = [
+                (getattr(r, key), pos)
+                for pos, r in enumerate(accepted)
+                if not removed[pos]
+            ]
+            heapq.heapify(heap)
+            heaps[key] = heap
+        while removed[heap[0][1]]:
+            heapq.heappop(heap)
+        pos = heapq.heappop(heap)[1]
+        removed[pos] = True
+        victim = accepted[pos]
+        victims.append(victim)
+        gain_a -= victim.pref_a
+        gain_b -= victim.pref_b
+        true_a -= victim.true_a
+        true_b -= victim.true_b
+    return victims, (gain_a, gain_b, true_a, true_b)
+
+
 class NegotiationSession:
     """One bilateral negotiation over a fixed set of flows."""
+
+    #: The win-win rollback (see :func:`rollback_victims`).
+    _rollback_victims = staticmethod(rollback_victims)
 
     def __init__(
         self,
@@ -163,8 +245,10 @@ class NegotiationSession:
     def run(self) -> NegotiationOutcome:
         """Execute the session and return the (post-rollback) outcome."""
         cfg = self.config
+        record_messages = cfg.record_messages
         n_f = self.n_flows
         remaining = np.ones(n_f, dtype=bool)
+        n_remaining = n_f
         banned = np.zeros((n_f, self.n_alternatives), dtype=bool)
         choices = self.defaults.copy()
         negotiated = np.zeros(n_f, dtype=bool)
@@ -178,15 +262,16 @@ class NegotiationSession:
             # Every flow needs at most one accepted round; allow slack for
             # vetoed proposals.
             max_rounds = n_f * (self.n_alternatives + 1) + 8
+        reassignable = getattr(cfg.reassignment_policy, "may_change", False)
 
         self.agent_a.reset()
         self.agent_b.reset()
         self._advertise_initial()
 
-        # Incremental proposal scoring: when the proposal policy is the
-        # stock MaxCombined rule and disclosures only change on
-        # reassignment, candidate combined scores are maintained across
-        # rounds (O(F) per round) instead of rescanned (O(F·I) per round).
+        # Presorted proposals: when the proposal policy is the stock
+        # MaxCombined rule and disclosures only change on reassignment, the
+        # candidate order is sorted once per disclosure and each round only
+        # advances a cursor, instead of rescanning the (F, I) matrix.
         use_scoreboard = (
             type(cfg.proposal_policy) is MaxCombinedProposals
             and getattr(
@@ -200,7 +285,7 @@ class NegotiationSession:
 
         reason = TerminationReason.EXHAUSTED
         round_index = 0
-        while remaining.any():
+        while n_remaining:
             if round_index >= max_rounds:
                 reason = TerminationReason.ROUND_LIMIT
                 break
@@ -217,7 +302,6 @@ class NegotiationSession:
             # the peer always gets its reciprocal turn before the other
             # side can walk away with a one-sided gain.
             proposing_agent = self.agent_a if proposer == 0 else self.agent_b
-            reassignable = getattr(cfg.reassignment_policy, "may_change", False)
             if proposing_agent.wants_to_stop(remaining, reassignable=reassignable):
                 reason = (
                     TerminationReason.EARLY_STOP_A
@@ -233,16 +317,20 @@ class NegotiationSession:
 
             prefs_a = self.agent_a.disclosed_preferences()
             prefs_b = self.agent_b.disclosed_preferences()
-            own, other = (prefs_a, prefs_b) if proposer == 0 else (prefs_b, prefs_a)
 
             # Propose an alternative.
             if use_scoreboard:
                 if scoreboard is None:
-                    scoreboard = CombinedScoreboard(prefs_a, prefs_b, banned)
+                    scoreboard = CombinedScoreboard(
+                        prefs_a, prefs_b, banned, remaining
+                    )
                 pick = scoreboard.propose(
                     proposer, remaining, allow_zero=reassignable
                 )
             else:
+                own, other = (
+                    (prefs_a, prefs_b) if proposer == 0 else (prefs_b, prefs_a)
+                )
                 candidates = remaining[:, np.newaxis] & ~banned
                 pick = cfg.proposal_policy.propose(
                     own, other, candidates, allow_zero=reassignable
@@ -253,24 +341,32 @@ class NegotiationSession:
             flow_index, alternative = pick
             pref_a = int(prefs_a[flow_index, alternative])
             pref_b = int(prefs_b[flow_index, alternative])
-            sender = "a" if proposer == 0 else "b"
-            self._record(
-                ProposalMessage(
-                    sender=sender,
-                    round_index=round_index,
-                    flow_index=flow_index,
-                    alternative=alternative,
+            if record_messages:
+                self.messages.append(
+                    ProposalMessage(
+                        sender="a" if proposer == 0 else "b",
+                        round_index=round_index,
+                        flow_index=flow_index,
+                        alternative=alternative,
+                    )
                 )
-            )
 
             # Accept alternative?
             responder = self.agent_b if proposer == 0 else self.agent_a
-            responder_pref = pref_b if proposer == 0 else pref_a
             proposer_pref = pref_a if proposer == 0 else pref_b
             accepted = responder.decide_accept(
                 flow_index, alternative, other_pref=proposer_pref
             )
-            responder_name = "b" if proposer == 0 else "a"
+            if record_messages:
+                message_cls = AcceptMessage if accepted else RejectMessage
+                self.messages.append(
+                    message_cls(
+                        sender="b" if proposer == 0 else "a",
+                        round_index=round_index,
+                        flow_index=flow_index,
+                        alternative=alternative,
+                    )
+                )
             if not accepted:
                 rounds.append(
                     RoundRecord(
@@ -283,32 +379,14 @@ class NegotiationSession:
                         accepted=False,
                     )
                 )
-                self._record(
-                    RejectMessage(
-                        sender=responder_name,
-                        round_index=round_index,
-                        flow_index=flow_index,
-                        alternative=alternative,
-                    )
-                )
                 banned[flow_index, alternative] = True
-                if scoreboard is not None:
-                    scoreboard.note_ban(flow_index)
                 round_index += 1
                 continue
-            self._record(
-                AcceptMessage(
-                    sender=responder_name,
-                    round_index=round_index,
-                    flow_index=flow_index,
-                    alternative=alternative,
-                )
-            )
-            del responder_pref  # tracked via the round record
 
             # Commit: "Accepted flows are removed from the preference lists."
             choices[flow_index] = alternative
             remaining[flow_index] = False
+            n_remaining -= 1
             negotiated[flow_index] = True
             true_a = self.agent_a.commit(flow_index, alternative, pref_a)
             true_b = self.agent_b.commit(flow_index, alternative, pref_b)
@@ -334,7 +412,7 @@ class NegotiationSession:
                 cfg.reassignment_policy.mark_reassigned(negotiated_size)
                 reassignments += 1
                 scoreboard = None  # disclosures changed; rebuild lazily
-                if cfg.record_messages:
+                if record_messages:
                     for sender_name, agent in (("a", self.agent_a),
                                                ("b", self.agent_b)):
                         prefs = agent.disclosed_preferences()
@@ -354,38 +432,15 @@ class NegotiationSession:
         true_a = self.agent_a.true_cumulative
         true_b = self.agent_b.true_cumulative
 
-        # Win-win rollback: undo concessions while either side is below its
-        # default — on the disclosed classes *or* on its private metric
-        # ("the ISP can partially or fully rollback the compromises made",
-        # Section 6). Each step removes the worst remaining trade for the
-        # side that is below default, so as few good trades as possible are
-        # sacrificed. Terminates at the empty agreement (0, 0).
         rolled_back: list[int] = []
         if cfg.rollback:
-            tol = 1e-9
-            floor_a, floor_b = cfg.rollback_floors
-            # The private true-metric guard only applies under the strict
-            # floor; credit (negative floors) is class-denominated.
-            guard_true_a = floor_a == 0.0
-            guard_true_b = floor_b == 0.0
-            while accepted_order:
-                if gain_a < floor_a:
-                    victim = min(accepted_order, key=lambda r: r.pref_a)
-                elif gain_b < floor_b:
-                    victim = min(accepted_order, key=lambda r: r.pref_b)
-                elif guard_true_a and true_a < -tol:
-                    victim = min(accepted_order, key=lambda r: r.true_a)
-                elif guard_true_b and true_b < -tol:
-                    victim = min(accepted_order, key=lambda r: r.true_b)
-                else:
-                    break
-                accepted_order.remove(victim)
+            victims, (gain_a, gain_b, true_a, true_b) = self._rollback_victims(
+                accepted_order, (gain_a, gain_b, true_a, true_b),
+                cfg.rollback_floors,
+            )
+            for victim in victims:
                 choices[victim.flow_index] = self.defaults[victim.flow_index]
                 negotiated[victim.flow_index] = False
-                gain_a -= victim.pref_a
-                gain_b -= victim.pref_b
-                true_a -= victim.true_a
-                true_b -= victim.true_b
                 rolled_back.append(victim.round_index)
 
         return NegotiationOutcome(

@@ -174,20 +174,27 @@ class MaxCombinedProposals:
 
 
 class CombinedScoreboard:
-    """Incremental candidate scores for :class:`MaxCombinedProposals`.
+    """Presorted candidate orders for :class:`MaxCombinedProposals`.
 
     Rescanning the full (F, I) combined-preference matrix every round makes
-    a session O(F²·I). The scoreboard maintains the combined matrix and a
-    per-row maximum over non-banned cells, so each round costs O(F) for the
-    global maximum plus O(I) per row that actually changes:
+    a session O(F²·I). The scoreboard instead sorts the *viable* cells once
+    — not banned, in a remaining flow, combined preference ≥ 0 — into one
+    order per proposer, keyed ``(-combined, -own, flow, alternative)``:
+    exactly the MaxCombined argmax, its local-preference tie-break and its
+    lowest-(flow, alternative) rule. :meth:`propose` then advances a
+    monotone cursor past cells that have died since (their flow left
+    ``remaining`` or the cell was banned) and reads the head, so a round
+    costs amortized O(1) and a whole order O(F·I·log(F·I)) once.
 
-    * a rejected proposal (``note_ban``) recomputes one row's maximum;
-    * a committed flow needs no update (it leaves via the ``remaining``
-      mask the caller passes to :meth:`propose`);
-    * a preference reassignment invalidates everything — callers drop the
-      scoreboard and build a fresh one (disclosed preferences only change
-      on reassignment; see
-      ``NegotiationAgent.disclosure_changes_only_on_reassign``).
+    Contract: **between rebuilds the candidate set only shrinks.** The
+    ``remaining`` mask passed to :meth:`propose` must be a subset of the one
+    the scoreboard was built with, and ``banned`` (the caller's live mask,
+    read in place) may only gain cells. The session satisfies this —
+    committed flows leave ``remaining`` for good and vetoed cells stay
+    banned — and drops the scoreboard on every preference reassignment,
+    building a fresh one lazily (disclosed preferences only change on
+    reassignment; see
+    ``NegotiationAgent.disclosure_changes_only_on_reassign``).
 
     :meth:`propose` is decision-equivalent to
     ``MaxCombinedProposals.propose`` — same argmax, same tie-breaks, same
@@ -195,26 +202,34 @@ class CombinedScoreboard:
     session outcomes.
     """
 
-    _SENTINEL = np.iinfo(np.int64).min // 2
-
     def __init__(self, prefs_a: np.ndarray, prefs_b: np.ndarray,
-                 banned: np.ndarray):
-        self._prefs_a = np.asarray(prefs_a, dtype=np.int64)
-        self._prefs_b = np.asarray(prefs_b, dtype=np.int64)
-        self._combined = self._prefs_a + self._prefs_b
+                 banned: np.ndarray, remaining: np.ndarray):
+        prefs_a = np.asarray(prefs_a, dtype=np.int64)
+        prefs_b = np.asarray(prefs_b, dtype=np.int64)
         self._banned = banned  # the session's live mask, mutated in place
-        masked = np.where(banned, self._SENTINEL, self._combined)
-        self._row_best = masked.max(axis=1, initial=self._SENTINEL)
+        self._n_alternatives = prefs_a.shape[1]
+        combined = prefs_a + prefs_b
+        viable = (combined >= 0) & ~banned & remaining[:, np.newaxis]
+        self._cells = np.flatnonzero(viable)
+        self._combined = combined.ravel()[self._cells]
+        self._own = (prefs_a.ravel()[self._cells], prefs_b.ravel()[self._cells])
+        #: Per proposer: (flows, alternatives, combined) in pick order as
+        #: Python lists, and the cursor into them; sorted on first use.
+        self._orders: list[tuple[list, list, list] | None] = [None, None]
+        self._cursors = [0, 0]
 
-    def note_ban(self, flow_index: int) -> None:
-        """Refresh one row's best after the caller banned a cell in it."""
-        row_banned = self._banned[flow_index]
-        if row_banned.all():
-            self._row_best[flow_index] = self._SENTINEL
-        else:
-            self._row_best[flow_index] = self._combined[flow_index][
-                ~row_banned
-            ].max()
+    def _order(self, proposer: int) -> tuple[list, list, list]:
+        # lexsort is stable and the cells are in row-major order, so equal
+        # (combined, own) keys keep the lowest (flow, alternative) first.
+        order = np.lexsort((-self._own[proposer], -self._combined))
+        cells = self._cells[order]
+        built = (
+            (cells // self._n_alternatives).tolist(),
+            (cells % self._n_alternatives).tolist(),
+            self._combined[order].tolist(),
+        )
+        self._orders[proposer] = built
+        return built
 
     def propose(
         self,
@@ -223,20 +238,16 @@ class CombinedScoreboard:
         allow_zero: bool = False,
     ) -> tuple[int, int] | None:
         """The MaxCombined pick for this round's proposer (0 = A, 1 = B)."""
-        if not remaining.any():
+        flows, alts, combined = self._orders[proposer] or self._order(proposer)
+        banned = self._banned
+        k = self._cursors[proposer]
+        n = len(flows)
+        while k < n and not (remaining[flows[k]] and not banned[flows[k], alts[k]]):
+            k += 1
+        self._cursors[proposer] = k
+        if k == n or combined[k] < (0 if allow_zero else 1):
             return None
-        best = int(self._row_best[remaining].max())
-        floor = 0 if allow_zero else 1
-        if best < floor:
-            return None
-        rows = np.flatnonzero(remaining & (self._row_best == best))
-        sub_combined = self._combined[rows]
-        at_best = (sub_combined == best) & ~self._banned[rows]
-        own = (self._prefs_a if proposer == 0 else self._prefs_b)[rows]
-        best_tie = np.where(at_best, own, self._SENTINEL).max()
-        final = at_best & (own == best_tie)
-        r, c = np.nonzero(final)
-        return int(rows[r[0]]), int(c[0])
+        return flows[k], alts[k]
 
 
 class BestLocalProposals:

@@ -334,14 +334,11 @@ class PathIncidence:
         positions, _ = multirange_gather(
             self.indptr[row_start], self.indptr[row_start + n_alt]
         )
-        # Per-row counts of the selected block, rebased to a local pointer.
-        counts = np.diff(self.indptr)
-        sel_counts = (
-            counts.reshape(self.n_flows, n_alt)[flows].ravel()
-            if flows.size
-            else np.empty(0, dtype=np.intp)
-        )
-        row_ptr = np.zeros(sel_counts.size + 1, dtype=np.intp)
+        # Per-row counts of the selected block only — O(len(flows) * I),
+        # never a pass over the whole incidence — rebased to a local pointer.
+        rows = (row_start[:, np.newaxis] + np.arange(n_alt)).ravel()
+        sel_counts = self.indptr[rows + 1] - self.indptr[rows]
+        row_ptr = np.zeros(rows.size + 1, dtype=np.intp)
         np.cumsum(sel_counts, out=row_ptr[1:])
         return positions, row_ptr
 

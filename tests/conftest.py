@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.experiments.config import ExperimentConfig
 from repro.topology.builders import (
@@ -14,6 +15,17 @@ from repro.topology.builders import (
 from repro.topology.dataset import DatasetConfig, build_default_dataset
 from repro.topology.generator import GeneratorConfig
 from repro.topology.interconnect import Interconnection, IspPair
+
+#: Deeper property runs for shared CI runners: select with
+#: ``pytest --hypothesis-profile=ci``. Suites that leave ``max_examples``
+#: unpinned (the session and table property suites) take it from the
+#: profile; no deadline, since a noisy neighbour must not fail an example.
+settings.register_profile(
+    "ci",
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def pytest_configure(config):

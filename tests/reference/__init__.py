@@ -13,8 +13,9 @@ between a production kernel and its reference here; the golden digests in
   fractional loads and the LP's link-constraint triplets;
 * :mod:`reference.evaluators` — load-aware and Fortz evaluators that
   recompute preferences one (flow, alternative) at a time;
-* :mod:`reference.negotiation` — the masked-rescan stop rule and a
-  proposal rule that keeps the session on its rescanning loop;
+* :mod:`reference.negotiation` — the masked-rescan stop rule, a proposal
+  rule that keeps the session on its rescanning loop, and the
+  min-and-remove win-win rollback;
 * :mod:`reference.scenario` — scenario-aware scoring over materialized
   per-scenario tables;
 * :mod:`reference.transit` — transit background by walking every demand.

@@ -79,7 +79,7 @@ class TestStop:
 
 
 class TestIncrementalStop:
-    """The heap-backed remaining-max vs the reference masked rescan."""
+    """The sorted-cursor remaining-max vs the reference masked rescan."""
 
     def _legacy(self, prefs):
         return ScanningAgent(

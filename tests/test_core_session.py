@@ -114,7 +114,7 @@ class TestWinWinGuarantee:
                            config=SessionConfig(rollback=False)).run()
         assert out.gain_b < 0  # without the guard, B ends negative
 
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(2, 4))
     def test_never_worse_than_default(self, seed, n_flows, n_alts):
         """Property: with rollback, both class gains are >= 0 always."""

@@ -31,7 +31,11 @@ from repro.topology.generator import GeneratorConfig
 
 from reference import evaluators as reference_evaluators
 from reference import loads as reference_loads
-from reference.negotiation import RescanningProposals, ScanningAgent
+from reference.negotiation import (
+    RescanningProposals,
+    ScanningAgent,
+    outcome_signature,
+)
 
 SEEDS = [11, 202, 3033]
 
@@ -81,6 +85,22 @@ class TestIncidenceStructure:
         table, *_ = problem
         assert table.incidence("a") is table.incidence("a")
         assert table.incidence("a") is not table.incidence("b")
+
+    def test_flow_entries_match_row_pointers(self, problem):
+        table, *_ = problem
+        inc = table.incidence("a")
+        flows = np.arange(table.n_flows)[::-2]  # any order, with gaps
+        positions, row_ptr = inc.flow_entries(flows)
+        expected, counts = [], [0]
+        for f in flows:
+            for i in range(inc.n_alternatives):
+                row = f * inc.n_alternatives + i
+                expected.extend(range(inc.indptr[row], inc.indptr[row + 1]))
+                counts.append(inc.indptr[row + 1] - inc.indptr[row])
+        assert positions.tolist() == expected
+        assert row_ptr.tolist() == np.cumsum(counts).tolist()
+        positions, row_ptr = inc.flow_entries(np.empty(0, dtype=np.intp))
+        assert positions.size == 0 and row_ptr.tolist() == [0]
 
     def test_entry_flow_alignment(self, problem):
         table, *_ = problem
@@ -200,25 +220,6 @@ class TestEvaluatorEquivalence:
                 assert sparse.true_delta(f, i) == legacy.true_delta(f, i)
 
 
-def _outcome_signature(outcome):
-    return (
-        outcome.choices.tolist(),
-        outcome.negotiated.tolist(),
-        outcome.gain_a,
-        outcome.gain_b,
-        outcome.true_gain_a,
-        outcome.true_gain_b,
-        [
-            (r.round_index, r.proposer, r.flow_index, r.alternative,
-             r.pref_a, r.pref_b, r.accepted)
-            for r in outcome.rounds
-        ],
-        outcome.rolled_back,
-        outcome.reason,
-        outcome.reassignments,
-    )
-
-
 class TestSessionEquivalence:
     def test_bandwidth_session(self, problem):
         """Sparse + incremental vs reference loops + rescan: identical."""
@@ -241,10 +242,10 @@ class TestSessionEquivalence:
             )
             return session.run()
 
-        fast = _outcome_signature(
+        fast = outcome_signature(
             run(LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals())
         )
-        slow = _outcome_signature(run(
+        slow = outcome_signature(run(
             reference_evaluators.LoadAwareEvaluator, ScanningAgent,
             RescanningProposals(),
         ))
@@ -270,6 +271,6 @@ class TestSessionEquivalence:
             )
             return session.run()
 
-        assert _outcome_signature(
+        assert outcome_signature(
             run(MaxCombinedProposals())
-        ) == _outcome_signature(run(RescanningProposals()))
+        ) == outcome_signature(run(RescanningProposals()))

@@ -120,7 +120,7 @@ def _random_indices(seed: int) -> np.ndarray:
     return rng.permutation(n)[:size].astype(np.intp)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_subset_bit_identical_to_legacy(seed):
     idx = _random_indices(seed)
@@ -137,7 +137,7 @@ def test_subset_bit_identical_to_legacy(seed):
         )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     k=st.integers(0, TABLE.n_alternatives - 1),
@@ -160,7 +160,7 @@ def test_column_drop_and_subset_commute(seed, k):
     assert_tables_identical(drop_first, legacy)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(
     seed_outer=st.integers(0, 2**31 - 1),
     seed_inner=st.integers(0, 2**31 - 1),
@@ -294,7 +294,7 @@ def _folded_drops(table: PairCostTable, ks) -> PairCostTable:
     return table
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), order_seed=st.integers(0, 2**31 - 1))
 def test_multi_drop_equals_any_composition_order(seed, order_seed):
     ks = _random_drop_set(seed)
@@ -314,7 +314,7 @@ def test_multi_drop_equals_any_composition_order(seed, order_seed):
         )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), drop_seed=st.integers(0, 2**31 - 1))
 def test_multi_drop_commutes_with_subset(seed, drop_seed):
     idx = _random_indices(seed)
@@ -332,7 +332,7 @@ def test_multi_drop_commutes_with_subset(seed, drop_seed):
         )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6))
 def test_batch_derive_matches_individual_drops(seeds):
     table = _warm_parent()
