@@ -30,6 +30,24 @@ def _filtered_random_choices(
     keep_mask_fn,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """Each flow's uniform pick among its surviving alternatives.
+
+    ``keep_mask_fn(delta_a, delta_b)`` is applied to the whole (F, I) delta
+    matrices at once, and each row's default is forced to survive. Then one
+    ``rng.integers(0, counts)`` call draws every flow's rank ``k`` among its
+    ``counts[f]`` survivors, and the pick is the column where the row's
+    running survivor count first exceeds ``k``.
+
+    This consumes the generator exactly as a per-row
+    ``rng.choice(np.flatnonzero(keep[f]))`` loop does. Two properties of
+    numpy's ``Generator`` make that hold. ``choice`` over a 1-D array with
+    no ``p`` draws its index with ``integers(0, n)``. And ``integers`` with
+    an array bound draws each element independently, in order, with the
+    same bounded-integer routine as a scalar call, and makes no draw at all
+    when the bound is 1. So rows where only the default survives consume
+    nothing, and the picks, the generator state afterwards and every later
+    draw are the same as the loop's.
+    """
     cost_a = np.asarray(cost_a, dtype=float)
     cost_b = np.asarray(cost_b, dtype=float)
     if cost_a.shape != cost_b.shape:
@@ -37,12 +55,13 @@ def _filtered_random_choices(
     delta_a = delta_matrix(cost_a, defaults)  # positive = better for A
     delta_b = delta_matrix(cost_b, defaults)
     choices = np.asarray(defaults, dtype=np.intp).copy()
-    for f in range(cost_a.shape[0]):
-        keep = keep_mask_fn(delta_a[f], delta_b[f])
-        keep[defaults[f]] = True  # the default always survives its own test
-        surviving = np.flatnonzero(keep)
-        choices[f] = int(rng.choice(surviving))
-    return choices
+    if choices.size == 0:
+        return choices
+    keep = keep_mask_fn(delta_a, delta_b)
+    keep[np.arange(choices.size), choices] = True  # the default always survives
+    ranks = np.cumsum(keep, axis=1)
+    k = rng.integers(0, ranks[:, -1])
+    return np.argmax(ranks > k[:, np.newaxis], axis=1)
 
 
 def flow_pareto_choices(

@@ -203,8 +203,10 @@ class NegotiationSession:
             self.sizes = np.asarray(sizes, dtype=float)
             if self.sizes.shape != (self.n_flows,):
                 raise NegotiationError("sizes shape mismatch")
-            if self.n_flows and self.sizes.min() <= 0:
-                raise NegotiationError("flow sizes must be positive")
+            if self.n_flows and not (
+                np.isfinite(self.sizes).all() and self.sizes.min() > 0
+            ):
+                raise NegotiationError("flow sizes must be finite and positive")
         # The operational default routing: where flows land without any
         # agreement. "The two ISPs need not agree on the default" for
         # preference mapping, but the session needs one ground truth for

@@ -15,7 +15,12 @@ Building the table costs one Dijkstra per interconnection per side; the
 builder then fills the (F, I) arrays column by column from dense per-PoP
 SSSP views instead of issuing F·I per-cell routing queries.
 
-The ragged link tables are the *authoring* format; the load/preference hot
+The ragged link tables are tuples of per-flow row tuples whose entries alias
+the routing layer's per-source link arrays; every builder and derivation
+assembles them with C-level gathers (``operator.itemgetter`` over rows,
+``zip`` to transpose per-interconnection views into per-PoP rows) instead
+of a Python loop per flow, so a row shared by several flows may be one
+tuple object. They are the *authoring* format; the load/preference hot
 path consumes their compiled CSR form instead — see :meth:`PairCostTable.incidence`
 and :mod:`repro.routing.incidence`. The incidence structures are built
 lazily on first use and cached per (table, side), so tables that never
@@ -42,6 +47,7 @@ reference builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -91,6 +97,27 @@ def _validate_index_set(indices, n: int, what: str) -> np.ndarray:
                 f"{what} indices contain duplicates: {dups.tolist()}"
             )
     return idx
+
+
+def _gather_rows(rows: tuple, idx: list[int]) -> tuple:
+    """``tuple(rows[i] for i in idx)`` in one C-level gather."""
+    if len(idx) == 1:
+        return (rows[idx[0]],)
+    return itemgetter(*idx)(rows) if idx else ()
+
+
+def _gather_columns(rows: tuple, cols: list[int]) -> tuple:
+    """``tuple(tuple(row[j] for j in cols) for row in rows)``, C-level."""
+    if len(cols) == 1:
+        return tuple(zip(map(itemgetter(cols[0]), rows)))
+    if not cols:
+        return ((),) * len(rows)
+    return tuple(map(itemgetter(*cols), rows))
+
+
+def _per_pop_rows(views: list, n_pops: int) -> tuple:
+    """Transpose per-interconnection PoP views into per-PoP rows."""
+    return tuple(zip(*views)) if views else ((),) * n_pops
 
 
 @dataclass(frozen=True)
@@ -170,6 +197,7 @@ class PairCostTable:
             [failed_index], self.n_alternatives, "alternative drop"
         )
         k = int(idx[0])
+        keep_list = [j for j in range(self.n_alternatives) if j != k]
         failed_pair = self.pair.without_interconnection(k)
         derived = PairCostTable(
             pair=failed_pair,
@@ -179,8 +207,8 @@ class PairCostTable:
             up_km=np.delete(self.up_km, k, axis=1),
             down_km=np.delete(self.down_km, k, axis=1),
             ic_km=np.delete(self.ic_km, k),
-            up_links=tuple(row[:k] + row[k + 1 :] for row in self.up_links),
-            down_links=tuple(row[:k] + row[k + 1 :] for row in self.down_links),
+            up_links=_gather_columns(self.up_links, keep_list),
+            down_links=_gather_columns(self.down_links, keep_list),
         )
         for attr in ("_incidence_a", "_incidence_b"):
             cached = self.__dict__.get(attr)
@@ -245,12 +273,8 @@ class PairCostTable:
             up_km=self.up_km[:, keep],
             down_km=self.down_km[:, keep],
             ic_km=self.ic_km[keep],
-            up_links=tuple(
-                tuple(row[j] for j in keep_list) for row in self.up_links
-            ),
-            down_links=tuple(
-                tuple(row[j] for j in keep_list) for row in self.down_links
-            ),
+            up_links=_gather_columns(self.up_links, keep_list),
+            down_links=_gather_columns(self.down_links, keep_list),
         )
         for attr in ("_incidence_a", "_incidence_b"):
             cached = self.__dict__.get(attr)
@@ -313,8 +337,8 @@ class PairCostTable:
             up_km=self.up_km[idx],
             down_km=self.down_km[idx],
             ic_km=self.ic_km.copy(),
-            up_links=tuple(self.up_links[i] for i in rows),
-            down_links=tuple(self.down_links[i] for i in rows),
+            up_links=_gather_rows(self.up_links, rows),
+            down_links=_gather_rows(self.down_links, rows),
         )
         if idx.size == 0:
             # An empty scope (e.g. a zero-flow internetwork edge) gets
@@ -428,8 +452,16 @@ class _ColumnFill:
         routing_b.warm([ic.pop_b for ic in ics])
         self.srcs = flowset.srcs()
         self.dsts = flowset.dsts()
-        self._links_up = [routing_a.path_links_array(ic.pop_a) for ic in ics]
-        self._links_down = [routing_b.path_links_array(ic.pop_b) for ic in ics]
+        # Per-PoP ragged rows: row p holds every interconnection's link
+        # array to PoP p, so a flow's row is one gather by its src/dst.
+        self._rows_up = _per_pop_rows(
+            [routing_a.path_links_array(ic.pop_a) for ic in ics],
+            pair.isp_a.n_pops(),
+        )
+        self._rows_down = _per_pop_rows(
+            [routing_b.path_links_array(ic.pop_b) for ic in ics],
+            pair.isp_b.n_pops(),
+        )
         self._up_w = [routing_a.weight_distance_array(ic.pop_a) for ic in ics]
         self._up_k = [routing_a.geo_distance_array(ic.pop_a) for ic in ics]
         self._dn_w = [routing_b.weight_distance_array(ic.pop_b) for ic in ics]
@@ -452,15 +484,8 @@ class _ColumnFill:
 
     def links(self, lo, hi):
         """The ragged ``(up_links, down_links)`` rows of flows ``lo:hi``."""
-        n_i = self.n_alternatives
-        up = tuple(
-            tuple(self._links_up[i][src] for i in range(n_i))
-            for src in self.srcs[lo:hi].tolist()
-        )
-        down = tuple(
-            tuple(self._links_down[i][dst] for i in range(n_i))
-            for dst in self.dsts[lo:hi].tolist()
-        )
+        up = _gather_rows(self._rows_up, self.srcs[lo:hi].tolist())
+        down = _gather_rows(self._rows_down, self.dsts[lo:hi].tolist())
         return up, down
 
 

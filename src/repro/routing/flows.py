@@ -7,18 +7,21 @@ PoP) pair per direction; flow sizes come from the traffic substrate (gravity
 model) for the bandwidth experiments and are uniform for the distance
 experiments.
 
-A :class:`FlowSet` is authored from :class:`Flow` objects but served from
-arrays: ``srcs()``/``dsts()``/``sizes()`` expose cached read-only buffers
-that every hot kernel (cost-table build, load accumulation, LP assembly,
-session bookkeeping) consumes directly. Derived flowsets —
-:meth:`FlowSet.with_pair` for failure cases, :meth:`FlowSet.subset` for
-negotiation scopes — are array-backed reindexing views that never rebuild
-per-flow Python objects; the ``Flow`` tuple is materialized lazily only if
-a per-flow loop iterates the set.
+A :class:`FlowSet` is served from arrays: ``srcs()``/``dsts()``/``sizes()``
+expose cached read-only buffers that every hot kernel (cost-table build,
+load accumulation, LP assembly, session bookkeeping) consumes directly.
+:func:`build_full_flowset` fills those buffers with array operations, and
+derived flowsets — :meth:`FlowSet.with_pair` for failure cases,
+:meth:`FlowSet.subset` for negotiation scopes — are array-backed
+reindexing views; none of them builds per-flow Python objects. The
+``Flow`` tuple is materialized lazily only if a per-flow loop iterates the
+set. A FlowSet built directly from :class:`Flow` objects serves the same
+buffers, derived from those objects on first use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -49,8 +52,11 @@ class Flow:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise TrafficError(f"flow index must be >= 0, got {self.index}")
-        if self.size <= 0:
-            raise TrafficError(f"flow size must be > 0, got {self.size}")
+        if not (self.size > 0 and math.isfinite(self.size)):
+            raise TrafficError(
+                f"flow ({self.src}, {self.dst}): size must be finite and "
+                f"> 0, got {self.size}"
+            )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -257,19 +263,36 @@ def build_full_flowset(
     """One flow per (source PoP, destination PoP) pair, upstream = isp_a.
 
     ``size_fn(src, dst)`` supplies flow sizes (default: 1.0 for all flows,
-    the distance-experiment convention). Sources and destinations at the
-    same interconnection city still exchange a flow — the paper does not
-    exclude them, and their alternatives simply all cost ~0.
+    the distance-experiment convention), called once per flow in flow
+    order. Sources and destinations at the same interconnection city still
+    exchange a flow — the paper does not exclude them, and their
+    alternatives simply all cost ~0.
+
+    The set is array-backed: sources, destinations and sizes are built as
+    arrays and no :class:`Flow` object exists until a per-flow loop asks
+    for one. A size that is not finite and positive raises
+    :class:`TrafficError` naming the first offending ``(src, dst)``.
     """
-    flows = []
-    index = 0
-    for src in range(pair.isp_a.n_pops()):
-        for dst in range(pair.isp_b.n_pops()):
-            size = 1.0 if size_fn is None else float(size_fn(src, dst))
-            if size <= 0:
-                raise TrafficError(
-                    f"size_fn returned non-positive size for ({src}, {dst})"
-                )
-            flows.append(Flow(index=index, src=src, dst=dst, size=size))
-            index += 1
-    return FlowSet(pair, flows)
+    n_a, n_b = pair.isp_a.n_pops(), pair.isp_b.n_pops()
+    srcs = np.repeat(np.arange(n_a, dtype=np.intp), n_b)
+    dsts = np.tile(np.arange(n_b, dtype=np.intp), n_a)
+    if size_fn is None:
+        sizes = np.ones(n_a * n_b)
+    else:
+        sizes = np.fromiter(
+            (
+                float(size_fn(src, dst))
+                for src in range(n_a)
+                for dst in range(n_b)
+            ),
+            dtype=float,
+            count=n_a * n_b,
+        )
+        bad = np.flatnonzero(~((sizes > 0) & np.isfinite(sizes)))
+        if bad.size:
+            first = int(bad[0])
+            raise TrafficError(
+                "size_fn returned a non-positive or non-finite size "
+                f"{sizes[first]} for ({srcs[first]}, {dsts[first]})"
+            )
+    return FlowSet._from_arrays(pair, srcs, dsts, sizes)

@@ -212,29 +212,51 @@ class IntradomainRouting:
         """Geographic routed distance from ``src`` to every PoP, (n_pops,)
         dense (NaN where unreachable). Each entry is exactly
         :meth:`geo_distance_km`'s float, so gathered columns are
-        bit-identical to per-flow queries."""
-        cached = self._geo_array_cache.get(src)
-        if cached is None:
-            dists, _ = self._sssp(src)
-            cached = np.full(self._isp.n_pops(), np.nan)
-            for dst in dists:
-                cached[dst] = self.geo_distance_km(src, dst)
-            cached.setflags(write=False)
-            self._geo_array_cache[src] = cached
-        return cached
+        bit-identical to per-flow queries; see :meth:`_tree_views`."""
+        if src not in self._geo_array_cache:
+            self._tree_views(src)
+        return self._geo_array_cache[src]
 
     def path_links_array(self, src: int) -> tuple[np.ndarray | None, ...]:
         """Routed link indices from ``src`` to every PoP, indexed by PoP
-        (``None`` where unreachable). Cached per source; entries are the
-        same cached arrays :meth:`path_links` returns, so ragged tables
-        built from this view share storage with cell-by-cell
-        construction."""
-        cached = self._links_array_cache.get(src)
-        if cached is None:
-            _, paths = self._sssp(src)
-            cached = tuple(
-                self.path_links(src, dst) if dst in paths else None
-                for dst in range(self._isp.n_pops())
-            )
-            self._links_array_cache[src] = cached
-        return cached
+        (``None`` where unreachable). Cached per source and shared by every
+        table built from this routing; each entry equals
+        :meth:`path_links`'s array but is its own array, not the one that
+        method caches (see :meth:`_tree_views`)."""
+        if src not in self._links_array_cache:
+            self._tree_views(src)
+        return self._links_array_cache[src]
+
+    def _tree_views(self, src: int) -> None:
+        """Fill both per-source views in one DP over the shortest-path tree.
+
+        Every routed path from ``src`` is its predecessor's path plus one
+        hop, so visiting destinations in hop-count order (parents first)
+        derives each from its parent: ``links[dst] = links[pred] + [link]``
+        and ``geo[dst] = geo[pred] + length[link]``. The second is exactly
+        the left fold :meth:`geo_distance_km` performs along the path. This
+        replaces one link lookup per hop and one re-fold per destination.
+
+        The DP writes only the two array-view caches, never the per-path
+        :meth:`path_links` / :meth:`geo_distance_km` caches, so those stay
+        plain per-path computations.
+        """
+        _, paths = self._sssp(src)
+        edge_links = self._edge_link_map()
+        lengths = self._link_lengths.tolist()
+        hops: dict[int, list[int]] = {src: []}
+        km: dict[int, float] = {src: 0.0}
+        for dst in sorted(paths, key=lambda pop: len(paths[pop])):
+            if dst != src:
+                pred = paths[dst][-2]
+                link = edge_links[(pred, dst)]
+                hops[dst] = hops[pred] + [link]
+                km[dst] = km[pred] + lengths[link]
+        geo = np.full(self._isp.n_pops(), np.nan)
+        geo[list(km)] = list(km.values())
+        geo.setflags(write=False)
+        self._geo_array_cache[src] = geo
+        self._links_array_cache[src] = tuple(
+            np.asarray(hops[dst], dtype=np.intp) if dst in hops else None
+            for dst in range(self._isp.n_pops())
+        )

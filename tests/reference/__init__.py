@@ -6,6 +6,8 @@ no options. The tests assert bit-identity (``==``, never ``allclose``)
 between a production kernel and its reference here; the golden digests in
 ``tests/test_goldens.py`` pin the end-to-end results on top.
 
+* :mod:`reference.baselines` — the Figure 5 flow-level baselines with one
+  ``rng.choice`` per flow;
 * :mod:`reference.sssp` — per-source networkx Dijkstra routing;
 * :mod:`reference.tables` — cell-by-cell cost-table build and the per-flow
   table subset;

@@ -13,6 +13,15 @@ from repro.baselines.grouped import grouped_negotiation_choices
 from repro.core.mapping import AutoScaleDeltaMapper, delta_matrix
 from repro.core.preferences import PreferenceRange
 from repro.errors import ConfigurationError
+from repro.util.rng import derive_rng
+
+from reference import baselines as reference_baselines
+
+STRATEGIES = [
+    (flow_pareto_choices, reference_baselines.flow_pareto_choices),
+    (flow_both_better_choices, reference_baselines.flow_both_better_choices),
+]
+STRATEGY_IDS = ["flow_pareto", "flow_both_better"]
 
 
 def random_instance(seed, n_flows=10, n_alts=3):
@@ -72,6 +81,112 @@ class TestFlowBothBetter:
         rows = np.arange(len(defaults))
         assert da[rows, choices].sum() >= -1e-9
         assert db[rows, choices].sum() >= -1e-9
+
+
+@st.composite
+def baseline_instances(draw):
+    """(cost_a, cost_b, defaults) with many zero-delta ties.
+
+    Costs come from a handful of integer levels, so equal costs (ties with
+    the default), rows where only the default survives and rows where
+    every alternative survives all show up often.
+    """
+    n_flows = draw(st.integers(0, 40))
+    n_alts = draw(st.integers(1, 8))
+    levels = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cost_a = rng.integers(0, levels, size=(n_flows, n_alts)).astype(float)
+    cost_b = rng.integers(0, levels, size=(n_flows, n_alts)).astype(float)
+    defaults = rng.integers(0, n_alts, size=n_flows)
+    return cost_a, cost_b, defaults
+
+
+def _assert_same_stream(fast_rng, ref_rng):
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert fast_rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+class TestOneDrawEquivalence:
+    """The one-draw baselines consume the generator exactly as the
+    per-flow ``rng.choice`` loop in ``tests/reference/baselines.py``."""
+
+    @staticmethod
+    def _check(fast, ref, instance, make_source):
+        fast_rng, ref_rng = make_source(), make_source()
+        got = fast(*instance, seed=fast_rng)
+        want = ref(*instance, seed=ref_rng)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        _assert_same_stream(fast_rng, ref_rng)
+
+    @pytest.mark.parametrize("fast, ref", STRATEGIES, ids=STRATEGY_IDS)
+    @settings(deadline=None)
+    @given(instance=baseline_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_int_seed(self, fast, ref, instance, seed):
+        assert np.array_equal(
+            fast(*instance, seed=seed), ref(*instance, seed=seed)
+        )
+
+    @pytest.mark.parametrize("fast, ref", STRATEGIES, ids=STRATEGY_IDS)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.random.default_rng,
+            lambda seed: derive_rng(seed, "distance-baselines", "x--y"),
+        ],
+        ids=["generator", "derive_rng"],
+    )
+    @settings(deadline=None)
+    @given(instance=baseline_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_generator_source(self, fast, ref, source, instance, seed):
+        self._check(fast, ref, instance, lambda: source(seed))
+
+    @settings(deadline=None)
+    @given(
+        first=baseline_instances(),
+        second=baseline_instances(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_generator(self, first, second, seed):
+        """Both strategies drawing in turn from one generator."""
+        fast_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for (fast, ref), instance in zip(STRATEGIES, (first, second)):
+            assert np.array_equal(
+                fast(*instance, seed=fast_rng), ref(*instance, seed=ref_rng)
+            )
+        _assert_same_stream(fast_rng, ref_rng)
+
+    @pytest.mark.parametrize("fast, ref", STRATEGIES, ids=STRATEGY_IDS)
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            # F = 0: no flows, no draws.
+            (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int)),
+            # I = 1: only the default exists, no draws.
+            (np.ones((5, 1)), np.ones((5, 1)), np.zeros(5, dtype=int)),
+            # The default is strictly best for both: only it survives.
+            (
+                np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0]]),
+                np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 3.0]]),
+                np.array([0, 1]),
+            ),
+            # Zero-delta ties everywhere: every alternative survives.
+            (np.full((4, 5), 7.0), np.full((4, 5), 7.0), np.arange(4)),
+        ],
+        ids=["no-flows", "one-alternative", "only-default", "all-tied"],
+    )
+    def test_edge_cases(self, fast, ref, instance):
+        self._check(fast, ref, instance, lambda: np.random.default_rng(11))
+
+    def test_single_survivor_rows_draw_nothing(self):
+        cost = np.array([[0.0, 1.0, 2.0]] * 6)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        choices = flow_both_better_choices(cost, cost, np.zeros(6, int), rng)
+        assert np.array_equal(choices, np.zeros(6))
+        assert rng.bit_generator.state == before
 
 
 class TestGroupedNegotiation:

@@ -240,6 +240,13 @@ class TestValidation:
         with pytest.raises(NegotiationError):
             make_session([[0, 1]], [[0, 1]], sizes=np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sizes_rejected(self, bad):
+        # Regression: min() of [1, nan] is nan, which passed ``<= 0``.
+        with pytest.raises(NegotiationError, match="finite"):
+            make_session([[0, 1], [0, 1]], [[0, 1], [0, 1]],
+                         sizes=np.array([1.0, bad]))
+
     def test_bad_defaults_rejected(self):
         with pytest.raises(NegotiationError):
             make_session([[0, 1]], [[0, 1]], defaults=np.array([7]))

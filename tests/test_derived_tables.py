@@ -183,8 +183,10 @@ class TestFlowsetView:
         reduced = pair.without_interconnection(0)
         view = flowset.with_pair(reduced)
         assert view.pair is reduced
-        assert view.flows is flowset.flows
+        assert view.srcs() is flowset.srcs()
+        assert view.dsts() is flowset.dsts()
         assert view.sizes() is flowset.sizes()
+        assert view.flows == flowset.flows
 
     def test_sizes_cached_and_read_only(self, bandwidth_fixture):
         _, _, _, context = bandwidth_fixture

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import RoutingError
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import (
+    _gather_columns,
+    _gather_rows,
+    _per_pop_rows,
+    build_pair_cost_table,
+)
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
 from repro.routing.paths import IntradomainRouting
 
@@ -91,6 +96,54 @@ class TestSubset:
         sub = table.subset(np.array([1, 3]))
         assert np.array_equal(sub.flowset.sizes(), table.flowset.sizes()[[1, 3]])
         assert np.array_equal(sub.flowset.srcs(), table.flowset.srcs()[[1, 3]])
+
+
+def _ragged(n_rows, n_cols):
+    return tuple(
+        tuple(np.arange(r + c) for c in range(n_cols)) for r in range(n_rows)
+    )
+
+
+def _same_ragged(got, want) -> None:
+    """Same nesting, and every cell is the very same array object."""
+    assert type(got) is tuple and len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert type(got_row) is tuple and len(got_row) == len(want_row)
+        assert all(g is w for g, w in zip(got_row, want_row))
+
+
+class TestRaggedGathers:
+    """The C-level gathers equal the per-flow comprehensions they replace."""
+
+    @pytest.mark.parametrize("idx", [[], [2], [3, 0], [1, 1, 4]])
+    def test_gather_rows(self, idx):
+        rows = _ragged(5, 3)
+        _same_ragged(_gather_rows(rows, idx), tuple(rows[i] for i in idx))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4])
+    @pytest.mark.parametrize("cols", [[], [1], [0, 2], [2, 0, 1]])
+    def test_gather_columns(self, n_rows, cols):
+        rows = _ragged(n_rows, 3)
+        _same_ragged(
+            _gather_columns(rows, cols),
+            tuple(tuple(row[j] for j in cols) for row in rows),
+        )
+
+    @pytest.mark.parametrize("n_views", [0, 1, 3])
+    def test_per_pop_rows(self, n_views):
+        views = [tuple(np.arange(p + v) for p in range(4)) for v in range(n_views)]
+        _same_ragged(
+            _per_pop_rows(views, 4),
+            tuple(tuple(view[p] for view in views) for p in range(4)),
+        )
+
+    def test_one_column_table_derivations(self, table):
+        # One surviving column takes the 1-tuple path of every gather.
+        single = table.without_alternative(1)
+        assert all(len(row) == 1 for row in single.up_links)
+        _same_ragged(single.up_links, tuple((row[0],) for row in table.up_links))
+        one_row = single.subset([4])
+        _same_ragged(one_row.down_links, (single.down_links[4],))
 
 
 class TestSubsetValidation:

@@ -15,10 +15,13 @@ class TestFlow:
     def test_default_size(self):
         assert Flow(index=0, src=0, dst=0).size == 1.0
 
-    @pytest.mark.parametrize("size", [0.0, -1.0])
+    # NaN used to slip past ``size <= 0`` and inf passed outright.
+    @pytest.mark.parametrize(
+        "size", [0.0, -1.0, float("nan"), float("inf"), -float("inf")]
+    )
     def test_bad_size(self, size):
-        with pytest.raises(TrafficError):
-            Flow(index=0, src=0, dst=0, size=size)
+        with pytest.raises(TrafficError, match=r"\(1, 2\)"):
+            Flow(index=0, src=1, dst=2, size=size)
 
     def test_bad_index(self):
         with pytest.raises(TrafficError):
@@ -46,6 +49,44 @@ class TestFlowSet:
     def test_size_fn_must_be_positive(self, small_pair):
         with pytest.raises(TrafficError):
             build_full_flowset(small_pair, size_fn=lambda s, d: 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_size_fn_must_be_finite(self, small_pair, bad):
+        # Regression: an all-NaN size function used to build all-NaN flows.
+        with pytest.raises(TrafficError, match=r"\(0, 0\)"):
+            build_full_flowset(small_pair, size_fn=lambda s, d: bad)
+
+    def test_size_error_names_first_offending_flow(self, small_pair):
+        def size_fn(src, dst):
+            return float("nan") if (src, dst) in {(1, 2), (2, 0)} else 1.0
+
+        with pytest.raises(TrafficError, match=r"\(1, 2\)"):
+            build_full_flowset(small_pair, size_fn=size_fn)
+
+    def test_array_built_flowset_matches_flow_objects(self, small_pair):
+        def size_fn(src, dst):
+            return (src + 1) * 0.5 + dst
+
+        fs = build_full_flowset(small_pair, size_fn=size_fn)
+        cells = [
+            (src, dst)
+            for src in range(small_pair.isp_a.n_pops())
+            for dst in range(small_pair.isp_b.n_pops())
+        ]
+        authored = FlowSet(small_pair, [
+            Flow(index=i, src=src, dst=dst, size=size_fn(src, dst))
+            for i, (src, dst) in enumerate(cells)
+        ])
+        assert fs._flows is None  # array-backed until iterated
+        for built, ref in (
+            (fs.srcs(), authored.srcs()),
+            (fs.dsts(), authored.dsts()),
+            (fs.sizes(), authored.sizes()),
+        ):
+            assert built.dtype == ref.dtype
+            assert np.array_equal(built, ref)
+            assert not built.flags.writeable
+        assert fs.flows == authored.flows
 
     def test_invalid_src_rejected(self, small_pair):
         with pytest.raises(TrafficError):
@@ -98,7 +139,7 @@ class TestSubset:
 
     def test_empty_subset_skips_parent_materialization(self, small_pair):
         """subset([]) must not force the parent's array buffers to build."""
-        fs = build_full_flowset(small_pair)
+        fs = FlowSet(small_pair, list(build_full_flowset(small_pair)))
         assert fs._srcs is None  # authored from Flow objects, still lazy
         fs.subset([])
         assert fs._srcs is None and fs._dsts is None and fs._sizes is None

@@ -1,10 +1,18 @@
 """Tests for repro.routing.paths."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import RoutingError
 from repro.routing.paths import IntradomainRouting
-from repro.topology.builders import build_custom_isp, build_line_isp
+from repro.topology.builders import (
+    build_custom_isp,
+    build_line_isp,
+    build_scale_pair,
+)
+
+from reference.sssp import NetworkxRouting
 
 
 @pytest.fixture()
@@ -91,3 +99,71 @@ class TestLinePaths:
         routing = IntradomainRouting(line)
         assert routing.geo_distance_km(0, 3) == pytest.approx(750.0)
         assert routing.path(0, 3) == [0, 1, 2, 3]
+
+
+class _CutRouting(NetworkxRouting):
+    """Networkx routing over the ISP with one link cut, so the PoPs beyond
+    it are unreachable (an :class:`ISPTopology` itself must be connected)."""
+
+    cut = (1, 2)
+
+    def _sssp_batch(self, sources) -> None:
+        graph = self._isp.graph.copy()
+        graph.remove_edge(*self.cut)
+        for src in sources:
+            if src not in self._sssp_cache:
+                self._sssp_cache[src] = nx.single_source_dijkstra(
+                    graph, src, weight="weight"
+                )
+
+
+def _assert_tree_views_match(views, queries, n_pops) -> None:
+    """``views``' per-source arrays equal ``queries``' per-path answers."""
+    for src in range(n_pops):
+        links = views.path_links_array(src)
+        geo = views.geo_distance_array(src)
+        assert len(links) == n_pops and geo.shape == (n_pops,)
+        reachable = set(queries.distances_to_all(src))
+        for dst in range(n_pops):
+            if dst not in reachable:
+                assert links[dst] is None
+                assert np.isnan(geo[dst])
+                continue
+            want = queries.path_links(src, dst)
+            assert links[dst].dtype == want.dtype
+            assert np.array_equal(links[dst], want)
+            assert geo[dst] == queries.geo_distance_km(src, dst)
+    # The DP fills only the array views: the per-path caches the reference
+    # reads are never written from DP-computed values.
+    assert views._link_cache == {} and views._length_cache == {}
+
+
+class TestTreeViews:
+    """path_links_array / geo_distance_array come from one DP over the
+    shortest-path tree; each entry equals the per-path query."""
+
+    def test_scale_isp_matches_fresh_networkx_queries(self):
+        isp = build_scale_pair(40, n_interconnections=3, seed=5).isp_a
+        for views in (IntradomainRouting(isp), NetworkxRouting(isp)):
+            _assert_tree_views_match(views, NetworkxRouting(isp), isp.n_pops())
+
+    @pytest.mark.parametrize("routing_cls", [IntradomainRouting, NetworkxRouting])
+    def test_diamond_matches_per_path_queries(self, diamond, routing_cls):
+        # The diamond has equal-cost ties (B to C), where the two SSSP
+        # engines may route differently, so each engine is checked against
+        # its own per-path queries.
+        _assert_tree_views_match(routing_cls(diamond), routing_cls(diamond), 4)
+
+    def test_unreachable_pops_are_none_and_nan(self):
+        line = build_line_isp("l", ["A", "B", "C", "D"], spacing_km=100.0)
+        views, queries = _CutRouting(line), _CutRouting(line)
+        _assert_tree_views_match(views, queries, 4)
+        assert views.path_links_array(0)[2:] == (None, None)
+        assert np.isnan(views.geo_distance_array(0)[2:]).all()
+
+    def test_views_are_cached_and_geo_read_only(self, diamond):
+        routing = IntradomainRouting(diamond)
+        assert routing.path_links_array(0) is routing.path_links_array(0)
+        geo = routing.geo_distance_array(0)
+        assert routing.geo_distance_array(0) is geo
+        assert not geo.flags.writeable
