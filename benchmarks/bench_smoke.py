@@ -56,6 +56,8 @@ from repro.core.strategies import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import build_distance_problem
+from repro.geo.cities import default_city_database
+from repro.geo.population import GRID_HALF_SIDE_KM, city_grid_population
 from repro.optimal import bandwidth_lp
 from repro.optimal.bandwidth_lp import _link_constraint_rows, solve_min_max_load_lp
 from repro.routing.costs import build_pair_cost_table
@@ -69,6 +71,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference import baselines as reference_baselines  # noqa: E402
 from reference import evaluators as reference_evaluators  # noqa: E402
 from reference import loads as reference_loads  # noqa: E402
+from reference import population as reference_population  # noqa: E402
 from reference import tables as reference_tables  # noqa: E402
 from reference.negotiation import (  # noqa: E402
     ReferenceRollbackSession,
@@ -236,6 +239,63 @@ def _flow_baselines_setup(problem):
     )
     for got, want in zip(fast(), slow()):
         assert np.array_equal(got, want)
+    return fast, slow
+
+
+def _loadaware_commit_setup(table, defaults, caps):
+    """A session's per-round evaluator work: ``true_delta`` then ``commit``.
+
+    Every flow of the fixture moves to its next alternative, as an accepted
+    round does. The production side runs the tracker's list kernels; the
+    reference side is the loop evaluator over the ragged-table tracker.
+    Loads keep growing across repeats, which leaves each round's work
+    unchanged. Both sides return the same true deltas (asserted once at
+    setup, from fresh evaluators).
+    """
+    moves = [
+        (f, (int(defaults[f]) + 1) % table.n_alternatives)
+        for f in range(table.n_flows)
+    ]
+
+    def rounds(evaluator_cls):
+        evaluator = evaluator_cls(table, "a", caps, defaults)
+
+        def run():
+            deltas = []
+            for f, i in moves:
+                deltas.append(evaluator.true_delta(f, i))
+                evaluator.commit(f, i)
+            return deltas
+
+        return run
+
+    assert rounds(LoadAwareEvaluator)() == rounds(
+        reference_evaluators.LoadAwareEvaluator
+    )()
+    return (
+        rounds(LoadAwareEvaluator),
+        rounds(reference_evaluators.LoadAwareEvaluator),
+    )
+
+
+def _population_weights_setup():
+    """The gravity model's grid population at every database city.
+
+    The production side skips cities outside the latitude window before
+    the haversine test; the reference tests every city. Both return the
+    same weights (asserted once at setup).
+    """
+    database = default_city_database()
+    points = [city.location for city in database]
+
+    def weights(grid_population):
+        return lambda: [
+            grid_population(p, database, GRID_HALF_SIDE_KM) for p in points
+        ]
+
+    fast = weights(city_grid_population)
+    slow = weights(reference_population.city_grid_population)
+    assert fast() == slow()
     return fast, slow
 
 
@@ -664,6 +724,10 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             evaluator_reassign(reference_evaluators.LoadAwareEvaluator),
             10,
         ),
+        "loadaware_commit": (
+            *_loadaware_commit_setup(table, defaults, caps_a),
+            10,
+        ),
         "fortz_reassign": (
             evaluator_reassign(FortzCostEvaluator),
             evaluator_reassign(reference_evaluators.FortzCostEvaluator),
@@ -692,6 +756,7 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
     }
     problem = build_distance_problem(pair)
     benches["flow_baselines"] = (*_flow_baselines_setup(problem), 10)
+    benches["population_weights"] = (*_population_weights_setup(), 10)
     benches["session_rollback_static"] = (*_rollback_session_setup(problem), 5)
     benches["multi_isp_round"] = (*_multi_isp_round_setup(config), 5)
     benches["damped_redrive"] = (*_damped_redrive_setup(config), 3)

@@ -5,23 +5,55 @@ interconnection index per flow), these helpers accumulate per-link loads in
 each ISP. :class:`LoadTracker` supports the incremental updates the
 negotiation engine needs during preference reassignment.
 
-Every kernel is a batched array expression over the table's compiled
-:class:`~repro.routing.incidence.PathIncidence` (one ``bincount``
-scatter-add for a whole placement, one segment-max pass for a whole
-preference matrix). Floats accumulate in exactly the order a per-flow,
-per-link Python loop would (flows ascending, links in path order); the
-test suite pins the kernels against such reference loops with ``==``.
+Two kinds of kernel, each shaped by how often it runs:
+
+* **Batch kernels** are array expressions over the table's compiled
+  :class:`~repro.routing.incidence.PathIncidence`: :func:`link_loads` is
+  one ``bincount`` scatter-add for a whole placement, and
+  :func:`max_ratio_rows` scores a whole gathered block of preference rows
+  with one ratio expression and one segment-max. They run once per
+  placement or disclosure, over hundreds to thousands of entries.
+* **Scalar kernels** are :class:`LoadTracker`'s single-row operations
+  (:meth:`~LoadTracker.place`, :meth:`~LoadTracker.remove`,
+  :meth:`~LoadTracker.peek_max_ratio`,
+  :meth:`~LoadTracker.peek_cost_increase`). A negotiation round calls them
+  a few times each over one path of a few links, where numpy's per-call
+  overhead is several times the work, so they are float loops over Python
+  lists.
+
+Floats accumulate in exactly the order a per-flow, per-link Python loop
+would (flows ascending, links in path order), and every scalar operation
+is the same IEEE add, subtract or divide as its array form; the test suite
+pins both kinds against such reference loops with ``==``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import CapacityError
 from repro.routing.costs import PairCostTable
-from repro.routing.incidence import segment_max
+from repro.routing.incidence import PathIncidence
 
-__all__ = ["link_loads", "pair_link_loads", "LoadTracker"]
+__all__ = [
+    "link_loads",
+    "pair_link_loads",
+    "validate_capacities",
+    "RowGather",
+    "max_ratio_rows",
+    "LoadTracker",
+]
+
+
+def _n_links(table: PairCostTable, side: str) -> int:
+    if side == "a":
+        return table.pair.isp_a.n_links()
+    if side == "b":
+        return table.pair.isp_b.n_links()
+    raise CapacityError(f"side must be 'a' or 'b', got {side!r}")
 
 
 def _validate_choices(table: PairCostTable, choices: np.ndarray) -> np.ndarray:
@@ -54,12 +86,7 @@ def link_loads(
     The whole placement is one scatter-add.
     """
     choices = _validate_choices(table, choices)
-    if side == "a":
-        n_links = table.pair.isp_a.n_links()
-    elif side == "b":
-        n_links = table.pair.isp_b.n_links()
-    else:
-        raise CapacityError(f"side must be 'a' or 'b', got {side!r}")
+    n_links = _n_links(table, side)
     if base is not None:
         base = np.asarray(base, dtype=float)
         if base.shape != (n_links,):
@@ -84,6 +111,93 @@ def pair_link_loads(
     )
 
 
+
+
+def validate_capacities(
+    table: PairCostTable, side: str, capacities: np.ndarray
+) -> np.ndarray:
+    """One side's link capacities as a float array, checked once.
+
+    Capacities divide every load ratio, so they must be a 1-D vector of the
+    side's link count with every entry finite and strictly positive; a NaN
+    would otherwise surface as an out-of-range preference class and a zero
+    as an infinite ratio. Raises :class:`CapacityError` on anything else.
+    """
+    n_links = _n_links(table, side)
+    caps = np.array(capacities, dtype=float)
+    if caps.shape != (n_links,):
+        raise CapacityError(
+            f"capacities must have shape ({n_links},), got {caps.shape}"
+        )
+    if not np.isfinite(caps).all():
+        raise CapacityError("capacities must be finite")
+    if caps.size and caps.min() <= 0:
+        raise CapacityError(
+            f"capacities must be > 0, got minimum {float(caps.min())!r}"
+        )
+    return caps
+
+
+@dataclass(frozen=True)
+class RowGather:
+    """The path entries of every row of a set of flows, gathered once.
+
+    Row ``k * I + i`` is alternative ``i`` of flow ``flows[k]``. Each entry
+    carries its link id, its flow's size and its link's capacity;
+    ``starts`` holds the entry offset of every non-empty row and
+    ``nonempty`` marks those rows. Scoring the block against current loads
+    (:func:`max_ratio_rows`) reads nothing else, so a gather stays valid
+    for as long as its flows and the capacities do, across any number of
+    load changes.
+    """
+
+    flows: np.ndarray  # (K,) flow ids
+    n_alternatives: int
+    links: np.ndarray  # (nnz,) link id per entry
+    sizes: np.ndarray  # (nnz,) flow size per entry
+    capacities: np.ndarray  # (nnz,) link capacity per entry
+    starts: np.ndarray  # entry offset of each non-empty row
+    nonempty: np.ndarray  # (K*I,) bool
+
+    @classmethod
+    def build(
+        cls,
+        incidence: PathIncidence,
+        sizes: np.ndarray,
+        flows: np.ndarray,
+        capacities: np.ndarray,
+    ) -> "RowGather":
+        positions, row_ptr = incidence.flow_entries(flows)
+        links = incidence.indices[positions]
+        nonempty = row_ptr[1:] > row_ptr[:-1]
+        return cls(
+            flows=flows,
+            n_alternatives=incidence.n_alternatives,
+            links=links,
+            sizes=sizes[incidence.entry_flow[positions]],
+            capacities=capacities[links],
+            starts=row_ptr[:-1][nonempty],
+            nonempty=nonempty,
+        )
+
+
+def max_ratio_rows(loads: np.ndarray, gather: RowGather) -> np.ndarray:
+    """(K, I) max of ``(load + size) / capacity`` over each gathered row.
+
+    An empty row (source at the interconnection) scores 0.0, as a scalar
+    peek does. Each entry's ratio is the same add and divide as the scalar
+    peek's and the maximum is order-independent, so every row equals
+    :meth:`LoadTracker.peek_max_ratio` exactly. ``np.maximum.reduceat``
+    runs over the non-empty rows' starts only: empty rows own no entries,
+    so consecutive starts delimit exactly one row's entries.
+    """
+    out = np.zeros(gather.nonempty.size)
+    if gather.starts.size:
+        ratios = (loads[gather.links] + gather.sizes) / gather.capacities
+        out[gather.nonempty] = np.maximum.reduceat(ratios, gather.starts)
+    return out.reshape(gather.flows.size, gather.n_alternatives)
+
+
 class LoadTracker:
     """Mutable per-link loads for one ISP side, with incremental placement.
 
@@ -92,86 +206,142 @@ class LoadTracker:
     *current* expected network state: background (unaffected) flows plus
     flows already negotiated. A tracker holds that state.
 
-    Besides the single-(flow, alternative) peeks, the tracker exposes the
-    batch kernels the vectorized evaluators are built on:
-    :meth:`peek_max_ratio_all` (one flow, all alternatives) and
-    :meth:`peek_max_ratio_matrix` (all remaining flows at once).
+    The loads, the flow sizes and the side's incidence rows
+    (``indptr``/``indices``) are kept as Python lists, so the scalar
+    kernels that every accepted round calls (:meth:`place`,
+    :meth:`remove`, :meth:`peek_max_ratio`, :meth:`peek_cost_increase`)
+    are float loops over one row's few links. The list is the only load
+    store: the batch readers (:attr:`loads`, :meth:`loads_view`,
+    :meth:`peek_max_ratio_block` and what builds on it) make an array from
+    it when called, which costs one pass over the side's links.
     """
 
     def __init__(self, table: PairCostTable, side: str,
                  base_loads: np.ndarray | None = None):
-        if side == "a":
-            n_links = table.pair.isp_a.n_links()
-        elif side == "b":
-            n_links = table.pair.isp_b.n_links()
-        else:
-            raise CapacityError(f"side must be 'a' or 'b', got {side!r}")
+        n_links = _n_links(table, side)
         self._table = table
-        self._incidence = table.incidence(side)
+        self._incidence = incidence = table.incidence(side)
         self._sizes = table.flowset.sizes()
+        self._size_list: list[float] = self._sizes.tolist()
+        self._indptr: list[int] = incidence.indptr.tolist()
+        self._indices: list[int] = incidence.indices.tolist()
+        self._n_alt = incidence.n_alternatives
         if base_loads is None:
-            self._loads = np.zeros(n_links)
+            self._loads = [0.0] * n_links
         else:
             base_loads = np.asarray(base_loads, dtype=float)
             if base_loads.shape != (n_links,):
                 raise CapacityError(
                     f"base_loads must have shape ({n_links},), got {base_loads.shape}"
                 )
-            self._loads = base_loads.copy()
+            if not np.isfinite(base_loads).all():
+                raise CapacityError("base_loads must be finite")
+            self._loads = base_loads.tolist()
+
+    @property
+    def incidence(self) -> PathIncidence:
+        """The side's compiled incidence (fetched once, at construction)."""
+        return self._incidence
 
     @property
     def loads(self) -> np.ndarray:
-        """Current loads (copy; mutate only through place/remove)."""
-        return self._loads.copy()
+        """Current loads (a new array; mutate only through place/remove)."""
+        return np.array(self._loads)
 
     def loads_view(self) -> np.ndarray:
-        """The internal load array itself — read-only by convention.
+        """Current loads as an array, for batch kernels that only read them.
 
-        Hot kernels (the evaluators' recompute) read this instead of the
-        copying :attr:`loads` property; callers must not mutate it.
+        Built from the load list on each call, like :attr:`loads`; kept so
+        batch readers need not care which form the tracker stores.
         """
-        return self._loads
+        return np.array(self._loads)
 
     def place(self, flow_index: int, alternative: int) -> None:
         """Add one flow's load along its path for ``alternative``."""
-        links = self._incidence.row_links(flow_index, alternative)
-        np.add.at(self._loads, links, self._sizes[flow_index])
+        row = flow_index * self._n_alt + alternative
+        size = self._size_list[flow_index]
+        loads = self._loads
+        for li in self._indices[self._indptr[row] : self._indptr[row + 1]]:
+            loads[li] += size
 
     def remove(self, flow_index: int, alternative: int) -> None:
         """Remove a previously placed flow (inverse of :meth:`place`)."""
-        links = self._incidence.row_links(flow_index, alternative)
-        np.subtract.at(self._loads, links, self._sizes[flow_index])
+        row = flow_index * self._n_alt + alternative
+        size = self._size_list[flow_index]
+        loads = self._loads
+        for li in self._indices[self._indptr[row] : self._indptr[row + 1]]:
+            loads[li] -= size
 
     def peek_max_ratio(
-        self, flow_index: int, alternative: int, capacities: np.ndarray
+        self, flow_index: int, alternative: int, capacities: Sequence[float]
     ) -> float:
         """Max (load + flow)/capacity along the flow's path if placed.
 
         This is the paper's bandwidth preference input: "the maximum
         increase in link load along the path". Returns 0.0 for an empty
-        path (source at the interconnection).
+        path (source at the interconnection). ``capacities`` is indexed by
+        link id; a list is fastest. The maximum starts from the first
+        link's ratio, so it equals ``ratios.max()`` for any finite input,
+        negative loads included.
         """
-        links = self._incidence.row_links(flow_index, alternative)
-        if len(links) == 0:
+        row = flow_index * self._n_alt + alternative
+        start = self._indptr[row]
+        end = self._indptr[row + 1]
+        if start == end:
             return 0.0
-        size = self._sizes[flow_index]
-        ratios = (self._loads[links] + size) / capacities[links]
-        return float(ratios.max())
+        loads = self._loads
+        indices = self._indices
+        size = self._size_list[flow_index]
+        li = indices[start]
+        best = (loads[li] + size) / capacities[li]
+        for li in indices[start + 1 : end]:
+            ratio = (loads[li] + size) / capacities[li]
+            if ratio > best:
+                best = ratio
+        return best
+
+    def peek_cost_increase(
+        self,
+        flow_index: int,
+        alternative: int,
+        capacities: Sequence[float],
+        link_cost: Callable[[float, float], float],
+    ) -> float:
+        """Sum of ``link_cost(load + size, cap) - link_cost(load, cap)``
+        over the flow's path links, in path order: the marginal cost of
+        placing the flow (0.0 for an empty path)."""
+        row = flow_index * self._n_alt + alternative
+        loads = self._loads
+        size = self._size_list[flow_index]
+        increase = 0.0
+        for li in self._indices[self._indptr[row] : self._indptr[row + 1]]:
+            load = loads[li]
+            cap = capacities[li]
+            increase += link_cost(load + size, cap) - link_cost(load, cap)
+        return increase
 
     # -- batch kernels ---------------------------------------------------------
+
+    def gather(self, flows: np.ndarray, capacities: np.ndarray) -> RowGather:
+        """The :class:`RowGather` of ``flows`` (any order) under ``capacities``."""
+        return RowGather.build(
+            self._incidence,
+            self._sizes,
+            np.asarray(flows, dtype=np.intp),
+            np.asarray(capacities, dtype=float),
+        )
+
+    def max_ratios(self, gather: RowGather) -> np.ndarray:
+        """:func:`max_ratio_rows` of a gather against the current loads."""
+        return max_ratio_rows(np.array(self._loads), gather)
 
     def peek_max_ratio_all(
         self, flow_index: int, capacities: np.ndarray
     ) -> np.ndarray:
         """:meth:`peek_max_ratio` for every alternative of one flow, (I,)."""
-        inc = self._incidence
-        n_alt = inc.n_alternatives
-        start = inc.indptr[flow_index * n_alt]
-        end = inc.indptr[(flow_index + 1) * n_alt]
-        links = inc.indices[start:end]
-        ratios = (self._loads[links] + self._sizes[flow_index]) / capacities[links]
-        ptr = inc.indptr[flow_index * n_alt : (flow_index + 1) * n_alt + 1] - start
-        return segment_max(ratios, ptr)
+        return self.peek_max_ratio_block(
+            np.asarray([flow_index], dtype=np.intp), capacities
+        )[0]
 
     def peek_max_ratio_block(
         self, flows: np.ndarray, capacities: np.ndarray
@@ -179,21 +349,11 @@ class LoadTracker:
         """:meth:`peek_max_ratio` for all alternatives of ``flows``, (K, I).
 
         The compact form of :meth:`peek_max_ratio_matrix` — row ``k`` is
-        flow ``flows[k]`` — computed in one gather + one segment-max pass.
-        The per-entry float operations are identical to the scalar peeks,
-        so the rows match them exactly.
+        flow ``flows[k]`` — computed as one gather and one
+        :func:`max_ratio_rows` pass; the rows match the scalar peeks
+        exactly.
         """
-        flows = np.asarray(flows, dtype=np.intp)
-        n_alt = self._table.n_alternatives
-        if not flows.size:
-            return np.zeros((0, n_alt))
-        inc = self._incidence
-        positions, row_ptr = inc.flow_entries(flows)
-        links = inc.indices[positions]
-        ratios = (
-            self._loads[links] + self._sizes[inc.entry_flow[positions]]
-        ) / capacities[links]
-        return segment_max(ratios, row_ptr).reshape(flows.size, n_alt)
+        return self.max_ratios(self.gather(flows, capacities))
 
     def peek_max_ratio_matrix(
         self, remaining: np.ndarray, capacities: np.ndarray

@@ -20,8 +20,12 @@ The load-dependent evaluators (:class:`LoadAwareEvaluator`,
 :class:`FortzCostEvaluator`) recompute whole preference matrices per
 reassignment as a handful of array expressions over the table's compiled
 path incidence (gather, per-entry score, segment reduction) — no
-Python-level per-(flow, alternative) calls. The equivalence tests pin them
-bit for bit against per-(flow, alternative) reference loops.
+Python-level per-(flow, alternative) calls — while the per-round
+``true_delta`` and ``commit`` run the tracker's scalar list kernels over
+one path. Both check their capacities once, at construction
+(:func:`~repro.capacity.loads.validate_capacities`), and keep them fixed.
+The equivalence tests pin them bit for bit against per-(flow, alternative)
+reference loops.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.capacity.loads import LoadTracker
+from repro.capacity.loads import LoadTracker, RowGather, validate_capacities
 from repro.core.mapping import (
     PreferenceMapper,
     conservative_round,
@@ -209,6 +213,24 @@ class LoadAwareEvaluator:
     (non-negotiated) traffic. Committed flows are placed into the tracker,
     but disclosed preferences only change when :meth:`reassign` runs —
     Nexit reassigns "after negotiating each 5% of the traffic".
+
+    Capacities are validated and copied at construction and never change
+    afterwards (a list copy feeds the tracker's scalar peeks). The tracker
+    keeps its state in Python lists, so :meth:`true_delta` and
+    :meth:`commit` cost a float loop over one path each.
+
+    Each disclosure scores a *live* flow set from one
+    :class:`~repro.capacity.loads.RowGather` (link ids, entry sizes, entry
+    capacities, non-empty row starts) taken when that set was chosen: the
+    whole live block is scored against the current loads and the
+    remaining flows' rows are picked out. The live set is re-gathered as
+    the remaining flows when they fall below half of it, or when a flow
+    outside it comes back, so a disclosure never scores more than twice
+    the remaining flows' rows. The factor of one half is a constant:
+    scoring every live row is cheaper than re-deriving the remaining rows'
+    entry positions on each disclosure for as long as about a quarter to a
+    third of the live rows remain, and the halving rule never lets fewer
+    than half remain.
     """
 
     def __init__(
@@ -229,12 +251,17 @@ class LoadAwareEvaluator:
         self.conservative = conservative
         self._table = table
         self._side = side
-        self._capacities = np.asarray(capacities, dtype=float)
+        self._capacities = validate_capacities(table, side, capacities)
+        self._cap_list = self._capacities.tolist()
         self._defaults = np.asarray(defaults, dtype=np.intp)
         if self._defaults.shape != (table.n_flows,):
             raise PreferenceError("defaults shape mismatch")
+        self._default_list = self._defaults.tolist()
         self._tracker = LoadTracker(table, side, base_loads=base_loads)
         self._prefs = np.zeros((table.n_flows, table.n_alternatives), dtype=np.int64)
+        #: The live gather and each flow's row in it (-1 outside it).
+        self._live: RowGather | None = None
+        self._live_rows = np.full(table.n_flows, -1, dtype=np.intp)
         self._recompute(np.ones(table.n_flows, dtype=bool))
 
     @property
@@ -266,31 +293,48 @@ class LoadAwareEvaluator:
         """Improvement in this ISP's max load-increase ratio for the flow,
         evaluated against the *current* network state (call before
         :meth:`commit` places the flow)."""
-        default_score = self._tracker.peek_max_ratio(
-            flow_index, int(self._defaults[flow_index]), self._capacities
-        )
-        alt_score = self._tracker.peek_max_ratio(
-            flow_index, alternative, self._capacities
-        )
-        return default_score - alt_score
+        peek = self._tracker.peek_max_ratio
+        return peek(
+            flow_index, self._default_list[flow_index], self._cap_list
+        ) - peek(flow_index, alternative, self._cap_list)
 
     def _recompute(self, remaining: np.ndarray) -> None:
         """Refresh classes for the remaining flows from current loads.
 
-        One gather + segment-max over the whole remaining block
-        (:meth:`_score_block`), then a whole-matrix class mapping
-        (:meth:`_apply_scores`). Subclasses override :meth:`_score_block`
-        to substitute their own internal score while inheriting the class
-        mapping unchanged.
+        The nominal max-ratio block comes from the live gather
+        (:meth:`_nominal_block`), :meth:`_score_block` turns it into the
+        internal score, and a whole-matrix class mapping
+        (:meth:`_apply_scores`) discloses it. Subclasses override
+        :meth:`_score_block` to substitute their own internal score while
+        inheriting the gather and the class mapping unchanged.
         """
         flows = np.flatnonzero(remaining)
         if not flows.size:
             return
-        self._apply_scores(flows, self._score_block(flows))
+        self._apply_scores(
+            flows, self._score_block(flows, self._nominal_block(flows))
+        )
 
-    def _score_block(self, flows: np.ndarray) -> np.ndarray:
-        """Internal (K, I) scores of ``flows`` under the current loads."""
-        return self._tracker.peek_max_ratio_block(flows, self._capacities)
+    def _nominal_block(self, flows: np.ndarray) -> np.ndarray:
+        """(K, I) max load-increase ratios of ``flows`` (ascending).
+
+        Scores the whole live gather and picks the rows of ``flows``;
+        re-gathers first when ``flows`` leaves the live set or is under
+        half its size.
+        """
+        live = self._live
+        rows = self._live_rows[flows]
+        if live is None or 2 * flows.size < live.flows.size or rows.min() < 0:
+            live = self._live = self._tracker.gather(flows, self._capacities)
+            self._live_rows.fill(-1)
+            self._live_rows[flows] = np.arange(flows.size)
+            return self._tracker.max_ratios(live)
+        block = self._tracker.max_ratios(live)
+        return block if flows.size == live.flows.size else block[rows]
+
+    def _score_block(self, flows: np.ndarray, nominal: np.ndarray) -> np.ndarray:
+        """Internal (K, I) scores of ``flows`` from their nominal block."""
+        return nominal
 
     def _apply_scores(self, flows: np.ndarray, sel: np.ndarray) -> None:
         """Map a (K, I) score block to preference classes for ``flows``."""
@@ -340,11 +384,12 @@ class FortzCostEvaluator:
         self.range = range_ or PreferenceRange()
         self._table = table
         self._side = side
-        self._capacities = np.asarray(capacities, dtype=float)
+        self._capacities = validate_capacities(table, side, capacities)
+        self._cap_list = self._capacities.tolist()
         self._defaults = np.asarray(defaults, dtype=np.intp)
         if self._defaults.shape != (table.n_flows,):
             raise PreferenceError("defaults shape mismatch")
-        self._link_table = table.up_links if side == "a" else table.down_links
+        self._default_list = self._defaults.tolist()
         self._tracker = LoadTracker(table, side, base_loads=base_loads)
         self._sizes = table.flowset.sizes()
         # Default unit: half the cost of one mean-size flow crossing one
@@ -383,7 +428,7 @@ class FortzCostEvaluator:
 
     def true_delta(self, flow_index: int, alternative: int) -> float:
         default_cost = self._placement_cost_increase(
-            flow_index, int(self._defaults[flow_index])
+            flow_index, self._default_list[flow_index]
         )
         alt_cost = self._placement_cost_increase(flow_index, alternative)
         return default_cost - alt_cost
@@ -391,24 +436,12 @@ class FortzCostEvaluator:
     def _placement_cost_increase(self, flow_index: int, alternative: int) -> float:
         """Marginal Fortz cost of placing the flow on its path links.
 
-        Reads the tracker's internal load array once (no per-alternative
-        copies) and accumulates per-link marginal costs in path order —
-        the exact summation order of the vectorized kernel.
+        The tracker's scalar kernel accumulates per-link marginal costs in
+        path order — the exact summation order of the vectorized kernel.
         """
-        links = self._link_table[flow_index][alternative]
-        if len(links) == 0:
-            return 0.0
-        size = self._sizes[flow_index]
-        loads = self._tracker.loads_view()
-        increase = 0.0
-        for li in links:
-            li = int(li)
-            cap = self._capacities[li]
-            increase += (
-                self._piecewise(loads[li] + size, cap)
-                - self._piecewise(loads[li], cap)
-            )
-        return increase
+        return self._tracker.peek_cost_increase(
+            flow_index, alternative, self._cap_list, self._piecewise
+        )
 
     def _recompute(self, remaining: np.ndarray) -> None:
         """Refresh classes from the current loads.
@@ -420,7 +453,7 @@ class FortzCostEvaluator:
         flows = np.flatnonzero(remaining)
         if not flows.size:
             return
-        inc = self._table.incidence(self._side)
+        inc = self._tracker.incidence
         positions, row_ptr = inc.flow_entries(flows)
         links = inc.indices[positions]
         loads = self._tracker.loads_view()[links]

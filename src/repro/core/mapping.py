@@ -58,10 +58,14 @@ def conservative_round(units: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     preference classes to the underlying metric: since
     ``class <= delta/unit`` entry-wise, a non-negative cumulative class
     gain implies a non-negative true metric gain.
+
+    Ceiling a loss's magnitude is flooring the signed value
+    (``-ceil(-x) == floor(x)`` for every float, ±0 included), so both
+    directions are one ``floor`` of the units after snapping values within
+    ``atol`` of zero to 0.
     """
     units = np.asarray(units, dtype=float)
-    snapped = np.where(np.abs(units) <= atol, 0.0, units)
-    return np.where(snapped >= 0, np.floor(snapped), -np.ceil(-snapped))
+    return np.floor(np.where(np.abs(units) <= atol, 0.0, units))
 
 
 def delta_matrix(costs: np.ndarray, defaults: np.ndarray) -> np.ndarray:

@@ -23,12 +23,14 @@ pessimistic bound is the preference-side counterpart of
 ``conservative_round``: never promise a gain the tail cannot deliver.)
 
 The whole (scenario, flow, alternative) value stack comes from **one**
-nominal :meth:`~repro.capacity.loads.LoadTracker.peek_max_ratio_block`
-call — valid because a derived table's ratio entries are bit-identical to
-the parent's restricted to its surviving columns (the derive contract), so
-masking the parent's block *is* deriving. The equivalence tests pin it
-against a reference that materializes each scenario's post-failure table
-and scores it with its own tracker.
+nominal max-ratio block — the load-aware evaluator's live-gather block on
+a disclosure, a one-flow :meth:`~repro.capacity.loads.LoadTracker.peek_max_ratio_block`
+in :meth:`ScenarioAwareEvaluator.true_delta` — valid because a derived
+table's ratio entries are bit-identical to the parent's restricted to its
+surviving columns (the derive contract), so masking the parent's block
+*is* deriving. The equivalence tests pin it against a reference that
+materializes each scenario's post-failure table and scores it with its own
+tracker.
 
 Degenerate mass: scenarios that sever *every* column have a
 candidate-independent (infinite) value, so they cannot reorder
@@ -77,6 +79,13 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
     described in the module docstring. ``tail_weight`` selects the blend
     (0 = pure nominal, bit-identical to the parent class; 1 = pure CVaR)
     and ``tail_quantile`` the CVaR quantile ``q``.
+
+    It inherits the parent's list-backed tracker, the capacities validated
+    and fixed at construction, and the disclosure path: each disclosure
+    blends the nominal block scored from the live gather (re-gathered when
+    the remaining flows fall below half of it). :meth:`true_delta` scores
+    one flow per commit, so it gathers that flow alone instead of scoring
+    the live set.
     """
 
     def __init__(
@@ -138,9 +147,9 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
 
     # -- scoring ----------------------------------------------------------
 
-    def _score_block(self, flows: np.ndarray) -> np.ndarray:
-        """Blended (K, I) scores: (1-λ)·nominal + λ·CVaR_q."""
-        sel = self._tracker.peek_max_ratio_block(flows, self._capacities)
+    def _score_block(self, flows: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        """Blended (K, I) scores from the nominal block ``sel``:
+        (1-λ)·nominal + λ·CVaR_q."""
         if self.tail_weight == 0.0 or not self._any_failure:
             # Strict short-circuit: bit-identical to LoadAwareEvaluator.
             return sel
@@ -178,8 +187,14 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         return cvar_matrix(stack, probs, self.tail_quantile)
 
     def true_delta(self, flow_index: int, alternative: int) -> float:
-        """Blended-objective improvement over the default placement."""
-        row = self._score_block(np.asarray([flow_index], dtype=np.intp))[0]
+        """Blended-objective improvement over the default placement.
+
+        Scores the one flow from its own one-flow gather: a commit needs a
+        single row, not a pass over the live set.
+        """
+        flows = np.asarray([flow_index], dtype=np.intp)
+        nominal = self._tracker.peek_max_ratio_block(flows, self._capacities)
+        row = self._score_block(flows, nominal)[0]
         return float(
             row[self._defaults[flow_index]] - row[alternative]
         )

@@ -33,6 +33,14 @@ A whole session is therefore O(R + D·F·I·log(F·I)) for R rounds and D
 disclosures, against O(R·F·I) for the rescanning loop. Any other proposal
 rule (a subclass included) runs the rescanning loop; outcomes are identical
 either way, and the equivalence tests compare the two exactly.
+
+The load-aware evaluators keep their side of that bound. An accepted
+round's ``true_delta`` and ``commit`` are float loops over one path of the
+list-backed :class:`~repro.capacity.loads.LoadTracker`, with no numpy
+call. A disclosure scores the evaluator's live flow set from one gather,
+re-taken when the remaining flows fall below half of it, so it touches at
+most about twice the remaining rows' path entries (see
+:class:`~repro.core.evaluators.LoadAwareEvaluator`).
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ metro population. See DESIGN.md, substitutions table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.geo.cities import City, CityDatabase
-from repro.geo.coords import GeoPoint, great_circle_km
+from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, great_circle_km
 
 __all__ = ["PopulationModel", "city_grid_population", "GRID_HALF_SIDE_KM"]
 
@@ -33,12 +34,27 @@ def city_grid_population(
     Sums the populations of all database cities whose centers fall within a
     ``grid_half_side_km``-radius disc of ``point`` (a circular stand-in for
     the paper's square grid; the difference is immaterial for weighting).
+
+    A latitude prefilter skips most cities without a haversine call. The
+    haversine distance is at least ``R·|Δlat|``, because its
+    ``cos·cos·sin²`` term is never negative, so a city whose latitude
+    difference alone exceeds the radius cannot pass the distance test.
+    The window is widened by a relative 1e-6 and an absolute 1e-6 degrees,
+    far beyond the rounding of either computation (at most ~1e-8 rad, near
+    the antipode). The cities that remain are summed in database order, so
+    the total is the same float as a test of every city.
     """
     if grid_half_side_km <= 0:
         raise ConfigurationError("grid_half_side_km must be positive")
+    window = math.degrees(grid_half_side_km / EARTH_RADIUS_KM) * (1 + 1e-6) + 1e-6
+    lat = point.lat
     total = 0.0
     for city in database:
-        if great_circle_km(point, city.location) <= grid_half_side_km:
+        location = city.location
+        if (
+            abs(location.lat - lat) <= window
+            and great_circle_km(point, location) <= grid_half_side_km
+        ):
             total += city.population
     return total
 

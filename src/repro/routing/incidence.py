@@ -19,14 +19,15 @@ CSR-style sparse incidence structure over the flattened row space
 Because a flow's ``I`` rows are contiguous, per-flow batches (all
 alternatives of a set of flows) gather as contiguous entry ranges, and the
 whole load/preference pipeline becomes a handful of array expressions:
-scatter-adds via :func:`numpy.bincount` and segment reductions via
-:func:`segment_max` / :func:`segment_sum`.
+scatter-adds via :func:`numpy.bincount` and segment reductions
+(:func:`segment_sum` here, the max-ratio rows in
+:func:`repro.capacity.loads.max_ratio_rows`).
 
 **Bit-exactness contract.** Entries are stored in exactly the order a
 per-flow Python loop visits them (flows ascending, path order within a
-row), and the segment reductions below accumulate sequentially in that
-order (``bincount`` adds entries one by one; ``maximum`` is
-order-independent). Every vectorized kernel built on this module therefore
+row), the segment sum below accumulates sequentially in that order
+(``bincount`` adds entries one by one), and a maximum is
+order-independent. Every vectorized kernel built on this module therefore
 produces *bit-identical* floats to its reference loop — the equivalence
 tests assert ``==``, not ``allclose``.
 """
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.errors import RoutingError
 
-__all__ = ["PathIncidence", "segment_max", "segment_sum", "multirange_gather"]
+__all__ = ["PathIncidence", "segment_sum", "multirange_gather"]
 
 
 def multirange_gather(
@@ -63,23 +64,6 @@ def multirange_gather(
         starts - out_ptr, counts
     )
     return positions, counts
-
-
-def segment_max(vals: np.ndarray, ptr: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """Per-segment maximum of ``vals`` delimited by row pointers ``ptr``.
-
-    Segment ``k`` covers ``vals[ptr[k]:ptr[k+1]]``; empty segments yield
-    ``fill`` (a scalar peek returns 0.0 for an empty path). Uses
-    ``np.maximum.reduceat`` over the non-empty starts only — empty segments
-    contribute no entries, so consecutive non-empty starts delimit exactly
-    one segment's data and the reduceat quirk for empty slices never fires.
-    """
-    counts = np.diff(ptr)
-    out = np.full(counts.shape, fill, dtype=float)
-    nonempty = counts > 0
-    if vals.size and nonempty.any():
-        out[nonempty] = np.maximum.reduceat(vals, ptr[:-1][nonempty])
-    return out
 
 
 def segment_sum(vals: np.ndarray, ptr: np.ndarray) -> np.ndarray:

@@ -142,6 +142,10 @@ class Internetwork:
             seen.add(key)
         self._edges = tuple(edges)
         self._config = config
+        self._edges_by_isp: dict[str, list[int]] = {name: [] for name in names}
+        for i, edge in enumerate(self._edges):
+            self._edges_by_isp[edge.isp_a.name].append(i)
+            self._edges_by_isp[edge.isp_b.name].append(i)
 
     # -- accessors ----------------------------------------------------------
 
@@ -182,11 +186,7 @@ class Internetwork:
     def edges_of(self, name: str) -> list[int]:
         """Indices of the edges that touch one ISP, ascending."""
         self.index(name)  # validates
-        return [
-            i
-            for i, edge in enumerate(self._edges)
-            if name in (edge.isp_a.name, edge.isp_b.name)
-        ]
+        return list(self._edges_by_isp[name])
 
     def edge_side(self, edge_index: int, name: str) -> str:
         """Which side ('a' or 'b') of an edge the named ISP occupies."""

@@ -2,9 +2,9 @@
 
 Both subclass the production evaluators, swap in the ragged-table
 :class:`reference.loads.LoadTracker`, and replace the whole-matrix
-recompute with the per-flow loop it vectorized. The class mapping and
-every other method are inherited, so a difference can only come from the
-kernels under test.
+recompute with the per-flow loop it vectorized, rounding with the
+three-branch :func:`conservative_round` below. Every other method is
+inherited, so a difference can only come from the kernels under test.
 """
 
 from __future__ import annotations
@@ -12,9 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import evaluators
-from repro.core.mapping import conservative_round
 
 from reference.loads import LoadTracker
+
+
+def conservative_round(units, atol: float = 1e-9) -> np.ndarray:
+    """Floor gains and ceil the magnitude of losses, branch by branch."""
+    units = np.asarray(units, dtype=float)
+    snapped = np.where(np.abs(units) <= atol, 0.0, units)
+    return np.where(snapped >= 0, np.floor(snapped), -np.ceil(-snapped))
 
 
 class _LoopRecompute:

@@ -95,11 +95,29 @@ class LoadTracker:
         links = self._link_table[flow_index][alternative]
         if len(links) == 0:
             return 0.0
+        capacities = np.asarray(capacities, dtype=float)
         ratios = (self._loads[links] + self._sizes[flow_index]) / capacities[links]
         return float(ratios.max())
+
+    def peek_cost_increase(self, flow_index, alternative, capacities,
+                           link_cost) -> float:
+        size = self._sizes[flow_index]
+        increase = 0.0
+        for li in self._link_table[flow_index][alternative]:
+            li = int(li)
+            increase += (
+                link_cost(self._loads[li] + size, capacities[li])
+                - link_cost(self._loads[li], capacities[li])
+            )
+        return increase
 
     def peek_max_ratio_all(self, flow_index, capacities) -> np.ndarray:
         return np.asarray([
             self.peek_max_ratio(flow_index, i, capacities)
             for i in range(self._table.n_alternatives)
         ])
+
+    def peek_max_ratio_block(self, flows, capacities) -> np.ndarray:
+        return np.asarray(
+            [self.peek_max_ratio_all(int(f), capacities) for f in flows]
+        ).reshape(len(flows), self._table.n_alternatives)

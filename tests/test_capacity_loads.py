@@ -107,6 +107,13 @@ class TestLoadTracker:
         with pytest.raises(CapacityError):
             LoadTracker(table, "a", base_loads=np.ones(wrong_length))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_base_loads_must_be_finite(self, table, value):
+        base = np.ones(table.pair.isp_a.n_links())
+        base[0] = value
+        with pytest.raises(CapacityError, match="finite"):
+            LoadTracker(table, "a", base_loads=base)
+
     def test_loads_property_is_copy(self, table):
         tracker = LoadTracker(table, "a")
         snapshot = tracker.loads

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core.evaluators import (
+    FortzCostEvaluator,
     LoadAwareEvaluator,
     StaticCostEvaluator,
     StaticPreferenceEvaluator,
 )
 from repro.core.mapping import LinearDeltaMapper
 from repro.core.preferences import PreferenceRange
-from repro.errors import PreferenceError
+from repro.core.scenario_aware import ScenarioAwareEvaluator
+from repro.errors import CapacityError, PreferenceError
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
+from repro.routing.scenarios import FailureModel
 
 
 class TestStaticPreferenceEvaluator:
@@ -158,3 +161,61 @@ class TestLoadAwareOnDataset(object):
         assert prefs.min() >= -10 and prefs.max() <= 10
         rows = np.arange(table.n_flows)
         assert np.all(prefs[rows, defaults] == 0)
+
+
+_LOAD_EVALUATORS = {
+    "load-aware": LoadAwareEvaluator,
+    "fortz": FortzCostEvaluator,
+    "scenario-aware": lambda *args: ScenarioAwareEvaluator(
+        *args, FailureModel(link_probability=0.1, max_failed=1)
+    ),
+}
+
+
+def _bad_capacities(n_links: int) -> dict[str, np.ndarray]:
+    good = np.full(n_links, 5.0)
+    cases = {
+        "too-long": np.full(n_links + 1, 5.0),
+        "too-short": np.full(n_links - 1, 5.0),
+        "two-dimensional": good[np.newaxis, :],
+    }
+    for name, value in (
+        ("nan", np.nan), ("inf", np.inf), ("zero", 0.0), ("negative", -1.0)
+    ):
+        bad = good.copy()
+        bad[-1] = value
+        cases[name] = bad
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(_LOAD_EVALUATORS))
+class TestCapacityValidation:
+    """Capacities are checked once, at construction, with CapacityError.
+
+    A NaN capacity used to disclose classes of -2**63, a short vector died
+    with a bare IndexError, and zero, negative or over-long vectors were
+    accepted silently.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nan", "inf", "zero", "negative", "too-long", "too-short",
+         "two-dimensional"],
+    )
+    def test_rejected(self, small_pair, kind, case):
+        table = build_pair_cost_table(small_pair, build_full_flowset(small_pair))
+        caps = _bad_capacities(small_pair.isp_a.n_links())[case]
+        with pytest.raises(CapacityError):
+            _LOAD_EVALUATORS[kind](table, "a", caps, early_exit_choices(table))
+
+    def test_snapshotted_at_construction(self, small_pair, kind):
+        table = build_pair_cost_table(small_pair, build_full_flowset(small_pair))
+        caps = np.full(small_pair.isp_a.n_links(), 5.0)
+        ev = _LOAD_EVALUATORS[kind](table, "a", caps, early_exit_choices(table))
+        remaining = np.ones(table.n_flows, dtype=bool)
+        ev.commit(0, 1)
+        ev.reassign(remaining)
+        before = ev.preferences().copy()
+        caps[:] = 1e-3  # the caller's array, not the evaluator's
+        ev.reassign(remaining)
+        assert np.array_equal(ev.preferences(), before)

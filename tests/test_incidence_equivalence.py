@@ -1,36 +1,44 @@
 """Sparse path-incidence kernels vs reference loops: exact equivalence.
 
 The vectorized hot path (CSR incidence + batched kernels + incremental
-session proposals) must be a pure performance change: on randomized
-topologies across several seeds, every kernel produces *bit-identical*
-results to the Python-loop references in ``tests/reference`` — loads,
-preference matrices, true deltas, and whole session outcomes. All
-assertions here are exact (``array_equal`` / ``==``), never approximate.
+session proposals) and the tracker's scalar list kernels must be a pure
+performance change: on randomized topologies across several seeds, every
+kernel produces *bit-identical* results to the Python-loop references in
+``tests/reference`` — loads, preference matrices, true deltas, and whole
+session outcomes. The Hypothesis suites drive random place/remove/peek
+sequences and shrinking reassignment masks that cross the evaluators'
+live-set re-gather threshold. All assertions here are exact
+(``array_equal`` / ``==``), never approximate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.capacity.loads import LoadTracker, link_loads
+from repro.capacity.loads import LoadTracker, RowGather, link_loads, max_ratio_rows
 from repro.capacity.provisioning import ProportionalCapacity
 from repro.core.agent import NegotiationAgent
 from repro.core.evaluators import FortzCostEvaluator, LoadAwareEvaluator
-from repro.core.mapping import AutoScaleDeltaMapper
+from repro.core.mapping import AutoScaleDeltaMapper, conservative_round
 from repro.core.evaluators import StaticCostEvaluator
 from repro.core.preferences import PreferenceRange
+from repro.core.scenario_aware import ScenarioAwareEvaluator
 from repro.core.session import NegotiationSession, SessionConfig
 from repro.core.strategies import MaxCombinedProposals, ReassignEveryFraction
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
-from repro.routing.incidence import segment_max, segment_sum
+from repro.routing.incidence import PathIncidence, segment_sum
+from repro.routing.scenarios import FailureModel
 from repro.topology.dataset import DatasetConfig, build_default_dataset
 from repro.topology.generator import GeneratorConfig
 
 from reference import evaluators as reference_evaluators
 from reference import loads as reference_loads
+from reference import scenario as reference_scenario
 from reference.negotiation import (
     RescanningProposals,
     ScanningAgent,
@@ -111,19 +119,35 @@ class TestIncidenceStructure:
             assert (inc.entry_flow[start:end] == f).all()
 
 
+def _incidence(indptr, n_alternatives, n_links) -> PathIncidence:
+    """A hand-built one-link-per-entry incidence over the given rows."""
+    indptr = np.asarray(indptr, dtype=np.intp)
+    counts = np.diff(indptr).reshape(-1, n_alternatives).sum(axis=1)
+    return PathIncidence(
+        n_flows=counts.size,
+        n_alternatives=n_alternatives,
+        n_links=n_links,
+        indptr=indptr,
+        indices=np.arange(indptr[-1], dtype=np.intp),
+        entry_flow=np.repeat(np.arange(counts.size, dtype=np.intp), counts),
+    )
+
+
 class TestSegmentReductions:
-    def test_segment_max_with_empty_segments(self):
-        vals = np.asarray([3.0, 1.0, 5.0, 2.0])
-        ptr = np.asarray([0, 0, 2, 2, 4, 4])
+    def test_max_ratio_rows_with_empty_rows(self):
+        # Unit sizes and capacities: ratios 3, 1 | 5, 2 over rows holding
+        # 0, 2, 0, 2 and 0 entries.
+        inc = _incidence([0, 0, 2, 2, 4, 4], 1, 4)
+        gather = RowGather.build(inc, np.ones(5), np.arange(5), np.ones(4))
         assert np.array_equal(
-            segment_max(vals, ptr), np.asarray([0.0, 3.0, 0.0, 5.0, 0.0])
+            max_ratio_rows(np.asarray([2.0, 0.0, 4.0, 1.0]), gather),
+            np.asarray([[0.0], [3.0], [0.0], [5.0], [0.0]]),
         )
 
-    def test_segment_max_all_empty(self):
-        assert np.array_equal(
-            segment_max(np.empty(0), np.zeros(4, dtype=np.intp)),
-            np.zeros(3),
-        )
+    def test_max_ratio_rows_all_empty(self):
+        inc = _incidence([0, 0, 0, 0], 3, 2)
+        gather = RowGather.build(inc, np.ones(1), np.arange(1), np.ones(2))
+        assert np.array_equal(max_ratio_rows(np.ones(2), gather), np.zeros((1, 3)))
 
     def test_segment_sum_with_empty_segments(self):
         vals = np.asarray([3.0, 1.0, 5.0])
@@ -274,3 +298,189 @@ class TestSessionEquivalence:
         assert outcome_signature(
             run(MaxCombinedProposals())
         ) == outcome_signature(run(RescanningProposals()))
+
+
+# -- Hypothesis: the scalar list kernels and the live gather --------------------
+
+
+def _empty_cells(table, side) -> list[tuple[int, int]]:
+    """(flow, alternative) rows with an empty path on one side."""
+    inc = table.incidence(side)
+    rows = np.flatnonzero(np.diff(inc.indptr) == 0)
+    return [(int(r) // inc.n_alternatives, int(r) % inc.n_alternatives) for r in rows]
+
+
+_TRACKER_OPS = ("place", "remove", "peek", "block", "loads", "view")
+
+
+class TestTrackerSequences:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_tracker(self, problem, data):
+        """Random place/remove/peek runs with interleaved batch reads.
+
+        Removes drive loads negative, where a maximum started from 0.0
+        instead of the first ratio would differ from the reference.
+        """
+        table, _, caps_a, caps_b, _ = problem
+        side = data.draw(st.sampled_from("ab"))
+        caps = caps_a if side == "a" else caps_b
+        n_flows, n_alt = table.n_flows, table.n_alternatives
+        base = data.draw(
+            st.none()
+            | st.lists(
+                st.floats(-5.0, 50.0, allow_nan=False),
+                min_size=caps.size,
+                max_size=caps.size,
+            )
+        )
+        fast = LoadTracker(table, side, base_loads=base)
+        slow = reference_loads.LoadTracker(table, side, base_loads=base)
+        cells = st.tuples(st.integers(0, n_flows - 1), st.integers(0, n_alt - 1))
+        empty = _empty_cells(table, side)
+        if empty:
+            cells = cells | st.sampled_from(empty)
+        cap_list = caps.tolist()
+        steps = data.draw(
+            st.lists(st.tuples(st.sampled_from(_TRACKER_OPS), cells), max_size=40)
+        )
+        for op, (f, i) in steps:
+            if op == "place":
+                fast.place(f, i)
+                slow.place(f, i)
+            elif op == "remove":
+                fast.remove(f, i)
+                slow.remove(f, i)
+            elif op == "peek":
+                want = slow.peek_max_ratio(f, i, caps)
+                assert fast.peek_max_ratio(f, i, cap_list) == want
+                assert fast.peek_max_ratio(f, i, caps) == want
+            elif op == "block":
+                flows = np.asarray(
+                    data.draw(st.lists(st.integers(0, n_flows - 1), max_size=8)),
+                    dtype=np.intp,
+                )
+                assert np.array_equal(
+                    fast.peek_max_ratio_block(flows, caps),
+                    slow.peek_max_ratio_block(flows, caps),
+                )
+            elif op == "loads":
+                assert np.array_equal(fast.loads, slow.loads)
+            else:
+                assert np.array_equal(fast.loads_view(), slow.loads_view())
+        for f, i in empty:
+            assert fast.peek_max_ratio(f, i, cap_list) == 0.0
+        every = np.arange(n_flows)
+        assert np.array_equal(
+            fast.peek_max_ratio_block(every, caps),
+            slow.peek_max_ratio_block(every, caps),
+        )
+
+
+_SCENARIO_MODEL = FailureModel(link_probability=0.08, cutoff=1e-5, max_failed=2)
+
+_EVALUATOR_PAIRS = {
+    "load-aware": (
+        LoadAwareEvaluator, reference_evaluators.LoadAwareEvaluator, {}
+    ),
+    "fortz": (
+        FortzCostEvaluator, reference_evaluators.FortzCostEvaluator, {}
+    ),
+    # The scenario stack is unchanged by the live gather and has its own
+    # materialized-table reference (tests/test_scenario_aware.py); here
+    # only the nominal path is swapped for the loop.
+    "scenario-aware": (
+        ScenarioAwareEvaluator,
+        reference_scenario.LoopNominalEvaluator,
+        {"model": _SCENARIO_MODEL, "tail_weight": 0.5},
+    ),
+}
+
+
+def _remaining_sizes(n_flows: int) -> list[int]:
+    """Mask sizes K that straddle the re-gather threshold (live/2 ± 1)
+    twice, then empty the table and bring every flow back."""
+    sizes, live = [n_flows], n_flows
+    for _ in range(2):
+        half = live // 2
+        sizes += [k for k in (half + 1, half, half - 1) if 0 < k < sizes[-1]]
+        live = sizes[-1]
+    return sizes + [0, n_flows]
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATOR_PAIRS))
+class TestReassignmentEquivalence:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_shrinking_masks(self, problem, name, data):
+        """Preferences and true deltas over successive reassignments.
+
+        Runs on a drawn negotiation scope (a subset table over background
+        loads, as the experiments build them). The remaining flows are
+        shrinking prefixes of a drawn permutation, and the flows that
+        leave are committed to drawn alternatives first, as a session
+        does. The live set must follow the halving rule.
+        """
+        fast_cls, slow_cls, kwargs = _EVALUATOR_PAIRS[name]
+        table, defaults, caps_a, _, _ = problem
+        scope = np.asarray(sorted(data.draw(
+            st.sets(st.integers(0, table.n_flows - 1), min_size=1, max_size=16)
+        )))
+        outside = np.ones(table.n_flows, dtype=bool)
+        outside[scope] = False
+        base = link_loads(table, defaults, "a", active=outside)
+        sub = table.subset(scope)
+        n_flows, n_alt = sub.n_flows, sub.n_alternatives
+        fast, slow = (
+            cls(sub, "a", caps_a, defaults[scope], base_loads=base, **kwargs)
+            for cls in (fast_cls, slow_cls)
+        )
+        assert np.array_equal(fast.preferences(), slow.preferences())
+        order = data.draw(st.permutations(range(n_flows)))
+        cells = st.tuples(st.sampled_from(order), st.integers(0, n_alt - 1))
+        live = set(range(n_flows))
+        previous = n_flows
+        for k in _remaining_sizes(n_flows):
+            for f in order[k:previous]:
+                i = data.draw(st.integers(0, n_alt - 1))
+                assert fast.true_delta(f, i) == slow.true_delta(f, i)
+                fast.commit(f, i)
+                slow.commit(f, i)
+            remaining = np.zeros(n_flows, dtype=bool)
+            remaining[list(order[:k])] = True
+            fast.reassign(remaining)
+            slow.reassign(remaining)
+            assert np.array_equal(fast.preferences(), slow.preferences())
+            if k and hasattr(fast, "_live"):
+                kept = set(order[:k])
+                if 2 * k < len(live) or not kept <= live:
+                    live = kept
+                assert set(fast._live.flows.tolist()) == live
+            for f, i in data.draw(st.lists(cells, max_size=3)):
+                assert fast.true_delta(f, i) == slow.true_delta(f, i)
+            previous = k
+
+
+# -- conservative rounding ------------------------------------------------------
+
+_ATOL = 1e-9
+_UNITS = (
+    st.floats(allow_nan=False)
+    | st.floats(-_ATOL, _ATOL)
+    | st.floats(min_value=2.0**52)
+    | st.floats(max_value=-(2.0**52))
+    | st.sampled_from(
+        [0.0, -0.0, np.inf, -np.inf, _ATOL, -_ATOL, 0.5, -0.5, 2.0**52, -(2.0**52)]
+    )
+)
+
+
+class TestConservativeRound:
+    @given(values=st.lists(_UNITS, max_size=30))
+    def test_matches_three_branch_expression(self, values):
+        """One ``floor`` equals floor-gains/ceil-losses, bit for bit."""
+        units = np.asarray(values, dtype=float)
+        assert (
+            conservative_round(units).tobytes()
+            == reference_evaluators.conservative_round(units).tobytes()
+        )

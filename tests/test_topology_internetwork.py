@@ -151,6 +151,24 @@ class TestInternetworkClass:
         with pytest.raises(TopologyError, match="no ISP named"):
             chain3.edges_of("nope")
 
+    @pytest.mark.parametrize(
+        "shape, n_isps", [("chain", 4), ("ring", 4), ("random", 6)]
+    )
+    def test_edges_of_matches_scan(self, shape, n_isps):
+        net = build_internetwork(
+            InternetworkConfig(
+                n_isps=n_isps, shape=shape, seed=2005, generator=GEN
+            )
+        )
+        for name in net.names():
+            assert net.edges_of(name) == [
+                i
+                for i, edge in enumerate(net.edges)
+                if name in (edge.isp_a.name, edge.isp_b.name)
+            ]
+        with pytest.raises(TopologyError, match="no ISP named"):
+            net.edges_of("nope")
+
     def test_edge_side_non_endpoint(self, chain3):
         outsider = chain3.names()[2]
         with pytest.raises(TopologyError, match="not an endpoint"):
