@@ -66,6 +66,7 @@ from repro.routing.flows import Flow, FlowSet, build_full_flowset
 from repro.routing.paths import IntradomainRouting
 from repro.topology.builders import build_scale_pair
 from repro.topology.dataset import build_default_dataset
+from repro.topology.generator import TopologyGenerator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference import baselines as reference_baselines  # noqa: E402
@@ -80,6 +81,7 @@ from reference.negotiation import (  # noqa: E402
     outcome_signature,
 )
 from reference.sssp import NetworkxRouting  # noqa: E402
+from reference.topology import NetworkxTopologyGenerator  # noqa: E402
 
 #: The scale axis: synthetic grid pairs (PoPs per ISP) far beyond what the
 #: measured dataset provides, exercising the csgraph SSSP batch, the
@@ -295,6 +297,29 @@ def _population_weights_setup():
 
     fast = weights(city_grid_population)
     slow = weights(reference_population.city_grid_population)
+    assert fast() == slow()
+    return fast, slow
+
+
+def _topology_build_setup(config: ExperimentConfig):
+    """Generate every ISP of the preset's dataset, as the dataset build does.
+
+    The reference grows each backbone with networkx's minimum spanning tree
+    and checks each ISP's connectivity on a networkx graph, the work the
+    generator and ``ISPTopology`` construction did before. Both sides build
+    the same ISPs (asserted once at setup).
+    """
+    dataset = config.dataset
+
+    def generate(generator_cls):
+        generator = generator_cls(dataset.generator)
+        return lambda: [
+            generator.generate(f"{dataset.name_prefix}{i:02d}", dataset.seed + i)
+            for i in range(dataset.n_isps)
+        ]
+
+    fast = generate(TopologyGenerator)
+    slow = generate(NetworkxTopologyGenerator)
     assert fast() == slow()
     return fast, slow
 
@@ -757,6 +782,7 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
     problem = build_distance_problem(pair)
     benches["flow_baselines"] = (*_flow_baselines_setup(problem), 10)
     benches["population_weights"] = (*_population_weights_setup(), 10)
+    benches["topology_build"] = (*_topology_build_setup(config), 5)
     benches["session_rollback_static"] = (*_rollback_session_setup(problem), 5)
     benches["multi_isp_round"] = (*_multi_isp_round_setup(config), 5)
     benches["damped_redrive"] = (*_damped_redrive_setup(config), 3)

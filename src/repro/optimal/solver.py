@@ -19,6 +19,9 @@ Adding a backend:
 Unknown solver names raise :class:`ConfigurationError` (the library-wide
 backend-selection convention); solver *failures* on a concrete problem
 raise :class:`OptimizationError` at the call site.
+
+``scipy.optimize`` is imported at the first solve, not with this module,
+so runs that solve no LP (``distance``, ``multi-isp``) never load it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import ConfigurationError
 
@@ -123,6 +125,8 @@ class ScipyLinprogSolver(LpSolver):
         self._method = method
 
     def solve(self, problem: LpProblem) -> LpSolution:
+        from scipy.optimize import linprog
+
         result = linprog(
             problem.c,
             A_ub=problem.a_ub,

@@ -10,10 +10,10 @@ The per-source caches are filled by one batched
 graph for all missing sources; distances and paths are then reconstructed
 from the predecessor matrix by dynamic programming in ascending-distance
 order. Accumulating ``d[pred] + w`` along the shortest-path tree gives the
-same floats as a per-source networkx Dijkstra whenever shortest paths are
+same floats as a textbook per-source Dijkstra whenever shortest paths are
 unique (the repo's jittered continuous weights guarantee this; equal-cost
-ties may legitimately route a different, equally short path). The networkx
-reference lives in the test suite.
+ties may legitimately route a different, equally short path). The
+per-source reference lives in the test suite.
 
 Paths are computed lazily and cached; an ISP with ``k`` interconnections
 only ever needs ``k + |sources|`` single-source runs, and ``warm()``
@@ -56,9 +56,6 @@ class IntradomainRouting:
         self._link_weights = np.asarray(
             [link.weight for link in isp.links], dtype=float
         )
-        # (u, v) -> link index for both orientations, built on first
-        # csgraph reconstruction.
-        self._edge_links: dict[tuple[int, int], int] | None = None
         # src -> dense per-PoP views for the batched table builder
         self._weight_array_cache: dict[int, np.ndarray] = {}
         self._geo_array_cache: dict[int, np.ndarray] = {}
@@ -75,15 +72,6 @@ class IntradomainRouting:
             self._sssp_batch([src])
         return self._sssp_cache[src]
 
-    def _edge_link_map(self) -> dict[tuple[int, int], int]:
-        if self._edge_links is None:
-            mapping: dict[tuple[int, int], int] = {}
-            for link in self._isp.links:
-                mapping[(link.u, link.v)] = link.index
-                mapping[(link.v, link.u)] = link.index
-            self._edge_links = mapping
-        return self._edge_links
-
     def _sssp_batch(self, sources: Sequence[int]) -> None:
         """Fill the SSSP cache for every missing source in one csgraph call.
 
@@ -93,7 +81,7 @@ class IntradomainRouting:
         children) lets each entry be derived from its predecessor's —
         ``d[dst] = d[pred] + w`` is the left-associated accumulation a
         textbook Dijkstra performs, so cached floats match a per-source
-        networkx run bit for bit.
+        Dijkstra bit for bit.
         """
         missing: list[int] = []
         for src in sources:
@@ -110,7 +98,7 @@ class IntradomainRouting:
         )
         dist_rows = np.atleast_2d(dist_rows)
         pred_rows = np.atleast_2d(pred_rows)
-        edge_links = self._edge_link_map()
+        edge_links = self._isp.link_index_map()
         # Ascending-distance visit order and reachable counts for the whole
         # batch in one vectorized pass; .tolist() hoists the per-element
         # numpy-scalar conversions out of the DP loop (exact float values
@@ -242,7 +230,7 @@ class IntradomainRouting:
         plain per-path computations.
         """
         _, paths = self._sssp(src)
-        edge_links = self._edge_link_map()
+        edge_links = self._isp.link_index_map()
         lengths = self._link_lengths.tolist()
         hops: dict[int, list[int]] = {src: []}
         km: dict[int, float] = {src: 0.0}

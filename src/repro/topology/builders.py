@@ -111,7 +111,7 @@ def build_scale_pair(
     city set (interconnection cities therefore exist on both sides), with
     per-ISP jittered continuous link weights drawn deterministically from
     ``seed``. Continuous jitter makes every shortest path unique, which
-    keeps csgraph routing bit-identical to a per-source networkx Dijkstra
+    keeps csgraph routing bit-identical to a textbook per-source Dijkstra
     (equal-cost ties are the one case where they may legitimately differ).
 
     ``n_interconnections`` evenly spaced grid cities peer the two sides

@@ -55,6 +55,8 @@ class Link:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise TopologyError(f"link index must be >= 0, got {self.index}")
+        if min(self.u, self.v) < 0:
+            raise TopologyError(f"link endpoints must be >= 0, got {self.u}, {self.v}")
         if self.u == self.v:
             raise TopologyError(f"self-loop link at PoP {self.u}")
         if self.u > self.v:

@@ -10,7 +10,10 @@ same structural properties the experiments rely on:
 * footprints vary from regional to global (dataset diversity);
 * intra-ISP graphs are sparse, distance-weighted backbones (a geographic
   minimum spanning tree plus redundancy shortcuts), so shortest paths follow
-  geography — exactly the property the Rocketfuel weight inference targets;
+  geography — exactly the property the Rocketfuel weight inference targets.
+  The tree is a union-find Kruskal over the PoP pairs in
+  ``itertools.combinations`` order, sorted stably by distance, so ties go
+  to the pair listed first;
 * a small fraction of ISPs are *logical meshes* with uniform weights, which
   downstream processing excludes just as the paper excludes its eight mesh
   ISPs.
@@ -24,13 +27,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.geo.cities import City, CityDatabase, default_city_database
 from repro.geo.coords import great_circle_km
 from repro.topology.elements import Link, PoP
-from repro.topology.isp import ISPTopology
+from repro.topology.isp import ISPTopology, spanning_forest
 from repro.util.rng import RngSource, derive_rng
 
 __all__ = ["GeneratorConfig", "TopologyGenerator", "REGION_GROUPS"]
@@ -185,26 +186,18 @@ class TopologyGenerator:
     def _backbone_edges(self, cities: list[City], rng) -> list[tuple[int, int]]:
         """Spanning tree on geographic distance plus redundancy shortcuts."""
         n = len(cities)
-        complete = nx.Graph()
-        complete.add_nodes_from(range(n))
-        for u, v in itertools.combinations(range(n), 2):
-            dist = great_circle_km(cities[u].location, cities[v].location)
-            complete.add_edge(u, v, dist=max(dist, 1.0))
-        mst = nx.minimum_spanning_tree(complete, weight="dist")
-        edges = {tuple(sorted(e)) for e in mst.edges()}
-
-        candidates = [
-            (u, v)
+        dist = {
+            (u, v): max(great_circle_km(cities[u].location, cities[v].location), 1.0)
             for u, v in itertools.combinations(range(n), 2)
-            if (u, v) not in edges
-        ]
+        }
+        edges = set(spanning_forest(n, sorted(dist, key=dist.__getitem__)))
+
+        candidates = [pair for pair in dist if pair not in edges]
         n_extra = min(len(candidates), round(self.config.extra_edge_fraction * n))
         if n_extra > 0 and candidates:
             # Prefer short shortcuts: weight candidates by inverse squared
             # distance, the empirical bias of real backbone build-out.
-            inv_sq = [
-                1.0 / complete[u][v]["dist"] ** 2 for u, v in candidates
-            ]
+            inv_sq = [1.0 / dist[pair] ** 2 for pair in candidates]
             total = sum(inv_sq)
             probs = [w / total for w in inv_sq]
             chosen = rng.choice(len(candidates), size=n_extra, replace=False, p=probs)
@@ -219,12 +212,3 @@ class TopologyGenerator:
             return base
         factor = 1.0 + noise * (rng.random() - 0.5)
         return max(base * factor, 0.1)
-
-
-def validate_generated(isp: ISPTopology) -> None:
-    """Extra invariant checks used by tests and the dataset builder."""
-    if isp.n_pops() < 2:
-        raise TopologyError(f"{isp.name}: generated ISP must have >= 2 PoPs")
-    for link in isp.links:
-        if link.weight <= 0:
-            raise TopologyError(f"{isp.name}: non-positive weight on {link}")

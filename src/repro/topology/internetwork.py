@@ -18,7 +18,9 @@ need not share enough cities to peer, the builder generates an oversampled
 *pool* and searches the qualifying-pair graph for the requested shape — a
 simple path for a chain, a simple cycle for a ring, a connected induced
 subgraph (spanning tree plus probabilistic extra peerings) for random —
-deterministically in the seed.
+deterministically in the seed. The searches walk a sorted adjacency dict,
+and :meth:`Internetwork.is_connected` is a union-find pass
+(:func:`~repro.topology.isp.spanning_forest`) over the member indexes.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.errors import ConfigurationError, TopologyError
 from repro.geo.cities import default_city_database
 from repro.topology.generator import GeneratorConfig, TopologyGenerator
 from repro.topology.interconnect import IspPair, find_isp_pairs
-from repro.topology.isp import ISPTopology
+from repro.topology.isp import ISPTopology, spanning_forest
 from repro.util.rng import derive_rng
 
 __all__ = ["InternetworkConfig", "Internetwork", "build_internetwork"]
@@ -199,16 +199,13 @@ class Internetwork:
             f"ISP {name!r} is not an endpoint of edge {edge.name}"
         )
 
-    def graph(self) -> nx.Graph:
-        """The AS-level peering graph (nodes = ISP names)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.names())
-        for i, edge in enumerate(self._edges):
-            graph.add_edge(edge.isp_a.name, edge.isp_b.name, edge_index=i)
-        return graph
-
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph()) if self._isps else False
+        """Whether the peering edges join every member ISP."""
+        hops = [
+            (self._index[edge.isp_a.name], self._index[edge.isp_b.name])
+            for edge in self._edges
+        ]
+        return len(spanning_forest(len(self._isps), hops)) == len(self._isps) - 1
 
     def summary(self) -> str:
         shape = self._config.shape if self._config else "custom"

@@ -4,13 +4,16 @@ An :class:`ISPTopology` is an immutable, validated, undirected weighted graph
 of PoPs. It mirrors what the Rocketfuel dataset provides for each measured
 ISP: city-level nodes with geographic coordinates and weighted inter-PoP
 links. Routing over the topology lives in :mod:`repro.routing`.
+
+The graph is held as an endpoints-to-link dict and a per-PoP degree list,
+plus the CSR that :meth:`ISPTopology.link_csr` compiles for routing on
+first use; :func:`spanning_forest` (union-find) checks connectivity.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 import scipy.sparse
 
@@ -18,7 +21,30 @@ from repro.errors import TopologyError
 from repro.geo.coords import great_circle_km
 from repro.topology.elements import Link, PoP
 
-__all__ = ["ISPTopology"]
+__all__ = ["ISPTopology", "spanning_forest"]
+
+
+def spanning_forest(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges, in order, that each join two components of nodes ``0..n-1``.
+
+    Over edges sorted by weight this is Kruskal's minimum spanning forest,
+    ties going to the earlier edge; the graph is connected iff ``n - 1`` come back.
+    """
+    parent = list(range(n))
+
+    def root(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    kept = []
+    for u, v in edges:
+        root_u, root_v = root(u), root(v)
+        if root_u != root_v:
+            parent[root_u] = root_v
+            kept.append((u, v))
+    return kept
 
 
 class ISPTopology:
@@ -40,7 +66,6 @@ class ISPTopology:
         self._links: tuple[Link, ...] = tuple(links)
         self._validate_pops()
         self._validate_links()
-        self._graph = self._build_graph()
         self._validate_connected()
         self._pop_by_city = {pop.city: pop for pop in self._pops}
         self._link_csr: scipy.sparse.csr_matrix | None = None
@@ -59,39 +84,34 @@ class ISPTopology:
             raise TopologyError(f"ISP {self._name!r}: duplicate PoP cities {dupes}")
 
     def _validate_links(self) -> None:
+        """Validate the links and index them by endpoints and by PoP."""
         n = len(self._pops)
-        seen: set[tuple[int, int]] = set()
         indices = [link.index for link in self._links]
         if indices != list(range(len(self._links))):
             raise TopologyError(
                 f"ISP {self._name!r}: link indices must be dense 0..m-1"
             )
+        self._link_index: dict[tuple[int, int], int] = {}
+        self._degrees = [0] * n
         for link in self._links:
             if link.u >= n or link.v >= n:
                 raise TopologyError(
                     f"ISP {self._name!r}: link {link.index} references unknown PoP"
                 )
-            if link.endpoints in seen:
+            if link.endpoints in self._link_index:
                 raise TopologyError(
                     f"ISP {self._name!r}: duplicate link between {link.endpoints}"
                 )
-            seen.add(link.endpoints)
-
-    def _build_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(pop.index for pop in self._pops)
-        for link in self._links:
-            graph.add_edge(
-                link.u,
-                link.v,
-                weight=link.weight,
-                length_km=link.length_km,
-                link_index=link.index,
-            )
-        return graph
+            self._link_index[link.endpoints] = link.index
+            self._link_index[link.v, link.u] = link.index
+            self._degrees[link.u] += 1
+            self._degrees[link.v] += 1
 
     def _validate_connected(self) -> None:
-        if len(self._pops) > 1 and not nx.is_connected(self._graph):
+        # Union-find, not csgraph over link_csr(): ~7 us per ISP against ~0.2 ms,
+        # and link_csr() keeps compiling (and checking weights) on first use.
+        n = len(self._pops)
+        if len(spanning_forest(n, (link.endpoints for link in self._links))) != n - 1:
             raise TopologyError(f"ISP {self._name!r}: topology is disconnected")
 
     # -- basic accessors ----------------------------------------------------
@@ -108,11 +128,6 @@ class ISPTopology:
     def links(self) -> tuple[Link, ...]:
         return self._links
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._graph
-
     def n_pops(self) -> int:
         return len(self._pops)
 
@@ -120,12 +135,10 @@ class ISPTopology:
         return len(self._links)
 
     def pop(self, index: int) -> PoP:
-        try:
-            return self._pops[index]
-        except IndexError:
-            raise TopologyError(
-                f"ISP {self._name!r}: no PoP with index {index}"
-            ) from None
+        # Checked rather than caught: a negative index would wrap around.
+        if not 0 <= index < len(self._pops):
+            raise TopologyError(f"ISP {self._name!r}: no PoP with index {index}")
+        return self._pops[index]
 
     def has_city(self, city: str) -> bool:
         return city in self._pop_by_city
@@ -141,10 +154,14 @@ class ISPTopology:
 
     def link_between(self, u: int, v: int) -> Link:
         """The link between PoPs ``u`` and ``v`` (order-insensitive)."""
-        data = self._graph.get_edge_data(u, v)
-        if data is None:
+        index = self._link_index.get((u, v))
+        if index is None:
             raise TopologyError(f"ISP {self._name!r}: no link between {u} and {v}")
-        return self._links[data["link_index"]]
+        return self._links[index]
+
+    def link_index_map(self) -> dict[tuple[int, int], int]:
+        """``(u, v) -> link index`` in both orientations (treat as read-only)."""
+        return self._link_index
 
     def link_csr(self) -> scipy.sparse.csr_matrix:
         """Symmetric CSR adjacency over link weights, compiled once per ISP.
@@ -202,7 +219,7 @@ class ISPTopology:
 
     def degree(self, pop_index: int) -> int:
         self.pop(pop_index)
-        return int(self._graph.degree[pop_index])
+        return self._degrees[pop_index]
 
     def geographic_span_km(self) -> float:
         """Largest great-circle distance between any two PoPs."""

@@ -9,6 +9,8 @@ between a production kernel and its reference here; the golden digests in
 * :mod:`reference.baselines` — the Figure 5 flow-level baselines with one
   ``rng.choice`` per flow;
 * :mod:`reference.sssp` — per-source networkx Dijkstra routing;
+* :mod:`reference.topology` — the networkx PoP graph, connectivity check,
+  backbone spanning tree and peering graph;
 * :mod:`reference.tables` — cell-by-cell cost-table build and the per-flow
   table subset;
 * :mod:`reference.loads` — link loads, a ragged-table load tracker,

@@ -6,6 +6,8 @@ import networkx as nx
 
 from repro.routing.paths import IntradomainRouting
 
+from reference.topology import isp_graph
+
 
 class NetworkxRouting(IntradomainRouting):
     """:class:`IntradomainRouting` whose SSSP cache is filled by networkx.
@@ -17,10 +19,14 @@ class NetworkxRouting(IntradomainRouting):
     different, equally short paths.
     """
 
+    def __init__(self, isp):
+        super().__init__(isp)
+        self._graph = isp_graph(isp)
+
     def _sssp_batch(self, sources) -> None:
         for src in sources:
             if src not in self._sssp_cache:
                 self._isp.pop(src)  # validates the index
                 self._sssp_cache[src] = nx.single_source_dijkstra(
-                    self._isp.graph, src, weight="weight"
+                    self._graph, src, weight="weight"
                 )

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.routing.paths import IntradomainRouting
 from repro.topology.builders import (
     build_custom_isp,
@@ -93,6 +93,18 @@ class TestCaching:
         assert first == second
 
 
+class TestNegativeSource:
+    """A negative PoP index is rejected, not wrapped to a PoP from the end."""
+
+    def test_path(self, diamond):
+        with pytest.raises(TopologyError, match="no PoP with index -1"):
+            IntradomainRouting(diamond).path(-1, 0)
+
+    def test_weight_distance_array(self, diamond):
+        with pytest.raises(TopologyError, match="no PoP with index -1"):
+            IntradomainRouting(diamond).weight_distance_array(-1)
+
+
 class TestLinePaths:
     def test_chain_distance_accumulates(self):
         line = build_line_isp("l", ["A", "B", "C", "D"], spacing_km=250.0)
@@ -108,7 +120,7 @@ class _CutRouting(NetworkxRouting):
     cut = (1, 2)
 
     def _sssp_batch(self, sources) -> None:
-        graph = self._isp.graph.copy()
+        graph = self._graph.copy()
         graph.remove_edge(*self.cut)
         for src in sources:
             if src not in self._sssp_cache:

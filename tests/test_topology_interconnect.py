@@ -46,6 +46,13 @@ class TestIspPair:
         with pytest.raises(TopologyError):
             IspPair(a, b, [Interconnection(0, "A", pop_a=1, pop_b=0)])
 
+    def test_negative_pop_rejected(self):
+        # PoP -4 of a 4-PoP ISP must not wrap around to PoP 0 in city A.
+        a = build_line_isp("a", ["A", "B", "C", "D"])
+        b = build_line_isp("b", ["A", "B"])
+        with pytest.raises(TopologyError, match="no PoP with index -4"):
+            IspPair(a, b, [Interconnection(0, "A", pop_a=-4, pop_b=0)])
+
     def test_duplicate_city_rejected(self, small_pair):
         ics = list(small_pair.interconnections)
         with pytest.raises(TopologyError):

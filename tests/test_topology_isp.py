@@ -55,6 +55,15 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             ISPTopology("t", _pops(["A", "B"]), [Link(3, 0, 1, 1.0, 1.0)])
 
+    def test_pops_joined_only_through_a_negative_pop_rejected(self):
+        # PoP -1 does not exist, so A and B are not joined at all.
+        with pytest.raises(TopologyError, match="endpoints must be >= 0"):
+            ISPTopology(
+                "t",
+                _pops(["A", "B"]),
+                [Link(0, -1, 0, 1.0, 1.0), Link(1, -1, 1, 1.0, 1.0)],
+            )
+
     def test_disconnected_rejected(self):
         pops = _pops(["A", "B", "C", "D"])
         links = [Link(0, 0, 1, 1.0, 1.0), Link(1, 2, 3, 1.0, 1.0)]
@@ -77,6 +86,16 @@ class TestAccessors:
     def test_pop_out_of_range(self, isp):
         with pytest.raises(TopologyError):
             isp.pop(10)
+
+    @pytest.mark.parametrize("index", [-1, -3])
+    def test_pop_negative_index_rejected(self, isp, index):
+        # A negative index must not wrap around to a PoP from the end.
+        with pytest.raises(TopologyError, match="no PoP with index"):
+            isp.pop(index)
+
+    def test_degree_negative_index_rejected(self, isp):
+        with pytest.raises(TopologyError, match="no PoP with index"):
+            isp.degree(-1)
 
     def test_city_lookup(self, isp):
         assert isp.pop_in_city("C").index == 2
