@@ -75,6 +75,7 @@ from reference import loads as reference_loads  # noqa: E402
 from reference import population as reference_population  # noqa: E402
 from reference import tables as reference_tables  # noqa: E402
 from reference.negotiation import (  # noqa: E402
+    PerRoundSession,
     ReferenceRollbackSession,
     RescanningProposals,
     ScanningAgent,
@@ -333,10 +334,11 @@ def _rollback_session_setup(problem):
     sides run under full termination, so the session accepts every trade
     with a positive joint gain, and B ends below its default by one class
     per trade. The win-win rollback then undoes all of them, one tie
-    (pref_b = -1) at a time. The production side is the presorted proposal
-    and stop cursors plus the heap rollback; the reference side rescans
-    the (F, I) matrix every round and rolls back by min-and-remove. Both
-    deliver the identical outcome (asserted once at setup).
+    (pref_b = -1) at a time. The production side is the epoch loop (one
+    epoch here: nothing reassigns) plus the heap rollback; the reference
+    side is :class:`PerRoundSession`, which rescans the (F, I) matrix every
+    round, and rolls back by min-and-remove. Both deliver the identical
+    outcome (asserted once at setup).
     """
     rows = np.arange(problem.n_flows)
     flat_cost = np.ones_like(problem.cost_b)
@@ -638,6 +640,12 @@ def _scale_kernels(benches: dict) -> None:
         )
 
 
+def _same_outcome(fast, slow, repeats: int):
+    """A session bench entry, after asserting both sides agree once."""
+    assert outcome_signature(fast()) == outcome_signature(slow())
+    return fast, slow, repeats
+
+
 def _best_of(vectorized, reference, repeats: int) -> tuple[float, float]:
     """Best-of-``repeats`` times of both sides, run interleaved.
 
@@ -677,9 +685,10 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
         )
         return lambda: evaluator.reassign(remaining)
 
-    def session_run(evaluator_cls, agent_cls, proposals_cls):
+    def session_run(evaluator_cls, agent_cls, proposals_cls,
+                    session_cls=NegotiationSession):
         def run():
-            session = NegotiationSession(
+            session = session_cls(
                 agent_cls(
                     "a", evaluator_cls(table, "a", caps_a, defaults)
                 ),
@@ -769,9 +778,21 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             ),
             session_run(
                 reference_evaluators.LoadAwareEvaluator, ScanningAgent,
-                RescanningProposals,
+                RescanningProposals, PerRoundSession,
             ),
             3,
+        ),
+        # The epoch batching alone: both sides run the production
+        # evaluators, agents and proposal rule; only the loop differs.
+        "session_epoch_loadaware": _same_outcome(
+            session_run(
+                LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals
+            ),
+            session_run(
+                LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals,
+                PerRoundSession,
+            ),
+            5,
         ),
         "sweep_warm_start": (
             _warm_start_setup(config, warm=True),

@@ -16,10 +16,10 @@ Two kinds of kernel, each shaped by how often it runs:
 * **Scalar kernels** are :class:`LoadTracker`'s single-row operations
   (:meth:`~LoadTracker.place`, :meth:`~LoadTracker.remove`,
   :meth:`~LoadTracker.peek_max_ratio`,
-  :meth:`~LoadTracker.peek_cost_increase`). A negotiation round calls them
-  a few times each over one path of a few links, where numpy's per-call
-  overhead is several times the work, so they are float loops over Python
-  lists.
+  :meth:`~LoadTracker.peek_cost_increase`, and their fused run over a
+  session epoch, :meth:`~LoadTracker.place_epoch`).
+  They work over paths of a few links, where numpy's per-call overhead is
+  several times the work, so they are float loops over Python lists.
 
 Floats accumulate in exactly the order a per-flow, per-link Python loop
 would (flows ascending, links in path order), and every scalar operation
@@ -198,6 +198,19 @@ def max_ratio_rows(loads: np.ndarray, gather: RowGather) -> np.ndarray:
     return out.reshape(gather.flows.size, gather.n_alternatives)
 
 
+def _max_ratio(loads: list, path: list, size: float, capacities) -> float:
+    """Max of ``(loads[l] + size) / capacities[l]`` over a path's links (0.0
+    if empty), started from the first link's ratio like ``ratios.max()``."""
+    if not path:
+        return 0.0
+    best = (loads[path[0]] + size) / capacities[path[0]]
+    for li in path:
+        ratio = (loads[li] + size) / capacities[li]
+        if ratio > best:
+            best = ratio
+    return best
+
+
 class LoadTracker:
     """Mutable per-link loads for one ISP side, with incremental placement.
 
@@ -280,25 +293,30 @@ class LoadTracker:
         This is the paper's bandwidth preference input: "the maximum
         increase in link load along the path". Returns 0.0 for an empty
         path (source at the interconnection). ``capacities`` is indexed by
-        link id; a list is fastest. The maximum starts from the first
-        link's ratio, so it equals ``ratios.max()`` for any finite input,
-        negative loads included.
+        link id; a list is fastest.
         """
         row = flow_index * self._n_alt + alternative
-        start = self._indptr[row]
-        end = self._indptr[row + 1]
-        if start == end:
-            return 0.0
-        loads = self._loads
-        indices = self._indices
-        size = self._size_list[flow_index]
-        li = indices[start]
-        best = (loads[li] + size) / capacities[li]
-        for li in indices[start + 1 : end]:
-            ratio = (loads[li] + size) / capacities[li]
-            if ratio > best:
-                best = ratio
-        return best
+        path = self._indices[self._indptr[row] : self._indptr[row + 1]]
+        return _max_ratio(self._loads, path, self._size_list[flow_index], capacities)
+
+    def place_epoch(self, flows, alternatives, defaults, capacities) -> list[float]:
+        """Place flows in order; return each one's max-ratio gain: the
+        :meth:`peek_max_ratio` of its ``defaults`` entry minus that of its
+        alternative, both just before it is placed, as one loop."""
+        loads, indices, indptr = self._loads, self._indices, self._indptr
+        size_list, n_alt = self._size_list, self._n_alt
+        gains = []
+        for flow, alternative in zip(flows, alternatives):
+            size = size_list[flow]
+            row = flow * n_alt + defaults[flow]
+            path = indices[indptr[row] : indptr[row + 1]]
+            before = _max_ratio(loads, path, size, capacities)
+            row = flow * n_alt + alternative
+            path = indices[indptr[row] : indptr[row + 1]]
+            gains.append(before - _max_ratio(loads, path, size, capacities))
+            for li in path:
+                loads[li] += size
+        return gains
 
     def peek_cost_increase(
         self,

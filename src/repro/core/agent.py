@@ -5,13 +5,18 @@ A :class:`NegotiationAgent` owns an :class:`~repro.core.evaluators.Evaluator`
 the protocol: what to disclose, when to stop, and whether to accept a
 proposal. Deployment-wise this is the "negotiation agent" of Figure 12 that
 sits on top of the routing infrastructure.
+
+A session runs the stop rule over an epoch from
+:meth:`~NegotiationAgent.gain_flows` and settles the epoch with
+:meth:`~NegotiationAgent.commit_epoch`, so an override of a decision sees
+``cumulative_gain`` each round but evaluator state as of the epoch's start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.evaluators import Evaluator
+from repro.core.evaluators import Evaluator, commit_in_order
 from repro.core.strategies import AcceptancePolicy, AlwaysAccept, TerminationMode
 from repro.errors import NegotiationError
 
@@ -21,11 +26,9 @@ __all__ = ["NegotiationAgent"]
 class NegotiationAgent:
     """One ISP's side of a Nexit session."""
 
-    #: Disclosed preferences are stable between reassignments, so the
-    #: session may cache structures derived from them across rounds (the
-    #: presorted proposal scoreboard). Subclasses whose
-    #: ``disclosed_preferences`` varies round-to-round for other reasons
-    #: must set this to False to keep the session on the rescanning path.
+    #: Disclosed and true classes only change on reassignment, so a session
+    #: decides an epoch from one read of them. A subclass whose classes vary
+    #: round to round sets this False, making every epoch one round long.
     disclosure_changes_only_on_reassign = True
 
     def __init__(
@@ -41,10 +44,6 @@ class NegotiationAgent:
         self.evaluator = evaluator
         self.termination = termination
         self.acceptance = acceptance or AlwaysAccept()
-        #: The remaining-rows preference maximum is kept incrementally:
-        #: [flows by descending row max (array and list), their row maxima,
-        #: cursor] — rebuilt on reassignment (see :meth:`wants_to_stop`).
-        self._stop_cache: list | None = None
         self.cumulative_gain = 0
         #: Private accounting on the ISP's actual metric (never disclosed).
         self.true_cumulative = 0.0
@@ -81,34 +80,20 @@ class NegotiationAgent:
         alternative is strictly negative. Full termination: never stop
         unilaterally (the session stops when joint gain is exhausted).
 
-        The remaining-rows maximum is answered from one descending sort of
-        the per-flow row maxima, built once per disclosure, plus a cursor
-        that advances past flows no longer in ``remaining`` — amortized
-        O(1) per round instead of an O(F·I) masked rescan. If a flow the
-        cursor already skipped is back in the mask (the mask is not a
-        subset of the earlier ones), the cursor rewinds to the start, so
-        arbitrary callers still get exact answers.
+        A session answers this for the stock agent from a cursor over
+        :meth:`gain_flows` and only calls an override of it.
         """
         if self.termination is TerminationMode.FULL:
             return False
-        remaining = np.asarray(remaining, dtype=bool)
-        cache = self._stop_cache
-        if cache is None or cache[0].shape != remaining.shape:
-            prefs = self.true_preferences()
-            if prefs.shape[1] == 0:
-                return True
-            row_max = prefs.max(axis=1)
-            order = np.argsort(-row_max, kind="stable")
-            cache = [order, order.tolist(), row_max[order].tolist(), 0]
-            self._stop_cache = cache
-        order, flows, maxima, k = cache
-        if k and np.count_nonzero(remaining[order[:k]]):
-            k = 0
-        n = len(flows)
-        while k < n and not remaining[flows[k]]:
-            k += 1
-        cache[3] = k
-        return k == n or maxima[k] < (0 if reassignable else 1)
+        return not self.gain_flows(remaining, reassignable)
+
+    def gain_flows(self, remaining: np.ndarray,
+                   reassignable: bool = False) -> list[int]:
+        """The remaining flows with a true class of 1 or more (0 or more when
+        ``reassignable``): an EARLY agent stops once none is left."""
+        floor = 0 if reassignable else 1
+        gains = (self.true_preferences() >= floor).any(axis=1)
+        return np.flatnonzero(np.asarray(remaining, dtype=bool) & gains).tolist()
 
     def decide_accept(self, flow_index: int, alternative: int,
                       other_pref: int) -> bool:
@@ -122,7 +107,9 @@ class NegotiationAgent:
         """Record an accepted alternative; returns this agent's true delta.
 
         The true delta is evaluated *before* the evaluator registers the
-        placement (load-aware metrics are state-dependent).
+        placement (load-aware metrics are state-dependent). A session does
+        not call this: it adds class gains itself and settles each epoch
+        through :meth:`commit_epoch`.
         """
         delta = float(self.evaluator.true_delta(flow_index, alternative))
         self.evaluator.commit(flow_index, alternative)
@@ -130,10 +117,19 @@ class NegotiationAgent:
         self.true_cumulative += delta
         return delta
 
+    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """:meth:`commit` for an epoch's flows in order, minus the class gain
+        (the session adds it per round); returns the true deltas. Uses the
+        evaluator's fused ``commit_epoch`` where it has one."""
+        fused = getattr(self.evaluator, "commit_epoch", None)
+        deltas = (fused(flows, alternatives) if fused
+                  else commit_in_order(self.evaluator, flows, alternatives))
+        for delta in deltas:
+            self.true_cumulative += delta
+        return deltas
+
     def reassign(self, remaining: np.ndarray) -> None:
         self.evaluator.reassign(remaining)
-        # Preferences (and hence row maxima) changed; rebuild lazily.
-        self._stop_cache = None
 
     def reset(self) -> None:
         """Clear cumulative gains (evaluator state is not reset)."""

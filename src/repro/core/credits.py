@@ -16,6 +16,7 @@ per-session win-win rule would forfeit all gains — become tradeable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,8 @@ class CreditLedger:
     history: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.credit_limit < 0:
-            raise NegotiationError("credit_limit must be >= 0")
+        if math.isnan(self.credit_limit) or self.credit_limit < 0:
+            raise NegotiationError("credit_limit must be >= 0 and not NaN")
 
     def available_credit(self, side: str) -> float:
         """How far below default this side can go in the next session."""

@@ -20,9 +20,10 @@ The load-dependent evaluators (:class:`LoadAwareEvaluator`,
 :class:`FortzCostEvaluator`) recompute whole preference matrices per
 reassignment as a handful of array expressions over the table's compiled
 path incidence (gather, per-entry score, segment reduction) — no
-Python-level per-(flow, alternative) calls — while the per-round
-``true_delta`` and ``commit`` run the tracker's scalar list kernels over
-one path. Both check their capacities once, at construction
+Python-level per-(flow, alternative) calls — while ``true_delta`` and
+``commit`` run the tracker's scalar list kernels (fused over a session
+epoch in :class:`LoadAwareEvaluator`'s ``commit_epoch``). Both
+check their capacities once, at construction
 (:func:`~repro.capacity.loads.validate_capacities`), and keep them fixed.
 The equivalence tests pin them bit for bit against per-(flow, alternative)
 reference loops.
@@ -90,6 +91,23 @@ class Evaluator(Protocol):
         the ISP's private accounting (win-win rollback); never disclosed.
         """
         ...
+
+
+def commit_in_order(evaluator: Evaluator, flows, alternatives) -> list[float]:
+    """One ``true_delta`` then one ``commit`` per flow, in order; the deltas.
+    An evaluator may fuse it into a ``commit_epoch`` method of its own."""
+    deltas = []
+    for flow_index, alternative in zip(flows, alternatives):
+        deltas.append(float(evaluator.true_delta(flow_index, alternative)))
+        evaluator.commit(flow_index, alternative)
+    return deltas
+
+
+def _overrides_steps(evaluator, base: type) -> bool:
+    """Whether ``evaluator``'s class overrides ``base``'s ``true_delta`` or
+    ``commit``, so that ``base``'s fused ``commit_epoch`` no longer applies."""
+    cls = type(evaluator)
+    return cls.true_delta is not base.true_delta or cls.commit is not base.commit
 
 
 class StaticPreferenceEvaluator:
@@ -198,6 +216,15 @@ class StaticCostEvaluator:
             self._costs[flow_index, default] - self._costs[flow_index, alternative]
         )
 
+    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """:func:`commit_in_order` as one gather (commits are no-ops)."""
+        if _overrides_steps(self, StaticCostEvaluator):
+            return commit_in_order(self, flows, alternatives)
+        flows = np.asarray(flows, dtype=np.intp)
+        costs = self._costs
+        deltas = costs[flows, self._defaults[flows]] - costs[flows, alternatives]
+        return deltas.tolist()
+
 
 class LoadAwareEvaluator:
     """Bandwidth preferences: max load-increase ratio along the path.
@@ -297,6 +324,14 @@ class LoadAwareEvaluator:
         return peek(
             flow_index, self._default_list[flow_index], self._cap_list
         ) - peek(flow_index, alternative, self._cap_list)
+
+    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """:func:`commit_in_order` as one tracker loop."""
+        if _overrides_steps(self, LoadAwareEvaluator):
+            return commit_in_order(self, flows, alternatives)
+        return self._tracker.place_epoch(
+            flows, alternatives, self._default_list, self._cap_list
+        )
 
     def _recompute(self, remaining: np.ndarray) -> None:
         """Refresh classes for the remaining flows from current loads.

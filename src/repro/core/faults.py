@@ -26,6 +26,7 @@ plan at all (pinned by the fault tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.util.rng import derive_rng
@@ -82,10 +83,11 @@ class FaultEvent:
                 f"{self.kind} events carry no columns, got {self.columns}"
             )
         if self.kind == "deadline":
-            if self.deadline_rounds < 1:
+            rounds = self.deadline_rounds  # a session's max_rounds: an int
+            if (isinstance(rounds, bool) or not isinstance(rounds, Integral)
+                    or rounds < 1):
                 raise ConfigurationError(
-                    "deadline events need deadline_rounds >= 1, got "
-                    f"{self.deadline_rounds}"
+                    f"deadline events need an integer deadline_rounds >= 1: {rounds!r}"
                 )
         elif self.deadline_rounds:
             raise ConfigurationError(

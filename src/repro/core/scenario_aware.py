@@ -85,7 +85,8 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
     blends the nominal block scored from the live gather (re-gathered when
     the remaining flows fall below half of it). :meth:`true_delta` scores
     one flow per commit, so it gathers that flow alone instead of scoring
-    the live set.
+    the live set; overriding it puts a session's settlement back on one
+    ``true_delta`` and one ``commit`` per flow.
     """
 
     def __init__(

@@ -14,39 +14,36 @@ the compromises made", Section 6) until both sides are at or above the
 default. With truthful agents and early termination this rarely triggers,
 but it makes the no-loss property structural rather than statistical.
 
-Performance: every round costs amortized O(1) on top of the agents' own
-evaluator work, and a disclosure (the initial one and each reassignment)
-costs O(F·I·log(F·I)) once:
+Performance: the session runs in *epochs*, the rounds between two
+disclosures (the first, then each reassignment). No decision inside an
+epoch reads evaluator state (classes change only on reassignment), so each
+epoch is decided, then settled:
 
-* with the stock MaxCombined proposal rule, the candidate cells are sorted
-  once per disclosure into each proposer's pick order and ``propose``
-  advances a monotone cursor past committed flows and banned cells (see
-  :class:`~repro.core.strategies.CombinedScoreboard`);
-* ``wants_to_stop`` reads the remaining-rows maximum from a cursor over the
-  flows sorted by row maximum, also sorted once per disclosure (see
-  :meth:`~repro.core.agent.NegotiationAgent.wants_to_stop`);
-* the win-win rollback picks each victim from lazily pruned per-key heaps,
-  O(A·log A) for A accepted rounds (see :func:`rollback_victims`);
-* wire-message objects are only built when ``record_messages`` is on.
+* **decide**: each round is list bookkeeping plus the turn, accept and
+  reassignment calls. The stop test is a cursor over each EARLY agent's
+  :meth:`~repro.core.agent.NegotiationAgent.gain_flows` and the pick a
+  cursor over each proposer's
+  :meth:`~repro.core.strategies.MaxCombinedProposals.pick_order`, both
+  taken once per epoch; any other proposal rule, and an agent's override
+  of ``wants_to_stop``, is asked every round.
+* **settle**: one :meth:`~repro.core.agent.NegotiationAgent.commit_epoch`
+  call per side returns each accepted flow's true delta, taken just before
+  its placement; both sides then reassign. Agents may not share an
+  evaluator, so settling A's epoch, then B's, equals interleaving them.
 
-A whole session is therefore O(R + D·F·I·log(F·I)) for R rounds and D
-disclosures, against O(R·F·I) for the rescanning loop. Any other proposal
-rule (a subclass included) runs the rescanning loop; outcomes are identical
-either way, and the equivalence tests compare the two exactly.
-
-The load-aware evaluators keep their side of that bound. An accepted
-round's ``true_delta`` and ``commit`` are float loops over one path of the
-list-backed :class:`~repro.capacity.loads.LoadTracker`, with no numpy
-call. A disclosure scores the evaluator's live flow set from one gather,
-re-taken when the remaining flows fall below half of it, so it touches at
-most about twice the remaining rows' path entries (see
-:class:`~repro.core.evaluators.LoadAwareEvaluator`).
+A round costs amortized O(1), an epoch O(F·I·log(F·I)) plus one
+``commit_epoch`` per side (one float loop for the load-aware evaluator):
+O(R + D·F·I·log(F·I)) for R rounds and D disclosures, against O(R·F·I) for
+rescanning each round. The rollback is O(A·log A) for A accepted rounds
+(see :func:`rollback_victims`); wire messages are built only when recorded.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -63,11 +60,11 @@ from repro.core.messages import (
 from repro.core.outcomes import NegotiationOutcome, RoundRecord, TerminationReason
 from repro.core.strategies import (
     AlternatingTurns,
-    CombinedScoreboard,
     MaxCombinedProposals,
     ProposalPolicy,
     ReassignNever,
     ReassignmentPolicy,
+    TerminationMode,
     TurnPolicy,
 )
 from repro.errors import NegotiationError
@@ -83,18 +80,19 @@ class SessionConfig:
         turn_policy: who proposes each round (default: alternate).
         proposal_policy: how the proposer picks (default: max combined sum,
             local tie-break — the paper's experimental setting).
-        reassignment_policy: when preferences refresh (default: never).
+        reassignment_policy: when preferences refresh (default: never);
+            each run restarts it from a zero threshold.
         rollback: enforce the win-win guarantee by rolling back trailing
             concessions if either side ends below the default.
         rollback_floors: minimum acceptable cumulative class gain per side,
-            ``(floor_a, floor_b)``. The default (0, 0) is the strict
-            no-worse-than-default guarantee; negative floors let an ISP
-            extend *credit* — accept a bounded loss now to be repaid in a
-            later session (the Section 3 "credits" idea, see
-            :mod:`repro.core.credits`). The private true-metric guard only
-            applies at a floor of 0, since credit is denominated in
-            preference classes.
-        max_rounds: safety valve (default: flows + slack).
+            ``(floor_a, floor_b)``, each ``<= 0`` and not NaN. The default
+            (0, 0) is the strict no-worse-than-default guarantee; negative
+            floors let an ISP extend *credit* — accept a bounded loss now to
+            be repaid in a later session (the Section 3 "credits" idea, see
+            :mod:`repro.core.credits`), and ``-inf`` is unlimited credit.
+            The private true-metric guard only applies at a floor of 0,
+            since credit is denominated in preference classes.
+        max_rounds: safety valve, ``None`` (flows + slack) or an int >= 0.
         record_messages: keep a full wire-message transcript.
     """
 
@@ -109,10 +107,15 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if len(self.rollback_floors) != 2:
             raise NegotiationError("rollback_floors must be a (a, b) pair")
-        if any(f > 0 for f in self.rollback_floors):
+        if any(math.isnan(f) or f > 0 for f in self.rollback_floors):
             raise NegotiationError(
-                "rollback floors must be <= 0 (0 = strict no-loss)"
+                "rollback floors must be <= 0 and not NaN (0 = strict no-loss)"
             )
+        rounds = self.max_rounds
+        if rounds is not None and (
+            isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 0
+        ):
+            raise NegotiationError(f"max_rounds must be None or int >= 0: {rounds!r}")
 
 
 def rollback_victims(
@@ -204,6 +207,12 @@ class NegotiationSession:
             raise NegotiationError(
                 f"agents disagree on problem shape: {shape_a} vs {shape_b}"
             )
+        # One shared evaluator would see A's epoch placed before B's deltas.
+        if agent_a.evaluator is agent_b.evaluator:
+            raise NegotiationError(
+                "the two agents share one evaluator object; each ISP needs "
+                "its own"
+            )
         self.n_flows, self.n_alternatives = shape_a
         if sizes is None:
             self.sizes = np.ones(self.n_flows)
@@ -233,21 +242,15 @@ class NegotiationSession:
 
     # -- helpers -------------------------------------------------------------
 
-    def _record(self, message: Message) -> None:
-        if self.config.record_messages:
-            self.messages.append(message)
-
-    def _advertise_initial(self) -> None:
+    def _advertise(self, reassigned: bool = False) -> None:
+        """Record both sides' disclosed classes (and, initially, defaults)."""
         if not self.config.record_messages:
             return
         for sender, agent in (("a", self.agent_a), ("b", self.agent_b)):
-            prefs = agent.disclosed_preferences()
-            self._record(
-                PreferenceAdvertisement(
-                    sender=sender,
-                    preferences=tuple(tuple(int(x) for x in row) for row in prefs),
-                    defaults=tuple(int(x) for x in agent.defaults),
-                )
+            prefs = tuple(tuple(map(int, row)) for row in agent.disclosed_preferences())
+            self.messages.append(
+                ReassignMessage(sender, prefs) if reassigned else
+                PreferenceAdvertisement(sender, prefs, tuple(map(int, agent.defaults)))
             )
 
     # -- the protocol ----------------------------------------------------------
@@ -255,213 +258,202 @@ class NegotiationSession:
     def run(self) -> NegotiationOutcome:
         """Execute the session and return the (post-rollback) outcome."""
         cfg = self.config
-        record_messages = cfg.record_messages
-        n_f = self.n_flows
+        agent_a, agent_b = agents = (self.agent_a, self.agent_b)
+        record = self.messages.append if cfg.record_messages else None
+        n_f, n_alt = self.n_flows, self.n_alternatives
+        sizes = self.sizes.tolist()
+        total_size = float(self.sizes.sum())
+        max_rounds = cfg.max_rounds
+        if max_rounds is None:
+            # Every flow needs at most one accepted round; allow slack for
+            # vetoed proposals.
+            max_rounds = n_f * (n_alt + 1) + 8
+        turn_policy, reassigner = cfg.turn_policy, cfg.reassignment_policy
+        # With reassignable (load-dependent) classes a zero-gain round still
+        # helps, so the stop test and the pick both accept a zero.
+        reassignable = getattr(reassigner, "may_change", False)
+        # The stock proposal and stop rules run from cursors over their
+        # epoch forms; any other rule, or an agent's override, is asked.
+        cursor_picks = type(cfg.proposal_policy) is MaxCombinedProposals
+        stock_stop = NegotiationAgent.wants_to_stop
+        ask_stop = [type(a).wants_to_stop is not stock_stop for a in agents]
+        early = [a.termination is TerminationMode.EARLY for a in agents]
+        # Classes that may change any round end the epoch every round.
+        stable = all(a.disclosure_changes_only_on_reassign for a in agents)
+
+        reassigner.mark_reassigned(0.0)  # a reused config starts afresh
+        agent_a.reset()
+        agent_b.reset()
+        self._advertise()
+
         remaining = np.ones(n_f, dtype=bool)
+        live = [True] * n_f
         n_remaining = n_f
-        banned = np.zeros((n_f, self.n_alternatives), dtype=bool)
+        banned = np.zeros((n_f, n_alt), dtype=bool)
+        bans: set[tuple[int, int]] = set()
         choices = self.defaults.copy()
         negotiated = np.zeros(n_f, dtype=bool)
         rounds: list[RoundRecord] = []
         accepted_order: list[RoundRecord] = []
         reassignments = 0
         negotiated_size = 0.0
-        total_size = float(self.sizes.sum())
-        max_rounds = cfg.max_rounds
-        if max_rounds is None:
-            # Every flow needs at most one accepted round; allow slack for
-            # vetoed proposals.
-            max_rounds = n_f * (self.n_alternatives + 1) + 8
-        reassignable = getattr(cfg.reassignment_policy, "may_change", False)
-
-        self.agent_a.reset()
-        self.agent_b.reset()
-        self._advertise_initial()
-
-        # Presorted proposals: when the proposal policy is the stock
-        # MaxCombined rule and disclosures only change on reassignment, the
-        # candidate order is sorted once per disclosure and each round only
-        # advances a cursor, instead of rescanning the (F, I) matrix.
-        use_scoreboard = (
-            type(cfg.proposal_policy) is MaxCombinedProposals
-            and getattr(
-                self.agent_a, "disclosure_changes_only_on_reassign", False
-            )
-            and getattr(
-                self.agent_b, "disclosure_changes_only_on_reassign", False
-            )
-        )
-        scoreboard: CombinedScoreboard | None = None
-
-        reason = TerminationReason.EXHAUSTED
         round_index = 0
-        while n_remaining:
-            if round_index >= max_rounds:
-                reason = TerminationReason.ROUND_LIMIT
-                break
+        reason: TerminationReason | None = None
+        while reason is None:
+            # -- decide this epoch's rounds from one read of the classes.
+            disclosed = viable = None
+            picks, pick_at = [None, None], [0, 0]  # per proposer, lazily
+            stops, stop_at = [None, None], [0, 0]  # per EARLY agent, lazily
+            decided, flows, alternatives = [], [], []
+            reassign = False
+            while True:
+                if not n_remaining:
+                    reason = TerminationReason.EXHAUSTED
+                    break
+                if round_index >= max_rounds:
+                    reason = TerminationReason.ROUND_LIMIT
+                    break
+                if disclosed is None:
+                    disclosed = tuple(a.disclosed_preferences() for a in agents)
 
-            # Decide turn.
-            proposer = cfg.turn_policy.proposer(
-                round_index,
-                (self.agent_a.cumulative_gain, self.agent_b.cumulative_gain),
-            )
-
-            # Stop? On its turn, an ISP that perceives no additional gain
-            # in continuing declares stop instead of proposing. Checking
-            # only on one's own turn is essential to the win-win dynamic:
-            # the peer always gets its reciprocal turn before the other
-            # side can walk away with a one-sided gain.
-            proposing_agent = self.agent_a if proposer == 0 else self.agent_b
-            if proposing_agent.wants_to_stop(remaining, reassignable=reassignable):
-                reason = (
-                    TerminationReason.EARLY_STOP_A
-                    if proposer == 0
-                    else TerminationReason.EARLY_STOP_B
+                # Decide turn.
+                proposer = turn_policy.proposer(
+                    round_index, (agent_a.cumulative_gain, agent_b.cumulative_gain)
                 )
-                self._record(
-                    StopMessage(
-                        sender="a" if proposer == 0 else "b", reason=reason.value
+
+                # Stop? On its turn, an ISP that perceives no additional gain
+                # in continuing declares stop instead of proposing. Checking
+                # only on one's own turn is essential to the win-win dynamic:
+                # the peer always gets its reciprocal turn before the other
+                # side can walk away with a one-sided gain.
+                if ask_stop[proposer]:
+                    stop = agents[proposer].wants_to_stop(
+                        remaining, reassignable=reassignable
                     )
-                )
-                break
-
-            prefs_a = self.agent_a.disclosed_preferences()
-            prefs_b = self.agent_b.disclosed_preferences()
-
-            # Propose an alternative.
-            if use_scoreboard:
-                if scoreboard is None:
-                    scoreboard = CombinedScoreboard(
-                        prefs_a, prefs_b, banned, remaining
-                    )
-                pick = scoreboard.propose(
-                    proposer, remaining, allow_zero=reassignable
-                )
-            else:
-                own, other = (
-                    (prefs_a, prefs_b) if proposer == 0 else (prefs_b, prefs_a)
-                )
-                candidates = remaining[:, np.newaxis] & ~banned
-                pick = cfg.proposal_policy.propose(
-                    own, other, candidates, allow_zero=reassignable
-                )
-            if pick is None:
-                reason = TerminationReason.NO_JOINT_GAIN
-                break
-            flow_index, alternative = pick
-            pref_a = int(prefs_a[flow_index, alternative])
-            pref_b = int(prefs_b[flow_index, alternative])
-            if record_messages:
-                self.messages.append(
-                    ProposalMessage(
-                        sender="a" if proposer == 0 else "b",
-                        round_index=round_index,
-                        flow_index=flow_index,
-                        alternative=alternative,
-                    )
-                )
-
-            # Accept alternative?
-            responder = self.agent_b if proposer == 0 else self.agent_a
-            proposer_pref = pref_a if proposer == 0 else pref_b
-            accepted = responder.decide_accept(
-                flow_index, alternative, other_pref=proposer_pref
-            )
-            if record_messages:
-                message_cls = AcceptMessage if accepted else RejectMessage
-                self.messages.append(
-                    message_cls(
-                        sender="b" if proposer == 0 else "a",
-                        round_index=round_index,
-                        flow_index=flow_index,
-                        alternative=alternative,
-                    )
-                )
-            if not accepted:
-                rounds.append(
-                    RoundRecord(
-                        round_index=round_index,
-                        proposer=proposer,
-                        flow_index=flow_index,
-                        alternative=alternative,
-                        pref_a=pref_a,
-                        pref_b=pref_b,
-                        accepted=False,
-                    )
-                )
-                banned[flow_index, alternative] = True
-                round_index += 1
-                continue
-
-            # Commit: "Accepted flows are removed from the preference lists."
-            choices[flow_index] = alternative
-            remaining[flow_index] = False
-            n_remaining -= 1
-            negotiated[flow_index] = True
-            true_a = self.agent_a.commit(flow_index, alternative, pref_a)
-            true_b = self.agent_b.commit(flow_index, alternative, pref_b)
-            record = RoundRecord(
-                round_index=round_index,
-                proposer=proposer,
-                flow_index=flow_index,
-                alternative=alternative,
-                pref_a=pref_a,
-                pref_b=pref_b,
-                accepted=True,
-                true_a=true_a,
-                true_b=true_b,
-            )
-            rounds.append(record)
-            accepted_order.append(record)
-            negotiated_size += float(self.sizes[flow_index])
-
-            # Reassign preferences?
-            if cfg.reassignment_policy.should_reassign(negotiated_size, total_size):
-                self.agent_a.reassign(remaining)
-                self.agent_b.reassign(remaining)
-                cfg.reassignment_policy.mark_reassigned(negotiated_size)
-                reassignments += 1
-                scoreboard = None  # disclosures changed; rebuild lazily
-                if record_messages:
-                    for sender_name, agent in (("a", self.agent_a),
-                                               ("b", self.agent_b)):
-                        prefs = agent.disclosed_preferences()
-                        self._record(
-                            ReassignMessage(
-                                sender=sender_name,
-                                preferences=tuple(
-                                    tuple(int(x) for x in row) for row in prefs
-                                ),
-                            )
+                elif early[proposer]:
+                    keep = stops[proposer]
+                    if keep is None:
+                        keep = stops[proposer] = agents[proposer].gain_flows(
+                            remaining, reassignable
                         )
+                    k, n = stop_at[proposer], len(keep)
+                    while k < n and not live[keep[k]]:
+                        k += 1
+                    stop_at[proposer] = k
+                    stop = k == n
+                else:
+                    stop = False
+                if stop:
+                    reason = (TerminationReason.EARLY_STOP_A,
+                              TerminationReason.EARLY_STOP_B)[proposer]
+                    if record:
+                        record(StopMessage("ab"[proposer], reason.value))
+                    break
 
-            round_index += 1
+                # Propose an alternative.
+                if cursor_picks:
+                    order = picks[proposer]
+                    if order is None:
+                        if viable is None:
+                            viable = MaxCombinedProposals.viable_cells(
+                                *disclosed, remaining, banned, reassignable
+                            )
+                        order = picks[proposer] = MaxCombinedProposals.pick_order(
+                            disclosed[proposer], viable
+                        )
+                    pick_flows, pick_alts = order
+                    k, n = pick_at[proposer], len(pick_flows)
+                    while k < n and not (
+                        live[pick_flows[k]]
+                        and not (bans and (pick_flows[k], pick_alts[k]) in bans)
+                    ):
+                        k += 1
+                    pick_at[proposer] = k
+                    pick = (pick_flows[k], pick_alts[k]) if k < n else None
+                else:
+                    own, other = disclosed if proposer == 0 else disclosed[::-1]
+                    pick = cfg.proposal_policy.propose(
+                        own, other, remaining[:, np.newaxis] & ~banned,
+                        allow_zero=reassignable,
+                    )
+                if pick is None:
+                    reason = TerminationReason.NO_JOINT_GAIN
+                    break
+                flow, alternative = pick
+                pref_a = int(disclosed[0][flow, alternative])
+                pref_b = int(disclosed[1][flow, alternative])
+                if record:
+                    record(ProposalMessage(
+                        "ab"[proposer], round_index, flow, alternative
+                    ))
 
-        gain_a = self.agent_a.cumulative_gain
-        gain_b = self.agent_b.cumulative_gain
-        true_a = self.agent_a.true_cumulative
-        true_b = self.agent_b.true_cumulative
+                # Accept alternative?
+                r = 1 - proposer
+                accepted = bool(agents[r].decide_accept(
+                    flow, alternative, other_pref=pref_a if proposer == 0 else pref_b
+                ))
+                if record:
+                    record((AcceptMessage if accepted else RejectMessage)(
+                        "ab"[r], round_index, flow, alternative
+                    ))
+                decided.append((round_index, proposer, flow, alternative,
+                                pref_a, pref_b, accepted))
+                round_index += 1
+                if accepted:
+                    # "Accepted flows are removed from the preference lists";
+                    # the evaluators take them at settle.
+                    live[flow] = False
+                    remaining[flow] = False
+                    n_remaining -= 1
+                    agent_a.cumulative_gain += pref_a
+                    agent_b.cumulative_gain += pref_b
+                    flows.append(flow)
+                    alternatives.append(alternative)
+                    negotiated_size += sizes[flow]
+                    # Reassign preferences? That ends the epoch.
+                    if reassigner.should_reassign(negotiated_size, total_size):
+                        reassign = True
+                        break
+                else:
+                    banned[flow, alternative] = True
+                    bans.add((flow, alternative))
+                if not stable:
+                    break
 
+            # -- settle: one call per side, then the epoch's round records.
+            if flows:
+                choices[flows] = alternatives
+                negotiated[flows] = True
+                deltas = zip(
+                    agent_a.commit_epoch(flows, alternatives),
+                    agent_b.commit_epoch(flows, alternatives),
+                )
+            for fields in decided:
+                if fields[-1]:
+                    accepted_order.append(RoundRecord(*fields, *next(deltas)))
+                    rounds.append(accepted_order[-1])
+                else:
+                    rounds.append(RoundRecord(*fields))
+            if reassign:
+                agent_a.reassign(remaining)
+                agent_b.reassign(remaining)
+                reassigner.mark_reassigned(negotiated_size)
+                reassignments += 1
+                self._advertise(reassigned=True)
+
+        # (gain_a, gain_b, true_a, true_b), after the win-win rollback.
+        gains = (agent_a.cumulative_gain, agent_b.cumulative_gain,
+                 agent_a.true_cumulative, agent_b.true_cumulative)
         rolled_back: list[int] = []
         if cfg.rollback:
-            victims, (gain_a, gain_b, true_a, true_b) = self._rollback_victims(
-                accepted_order, (gain_a, gain_b, true_a, true_b),
-                cfg.rollback_floors,
+            victims, gains = self._rollback_victims(
+                accepted_order, gains, cfg.rollback_floors
             )
             for victim in victims:
                 choices[victim.flow_index] = self.defaults[victim.flow_index]
                 negotiated[victim.flow_index] = False
                 rolled_back.append(victim.round_index)
-
         return NegotiationOutcome(
-            choices=choices,
-            negotiated=negotiated,
-            gain_a=gain_a,
-            gain_b=gain_b,
-            true_gain_a=true_a,
-            true_gain_b=true_b,
-            rounds=rounds,
-            rolled_back=rolled_back,
-            reason=reason,
-            reassignments=reassignments,
+            choices, negotiated, *gains, rounds=rounds, rolled_back=rolled_back,
+            reason=reason, reassignments=reassignments,
         )

@@ -19,6 +19,10 @@ policy:
 * **Stop?** — :class:`TerminationMode.EARLY` ("ISPs stop when they
   perceive no additional gain in continuing") or
   :class:`TerminationMode.FULL` (continue while joint gain exists).
+
+A session reads exactly :class:`MaxCombinedProposals` from its epoch form
+(:meth:`~MaxCombinedProposals.pick_order`); every other policy, subclasses
+included, is called every round.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "ProposalPolicy",
     "MaxCombinedProposals",
     "BestLocalProposals",
-    "CombinedScoreboard",
     "AcceptancePolicy",
     "AlwaysAccept",
     "VetoIfWorseThanDefault",
@@ -150,7 +153,11 @@ def _masked_argmax(
 
 
 class MaxCombinedProposals:
-    """Maximize the two ISPs' preference sum; break ties locally."""
+    """Maximize the two ISPs' preference sum; break ties locally.
+
+    Epoch form: :meth:`pick_order`, whose first cell still in a remaining
+    flow and not banned since is :meth:`propose`'s pick (none: ``None``).
+    """
 
     def propose(
         self,
@@ -172,82 +179,26 @@ class MaxCombinedProposals:
             return None
         return _masked_argmax(combined, own, viable)
 
+    @staticmethod
+    def viable_cells(prefs_a, prefs_b, remaining, banned, allow_zero=False) -> tuple:
+        """The cells :meth:`propose` may pick — in a remaining flow, not
+        banned, combined class at its floor or above — as row-major flat
+        indices and their negated combined classes."""
+        combined = np.add(prefs_a, prefs_b, dtype=np.int64)
+        floor = 0 if allow_zero else 1
+        cells = np.flatnonzero((combined >= floor) & ~banned & remaining[:, None])
+        return cells, -combined.ravel()[cells]
 
-class CombinedScoreboard:
-    """Presorted candidate orders for :class:`MaxCombinedProposals`.
-
-    Rescanning the full (F, I) combined-preference matrix every round makes
-    a session O(F²·I). The scoreboard instead sorts the *viable* cells once
-    — not banned, in a remaining flow, combined preference ≥ 0 — into one
-    order per proposer, keyed ``(-combined, -own, flow, alternative)``:
-    exactly the MaxCombined argmax, its local-preference tie-break and its
-    lowest-(flow, alternative) rule. :meth:`propose` then advances a
-    monotone cursor past cells that have died since (their flow left
-    ``remaining`` or the cell was banned) and reads the head, so a round
-    costs amortized O(1) and a whole order O(F·I·log(F·I)) once.
-
-    Contract: **between rebuilds the candidate set only shrinks.** The
-    ``remaining`` mask passed to :meth:`propose` must be a subset of the one
-    the scoreboard was built with, and ``banned`` (the caller's live mask,
-    read in place) may only gain cells. The session satisfies this —
-    committed flows leave ``remaining`` for good and vetoed cells stay
-    banned — and drops the scoreboard on every preference reassignment,
-    building a fresh one lazily (disclosed preferences only change on
-    reassignment; see
-    ``NegotiationAgent.disclosure_changes_only_on_reassign``).
-
-    :meth:`propose` is decision-equivalent to
-    ``MaxCombinedProposals.propose`` — same argmax, same tie-breaks, same
-    ``None`` conditions — which the equivalence tests assert on whole
-    session outcomes.
-    """
-
-    def __init__(self, prefs_a: np.ndarray, prefs_b: np.ndarray,
-                 banned: np.ndarray, remaining: np.ndarray):
-        prefs_a = np.asarray(prefs_a, dtype=np.int64)
-        prefs_b = np.asarray(prefs_b, dtype=np.int64)
-        self._banned = banned  # the session's live mask, mutated in place
-        self._n_alternatives = prefs_a.shape[1]
-        combined = prefs_a + prefs_b
-        viable = (combined >= 0) & ~banned & remaining[:, np.newaxis]
-        self._cells = np.flatnonzero(viable)
-        self._combined = combined.ravel()[self._cells]
-        self._own = (prefs_a.ravel()[self._cells], prefs_b.ravel()[self._cells])
-        #: Per proposer: (flows, alternatives, combined) in pick order as
-        #: Python lists, and the cursor into them; sorted on first use.
-        self._orders: list[tuple[list, list, list] | None] = [None, None]
-        self._cursors = [0, 0]
-
-    def _order(self, proposer: int) -> tuple[list, list, list]:
-        # lexsort is stable and the cells are in row-major order, so equal
-        # (combined, own) keys keep the lowest (flow, alternative) first.
-        order = np.lexsort((-self._own[proposer], -self._combined))
-        cells = self._cells[order]
-        built = (
-            (cells // self._n_alternatives).tolist(),
-            (cells % self._n_alternatives).tolist(),
-            self._combined[order].tolist(),
-        )
-        self._orders[proposer] = built
-        return built
-
-    def propose(
-        self,
-        proposer: int,
-        remaining: np.ndarray,
-        allow_zero: bool = False,
-    ) -> tuple[int, int] | None:
-        """The MaxCombined pick for this round's proposer (0 = A, 1 = B)."""
-        flows, alts, combined = self._orders[proposer] or self._order(proposer)
-        banned = self._banned
-        k = self._cursors[proposer]
-        n = len(flows)
-        while k < n and not (remaining[flows[k]] and not banned[flows[k], alts[k]]):
-            k += 1
-        self._cursors[proposer] = k
-        if k == n or combined[k] < (0 if allow_zero else 1):
-            return None
-        return flows[k], alts[k]
+    @staticmethod
+    def pick_order(own: np.ndarray, viable: tuple) -> tuple[list, list]:
+        """One proposer's flows and alternatives over ``viable`` in
+        :meth:`propose`'s order, ``(-combined, -own, flow, alternative)``
+        (the lexsort is stable over row-major cells)."""
+        cells, neg_combined = viable
+        n_alt = own.shape[1]
+        own = np.asarray(own, dtype=np.int64).ravel()[cells]
+        cells = cells[np.lexsort((-own, neg_combined))]
+        return (cells // n_alt).tolist(), (cells % n_alt).tolist()
 
 
 class BestLocalProposals:
@@ -345,7 +296,8 @@ class ReassignEveryFraction:
     """Bandwidth experiments: reassign after each ``fraction`` of traffic.
 
     The paper reassigns "after negotiating each 5% of the traffic"
-    — ``fraction=0.05``.
+    — ``fraction=0.05``. Each session run restarts it with
+    ``mark_reassigned(0.0)``.
     """
 
     may_change = True

@@ -99,6 +99,17 @@ class LoadTracker:
         ratios = (self._loads[links] + self._sizes[flow_index]) / capacities[links]
         return float(ratios.max())
 
+    def place_epoch(self, flows, alternatives, defaults, capacities) -> list:
+        """Default-minus-alternative peeks, then a placement, flow by flow."""
+        gains = []
+        for flow_index, alternative in zip(flows, alternatives):
+            gains.append(
+                self.peek_max_ratio(flow_index, defaults[flow_index], capacities)
+                - self.peek_max_ratio(flow_index, alternative, capacities)
+            )
+            self.place(flow_index, alternative)
+        return gains
+
     def peek_cost_increase(self, flow_index, alternative, capacities,
                            link_cost) -> float:
         size = self._sizes[flow_index]

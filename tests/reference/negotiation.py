@@ -1,17 +1,36 @@
-"""The session's rescanning paths: masked-rescan stop, rescanned proposals,
-and the min-and-remove win-win rollback."""
+"""The session protocol one round at a time: the oracle for the epoch loop.
+
+:class:`PerRoundSession` runs every protocol step as a call per round —
+turn policy, the agent's masked-rescan stop check, the proposal policy over
+the (F, I) candidate mask, the agent's accept decision, one ``commit`` per
+side, and the reassignment test — exactly the loop the production
+:class:`~repro.core.session.NegotiationSession` decides an epoch at a time.
+:class:`ReferenceRollbackSession` adds the min-and-remove rollback.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.agent import NegotiationAgent
+from repro.core.messages import (
+    AcceptMessage,
+    ProposalMessage,
+    ReassignMessage,
+    RejectMessage,
+    StopMessage,
+)
+from repro.core.outcomes import NegotiationOutcome, RoundRecord, TerminationReason
 from repro.core.session import NegotiationSession
 from repro.core.strategies import MaxCombinedProposals, TerminationMode
 
 
 class ScanningAgent(NegotiationAgent):
-    """An agent whose stop rule rescans the masked preference matrix."""
+    """An agent whose stop rule rescans the masked preference matrix.
+
+    The same rule as the stock agent's, but as an override: a production
+    session asks it every round instead of reading its own stop cursor.
+    """
 
     def wants_to_stop(self, remaining, reassignable=False) -> bool:
         if self.termination is TerminationMode.FULL:
@@ -25,10 +44,190 @@ class ScanningAgent(NegotiationAgent):
 class RescanningProposals(MaxCombinedProposals):
     """The stock proposal rule under another type.
 
-    The session keeps its presorted scoreboard only for exactly
+    A production session reads its presorted pick order only for exactly
     :class:`MaxCombinedProposals`, so this subclass runs the same rule
-    through the loop that rescans the (F, I) matrix every round.
+    through a ``propose`` call that rescans the (F, I) matrix every round.
     """
+
+
+class PerRoundSession(NegotiationSession):
+    """The protocol loop with one call per step per round."""
+
+    def run(self) -> NegotiationOutcome:
+        cfg = self.config
+        record_messages = cfg.record_messages
+        n_f = self.n_flows
+        remaining = np.ones(n_f, dtype=bool)
+        n_remaining = n_f
+        banned = np.zeros((n_f, self.n_alternatives), dtype=bool)
+        choices = self.defaults.copy()
+        negotiated = np.zeros(n_f, dtype=bool)
+        rounds: list[RoundRecord] = []
+        accepted_order: list[RoundRecord] = []
+        reassignments = 0
+        negotiated_size = 0.0
+        total_size = float(self.sizes.sum())
+        max_rounds = cfg.max_rounds
+        if max_rounds is None:
+            max_rounds = n_f * (self.n_alternatives + 1) + 8
+        reassignable = getattr(cfg.reassignment_policy, "may_change", False)
+
+        cfg.reassignment_policy.mark_reassigned(0.0)
+        self.agent_a.reset()
+        self.agent_b.reset()
+        self._advertise()
+
+        reason = TerminationReason.EXHAUSTED
+        round_index = 0
+        while n_remaining:
+            if round_index >= max_rounds:
+                reason = TerminationReason.ROUND_LIMIT
+                break
+
+            proposer = cfg.turn_policy.proposer(
+                round_index,
+                (self.agent_a.cumulative_gain, self.agent_b.cumulative_gain),
+            )
+            proposing_agent = self.agent_a if proposer == 0 else self.agent_b
+            if proposing_agent.wants_to_stop(remaining, reassignable=reassignable):
+                reason = (
+                    TerminationReason.EARLY_STOP_A
+                    if proposer == 0
+                    else TerminationReason.EARLY_STOP_B
+                )
+                if record_messages:
+                    self.messages.append(
+                        StopMessage(
+                            sender="a" if proposer == 0 else "b", reason=reason.value
+                        )
+                    )
+                break
+
+            prefs_a = self.agent_a.disclosed_preferences()
+            prefs_b = self.agent_b.disclosed_preferences()
+            own, other = (
+                (prefs_a, prefs_b) if proposer == 0 else (prefs_b, prefs_a)
+            )
+            candidates = remaining[:, np.newaxis] & ~banned
+            pick = cfg.proposal_policy.propose(
+                own, other, candidates, allow_zero=reassignable
+            )
+            if pick is None:
+                reason = TerminationReason.NO_JOINT_GAIN
+                break
+            flow_index, alternative = pick
+            pref_a = int(prefs_a[flow_index, alternative])
+            pref_b = int(prefs_b[flow_index, alternative])
+            if record_messages:
+                self.messages.append(
+                    ProposalMessage(
+                        sender="a" if proposer == 0 else "b",
+                        round_index=round_index,
+                        flow_index=flow_index,
+                        alternative=alternative,
+                    )
+                )
+
+            responder = self.agent_b if proposer == 0 else self.agent_a
+            proposer_pref = pref_a if proposer == 0 else pref_b
+            accepted = responder.decide_accept(
+                flow_index, alternative, other_pref=proposer_pref
+            )
+            if record_messages:
+                message_cls = AcceptMessage if accepted else RejectMessage
+                self.messages.append(
+                    message_cls(
+                        sender="b" if proposer == 0 else "a",
+                        round_index=round_index,
+                        flow_index=flow_index,
+                        alternative=alternative,
+                    )
+                )
+            if not accepted:
+                rounds.append(
+                    RoundRecord(
+                        round_index=round_index,
+                        proposer=proposer,
+                        flow_index=flow_index,
+                        alternative=alternative,
+                        pref_a=pref_a,
+                        pref_b=pref_b,
+                        accepted=False,
+                    )
+                )
+                banned[flow_index, alternative] = True
+                round_index += 1
+                continue
+
+            choices[flow_index] = alternative
+            remaining[flow_index] = False
+            n_remaining -= 1
+            negotiated[flow_index] = True
+            true_a = self.agent_a.commit(flow_index, alternative, pref_a)
+            true_b = self.agent_b.commit(flow_index, alternative, pref_b)
+            record = RoundRecord(
+                round_index=round_index,
+                proposer=proposer,
+                flow_index=flow_index,
+                alternative=alternative,
+                pref_a=pref_a,
+                pref_b=pref_b,
+                accepted=True,
+                true_a=true_a,
+                true_b=true_b,
+            )
+            rounds.append(record)
+            accepted_order.append(record)
+            negotiated_size += float(self.sizes[flow_index])
+
+            if cfg.reassignment_policy.should_reassign(negotiated_size, total_size):
+                self.agent_a.reassign(remaining)
+                self.agent_b.reassign(remaining)
+                cfg.reassignment_policy.mark_reassigned(negotiated_size)
+                reassignments += 1
+                if record_messages:
+                    for sender_name, agent in (("a", self.agent_a),
+                                               ("b", self.agent_b)):
+                        prefs = agent.disclosed_preferences()
+                        self.messages.append(
+                            ReassignMessage(
+                                sender=sender_name,
+                                preferences=tuple(
+                                    tuple(int(x) for x in row) for row in prefs
+                                ),
+                            )
+                        )
+
+            round_index += 1
+
+        gain_a = self.agent_a.cumulative_gain
+        gain_b = self.agent_b.cumulative_gain
+        true_a = self.agent_a.true_cumulative
+        true_b = self.agent_b.true_cumulative
+
+        rolled_back: list[int] = []
+        if cfg.rollback:
+            victims, (gain_a, gain_b, true_a, true_b) = self._rollback_victims(
+                accepted_order, (gain_a, gain_b, true_a, true_b),
+                cfg.rollback_floors,
+            )
+            for victim in victims:
+                choices[victim.flow_index] = self.defaults[victim.flow_index]
+                negotiated[victim.flow_index] = False
+                rolled_back.append(victim.round_index)
+
+        return NegotiationOutcome(
+            choices=choices,
+            negotiated=negotiated,
+            gain_a=gain_a,
+            gain_b=gain_b,
+            true_gain_a=true_a,
+            true_gain_b=true_b,
+            rounds=rounds,
+            rolled_back=rolled_back,
+            reason=reason,
+            reassignments=reassignments,
+        )
 
 
 def rollback_victims(accepted, gains, floors):
@@ -65,8 +264,8 @@ def rollback_victims(accepted, gains, floors):
     return rolled_back, (gain_a, gain_b, true_a, true_b)
 
 
-class ReferenceRollbackSession(NegotiationSession):
-    """A session whose win-win rollback is the min-and-remove loop."""
+class ReferenceRollbackSession(PerRoundSession):
+    """The per-round session with the min-and-remove win-win rollback."""
 
     _rollback_victims = staticmethod(rollback_victims)
 

@@ -79,7 +79,9 @@ class TestStop:
 
 
 class TestIncrementalStop:
-    """The sorted-cursor remaining-max vs the reference masked rescan."""
+    """The agent's stop check vs the reference masked rescan, over shrinking,
+    growing and reassigned masks (sessions answer it from their own cursor;
+    callers outside a session get the plain check)."""
 
     def _legacy(self, prefs):
         return ScanningAgent(

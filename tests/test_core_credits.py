@@ -38,6 +38,11 @@ class TestCreditLedger:
         with pytest.raises(NegotiationError):
             CreditLedger(credit_limit=-1.0)
 
+    def test_nan_limit_rejected(self):
+        # Regression: a NaN limit let settle() accept any debt.
+        with pytest.raises(NegotiationError, match="NaN"):
+            CreditLedger(credit_limit=float("nan"))
+
     def test_exceeding_limit_detected(self):
         ledger = CreditLedger(credit_limit=1.0)
         with pytest.raises(NegotiationError):

@@ -19,6 +19,8 @@ from repro.core.strategies import (
 )
 from repro.errors import NegotiationError
 
+from reference.negotiation import outcome_signature
+
 
 def make_session(prefs_a, prefs_b, defaults=None, config=None, sizes=None,
                  term=TerminationMode.EARLY):
@@ -201,6 +203,29 @@ class TestReassignment:
         assert list(out.choices) == [1, 0]
         assert out.reassignments >= 1
 
+    def test_reused_config_starts_each_session_afresh(self):
+        """Regression: a reused config carried the reassignment threshold
+        of its last session into the next one."""
+        # Each reassignment reveals a larger class on every remaining flow.
+        stages = [np.tile([[0, k]], (10, 1)) for k in range(1, 7)]
+
+        def run(config):
+            agents = [
+                NegotiationAgent(name, StaticPreferenceEvaluator(
+                    stages[0], np.zeros(10, int), stages=stages[1:]
+                ))
+                for name in "ab"
+            ]
+            return outcome_signature(NegotiationSession(*agents, config=config).run())
+
+        def config():
+            return SessionConfig(reassignment_policy=ReassignEveryFraction(0.2))
+
+        shared = config()
+        reused = [run(shared), run(shared)]
+        assert reused == [run(config()), run(config())]
+        assert reused[1][-1] == 5  # reassignments, as in the first session
+
     def test_reassignment_counted_by_traffic_fraction(self):
         prefs = [[0, 1]] * 4
         out = make_session(
@@ -250,6 +275,40 @@ class TestValidation:
     def test_bad_defaults_rejected(self):
         with pytest.raises(NegotiationError):
             make_session([[0, 1]], [[0, 1]], defaults=np.array([7]))
+
+    @pytest.mark.parametrize("floors", [(float("nan"), 0.0), (0.0, float("nan"))])
+    def test_nan_floor_rejected(self, floors):
+        # Regression: a NaN floor compares False against every gain, so it
+        # switched the win-win rollback off without a word.
+        with pytest.raises(NegotiationError, match="NaN"):
+            SessionConfig(rollback_floors=floors)
+
+    def test_infinite_credit_floor_accepted(self):
+        # CreditLedger(credit_limit=inf) hands the session -inf floors.
+        config = SessionConfig(rollback_floors=(float("-inf"), 0.0))
+        out = make_session([[0, -1]], [[0, 3]], term=TerminationMode.FULL,
+                           config=config).run()
+        assert out.gain_a == -1 and out.rolled_back == []
+
+    def test_negative_max_rounds_rejected(self):
+        # Regression: -5 used to end the session with ROUND_LIMIT at once.
+        with pytest.raises(NegotiationError, match="max_rounds"):
+            SessionConfig(max_rounds=-5)
+
+    def test_fractional_max_rounds_rejected(self):
+        # Regression: 2.5 used to act as 3.
+        with pytest.raises(NegotiationError, match="max_rounds"):
+            SessionConfig(max_rounds=2.5)
+
+    def test_bool_max_rounds_rejected(self):
+        with pytest.raises(NegotiationError, match="max_rounds"):
+            SessionConfig(max_rounds=True)
+
+    def test_zero_max_rounds_runs_no_round(self):
+        out = make_session([[0, 1]], [[0, 1]],
+                           config=SessionConfig(max_rounds=0)).run()
+        assert out.reason == TerminationReason.ROUND_LIMIT
+        assert out.n_rounds == 0
 
 
 class TestMessageTranscript:

@@ -85,6 +85,16 @@ class TestFaultEventValidation:
         with pytest.raises(ConfigurationError, match="deadline_rounds"):
             FaultEvent(0, 0, "abort", deadline_rounds=3)
 
+    @pytest.mark.parametrize("rounds", [2.5, 2.0, True])
+    def test_deadline_rounds_must_be_an_integer(self, rounds):
+        # A session's max_rounds takes only an int: reject the plan when
+        # it is built, not mid-run.
+        with pytest.raises(ConfigurationError, match="integer"):
+            FaultEvent(0, 0, "deadline", deadline_rounds=rounds)
+        with pytest.raises(ConfigurationError, match="integer"):
+            FaultPlan.seeded(0, n_edges=2, n_rounds=2, n_alternatives=3,
+                             deadline_rate=1.0, deadline_rounds=rounds)
+
 
 class TestFaultPlan:
     def test_events_for_filters_and_preserves_order(self):

@@ -40,6 +40,7 @@ from reference import evaluators as reference_evaluators
 from reference import loads as reference_loads
 from reference import scenario as reference_scenario
 from reference.negotiation import (
+    PerRoundSession,
     RescanningProposals,
     ScanningAgent,
     outcome_signature,
@@ -246,11 +247,11 @@ class TestEvaluatorEquivalence:
 
 class TestSessionEquivalence:
     def test_bandwidth_session(self, problem):
-        """Sparse + incremental vs reference loops + rescan: identical."""
+        """Sparse + epoch loop vs reference loops + per-round rescan."""
         table, defaults, caps_a, caps_b, _ = problem
 
-        def run(evaluator_cls, agent_cls, proposals):
-            session = NegotiationSession(
+        def run(evaluator_cls, agent_cls, proposals, session_cls):
+            session = session_cls(
                 agent_cls(
                     "a", evaluator_cls(table, "a", caps_a, defaults)
                 ),
@@ -266,12 +267,13 @@ class TestSessionEquivalence:
             )
             return session.run()
 
-        fast = outcome_signature(
-            run(LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals())
-        )
+        fast = outcome_signature(run(
+            LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals(),
+            NegotiationSession,
+        ))
         slow = outcome_signature(run(
             reference_evaluators.LoadAwareEvaluator, ScanningAgent,
-            RescanningProposals(),
+            RescanningProposals(), PerRoundSession,
         ))
         assert fast == slow
 
@@ -310,7 +312,7 @@ def _empty_cells(table, side) -> list[tuple[int, int]]:
     return [(int(r) // inc.n_alternatives, int(r) % inc.n_alternatives) for r in rows]
 
 
-_TRACKER_OPS = ("place", "remove", "peek", "block", "loads", "view")
+_TRACKER_OPS = ("place", "remove", "peek", "block", "loads", "view", "epoch")
 
 
 class TestTrackerSequences:
@@ -364,6 +366,18 @@ class TestTrackerSequences:
                     fast.peek_max_ratio_block(flows, caps),
                     slow.peek_max_ratio_block(flows, caps),
                 )
+            elif op == "epoch":
+                # A session epoch's settle: peek, peek, place per flow.
+                epoch = data.draw(st.lists(cells, max_size=6))
+                flows = [f for f, _ in epoch]
+                alts = [i for _, i in epoch]
+                defaults = data.draw(
+                    st.lists(st.integers(0, n_alt - 1), min_size=n_flows,
+                             max_size=n_flows)
+                )
+                assert fast.place_epoch(
+                    flows, alts, defaults, cap_list
+                ) == slow.place_epoch(flows, alts, defaults, caps)
             elif op == "loads":
                 assert np.array_equal(fast.loads, slow.loads)
             else:

@@ -1,29 +1,44 @@
-"""The presorted session loop vs the rescanning references: exact equivalence.
+"""The epoch-batched session vs the per-round oracle: exact equivalence.
 
-The production session answers each round from presorted orders (the
-:class:`~repro.core.strategies.CombinedScoreboard` proposal cursor and the
-agent's stop cursor) and rolls back through per-key heaps. None of that may
-change a decision: on randomly generated problems, a whole session must
-match — on every field of its outcome and on its message transcript — the
-same session run with :class:`RescanningProposals`, :class:`ScanningAgent`
-and the min-and-remove rollback from ``tests/reference``.
+The production session decides an epoch's rounds (the rounds between two
+disclosures) from presorted stop and pick cursors, settles each side's
+accepted flows in one ``commit_epoch`` call, and rolls back through per-key
+heaps. None of that may change a decision or a float: on randomly generated
+problems, a whole session must match — on every field of its outcome, on its
+message transcript and on each tracker's final loads — the same session run
+by :class:`PerRoundSession` from ``tests/reference``, which calls every
+protocol step and one ``commit`` per side every round (with
+:class:`ScanningAgent`, :class:`RescanningProposals` and the min-and-remove
+rollback where a suite asks for them).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.capacity.loads import link_loads
+from repro.capacity.provisioning import ProportionalCapacity
 from repro.core.agent import NegotiationAgent
 from repro.core.cheating import CheatingAgent
-from repro.core.evaluators import StaticPreferenceEvaluator
-from repro.core.outcomes import RoundRecord
+from repro.core.evaluators import (
+    FortzCostEvaluator,
+    LoadAwareEvaluator,
+    StaticCostEvaluator,
+    StaticPreferenceEvaluator,
+)
+from repro.core.mapping import LinearDeltaMapper
+from repro.core.messages import ProposalMessage, ReassignMessage
+from repro.core.outcomes import RoundRecord, TerminationReason
 from repro.core.preferences import PreferenceRange
+from repro.core.scenario_aware import ScenarioAwareEvaluator
 from repro.core.session import NegotiationSession, SessionConfig, rollback_victims
 from repro.core.strategies import (
     AlternatingTurns,
     AlwaysAccept,
+    CoinTossTurns,
     LowerGainTurns,
     MaxCombinedProposals,
     ReassignEveryFraction,
@@ -31,6 +46,13 @@ from repro.core.strategies import (
     TerminationMode,
     VetoIfWorseThanDefault,
 )
+from repro.errors import NegotiationError
+from repro.routing.costs import build_pair_cost_table
+from repro.routing.exits import early_exit_choices
+from repro.routing.flows import build_full_flowset
+from repro.routing.scenarios import FailureModel
+from repro.topology.dataset import DatasetConfig, build_default_dataset
+from repro.topology.generator import GeneratorConfig
 
 from reference import negotiation as reference
 
@@ -227,15 +249,19 @@ def session_problems(draw):
         "rollback": draw(st.sampled_from([True, True, False])),
         "max_rounds": draw(st.sampled_from([None, None, 3])),
         "record_messages": draw(st.booleans()),
+        # The production session asks per-round overrides and rules too.
+        "ask": draw(st.booleans()),
     }
 
 
-def _run(problem, production: bool):
+def _run(problem, production: bool, honest_cls=None):
     """Build the problem's session afresh (evaluators and reassignment
     policies are stateful) and run it on one engine."""
     defaults = problem["defaults"]
-    honest_cls = NegotiationAgent if production else reference.ScanningAgent
-    cheater_cls = CheatingAgent if production else ScanningCheater
+    scanning = problem["ask"] or not production
+    if honest_cls is None:
+        honest_cls = reference.ScanningAgent if scanning else NegotiationAgent
+    cheater_cls = ScanningCheater if scanning else CheatingAgent
     agents = []
     for side, name in enumerate("ab"):
         stages = problem[f"stages_{name}"]
@@ -262,8 +288,8 @@ def _run(problem, production: bool):
             else AlternatingTurns(first=int(turns[-1]))
         ),
         proposal_policy=(
-            MaxCombinedProposals() if production
-            else reference.RescanningProposals()
+            reference.RescanningProposals() if scanning
+            else MaxCombinedProposals()
         ),
         reassignment_policy=(
             ReassignEveryFraction(problem["fraction"])
@@ -284,11 +310,79 @@ def _run(problem, production: bool):
     return reference.outcome_signature(outcome), session.messages
 
 
+class ModestAgent(NegotiationAgent):
+    """Discloses its classes lowered by a third of its class gain so far:
+    a disclosure that changes with every accepted round."""
+
+    disclosure_changes_only_on_reassign = False
+
+    def disclosed_preferences(self):
+        prefs = self.evaluator.preferences() - self.cumulative_gain // 3
+        return np.clip(prefs, P.min, P.max)
+
+
+class PickyAgent(NegotiationAgent):
+    """Overrides both decisions with rules the stock agent does not have:
+    it vetoes every proposal on an odd flow, and stops on its turn once its
+    class gain reaches 4. A session that skipped either override would
+    decide differently from the oracle."""
+
+    def wants_to_stop(self, remaining, reassignable=False):
+        return self.cumulative_gain >= 4 or super().wants_to_stop(
+            remaining, reassignable
+        )
+
+    def decide_accept(self, flow_index, alternative, other_pref):
+        return flow_index % 2 == 0 and super().decide_accept(
+            flow_index, alternative, other_pref
+        )
+
+
 class TestSessionDifferential:
     @settings(deadline=None)
     @given(problem=session_problems())
     def test_matches_rescanning_reference(self, problem):
         assert _run(problem, production=True) == _run(problem, production=False)
+
+    @settings(deadline=None)
+    @given(problem=session_problems())
+    def test_round_varying_disclosure(self, problem):
+        # Such an agent makes every epoch one round long.
+        problem["cheater"] = None
+        assert _run(problem, True, ModestAgent) == _run(problem, False, ModestAgent)
+
+    @settings(deadline=None)
+    @given(problem=session_problems())
+    def test_agent_overrides_are_asked(self, problem):
+        problem["cheater"] = None
+        assert _run(problem, True, PickyAgent) == _run(problem, False, PickyAgent)
+
+    def test_picky_overrides_change_the_session(self):
+        # Under AlwaysAccept and full termination the stock agents take
+        # every flow; picky ones veto flow 1, and B stops at class gain 4.
+        prefs = np.array([[0, 2], [0, 2], [0, 2], [0, 2], [0, 2]])
+        problem = {
+            "stages_a": [prefs],
+            "stages_b": [prefs],
+            "defaults": np.zeros(5, dtype=np.intp),
+            "sizes": np.ones(5),
+            "fraction": None,
+            "turns": "alt0",
+            "termination": (TerminationMode.FULL, TerminationMode.FULL),
+            "veto": (False, False),
+            "cheater": None,
+            "rollback": True,
+            "floors": (0.0, 0.0),
+            "max_rounds": None,
+            "record_messages": False,
+            "ask": False,
+        }
+        stock, _ = _run(problem, production=True)
+        picky, _ = _run(problem, True, PickyAgent)
+        assert picky == _run(problem, False, PickyAgent)[0]
+        assert [r[6] for r in stock[6]] == [True] * 5
+        assert [(r[2], r[6]) for r in picky[6]] == [(0, True), (1, False), (2, True)]
+        assert picky[8] is TerminationReason.EARLY_STOP_B
 
     def test_tie_heavy_picks_lowest_cell(self):
         # Every combined score is 2. A's local preference peaks at 2 on
@@ -309,8 +403,307 @@ class TestSessionDifferential:
             "floors": (0.0, 0.0),
             "max_rounds": None,
             "record_messages": True,
+            "ask": False,
         }
         signature, messages = _run(problem, production=True)
         assert (signature, messages) == _run(problem, production=False)
         rounds = signature[6]
         assert [(r[2], r[3]) for r in rounds][:2] == [(1, 1), (0, 0)]
+
+
+# -- load-dependent evaluators: deferred commits --------------------------------
+
+_MODEL = FailureModel(link_probability=0.08, cutoff=1e-5, max_failed=2)
+_KINDS = ("load-aware", "fortz", "scenario-aware", "static-cost")
+
+
+@pytest.fixture(scope="module")
+def load_tables():
+    """Three small cost tables (3-5 alternatives, 25-50 flows of uneven
+    sizes), each with its early-exit defaults and per-side capacities."""
+    dataset = build_default_dataset(
+        DatasetConfig(
+            n_isps=20, seed=11, generator=GeneratorConfig(min_pops=5, max_pops=10)
+        )
+    )
+    rng = np.random.default_rng(11)
+    tables = []
+    for pair in dataset.pairs(min_interconnections=3)[1:4]:
+        n_b = pair.isp_b.n_pops()
+        weights = rng.uniform(0.5, 4.0, size=pair.isp_a.n_pops() * n_b)
+        table = build_pair_cost_table(
+            pair,
+            build_full_flowset(
+                pair, size_fn=lambda s, d, w=weights, n=n_b: float(w[s * n + d])
+            ),
+        )
+        defaults = early_exit_choices(table)
+        caps = {
+            side: ProportionalCapacity().capacities(link_loads(table, defaults, side))
+            for side in "ab"
+        }
+        tables.append((table, defaults, caps))
+    return tables
+
+
+def _evaluator(kind, sub, side, caps, defaults, base, tail_weight):
+    if kind == "load-aware":
+        return LoadAwareEvaluator(sub, side, caps, defaults, base, range_=P)
+    if kind == "fortz":
+        return FortzCostEvaluator(sub, side, caps, defaults, base, range_=P)
+    if kind == "scenario-aware":
+        return ScenarioAwareEvaluator(
+            sub, side, caps, defaults, _MODEL, tail_weight=tail_weight,
+            base_loads=base, range_=P,
+        )
+    km = sub.up_km if side == "a" else sub.down_km
+    return StaticCostEvaluator(km, defaults, LinearDeltaMapper(P, unit=40.0))
+
+
+def _draw_load_problem(data, tables) -> dict:
+    """A negotiation scope of a drawn table, its evaluators and policies."""
+    index = data.draw(st.integers(0, len(tables) - 1))
+    n_flows = tables[index][0].n_flows
+    # Zero flows has its own constructed test (test_zero_flows).
+    size = data.draw(st.sampled_from(range(1, 17)))
+    return {
+        "table": index,
+        "scope": sorted(data.draw(st.lists(
+            st.integers(0, n_flows - 1), min_size=size, max_size=size, unique=True
+        ))),
+        "kinds": (data.draw(st.sampled_from(_KINDS)), data.draw(st.sampled_from(_KINDS))),
+        "tail_weight": data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "fraction": data.draw(st.sampled_from([None, 0.05, 0.3, 1.0])),
+        "turns": data.draw(st.sampled_from(["alt0", "alt1", "lower", "coin"])),
+        "termination": (
+            data.draw(st.sampled_from(list(TerminationMode))),
+            data.draw(st.sampled_from(list(TerminationMode))),
+        ),
+        "veto": (data.draw(st.booleans()), data.draw(st.booleans())),
+        "cheater": data.draw(st.sampled_from([None, 0, 1])),
+        # The production session asks per-round overrides and rules too.
+        "ask": data.draw(st.booleans()),
+        "floors": data.draw(st.sampled_from([(0.0, 0.0), (-2.0, 0.0), (0.0, -1.0)])),
+        "rollback": data.draw(st.sampled_from([True, True, False])),
+        "max_rounds": data.draw(st.sampled_from([None, None, None, 1, 4, 9])),
+        "record_messages": data.draw(st.booleans()),
+    }
+
+
+def _run_load(tables, problem, oracle: bool):
+    """One engine's run of a load problem: signature, transcript and each
+    side's final tracker loads (``None`` for the static-cost evaluator)."""
+    table, defaults, caps = tables[problem["table"]]
+    scope = np.asarray(problem["scope"], dtype=np.intp)
+    outside = np.ones(table.n_flows, dtype=bool)
+    outside[scope] = False
+    sub = table.subset(scope)
+    evaluators = [
+        _evaluator(
+            kind, sub, side, caps[side], defaults[scope],
+            link_loads(table, defaults, side, active=outside),
+            problem["tail_weight"],
+        )
+        for kind, side in zip(problem["kinds"], "ab")
+    ]
+    ask = problem["ask"] and not oracle
+    honest_cls = reference.ScanningAgent if ask else NegotiationAgent
+    cheater_cls = ScanningCheater if ask else CheatingAgent
+    agents = []
+    for side, (name, evaluator) in enumerate(zip("ab", evaluators)):
+        kwargs = dict(
+            termination=problem["termination"][side],
+            acceptance=(
+                VetoIfWorseThanDefault() if problem["veto"][side] else AlwaysAccept()
+            ),
+        )
+        if problem["cheater"] == side:
+            agents.append(cheater_cls(name, evaluator, range_=P, **kwargs))
+        else:
+            agents.append(honest_cls(name, evaluator, **kwargs))
+    if problem["cheater"] is not None:
+        agents[problem["cheater"]].bind_opponent(agents[1 - problem["cheater"]])
+    turns = problem["turns"]
+    config = SessionConfig(
+        turn_policy=(
+            LowerGainTurns() if turns == "lower"
+            else CoinTossTurns(seed=5) if turns == "coin"
+            else AlternatingTurns(first=int(turns[-1]))
+        ),
+        proposal_policy=reference.RescanningProposals() if ask else MaxCombinedProposals(),
+        reassignment_policy=(
+            ReassignEveryFraction(problem["fraction"])
+            if problem["fraction"] else ReassignNever()
+        ),
+        rollback=problem["rollback"],
+        rollback_floors=problem["floors"],
+        max_rounds=problem["max_rounds"],
+        record_messages=problem["record_messages"],
+    )
+    session_cls = reference.PerRoundSession if oracle else NegotiationSession
+    session = session_cls(
+        *agents, sizes=sub.flowset.sizes(), defaults=defaults[scope], config=config
+    )
+    outcome = session.run()
+    loads = [
+        ev._tracker.loads.tolist() if hasattr(ev, "_tracker") else None
+        for ev in evaluators
+    ]
+    return reference.outcome_signature(outcome), session.messages, loads
+
+
+def _epochs(messages) -> list[int]:
+    """Proposals per epoch, read off a recorded transcript."""
+    counts = [0]
+    for message in messages:
+        if isinstance(message, ProposalMessage):
+            counts[-1] += 1
+        elif isinstance(message, ReassignMessage) and message.sender == "b":
+            counts.append(0)
+    return counts
+
+
+def _base_problem(**overrides) -> dict:
+    """Both sides load-aware, the paper's policies, a recorded transcript."""
+    problem = {
+        "table": 1,
+        "scope": list(range(25)),
+        "kinds": ("load-aware", "load-aware"),
+        "tail_weight": 0.0,
+        "fraction": 0.3,
+        "turns": "alt0",
+        "termination": (TerminationMode.EARLY, TerminationMode.EARLY),
+        "veto": (False, False),
+        "cheater": None,
+        "ask": False,
+        "floors": (0.0, 0.0),
+        "rollback": True,
+        "max_rounds": None,
+        "record_messages": True,
+    }
+    problem.update(overrides)
+    return problem
+
+
+def _matching(tables, problem):
+    """Run both engines, assert they agree, return the production run."""
+    fast = _run_load(tables, problem, oracle=False)
+    assert fast == _run_load(tables, problem, oracle=True)
+    return fast
+
+
+class TestDeferredCommits:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_per_round_session(self, load_tables, data):
+        problem = _draw_load_problem(data, load_tables)
+        _matching(load_tables, problem)
+
+    def test_one_round_epochs(self, load_tables):
+        # Every flow is at least `fraction` of the traffic, so each accepted
+        # round reassigns: every epoch holds exactly one proposal.
+        table, *_ = load_tables[1]
+        sizes = table.flowset.sizes()[:25]
+        fraction = 0.5 * float(sizes.min()) / float(sizes.sum())
+        signature, messages, _ = _matching(
+            load_tables, _base_problem(fraction=fraction)
+        )
+        assert signature[9] == len(signature[6]) > 1  # reassignments == rounds
+        assert set(_epochs(messages)[:-1]) == {1}
+
+    def test_epoch_ends_on_exhaustion(self, load_tables):
+        # Reassignments at 40% and 80% of the traffic; the last fifth of it
+        # is a third epoch of several rounds that runs out of flows.
+        signature, messages, _ = _matching(load_tables, _base_problem(fraction=0.4))
+        assert signature[8] is TerminationReason.EXHAUSTED
+        assert signature[9] >= 1 and _epochs(messages)[-1] > 1
+
+    def test_round_limit_cuts_an_epoch(self, load_tables):
+        signature, messages, _ = _matching(
+            load_tables, _base_problem(fraction=0.5, max_rounds=20)
+        )
+        assert signature[8] is TerminationReason.ROUND_LIMIT
+        epochs = _epochs(messages)
+        assert len(epochs) >= 2 and epochs[-1] > 1 and sum(epochs) == 20
+
+    def test_zero_flows(self, load_tables):
+        signature, messages, loads = _matching(load_tables, _base_problem(scope=[]))
+        assert signature[6] == [] and signature[8] is TerminationReason.EXHAUSTED
+
+    def test_shared_evaluator_rejected(self, load_tables):
+        table, defaults, caps = load_tables[0]
+        evaluator = LoadAwareEvaluator(table, "a", caps["a"], defaults)
+        with pytest.raises(NegotiationError, match="share"):
+            NegotiationSession(
+                NegotiationAgent("a", evaluator), NegotiationAgent("b", evaluator)
+            )
+
+
+def _staged(stages_a, stages_b, sizes, full=False, veto_b=False):
+    """A static-class session, reassigning at half the traffic, on both
+    engines: the production signature and transcript, once they agree."""
+    defaults = np.zeros(len(sizes), dtype=np.intp)
+    termination = TerminationMode.FULL if full else TerminationMode.EARLY
+    runs = []
+    for session_cls in (NegotiationSession, reference.PerRoundSession):
+        agents = [
+            NegotiationAgent(
+                name,
+                StaticPreferenceEvaluator(
+                    stages[0], defaults, P, stages=stages[1:]
+                ),
+                termination=termination,
+                acceptance=(
+                    VetoIfWorseThanDefault() if veto_b and name == "b"
+                    else AlwaysAccept()
+                ),
+            )
+            for name, stages in (("a", stages_a), ("b", stages_b))
+        ]
+        session = session_cls(
+            *agents, sizes=np.asarray(sizes, dtype=float), defaults=defaults,
+            config=SessionConfig(
+                reassignment_policy=ReassignEveryFraction(0.5), record_messages=True
+            ),
+        )
+        runs.append((reference.outcome_signature(session.run()), session.messages))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+#: The first flow carries most of the traffic, so accepting it reassigns
+#: at once (a one-round first epoch) and the rest fit in the second epoch.
+_SIZES = [10, 1, 1, 1]
+_OPENING = np.array([[0, 3], [0, 0], [0, 0], [0, 0]])
+
+
+class TestEpochEndings:
+    def test_stop_inside_a_later_epoch(self):
+        # After the reassignment A sees nothing but losses on flows 2-3:
+        # B takes flow 1, then A stops on its turn.
+        stages_a = [_OPENING, np.array([[0, 3], [0, 2], [-1, -1], [-1, -1]])]
+        stages_b = [_OPENING, np.array([[0, 3], [0, 1], [0, 2], [0, 2]])]
+        signature, messages = _staged(stages_a, stages_b, _SIZES)
+        assert signature[8] is TerminationReason.EARLY_STOP_A
+        assert signature[9] == 1 and _epochs(messages) == [1, 1]
+
+    def test_no_joint_gain_inside_a_later_epoch(self):
+        # Under full termination the second epoch runs out of cells with a
+        # non-negative combined class after one trade.
+        stages_a = [_OPENING, np.array([[0, 0], [0, 1], [-1, -2], [-1, -2]])]
+        stages_b = [_OPENING, np.array([[0, 0], [0, 1], [0, -1], [0, -1]])]
+        signature, messages = _staged(stages_a, stages_b, _SIZES, full=True)
+        assert signature[8] is TerminationReason.NO_JOINT_GAIN
+        assert signature[9] == 1 and _epochs(messages) == [1, 1]
+
+    def test_rejection_inside_an_epoch(self):
+        # B vetoes A's (1, 1) in the middle of the second epoch; the epoch
+        # goes on around the banned cell.
+        prefs_a = np.array([[0, 3], [0, 3], [0, 1], [0, 0]])
+        prefs_b = np.array([[0, 1], [0, -3], [0, 1], [0, 0]])
+        signature, messages = _staged([prefs_a], [prefs_b], _SIZES, veto_b=True)
+        rounds = signature[6]
+        assert [r[0] for r in rounds if not r[6]] == [2]
+        assert (rounds[2][2], rounds[2][3]) == (1, 1)
+        assert signature[8] is TerminationReason.EXHAUSTED
+        assert _epochs(messages) == [1, 4]
