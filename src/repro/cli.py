@@ -6,13 +6,14 @@
     python -m repro bandwidth --preset bench --unilateral --diverse
     python -m repro dataset --preset bench --out dataset.json
     python -m repro figure1
-    python -m repro multi-isp --isps 4 --shape chain --transit-scale 3
+    python -m repro multi-isp --isps 4 --shape chain --transit-scale 3 \\
+        --coord-workers 2
     python -m repro availability --preset quick --link-prob 0.05 \\
         --srg 0,2 --quantiles 0.95,0.999
     python -m repro robust --preset quick --fault-seeds 0,1,2 \\
         --abort-rate 0.15 --tail-weight 0.5
     python -m repro sweep oscillation --preset quick
-    python -m repro sweep multi_isp --preset quick --workers 2 \\
+    python -m repro sweep multi_isp --preset quick \\
         --checkpoint-dir ckpt/ --resume
     python -m repro sweep bandwidth --preset paper --workers -1 \\
         --checkpoint-dir ckpt/ --resume
@@ -35,7 +36,9 @@ summary claims.
 
 ``multi-isp`` runs the multi-ISP coordination sweep (chain / ring /
 random internetworks; chained pairwise sessions with transit background)
-and prints the per-round convergence trajectory. ``robust`` compares
+and prints the per-round convergence trajectory. The sweep is a single
+unit, one coordination, so ``--coord-workers`` parallelizes it and
+``--workers`` does not. ``robust`` compares
 nominal-only against CVaR-aware agents across seeded fault plans
 (session aborts, deadlines, link failures) and prints the
 expected/VaR/CVaR MEL deltas.
@@ -176,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="chain",
                          help="internetwork shape (default: chain)")
     p_multi.add_argument("--rounds", type=int, default=4,
-                         help="coordination round limit (default: 4)")
+                         help="coordination round limit (default: 4; "
+                              "larger random internetworks can hit it "
+                              "while flows still move, as --isps 20 "
+                              "--shape random does)")
     p_multi.add_argument("--order", choices=("round_robin", "random"),
                          default="round_robin",
                          help="per-round edge order (default: round_robin)")

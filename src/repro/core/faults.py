@@ -26,10 +26,10 @@ plan at all (pinned by the fault tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.util.rng import derive_rng
+from repro.util.validation import check_int
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjectionError"]
 
@@ -83,12 +83,8 @@ class FaultEvent:
                 f"{self.kind} events carry no columns, got {self.columns}"
             )
         if self.kind == "deadline":
-            rounds = self.deadline_rounds  # a session's max_rounds: an int
-            if (isinstance(rounds, bool) or not isinstance(rounds, Integral)
-                    or rounds < 1):
-                raise ConfigurationError(
-                    f"deadline events need an integer deadline_rounds >= 1: {rounds!r}"
-                )
+            # It becomes the inner session's max_rounds.
+            check_int(self.deadline_rounds, "deadline_rounds", 1)
         elif self.deadline_rounds:
             raise ConfigurationError(
                 f"{self.kind} events carry no deadline_rounds"

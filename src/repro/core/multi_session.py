@@ -137,7 +137,7 @@ from repro.routing.paths import IntradomainRouting
 from repro.topology.internetwork import Internetwork
 from repro.traffic.gravity import GravityWorkload, pop_gravity_weights
 from repro.util.rng import derive_rng
-from repro.util.validation import validate_choice
+from repro.util.validation import check_int, validate_choice
 
 __all__ = [
     "EdgeSessionRecord",
@@ -418,20 +418,18 @@ class MultiSessionCoordinator:
         from repro.experiments.parallel import resolve_workers
 
         validate_choice(order, _ORDERS, "order")
-        if max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
+        max_rounds = check_int(max_rounds, "max_rounds", 1)
         if transit_scale < 0:
             raise ConfigurationError("transit_scale must be >= 0")
-        if quarantine_after < 1:
-            raise ConfigurationError("quarantine_after must be >= 1")
-        if quarantine_backoff_rounds < 1:
-            raise ConfigurationError(
-                "quarantine_backoff_rounds must be >= 1"
-            )
-        if quarantine_backoff_cap < quarantine_backoff_rounds:
-            raise ConfigurationError(
-                "quarantine_backoff_cap must be >= quarantine_backoff_rounds"
-            )
+        quarantine_after = check_int(quarantine_after, "quarantine_after", 1)
+        quarantine_backoff_rounds = check_int(
+            quarantine_backoff_rounds, "quarantine_backoff_rounds", 1
+        )
+        # The cap bounds the doubled backoff, so it starts at the backoff.
+        quarantine_backoff_cap = check_int(
+            quarantine_backoff_cap, "quarantine_backoff_cap",
+            quarantine_backoff_rounds,
+        )
         if not 0.0 <= tail_weight <= 1.0:
             raise ConfigurationError(
                 f"tail_weight must be in [0, 1], got {tail_weight}"

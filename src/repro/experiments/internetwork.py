@@ -1,20 +1,13 @@
 """The multi-ISP convergence sweep (``multi_isp`` scenario).
 
-Sweeps :class:`~repro.core.multi_session.MultiSessionCoordinator` over an
-internetwork through the unified runner: one unit per **(ISP-pair edge,
-round)** cell of the coordination grid, a reducer that reassembles the
-per-round global-MEL/convergence trajectory, and full
-``--workers/--checkpoint-dir/--resume`` support.
-
-Unit purity: the coordination itself is sequential (round ``r`` depends on
-``r-1``), so each unit is defined as a *pure replay* — a worker
-deterministically re-derives the whole trajectory from ``(config, params)``
-and reports its own (edge, round) record. A bounded per-process memo makes
-that a one-time cost per process (the serial path computes the trajectory
-exactly once), while keeping every unit independent for checkpointing: any
-subset of shards can be lost and recomputed bit-identically. Rounds after
-early convergence are materialized as no-op records so the unit grid is a
-pure function of the params.
+Runs one :class:`~repro.core.multi_session.MultiSessionCoordinator`
+coordination over an internetwork through the unified runner. Round ``r``
+of a coordination depends on round ``r-1``, so the sweep has a single
+unit, the whole coordination: :func:`run_multi_isp` runs it once and the
+unit lays it out as a padded (round, edge) grid of
+:class:`MultiIspUnitRecord` cells. ``--checkpoint-dir`` / ``--resume``
+persist that unit; ``coord_workers`` parallelizes the color classes
+inside it.
 
 The internetwork is built from the experiment config's generator/seed
 (quick preset → small ISPs) with the shape/size taken from the sweep
@@ -76,13 +69,8 @@ _SHAPE_PARAM_KEYS = (
     "pool_size", "peering_probability",
 )
 
-#: Coordination trajectories memoized per process (replay happens once per
-#: worker, not once per unit). Bounded LRU, keyed on the sweep identity.
-_TRAJECTORY_CACHE_SIZE = 2
-_trajectory_cache: "OrderedDict[str, Any]" = OrderedDict()
-
-#: Built internetworks, memoized alongside (unit enumeration and the
-#: reducer both need one; only the unit workers need the trajectory).
+#: Built internetworks, memoized per process: the robustness sweep's
+#: (seed, mode) units all coordinate over the same one.
 _INTERNETWORK_CACHE_SIZE = 2
 _internetwork_cache: "OrderedDict[str, Internetwork]" = OrderedDict()
 
@@ -116,33 +104,6 @@ def _internetwork_for(
     return net
 
 
-def _coordinator_result(config: ExperimentConfig, params: Mapping[str, Any]):
-    """The (memoized) full coordination trajectory for one sweep identity."""
-    from repro.core.multi_session import MultiSessionCoordinator
-
-    key = stable_fingerprint(
-        {"config": config, "params": dict(params), "kind": "multi_isp"}
-    )
-    cached = _trajectory_cache.get(key)
-    if cached is not None:
-        _trajectory_cache.move_to_end(key)
-        return cached
-    net = _internetwork_for(config, params)
-    result = MultiSessionCoordinator(
-        net,
-        config=config,
-        order=str(params["order"]),
-        max_rounds=int(params["rounds"]),
-        include_transit=bool(params["include_transit"]),
-        transit_scale=float(params["transit_scale"]),
-        coord_workers=params["coord_workers"],
-        damping=params["damping"],
-        hysteresis_margin=params["hysteresis_margin"],
-    ).run()
-    _cache_put(_trajectory_cache, key, result, _TRAJECTORY_CACHE_SIZE)
-    return result
-
-
 @dataclass(frozen=True)
 class MultiIspUnitRecord:
     """One (edge, round) cell of the coordination grid, picklable.
@@ -163,8 +124,9 @@ class MultiIspUnitRecord:
     mel_per_isp: tuple[float, ...]
     global_mel: float
     executed_round: bool
-    #: The pre-coordination global MEL (identical on every record of a
-    #: sweep; carried here so the reducer never needs to replay).
+    #: The pre-coordination global MEL, identical on every record of a
+    #: sweep. Redundant with the result's ``initial_mel``; it stays because
+    #: the golden digests pin the record fields.
     initial_global_mel: float
     #: Injected-fault outcome of this slot ("abort" / "deadline" /
     #: "quarantined"), None on a clean slot. Trails the record fields so
@@ -174,46 +136,9 @@ class MultiIspUnitRecord:
     n_rerouted: int = 0
 
 
-def _unit_record(result, round_index: int, edge_index: int) -> MultiIspUnitRecord:
-    if round_index < len(result.rounds):
-        round_ = result.rounds[round_index]
-        for record in round_.records:
-            if record.edge_index == edge_index:
-                # The unit record is the session record plus grid context;
-                # the field lists stay in lockstep by construction.
-                return MultiIspUnitRecord(
-                    **asdict(record),
-                    executed_round=True,
-                    initial_global_mel=result.initial_mel,
-                )
-        raise ConfigurationError(
-            f"coordination round {round_index} has no record for edge "
-            f"{edge_index}"
-        )
-    # Converged before this round: a deterministic no-op cell.
-    if result.rounds:
-        mels = result.rounds[-1].records[-1].mel_per_isp
-    else:
-        mels = result.initial_mel_per_isp
-    return MultiIspUnitRecord(
-        round_index=round_index,
-        slot=edge_index,
-        edge_index=edge_index,
-        pair_name=result.edge_names[edge_index],
-        scope_size=0,
-        ran_session=False,
-        adopted=False,
-        n_changed=0,
-        mel_per_isp=mels,
-        global_mel=max(mels) if mels else 0.0,
-        executed_round=False,
-        initial_global_mel=result.initial_mel,
-    )
-
-
 @dataclass
 class MultiIspExperimentResult:
-    """The reassembled coordination grid plus its convergence trajectory."""
+    """The padded coordination grid plus its convergence trajectory."""
 
     isp_names: tuple[str, ...]
     edge_names: tuple[str, ...]
@@ -261,40 +186,87 @@ class MultiIspExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Sweep scenario: "multi_isp" (one unit per (edge, round) cell)
+# Sweep scenario: "multi_isp" (one unit: the whole coordination)
 # ---------------------------------------------------------------------------
 
 
-def _multi_isp_units(config, params):
-    net = _internetwork_for(config, params)
-    rounds = int(params["rounds"])
-    return [
-        (round_index, edge_index)
-        for round_index in range(rounds)
-        for edge_index in range(net.n_edges())
+def _grid_records(result, n_rounds: int) -> list[MultiIspUnitRecord]:
+    """A coordination as the padded (round, edge) grid, round-major.
+
+    Executed rounds list their session records by ascending edge; rounds
+    the coordinator never ran (early convergence) are no-op cells carrying
+    the final MELs.
+    """
+    initial = result.initial_mel
+    records = [
+        # The grid cell is the session record plus grid context; the
+        # field lists stay in lockstep by construction.
+        MultiIspUnitRecord(
+            **asdict(record), executed_round=True, initial_global_mel=initial
+        )
+        for round_ in result.rounds
+        for record in sorted(round_.records, key=lambda r: r.edge_index)
     ]
+    if result.rounds:
+        mels = result.rounds[-1].records[-1].mel_per_isp
+    else:
+        mels = result.initial_mel_per_isp
+    for round_index in range(len(result.rounds), n_rounds):
+        for edge_index, pair_name in enumerate(result.edge_names):
+            records.append(MultiIspUnitRecord(
+                round_index=round_index,
+                slot=edge_index,
+                edge_index=edge_index,
+                pair_name=pair_name,
+                scope_size=0,
+                ran_session=False,
+                adopted=False,
+                n_changed=0,
+                mel_per_isp=mels,
+                global_mel=max(mels) if mels else 0.0,
+                executed_round=False,
+                initial_global_mel=initial,
+            ))
+    return records
+
+
+def _multi_isp_units(config, params):
+    return ["coordination"]
 
 
 def _multi_isp_unit(config, params, unit):
-    round_index, edge_index = unit
-    result = _coordinator_result(config, params)
-    return _unit_record(result, round_index, edge_index)
+    result = run_multi_isp(
+        config,
+        internetwork=_internetwork_for(config, params),
+        max_rounds=params["rounds"],
+        order=str(params["order"]),
+        include_transit=bool(params["include_transit"]),
+        transit_scale=float(params["transit_scale"]),
+        coord_workers=params["coord_workers"],
+        damping=params["damping"],
+        hysteresis_margin=params["hysteresis_margin"],
+    )
+    n_rounds = int(params["rounds"])
+    records = _grid_records(result, n_rounds)
+    return MultiIspExperimentResult(
+        isp_names=result.isp_names,
+        edge_names=result.edge_names,
+        n_rounds=n_rounds,
+        initial_mel=records[0].initial_global_mel if records else 0.0,
+        records=records,
+    )
 
 
 def _multi_isp_reduce(config, params, results):
-    # Record-driven on purpose: a fully checkpointed resume reassembles the
-    # grid from shards plus the (cheap, memoized) internetwork build, never
-    # replaying the coordination in the parent.
-    net = _internetwork_for(config, params)
-    records = list(results)
-    initial_mel = records[0].initial_global_mel if records else 0.0
-    return MultiIspExperimentResult(
-        isp_names=net.names(),
-        edge_names=tuple(edge.name for edge in net.edges),
-        n_rounds=int(params["rounds"]),
-        initial_mel=initial_mel,
-        records=records,
-    )
+    (result,) = results
+    if not isinstance(result, MultiIspExperimentResult):
+        # A 1-round, 1-edge sweep checkpointed under the old one-unit-per-
+        # (edge, round) layout matches this one's fingerprint and unit count.
+        raise ConfigurationError(
+            "the multi_isp checkpoint holds one (edge, round) cell, not a "
+            "coordination; rerun without --resume"
+        )
+    return result
 
 
 def _multi_isp_summary(result: MultiIspExperimentResult) -> list:
@@ -330,13 +302,14 @@ def run_multi_isp(
     internetwork: Internetwork | None = None,
     **coordinator_kwargs,
 ):
-    """Convenience: build an internetwork and run one coordination directly.
+    """Build an internetwork and run one coordination.
 
-    Returns the raw :class:`~repro.core.multi_session.MultiNegotiationResult`
-    (the sweep-free path used by the CLI ``multi-isp`` command, examples and
-    benchmarks). Keyword arguments pass through to
-    :class:`~repro.core.multi_session.MultiSessionCoordinator`; an explicit
-    ``internetwork`` skips generation.
+    Returns the raw :class:`~repro.core.multi_session.MultiNegotiationResult`.
+    The ``multi_isp`` sweep runs its one unit through here; examples and
+    benchmarks call it directly. Keyword arguments pass through to
+    :class:`~repro.core.multi_session.MultiSessionCoordinator`, backfilled
+    with the sweep's defaults; an explicit ``internetwork`` skips
+    generation.
     """
     from repro.core.multi_session import MultiSessionCoordinator
 
@@ -391,17 +364,14 @@ def run_multi_isp_experiment(
 ) -> MultiIspExperimentResult:
     """Run the multi-ISP convergence sweep through the unified runner.
 
-    Units are the (ISP-pair edge, round) cells of the coordination grid;
-    ``workers`` parallelizes over them (each worker replays the
-    deterministic trajectory once, then serves its cells), and
-    ``checkpoint_dir`` / ``resume`` persist per-cell shards. Any worker
-    count, interrupt/resume split, or serial run produces bit-identical
-    results. ``coord_workers`` is orthogonal: it parallelizes the color
-    classes *inside* the replayed coordination (also bit-identical).
-    ``damping`` / ``hysteresis_margin`` select the oscillation response
-    (see :mod:`repro.core.damping`); ``None`` inherits the config's
-    values, and the controller runs entirely in the replay parent, so
-    damped sweeps keep the bit-identical worker-count contract.
+    The sweep is one unit, the whole coordination, returned as its padded
+    (round, edge) grid; ``checkpoint_dir`` / ``resume`` persist that
+    unit's shard. ``workers`` follows the runner contract, but a one-unit
+    sweep runs serially: ``coord_workers`` is what parallelizes a
+    coordination, running each color class on a fork pool, bit-identical
+    to serial. ``damping`` / ``hysteresis_margin`` select the oscillation
+    response (see :mod:`repro.core.damping`); ``None`` inherits the
+    config's values.
     """
     params = dict(
         n_isps=n_isps,

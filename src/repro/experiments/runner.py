@@ -48,7 +48,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import ConfigurationError, RoutingError, SweepUnitError
+from repro.errors import (
+    ConfigurationError,
+    RoutingError,
+    SweepUnitError,
+    TopologyError,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     fork_context,
@@ -59,10 +64,10 @@ from repro.topology.serialization import stable_fingerprint
 
 _log = logging.getLogger(__name__)
 
-#: Errors a unit raises the same way on every attempt: bad parameters and
-#: unroutable topologies. They are never retried and abort the sweep at
-#: once instead of failing every unit in turn.
-_DETERMINISTIC_ERRORS = (ConfigurationError, RoutingError)
+#: Errors a unit raises the same way on every attempt: bad parameters,
+#: unrealizable topologies and unroutable ones. They are never retried and
+#: abort the sweep at once instead of failing every unit in turn.
+_DETERMINISTIC_ERRORS = (ConfigurationError, TopologyError, RoutingError)
 
 __all__ = [
     "ScenarioSpec",
@@ -353,7 +358,8 @@ class SweepRunner:
             other unit still completes (and checkpoints), then a
             :class:`~repro.errors.SweepUnitError` surfaces the exceptions
             with their unit payloads attached. A
-            :class:`~repro.errors.ConfigurationError` or
+            :class:`~repro.errors.ConfigurationError`,
+            :class:`~repro.errors.TopologyError` or
             :class:`~repro.errors.RoutingError` is deterministic: it is
             raised as is on its first occurrence, without retries and
             without running the remaining units.

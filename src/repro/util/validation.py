@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "check_finite",
+    "check_int",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -37,6 +39,20 @@ def check_finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
     return value
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """Raise unless ``value`` is an integer >= ``minimum``; return it as int.
+
+    Numpy integers pass; bools and integral floats (``2.0``) do not, so a
+    count knob never silently truncates or reads ``True`` as 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
 
 
 def check_positive(value: float, name: str) -> float:

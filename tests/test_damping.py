@@ -46,6 +46,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="budget"):
             DampingConfig(budget=-1)
 
+    @pytest.mark.parametrize("budget", [2.5, 2.0, True])
+    def test_budget_is_an_integer(self, budget):
+        with pytest.raises(ConfigurationError, match="budget"):
+            DampingConfig(budget=budget)
+
     def test_perturb_keep_range(self):
         DampingConfig(perturb_keep=1.0)
         for bogus in (0.0, 1.5):

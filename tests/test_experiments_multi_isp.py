@@ -1,10 +1,10 @@
-"""The multi_isp sweep: worker invariance, checkpoint/resume, CLI."""
+"""The multi_isp sweep: one-unit layout, checkpoint/resume, CLI."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.internetwork import (
     MULTI_ISP_SCENARIO,
@@ -61,6 +61,89 @@ class TestAggregate:
         assert "->" in claims["global MEL trajectory"]
 
 
+class TestOneUnit:
+    """A sweep is one unit: the whole coordination, never replayed."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n_isps": 3, "rounds": 3},
+        {"n_isps": 6, "shape": "random", "rounds": 8},
+    ])
+    def test_one_unit_for_any_params(self, config, overrides):
+        params = {**MULTI_ISP_SCENARIO.default_params, **overrides}
+        units = MULTI_ISP_SCENARIO.enumerate_units(config, params)
+        assert len(units) == 1
+
+    def test_one_coordination_per_sweep(self, config, monkeypatch):
+        from repro.core.multi_session import MultiSessionCoordinator
+
+        runs = []
+        original = MultiSessionCoordinator.run
+
+        def counting_run(self):
+            runs.append(self.max_rounds)
+            return original(self)
+
+        monkeypatch.setattr(MultiSessionCoordinator, "run", counting_run)
+        run_multi_isp_experiment(config, n_isps=3, rounds=3, workers=2)
+        assert runs == [3]
+
+    def test_grid_matches_the_coordination(self, config, serial_result):
+        """Round-major cells, edges ascending: the coordination's records
+        plus grid context, then no-op padding after convergence."""
+        from dataclasses import asdict
+
+        direct = run_multi_isp(config, n_isps=3, max_rounds=3)
+        n_edges = len(direct.edge_names)
+        cells = serial_result.records
+        assert [(c.round_index, c.edge_index) for c in cells] == [
+            (r, e) for r in range(3) for e in range(n_edges)
+        ]
+        for round_ in direct.rounds:
+            for record in round_.records:
+                cell = cells[round_.round_index * n_edges + record.edge_index]
+                assert cell.executed_round
+                assert cell.initial_global_mel == direct.initial_mel
+                assert {
+                    k: v for k, v in asdict(cell).items()
+                    if k not in ("executed_round", "initial_global_mel")
+                } == asdict(record)
+        final = direct.rounds[-1].records[-1].mel_per_isp
+        for cell in cells[len(direct.rounds) * n_edges:]:
+            assert not cell.executed_round
+            assert cell.slot == cell.edge_index
+            assert cell.mel_per_isp == final
+            assert cell.fault is None
+
+    def test_rounds_must_be_an_integer(self, config):
+        for rounds in (2.5, 2.0, True):
+            with pytest.raises(ConfigurationError, match="max_rounds"):
+                run_multi_isp_experiment(config, n_isps=2, rounds=rounds)
+
+    def test_unrealizable_internetwork_fails_once(
+        self, config, monkeypatch
+    ):
+        """A TopologyError is deterministic: raised as is, never retried."""
+        import repro.experiments.internetwork as internetwork
+        from repro.experiments import runner
+
+        builds = []
+        original = internetwork.build_internetwork
+
+        def counting_build(net_config):
+            builds.append(net_config)
+            return original(net_config)
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(internetwork, "build_internetwork", counting_build)
+        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+        with pytest.raises(TopologyError, match="no ring of 5 ISPs"):
+            run_multi_isp_experiment(
+                config, n_isps=5, shape="ring", min_interconnections=40,
+            )
+        assert len(builds) == 1
+        assert sleeps == []
+
+
 class TestWorkerInvariance:
     def test_parallel_matches_serial(self, config, serial_result):
         parallel = run_multi_isp_experiment(
@@ -75,6 +158,7 @@ class TestWorkerInvariance:
             config, n_isps=3, rounds=3, checkpoint_dir=tmp_path / "ck"
         )
         assert checkpointed == serial_result
+        assert len(list((tmp_path / "ck" / "multi_isp").glob("unit-*"))) == 1
         resumed = run_multi_isp_experiment(
             config, n_isps=3, rounds=3,
             checkpoint_dir=tmp_path / "ck", resume=True,
@@ -84,7 +168,7 @@ class TestWorkerInvariance:
     def test_interrupt_then_resume_bit_identical(
         self, config, serial_result, tmp_path
     ):
-        """Losing arbitrary shards must recompute them bit-identically."""
+        """Losing the shard must recompute it bit-identically."""
         run_multi_isp_experiment(
             config, n_isps=3, rounds=3, checkpoint_dir=tmp_path / "ck"
         )
@@ -92,16 +176,33 @@ class TestWorkerInvariance:
             tmp_path / "ck", "multi_isp",
             sweep_fingerprint("multi_isp", config, _PARAMS),
         )
-        n_units = len(serial_result.records)
-        assert store.completed(n_units) == set(range(n_units))
-        # Simulate an interrupt that lost the first and last shards.
+        assert store.completed(1) == {0}
+        # Simulate an interrupt before the coordination's shard landed.
         store.shard_path(0).unlink()
-        store.shard_path(n_units - 1).unlink()
+        assert store.completed(1) == set()
         resumed = run_multi_isp_experiment(
             config, n_isps=3, rounds=3,
             checkpoint_dir=tmp_path / "ck", resume=True,
         )
         assert resumed == serial_result
+
+    def test_cell_layout_checkpoint_refuses_resume(self, config, tmp_path):
+        """A shard from the one-unit-per-(edge, round) layout, written for a
+        1-round, 1-edge sweep, matches fingerprint and unit count."""
+        params = {**MULTI_ISP_SCENARIO.default_params, "n_isps": 2,
+                  "rounds": 1}
+        cell = run_multi_isp_experiment(config, n_isps=2, rounds=1).records[0]
+        store = CheckpointStore(
+            tmp_path / "ck", "multi_isp",
+            sweep_fingerprint("multi_isp", config, params),
+        )
+        store.prepare(1, resume=False)
+        store.save(0, cell)
+        with pytest.raises(ConfigurationError, match="rerun without --resume"):
+            run_multi_isp_experiment(
+                config, n_isps=2, rounds=1,
+                checkpoint_dir=tmp_path / "ck", resume=True,
+            )
 
     def test_stale_fingerprint_refuses_resume(self, config, tmp_path):
         run_multi_isp_experiment(
@@ -187,11 +288,13 @@ class TestSlowConvergenceSweeps:
         assert result.converged_round() is not None
 
     def test_worker_invariance_at_scale(self, config):
+        # The sweep is one unit; the parallelism inside it is the colored
+        # coordination's fork pool.
         serial = run_multi_isp_experiment(
             config, n_isps=5, shape="random", rounds=6
         )
         parallel = run_multi_isp_experiment(
-            config, n_isps=5, shape="random", rounds=6, workers=3
+            config, n_isps=5, shape="random", rounds=6, coord_workers=3
         )
         assert serial == parallel
 
@@ -237,15 +340,10 @@ class TestCli:
 
 
 def _rewalk_transit(monkeypatch):
-    """Route the sweep's transit through the full re-walk reference, with
-    a fresh trajectory memo so no replay of the indexed run is reused."""
-    from collections import OrderedDict
-
+    """Route the sweep's transit through the full re-walk reference."""
     import repro.core.multi_session as multi_session
-    import repro.experiments.internetwork as internetwork
 
     monkeypatch.setattr(multi_session, "TransitLoadIndex", RewalkTransitIndex)
-    monkeypatch.setattr(internetwork, "_trajectory_cache", OrderedDict())
 
 
 class TestScaleKnobThreading:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.robustness import (
     RobustnessExperimentResult,
@@ -61,6 +61,30 @@ class TestRobustnessSweep:
             run_robustness_experiment(
                 ExperimentConfig.quick(), typo_rate=0.1
             )
+
+    def test_unrealizable_internetwork_fails_once(self, monkeypatch):
+        """Every (seed, mode) unit shares the internetwork, so a shape
+        that cannot be built raises its TopologyError once, unretried."""
+        import repro.experiments.internetwork as internetwork
+        from repro.experiments import runner
+
+        builds = []
+        original = internetwork.build_internetwork
+
+        def counting_build(net_config):
+            builds.append(net_config)
+            return original(net_config)
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(internetwork, "build_internetwork", counting_build)
+        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+        with pytest.raises(TopologyError, match="no ring of 5 ISPs"):
+            run_robustness_experiment(
+                ExperimentConfig.quick(), n_isps=5, shape="ring",
+                min_interconnections=40,
+            )
+        assert len(builds) == 1
+        assert sleeps == []
 
     def test_paired_requires_both_modes_per_seed(self):
         lonely = RobustUnitRecord(

@@ -68,6 +68,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="max_rounds"):
             MultiSessionCoordinator(_net(2), config=config, max_rounds=0)
 
+    @pytest.mark.parametrize("knob", [
+        "max_rounds", "quarantine_after", "quarantine_backoff_rounds",
+        "quarantine_backoff_cap", "damping_budget",
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_integer_knobs_reject_non_integers(self, config, knob, value):
+        # A bool or float count would run (True = 1 round) or die later
+        # with a bare TypeError from range(); reject it at construction.
+        with pytest.raises(ConfigurationError, match="integer"):
+            MultiSessionCoordinator(
+                _net(2), config=config, **{knob: value}
+            )
+
+    def test_backoff_cap_below_backoff_rejected(self, config):
+        with pytest.raises(ConfigurationError, match="quarantine_backoff_cap"):
+            MultiSessionCoordinator(
+                _net(2), config=config, quarantine_backoff_rounds=3,
+                quarantine_backoff_cap=2,
+            )
+
     def test_bad_transit_scale(self, config):
         with pytest.raises(ConfigurationError, match="transit_scale"):
             MultiSessionCoordinator(

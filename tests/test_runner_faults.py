@@ -8,7 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, RoutingError, SweepUnitError
+from repro.errors import (
+    ConfigurationError,
+    RoutingError,
+    SweepUnitError,
+    TopologyError,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     CORRUPT_SHARD,
@@ -130,12 +135,15 @@ class TestRetries:
         assert _attempts(tmp_path / "log").count("0") == 1
 
     @pytest.mark.parametrize("workers", [None, 2])
-    @pytest.mark.parametrize("error", [ConfigurationError, RoutingError])
+    @pytest.mark.parametrize(
+        "error", [ConfigurationError, TopologyError, RoutingError]
+    )
     def test_deterministic_error_fails_once(
         self, tiny_config, tmp_path, workers, error
     ):
-        """Bad parameters or unroutable topologies fail the same way on
-        every attempt: no retries, and the sweep stops at the first one."""
+        """Bad parameters, unrealizable or unroutable topologies fail the
+        same way on every attempt: no retries, and the sweep stops at the
+        first one."""
         log = tmp_path / "log"
 
         def run_unit(config, params, unit):

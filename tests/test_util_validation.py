@@ -1,10 +1,12 @@
 """Tests for repro.util.validation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.util.validation import (
     check_finite,
+    check_int,
     check_in_range,
     check_non_negative,
     check_positive,
@@ -21,6 +23,26 @@ class TestCheckFinite:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ConfigurationError, match="x"):
             check_finite(bad, "x")
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("good", [3, np.int64(3), np.uint8(3)])
+    def test_accepts_integers_and_coerces(self, good):
+        assert check_int(good, "x", 1) == 3
+        assert type(check_int(good, "x", 1)) is int
+
+    def test_minimum_is_inclusive(self):
+        assert check_int(0, "x", 0) == 0
+        with pytest.raises(ConfigurationError, match="x must be an integer >= 1"):
+            check_int(0, "x", 1)
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), 2.5, 2.0, np.float64(2.0), "2",
+                None],
+    )
+    def test_rejects_bools_and_non_integers(self, bad):
+        with pytest.raises(ConfigurationError, match="x must be an integer"):
+            check_int(bad, "x", 0)
 
 
 class TestCheckPositive:
