@@ -151,3 +151,100 @@ GOLDENS = {
 def test_golden_digest(name):
     result = CASES[name](ExperimentConfig.quick())
     assert result_digest(result) == GOLDENS[name]
+
+
+# -- whole coordinations ------------------------------------------------------
+#
+# The multi-isp goldens hash the sweep's padded (round, edge) grid; these
+# pin what that grid does not show of a MultiSessionCoordinator run: the
+# final choices and defaults, each round's order and color schedule, the
+# stop reason and the per-edge risk report. Wall-clock fields are left out
+# of the projection, since no two runs share them.
+
+
+def _coordination_net(n_isps, shape):
+    from repro.topology.generator import GeneratorConfig
+    from repro.topology.internetwork import (
+        InternetworkConfig,
+        build_internetwork,
+    )
+
+    return build_internetwork(InternetworkConfig(
+        n_isps=n_isps, shape=shape, seed=2005,
+        generator=GeneratorConfig(min_pops=6, max_pops=14),
+    ))
+
+
+def _coordination_projection(coordinator):
+    result = coordinator.run()
+    projection = {
+        "stop_reason": result.stop_reason,
+        "n_colors": result.n_colors,
+        "initial_mel_per_isp": result.initial_mel_per_isp,
+        "rounds": [
+            (r.round_index, r.order, r.color_schedule, r.records)
+            for r in result.rounds
+        ],
+        "choices": result.choices,
+        "defaults": result.defaults,
+    }
+    if coordinator.failure_model is not None:
+        projection["risk_report"] = coordinator.risk_report()
+    return projection
+
+
+def _faulted_ring(config):
+    """Aborts, deadlines, severances, quarantine and the CVaR gate."""
+    from repro.core.faults import FaultPlan
+    from repro.core.multi_session import MultiSessionCoordinator
+    from repro.routing.scenarios import FailureModel
+
+    net = _coordination_net(4, "ring")
+    plan = FaultPlan.seeded(
+        11, n_edges=net.n_edges(), n_rounds=8,
+        n_alternatives=[e.n_interconnections() for e in net.edges],
+        abort_rate=0.2, deadline_rate=0.2, link_failure_rate=0.3,
+    )
+    return _coordination_projection(MultiSessionCoordinator(
+        net, config=config, transit_scale=3.0, order="random", seed=5,
+        max_rounds=8, quarantine_after=1, fault_plan=plan,
+        failure_model=FailureModel(
+            link_probability=0.05, cutoff=1e-4, max_failed=2
+        ),
+        tail_weight=0.5, tail_quantile=0.9,
+    ))
+
+
+def _random_six(config, **kwargs):
+    from repro.core.multi_session import MultiSessionCoordinator
+
+    return _coordination_projection(MultiSessionCoordinator(
+        _coordination_net(6, "random"), config=config, transit_scale=3.0,
+        max_rounds=6, **kwargs,
+    ))
+
+
+COORDINATIONS = {
+    "faulted-ring": _faulted_ring,
+    "random-six": _random_six,
+    # An untriggered ladder and the pooled schedule both equal the serial
+    # default, so they share its digest.
+    "random-six-ladder-pooled": lambda config: _random_six(
+        config, damping="ladder", coord_workers=2
+    ),
+}
+
+COORDINATION_GOLDENS = {
+    "faulted-ring":
+        "a7a7b41c939d74ce5fec66b34eb753eba90a12113db4dc01ffcbaccab4578caf",
+    "random-six":
+        "063b0029f4969b74aa9a0e24815fcf35621b4fcf45a76494acbc1693413dbef8",
+    "random-six-ladder-pooled":
+        "063b0029f4969b74aa9a0e24815fcf35621b4fcf45a76494acbc1693413dbef8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATIONS))
+def test_coordination_digest(name):
+    projection = COORDINATIONS[name](ExperimentConfig.quick())
+    assert result_digest(projection) == COORDINATION_GOLDENS[name]
