@@ -391,6 +391,7 @@ def _multi_isp_round_setup(config: ExperimentConfig):
     from reference.transit import demand_loads
 
     from repro.core.multi_session import MultiSessionCoordinator
+    from repro.routing.interdomain import propagate_interdomain_routes
     from repro.topology.generator import GeneratorConfig
     from repro.topology.internetwork import (
         InternetworkConfig,
@@ -412,14 +413,15 @@ def _multi_isp_round_setup(config: ExperimentConfig):
         key=lambda e: len(index.crossing(e)),
     )
     column = 0
+    routes = propagate_interdomain_routes(net)
+    demands = coordinator._transit_demands(routes)
 
     def fast():
         return index.loads_after(edge, (column,))
 
     def rewalk():
         return demand_loads(
-            net, coordinator._interdomain_routes(), coordinator._routings,
-            coordinator._transit_demands(), {edge: {column}},
+            net, routes, coordinator._routings, demands, {edge: {column}},
         )
 
     after_fast, after_rewalk = fast(), rewalk()
@@ -431,9 +433,10 @@ def _multi_isp_round_setup(config: ExperimentConfig):
 def _damped_redrive_setup(config: ExperimentConfig):
     """Re-driving a flagged coordination in place vs restarting fresh.
 
-    A synthetic involution oscillator: every session flips each flow
-    between its first two alternatives and both endpoint MELs are pinned
-    flat, so an undamped run enters the canonical two-cycle immediately.
+    The shared involution oscillator (``reference.oscillator``): every
+    session flips each flow between its first two alternatives and both
+    endpoint MELs are pinned flat, so an undamped run enters the
+    canonical two-cycle immediately.
     The damped side escalates the ladder once and converges in place —
     one coordinator build plus one extra (all-skip) round. The slow
     side is the operational alternative damping replaces: run to the
@@ -445,8 +448,8 @@ def _damped_redrive_setup(config: ExperimentConfig):
     import logging
     import warnings
 
-    from repro.core.multi_session import MultiSessionCoordinator
-    from repro.core.outcomes import TerminationReason
+    from reference.oscillator import FlipCoordinator
+
     from repro.topology.generator import GeneratorConfig
     from repro.topology.internetwork import (
         InternetworkConfig,
@@ -461,24 +464,6 @@ def _damped_redrive_setup(config: ExperimentConfig):
         n_isps=3, shape="chain", seed=2005,
         generator=GeneratorConfig(min_pops=6, max_pops=10),
     ))
-
-    class FlipCoordinator(MultiSessionCoordinator):
-        def _run_session(self, edge_index, scope, base_a, base_b,
-                         max_session_rounds=None, choices=None):
-            current = (
-                choices if choices is not None
-                else self._choices[edge_index]
-            )
-            flipped = np.where(current[scope] == 0, 1, 0).astype(np.intp)
-            return flipped, TerminationReason.NO_JOINT_GAIN
-
-        def _edge_mels(self, edge_index, choices, base_a, base_b):
-            return 0.0, 0.0
-
-        def _scope(self, edge_index, base_a, base_b):
-            return np.arange(
-                self._tables[edge_index].n_flows, dtype=np.intp
-            )
 
     def coordinator(damping: str) -> FlipCoordinator:
         return FlipCoordinator(

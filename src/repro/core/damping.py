@@ -90,13 +90,14 @@ class DampingConfig:
     perturb_keep: float = 0.5
 
     def __post_init__(self) -> None:
-        from repro.util.validation import check_int, validate_choice
+        from repro.util.validation import (
+            check_int,
+            check_positive,
+            validate_choice,
+        )
 
         validate_choice(self.mode, DAMPING_MODES, "damping")
-        if self.hysteresis_margin <= 0:
-            raise ConfigurationError(
-                f"hysteresis_margin must be > 0, got {self.hysteresis_margin}"
-            )
+        check_positive(self.hysteresis_margin, "hysteresis_margin")
         check_int(self.budget, "damping budget", 0)
         if not 0.0 < self.perturb_keep <= 1.0:
             raise ConfigurationError(

@@ -142,8 +142,14 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {rate}"
                 )
-        if n_edges < 0 or n_rounds < 0:
-            raise ConfigurationError("n_edges and n_rounds must be >= 0")
+        seed = check_int(seed, "seed", 0)
+        n_edges = check_int(n_edges, "n_edges", 0)
+        n_rounds = check_int(n_rounds, "n_rounds", 0)
+        deadline_rounds = check_int(deadline_rounds, "deadline_rounds", 1)
+        if max_failed_per_edge is not None:
+            max_failed_per_edge = check_int(
+                max_failed_per_edge, "max_failed_per_edge", 0
+            )
         alts = (
             [int(n_alternatives)] * n_edges
             if isinstance(n_alternatives, int)

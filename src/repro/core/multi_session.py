@@ -18,8 +18,13 @@ so one edge's agreement shifts the preferences of the next — the
 "interaction between overlapping sessions" the paper's discussion asks
 about. Rounds iterate until a full pass changes nothing (convergence) or a
 round limit hits; re-agreements are Pareto-gated on each ISP's own-network
-MEL, exactly like the bandwidth experiment's continuous renegotiation, so
-the composed system cannot oscillate by construction.
+MEL, exactly like the bandwidth experiment's continuous renegotiation. The
+gate bounds each edge's own trajectory: an adopted re-agreement never
+worsens either endpoint's MEL against the base load it was negotiated
+under. It does not bound the composition. An adoption moves the
+neighbouring edges' base loads, so coupled edges can still cycle (the
+N=100 seed-2005 internetwork runs a two-cycle), and the assignment
+fingerprint check described below catches the revisit.
 
 Performance contract: per-edge tables are built once; every renegotiation
 scope is *derived* from the full table through the structural fast paths
@@ -65,10 +70,10 @@ a :class:`~repro.routing.interdomain.TransitLoadIndex`, so a severance
 re-routes only the transit demands crossing the failed edge (pinned
 bit-identical to re-deriving every demand).
 ``run()`` also instruments convergence: per-round potential (global MEL,
-flows moved), per-color/per-edge wall timings, and oscillation detection
-— a round that moves flows yet lands on a previously seen global
-assignment fingerprint warns :class:`CoordinationOscillationWarning` and
-stops with ``stop_reason="oscillating"``. Under ``order="random"`` the
+flows moved) and oscillation detection — a round that moves flows yet
+lands on a previously seen global assignment fingerprint warns
+:class:`CoordinationOscillationWarning` and stops with
+``stop_reason="oscillating"``. Under ``order="random"`` the
 fingerprint additionally mixes in the order stream's generator state:
 a revisited assignment alone does not imply a cycle while the per-round
 class order still draws from the RNG, so only a revisit of the full
@@ -89,10 +94,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import multiprocessing
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +130,7 @@ from repro.routing.scenarios import FailureModel, enumerate_failure_scenarios
 from repro.geo.cities import default_city_database
 from repro.geo.population import PopulationModel
 from repro.metrics.mel import max_excess_load
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.interdomain import (
@@ -137,7 +142,11 @@ from repro.routing.paths import IntradomainRouting
 from repro.topology.internetwork import Internetwork
 from repro.traffic.gravity import GravityWorkload, pop_gravity_weights
 from repro.util.rng import derive_rng
-from repro.util.validation import check_int, validate_choice
+from repro.util.validation import (
+    check_int,
+    check_non_negative,
+    validate_choice,
+)
 
 __all__ = [
     "EdgeSessionRecord",
@@ -153,10 +162,10 @@ _STOP_REASONS = ("converged", "max_rounds", "quarantined", "oscillating")
 _log = logging.getLogger(__name__)
 
 #: The coordinator a fork-pool worker inherits. Set while a coordinator's
-#: pool is alive; workers read only state that is immutable after
-#: ``__init__`` (tables, capacities, config) — everything mutable travels
-#: in the session payload, so a worker forked in any round computes the
-#: same result.
+#: pool is alive. Workers read tables, working tables, capacities and
+#: config from their forked snapshot and everything else from the session
+#: payload, so a worker forked in any round computes the same result. A
+#: working table changes only on a severance, and pools refuse fault plans.
 _POOL_COORDINATOR: "MultiSessionCoordinator | None" = None
 
 
@@ -205,20 +214,13 @@ class CoordinationRound:
 
     ``order`` is the flat edge visit order (the concatenated colored
     schedule); ``color_schedule`` is the same order grouped by color
-    class, in executed class order. ``color_timings`` holds wall seconds
-    per executed class (including any pool wait) and ``edge_timings``
-    per-edge parent-side seconds — a parallel class attributes its
-    session wall time to the class, not the edges. Timings never enter
-    :class:`EdgeSessionRecord`, so sweep records stay bit-comparable
-    across serial/parallel/resumed runs.
+    class, in executed class order.
     """
 
     round_index: int
     order: tuple[int, ...]
     records: list[EdgeSessionRecord] = field(default_factory=list)
     color_schedule: tuple[tuple[int, ...], ...] = ()
-    color_timings: list[float] = field(default_factory=list)
-    edge_timings: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_sessions(self) -> int:
@@ -307,36 +309,20 @@ class MultiNegotiationResult:
         """Per round: (global MEL after the round, flows moved in it)."""
         return [(r.global_mel, r.n_changed) for r in self.rounds]
 
-    def timing_summary(self) -> dict:
-        """Aggregated wall timings of the coordination.
-
-        ``per_edge`` sums each edge's parent-side slot seconds across
-        rounds; ``per_round_colors`` lists every round's per-class wall
-        seconds in executed class order (a parallel class's session time
-        lives here, not in ``per_edge``).
-        """
-        per_edge: dict[int, float] = {}
-        for round_ in self.rounds:
-            for edge_index, seconds in round_.edge_timings.items():
-                per_edge[edge_index] = per_edge.get(edge_index, 0.0) + seconds
-        return {
-            "per_edge": per_edge,
-            "per_round_colors": [
-                list(round_.color_timings) for round_ in self.rounds
-            ],
-        }
-
 
 @dataclass
 class _SlotDecision:
     """What one slot resolved to *before* its session (if any) runs.
 
-    ``_slot_begin`` reads state and decides; ``_slot_finish`` applies the
-    mutations and emits the record. Splitting the slot this way lets a
-    color class begin every edge against the same frozen snapshot, run
-    the pending sessions concurrently, and drain the finishes in
-    deterministic edge order — while the serial path simply runs
-    begin/session/finish per edge and stays the canonical semantics.
+    ``_slot_begin`` applies the slot's severances, then reads state and
+    decides; ``_slot_finish`` applies the session's mutations and emits
+    the record. Splitting the slot this way lets a color class begin
+    every edge against the same frozen snapshot, run the pending sessions
+    concurrently, and drain the finishes in deterministic edge order —
+    while the serial path runs begin/session/finish per edge and stays
+    the canonical semantics. Only the serial path runs fault plans, so a
+    severance in one edge's begin never lands between a classmate's
+    begin and finish.
     """
 
     edge_index: int
@@ -350,6 +336,91 @@ class _SlotDecision:
     deadline: int | None = None
     set_context: bool = False
     register_failure: bool = False
+
+
+class _Working:
+    """An edge's table after its severances, and what derives from it.
+
+    ``keep`` maps working-table columns to full-table columns and
+    ``inverse`` maps back (-1 for a severed column). With nothing severed
+    the full table is the working table and both maps are identities, so
+    the fault-free path derives nothing. A severance replaces the whole
+    object. The failure model restricted to the survivors and its
+    scenario set are built on first use: only the scenario-aware path
+    reads them.
+    """
+
+    def __init__(
+        self, table: PairCostTable, severed: set[int],
+        failure_model: FailureModel | None,
+    ):
+        n_alternatives = table.n_alternatives
+        self.keep = np.array(
+            [c for c in range(n_alternatives) if c not in severed],
+            dtype=np.intp,
+        )
+        self.inverse = np.full(n_alternatives, -1, dtype=np.intp)
+        self.inverse[self.keep] = np.arange(self.keep.size, dtype=np.intp)
+        self.table = (
+            table.without_alternatives(tuple(sorted(severed)))
+            if severed else table
+        )
+        self._restricted = bool(severed) and failure_model is not None
+        self._failure_model = failure_model
+
+    @cached_property
+    def model(self) -> FailureModel | None:
+        """The failure model induced on the surviving columns."""
+        if not self._restricted:
+            return self._failure_model
+        return self._failure_model.restrict([int(c) for c in self.keep])
+
+    @cached_property
+    def scenarios(self):
+        return enumerate_failure_scenarios(
+            self.table.n_alternatives, self.model
+        )
+
+
+@dataclass(eq=False)
+class _EdgeState:
+    """Everything the coordinator tracks for one peering edge.
+
+    ``context`` is the ``(base_a, base_b)`` pair the edge's last session
+    ran against, or None before its first; it drives the skip and scope
+    decisions. ``force_scope`` bypasses the context skip and widens the
+    scope to every flow after a severance. The edge may run again from
+    round ``quarantined_until`` on; rounds below it are quarantined skips.
+    """
+
+    table: PairCostTable
+    defaults: np.ndarray
+    choices: np.ndarray
+    working: _Working
+    #: Per side: ``link_loads`` of the current choices, dropped on
+    #: adoption. Only one edge's placement changes per slot, so the
+    #: per-slot MEL records sum cached vectors instead of re-running
+    #: full scatter-adds.
+    loads: dict[str, np.ndarray] = field(default_factory=dict)
+    context: tuple[np.ndarray, np.ndarray] | None = None
+    severed: set[int] = field(default_factory=set)
+    force_scope: bool = False
+    fail_streak: int = 0
+    n_quarantines: int = 0
+    quarantined_until: int = 0
+
+    def side_loads(self, side: str) -> np.ndarray:
+        """The current choices' per-link loads on one side, cached."""
+        cached = self.loads.get(side)
+        if cached is None:
+            cached = self.loads[side] = link_loads(
+                self.table, self.choices, side
+            )
+        return cached
+
+    def adopt(self, choices: np.ndarray) -> None:
+        self.choices = choices
+        self.loads = {}
 
 
 class MultiSessionCoordinator:
@@ -419,8 +490,7 @@ class MultiSessionCoordinator:
 
         validate_choice(order, _ORDERS, "order")
         max_rounds = check_int(max_rounds, "max_rounds", 1)
-        if transit_scale < 0:
-            raise ConfigurationError("transit_scale must be >= 0")
+        transit_scale = check_non_negative(transit_scale, "transit_scale")
         quarantine_after = check_int(quarantine_after, "quarantine_after", 1)
         quarantine_backoff_rounds = check_int(
             quarantine_backoff_rounds, "quarantine_backoff_rounds", 1
@@ -486,9 +556,7 @@ class MultiSessionCoordinator:
         self._routings = {
             isp.name: IntradomainRouting(isp) for isp in self.net.isps
         }
-        self._tables = []
-        self._defaults = []
-        self._choices = []
+        self._states: list[_EdgeState] = []
         for edge in self.net.edges:
             flowset = build_full_flowset(edge, self.workload.size_fn(edge))
             table = build_pair_cost_table(
@@ -498,9 +566,12 @@ class MultiSessionCoordinator:
                 self._routings[edge.isp_b.name],
             )
             defaults = early_exit_choices(table)
-            self._tables.append(table)
-            self._defaults.append(defaults)
-            self._choices.append(defaults.copy())
+            self._states.append(_EdgeState(
+                table=table,
+                defaults=defaults,
+                choices=defaults.copy(),
+                working=_Working(table, set(), failure_model),
+            ))
 
         # Capacities are provisioned for the *planned* traffic — each
         # edge's default (early-exit) placement — before transit enters.
@@ -509,14 +580,6 @@ class MultiSessionCoordinator:
         # failure stress, and the sessions negotiate relief. With two ISPs
         # (no transit) this reduces to capacities proportional to the
         # pair's default loads, the bandwidth experiment's exact setup.
-        #: Per edge: cached per-side load vectors of the *current* choices,
-        #: invalidated on adoption. Only one edge's placement can change
-        #: per slot, so the record-keeping (`_isp_loads`/`_mels` on every
-        #: slot) sums cached vectors instead of re-running full
-        #: scatter-adds.
-        self._load_cache: list[dict[str, np.ndarray]] = [
-            {} for _ in range(self.net.n_edges())
-        ]
         self._caps = {}
         for isp in self.net.isps:
             planned = np.zeros(isp.n_links())
@@ -524,19 +587,19 @@ class MultiSessionCoordinator:
                 side = self.net.edge_side(index, isp.name)
                 # choices == defaults here, so this also warms the
                 # per-edge load cache with the default placements.
-                planned = planned + self._edge_side_loads(index, side)
+                planned = planned + self._states[index].side_loads(side)
             self._caps[isp.name] = self.provisioner.capacities(planned)
-        #: Lazily propagated BGP next-hop tables and the canonical transit
-        #: demand list.
-        self._routes = None
-        self._transit_demands_cache: list[TransitDemand] | None = None
         self._transit_index: TransitLoadIndex | None = None
-        if self._has_transit():
+        if (
+            include_transit
+            and transit_scale != 0
+            and self.net.n_isps() >= 3
+            and self.net.n_edges() > 0
+        ):
+            routes = propagate_interdomain_routes(self.net)
             self._transit_index = TransitLoadIndex(
-                self.net,
-                self._interdomain_routes(),
-                self._routings,
-                self._transit_demands(),
+                self.net, routes, self._routings,
+                self._transit_demands(routes),
             )
             self._transit = self._transit_index.loads()
         else:
@@ -551,30 +614,6 @@ class MultiSessionCoordinator:
             seed=self.seed,
         )
         self._pool: ProcessPoolExecutor | None = None
-        #: Per edge: the (base_a, base_b) context of the last session run,
-        #: or None before the first. Drives skip and scope decisions.
-        self._last_context: list[tuple[np.ndarray, np.ndarray] | None] = [
-            None
-        ] * self.net.n_edges()
-        self._negotiated_once = [False] * self.net.n_edges()
-
-        n_edges = self.net.n_edges()
-        #: Permanently severed columns per edge, and the derived working
-        #: (table, keep) / restricted model / scenario set caches they
-        #: invalidate. ``_force_scope`` bypasses the context-skip and
-        #: widens the scope to every flow after a severance.
-        self._severed: list[set[int]] = [set() for _ in range(n_edges)]
-        self._working_cache: list[
-            tuple["PairCostTable", np.ndarray] | None
-        ] = [None] * n_edges
-        self._edge_model_cache: list[FailureModel | None] = [None] * n_edges
-        self._edge_scenarios_cache: list = [None] * n_edges
-        self._force_scope = [False] * n_edges
-        self._fail_streak = [0] * n_edges
-        self._n_quarantines = [0] * n_edges
-        #: First round index at which the edge may run again; rounds
-        #: strictly below it are quarantined skips.
-        self._quarantined_until = [0] * n_edges
         self._validate_fault_plan()
 
     def _validate_fault_plan(self) -> None:
@@ -592,7 +631,7 @@ class MultiSessionCoordinator:
                 )
             if event.kind != "link_failure":
                 continue
-            table = self._tables[event.edge_index]
+            table = self._states[event.edge_index].table
             edge = self.net.edges[event.edge_index]
             for column in event.columns:
                 if column >= table.n_alternatives:
@@ -603,7 +642,7 @@ class MultiSessionCoordinator:
                     )
             cumulative[event.edge_index].update(event.columns)
         for edge_index, columns in enumerate(cumulative):
-            table = self._tables[edge_index]
+            table = self._states[edge_index].table
             if len(columns) >= table.n_alternatives:
                 raise FaultInjectionError(
                     f"fault plan severs every interconnection of edge "
@@ -613,21 +652,7 @@ class MultiSessionCoordinator:
 
     # -- load accounting -----------------------------------------------------
 
-    def _has_transit(self) -> bool:
-        """Whether any transit background exists for this internetwork."""
-        return (
-            self.include_transit
-            and self.transit_scale != 0
-            and self.net.n_isps() >= 3
-            and self.net.n_edges() > 0
-        )
-
-    def _interdomain_routes(self):
-        if self._routes is None:
-            self._routes = propagate_interdomain_routes(self.net)
-        return self._routes
-
-    def _transit_demands(self) -> list[TransitDemand]:
+    def _transit_demands(self, routes) -> list[TransitDemand]:
         """The canonical transit demand list.
 
         One demand per (source PoP, destination ISP) over every ordered
@@ -637,10 +662,7 @@ class MultiSessionCoordinator:
         ISP pairs in member order, source PoPs ascending — the enumeration
         order in which the transit index accumulates its loads.
         """
-        if self._transit_demands_cache is not None:
-            return self._transit_demands_cache
         demands: list[TransitDemand] = []
-        routes = self._interdomain_routes()
         adjacent = {
             frozenset((e.isp_a.name, e.isp_b.name)) for e in self.net.edges
         }
@@ -665,23 +687,7 @@ class MultiSessionCoordinator:
                             volume=float(volumes[pop]),
                         )
                     )
-        self._transit_demands_cache = demands
         return demands
-
-    def _edge_side_loads(self, edge_index: int, side: str) -> np.ndarray:
-        """One edge's current per-link loads on one side, cached.
-
-        The cache entry is exactly ``link_loads`` of the edge's current
-        choices (bit-identical by determinism) and is dropped whenever a
-        new agreement is adopted.
-        """
-        cached = self._load_cache[edge_index].get(side)
-        if cached is None:
-            cached = link_loads(
-                self._tables[edge_index], self._choices[edge_index], side
-            )
-            self._load_cache[edge_index][side] = cached
-        return cached
 
     def _isp_loads(
         self, name: str, exclude_edge: int | None = None
@@ -698,13 +704,21 @@ class MultiSessionCoordinator:
             if index == exclude_edge:
                 continue
             side = self.net.edge_side(index, name)
-            total = total + self._edge_side_loads(index, side)
+            total = total + self._states[index].side_loads(side)
         return total
 
     def _mels(self) -> tuple[float, ...]:
         return tuple(
             max_excess_load(self._isp_loads(name), self._caps[name])
             for name in self.net.names()
+        )
+
+    def _bases(self, edge_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both endpoints' base loads: everything but this edge."""
+        edge = self.net.edges[edge_index]
+        return (
+            self._isp_loads(edge.isp_a.name, exclude_edge=edge_index),
+            self._isp_loads(edge.isp_b.name, exclude_edge=edge_index),
         )
 
     # -- per-edge sessions ----------------------------------------------------
@@ -721,10 +735,11 @@ class MultiSessionCoordinator:
         the compiled incidence (one mask + gather per side), keeping the
         round loop free of ragged scans.
         """
-        table = self._tables[edge_index]
-        if not self._negotiated_once[edge_index]:
+        state = self._states[edge_index]
+        table = state.table
+        if state.context is None:
             return np.arange(table.n_flows, dtype=np.intp)
-        last_a, last_b = self._last_context[edge_index]
+        last_a, last_b = state.context
         affected = np.zeros(table.n_flows, dtype=bool)
         for side, now, before in (("a", base_a, last_a), ("b", base_b, last_b)):
             changed = now != before
@@ -776,20 +791,23 @@ class MultiSessionCoordinator:
         Mirrors the bandwidth experiment's session construction exactly:
         (scenario-aware) load-aware evaluators on both sides, preferences
         reassigned every ``config.reassign_fraction`` of traffic,
-        defaults = the flows' current placements. On an edge with severed
-        columns the sub-table is derived from the working table and the
-        returned choices are mapped back to full-table columns.
-        ``max_session_rounds`` imposes an injected deadline on the inner
-        protocol. Returns ``(choices, termination reason)``.
+        defaults = the flows' current placements. The sub-table is
+        derived from the working table and the returned choices are
+        mapped back to full-table columns (identities while nothing is
+        severed). ``max_session_rounds`` imposes an injected deadline on
+        the inner protocol. Returns ``(choices, termination reason)``.
 
-        Pure given its arguments plus init-immutable state: ``choices``
-        (default: the edge's current placements) exists so fork-pool
-        workers receive the round-current assignment in the payload
-        rather than trusting their forked snapshot.
+        Pure given its arguments plus the edge's table and working state.
+        ``choices`` (default: the edge's current placements) exists so
+        fork-pool workers receive the round-current assignment in the
+        payload rather than trusting their forked snapshot. The working
+        state does come from the snapshot: it changes only on a
+        severance, and pools refuse fault plans.
         """
-        table = self._tables[edge_index]
+        state = self._states[edge_index]
+        table = state.table
         if choices is None:
-            choices = self._choices[edge_index]
+            choices = state.choices
         out_of_scope = np.ones(table.n_flows, dtype=bool)
         out_of_scope[scope] = False
         eval_base_a = link_loads(
@@ -798,30 +816,23 @@ class MultiSessionCoordinator:
         eval_base_b = link_loads(
             table, choices, "b", active=out_of_scope, base=base_b
         )
-        work_table, keep = self._working(edge_index)
-        sub_table = work_table.subset(scope)
-        if self._severed[edge_index]:
-            defaults_sub = self._inverse_keep(edge_index)[choices[scope]]
-        else:
-            defaults_sub = choices[scope]
+        working = state.working
+        sub_table = working.table.subset(scope)
+        defaults_sub = working.inverse[choices[scope]]
         p_range = PreferenceRange(self.config.preference_p)
         edge = self.net.edges[edge_index]
-        model = (
-            None if self.failure_model is None
-            else self._edge_model(edge_index)
-        )
         agent_a = NegotiationAgent(
             "a",
             self._make_evaluator(
                 sub_table, "a", self._caps[edge.isp_a.name],
-                defaults_sub, eval_base_a, p_range, model,
+                defaults_sub, eval_base_a, p_range, working.model,
             ),
         )
         agent_b = NegotiationAgent(
             "b",
             self._make_evaluator(
                 sub_table, "b", self._caps[edge.isp_b.name],
-                defaults_sub, eval_base_b, p_range, model,
+                defaults_sub, eval_base_b, p_range, working.model,
             ),
         )
         session = NegotiationSession(
@@ -837,17 +848,14 @@ class MultiSessionCoordinator:
             ),
         )
         outcome = session.run()
-        sub_choices = outcome.choices
-        if self._severed[edge_index]:
-            sub_choices = keep[sub_choices]
-        return sub_choices, outcome.reason
+        return working.keep[outcome.choices], outcome.reason
 
     def _edge_mels(
         self, edge_index: int, choices: np.ndarray,
         base_a: np.ndarray, base_b: np.ndarray,
     ) -> tuple[float, float]:
         """Both endpoint ISPs' own-network MELs under a candidate placement."""
-        table = self._tables[edge_index]
+        table = self._states[edge_index].table
         edge = self.net.edges[edge_index]
         loads_a = link_loads(table, choices, "a", base=base_a)
         loads_b = link_loads(table, choices, "b", base=base_b)
@@ -867,12 +875,16 @@ class MultiSessionCoordinator:
         """
         from repro.optimal.bandwidth_lp import solve_min_max_load_lp
 
+        edge_index = check_int(edge_index, "edge_index", 0)
+        if edge_index >= self.net.n_edges():
+            raise ConfigurationError(
+                f"edge_index must be < {self.net.n_edges()} (the "
+                f"internetwork's edge count), got {edge_index}"
+            )
         edge = self.net.edges[edge_index]
-        table, _ = self._working(edge_index)
-        base_a = self._isp_loads(edge.isp_a.name, exclude_edge=edge_index)
-        base_b = self._isp_loads(edge.isp_b.name, exclude_edge=edge_index)
+        base_a, base_b = self._bases(edge_index)
         lp = solve_min_max_load_lp(
-            table,
+            self._states[edge_index].working.table,
             self._caps[edge.isp_a.name],
             self._caps[edge.isp_b.name],
             base_a,
@@ -883,64 +895,6 @@ class MultiSessionCoordinator:
 
     # -- fault machinery -------------------------------------------------------
 
-    def _working(self, edge_index: int):
-        """The edge's working (table, keep) after severances, cached.
-
-        With nothing severed the full table itself is the working table
-        (``keep`` is the identity), so the fault-free path derives
-        nothing.
-        """
-        cached = self._working_cache[edge_index]
-        if cached is None:
-            table = self._tables[edge_index]
-            severed = self._severed[edge_index]
-            if not severed:
-                keep = np.arange(table.n_alternatives, dtype=np.intp)
-                cached = (table, keep)
-            else:
-                keep = np.array(
-                    [
-                        c for c in range(table.n_alternatives)
-                        if c not in severed
-                    ],
-                    dtype=np.intp,
-                )
-                cached = (
-                    table.without_alternatives(tuple(sorted(severed))),
-                    keep,
-                )
-            self._working_cache[edge_index] = cached
-        return cached
-
-    def _inverse_keep(self, edge_index: int) -> np.ndarray:
-        """Map full-table column indices to working-table columns."""
-        table = self._tables[edge_index]
-        _, keep = self._working(edge_index)
-        inverse = np.full(table.n_alternatives, -1, dtype=np.intp)
-        inverse[keep] = np.arange(keep.size, dtype=np.intp)
-        return inverse
-
-    def _edge_model(self, edge_index: int) -> FailureModel:
-        """The failure model induced on the edge's surviving columns."""
-        cached = self._edge_model_cache[edge_index]
-        if cached is None:
-            cached = self.failure_model
-            if self._severed[edge_index]:
-                _, keep = self._working(edge_index)
-                cached = cached.restrict([int(c) for c in keep])
-            self._edge_model_cache[edge_index] = cached
-        return cached
-
-    def _edge_scenarios(self, edge_index: int):
-        cached = self._edge_scenarios_cache[edge_index]
-        if cached is None:
-            work_table, _ = self._working(edge_index)
-            cached = enumerate_failure_scenarios(
-                work_table.n_alternatives, self._edge_model(edge_index)
-            )
-            self._edge_scenarios_cache[edge_index] = cached
-        return cached
-
     def _sever_columns(
         self, edge_index: int, columns: tuple[int, ...]
     ) -> int:
@@ -948,36 +902,31 @@ class MultiSessionCoordinator:
 
         Flows stranded on the severed columns re-route to their
         early-exit column among the survivors (the default rule applied
-        to the working table); the edge's derived caches drop and its
-        next slot renegotiates over every flow. Transit background
+        to the working table); the edge's working state is rebuilt and
+        its next slot renegotiates over every flow. Transit background
         crossing the edge re-routes too, incrementally through the
         transit index. Returns the number of re-routed flows.
         """
-        fresh = [
-            c for c in columns if c not in self._severed[edge_index]
-        ]
+        state = self._states[edge_index]
+        fresh = [c for c in columns if c not in state.severed]
         if not fresh:
             return 0
-        self._severed[edge_index].update(fresh)
+        state.severed.update(fresh)
         if self._transit_index is not None:
             self._transit_index.sever(edge_index, fresh)
             self._transit = self._transit_index.loads()
-        self._working_cache[edge_index] = None
-        self._edge_model_cache[edge_index] = None
-        self._edge_scenarios_cache[edge_index] = None
-        self._force_scope[edge_index] = True
-        choices = self._choices[edge_index]
-        stranded = np.isin(
-            choices, np.asarray(sorted(self._severed[edge_index]))
+        state.working = _Working(
+            state.table, state.severed, self.failure_model
         )
+        state.force_scope = True
+        stranded = np.isin(state.choices, np.asarray(sorted(state.severed)))
         n_stranded = int(np.count_nonzero(stranded))
         if n_stranded:
-            work_table, keep = self._working(edge_index)
-            refuge = keep[early_exit_choices(work_table)]
-            rerouted = choices.copy()
+            working = state.working
+            refuge = working.keep[early_exit_choices(working.table)]
+            rerouted = state.choices.copy()
             rerouted[stranded] = refuge[stranded]
-            self._choices[edge_index] = rerouted
-            self._load_cache[edge_index] = {}
+            state.adopt(rerouted)
         return n_stranded
 
     def _register_failure(self, edge_index: int, round_index: int) -> None:
@@ -986,47 +935,59 @@ class MultiSessionCoordinator:
         The backoff doubles per quarantine episode, bounded by
         ``quarantine_backoff_cap``.
         """
-        self._fail_streak[edge_index] += 1
-        if self._fail_streak[edge_index] < self.quarantine_after:
+        state = self._states[edge_index]
+        state.fail_streak += 1
+        if state.fail_streak < self.quarantine_after:
             return
         backoff = min(
-            self.quarantine_backoff_rounds
-            * 2 ** self._n_quarantines[edge_index],
+            self.quarantine_backoff_rounds * 2 ** state.n_quarantines,
             self.quarantine_backoff_cap,
         )
-        self._n_quarantines[edge_index] += 1
-        self._fail_streak[edge_index] = 0
-        self._quarantined_until[edge_index] = round_index + 1 + backoff
+        state.n_quarantines += 1
+        state.fail_streak = 0
+        state.quarantined_until = round_index + 1 + backoff
         _log.warning(
             "edge %s quarantined for %d round(s) after repeated failures",
             self.net.edges[edge_index].name,
             backoff,
         )
 
+    def _tails(
+        self, edge_index: int, choices: np.ndarray,
+        base_a: np.ndarray, base_b: np.ndarray,
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+        """Each endpoint's scenario MEL distribution under a placement.
+
+        Returns one ``(probs, mels)`` pair per side (``a`` then ``b``)
+        over the edge's severance-restricted scenario set, and the set's
+        probability coverage.
+        """
+        working = self._states[edge_index].working
+        sub_choices = working.inverse[choices]
+        scenarios = working.scenarios
+        edge = self.net.edges[edge_index]
+        tails = [
+            scenario_placement_mels(
+                working.table, sub_choices, side, self._caps[isp],
+                scenarios, base=base,
+            )
+            for side, base, isp in (
+                ("a", base_a, edge.isp_a.name),
+                ("b", base_b, edge.isp_b.name),
+            )
+        ]
+        return tails, scenarios.coverage
+
     def _edge_cvars(
         self, edge_index: int, choices: np.ndarray,
         base_a: np.ndarray, base_b: np.ndarray,
     ) -> tuple[float, float]:
         """Both endpoints' CVaR_q own-network MELs for a placement."""
-        work_table, _ = self._working(edge_index)
-        sub_choices = self._inverse_keep(edge_index)[choices]
-        scenario_set = self._edge_scenarios(edge_index)
-        edge = self.net.edges[edge_index]
-        cvars = []
-        for side, base, isp in (
-            ("a", base_a, edge.isp_a.name),
-            ("b", base_b, edge.isp_b.name),
-        ):
-            probs, mels = scenario_placement_mels(
-                work_table, sub_choices, side, self._caps[isp],
-                scenario_set, base=base,
-            )
-            cvars.append(
-                conditional_value_at_risk(
-                    probs, mels, scenario_set.coverage, self.tail_quantile
-                )
-            )
-        return cvars[0], cvars[1]
+        tails, coverage = self._tails(edge_index, choices, base_a, base_b)
+        return tuple(
+            conditional_value_at_risk(p, m, coverage, self.tail_quantile)
+            for p, m in tails
+        )
 
     def risk_report(self) -> list[dict]:
         """Per-edge tail-risk assessment of the current placements.
@@ -1042,48 +1003,28 @@ class MultiSessionCoordinator:
                 "risk_report requires the coordinator's failure_model"
             )
         report = []
+        q = self.tail_quantile
         for edge_index, edge in enumerate(self.net.edges):
-            base_a = self._isp_loads(edge.isp_a.name, exclude_edge=edge_index)
-            base_b = self._isp_loads(edge.isp_b.name, exclude_edge=edge_index)
-            work_table, _ = self._working(edge_index)
-            scenario_set = self._edge_scenarios(edge_index)
-            sub_choices = self._inverse_keep(edge_index)[
-                self._choices[edge_index]
-            ]
-            nominal = self._edge_mels(
-                edge_index, self._choices[edge_index], base_a, base_b
+            state = self._states[edge_index]
+            base_a, base_b = self._bases(edge_index)
+            tails, coverage = self._tails(
+                edge_index, state.choices, base_a, base_b
             )
-            entry = {
+            report.append({
                 "edge": edge.name,
-                "severed": tuple(sorted(self._severed[edge_index])),
-                "nominal": nominal,
-            }
-            for metric in ("expected", "var", "cvar"):
-                entry[metric] = []
-            for side, base, isp in (
-                ("a", base_a, edge.isp_a.name),
-                ("b", base_b, edge.isp_b.name),
-            ):
-                probs, mels = scenario_placement_mels(
-                    work_table, sub_choices, side, self._caps[isp],
-                    scenario_set, base=base,
-                )
-                entry["expected"].append(expected_mel(probs, mels))
-                entry["var"].append(
-                    value_at_risk(
-                        probs, mels, scenario_set.coverage,
-                        self.tail_quantile,
-                    )
-                )
-                entry["cvar"].append(
-                    conditional_value_at_risk(
-                        probs, mels, scenario_set.coverage,
-                        self.tail_quantile,
-                    )
-                )
-            for metric in ("expected", "var", "cvar"):
-                entry[metric] = tuple(entry[metric])
-            report.append(entry)
+                "severed": tuple(sorted(state.severed)),
+                "nominal": self._edge_mels(
+                    edge_index, state.choices, base_a, base_b
+                ),
+                "expected": tuple(expected_mel(p, m) for p, m in tails),
+                "var": tuple(
+                    value_at_risk(p, m, coverage, q) for p, m in tails
+                ),
+                "cvar": tuple(
+                    conditional_value_at_risk(p, m, coverage, q)
+                    for p, m in tails
+                ),
+            })
         return report
 
     # -- the coordination loop -------------------------------------------------
@@ -1114,7 +1055,9 @@ class MultiSessionCoordinator:
         classes = self._coloring.classes
         damping = DampingController(self.damping_config, self.seed)
         self._damping = damping
-        damping.observe(-1, self._assignment_fingerprint(rng), self._choices)
+        damping.observe(
+            -1, self._assignment_fingerprint(rng), self._all_choices()
+        )
         try:
             for round_index in range(self.max_rounds):
                 if stop_reason is not None:
@@ -1130,18 +1073,10 @@ class MultiSessionCoordinator:
                     ),
                     color_schedule=schedule,
                 )
-                slot = 0
                 for group in schedule:
-                    started = time.perf_counter()
-                    round_.records.extend(
-                        self._run_color_class(
-                            round_index, slot, group, round_.edge_timings
-                        )
-                    )
-                    round_.color_timings.append(
-                        time.perf_counter() - started
-                    )
-                    slot += len(group)
+                    round_.records.extend(self._run_color_class(
+                        round_index, len(round_.records), group
+                    ))
                 rounds.append(round_)
                 if round_.n_changed == 0 and all(
                     r.fault is None for r in round_.records
@@ -1152,7 +1087,7 @@ class MultiSessionCoordinator:
                     report = damping.observe(
                         round_index,
                         self._assignment_fingerprint(rng),
-                        self._choices,
+                        self._all_choices(),
                     )
                     if report is not None:
                         if damping.escalate(report):
@@ -1189,7 +1124,7 @@ class MultiSessionCoordinator:
             self._close_pool()
             self._damping = None
         if stop_reason is None:
-            if any(q > len(rounds) for q in self._quarantined_until):
+            if any(s.quarantined_until > len(rounds) for s in self._states):
                 stop_reason = "quarantined"
             else:
                 stop_reason = "max_rounds"
@@ -1207,11 +1142,14 @@ class MultiSessionCoordinator:
             rounds=rounds,
             converged=converged,
             initial_mel_per_isp=initial_mels,
-            choices=[c.copy() for c in self._choices],
-            defaults=[d.copy() for d in self._defaults],
+            choices=[c.copy() for c in self._all_choices()],
+            defaults=[s.defaults.copy() for s in self._states],
             stop_reason=stop_reason,
             n_colors=self._coloring.n_colors,
         )
+
+    def _all_choices(self) -> list[np.ndarray]:
+        return [state.choices for state in self._states]
 
     def _assignment_fingerprint(self, rng=None) -> str:
         """A stable digest of the full per-edge placement state.
@@ -1225,7 +1163,7 @@ class MultiSessionCoordinator:
         coincide under divergent schedules.
         """
         digest = hashlib.sha256()
-        for choices in self._choices:
+        for choices in self._all_choices():
             digest.update(np.ascontiguousarray(choices).tobytes())
         if rng is not None and self.order == "random":
             digest.update(repr(rng.bit_generator.state).encode())
@@ -1234,89 +1172,52 @@ class MultiSessionCoordinator:
     # -- color-class execution -------------------------------------------------
 
     def _run_color_class(
-        self,
-        round_index: int,
-        slot_offset: int,
-        group: tuple[int, ...],
-        edge_timings: dict[int, float],
+        self, round_index: int, slot_offset: int, group: tuple[int, ...],
     ) -> list[EdgeSessionRecord]:
-        """Execute one color class, serially or on the fork pool.
+        """Execute one color class in batches; return its records.
 
-        Serial (canonical): begin / session / finish per edge, ascending.
-        Parallel: begin every edge against the frozen snapshot, run the
-        pending sessions on the pool, then finish in ascending edge order.
-        The two are bit-identical because same-color edges share no ISP:
-        finishing edge ``i`` mutates only its own two ISPs' state, which
-        a classmate's begin/session never reads.
+        A batch begins every edge, runs the pending sessions, then
+        finishes every edge in ascending order. With ``coord_workers > 1``
+        the class is one batch: every edge begins against the same frozen
+        snapshot and the sessions share the pool. Otherwise each edge is
+        its own batch — begin / session / finish per edge, the canonical
+        semantics. The two are bit-identical because same-color edges
+        share no ISP: finishing edge ``i`` mutates only its own two ISPs'
+        state, which a classmate's begin/session never reads.
         """
-        use_pool = self.coord_workers > 1 and len(group) > 1
+        if self.coord_workers > 1:
+            batches = [group]
+        else:
+            batches = [(edge_index,) for edge_index in group]
         records: list[EdgeSessionRecord] = []
-        if not use_pool:
-            for offset, edge_index in enumerate(group):
-                started = time.perf_counter()
-                decision = self._slot_begin(round_index, edge_index)
-                output = None
-                if decision.kind == "session":
-                    output = self._run_session(
-                        edge_index,
-                        decision.scope,
-                        decision.base_a,
-                        decision.base_b,
-                        max_session_rounds=decision.deadline,
-                    )
-                records.append(
-                    self._slot_finish(
-                        round_index, slot_offset + offset, decision, output
-                    )
-                )
-                elapsed = time.perf_counter() - started
-                edge_timings[edge_index] = (
-                    edge_timings.get(edge_index, 0.0) + elapsed
-                )
-            return records
-
-        begun = [
-            (time.perf_counter(), self._slot_begin(round_index, edge_index))
-            for edge_index in group
-        ]
-        decisions = []
-        for started, decision in begun:
-            edge_timings[decision.edge_index] = (
-                edge_timings.get(decision.edge_index, 0.0)
-                + (time.perf_counter() - started)
+        for batch in batches:
+            decisions = [
+                self._slot_begin(round_index, edge_index)
+                for edge_index in batch
+            ]
+            outputs = self._run_sessions(
+                [d for d in decisions if d.kind == "session"]
             )
-            decisions.append(decision)
-        outputs = self._run_sessions(
-            [d for d in decisions if d.kind == "session"]
-        )
-        for offset, decision in enumerate(decisions):
-            started = time.perf_counter()
-            records.append(
-                self._slot_finish(
+            for decision in decisions:
+                records.append(self._slot_finish(
                     round_index,
-                    slot_offset + offset,
+                    slot_offset + len(records),
                     decision,
                     outputs.get(decision.edge_index),
-                )
-            )
-            edge_timings[decision.edge_index] += (
-                time.perf_counter() - started
-            )
+                ))
         return records
 
     def _run_sessions(
         self, decisions: list[_SlotDecision]
     ) -> dict[int, tuple[np.ndarray, TerminationReason]]:
-        """Run the pending sessions of one class, pooled when possible.
+        """Run a batch's pending sessions, pooled when possible.
 
         Each payload carries the edge's round-current mutable state
         (scope, bases, choices); workers combine it with fork-inherited
-        immutable state (tables, capacities, config). Falls back to the
-        serial path when forking is unavailable (non-fork platforms,
-        daemonic parents) or only one session is pending.
+        state (tables, working tables, capacities, config). Runs in
+        process when forking is unavailable (non-fork platforms, daemonic
+        parents) or at most one session is pending.
         """
-        if not decisions:
-            return {}
         pool = self._ensure_pool() if len(decisions) > 1 else None
         if pool is None:
             return {
@@ -1326,16 +1227,12 @@ class MultiSessionCoordinator:
                 )
                 for d in decisions
             }
-        payloads = [
-            (
-                d.edge_index, d.scope, d.base_a, d.base_b, d.deadline,
-                self._choices[d.edge_index],
-            )
-            for d in decisions
-        ]
         futures = [
-            pool.submit(_pool_session_worker, payload)
-            for payload in payloads
+            pool.submit(_pool_session_worker, (
+                d.edge_index, d.scope, d.base_a, d.base_b, d.deadline,
+                self._states[d.edge_index].choices,
+            ))
+            for d in decisions
         ]
         return {
             d.edge_index: future.result()
@@ -1372,15 +1269,17 @@ class MultiSessionCoordinator:
     def _slot_begin(
         self, round_index: int, edge_index: int
     ) -> _SlotDecision:
-        """Resolve one slot up to (but excluding) its session and mutations.
+        """Resolve one slot up to (but excluding) its session.
 
         Applies environmental fault events (severances strike whether or
-        not the edge negotiates), snapshots the edge's base loads, and
-        decides skip vs. session. Reads nothing a same-color classmate's
-        finish could have written, which is what lets a parallel class
-        begin every edge before any finishes.
+        not the edge negotiates, and mutate the edge's state and the
+        transit background), snapshots the edge's base loads, and decides
+        skip vs. session. Apart from those severances it only reads, and
+        it reads nothing a same-color classmate's finish could have
+        written, which is what lets a pooled class begin every edge
+        before any finishes.
         """
-        edge = self.net.edges[edge_index]
+        state = self._states[edge_index]
 
         # Injected link failures land first — they are environmental and
         # strike whether or not the edge gets to negotiate this round.
@@ -1390,8 +1289,7 @@ class MultiSessionCoordinator:
             if event.kind == "link_failure":
                 n_rerouted += self._sever_columns(edge_index, event.columns)
 
-        base_a = self._isp_loads(edge.isp_a.name, exclude_edge=edge_index)
-        base_b = self._isp_loads(edge.isp_b.name, exclude_edge=edge_index)
+        base_a, base_b = self._bases(edge_index)
 
         def skip(**kwargs) -> _SlotDecision:
             return _SlotDecision(
@@ -1400,15 +1298,14 @@ class MultiSessionCoordinator:
                 **kwargs,
             )
 
-        if round_index < self._quarantined_until[edge_index]:
+        if round_index < state.quarantined_until:
             # Benched by backoff; the forced-scope flag (if any) survives
             # until the edge is allowed to run again.
             return skip(fault="quarantined")
 
-        forced = self._force_scope[edge_index]
-        last = self._last_context[edge_index]
+        last = state.context
         if (
-            not forced
+            not state.force_scope
             and last is not None
             and np.array_equal(base_a, last[0])
             and np.array_equal(base_b, last[1])
@@ -1417,10 +1314,10 @@ class MultiSessionCoordinator:
             # the session would reproduce itself. Skip without touching it.
             return skip()
 
-        if forced:
+        if state.force_scope:
             # A severance changed the edge's own table: every flow's
             # preference row is stale, regardless of base-load deltas.
-            scope = np.arange(self._tables[edge_index].n_flows, dtype=np.intp)
+            scope = np.arange(state.table.n_flows, dtype=np.intp)
         else:
             scope = self._scope(edge_index, base_a, base_b)
         if self._damping is not None:
@@ -1471,23 +1368,25 @@ class MultiSessionCoordinator:
         earlier slots, identically in serial and parallel execution.
         """
         edge_index = decision.edge_index
-        edge = self.net.edges[edge_index]
+        state = self._states[edge_index]
 
-        def skip(
+        def record(
             scope_size: int = 0,
             fault: str | None = None,
             ran_session: bool = False,
+            adopted: bool = False,
+            n_changed: int = 0,
         ) -> EdgeSessionRecord:
             mels = self._mels()
             return EdgeSessionRecord(
                 round_index=round_index,
                 slot=slot,
                 edge_index=edge_index,
-                pair_name=edge.name,
+                pair_name=self.net.edges[edge_index].name,
                 scope_size=scope_size,
                 ran_session=ran_session,
-                adopted=False,
-                n_changed=0,
+                adopted=adopted,
+                n_changed=n_changed,
                 mel_per_isp=mels,
                 global_mel=max(mels) if mels else 0.0,
                 fault=fault,
@@ -1498,10 +1397,8 @@ class MultiSessionCoordinator:
             if decision.register_failure:
                 self._register_failure(edge_index, round_index)
             if decision.set_context:
-                self._last_context[edge_index] = (
-                    decision.base_a, decision.base_b
-                )
-            return skip(
+                state.context = (decision.base_a, decision.base_b)
+            return record(
                 scope_size=decision.scope_size, fault=decision.fault
             )
 
@@ -1516,16 +1413,17 @@ class MultiSessionCoordinator:
             # agreement is discarded whole (atomic adoption), exactly as
             # for an abort.
             self._register_failure(edge_index, round_index)
-            return skip(
+            return record(
                 scope_size=int(scope.size), fault="deadline",
                 ran_session=True,
             )
 
-        proposal = self._choices[edge_index].copy()
+        proposal = state.choices.copy()
         proposal[scope] = proposal_sub
 
-        first = not self._negotiated_once[edge_index]
-        if first:
+        if state.context is None:
+            # The edge's first agreement replaces the early-exit defaults
+            # outright.
             adopted = True
         else:
             # Pareto gate, as in continuous renegotiation: adopt only if
@@ -1533,7 +1431,7 @@ class MultiSessionCoordinator:
             # failure model, only if neither endpoint's CVaR_q MEL
             # worsens either (availability cannot silently regress).
             old_a, old_b = self._edge_mels(
-                edge_index, self._choices[edge_index], base_a, base_b
+                edge_index, state.choices, base_a, base_b
             )
             new_a, new_b = self._edge_mels(
                 edge_index, proposal, base_a, base_b
@@ -1554,7 +1452,7 @@ class MultiSessionCoordinator:
                 adopted = new_a <= old_a + _EPS and new_b <= old_b + _EPS
             if adopted and self.failure_model is not None:
                 old_ra, old_rb = self._edge_cvars(
-                    edge_index, self._choices[edge_index], base_a, base_b
+                    edge_index, state.choices, base_a, base_b
                 )
                 new_ra, new_rb = self._edge_cvars(
                     edge_index, proposal, base_a, base_b
@@ -1564,27 +1462,12 @@ class MultiSessionCoordinator:
                 )
         n_changed = 0
         if adopted:
-            n_changed = int(
-                np.count_nonzero(proposal != self._choices[edge_index])
-            )
-            self._choices[edge_index] = proposal
-            self._load_cache[edge_index] = {}
-        self._negotiated_once[edge_index] = True
-        self._last_context[edge_index] = (base_a, base_b)
-        self._force_scope[edge_index] = False
-        self._fail_streak[edge_index] = 0
-        mels = self._mels()
-        return EdgeSessionRecord(
-            round_index=round_index,
-            slot=slot,
-            edge_index=edge_index,
-            pair_name=edge.name,
-            scope_size=int(scope.size),
-            ran_session=True,
-            adopted=adopted,
+            n_changed = int(np.count_nonzero(proposal != state.choices))
+            state.adopt(proposal)
+        state.context = (base_a, base_b)
+        state.force_scope = False
+        state.fail_streak = 0
+        return record(
+            scope_size=int(scope.size), ran_session=True, adopted=adopted,
             n_changed=n_changed,
-            mel_per_isp=mels,
-            global_mel=max(mels) if mels else 0.0,
-            fault=None,
-            n_rerouted=decision.n_rerouted,
         )

@@ -62,12 +62,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         from repro.core.damping import DAMPING_MODES
         from repro.optimal.solver import available_lp_solvers
-        from repro.util.validation import validate_choice
+        from repro.util.validation import check_positive, validate_choice
 
         validate_choice(self.lp_solver, available_lp_solvers(), "lp_solver")
         validate_choice(self.damping, DAMPING_MODES, "damping")
-        if self.hysteresis_margin <= 0:
-            raise ConfigurationError("hysteresis_margin must be > 0")
+        check_positive(self.hysteresis_margin, "hysteresis_margin")
         if self.preference_p < 1:
             raise ConfigurationError("preference_p must be >= 1")
         if self.ratio_unit <= 0:

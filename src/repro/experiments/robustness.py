@@ -43,6 +43,7 @@ from repro.experiments.runner import (
     register_scenario,
     retry_kwargs,
 )
+from repro.util.validation import check_int
 
 __all__ = [
     "RobustUnitRecord",
@@ -153,7 +154,9 @@ class RobustnessExperimentResult:
 
 
 def _robustness_units(config, params):
-    seeds = tuple(int(s) for s in params["fault_seeds"])
+    seeds = tuple(
+        check_int(seed, "fault seed", 0) for seed in params["fault_seeds"]
+    )
     if not seeds:
         raise ConfigurationError(
             "robust_negotiation needs at least one fault seed"
@@ -169,14 +172,14 @@ def _robustness_unit(config, params, unit):
     fault_seed, mode = unit
     net = _internetwork_for(config, params)
     plan = FaultPlan.seeded(
-        int(fault_seed),
+        fault_seed,
         n_edges=net.n_edges(),
-        n_rounds=int(params["rounds"]),
+        n_rounds=params["rounds"],
         n_alternatives=[e.n_interconnections() for e in net.edges],
         abort_rate=float(params["abort_rate"]),
         deadline_rate=float(params["deadline_rate"]),
         link_failure_rate=float(params["link_failure_rate"]),
-        deadline_rounds=int(params["deadline_rounds"]),
+        deadline_rounds=params["deadline_rounds"],
     )
     model = FailureModel(
         link_probability=float(params["link_probability"]),
@@ -187,7 +190,7 @@ def _robustness_unit(config, params, unit):
         net,
         config=config,
         order=str(params["order"]),
-        max_rounds=int(params["rounds"]),
+        max_rounds=params["rounds"],
         include_transit=bool(params["include_transit"]),
         transit_scale=float(params["transit_scale"]),
         fault_plan=plan,
@@ -205,7 +208,7 @@ def _robustness_unit(config, params, unit):
     }
     records = result.records()
     return RobustUnitRecord(
-        fault_seed=int(fault_seed),
+        fault_seed=fault_seed,
         mode=mode,
         stop_reason=result.stop_reason,
         converged=result.converged,

@@ -23,4 +23,9 @@ between a production kernel and its reference here; the golden digests in
 * :mod:`reference.scenario` — scenario-aware scoring over materialized
   per-scenario tables;
 * :mod:`reference.transit` — transit background by walking every demand.
+
+One module holds no reference but a shared fixture:
+:mod:`reference.oscillator` is the one synthetic two-cycle of the multi-ISP
+coordinator (``FlipCoordinator``), which the oscillation and damping tests
+and ``benchmarks/bench_smoke.py``'s damped re-drive kernel all run.
 """

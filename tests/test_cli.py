@@ -139,6 +139,28 @@ class TestErrors:
         assert out.getvalue() == ""
         assert sleeps == []  # a ConfigurationError is never retried
 
+    @pytest.mark.parametrize("flags, knob", [
+        (["--transit-scale", "nan"], "transit_scale"),
+        (["--damping", "ladder", "--hysteresis-margin", "nan"],
+         "hysteresis_margin"),
+    ])
+    def test_non_finite_coordinator_knob_fails_once(
+        self, capsys, monkeypatch, flags, knob
+    ):
+        from repro.experiments import runner
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+        out = io.StringIO()
+        code = main(["multi-isp", "--preset", "quick", *flags], out=out)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert knob in lines[0]
+        assert out.getvalue() == ""
+        assert sleeps == []
+
     def test_removed_engine_flags_are_argparse_errors(self):
         for argv in (
             ["multi-isp", "--transit-engine", "legacy"],

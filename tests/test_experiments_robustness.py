@@ -62,6 +62,18 @@ class TestRobustnessSweep:
                 ExperimentConfig.quick(), typo_rate=0.1
             )
 
+    @pytest.mark.parametrize("override", [
+        {"rounds": 2.5}, {"rounds": True}, {"deadline_rounds": 2.5},
+        {"fault_seeds": (0.7,)},
+    ])
+    def test_integer_params_reject_non_integers(self, override):
+        # Truncating with int() would run 2.5 rounds as 2, True as 1 and
+        # fault seed 0.7 as seed 0.
+        with pytest.raises(ConfigurationError, match="integer"):
+            run_robustness_experiment(
+                ExperimentConfig.quick(), **{**_TINY, **override}
+            )
+
     def test_unrealizable_internetwork_fails_once(self, monkeypatch):
         """Every (seed, mode) unit shares the internetwork, so a shape
         that cannot be built raises its TopologyError once, unretried."""

@@ -151,6 +151,18 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match="per edge"):
             FaultPlan.seeded(0, n_edges=2, n_rounds=1, n_alternatives=[3])
 
+    @pytest.mark.parametrize("knob, value", [
+        ("seed", 0.7), ("seed", True), ("n_edges", 2.5), ("n_rounds", 2.5),
+        ("n_rounds", True), ("n_rounds", -1), ("max_failed_per_edge", 1.5),
+    ])
+    def test_seeded_integer_knobs(self, knob, value):
+        # range() would reject n_rounds=2.5 with a bare TypeError, and
+        # seed=0.7 or n_rounds=True would run.
+        kwargs = dict(seed=0, n_edges=2, n_rounds=2, n_alternatives=3)
+        kwargs[knob] = value
+        with pytest.raises(ConfigurationError, match=knob):
+            FaultPlan.seeded(**kwargs)
+
 
 class TestPlanTopologyValidation:
     def test_edge_out_of_range(self, config):
@@ -168,7 +180,7 @@ class TestPlanTopologyValidation:
     def test_cumulative_sever_all_rejected(self, config):
         net = _net(2)
         coordinator = MultiSessionCoordinator(net, config=config)
-        n_alt = coordinator._tables[0].n_alternatives
+        n_alt = coordinator._states[0].table.n_alternatives
         events = tuple(
             FaultEvent(r, 0, "link_failure", columns=(c,))
             for r, c in enumerate(range(n_alt))
@@ -328,7 +340,7 @@ class TestSeededReplay:
                 n_edges=net.n_edges(),
                 n_rounds=8,
                 n_alternatives=[
-                    t.n_alternatives for t in probe._tables
+                    state.table.n_alternatives for state in probe._states
                 ],
                 abort_rate=0.3,
                 deadline_rate=0.2,
