@@ -18,8 +18,8 @@ from repro.core.agent import NegotiationAgent
 from repro.core.evaluators import StaticCostEvaluator
 from repro.core.mapping import PreferenceMapper
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.errors import ConfigurationError
 from repro.util.rng import RngSource, make_rng
+from repro.util.validation import check_int
 
 __all__ = ["grouped_negotiation_choices"]
 
@@ -35,8 +35,7 @@ def grouped_negotiation_choices(
     config: SessionConfig | None = None,
 ) -> np.ndarray:
     """Negotiate within ``n_groups`` random groups; return merged choices."""
-    if n_groups < 1:
-        raise ConfigurationError(f"n_groups must be >= 1, got {n_groups}")
+    n_groups = check_int(n_groups, "n_groups", 1)
     cost_a = np.asarray(cost_a, dtype=float)
     cost_b = np.asarray(cost_b, dtype=float)
     defaults = np.asarray(defaults, dtype=np.intp)

@@ -30,9 +30,11 @@ by a (scenario, config) fingerprint so an interrupted sweep rerun with
 a different fingerprint refuses to resume). Every sweep-capable command
 also exposes ``--max-retries`` / ``--retry-backoff``, the runner's
 per-unit fault-tolerance knobs. The ``sweep`` subcommand runs any
-registered scenario — ``distance``, ``bandwidth``, ``oscillation``,
-``destination``, ``multi_isp``, ``robust_negotiation`` — and prints its
-summary claims.
+registered scenario — ``availability``, ``distance``, ``bandwidth``,
+``oscillation``, ``destination``, ``multi_isp``, ``robust_negotiation`` —
+at its defaults and prints its summary claims. The other experiment
+verbs' flags store into their scenario's param names and take their
+defaults from its ``default_params``.
 
 ``multi-isp`` runs the multi-ISP coordination sweep (chain / ring /
 random internetworks; chained pairwise sessions with transit background)
@@ -57,10 +59,14 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.experiments.analysis import gain_by_interconnection_count
-from repro.experiments.bandwidth import run_bandwidth_experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.distance import run_distance_experiment
 from repro.experiments.report import format_claims, format_series_table
+from repro.experiments.runner import (
+    ScenarioSpec,
+    SweepRunner,
+    get_scenario,
+    retry_kwargs,
+)
 from repro.optimal.solver import available_lp_solvers
 
 __all__ = ["main", "build_parser"]
@@ -77,6 +83,19 @@ _SWEEP_SCENARIOS = (
     "availability", "distance", "bandwidth", "oscillation", "destination",
     "multi_isp", "robust_negotiation",
 )
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in text.split(",") if item)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in text.split(",") if item)
+
+
+def _commas(values) -> str:
+    """A tuple default as its flag spelling; argparse parses it back."""
+    return ",".join(str(value) for value in values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,50 +134,73 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base retry backoff in seconds, doubling per "
                             "attempt (default: runner default)")
 
-    p_dist = sub.add_parser("distance",
-                            help="Section 5.1: the distance experiment")
-    add_preset(p_dist)
-    add_runner(p_dist)
-    p_dist.add_argument("--cheating", action="store_true",
+    def add_verb(verb: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(verb, **kwargs)
+        add_preset(p)
+        add_runner(p)
+        return p
+
+    def add_shape(p: argparse.ArgumentParser, params) -> None:
+        p.add_argument("--isps", dest="n_isps", type=int,
+                       default=params["n_isps"], metavar="N",
+                       help="how many ISPs (default: %(default)s)")
+        p.add_argument("--shape", choices=("chain", "ring", "random"),
+                       default=params["shape"],
+                       help="internetwork shape (default: %(default)s)")
+
+    params = get_scenario("distance").default_params
+    p_dist = add_verb("distance",
+                      help="Section 5.1: the distance experiment")
+    p_dist.add_argument("--cheating", dest="include_cheating",
+                        action="store_true",
+                        default=params["include_cheating"],
                         help="include the Figure 10 cheating variant")
 
-    p_bw = sub.add_parser("bandwidth",
-                          help="Section 5.2: the bandwidth experiment")
-    add_preset(p_bw)
-    add_runner(p_bw)
-    p_bw.add_argument("--unilateral", action="store_true",
+    params = get_scenario("bandwidth").default_params
+    p_bw = add_verb("bandwidth", help="Section 5.2: the bandwidth experiment")
+    p_bw.add_argument("--unilateral", dest="include_unilateral",
+                      action="store_true",
+                      default=params["include_unilateral"],
                       help="include the Figure 8 unilateral comparison")
-    p_bw.add_argument("--diverse", action="store_true",
+    p_bw.add_argument("--diverse", dest="include_diverse",
+                      action="store_true", default=params["include_diverse"],
                       help="include the Figure 9 diverse-objective variant")
-    p_bw.add_argument("--cheating", action="store_true",
+    p_bw.add_argument("--cheating", dest="include_cheating",
+                      action="store_true", default=params["include_cheating"],
                       help="include the Figure 11 cheating variant")
 
-    p_av = sub.add_parser(
+    params = get_scenario("availability").default_params
+    p_av = add_verb(
         "availability",
         help="probability-weighted MELs under correlated failures "
              "(TeaVAR-style scenario enumeration)",
     )
-    add_preset(p_av)
-    add_runner(p_av)
-    p_av.add_argument("--link-prob", type=float, default=0.01,
-                      metavar="P",
+    p_av.add_argument("--link-prob", dest="link_probability", type=float,
+                      default=params["link_probability"], metavar="P",
                       help="per-interconnection failure probability, in "
-                           "(0, 0.5) (default: 0.01)")
-    p_av.add_argument("--cutoff", type=float, default=1e-6,
+                           "(0, 0.5) (default: %(default)s)")
+    p_av.add_argument("--cutoff", type=float, default=params["cutoff"],
                       help="skip scenarios below this probability "
-                           "(default: 1e-6)")
-    p_av.add_argument("--max-failed", type=int, default=None, metavar="N",
+                           "(default: %(default)s)")
+    p_av.add_argument("--max-failed", type=int,
+                      default=params["max_failed"], metavar="N",
                       help="cap on simultaneously failed risk units "
                            "(default: no cap beyond the cutoff)")
-    p_av.add_argument("--srg", action="append", default=None,
+    # None: the spec's no-groups default (an append flag needs a list).
+    p_av.add_argument("--srg", dest="shared_risk_groups", type=_ints,
+                      action="append", default=None,
                       metavar="I,J[,K...]",
                       help="shared-risk group of interconnection columns "
                            "that fail together; repeatable")
-    p_av.add_argument("--quantiles", default="0.95,0.99",
+    p_av.add_argument("--quantiles", type=_floats,
+                      default=_commas(params["quantiles"]),
                       help="comma-separated VaR/CVaR quantiles "
-                           "(default: 0.95,0.99)")
-    p_av.add_argument("--threshold", type=float, default=1.0,
-                      help="survivability MEL threshold (default: 1.0)")
+                           "(default: %(default)s)")
+    p_av.add_argument("--threshold", dest="survivability_threshold",
+                      type=float, default=params["survivability_threshold"],
+                      metavar="THRESHOLD",
+                      help="survivability MEL threshold "
+                           "(default: %(default)s)")
 
     p_ds = sub.add_parser("dataset", help="build and export the ISP dataset")
     add_preset(p_ds)
@@ -167,99 +209,99 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("figure1", help="run the Figure 1 walkthrough")
 
-    p_multi = sub.add_parser(
+    params = get_scenario("multi_isp").default_params
+    p_multi = add_verb(
         "multi-isp",
         help="chained pairwise negotiation over a multi-ISP internetwork",
     )
-    add_preset(p_multi)
-    add_runner(p_multi)
-    p_multi.add_argument("--isps", type=int, default=4, metavar="N",
-                         help="how many ISPs (default: 4)")
-    p_multi.add_argument("--shape", choices=("chain", "ring", "random"),
-                         default="chain",
-                         help="internetwork shape (default: chain)")
-    p_multi.add_argument("--rounds", type=int, default=4,
-                         help="coordination round limit (default: 4; "
-                              "larger random internetworks can hit it "
-                              "while flows still move, as --isps 20 "
-                              "--shape random does)")
+    add_shape(p_multi, params)
+    p_multi.add_argument("--rounds", type=int, default=params["rounds"],
+                         help="coordination round limit (default: "
+                              "%(default)s; larger random internetworks "
+                              "can hit it while flows still move, as "
+                              "--isps 20 --shape random does)")
     p_multi.add_argument("--order", choices=("round_robin", "random"),
-                         default="round_robin",
-                         help="per-round edge order (default: round_robin)")
-    p_multi.add_argument("--no-transit", action="store_true",
+                         default=params["order"],
+                         help="per-round edge order (default: %(default)s)")
+    p_multi.add_argument("--no-transit", dest="include_transit",
+                         action="store_false",
+                         default=params["include_transit"],
                          help="disable inter-domain transit background")
-    p_multi.add_argument("--transit-scale", type=float, default=3.0,
-                         help="mean per-PoP transit demand (default: 3.0)")
-    p_multi.add_argument("--coord-workers", type=int, default=None,
-                         metavar="W",
+    p_multi.add_argument("--transit-scale", type=float,
+                         default=params["transit_scale"],
+                         help="mean per-PoP transit demand "
+                              "(default: %(default)s)")
+    p_multi.add_argument("--coord-workers", type=int,
+                         default=params["coord_workers"], metavar="W",
                          help="processes per color class inside each "
                               "coordination round (-1: all cores; "
                               "default: serial)")
     p_multi.add_argument("--damping", choices=("off", "ladder"),
-                         default=None,
+                         default=params["damping"],
                          help="oscillation response: off = stop on a "
                               "fingerprint revisit, ladder = escalate "
                               "hysteresis then seeded perturbation "
                               "(default: the config's, normally off)")
-    p_multi.add_argument("--hysteresis-margin", type=float, default=None,
-                         metavar="E",
+    p_multi.add_argument("--hysteresis-margin", type=float,
+                         default=params["hysteresis_margin"], metavar="E",
                          help="required per-endpoint MEL improvement on "
                               "cycle-implicated edges while damping "
                               "hysteresis is armed (default: the "
                               "config's, normally 0.05)")
 
-    p_robust = sub.add_parser(
+    params = get_scenario("robust_negotiation").default_params
+    p_robust = add_verb(
         "robust",
         help="robust negotiation under failure: nominal vs CVaR-aware "
              "agents across seeded fault plans",
     )
-    add_preset(p_robust)
-    add_runner(p_robust)
-    p_robust.add_argument("--isps", type=int, default=3, metavar="N",
-                          help="how many ISPs (default: 3)")
-    p_robust.add_argument("--shape", choices=("chain", "ring", "random"),
-                          default="chain",
-                          help="internetwork shape (default: chain)")
-    p_robust.add_argument("--rounds", type=int, default=6,
-                          help="coordination round limit (default: 6)")
-    p_robust.add_argument("--link-prob", type=float, default=0.05,
+    add_shape(p_robust, params)
+    p_robust.add_argument("--rounds", type=int, default=params["rounds"],
+                          help="coordination round limit "
+                               "(default: %(default)s)")
+    p_robust.add_argument("--link-prob", dest="link_probability",
+                          type=float, default=params["link_probability"],
                           metavar="P",
                           help="per-interconnection failure probability "
-                               "the agents plan against (default: 0.05)")
-    p_robust.add_argument("--cutoff", type=float, default=1e-4,
+                               "the agents plan against "
+                               "(default: %(default)s)")
+    p_robust.add_argument("--cutoff", type=float, default=params["cutoff"],
                           help="scenario enumeration probability cutoff "
-                               "(default: 1e-4)")
-    p_robust.add_argument("--max-failed", type=int, default=2, metavar="N",
+                               "(default: %(default)s)")
+    p_robust.add_argument("--max-failed", type=int,
+                          default=params["max_failed"], metavar="N",
                           help="cap on simultaneously failed columns "
-                               "(default: 2)")
-    p_robust.add_argument("--tail-weight", type=float, default=0.5,
-                          metavar="L",
+                               "(default: %(default)s)")
+    p_robust.add_argument("--tail-weight", type=float,
+                          default=params["tail_weight"], metavar="L",
                           help="CVaR blend weight for the cvar mode "
-                               "(default: 0.5)")
-    p_robust.add_argument("--tail-quantile", type=float, default=0.9,
-                          metavar="Q",
-                          help="CVaR quantile (default: 0.9)")
-    p_robust.add_argument("--fault-seeds", default="0,1,2",
+                               "(default: %(default)s)")
+    p_robust.add_argument("--tail-quantile", type=float,
+                          default=params["tail_quantile"], metavar="Q",
+                          help="CVaR quantile (default: %(default)s)")
+    p_robust.add_argument("--fault-seeds", type=_ints,
+                          default=_commas(params["fault_seeds"]),
                           help="comma-separated fault-plan seeds "
-                               "(default: 0,1,2)")
-    p_robust.add_argument("--abort-rate", type=float, default=0.15,
+                               "(default: %(default)s)")
+    p_robust.add_argument("--abort-rate", type=float,
+                          default=params["abort_rate"],
                           help="per-slot session abort probability "
-                               "(default: 0.15)")
-    p_robust.add_argument("--deadline-rate", type=float, default=0.1,
+                               "(default: %(default)s)")
+    p_robust.add_argument("--deadline-rate", type=float,
+                          default=params["deadline_rate"],
                           help="per-slot deadline-fault probability "
-                               "(default: 0.1)")
-    p_robust.add_argument("--link-failure-rate", type=float, default=0.1,
+                               "(default: %(default)s)")
+    p_robust.add_argument("--link-failure-rate", type=float,
+                          default=params["link_failure_rate"],
                           help="per-slot link-failure probability "
-                               "(default: 0.1)")
+                               "(default: %(default)s)")
 
-    p_sweep = sub.add_parser(
+    p_sweep = add_verb(
         "sweep",
         help="run any registered sweep scenario through the unified runner",
     )
     p_sweep.add_argument("scenario", choices=_SWEEP_SCENARIOS,
                          help="which sweep to run")
-    add_preset(p_sweep)
-    add_runner(p_sweep)
 
     return parser
 
@@ -273,21 +315,28 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _runner_kwargs(args: argparse.Namespace) -> dict:
-    return dict(
+def _sweep(args: argparse.Namespace, spec: ScenarioSpec):
+    """Run ``spec`` with every arg named after one of its params.
+
+    An arg left at ``None`` is skipped, so the spec's default applies.
+    """
+    config = _config(args)
+    params = {
+        name: getattr(args, name)
+        for name in spec.default_params
+        if getattr(args, name, None) is not None
+    }
+    runner = SweepRunner(
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
+        **retry_kwargs(args.max_retries, args.retry_backoff),
     )
+    return runner.run(spec, config, params)
 
 
 def _run_distance(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    result = run_distance_experiment(
-        config, include_cheating=args.cheating, **_runner_kwargs(args)
-    )
+    result = _sweep(args, get_scenario("distance"))
     print(format_series_table(
         "Figure 4a: total % distance gain (CDF over pairs)",
         [result.cdf_total_gain("optimal"), result.cdf_total_gain("negotiated")],
@@ -305,7 +354,7 @@ def _run_distance(args: argparse.Namespace, out) -> int:
          f"{result.fraction_isps_losing('optimal'):.2f} / "
          f"{result.fraction_isps_losing('negotiated'):.2f}"),
     ]
-    if args.cheating:
+    if args.include_cheating:
         claims.append(
             ("median total gain with one cheater",
              f"{result.cdf_total_gain('cheating').median():.2f}%")
@@ -320,14 +369,7 @@ def _run_distance(args: argparse.Namespace, out) -> int:
 
 
 def _run_bandwidth(args: argparse.Namespace, out) -> int:
-    config = _config(args)
-    result = run_bandwidth_experiment(
-        config,
-        include_unilateral=args.unilateral,
-        include_cheating=args.cheating,
-        include_diverse=args.diverse,
-        **_runner_kwargs(args),
-    )
+    result = _sweep(args, get_scenario("bandwidth"))
     print(format_series_table(
         "Figure 7 (left): upstream MEL ratio to optimal (CDF)",
         [result.cdf_ratio("default", "a"), result.cdf_ratio("negotiated", "a")],
@@ -336,17 +378,17 @@ def _run_bandwidth(args: argparse.Namespace, out) -> int:
         "Figure 7 (right): downstream MEL ratio to optimal (CDF)",
         [result.cdf_ratio("default", "b"), result.cdf_ratio("negotiated", "b")],
     ), file=out)
-    if args.unilateral:
+    if args.include_unilateral:
         print(format_series_table(
             "Figure 8: downstream MEL, unilateral / default",
             [result.cdf_unilateral_downstream()],
         ), file=out)
-    if args.diverse:
+    if args.include_diverse:
         print(format_series_table(
             "Figure 9 (right): downstream distance gain %",
             [result.cdf_diverse_downstream_gain()],
         ), file=out)
-    if args.cheating:
+    if args.include_cheating:
         print(format_series_table(
             "Figure 11: MEL ratios with a cheating upstream",
             [result.cdf_ratio("cheating", "a"), result.cdf_ratio("cheating", "b")],
@@ -355,37 +397,20 @@ def _run_bandwidth(args: argparse.Namespace, out) -> int:
 
 
 def _run_availability(args: argparse.Namespace, out) -> int:
-    from repro.experiments.availability import (
-        _availability_summary,
-        run_availability_experiment,
-    )
+    from repro.experiments.availability import _availability_summary
 
-    config = _config(args)
-    quantiles = tuple(float(q) for q in args.quantiles.split(",") if q)
-    srgs = tuple(
-        tuple(int(col) for col in group.split(","))
-        for group in (args.srg or ())
-    )
-    result = run_availability_experiment(
-        config,
-        link_probability=args.link_prob,
-        shared_risk_groups=srgs,
-        cutoff=args.cutoff,
-        max_failed=args.max_failed,
-        quantiles=quantiles,
-        survivability_threshold=args.threshold,
-        **_runner_kwargs(args),
-    )
+    result = _sweep(args, get_scenario("availability"))
     print(format_series_table(
         "expected upstream MEL under correlated failures (CDF over pairs)",
         [result.cdf_expected("default", "a"),
          result.cdf_expected("negotiated", "a")],
     ), file=out)
-    if quantiles:
+    if result.quantiles:
+        q = result.quantiles[-1]
         print(format_series_table(
-            f"upstream CVaR@{quantiles[-1]} (CDF over pairs)",
-            [result.cdf_cvar(quantiles[-1], "default", "a"),
-             result.cdf_cvar(quantiles[-1], "negotiated", "a")],
+            f"upstream CVaR@{q} (CDF over pairs)",
+            [result.cdf_cvar(q, "default", "a"),
+             result.cdf_cvar(q, "negotiated", "a")],
         ), file=out)
     print(format_claims("availability", _availability_summary(result)),
           file=out)
@@ -425,26 +450,11 @@ def _run_figure1(out) -> int:
 
 
 def _run_multi_isp(args: argparse.Namespace, out) -> int:
-    from repro.experiments.internetwork import run_multi_isp_experiment
-
-    config = _config(args)
-    result = run_multi_isp_experiment(
-        config,
-        n_isps=args.isps,
-        shape=args.shape,
-        rounds=args.rounds,
-        order=args.order,
-        include_transit=not args.no_transit,
-        transit_scale=args.transit_scale,
-        coord_workers=args.coord_workers,
-        damping=args.damping,
-        hysteresis_margin=args.hysteresis_margin,
-        **_runner_kwargs(args),
-    )
+    result = _sweep(args, get_scenario("multi_isp"))
     print(f"internetwork: {len(result.isp_names)} ISPs "
           f"({', '.join(result.isp_names)}), "
           f"{len(result.edge_names)} peering edges", file=out)
-    transit_note = "no transit" if args.no_transit else "with transit"
+    transit_note = "with transit" if args.include_transit else "no transit"
     print(f"initial global MEL ({transit_note}): {result.initial_mel:.4f}",
           file=out)
     for round_index in range(result.n_rounds):
@@ -468,52 +478,17 @@ def _run_multi_isp(args: argparse.Namespace, out) -> int:
 
 
 def _run_robust(args: argparse.Namespace, out) -> int:
-    from repro.experiments.robustness import (
-        _robustness_summary,
-        run_robustness_experiment,
-    )
+    from repro.experiments.robustness import _robustness_summary
 
-    config = _config(args)
-    fault_seeds = tuple(
-        int(seed) for seed in args.fault_seeds.split(",") if seed
-    )
-    result = run_robustness_experiment(
-        config,
-        n_isps=args.isps,
-        shape=args.shape,
-        rounds=args.rounds,
-        link_probability=args.link_prob,
-        cutoff=args.cutoff,
-        max_failed=args.max_failed,
-        tail_weight=args.tail_weight,
-        tail_quantile=args.tail_quantile,
-        fault_seeds=fault_seeds,
-        abort_rate=args.abort_rate,
-        deadline_rate=args.deadline_rate,
-        link_failure_rate=args.link_failure_rate,
-        **_runner_kwargs(args),
-    )
+    result = _sweep(args, get_scenario("robust_negotiation"))
     print(format_claims("robust negotiation under failure",
                         _robustness_summary(result)), file=out)
     return 0
 
 
 def _run_sweep(args: argparse.Namespace, out) -> int:
-    from repro.experiments.runner import (
-        SweepRunner,
-        get_scenario,
-        retry_kwargs,
-    )
-
-    config = _config(args)
     spec = get_scenario(args.scenario)
-    runner = SweepRunner(
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        **retry_kwargs(args.max_retries, args.retry_backoff),
-    )
-    aggregate = runner.run(spec, config)
+    aggregate = _sweep(args, spec)
     claims = spec.summarize(aggregate) if spec.summarize else [
         ("result", repr(aggregate))
     ]

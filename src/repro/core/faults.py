@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.util.rng import derive_rng
-from repro.util.validation import check_int
+from repro.util.validation import check_int, check_probability
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjectionError"]
 
@@ -138,10 +138,7 @@ class FaultPlan:
             ("deadline_rate", deadline_rate),
             ("link_failure_rate", link_failure_rate),
         ):
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in [0, 1], got {rate}"
-                )
+            check_probability(rate, name)
         seed = check_int(seed, "seed", 0)
         n_edges = check_int(n_edges, "n_edges", 0)
         n_rounds = check_int(n_rounds, "n_rounds", 0)
@@ -150,11 +147,9 @@ class FaultPlan:
             max_failed_per_edge = check_int(
                 max_failed_per_edge, "max_failed_per_edge", 0
             )
-        alts = (
-            [int(n_alternatives)] * n_edges
-            if isinstance(n_alternatives, int)
-            else [int(a) for a in n_alternatives]
-        )
+        if not isinstance(n_alternatives, (list, tuple)):
+            n_alternatives = [n_alternatives] * n_edges
+        alts = [check_int(a, "n_alternatives", 1) for a in n_alternatives]
         if len(alts) != n_edges:
             raise ConfigurationError(
                 f"n_alternatives lists one entry per edge ({n_edges}), "

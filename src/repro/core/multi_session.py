@@ -143,8 +143,11 @@ from repro.topology.internetwork import Internetwork
 from repro.traffic.gravity import GravityWorkload, pop_gravity_weights
 from repro.util.rng import derive_rng
 from repro.util.validation import (
+    check_bool,
     check_int,
     check_non_negative,
+    check_probability,
+    check_quantile,
     validate_choice,
 )
 
@@ -500,14 +503,9 @@ class MultiSessionCoordinator:
             quarantine_backoff_cap, "quarantine_backoff_cap",
             quarantine_backoff_rounds,
         )
-        if not 0.0 <= tail_weight <= 1.0:
-            raise ConfigurationError(
-                f"tail_weight must be in [0, 1], got {tail_weight}"
-            )
-        if not 0.0 < tail_quantile < 1.0:
-            raise ConfigurationError(
-                f"tail_quantile must be in (0, 1), got {tail_quantile}"
-            )
+        check_bool(include_transit, "include_transit")
+        tail_weight = check_probability(tail_weight, "tail_weight")
+        tail_quantile = check_quantile(tail_quantile, "tail_quantile")
         self.net = internetwork
         if config is None:
             # Imported lazily: core must not depend on the experiments
@@ -534,8 +532,8 @@ class MultiSessionCoordinator:
                 "run fault plans with coord_workers=None"
             )
         self.failure_model = failure_model
-        self.tail_weight = float(tail_weight)
-        self.tail_quantile = float(tail_quantile)
+        self.tail_weight = tail_weight
+        self.tail_quantile = tail_quantile
         self.quarantine_after = quarantine_after
         self.quarantine_backoff_rounds = quarantine_backoff_rounds
         self.quarantine_backoff_cap = quarantine_backoff_cap

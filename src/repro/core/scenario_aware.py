@@ -64,6 +64,7 @@ from repro.routing.scenarios import (
     FailureScenarioSet,
     enumerate_failure_scenarios,
 )
+from repro.util.validation import check_probability, check_quantile
 
 __all__ = [
     "ScenarioAwareEvaluator",
@@ -103,17 +104,9 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         ratio_unit: float = 0.1,
         conservative: bool = True,
     ):
-        if not 0.0 <= tail_weight <= 1.0 or math.isnan(tail_weight):
-            raise ConfigurationError(
-                f"tail_weight must be in [0, 1], got {tail_weight}"
-            )
-        if not 0.0 < tail_quantile < 1.0:
-            raise ConfigurationError(
-                f"tail_quantile must be in (0, 1), got {tail_quantile}"
-            )
         self.model = model
-        self.tail_weight = float(tail_weight)
-        self.tail_quantile = float(tail_quantile)
+        self.tail_weight = check_probability(tail_weight, "tail_weight")
+        self.tail_quantile = check_quantile(tail_quantile, "tail_quantile")
         n_alternatives = table.n_alternatives
         scenario_set = enumerate_failure_scenarios(n_alternatives, model)
         routable = tuple(

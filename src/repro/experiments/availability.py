@@ -81,6 +81,7 @@ from repro.routing.scenarios import (
 from repro.topology.interconnect import IspPair
 from repro.traffic.gravity import GravityWorkload
 from repro.util.cdf import Cdf
+from repro.util.validation import check_finite, check_quantile
 
 __all__ = [
     "ScenarioOutcome",
@@ -415,6 +416,12 @@ def _availability_summary(result: AvailabilityExperimentResult) -> list:
 
 
 def _availability_units(config, params):
+    # Check the failure model, quantiles and threshold before the dataset
+    # is built: the reducer reads the last two only after every unit ran.
+    _failure_model(params)
+    for q in params["quantiles"]:
+        check_quantile(q, "quantile")
+    check_finite(params["survivability_threshold"], "survivability_threshold")
     _, pairs = pairs_for(config, 3, config.max_pairs_bandwidth)
     return list(range(len(pairs)))
 
@@ -464,44 +471,25 @@ AVAILABILITY_SCENARIO = register_scenario(ScenarioSpec(
 
 def run_availability_experiment(
     config: ExperimentConfig | None = None,
-    link_probability: float = 0.01,
-    shared_risk_groups=(),
-    group_probabilities=None,
-    cutoff: float = 1e-6,
-    max_failed: int | None = None,
-    quantiles: tuple[float, ...] = (0.95, 0.99),
-    survivability_threshold: float = 1.0,
-    workload=None,
-    provisioner: ProportionalCapacity | None = None,
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
     max_retries: int | None = None,
     retry_backoff: float | None = None,
+    **params,
 ) -> AvailabilityExperimentResult:
     """Run the availability experiment over the configured dataset.
 
-    Executes through :class:`~repro.experiments.runner.SweepRunner` with
-    the same determinism contract as every sweep: serial, any worker
+    Keyword ``params`` override the ``availability`` scenario's
+    ``default_params``: the failure model (``link_probability``,
+    ``shared_risk_groups``, ``group_probabilities``, ``cutoff``,
+    ``max_failed``), the reported ``quantiles`` and
+    ``survivability_threshold``, and the ``workload`` / ``provisioner``
+    models. Executes through :class:`~repro.experiments.runner.SweepRunner`
+    with the same determinism contract as every sweep: serial, any worker
     count, and any interrupt→resume split produce bit-identical results.
     """
-    params = dict(
-        link_probability=link_probability,
-        shared_risk_groups=tuple(tuple(g) for g in shared_risk_groups),
-        group_probabilities=(
-            None if group_probabilities is None else tuple(group_probabilities)
-        ),
-        cutoff=cutoff,
-        max_failed=max_failed,
-        quantiles=tuple(quantiles),
-        survivability_threshold=survivability_threshold,
-        workload=workload,
-        provisioner=provisioner,
-    )
-    runner_kwargs = dict(
+    return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),
-    )
-    return SweepRunner(**runner_kwargs).run(
-        AVAILABILITY_SCENARIO, config, params
-    )
+    ).run(AVAILABILITY_SCENARIO, config, params)

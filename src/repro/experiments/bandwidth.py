@@ -71,6 +71,7 @@ from repro.routing.flows import build_full_flowset
 from repro.topology.interconnect import IspPair
 from repro.traffic.gravity import GravityWorkload
 from repro.util.cdf import Cdf
+from repro.util.validation import check_bool
 
 __all__ = [
     "BandwidthCaseResult",
@@ -293,6 +294,12 @@ def run_bandwidth_case(
     include_diverse: bool = False,
 ) -> BandwidthCaseResult:
     """Evaluate one interconnection failure (see module docstring)."""
+    for name, flag in (
+        ("include_unilateral", include_unilateral),
+        ("include_cheating", include_cheating),
+        ("include_diverse", include_diverse),
+    ):
+        check_bool(flag, name)
     config = config or ExperimentConfig()
     if isinstance(context_or_pair, IspPair):
         workload = workload or GravityWorkload(
@@ -562,20 +569,18 @@ BANDWIDTH_SCENARIO = register_scenario(ScenarioSpec(
 
 def run_bandwidth_experiment(
     config: ExperimentConfig | None = None,
-    include_unilateral: bool = False,
-    include_cheating: bool = False,
-    include_diverse: bool = False,
-    workload=None,
-    provisioner: ProportionalCapacity | None = None,
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
     max_retries: int | None = None,
     retry_backoff: float | None = None,
+    **params,
 ) -> BandwidthExperimentResult:
     """Run the Section 5.2 experiment over the configured dataset.
 
-    ``workload`` and ``provisioner`` default to the paper's primary models
+    Keyword ``params`` override the ``bandwidth`` scenario's
+    ``default_params``: the three ``include_*`` variants, ``workload`` and
+    ``provisioner``. The last two default to the paper's primary models
     (gravity traffic, capacity proportional to pre-failure load with
     median fill-in); pass alternates for the robustness sweeps.
 
@@ -588,14 +593,6 @@ def run_bandwidth_experiment(
     any worker count produces identical results; custom ``workload`` /
     ``provisioner`` objects must be picklable when ``workers > 1``.
     """
-    config = config or ExperimentConfig()
-    params = dict(
-        include_unilateral=include_unilateral,
-        include_cheating=include_cheating,
-        include_diverse=include_diverse,
-        workload=workload,
-        provisioner=provisioner,
-    )
     return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),

@@ -62,22 +62,24 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         from repro.core.damping import DAMPING_MODES
         from repro.optimal.solver import available_lp_solvers
-        from repro.util.validation import check_positive, validate_choice
+        from repro.util.validation import (
+            check_int,
+            check_positive,
+            validate_choice,
+        )
 
         validate_choice(self.lp_solver, available_lp_solvers(), "lp_solver")
         validate_choice(self.damping, DAMPING_MODES, "damping")
         check_positive(self.hysteresis_margin, "hysteresis_margin")
-        if self.preference_p < 1:
-            raise ConfigurationError("preference_p must be >= 1")
-        if self.ratio_unit <= 0:
-            raise ConfigurationError("ratio_unit must be > 0")
+        check_int(self.preference_p, "preference_p", 1)
+        check_positive(self.ratio_unit, "ratio_unit")
         if not 0 < self.reassign_fraction <= 1:
             raise ConfigurationError("reassign_fraction must be in (0, 1]")
         for name in ("max_pairs_distance", "max_pairs_bandwidth",
                      "max_failures_per_pair"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be >= 1 or None")
+            if value is not None:
+                check_int(value, name, 1)
 
     # -- presets -------------------------------------------------------------
 

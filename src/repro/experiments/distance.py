@@ -47,6 +47,7 @@ from repro.routing.paths import IntradomainRouting
 from repro.topology.interconnect import IspPair
 from repro.util.cdf import Cdf
 from repro.util.rng import derive_rng
+from repro.util.validation import check_bool, check_int
 
 __all__ = [
     "DistanceProblem",
@@ -220,6 +221,7 @@ def run_distance_pair(
     include_cheating: bool = False,
 ) -> DistancePairResult:
     """Run default/optimal/negotiated (+ baselines) for one pair."""
+    check_bool(include_cheating, "include_cheating")
     config = config or ExperimentConfig()
     p_range = PreferenceRange(config.preference_p)
     problem = build_distance_problem(pair)
@@ -387,29 +389,28 @@ DISTANCE_SCENARIO = register_scenario(ScenarioSpec(
 
 def run_distance_experiment(
     config: ExperimentConfig | None = None,
-    include_cheating: bool = False,
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
     max_retries: int | None = None,
     retry_backoff: float | None = None,
+    **params,
 ) -> DistanceExperimentResult:
     """Run the Section 5.1 experiment over the configured dataset.
 
-    Executes through the unified :class:`~repro.experiments.runner.SweepRunner`:
-    ``workers`` parallelizes at pair granularity with a shared-dataset warm
-    start, and ``checkpoint_dir`` / ``resume`` persist per-pair results for
+    Keyword ``params`` override the ``distance`` scenario's
+    ``default_params`` (``include_cheating``). Executes through the
+    unified :class:`~repro.experiments.runner.SweepRunner`: ``workers``
+    parallelizes at pair granularity with a shared-dataset warm start, and
+    ``checkpoint_dir`` / ``resume`` persist per-pair results for
     restartable sweeps. Each pair is an independent, config-seeded
     computation and results are collected in pair order, so any worker
     count produces identical results.
     """
-    config = config or ExperimentConfig()
     return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),
-    ).run(
-        DISTANCE_SCENARIO, config, {"include_cheating": include_cheating}
-    )
+    ).run(DISTANCE_SCENARIO, config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +430,7 @@ def _memo_distance_problem(pair: IspPair) -> DistanceProblem:
 
 
 def _grouped_units(config, params):
-    return [int(n) for n in params["group_counts"]]
+    return [check_int(n, "n_groups", 1) for n in params["group_counts"]]
 
 
 def _grouped_unit(config, params, n_groups):
@@ -466,6 +467,7 @@ GROUPED_SCENARIO = register_scenario(ScenarioSpec(
     enumerate_units=_grouped_units,
     run_unit=_grouped_unit,
     reduce=_grouped_reduce,
+    default_params={"pair": None, "group_counts": ()},
     summarize=_grouped_summary,
     uses_dataset=False,  # the pair travels in params; no dataset reads
 ))

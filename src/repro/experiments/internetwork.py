@@ -45,15 +45,27 @@ __all__ = [
     "MULTI_ISP_SCENARIO",
 ]
 
+#: Params that shape the internetwork itself, with
+#: :class:`InternetworkConfig`'s defaults (the ``multi_isp`` and
+#: ``robust_negotiation`` sweeps share them).
+_SHAPE_DEFAULTS: dict[str, Any] = {
+    key: getattr(InternetworkConfig, key)
+    for key in (
+        "n_isps", "shape", "min_interconnections", "max_interconnections",
+        "pool_size", "peering_probability",
+    )
+}
+
+#: Params passed through to the coordinator under their own names.
+_COORDINATOR_KEYS = (
+    "order", "include_transit", "transit_scale", "coord_workers",
+    "damping", "hysteresis_margin",
+)
+
 _MULTI_ISP_DEFAULTS: dict[str, Any] = {
-    "n_isps": 4,
-    "shape": "chain",
+    **_SHAPE_DEFAULTS,
     "rounds": 4,
     "order": "round_robin",
-    "min_interconnections": 2,
-    "max_interconnections": 8,
-    "pool_size": None,
-    "peering_probability": 0.5,
     "include_transit": True,
     "transit_scale": 3.0,
     "coord_workers": None,
@@ -62,12 +74,6 @@ _MULTI_ISP_DEFAULTS: dict[str, Any] = {
     "damping": None,
     "hysteresis_margin": None,
 }
-
-#: Params that shape the internetwork itself (vs. the coordination).
-_SHAPE_PARAM_KEYS = (
-    "n_isps", "shape", "min_interconnections", "max_interconnections",
-    "pool_size", "peering_probability",
-)
 
 #: Built internetworks, memoized per process: the robustness sweep's
 #: (seed, mode) units all coordinate over the same one.
@@ -79,14 +85,9 @@ def _internetwork_config(
     config: ExperimentConfig, params: Mapping[str, Any]
 ) -> InternetworkConfig:
     return InternetworkConfig(
-        n_isps=int(params["n_isps"]),
-        shape=str(params["shape"]),
         seed=config.dataset.seed,
-        pool_size=params["pool_size"],
-        min_interconnections=int(params["min_interconnections"]),
-        max_interconnections=params["max_interconnections"],
-        peering_probability=float(params["peering_probability"]),
         generator=config.dataset.generator,
+        **{key: params[key] for key in _SHAPE_DEFAULTS},
     )
 
 
@@ -239,14 +240,9 @@ def _multi_isp_unit(config, params, unit):
         config,
         internetwork=_internetwork_for(config, params),
         max_rounds=params["rounds"],
-        order=str(params["order"]),
-        include_transit=bool(params["include_transit"]),
-        transit_scale=float(params["transit_scale"]),
-        coord_workers=params["coord_workers"],
-        damping=params["damping"],
-        hysteresis_margin=params["hysteresis_margin"],
+        **{key: params[key] for key in _COORDINATOR_KEYS},
     )
-    n_rounds = int(params["rounds"])
+    n_rounds = params["rounds"]
     records = _grid_records(result, n_rounds)
     return MultiIspExperimentResult(
         isp_names=result.isp_names,
@@ -316,7 +312,7 @@ def run_multi_isp(
     config = config or ExperimentConfig()
     params = dict(_MULTI_ISP_DEFAULTS)
     shape_kwargs = {}
-    for key in _SHAPE_PARAM_KEYS:
+    for key in _SHAPE_DEFAULTS:
         if key in coordinator_kwargs:
             shape_kwargs[key] = params[key] = coordinator_kwargs.pop(key)
     if internetwork is None:
@@ -331,10 +327,7 @@ def run_multi_isp(
     # Backfill the scenario defaults so the direct path and the registered
     # multi_isp sweep run the identical scenario out of the box.
     coordinator_kwargs.setdefault("max_rounds", _MULTI_ISP_DEFAULTS["rounds"])
-    for key in (
-        "order", "include_transit", "transit_scale", "coord_workers",
-        "damping", "hysteresis_margin",
-    ):
+    for key in _COORDINATOR_KEYS:
         coordinator_kwargs.setdefault(key, _MULTI_ISP_DEFAULTS[key])
     return MultiSessionCoordinator(
         internetwork, config=config, **coordinator_kwargs
@@ -343,51 +336,29 @@ def run_multi_isp(
 
 def run_multi_isp_experiment(
     config: ExperimentConfig | None = None,
-    n_isps: int = 4,
-    shape: str = "chain",
-    rounds: int = 4,
-    order: str = "round_robin",
-    min_interconnections: int = 2,
-    max_interconnections: int | None = 8,
-    pool_size: int | None = None,
-    peering_probability: float = 0.5,
-    include_transit: bool = True,
-    transit_scale: float = 3.0,
-    coord_workers: int | None = None,
-    damping: str | None = None,
-    hysteresis_margin: float | None = None,
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
     max_retries: int | None = None,
     retry_backoff: float | None = None,
+    **params,
 ) -> MultiIspExperimentResult:
     """Run the multi-ISP convergence sweep through the unified runner.
+
+    Keyword ``params`` override :data:`MULTI_ISP_SCENARIO`'s
+    ``default_params``: the internetwork's shape (``n_isps``, ``shape``,
+    ...), the coordination (``rounds``, ``order``, ``include_transit``,
+    ``transit_scale``, ``coord_workers``) and ``damping`` /
+    ``hysteresis_margin``, which select the oscillation response (see
+    :mod:`repro.core.damping`); ``None`` inherits the config's values.
 
     The sweep is one unit, the whole coordination, returned as its padded
     (round, edge) grid; ``checkpoint_dir`` / ``resume`` persist that
     unit's shard. ``workers`` follows the runner contract, but a one-unit
     sweep runs serially: ``coord_workers`` is what parallelizes a
     coordination, running each color class on a fork pool, bit-identical
-    to serial. ``damping`` / ``hysteresis_margin`` select the oscillation
-    response (see :mod:`repro.core.damping`); ``None`` inherits the
-    config's values.
+    to serial.
     """
-    params = dict(
-        n_isps=n_isps,
-        shape=shape,
-        rounds=rounds,
-        order=order,
-        min_interconnections=min_interconnections,
-        max_interconnections=max_interconnections,
-        pool_size=pool_size,
-        peering_probability=peering_probability,
-        include_transit=include_transit,
-        transit_scale=transit_scale,
-        coord_workers=coord_workers,
-        damping=damping,
-        hysteresis_margin=hysteresis_margin,
-    )
     return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),

@@ -27,17 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.capacity.loads import link_loads
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import pairs_for
 from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
+    retry_kwargs,
 )
 from repro.metrics.mel import max_excess_load
 from repro.routing.costs import PairCostTable
 from repro.routing.exits import early_exit_choices
+from repro.util.validation import check_int
 
 __all__ = [
     "BestResponseStep",
@@ -127,8 +128,7 @@ def simulate_best_response(
     behaviour of Section 2). A revisited (actor, placement) state is an
     oscillation; a double pass with no profitable move is stability.
     """
-    if max_steps < 1:
-        raise ConfigurationError("max_steps must be >= 1")
+    check_int(max_steps, "max_steps", 1)
     n_links_a = table.pair.isp_a.n_links()
     n_links_b = table.pair.isp_b.n_links()
     base_a = np.zeros(n_links_a) if base_a is None else np.asarray(base_a, float)
@@ -233,6 +233,7 @@ def run_oscillation_pair(
     from repro.geo.population import PopulationModel
     from repro.traffic.gravity import GravityWorkload
 
+    check_int(max_steps, "max_steps", 1)
     config = config or ExperimentConfig()
     if workload is None:
         from repro.geo.cities import default_city_database
@@ -316,17 +317,21 @@ OSCILLATION_SCENARIO = register_scenario(ScenarioSpec(
 def run_oscillation_experiment(
     config: ExperimentConfig | None = None,
     workers: int | None = None,
-    max_steps: int = 12,
     checkpoint_dir=None,
     resume: bool = False,
+    max_retries: int | None = None,
+    retry_backoff: float | None = None,
+    **params,
 ) -> OscillationExperimentResult:
     """Sweep :func:`run_oscillation_pair` over the dataset's pairs.
 
-    Runs through the unified sweep runner: pair-granular parallelism with
-    a shared-dataset warm start, optional checkpoint/resume, and
-    worker-count invariance (each trajectory is a pure function of the
-    config).
+    Keyword ``params`` override the ``oscillation`` scenario's
+    ``default_params`` (``max_steps``, ``workload``). Runs through the
+    unified sweep runner: pair-granular parallelism with a shared-dataset
+    warm start, optional checkpoint/resume, and worker-count invariance
+    (each trajectory is a pure function of the config).
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
-    ).run(OSCILLATION_SCENARIO, config, {"max_steps": max_steps})
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
+        **retry_kwargs(max_retries, retry_backoff),
+    ).run(OSCILLATION_SCENARIO, config, params)

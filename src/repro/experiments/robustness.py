@@ -36,7 +36,7 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.internetwork import _internetwork_for
+from repro.experiments.internetwork import _SHAPE_DEFAULTS, _internetwork_for
 from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
@@ -56,12 +56,8 @@ _MODES = ("nominal", "cvar")
 
 _ROBUSTNESS_DEFAULTS: dict[str, Any] = {
     # Internetwork shape (shared with the multi_isp scenario's builder).
+    **_SHAPE_DEFAULTS,
     "n_isps": 3,
-    "shape": "chain",
-    "min_interconnections": 2,
-    "max_interconnections": 8,
-    "pool_size": None,
-    "peering_probability": 0.5,
     # Coordination.
     "rounds": 6,
     "order": "round_robin",
@@ -176,29 +172,27 @@ def _robustness_unit(config, params, unit):
         n_edges=net.n_edges(),
         n_rounds=params["rounds"],
         n_alternatives=[e.n_interconnections() for e in net.edges],
-        abort_rate=float(params["abort_rate"]),
-        deadline_rate=float(params["deadline_rate"]),
-        link_failure_rate=float(params["link_failure_rate"]),
+        abort_rate=params["abort_rate"],
+        deadline_rate=params["deadline_rate"],
+        link_failure_rate=params["link_failure_rate"],
         deadline_rounds=params["deadline_rounds"],
     )
     model = FailureModel(
-        link_probability=float(params["link_probability"]),
-        cutoff=float(params["cutoff"]),
+        link_probability=params["link_probability"],
+        cutoff=params["cutoff"],
         max_failed=params["max_failed"],
     )
     coordinator = MultiSessionCoordinator(
         net,
         config=config,
-        order=str(params["order"]),
+        order=params["order"],
         max_rounds=params["rounds"],
-        include_transit=bool(params["include_transit"]),
-        transit_scale=float(params["transit_scale"]),
+        include_transit=params["include_transit"],
+        transit_scale=params["transit_scale"],
         fault_plan=plan,
         failure_model=model,
-        tail_weight=(
-            0.0 if mode == "nominal" else float(params["tail_weight"])
-        ),
-        tail_quantile=float(params["tail_quantile"]),
+        tail_weight=0.0 if mode == "nominal" else params["tail_weight"],
+        tail_quantile=params["tail_quantile"],
     )
     result = coordinator.run()
     report = coordinator.risk_report()
@@ -225,7 +219,7 @@ def _robustness_unit(config, params, unit):
 
 def _robustness_reduce(config, params, results):
     return RobustnessExperimentResult(
-        tail_quantile=float(params["tail_quantile"]),
+        tail_quantile=params["tail_quantile"],
         records=list(results),
     )
 
@@ -283,11 +277,6 @@ def run_robustness_experiment(
     mode) cells; any worker count, interrupt/resume split, or serial run
     produces bit-identical results.
     """
-    unknown = sorted(set(params) - set(_ROBUSTNESS_DEFAULTS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown robust_negotiation params: {', '.join(unknown)}"
-        )
     return SweepRunner(
         workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
         **retry_kwargs(max_retries, retry_backoff),

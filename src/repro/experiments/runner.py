@@ -14,9 +14,9 @@ ordered reducer — and executed by a :class:`SweepRunner` that owns:
 * **shared-dataset warm start** — before a parallel run the runner builds
   the dataset once in the parent and primes the per-process cache
   (:func:`~repro.experiments.parallel.warm_dataset`); on fork platforms
-  the pool inherits it copy-on-write, so workers no longer rebuild the
-  dataset each (the ROADMAP's open item). Spawn platforms fall back to
-  the bounded per-process cache;
+  the pool inherits it copy-on-write, so workers do not rebuild the
+  dataset each. Spawn platforms fall back to the bounded per-process
+  cache;
 * **checkpointing** — with ``checkpoint_dir`` set, each unit's result is
   pickled to its own shard as soon as it completes, keyed by a fingerprint
   of (scenario, config, params) from
@@ -33,8 +33,14 @@ bit-identical aggregates. The equivalence tests assert this against plain
 loops over the per-unit functions.
 
 Scenarios register themselves by name (``distance``, ``bandwidth``,
-``grouped``, ``oscillation``, ``destination``) so the CLI ``sweep``
-subcommand and pickled worker payloads can resolve them lazily.
+``grouped``, ``availability``, ``oscillation``, ``destination``,
+``multi_isp``, ``robust_negotiation``) so the CLI ``sweep`` subcommand
+and pickled worker payloads can resolve them lazily.
+
+A spec's ``default_params`` is the one statement of the params its
+sweep takes and their defaults: :meth:`SweepRunner.run` refuses any
+other name, the ``run_*_experiment`` wrappers forward their keyword
+params unchanged, and the CLI flags read their defaults from it.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from repro.experiments.parallel import (
     warm_dataset,
 )
 from repro.topology.serialization import stable_fingerprint
+from repro.util.validation import check_int, check_non_negative
 
 _log = logging.getLogger(__name__)
 
@@ -115,7 +122,9 @@ class ScenarioSpec:
             any process and any order. Results must be picklable for
             parallel execution and checkpointing.
         reduce: ``(config, params, ordered_results) -> aggregate``.
-        default_params: defaults merged under the caller's ``params``.
+        default_params: every param the scenario takes, with its
+            default; merged under the caller's ``params``, which may name
+            no other key.
         summarize: optional ``aggregate -> [(claim, value), ...]`` used by
             the CLI ``sweep`` subcommand's report.
         uses_dataset: whether workers read the experiment dataset
@@ -376,10 +385,8 @@ class SweepRunner:
     retry_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ConfigurationError("retry_backoff_s must be >= 0")
+        check_int(self.max_retries, "max_retries", 0)
+        check_non_negative(self.retry_backoff_s, "retry_backoff_s")
 
     def _backoff(self, attempt: int) -> None:
         delay = min(self.retry_backoff_s * 2 ** (attempt - 1), 1.0)
@@ -392,7 +399,11 @@ class SweepRunner:
         config: ExperimentConfig | None = None,
         params: Mapping[str, Any] | None = None,
     ) -> Any:
-        """Execute a sweep and return the reduced aggregate."""
+        """Execute a sweep and return the reduced aggregate.
+
+        Raises :class:`~repro.errors.ConfigurationError` before any unit
+        runs if ``params`` names a key ``spec.default_params`` lacks.
+        """
         if isinstance(spec, str):
             spec = get_scenario(spec)
         if self.resume and self.checkpoint_dir is None:
@@ -400,8 +411,14 @@ class SweepRunner:
                 "resume=True requires a checkpoint_dir — without one the "
                 "sweep would silently recompute from scratch"
             )
+        params = params or {}
+        unknown = sorted(set(params) - set(spec.default_params))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {spec.name} params: {', '.join(unknown)}"
+            )
         config = config or ExperimentConfig()
-        merged = {**spec.default_params, **(params or {})}
+        merged = {**spec.default_params, **params}
         n_workers = resolve_workers(self.workers)
 
         units = list(spec.enumerate_units(config, merged))

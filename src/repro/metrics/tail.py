@@ -37,6 +37,7 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.validation import check_quantile
 
 __all__ = [
     "expected_mel",
@@ -81,10 +82,7 @@ def value_at_risk(
     probs: np.ndarray, mels: np.ndarray, coverage: float, quantile: float
 ) -> float:
     """Smallest MEL ``m`` with ``P(MEL <= m) >= quantile``."""
-    if not 0.0 < quantile < 1.0:
-        raise ConfigurationError(
-            f"quantile must be in (0, 1), got {quantile}"
-        )
+    quantile = check_quantile(quantile, "quantile")
     mels, probs = _tail_distribution(probs, mels, coverage)
     cum = np.cumsum(probs)
     idx = int(np.searchsorted(cum, quantile - 1e-12))
@@ -99,10 +97,7 @@ def conditional_value_at_risk(
     The atom straddling the quantile is split, so
     ``CVaR = (1/(1-q)) * E[(MEL) over the q..1 tail]`` exactly.
     """
-    if not 0.0 < quantile < 1.0:
-        raise ConfigurationError(
-            f"quantile must be in (0, 1), got {quantile}"
-        )
+    quantile = check_quantile(quantile, "quantile")
     mels, probs = _tail_distribution(probs, mels, coverage)
     cum = np.cumsum(probs)
     total = float(cum[-1])
@@ -138,10 +133,7 @@ def cvar_matrix(
     Where a candidate's total mass does not exceed ``quantile`` the CVaR
     degenerates to its worst value, matching the scalar function.
     """
-    if not 0.0 < quantile < 1.0:
-        raise ConfigurationError(
-            f"quantile must be in (0, 1), got {quantile}"
-        )
+    quantile = check_quantile(quantile, "quantile")
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if values.ndim < 1 or values.shape[0] == 0:

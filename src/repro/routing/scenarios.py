@@ -39,13 +39,14 @@ skip the negotiation for that scope) rather than derive a table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.routing.costs import PairCostTable
+from repro.util.validation import check_finite, check_int
 
 __all__ = [
     "FailureModel",
@@ -90,12 +91,12 @@ class FailureModel:
     max_failed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cutoff <= 1.0:
+        if not 0.0 < check_finite(self.cutoff, "cutoff") <= 1.0:
             raise ConfigurationError(
                 f"cutoff must be in (0, 1], got {self.cutoff}"
             )
-        if self.max_failed is not None and self.max_failed < 0:
-            raise ConfigurationError("max_failed must be >= 0 or None")
+        if self.max_failed is not None:
+            check_int(self.max_failed, "max_failed", 0)
         if self.group_probabilities is not None and len(
             self.group_probabilities
         ) != len(self.shared_risk_groups):
@@ -105,17 +106,18 @@ class FailureModel:
                 f"{len(self.shared_risk_groups)} groups)"
             )
         # Name every offending probability: which field, which unit, what
-        # value (NaN/inf included — they fail the range comparison), in
-        # the same offender-naming style as the derive-path index checks.
+        # value (NaN/inf and non-numbers included — they fail the range
+        # comparison), in the same offender-naming style as the
+        # derive-path index checks.
         offenders = [
-            f"{label}={p}"
+            f"{label}={p!r}"
             for label, p in self._labelled_probabilities()
-            if math.isnan(p) or not 0.0 < p < 0.5
+            if not (isinstance(p, Real) and 0.0 < p < 0.5)
         ]
         if offenders:
             raise ConfigurationError(
-                "failure probabilities must be finite and in (0, 0.5) for "
-                "the enumeration's pruning rule to hold; offending: "
+                "failure probabilities must be real numbers in (0, 0.5) "
+                "for the enumeration's pruning rule to hold; offending: "
                 + ", ".join(offenders)
             )
         seen: dict[int, int] = {}
@@ -135,11 +137,11 @@ class FailureModel:
 
     def _labelled_probabilities(self) -> list[tuple[str, float]]:
         """Every configured probability with the name of its unit."""
-        labelled = [("link_probability", float(self.link_probability))]
+        labelled = [("link_probability", self.link_probability)]
         for i, p in enumerate(self.link_probabilities or ()):
-            labelled.append((f"link_probabilities[{i}]", float(p)))
+            labelled.append((f"link_probabilities[{i}]", p))
         for g, p in enumerate(self.group_probabilities or ()):
-            labelled.append((f"group_probabilities[{g}]", float(p)))
+            labelled.append((f"group_probabilities[{g}]", p))
         return labelled
 
     def restrict(self, surviving: "tuple[int, ...] | list[int]") -> "FailureModel":

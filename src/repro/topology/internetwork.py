@@ -34,6 +34,7 @@ from repro.topology.generator import GeneratorConfig, TopologyGenerator
 from repro.topology.interconnect import IspPair, find_isp_pairs
 from repro.topology.isp import ISPTopology, spanning_forest
 from repro.util.rng import derive_rng
+from repro.util.validation import check_int, check_probability, validate_choice
 
 __all__ = ["InternetworkConfig", "Internetwork", "build_internetwork"]
 
@@ -78,22 +79,16 @@ class InternetworkConfig:
     name_prefix: str = "isp"
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
-            raise ConfigurationError(
-                f"shape must be one of {_SHAPES}, got {self.shape!r}"
-            )
-        if self.n_isps < 2:
-            raise ConfigurationError("n_isps must be >= 2")
+        validate_choice(self.shape, _SHAPES, "shape")
+        check_int(self.n_isps, "n_isps", 2)
         if self.shape == "ring" and self.n_isps < 3:
             raise ConfigurationError("a ring needs n_isps >= 3")
-        if self.pool_size is not None and self.pool_size < self.n_isps:
-            raise ConfigurationError("pool_size must be >= n_isps")
-        if self.min_interconnections < 1:
-            raise ConfigurationError("min_interconnections must be >= 1")
-        if not 0.0 <= self.peering_probability <= 1.0:
-            raise ConfigurationError(
-                "peering_probability must be in [0, 1]"
-            )
+        if self.pool_size is not None:
+            check_int(self.pool_size, "pool_size", self.n_isps)
+        check_int(self.min_interconnections, "min_interconnections", 1)
+        if self.max_interconnections is not None:
+            check_int(self.max_interconnections, "max_interconnections", 1)
+        check_probability(self.peering_probability, "peering_probability")
         if not self.name_prefix:
             raise ConfigurationError("name_prefix cannot be empty")
 

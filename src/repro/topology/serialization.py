@@ -17,6 +17,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+from numbers import Integral
 from pathlib import Path
 from typing import Any
 
@@ -150,6 +151,10 @@ def _canonicalize(obj: Any) -> Any:
         return [_canonicalize(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
+    if isinstance(obj, Integral):
+        # A numpy integer fingerprints as its value, not its type name:
+        # cache keys and checkpoints must tell n_isps=3 from 4.
+        return int(obj)
     if isinstance(obj, Path):
         return str(obj)
     payload_fn = getattr(obj, "fingerprint_payload", None)

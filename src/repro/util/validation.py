@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "check_bool",
     "check_finite",
     "check_int",
     "check_positive",
     "check_non_negative",
     "check_in_range",
     "check_probability",
+    "check_quantile",
     "validate_choice",
 ]
 
@@ -33,8 +35,27 @@ def validate_choice(value, choices, name: str):
     return value
 
 
+def check_bool(value, name: str) -> bool:
+    """Raise unless ``value`` is a bool; return it.
+
+    A flag is never read by truthiness, so ``"no"`` or ``0.5`` cannot
+    silently switch a feature on.
+    """
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
 def check_finite(value: float, name: str) -> float:
-    """Raise unless ``value`` is a finite number; return it as float."""
+    """Raise unless ``value`` is a finite real number; return it as float.
+
+    Numpy scalars pass; bools, strings and ``None`` do not, so ``"3"``
+    never passes as 3.0 and ``True`` never as 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(
+            f"{name} must be a real number, got {value!r}"
+        )
     value = float(value)
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
@@ -78,3 +99,11 @@ def check_in_range(value: float, low: float, high: float, name: str) -> float:
 
 def check_probability(value: float, name: str) -> float:
     return check_in_range(value, 0.0, 1.0, name)
+
+
+def check_quantile(value: float, name: str) -> float:
+    """Raise unless ``value`` lies in the open interval (0, 1)."""
+    value = check_finite(value, name)
+    if not 0.0 < value < 1.0:
+        raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
+    return value

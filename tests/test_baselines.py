@@ -235,3 +235,12 @@ class TestGroupedNegotiation:
             grouped_negotiation_choices(
                 cost_a, cost_b, defaults, m_a, m_b, n_groups=0
             )
+
+    @pytest.mark.parametrize("n_groups", [2.5, True])
+    def test_group_count_must_be_an_integer(self, n_groups):
+        cost_a, cost_b, defaults = random_instance(10)
+        m_a, m_b = self._mappers()
+        with pytest.raises(ConfigurationError, match="n_groups"):
+            grouped_negotiation_choices(
+                cost_a, cost_b, defaults, m_a, m_b, n_groups=n_groups
+            )

@@ -15,13 +15,14 @@ class TestParser:
     def test_distance_defaults(self):
         args = build_parser().parse_args(["distance"])
         assert args.preset == "quick"
-        assert not args.cheating
+        assert not args.include_cheating
 
     def test_bandwidth_flags(self):
         args = build_parser().parse_args(
             ["bandwidth", "--unilateral", "--diverse", "--cheating"]
         )
-        assert args.unilateral and args.diverse and args.cheating
+        assert (args.include_unilateral and args.include_diverse
+                and args.include_cheating)
 
     def test_bad_preset(self):
         with pytest.raises(SystemExit):
@@ -41,6 +42,28 @@ class TestParser:
         assert args.scenario == "oscillation"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "grouped"])
+
+    @pytest.mark.parametrize("verb, scenario", [
+        ("distance", "distance"),
+        ("bandwidth", "bandwidth"),
+        ("availability", "availability"),
+        ("multi-isp", "multi_isp"),
+        ("robust", "robust_negotiation"),
+    ])
+    def test_flag_defaults_are_the_spec_defaults(self, verb, scenario):
+        from repro.experiments.runner import get_scenario
+
+        args = build_parser().parse_args([verb])
+        defaults = get_scenario(scenario).default_params
+        flags = {
+            name: getattr(args, name)
+            for name in defaults if hasattr(args, name)
+        }
+        assert flags
+        for name, value in flags.items():
+            # None leaves the spec's default in place (the --srg append
+            # flag needs a list, so it cannot start from the spec's ()).
+            assert value == defaults[name] or value is None, name
 
 
 class TestCommands:
@@ -140,9 +163,11 @@ class TestErrors:
         assert sleeps == []  # a ConfigurationError is never retried
 
     @pytest.mark.parametrize("flags, knob", [
-        (["--transit-scale", "nan"], "transit_scale"),
-        (["--damping", "ladder", "--hysteresis-margin", "nan"],
+        (["multi-isp", "--transit-scale", "nan"], "transit_scale"),
+        (["multi-isp", "--damping", "ladder", "--hysteresis-margin", "nan"],
          "hysteresis_margin"),
+        (["availability", "--threshold", "nan"], "survivability_threshold"),
+        (["availability", "--quantiles", "0.95,1.5"], "quantile"),
     ])
     def test_non_finite_coordinator_knob_fails_once(
         self, capsys, monkeypatch, flags, knob
@@ -152,7 +177,7 @@ class TestErrors:
         sleeps: list[float] = []
         monkeypatch.setattr(runner.time, "sleep", sleeps.append)
         out = io.StringIO()
-        code = main(["multi-isp", "--preset", "quick", *flags], out=out)
+        code = main([*flags, "--preset", "quick"], out=out)
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1

@@ -250,6 +250,26 @@ class TestAvailabilitySweep:
         assert claims["pairs"] == "2"
         assert int(claims["scenarios scored"]) == result.total_scenarios()
 
+    @pytest.mark.parametrize("params, knob", [
+        ({"quantiles": (0.95, 1.5)}, "quantile"),
+        ({"survivability_threshold": math.nan}, "survivability_threshold"),
+        ({"max_failed": 2.5}, "max_failed"),
+    ])
+    def test_bad_params_fail_before_the_dataset(
+        self, tiny_config, monkeypatch, params, knob
+    ):
+        # The quantiles and the threshold are read only by the reducer;
+        # they used to fail after the whole sweep had run.
+        import repro.experiments.availability as availability
+
+        calls = []
+        monkeypatch.setattr(
+            availability, "pairs_for", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ConfigurationError, match=knob):
+            run_availability_experiment(tiny_config, **params)
+        assert calls == []
+
 
 class TestAvailabilityCli:
     def test_cli_command_runs_and_reports(self, capsys, monkeypatch):

@@ -1,0 +1,22 @@
+"""ExperimentConfig validation."""
+
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
+
+
+@pytest.mark.parametrize("knob, value", [
+    # NaN passes a `<= 0` or `< 1` comparison, and ratio_unit=nan makes
+    # a coordination "converge" without moving a flow.
+    ("ratio_unit", float("nan")),
+    ("preference_p", float("nan")),
+    ("preference_p", 2.5),
+    ("max_pairs_distance", 2.5),
+    ("max_pairs_bandwidth", True),
+    ("max_failures_per_pair", 1.5),
+])
+def test_bad_knob_rejected(knob, value):
+    with pytest.raises(ConfigurationError, match=knob):
+        ExperimentConfig(**{knob: value})
+

@@ -379,7 +379,7 @@ class TestScaleKnobThreading:
         # its params and the CLI.
         from repro.cli import build_parser
 
-        with pytest.raises(TypeError, match="transit_engine"):
+        with pytest.raises(ConfigurationError, match="transit_engine"):
             run_multi_isp_experiment(
                 config, n_isps=2, rounds=2, transit_engine="incremental",
             )

@@ -64,7 +64,7 @@ class TestRobustnessSweep:
 
     @pytest.mark.parametrize("override", [
         {"rounds": 2.5}, {"rounds": True}, {"deadline_rounds": 2.5},
-        {"fault_seeds": (0.7,)},
+        {"fault_seeds": (0.7,)}, {"max_failed": 2.5}, {"n_isps": 3.5},
     ])
     def test_integer_params_reject_non_integers(self, override):
         # Truncating with int() would run 2.5 rounds as 2, True as 1 and

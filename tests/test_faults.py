@@ -154,6 +154,7 @@ class TestFaultPlan:
     @pytest.mark.parametrize("knob, value", [
         ("seed", 0.7), ("seed", True), ("n_edges", 2.5), ("n_rounds", 2.5),
         ("n_rounds", True), ("n_rounds", -1), ("max_failed_per_edge", 1.5),
+        ("n_alternatives", 2.5), ("n_alternatives", [2.7, 3]),
     ])
     def test_seeded_integer_knobs(self, knob, value):
         # range() would reject n_rounds=2.5 with a bare TypeError, and

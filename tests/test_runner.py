@@ -56,6 +56,21 @@ class TestRegistry:
         result = run_scenario("distance", tiny_config)
         assert len(result.pairs) == 2
 
+    @pytest.mark.parametrize("name", [
+        "availability", "bandwidth", "destination", "distance", "grouped",
+        "multi_isp", "oscillation", "robust_negotiation",
+    ])
+    def test_undeclared_param_rejected_before_units(self, tiny_config, name):
+        # A misspelt name ("max_step" for "max_steps") used to be ignored.
+        def no_units(config, params):
+            raise AssertionError("units enumerated despite a bad param")
+
+        spec = replace(get_scenario(name), enumerate_units=no_units)
+        with pytest.raises(
+            ConfigurationError, match=f"unknown {name} params: max_step"
+        ):
+            SweepRunner().run(spec, tiny_config, {"max_step": 3})
+
 
 # ---------------------------------------------------------------------------
 # Plain-loop equivalence: runner output bit-identical to a loop over the
@@ -129,9 +144,9 @@ class TestLegacyEquivalence:
 
     def test_unknown_runner_rejected(self, tiny_config):
         # One driver path: the runner option is gone.
-        with pytest.raises(TypeError, match="runner"):
+        with pytest.raises(ConfigurationError, match="runner"):
             run_distance_experiment(tiny_config, runner="sweep")
-        with pytest.raises(TypeError, match="runner"):
+        with pytest.raises(ConfigurationError, match="runner"):
             run_bandwidth_experiment(tiny_config, runner="sweep")
 
 
@@ -252,6 +267,7 @@ class TestCheckpointedSweeps:
             enumerate_units=units,
             run_unit=run_unit,
             reduce=reduce,
+            default_params={"log": None},
         ))
         params = {"log": str(executions)}
         runner = SweepRunner(checkpoint_dir=tmp_path / "ck")
@@ -380,6 +396,7 @@ class TestRunnerEdgeCases:
             enumerate_units=units,
             run_unit=run_unit,
             reduce=lambda config, params, results: list(results),
+            default_params={"tripwire": None},
         ))
         params = {"tripwire": str(tripwire)}
         fingerprint = sweep_fingerprint("_test_crashing", tiny_config, params)

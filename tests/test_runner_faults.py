@@ -66,6 +66,7 @@ def _counting_spec(name: str):
         enumerate_units=units,
         run_unit=run_unit,
         reduce=lambda config, params, results: list(results),
+        default_params={"log": None, "fail_dir": None},
     ))
 
 
@@ -158,6 +159,7 @@ class TestRetries:
             enumerate_units=lambda config, params: [0, 1, 2, 3],
             run_unit=run_unit,
             reduce=lambda config, params, results: list(results),
+            default_params={"log": None},
         ))
         with pytest.raises(error, match="deterministic failure of unit 1"):
             SweepRunner(
@@ -186,6 +188,53 @@ class TestRetries:
             SweepRunner(max_retries=-1)
         with pytest.raises(ConfigurationError, match="retry_backoff_s"):
             SweepRunner(retry_backoff_s=-0.1)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("max_retries", 1.5), ("max_retries", True),
+        ("retry_backoff_s", float("nan")), ("retry_backoff_s", "0.1"),
+    ])
+    def test_retry_knobs_must_be_typed(self, knob, value):
+        # max_retries=1.5 died in range() at the first retry, and a NaN
+        # backoff switched the sleep off (nan > 0 is false).
+        with pytest.raises(ConfigurationError, match=knob):
+            SweepRunner(**{knob: value})
+
+
+class TestBadParamsFailOnce:
+    """A bad sweep param raises one typed error, with no retry sleeps.
+
+    Each probe used to run with its value truncated or read as truthy,
+    or to fail every unit with a bare ``TypeError`` after its retries.
+    """
+
+    @pytest.mark.parametrize("scenario, params, knob", [
+        ("multi_isp", {"n_isps": 3.7}, "n_isps"),
+        ("multi_isp", {"include_transit": "no"}, "include_transit"),
+        ("multi_isp", {"min_interconnections": 2.5}, "min_interconnections"),
+        ("multi_isp", {"max_interconnections": 2.5}, "max_interconnections"),
+        ("multi_isp", {"pool_size": 9.5}, "pool_size"),
+        ("multi_isp", {"transit_scale": "3"}, "transit_scale"),
+        ("multi_isp", {"n_isp": 3}, "unknown multi_isp params: n_isp"),
+        ("robust_negotiation", {"abort_rate": "0.1"}, "abort_rate"),
+        ("robust_negotiation", {"include_transit": "no"}, "include_transit"),
+        ("oscillation", {"max_steps": 2.5}, "max_steps"),
+    ])
+    def test_probe(self, tiny_config, monkeypatch, scenario, params, knob):
+        from repro.experiments import runner
+        from repro.experiments.internetwork import run_multi_isp_experiment
+        from repro.experiments.oscillation import run_oscillation_experiment
+        from repro.experiments.robustness import run_robustness_experiment
+
+        wrapper = {
+            "multi_isp": run_multi_isp_experiment,
+            "oscillation": run_oscillation_experiment,
+            "robust_negotiation": run_robustness_experiment,
+        }[scenario]
+        sleeps: list[float] = []
+        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+        with pytest.raises(ConfigurationError, match=knob):
+            wrapper(tiny_config, **params)
+        assert sleeps == []
 
 
 class TestCorruptShards:

@@ -118,6 +118,9 @@ class TestValidation:
             {"shared_risk_groups": ((),)},  # empty group
             {"shared_risk_groups": ((0, 1),),
              "group_probabilities": (0.1, 0.2)},  # length mismatch
+            {"max_failed": 2.5},  # enumerated like 3
+            {"link_probability": "0.1"},
+            {"cutoff": "1e-6"},
         ],
     )
     def test_bad_models_rejected(self, kwargs):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import SerializationError
@@ -77,6 +78,13 @@ class TestFingerprints:
     def test_value_sensitivity(self):
         assert stable_fingerprint({"x": 1}) != stable_fingerprint({"x": 2})
         assert stable_fingerprint([1, 2]) != stable_fingerprint([2, 1])
+
+    def test_numpy_integers_fingerprint_by_value(self):
+        # Sweep params reach the internetwork cache key unconverted; two
+        # numpy counts must not share a key.
+        three = stable_fingerprint({"n_isps": np.int64(3)})
+        assert three == stable_fingerprint({"n_isps": 3})
+        assert three != stable_fingerprint({"n_isps": np.int64(4)})
 
     def test_config_fingerprint_covers_nested_dataclasses(self, quick_config):
         base = config_fingerprint(quick_config)

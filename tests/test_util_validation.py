@@ -5,12 +5,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.util.validation import (
+    check_bool,
     check_finite,
     check_int,
     check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
+    check_quantile,
 )
 
 
@@ -19,7 +21,9 @@ class TestCheckFinite:
         assert check_finite(3, "x") == 3.0
         assert isinstance(check_finite(3, "x"), float)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), "3", True, None],
+    )
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ConfigurationError, match="x"):
             check_finite(bad, "x")
@@ -82,3 +86,24 @@ class TestCheckProbability:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_probability(bad, "p")
+
+
+class TestCheckBool:
+    def test_accepts_bools(self):
+        assert check_bool(True, "flag") is True
+        assert check_bool(False, "flag") is False
+
+    @pytest.mark.parametrize("bad", ["no", 0, 1.0, None, np.bool_(True)])
+    def test_rejects_truthy_stand_ins(self, bad):
+        with pytest.raises(ConfigurationError, match="flag must be a bool"):
+            check_bool(bad, "flag")
+
+
+class TestCheckQuantile:
+    def test_accepts_interior(self):
+        assert check_quantile(np.float64(0.9), "q") == 0.9
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, float("nan"), "0.9"])
+    def test_rejects(self, bad):
+        with pytest.raises(ConfigurationError, match="q must be"):
+            check_quantile(bad, "q")
