@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.util.rng import derive_rng
 from repro.util.validation import check_int, check_probability
@@ -147,7 +149,7 @@ class FaultPlan:
             max_failed_per_edge = check_int(
                 max_failed_per_edge, "max_failed_per_edge", 0
             )
-        if not isinstance(n_alternatives, (list, tuple)):
+        if np.ndim(n_alternatives) == 0:
             n_alternatives = [n_alternatives] * n_edges
         alts = [check_int(a, "n_alternatives", 1) for a in n_alternatives]
         if len(alts) != n_edges:

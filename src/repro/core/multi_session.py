@@ -503,7 +503,7 @@ class MultiSessionCoordinator:
             quarantine_backoff_cap, "quarantine_backoff_cap",
             quarantine_backoff_rounds,
         )
-        check_bool(include_transit, "include_transit")
+        include_transit = check_bool(include_transit, "include_transit")
         tail_weight = check_probability(tail_weight, "tail_weight")
         tail_quantile = check_quantile(tail_quantile, "tail_quantile")
         self.net = internetwork

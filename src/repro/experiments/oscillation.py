@@ -33,7 +33,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
-    retry_kwargs,
 )
 from repro.metrics.mel import max_excess_load
 from repro.routing.costs import PairCostTable
@@ -319,8 +318,6 @@ def run_oscillation_experiment(
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
-    max_retries: int | None = None,
-    retry_backoff: float | None = None,
     **params,
 ) -> OscillationExperimentResult:
     """Sweep :func:`run_oscillation_pair` over the dataset's pairs.
@@ -332,6 +329,5 @@ def run_oscillation_experiment(
     (each trajectory is a pure function of the config).
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        **retry_kwargs(max_retries, retry_backoff),
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
     ).run(OSCILLATION_SCENARIO, config, params)

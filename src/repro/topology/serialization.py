@@ -17,9 +17,11 @@ import dataclasses
 import enum
 import hashlib
 import json
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.errors import SerializationError
 from repro.geo.coords import GeoPoint
@@ -151,10 +153,15 @@ def _canonicalize(obj: Any) -> Any:
         return [_canonicalize(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
+    # A numpy scalar fingerprints as its value, not its type name: cache
+    # keys and checkpoints must tell n_isps=3 from 4 and a float32 0.3
+    # from 0.7.
     if isinstance(obj, Integral):
-        # A numpy integer fingerprints as its value, not its type name:
-        # cache keys and checkpoints must tell n_isps=3 from 4.
         return int(obj)
+    if isinstance(obj, Real):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, Path):
         return str(obj)
     payload_fn = getattr(obj, "fingerprint_payload", None)

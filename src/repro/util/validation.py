@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -36,14 +38,14 @@ def validate_choice(value, choices, name: str):
 
 
 def check_bool(value, name: str) -> bool:
-    """Raise unless ``value`` is a bool; return it.
+    """Raise unless ``value`` is a bool; return it as bool.
 
-    A flag is never read by truthiness, so ``"no"`` or ``0.5`` cannot
-    silently switch a feature on.
+    Numpy bools pass. A flag is never read by truthiness, so ``"no"`` or
+    ``0.5`` cannot silently switch a feature on.
     """
-    if not isinstance(value, bool):
+    if not isinstance(value, (bool, np.bool_)):
         raise ConfigurationError(f"{name} must be a bool, got {value!r}")
-    return value
+    return bool(value)
 
 
 def check_finite(value: float, name: str) -> float:

@@ -155,6 +155,7 @@ class TestFaultPlan:
         ("seed", 0.7), ("seed", True), ("n_edges", 2.5), ("n_rounds", 2.5),
         ("n_rounds", True), ("n_rounds", -1), ("max_failed_per_edge", 1.5),
         ("n_alternatives", 2.5), ("n_alternatives", [2.7, 3]),
+        ("n_alternatives", np.array([2.7, 3.0])),
     ])
     def test_seeded_integer_knobs(self, knob, value):
         # range() would reject n_rounds=2.5 with a bare TypeError, and
@@ -163,6 +164,12 @@ class TestFaultPlan:
         kwargs[knob] = value
         with pytest.raises(ConfigurationError, match=knob):
             FaultPlan.seeded(**kwargs)
+
+    @pytest.mark.parametrize("counts", [np.array([3, 2]), range(3, 1, -1)])
+    def test_seeded_takes_any_sequence_of_counts(self, counts):
+        kwargs = dict(seed=4, n_edges=2, n_rounds=6, link_failure_rate=0.5)
+        assert (FaultPlan.seeded(n_alternatives=counts, **kwargs)
+                == FaultPlan.seeded(n_alternatives=[3, 2], **kwargs))
 
 
 class TestPlanTopologyValidation:

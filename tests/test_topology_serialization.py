@@ -85,6 +85,11 @@ class TestFingerprints:
         three = stable_fingerprint({"n_isps": np.int64(3)})
         assert three == stable_fingerprint({"n_isps": 3})
         assert three != stable_fingerprint({"n_isps": np.int64(4)})
+        low = stable_fingerprint({"p": np.float32(0.3)})
+        assert low != stable_fingerprint({"p": np.float32(0.7)})
+        on = stable_fingerprint({"flag": np.bool_(True)})
+        assert on == stable_fingerprint({"flag": True})
+        assert on != stable_fingerprint({"flag": np.bool_(False)})
 
     def test_config_fingerprint_covers_nested_dataclasses(self, quick_config):
         base = config_fingerprint(quick_config)
