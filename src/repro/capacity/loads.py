@@ -9,7 +9,8 @@ Two kinds of kernel, each shaped by how often it runs:
 
 * **Batch kernels** are array expressions over the table's compiled
   :class:`~repro.routing.incidence.PathIncidence`: :func:`link_loads` is
-  one ``bincount`` scatter-add for a whole placement, and
+  one ``bincount`` scatter-add for a whole placement, gathered from the
+  per-PoP incidence through each flow's endpoint PoP, and
   :func:`max_ratio_rows` scores a whole gathered block of preference rows
   with one ratio expression and one segment-max. They run once per
   placement or disclosure, over hundreds to thousands of entries.
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.errors import CapacityError
 from repro.routing.costs import PairCostTable
-from repro.routing.incidence import PathIncidence
+from repro.routing.incidence import PathIncidence, multirange_gather
 
 __all__ = [
     "link_loads",
@@ -76,27 +77,50 @@ def link_loads(
 ) -> np.ndarray:
     """Per-link loads in one ISP ('a' = upstream, 'b' = downstream).
 
-    ``active`` optionally masks which flows are placed (default: all).
+    ``active`` optionally masks which flows are placed (default: all); it
+    must be a bool array of shape (F,).
     ``base`` optionally seeds the accumulation with precomputed loads
     (e.g. the background traffic of a failure case), so a placement's
     total loads derive from the base in one pass instead of recomputing
     the base flows' contribution: the base enters the scatter-add as
     leading per-link entries, so each link accumulates ``base, flow, flow,
     ...`` in the float order of a loop started from ``base.copy()``.
-    The whole placement is one scatter-add.
+
+    The whole placement is one scatter-add. Each placed flow's chosen row
+    is gathered from the side's per-PoP CSR
+    (:meth:`~repro.routing.costs.PairCostTable.pop_incidence`) through the
+    flow's endpoint PoP, flows ascending and links in path order, so no
+    per-flow rows are ever built.
     """
     choices = _validate_choices(table, choices)
     n_links = _n_links(table, side)
+    if active is None:
+        flows = np.arange(table.n_flows, dtype=np.intp)
+    else:
+        active = np.asarray(active)
+        if active.dtype != bool or active.shape != (table.n_flows,):
+            raise CapacityError(
+                f"active must be a bool array of shape ({table.n_flows},), "
+                f"got {active.dtype} of shape {active.shape}"
+            )
+        flows = np.flatnonzero(active)
     if base is not None:
         base = np.asarray(base, dtype=float)
         if base.shape != (n_links,):
             raise CapacityError(
                 f"base must have shape ({n_links},), got {base.shape}"
             )
-
-    return table.incidence(side).accumulate_loads(
-        choices, table.flowset.sizes(), active, base=base
+    paths = table.pop_incidence(side)
+    rows = table.endpoints(side)[flows] * table.n_alternatives + choices[flows]
+    positions, counts = multirange_gather(
+        paths.indptr[rows], paths.indptr[rows + 1]
     )
+    bins = paths.indices[positions]
+    weights = np.repeat(table.flowset.sizes()[flows], counts)
+    if base is not None:
+        bins = np.concatenate([np.arange(n_links, dtype=np.intp), bins])
+        weights = np.concatenate([base, weights])
+    return np.bincount(bins, weights=weights, minlength=n_links)
 
 
 def pair_link_loads(
@@ -109,8 +133,6 @@ def pair_link_loads(
         link_loads(table, choices, "a", active),
         link_loads(table, choices, "b", active),
     )
-
-
 
 
 def validate_capacities(

@@ -29,7 +29,9 @@ fingerprint check described below catches the revisit.
 Performance contract: per-edge tables are built once; every renegotiation
 scope is *derived* from the full table through the structural fast paths
 (:meth:`~repro.routing.costs.PairCostTable.subset` — row gather, flowset
-view, CSR incidence filter), so rounds perform zero ragged recompilation.
+view, shared per-PoP paths), so each working table compiles its per-PoP
+CSR at most once per side and a scope's flow-level incidence is one
+gather from it.
 An edge whose observed context (its two base-load vectors and current
 choices) has not changed since its last session is skipped outright, and an
 empty renegotiation scope short-circuits without building a session — the
@@ -730,8 +732,7 @@ class MultiSessionCoordinator:
         candidate paths touch a link whose base load changed since the last
         session — other flows' load-aware preference rows are unchanged, so
         re-running them could only reproduce the prior outcome. Computed on
-        the compiled incidence (one mask + gather per side), keeping the
-        round loop free of ragged scans.
+        the table's flow-level incidence (one mask + gather per side).
         """
         state = self._states[edge_index]
         table = state.table

@@ -19,21 +19,26 @@ Per (pair, failed interconnection) case:
 Failure-case fast path: step 2 does no routing work at all — the
 post-failure cost table is *derived* from the pair's pre-failure table by
 dropping the failed column
-(:meth:`~repro.routing.costs.PairCostTable.without_alternative`), flowset
-and compiled CSR incidence included, which is bit-identical to rebuilding
-the flowset and table over the failed pair (the equivalence tests compare
-the two).
+(:meth:`~repro.routing.costs.PairCostTable.without_alternative`): dense
+arrays sliced, flowset re-bound, and each side's per-PoP paths tuple
+shortened by one entry. That is bit-identical to rebuilding the flowset
+and table over the failed pair (the equivalence tests compare the two).
+Every whole-table placement load (capacities, background, default and
+negotiated MELs) is one gather from the table's per-PoP CSR through the
+flows' endpoint PoPs (:func:`~repro.capacity.loads.link_loads`), so the
+full and post-failure tables never build per-flow link rows.
 
 Negotiation-scope fast path: step 3 negotiates over the affected flows
 only, and the sub-table it hands to the session, the joint/unilateral LPs
-and the load kernels is *derived* too — ``table_post.subset`` row-filters
-the dense arrays, the flowset (an array-backed view) and the already
-compiled CSR incidence (:meth:`~repro.routing.incidence.PathIncidence.subset_rows`),
-so the per-case negotiation setup performs zero ragged recompilation end to
-end. Default-routing loads are likewise derived from the
-just-computed background loads (``link_loads(..., base=...)``) instead of
-a second full pass, and a failure that affects no flow short-circuits to
-the default MELs without spinning up the LP or a zero-flow session.
+and the load kernels is *derived* too — ``table_post.subset`` row-gathers
+the dense arrays and the flowset (an array-backed view) and shares the
+post-failure table's paths and compiled per-PoP CSR. The scope's
+flow-level incidence, which the sessions and LPs read, is the only one a
+case builds: one gather of the scope's rows. Default-routing loads are
+likewise derived from the just-computed background loads
+(``link_loads(..., base=...)``) instead of a second full pass, and a
+failure that affects no flow short-circuits to the default MELs without
+spinning up the LP or a zero-flow session.
 """
 
 from __future__ import annotations
@@ -367,10 +372,10 @@ def run_bandwidth_case(
             result.diverse_downstream_gain_pct = 0.0
         return result
 
-    # The negotiation scope: a warm sub-table over the affected flows only
-    # (dense rows gathered, flowset reindexed as a view, compiled CSR
-    # incidence row-filtered) — the session, LPs and load kernels below
-    # trigger no recompilation.
+    # The negotiation scope: a sub-table over the affected flows only
+    # (dense rows gathered, flowset reindexed as a view, paths and per-PoP
+    # CSR shared) — the session and LPs below share its one flow-level
+    # incidence.
     sub_table = table_post.subset(affected_idx)
     defaults_sub = default_post[affected_idx]
 

@@ -17,6 +17,7 @@ never touched.
 
 from __future__ import annotations
 
+import inspect
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
@@ -305,10 +306,20 @@ def run_multi_isp(
     benchmarks call it directly. Keyword arguments pass through to
     :class:`~repro.core.multi_session.MultiSessionCoordinator`, backfilled
     with the sweep's defaults; an explicit ``internetwork`` skips
-    generation.
+    generation. A name that is neither an internetwork shape param nor a
+    coordinator parameter raises :class:`ConfigurationError` before
+    anything is built.
     """
     from repro.core.multi_session import MultiSessionCoordinator
 
+    unknown = sorted(
+        set(coordinator_kwargs) - set(_SHAPE_DEFAULTS)
+        - set(inspect.signature(MultiSessionCoordinator).parameters)
+    )
+    if unknown:
+        raise ConfigurationError(
+            f"unknown run_multi_isp params: {', '.join(unknown)}"
+        )
     config = config or ExperimentConfig()
     params = dict(_MULTI_ISP_DEFAULTS)
     shape_kwargs = {}

@@ -65,11 +65,11 @@ def _link_constraint_rows(
     The x-variable triplets *are* the table's compiled CSR incidence: row
     ids come from ``indices``, column ids from the CSR row of each entry,
     values from ``sizes[entry_flow]`` — in (flow, alternative, path-order)
-    sequence, the order a loop over the ragged link table emits them.
+    sequence, the order a loop over the table's per-flow rows emits them.
 
-    Negotiation sub-tables arrive warm (``PairCostTable.subset`` re-derives
-    the compiled incidence structurally), so ``table.incidence(side)`` here
-    is a cache hit — the assembler performs no ragged recompilation.
+    ``table.incidence(side)`` is gathered once per table from the per-PoP
+    CSR its parent shares with it, and cached, so the joint and unilateral
+    LPs of one negotiation scope share it.
     """
     n_links = caps.shape[0]
     inc = table.incidence(side)

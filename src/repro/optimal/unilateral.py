@@ -32,10 +32,10 @@ def solve_upstream_unilateral_lp(
 
     Shares :func:`solve_min_max_load_lp`'s incidence-backed constraint
     assembler, so the Figure 8 sweep benefits from the same
-    vectorized setup as the joint LP — including warm negotiation
-    sub-tables (the compiled incidence a ``PairCostTable.subset`` carries
-    over is consumed as-is) and the zero-flow degenerate return, which
-    reduces to the upstream base state's maximum load ratio.
+    vectorized setup as the joint LP — including the flow-level incidence
+    the joint LP already gathered on the same negotiation sub-table, and
+    the zero-flow degenerate return, which reduces to the upstream base
+    state's maximum load ratio.
     """
     return solve_min_max_load_lp(
         table,

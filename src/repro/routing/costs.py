@@ -7,37 +7,35 @@ precomputed tables: for each flow ``f`` and each interconnection ``i``,
 * ``up_weight[f, i]`` / ``down_weight[f, i]``: routing (weight) distance of
   the intra-ISP segment, used for early-/late-exit decisions;
 * ``up_km[f, i]`` / ``down_km[f, i]``: geographic length of the segment,
-  the Section 5.1 resource metric;
-* ``up_links[f][i]`` / ``down_links[f][i]``: link indices traversed, used
-  by the bandwidth/load machinery.
+  the Section 5.1 resource metric.
 
 Building the table costs one Dijkstra per interconnection per side; the
 builder then fills the (F, I) arrays column by column from dense per-PoP
 SSSP views instead of issuing F·I per-cell routing queries.
 
-The ragged link tables are tuples of per-flow row tuples whose entries alias
-the routing layer's per-source link arrays; every builder and derivation
-assembles them with C-level gathers (``operator.itemgetter`` over rows,
-``zip`` to transpose per-interconnection views into per-PoP rows) instead
-of a Python loop per flow, so a row shared by several flows may be one
-tuple object. They are the *authoring* format; the load/preference hot
-path consumes their compiled CSR form instead — see :meth:`PairCostTable.incidence`
-and :mod:`repro.routing.incidence`. The incidence structures are built
-lazily on first use and cached per (table, side), so tables that never
-touch the bandwidth machinery pay nothing.
+Link data is stored once per PoP, not per flow: a flow's path inside an
+ISP is the routed path between its endpoint PoP there and the chosen
+interconnection, so ``up_paths[i][p]`` / ``down_paths[i][p]`` (the routing
+layer's cached per-source views, shared by every table built from it) hold
+all of it. Flow ``f``'s row ``i`` is ``up_paths[i][src_f]`` upstream and
+``down_paths[i][dst_f]`` downstream. Each side compiles one per-PoP CSR
+(:meth:`PairCostTable.pop_incidence`) on first use; placement loads gather
+from it through the flows' endpoints, and the flow-level CSR that the
+row-reading kernels use (:meth:`PairCostTable.incidence`) is one gather
+from it, also built on first use. Tables that never touch the bandwidth
+machinery pay for neither. See :mod:`repro.routing.incidence`.
 
 Failure cases never rebuild tables at all — derived tables cover both axes
 of the (F, I) space:
 
 * **column axis** — a post-failure table is this table with one column
   removed; :meth:`PairCostTable.without_alternative` derives it (dense
-  arrays sliced, ragged rows shortened, any compiled incidence filtered
-  structurally via :meth:`PathIncidence.without_alternative`);
+  arrays sliced, each side's tuple of per-PoP paths shortened by the
+  failed entry);
 * **flow axis** — a negotiation scope is this table with only the affected
   flow rows; :meth:`PairCostTable.subset` derives it (dense arrays
-  row-gathered, ragged rows aliased, flowset reindexed as an array-backed
-  view, any compiled incidence filtered via
-  :meth:`PathIncidence.subset_rows`).
+  row-gathered, flowset reindexed as an array-backed view, paths and any
+  compiled per-PoP CSR shared with the parent).
 
 Both derivations are bit-identical to a from-scratch rebuild over the
 reduced pair or flowset; the test suite pins them against cell-by-cell
@@ -47,8 +45,6 @@ reference builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-
 import numpy as np
 
 from repro.errors import ConfigurationError, RoutingError
@@ -56,6 +52,7 @@ from repro.routing.flows import FlowSet
 from repro.routing.incidence import PathIncidence
 from repro.routing.paths import IntradomainRouting
 from repro.topology.interconnect import IspPair
+from repro.util.validation import check_int
 
 __all__ = [
     "PairCostTable",
@@ -99,34 +96,14 @@ def _validate_index_set(indices, n: int, what: str) -> np.ndarray:
     return idx
 
 
-def _gather_rows(rows: tuple, idx: list[int]) -> tuple:
-    """``tuple(rows[i] for i in idx)`` in one C-level gather."""
-    if len(idx) == 1:
-        return (rows[idx[0]],)
-    return itemgetter(*idx)(rows) if idx else ()
-
-
-def _gather_columns(rows: tuple, cols: list[int]) -> tuple:
-    """``tuple(tuple(row[j] for j in cols) for row in rows)``, C-level."""
-    if len(cols) == 1:
-        return tuple(zip(map(itemgetter(cols[0]), rows)))
-    if not cols:
-        return ((),) * len(rows)
-    return tuple(map(itemgetter(*cols), rows))
-
-
-def _per_pop_rows(views: list, n_pops: int) -> tuple:
-    """Transpose per-interconnection PoP views into per-PoP rows."""
-    return tuple(zip(*views)) if views else ((),) * n_pops
-
-
 @dataclass(frozen=True)
 class PairCostTable:
     """Precomputed alternative costs for one (pair, direction).
 
-    Shapes: all arrays are (F, I) with F flows and I interconnections.
-    ``up_links[f][i]`` is a small int array of upstream link indices;
-    ``down_links[f][i]`` likewise for the downstream ISP.
+    Shapes: the dense arrays are (F, I) with F flows and I
+    interconnections. ``up_paths[i][p]`` is the upstream link array of the
+    path between interconnection ``i``'s PoP and PoP ``p`` (``None`` if
+    unreachable); ``down_paths[i][p]`` likewise for the downstream ISP.
     """
 
     pair: IspPair
@@ -136,8 +113,8 @@ class PairCostTable:
     up_km: np.ndarray
     down_km: np.ndarray
     ic_km: np.ndarray  # (I,) geographic length of each peering link
-    up_links: tuple[tuple[np.ndarray, ...], ...]
-    down_links: tuple[tuple[np.ndarray, ...], ...]
+    up_paths: tuple[tuple[np.ndarray | None, ...], ...]
+    down_paths: tuple[tuple[np.ndarray | None, ...], ...]
 
     # -- shape helpers -----------------------------------------------------
 
@@ -149,28 +126,54 @@ class PairCostTable:
     def n_alternatives(self) -> int:
         return self.up_weight.shape[1]
 
-    def incidence(self, side: str) -> PathIncidence:
-        """The compiled CSR path incidence for one side ('a' or 'b').
-
-        Built lazily from ``up_links``/``down_links`` on first request and
-        cached on the table (the table is immutable, so the compilation
-        never invalidates). All vectorized load kernels go through this.
-        """
+    def endpoints(self, side: str) -> np.ndarray:
+        """Each flow's PoP on one side: its source in A, destination in B."""
         if side == "a":
-            attr, link_table = "_incidence_a", self.up_links
-            n_links = self.pair.isp_a.n_links()
-        elif side == "b":
-            attr, link_table = "_incidence_b", self.down_links
-            n_links = self.pair.isp_b.n_links()
-        else:
-            raise RoutingError(f"side must be 'a' or 'b', got {side!r}")
+            return self.flowset.srcs()
+        if side == "b":
+            return self.flowset.dsts()
+        raise RoutingError(f"side must be 'a' or 'b', got {side!r}")
+
+    def _cached(self, attr: str, build):
         cached = self.__dict__.get(attr)
         if cached is None:
-            cached = PathIncidence.from_link_table(
-                link_table, n_links, self.n_alternatives
-            )
+            cached = build()
             object.__setattr__(self, attr, cached)
         return cached
+
+    def pop_incidence(self, side: str) -> PathIncidence:
+        """One side's per-PoP CSR: row ``p * I + i`` is path ``i`` of PoP ``p``.
+
+        Compiled from ``up_paths``/``down_paths`` on first request and
+        cached on the table; :meth:`subset` hands a compiled one on to the
+        subset. Flow ``f``'s row ``i`` is row ``endpoints(side)[f] * I + i``
+        here, which is how :func:`~repro.capacity.loads.link_loads` reads a
+        placement without building per-flow rows.
+        """
+        self.endpoints(side)  # raises RoutingError for a bad side
+        paths = self.up_paths if side == "a" else self.down_paths
+        isp = self.pair.isp(side)
+        return self._cached(
+            f"_pop_incidence_{side}",
+            lambda: PathIncidence.from_paths(
+                paths, isp.n_pops(), isp.n_links()
+            ),
+        )
+
+    def incidence(self, side: str) -> PathIncidence:
+        """The flow-level CSR path incidence for one side ('a' or 'b').
+
+        One gather of :meth:`pop_incidence` through every flow's endpoint
+        PoP, built on first request and cached on the table (the table is
+        immutable, so it never invalidates). The kernels that read every
+        row of a table — the sessions' trackers, the LP assembly, the
+        coordinator's scope — go through this.
+        """
+        endpoints = self.endpoints(side)
+        return self._cached(
+            f"_incidence_{side}",
+            lambda: self.pop_incidence(side).gather(endpoints),
+        )
 
     def total_km(self) -> np.ndarray:
         """End-to-end geographic cost per alternative: up + peering + down."""
@@ -180,44 +183,20 @@ class PairCostTable:
         """The post-failure table, derived by dropping column ``failed_index``.
 
         A failure case's table is this table with one interconnection
-        removed: the dense weight/km arrays lose a column, the ragged link
-        tables lose one entry per row, and the pair/flowset are re-bound to
-        :meth:`IspPair.without_interconnection`'s reduced pair. No shortest
-        path is recomputed and no size function is called — every value is
-        bit-identical to rebuilding the table from scratch over the failed
-        pair (the routing layer is deterministic and failure does not
-        change intra-ISP paths).
-
-        Any CSR incidence already compiled on this table is re-derived
-        structurally (:meth:`PathIncidence.without_alternative`) instead of
-        being recompiled from the ragged rows, so the load/LP machinery of
-        a failure case starts warm.
+        removed: the dense weight/km arrays lose a column, each side's
+        paths tuple loses that interconnection's entry, and the
+        pair/flowset are re-bound to
+        :meth:`IspPair.without_interconnections`'s reduced pair. No
+        shortest path is recomputed and no size function is called — every
+        value is bit-identical to rebuilding the table from scratch over
+        the failed pair (the routing layer is deterministic and failure
+        does not change intra-ISP paths).
         """
-        idx = _validate_index_set(
-            [failed_index], self.n_alternatives, "alternative drop"
+        return self._drop_columns(
+            _validate_index_set(
+                [failed_index], self.n_alternatives, "alternative drop"
+            )
         )
-        k = int(idx[0])
-        keep_list = [j for j in range(self.n_alternatives) if j != k]
-        failed_pair = self.pair.without_interconnection(k)
-        derived = PairCostTable(
-            pair=failed_pair,
-            flowset=self.flowset.with_pair(failed_pair),
-            up_weight=np.delete(self.up_weight, k, axis=1),
-            down_weight=np.delete(self.down_weight, k, axis=1),
-            up_km=np.delete(self.up_km, k, axis=1),
-            down_km=np.delete(self.down_km, k, axis=1),
-            ic_km=np.delete(self.ic_km, k),
-            up_links=_gather_columns(self.up_links, keep_list),
-            down_links=_gather_columns(self.down_links, keep_list),
-        )
-        for attr in ("_incidence_a", "_incidence_b"):
-            cached = self.__dict__.get(attr)
-            if cached is not None:
-                object.__setattr__(
-                    derived, attr, cached.without_alternative(k)
-                )
-        derived.validate()
-        return derived
 
     def without_alternatives(self, failed_indices) -> "PairCostTable":
         """The post-failure table with a *set* of columns dropped at once.
@@ -226,11 +205,9 @@ class PairCostTable:
         :meth:`without_alternative`: a scenario that fails several
         interconnections simultaneously derives its table in one
         structural pass — dense arrays column-gathered on the surviving
-        set, ragged link rows re-tupled from the parent's (still aliased)
-        per-cell arrays, pair/flowset re-bound through
-        :meth:`IspPair.without_interconnections`, and any compiled CSR
-        incidence re-derived via
-        :meth:`PathIncidence.without_alternatives`. No shortest path is
+        set, the surviving entries of each side's paths tuple kept,
+        pair/flowset re-bound through
+        :meth:`IspPair.without_interconnections`. No shortest path is
         recomputed.
 
         The result is bit-identical to any composition order of single
@@ -259,10 +236,9 @@ class PairCostTable:
 
     def _drop_columns(self, idx: np.ndarray) -> "PairCostTable":
         """The single-pass drop for an already-validated drop set."""
-        keep = np.setdiff1d(
-            np.arange(self.n_alternatives, dtype=np.intp), idx,
-            assume_unique=True,
-        )
+        survives = np.ones(self.n_alternatives, dtype=bool)
+        survives[idx] = False
+        keep = np.flatnonzero(survives)
         keep_list = keep.tolist()
         failed_pair = self.pair.without_interconnections(idx.tolist())
         derived = PairCostTable(
@@ -273,15 +249,9 @@ class PairCostTable:
             up_km=self.up_km[:, keep],
             down_km=self.down_km[:, keep],
             ic_km=self.ic_km[keep],
-            up_links=_gather_columns(self.up_links, keep_list),
-            down_links=_gather_columns(self.down_links, keep_list),
+            up_paths=tuple(self.up_paths[j] for j in keep_list),
+            down_paths=tuple(self.down_paths[j] for j in keep_list),
         )
-        for attr in ("_incidence_a", "_incidence_b"):
-            cached = self.__dict__.get(attr)
-            if cached is not None:
-                object.__setattr__(
-                    derived, attr, cached.without_alternatives(idx)
-                )
         derived.validate()
         return derived
 
@@ -293,14 +263,13 @@ class PairCostTable:
         The batch form of :meth:`without_alternatives` for probabilistic
         failure-scenario sweeps (thousands of scenarios per pair): every
         scenario's table is derived from *this* parent in one structural
-        pass each — the dense buffers are column-gathered views of the
-        parent's arrays, the ragged rows alias the parent's per-cell link
-        arrays, and compiled incidences re-derive from the parent's CSR —
-        so the whole scenario set shares the parent's memory and pays zero
-        routing work. Validation runs once per drop set against this
-        table's column count; each result is bit-identical to the
-        equivalent :meth:`without_alternatives` call (and hence to a
-        per-scenario rebuild).
+        pass each — the dense buffers are column-gathered from the
+        parent's arrays and the paths tuples keep the parent's per-PoP
+        arrays — so the whole scenario set shares the parent's link data
+        and pays zero routing work. Validation runs once per drop set
+        against this table's column count; each result is bit-identical
+        to the equivalent :meth:`without_alternatives` call (and hence to
+        a per-scenario rebuild).
 
         Drop sets that sever every column are rejected here the same way
         :meth:`without_alternatives` rejects them — filter those scenarios
@@ -316,19 +285,16 @@ class PairCostTable:
         affected by a failure without recomputing any shortest paths.
 
         Everything is derived structurally: the dense arrays are
-        row-gathered, the ragged link rows aliased, the flowset becomes an
-        array-backed reindexing view (:meth:`FlowSet.subset`), and any
-        compiled CSR incidence is re-derived by filtering its rows
-        (:meth:`PathIncidence.subset_rows`) instead of being dropped — the
-        negotiation machinery of a failure case starts warm, with zero
-        ragged recompilation. The result is bit-identical to a per-flow
-        rebuild whose incidence is compiled from the ragged rows.
+        row-gathered, the flowset becomes an array-backed reindexing view
+        (:meth:`FlowSet.subset`), and the paths tuples — with their per-PoP
+        CSR, if this table has compiled it — are shared. The subset's
+        flow-level incidence is gathered from that CSR on first use. The
+        result is bit-identical to a per-flow rebuild.
 
         Indices must be unique and within ``0..F-1``; out-of-range,
         negative and duplicate indices raise :class:`RoutingError`.
         """
         idx = _validate_index_set(indices, self.n_flows, "subset flow")
-        rows = idx.tolist()
         derived = PairCostTable(
             pair=self.pair,
             flowset=self.flowset._subset_view(idx),  # idx validated above
@@ -337,34 +303,12 @@ class PairCostTable:
             up_km=self.up_km[idx],
             down_km=self.down_km[idx],
             ic_km=self.ic_km.copy(),
-            up_links=_gather_rows(self.up_links, rows),
-            down_links=_gather_rows(self.down_links, rows),
+            up_paths=self.up_paths,
+            down_paths=self.down_paths,
         )
-        if idx.size == 0:
-            # An empty scope (e.g. a zero-flow internetwork edge) gets
-            # structurally-empty incidences up front — identical to what
-            # compiling the empty ragged table would build, but without
-            # ever invoking the compiler, warm parent or not.
-            for attr, isp in (
-                ("_incidence_a", self.pair.isp_a),
-                ("_incidence_b", self.pair.isp_b),
-            ):
-                object.__setattr__(
-                    derived, attr,
-                    PathIncidence(
-                        n_flows=0,
-                        n_alternatives=self.n_alternatives,
-                        n_links=isp.n_links(),
-                        indptr=np.zeros(1, dtype=np.intp),
-                        indices=np.empty(0, dtype=np.intp),
-                        entry_flow=np.empty(0, dtype=np.intp),
-                    ),
-                )
-            return derived
-        for attr in ("_incidence_a", "_incidence_b"):
-            cached = self.__dict__.get(attr)
-            if cached is not None:
-                object.__setattr__(derived, attr, cached.subset_rows(idx))
+        for attr in ("_pop_incidence_a", "_pop_incidence_b"):
+            if attr in self.__dict__:
+                object.__setattr__(derived, attr, self.__dict__[attr])
         return derived
 
     def iter_blocks(self, chunk_rows: int = DEFAULT_CHUNK_ROWS):
@@ -375,14 +319,10 @@ class PairCostTable:
         reduce over flows — load accumulation, preference scoring — can
         stream a large table block by block instead of holding derived
         per-flow state for all F rows at once. Blocks share this table's
-        storage (row-gathered views, aliased ragged rows) and are
-        bit-identical to the equivalent ``subset(np.arange(lo, hi))`` call.
+        storage (row-gathered views, shared paths) and are bit-identical to
+        the equivalent ``subset(np.arange(lo, hi))`` call.
         """
-        chunk_rows = int(chunk_rows)
-        if chunk_rows < 1:
-            raise ConfigurationError(
-                f"chunk_rows must be >= 1, got {chunk_rows}"
-            )
+        chunk_rows = check_int(chunk_rows, "chunk_rows", 1)
         for lo in range(0, self.n_flows, chunk_rows):
             hi = min(lo + chunk_rows, self.n_flows)
             yield self.subset(np.arange(lo, hi, dtype=np.intp))
@@ -395,8 +335,8 @@ class PairCostTable:
                 raise RoutingError(f"cost table field {name} has shape {arr.shape}")
         if self.ic_km.shape != (i,):
             raise RoutingError("ic_km has wrong shape")
-        if len(self.up_links) != f or len(self.down_links) != f:
-            raise RoutingError("link tables have wrong flow dimension")
+        if len(self.up_paths) != i or len(self.down_paths) != i:
+            raise RoutingError("path tables have wrong interconnection dimension")
 
 
 def _check_reachable(
@@ -417,17 +357,11 @@ def _check_reachable(
         )
 
 
-def _validate_chunk_rows(chunk_rows: int | None, default: int) -> int:
-    if chunk_rows is None:
-        return default
-    chunk_rows = int(chunk_rows)
-    if chunk_rows < 1:
-        raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    return chunk_rows
-
-
 class _ColumnFill:
     """One pair's per-interconnection SSSP views, gathered by flow rows.
+
+    The link views (``up_paths``/``down_paths``) pass to every table as
+    they are; the distance views fill the dense arrays.
 
     Both builders fill through this: :func:`build_pair_cost_table` into
     its preallocated (F, I) arrays, :func:`iter_pair_cost_table_blocks`
@@ -452,15 +386,9 @@ class _ColumnFill:
         routing_b.warm([ic.pop_b for ic in ics])
         self.srcs = flowset.srcs()
         self.dsts = flowset.dsts()
-        # Per-PoP ragged rows: row p holds every interconnection's link
-        # array to PoP p, so a flow's row is one gather by its src/dst.
-        self._rows_up = _per_pop_rows(
-            [routing_a.path_links_array(ic.pop_a) for ic in ics],
-            pair.isp_a.n_pops(),
-        )
-        self._rows_down = _per_pop_rows(
-            [routing_b.path_links_array(ic.pop_b) for ic in ics],
-            pair.isp_b.n_pops(),
+        self.up_paths = tuple(routing_a.path_links_array(ic.pop_a) for ic in ics)
+        self.down_paths = tuple(
+            routing_b.path_links_array(ic.pop_b) for ic in ics
         )
         self._up_w = [routing_a.weight_distance_array(ic.pop_a) for ic in ics]
         self._up_k = [routing_a.geo_distance_array(ic.pop_a) for ic in ics]
@@ -481,12 +409,6 @@ class _ColumnFill:
         _check_reachable(
             pair, down_weight, "destination", pair.isp_b.name, dst_blk
         )
-
-    def links(self, lo, hi):
-        """The ragged ``(up_links, down_links)`` rows of flows ``lo:hi``."""
-        up = _gather_rows(self._rows_up, self.srcs[lo:hi].tolist())
-        down = _gather_rows(self._rows_down, self.dsts[lo:hi].tolist())
-        return up, down
 
 
 def build_pair_cost_table(
@@ -514,7 +436,10 @@ def build_pair_cost_table(
     and the offending PoPs instead of letting non-finite distances into
     the table.
     """
-    block = _validate_chunk_rows(chunk_rows, max(len(flowset), 1))
+    block = (
+        max(len(flowset), 1) if chunk_rows is None
+        else check_int(chunk_rows, "chunk_rows", 1)
+    )
     fill = _ColumnFill(pair, flowset, routing_a, routing_b)
     n_f, n_i = fill.n_flows, fill.n_alternatives
     up_weight = np.zeros((n_f, n_i))
@@ -527,7 +452,6 @@ def build_pair_cost_table(
             lo, hi, up_weight[lo:hi], down_weight[lo:hi], up_km[lo:hi],
             down_km[lo:hi],
         )
-    up_links, down_links = fill.links(0, n_f)
     table = PairCostTable(
         pair=pair,
         flowset=flowset,
@@ -536,8 +460,8 @@ def build_pair_cost_table(
         up_km=up_km,
         down_km=down_km,
         ic_km=fill.ic_km,
-        up_links=up_links,
-        down_links=down_links,
+        up_paths=fill.up_paths,
+        down_paths=fill.down_paths,
     )
     table.validate()
     return table
@@ -561,11 +485,14 @@ def iter_pair_cost_table_blocks(
 
     Each yielded block is bit-identical to
     ``build_pair_cost_table(...).subset(np.arange(lo, hi))`` — same
-    gathers, same aliased ragged rows, same reindexed flowset view.
+    gathers, same shared paths, same reindexed flowset view.
     Reachability failures raise :class:`RoutingError` naming the pair, at
     the first block that touches a disconnected PoP.
     """
-    chunk_rows = _validate_chunk_rows(chunk_rows, DEFAULT_CHUNK_ROWS)
+    chunk_rows = (
+        DEFAULT_CHUNK_ROWS if chunk_rows is None
+        else check_int(chunk_rows, "chunk_rows", 1)
+    )
     fill = _ColumnFill(pair, flowset, routing_a, routing_b)
     n_f, n_i = fill.n_flows, fill.n_alternatives
     for lo in range(0, n_f, chunk_rows):
@@ -574,7 +501,6 @@ def iter_pair_cost_table_blocks(
             np.zeros((hi - lo, n_i)) for _ in range(4)
         )
         fill.fill(lo, hi, up_weight, down_weight, up_km, down_km)
-        up_links, down_links = fill.links(lo, hi)
         block = PairCostTable(
             pair=pair,
             flowset=flowset._subset_view(np.arange(lo, hi, dtype=np.intp)),
@@ -583,8 +509,8 @@ def iter_pair_cost_table_blocks(
             up_km=up_km,
             down_km=down_km,
             ic_km=fill.ic_km.copy(),
-            up_links=up_links,
-            down_links=down_links,
+            up_paths=fill.up_paths,
+            down_paths=fill.down_paths,
         )
         block.validate()
         yield block

@@ -11,9 +11,10 @@ between a production kernel and its reference here; the golden digests in
 * :mod:`reference.sssp` — per-source networkx Dijkstra routing;
 * :mod:`reference.topology` — the networkx PoP graph, connectivity check,
   backbone spanning tree and peering graph;
-* :mod:`reference.tables` — cell-by-cell cost-table build and the per-flow
-  table subset;
-* :mod:`reference.loads` — link loads, a ragged-table load tracker,
+* :mod:`reference.tables` — cell-by-cell cost-table build, the per-flow
+  link rows a table's per-PoP paths stand for, their row-by-row CSR
+  compile and the per-flow table subset;
+* :mod:`reference.loads` — link loads, a per-flow-row load tracker,
   fractional loads and the LP's link-constraint triplets;
 * :mod:`reference.evaluators` — load-aware and Fortz evaluators that
   recompute preferences one (flow, alternative) at a time;

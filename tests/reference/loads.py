@@ -1,14 +1,14 @@
-"""Load kernels as loops over the ragged link tables."""
+"""Load kernels as loops over the per-flow link rows."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from reference import tables
+
 
 def _side(table, side: str):
-    if side == "a":
-        return table.up_links, table.pair.isp_a.n_links()
-    return table.down_links, table.pair.isp_b.n_links()
+    return tables.rows(table, side), tables.n_links(table, side)
 
 
 def link_loads(table, choices, side, active=None, base=None):

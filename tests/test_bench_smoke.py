@@ -96,10 +96,14 @@ def test_smoke_derived_failure_table(fixture):
     table, *_ = fixture
     if table.n_alternatives < 2:
         pytest.skip("needs >= 2 interconnections to fail one")
-    table.incidence("a")
     derived = table.without_alternative(0)
     assert derived.n_alternatives == table.n_alternatives - 1
-    assert "_incidence_a" in derived.__dict__  # structurally re-derived
+    # The parent's path arrays, minus the dropped column's.
+    assert all(
+        got is want for got, want in zip(derived.up_paths, table.up_paths[1:])
+    )
+    want = reference_tables.incidence(derived, "a")
+    assert np.array_equal(derived.incidence("a").indices, want.indices)
     assert np.array_equal(derived.up_weight, table.up_weight[:, 1:])
     assert np.array_equal(
         early_exit_choices(derived),
@@ -109,15 +113,16 @@ def test_smoke_derived_failure_table(fixture):
 
 def test_smoke_negotiation_scope_setup(fixture):
     table, defaults, _, _ = fixture
-    table.incidence("a")
-    table.incidence("b")
+    table.pop_incidence("a")
+    table.pop_incidence("b")
     affected = np.flatnonzero(defaults == 0)
     fast = table.subset(affected)
     reference = reference_tables.subset(table, affected)
-    assert "_incidence_a" in fast.__dict__  # structurally re-derived
-    assert "_incidence_b" in fast.__dict__
+    assert fast.up_paths is table.up_paths  # shared, with the compiled CSR
+    assert fast.pop_incidence("b") is table.pop_incidence("b")
     for side in "ab":
-        fast_inc, reference_inc = fast.incidence(side), reference.incidence(side)
+        fast_inc = fast.incidence(side)
+        reference_inc = reference_tables.incidence(reference, side)
         assert np.array_equal(fast_inc.indptr, reference_inc.indptr)
         assert np.array_equal(fast_inc.indices, reference_inc.indices)
         assert np.array_equal(fast_inc.entry_flow, reference_inc.entry_flow)

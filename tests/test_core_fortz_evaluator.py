@@ -45,10 +45,11 @@ class TestFortzCostEvaluator:
         base[0] = 3.9  # link 0 just below its capacity of 4.0
         ev = FortzCostEvaluator(table, "a", caps, defaults, base_loads=base,
                                 range_=PreferenceRange(10))
+        inc = table.incidence("a")
         mid_flows = [
             f for f in table.flowset
-            if list(table.up_links[f.index][0]) == [0]
-            and list(table.up_links[f.index][1]) == [1]
+            if inc.row_links(f.index, 0).tolist() == [0]
+            and inc.row_links(f.index, 1).tolist() == [1]
         ]
         assert mid_flows, "fixture should contain MidX-sourced flows"
         for flow in mid_flows:
@@ -75,7 +76,8 @@ class TestFortzCostEvaluator:
         ev = FortzCostEvaluator(table, "a", caps, defaults,
                                 range_=PreferenceRange(10))
         flow = next(
-            f for f in table.flowset if len(table.up_links[f.index][0])
+            f for f in table.flowset
+            if table.incidence("a").row_links(f.index, 0).size
         )
         before = ev.true_delta(flow.index, 0)
         ev.commit(flow.index, 0)

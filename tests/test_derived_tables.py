@@ -3,15 +3,17 @@
 The derive-don't-recompute contract, on both axes of the (F, I) space:
 
 * column axis — evaluating one interconnection failure does zero routing
-  work; the post-failure cost table (dense arrays, ragged link tables,
-  compiled CSR incidence, flowset) is *derived* from the pre-failure table
-  by dropping the failed column, and must equal a
-  ``build_full_flowset`` + ``build_pair_cost_table`` rebuild over
-  ``pair.without_interconnection(k)`` bit for bit;
-* flow axis — restricting negotiation to the affected flows does zero
-  recompilation; ``PairCostTable.subset`` row-filters the table, the
-  array-backed flowset view and the compiled incidence, and must equal the
-  per-flow reference rebuild (``reference.tables.subset``) bit for bit.
+  work; the post-failure cost table (dense arrays, per-PoP paths, flowset)
+  is *derived* from the pre-failure table by dropping the failed column,
+  and must equal a ``build_full_flowset`` + ``build_pair_cost_table``
+  rebuild over ``pair.without_interconnection(k)`` bit for bit;
+* flow axis — restricting negotiation to the affected flows shares the
+  parent's paths and compiled per-PoP CSR; ``PairCostTable.subset``
+  row-gathers the table and the array-backed flowset view, and must equal
+  the per-flow reference rebuild (``reference.tables.subset``) bit for bit.
+
+Every derived table's flow-level incidence must equal the row-by-row
+compile of its per-flow reference rows.
 
 Both contracts hold all the way up to complete ``BandwidthCaseResult``s:
 the case-level tests swap the reference in at the derivation seam and
@@ -79,21 +81,44 @@ def _assert_tables_identical(derived, rebuilt):
     for name in ("up_weight", "down_weight", "up_km", "down_km", "ic_km"):
         assert np.array_equal(getattr(derived, name), getattr(rebuilt, name)), name
     assert np.array_equal(derived.flowset.sizes(), rebuilt.flowset.sizes())
-    for ragged_d, ragged_r in (
-        (derived.up_links, rebuilt.up_links),
-        (derived.down_links, rebuilt.down_links),
+    for paths_d, paths_r in (
+        (derived.up_paths, rebuilt.up_paths),
+        (derived.down_paths, rebuilt.down_paths),
     ):
-        assert len(ragged_d) == len(ragged_r)
-        for row_d, row_r in zip(ragged_d, ragged_r):
-            assert len(row_d) == len(row_r)
-            for links_d, links_r in zip(row_d, row_r):
+        assert len(paths_d) == len(paths_r)
+        for column_d, column_r in zip(paths_d, paths_r):
+            assert len(column_d) == len(column_r)
+            for links_d, links_r in zip(column_d, column_r):
                 assert np.array_equal(links_d, links_r)
     for side in "ab":
-        inc_d, inc_r = derived.incidence(side), rebuilt.incidence(side)
+        _assert_reference_incidence(derived, side)
+        inc_d = derived.incidence(side)
+        inc_r = reference_tables.incidence(rebuilt, side)
         assert np.array_equal(inc_d.indptr, inc_r.indptr)
         assert np.array_equal(inc_d.indices, inc_r.indices)
         assert np.array_equal(inc_d.entry_flow, inc_r.entry_flow)
         assert inc_d.n_links == inc_r.n_links
+
+
+def _assert_reference_incidence(table, side) -> None:
+    """The table's incidence equals the row-by-row compile of its rows."""
+    got, want = table.incidence(side), reference_tables.incidence(table, side)
+    assert (got.n_flows, got.n_alternatives, got.n_links) == (
+        want.n_flows, want.n_alternatives, want.n_links,
+    )
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.entry_flow, want.entry_flow)
+
+
+def _assert_shares_paths(derived, parent, keep) -> None:
+    """The derived table holds the parent's path arrays themselves."""
+    for got, want in (
+        (derived.up_paths, parent.up_paths),
+        (derived.down_paths, parent.down_paths),
+    ):
+        assert len(got) == len(keep)
+        assert all(got[i] is want[j] for i, j in enumerate(keep))
 
 
 class TestWithoutAlternative:
@@ -113,9 +138,11 @@ class TestWithoutAlternative:
         table = context.table_pre
         table.incidence("a")
         derived = table.without_alternative(0)
-        # The incidence was attached eagerly (no ragged recompilation on use).
-        assert "_incidence_a" in derived.__dict__
-        assert "_incidence_b" in derived.__dict__
+        # The surviving columns' path arrays are the parent's, and the
+        # derived incidence is compiled from them, not inherited.
+        _assert_shares_paths(derived, table, range(1, table.n_alternatives))
+        for side in "ab":
+            _assert_reference_incidence(derived, side)
 
     def test_derived_of_derived(self, bandwidth_fixture):
         _, pair, workload, context = bandwidth_fixture
@@ -136,29 +163,27 @@ class TestWithoutAlternative:
         with pytest.raises(Exception):
             context.table_pre.without_alternative(pair.n_interconnections())
 
-    def test_incidence_without_alternative_structural(self):
-        inc = PathIncidence.from_link_table(
-            (
-                (np.array([0, 1]), np.array([2]), np.array([], dtype=np.intp)),
-                (np.array([3]), np.array([]), np.array([0, 2, 3])),
-            ),
-            n_links=4,
-            n_alternatives=3,
-        )
-        dropped = inc.without_alternative(1)
-        expected = PathIncidence.from_link_table(
-            (
-                (np.array([0, 1]), np.array([], dtype=np.intp)),
-                (np.array([3]), np.array([0, 2, 3])),
-            ),
-            n_links=4,
-            n_alternatives=2,
-        )
-        assert np.array_equal(dropped.indptr, expected.indptr)
-        assert np.array_equal(dropped.indices, expected.indices)
-        assert np.array_equal(dropped.entry_flow, expected.entry_flow)
+    def test_incidence_without_alternative_structural(self, bandwidth_fixture):
+        _, _, _, context = bandwidth_fixture
+        table = context.table_pre
+        n_alt = table.n_alternatives
+        dropped = table.without_alternative(1)
+        for side in "ab":
+            # Each flow's rows minus its row 1, compiled row by row.
+            expected = reference_tables.compile_rows(
+                tuple(
+                    row[:1] + row[2:]
+                    for row in reference_tables.rows(table, side)
+                ),
+                reference_tables.n_links(table, side),
+                n_alt - 1,
+            )
+            got = dropped.incidence(side)
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.indices, expected.indices)
+            assert np.array_equal(got.entry_flow, expected.entry_flow)
         with pytest.raises(RoutingError):
-            inc.without_alternative(3)
+            table.without_alternative(n_alt)
 
 
 class TestBatchedBuild:
@@ -231,11 +256,12 @@ class TestSubsetEquivalence:
         table.incidence("a")
         table.incidence("b")
         derived = table.subset(np.array([0, 2]))
-        # Attached eagerly by the structural filter, not lazily recompiled.
-        assert "_incidence_a" in derived.__dict__
-        assert "_incidence_b" in derived.__dict__
-        rebuilt = reference_tables.subset(table, np.array([0, 2]))
-        assert "_incidence_a" not in rebuilt.__dict__
+        # The parent's paths and compiled per-PoP CSR are shared; the
+        # subset gathers its own rows from them.
+        _assert_shares_paths(derived, table, range(table.n_alternatives))
+        for side in "ab":
+            assert derived.pop_incidence(side) is table.pop_incidence(side)
+            _assert_reference_incidence(derived, side)
 
     def test_subset_of_derived_failure_table(self, bandwidth_fixture):
         """The bandwidth composition: without_alternative then subset."""
@@ -250,24 +276,28 @@ class TestSubsetEquivalence:
         )
 
     def test_incidence_subset_rows_structural(self):
+        # Three PoPs' rows; a flow set is a list of endpoint PoPs.
         link_table = (
             (np.array([0, 1]), np.array([2]), np.array([], dtype=np.intp)),
             (np.array([3]), np.array([], dtype=np.intp), np.array([0, 2, 3])),
             (np.array([1, 3]), np.array([0]), np.array([2])),
         )
-        inc = PathIncidence.from_link_table(link_table, n_links=4, n_alternatives=3)
-        for rows in ([1], [2, 0], [0, 1, 2], []):
-            derived = inc.subset_rows(np.asarray(rows, dtype=np.intp))
-            expected = PathIncidence.from_link_table(
+        paths = tuple(
+            tuple(link_table[p][i] for p in range(3)) for i in range(3)
+        )
+        inc = PathIncidence.from_paths(paths, n_pops=3, n_links=4)
+        for rows in ([1], [2, 0], [0, 1, 2], [], [2, 2]):
+            derived = inc.gather(np.asarray(rows, dtype=np.intp))
+            expected = reference_tables.compile_rows(
                 tuple(link_table[r] for r in rows), n_links=4, n_alternatives=3
             )
             assert np.array_equal(derived.indptr, expected.indptr), rows
             assert np.array_equal(derived.indices, expected.indices), rows
             assert np.array_equal(derived.entry_flow, expected.entry_flow), rows
         with pytest.raises(RoutingError):
-            inc.subset_rows(np.array([3]))
+            inc.gather(np.array([3]))
         with pytest.raises(RoutingError):
-            inc.subset_rows(np.array([-1]))
+            inc.gather(np.array([-1]))
 
     def test_case_results_bit_identical_across_subset_engines(
         self, bandwidth_fixture, monkeypatch
@@ -293,19 +323,33 @@ class TestSubsetEquivalence:
         assert fast == rebuilt_scope  # dataclass ==: every field, exact floats
 
     def test_no_recompilation_end_to_end(self, bandwidth_fixture, monkeypatch):
-        """A warm context's case must never compile a ragged link table."""
+        """A case compiles each side's per-PoP CSR once, for the derived
+        table, and gathers flow-level rows for the negotiation scope only."""
         config, pair, workload, _ = bandwidth_fixture
-        context = _build_context(pair, workload)  # compiles both incidences
+        context = _build_context(pair, workload)
+        compiled, gathered = [], []
+        compile_paths = PathIncidence.from_paths.__func__
+        gather = PathIncidence.gather
 
-        def forbidden(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("ragged incidence compilation on the fast path")
+        def counting_compile(cls, paths, n_pops, n_links):
+            compiled.append(paths)
+            return compile_paths(cls, paths, n_pops, n_links)
 
-        monkeypatch.setattr(PathIncidence, "from_link_table", forbidden)
+        def counting_gather(self, flows):
+            gathered.append(len(flows))
+            return gather(self, flows)
+
+        monkeypatch.setattr(
+            PathIncidence, "from_paths", classmethod(counting_compile)
+        )
+        monkeypatch.setattr(PathIncidence, "gather", counting_gather)
         result = run_bandwidth_case(
             context, 0, config, include_unilateral=True,
             include_cheating=True, include_diverse=True,
         )
-        assert result.n_affected >= 0
+        assert result.n_affected > 0
+        assert len(compiled) == 2  # the post-failure table, both sides
+        assert gathered == [result.n_affected] * 2
 
 
 class TestCaseEquivalence:

@@ -216,6 +216,23 @@ class TestWorkerInvariance:
 
 
 class TestRunMultiIsp:
+    @pytest.mark.parametrize("name", ["n_isp", "rounds"])
+    def test_unknown_name_rejected_before_build(
+        self, config, monkeypatch, name
+    ):
+        """A misspelt shape param or the sweep's ``rounds`` (the
+        coordinator calls it ``max_rounds``) fails at once, typed."""
+        import repro.experiments.internetwork as internetwork
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - fails the test
+            raise AssertionError("internetwork built before the name check")
+
+        monkeypatch.setattr(internetwork, "build_internetwork", forbidden)
+        with pytest.raises(
+            ConfigurationError, match=f"unknown run_multi_isp params: {name}$"
+        ):
+            run_multi_isp(config, **{name: 3})
+
     def test_direct_runner_matches_coordinator_defaults(self, config):
         result = run_multi_isp(config, n_isps=3, max_rounds=3)
         assert result.isp_names

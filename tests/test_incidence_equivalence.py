@@ -39,6 +39,7 @@ from repro.topology.generator import GeneratorConfig
 from reference import evaluators as reference_evaluators
 from reference import loads as reference_loads
 from reference import scenario as reference_scenario
+from reference import tables as reference_tables
 from reference.negotiation import (
     PerRoundSession,
     RescanningProposals,
@@ -80,7 +81,8 @@ def problem(request):
 class TestIncidenceStructure:
     def test_matches_ragged_tables(self, problem):
         table, *_ = problem
-        for side, ragged in (("a", table.up_links), ("b", table.down_links)):
+        for side in "ab":
+            ragged = reference_tables.rows(table, side)
             inc = table.incidence(side)
             assert inc.n_flows == table.n_flows
             assert inc.n_alternatives == table.n_alternatives

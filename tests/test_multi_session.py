@@ -238,27 +238,30 @@ class TestCoordination:
         assert last_round.n_changed == 0
 
     def test_no_ragged_recompilation_between_rounds(self, config, monkeypatch):
-        """Rounds must derive scopes structurally, never recompile CSR."""
+        """Each edge side compiles its per-PoP CSR at most once, however
+        many rounds and scopes derive from the edge's table."""
         from repro.routing.incidence import PathIncidence
 
+        compiled = []
+        compile_paths = PathIncidence.from_paths.__func__
+
+        def counting(cls, paths, n_pops, n_links):
+            compiled.append(paths)
+            return compile_paths(cls, paths, n_pops, n_links)
+
+        monkeypatch.setattr(
+            PathIncidence, "from_paths", classmethod(counting)
+        )
         net = _net(3)
         coordinator = MultiSessionCoordinator(
             net, config=config, max_rounds=6, transit_scale=3.0
         )
-        # Warm every table's incidence (the load kernels do this anyway),
-        # then forbid compilation for the whole coordination run.
-        for state in coordinator._states:
-            state.table.incidence("a")
-            state.table.incidence("b")
-
-        def boom(*args, **kwargs):
-            raise AssertionError(
-                "PathIncidence.from_link_table called during coordination"
-            )
-
-        monkeypatch.setattr(PathIncidence, "from_link_table", boom)
         result = coordinator.run()
         assert result.converged
+        assert len(result.rounds) > 1  # scopes were derived again
+        # Nothing is severed: every working table is its edge's table.
+        assert len({id(paths) for paths in compiled}) == len(compiled)
+        assert 0 < len(compiled) <= 2 * len(net.edges)
 
 
 class TestDegenerateInternetworks:

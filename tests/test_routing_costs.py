@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import RoutingError
-from repro.routing.costs import (
-    _gather_columns,
-    _gather_rows,
-    _per_pop_rows,
-    build_pair_cost_table,
-)
+from repro.routing.costs import build_pair_cost_table
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
+from repro.routing.incidence import PathIncidence
 from repro.routing.paths import IntradomainRouting
+
+from reference import tables as reference_tables
 
 
 @pytest.fixture()
@@ -26,9 +24,18 @@ class TestShapes:
         assert table.up_km.shape == (9, 2)
         assert table.ic_km.shape == (2,)
 
-    def test_link_tables_align(self, table):
-        assert len(table.up_links) == table.n_flows
-        assert all(len(row) == table.n_alternatives for row in table.up_links)
+    def test_link_tables_align(self, small_pair, table):
+        # One path per (interconnection, PoP) on each side.
+        for paths, isp in (
+            (table.up_paths, small_pair.isp_a),
+            (table.down_paths, small_pair.isp_b),
+        ):
+            assert len(paths) == table.n_alternatives
+            assert all(len(column) == isp.n_pops() for column in paths)
+        inc = table.incidence("a")
+        assert (inc.n_flows, inc.n_alternatives) == (
+            table.n_flows, table.n_alternatives,
+        )
 
     def test_validate_passes(self, table):
         table.validate()
@@ -56,8 +63,8 @@ class TestValues:
 
     def test_empty_path_for_colocated_flow(self, small_pair, table):
         flow = next(f for f in table.flowset if f.src == 0 and f.dst == 0)
-        assert len(table.up_links[flow.index][0]) == 0
-        assert len(table.down_links[flow.index][0]) == 0
+        assert table.incidence("a").row_links(flow.index, 0).size == 0
+        assert table.incidence("b").row_links(flow.index, 0).size == 0
 
 
 class TestSharedRouting:
@@ -85,8 +92,16 @@ class TestSubset:
         assert sub.flowset[0].src == table.flowset[1].src
 
     def test_subset_links_alias_rows(self, table):
+        table.pop_incidence("a")  # compiled before the subset: shared
         sub = table.subset(np.array([2]))
-        assert sub.up_links[0] is table.up_links[2]
+        assert sub.up_paths is table.up_paths
+        assert sub.down_paths is table.down_paths
+        assert sub.pop_incidence("a") is table.pop_incidence("a")
+        for i in range(table.n_alternatives):
+            assert np.array_equal(
+                sub.incidence("a").row_links(0, i),
+                table.incidence("a").row_links(2, i),
+            )
 
     def test_subset_validates(self, table):
         sub = table.subset(np.array([0, 4, 8]))
@@ -98,52 +113,88 @@ class TestSubset:
         assert np.array_equal(sub.flowset.srcs(), table.flowset.srcs()[[1, 3]])
 
 
-def _ragged(n_rows, n_cols):
+def _paths(n_pops, n_cols):
+    """Synthetic ``paths[i][p]``: distinct lengths, one empty per column."""
     return tuple(
-        tuple(np.arange(r + c) for c in range(n_cols)) for r in range(n_rows)
+        tuple(np.arange(p + c, dtype=np.intp) for p in range(n_pops))
+        for c in range(n_cols)
     )
 
 
-def _same_ragged(got, want) -> None:
-    """Same nesting, and every cell is the very same array object."""
-    assert type(got) is tuple and len(got) == len(want)
-    for got_row, want_row in zip(got, want):
-        assert type(got_row) is tuple and len(got_row) == len(want_row)
-        assert all(g is w for g, w in zip(got_row, want_row))
+def _assert_incidences_equal(got, want) -> None:
+    assert (got.n_flows, got.n_alternatives, got.n_links) == (
+        want.n_flows, want.n_alternatives, want.n_links,
+    )
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.entry_flow, want.entry_flow)
 
 
 class TestRaggedGathers:
-    """The C-level gathers equal the per-flow comprehensions they replace."""
+    """The per-PoP compile and the endpoint gather equal the row-by-row
+    compile of the per-flow rows they stand for."""
 
     @pytest.mark.parametrize("idx", [[], [2], [3, 0], [1, 1, 4]])
     def test_gather_rows(self, idx):
-        rows = _ragged(5, 3)
-        _same_ragged(_gather_rows(rows, idx), tuple(rows[i] for i in idx))
+        # Flows are endpoint PoPs, in any order and possibly shared.
+        paths = _paths(5, 3)
+        pops = PathIncidence.from_paths(paths, 5, n_links=8)
+        _assert_incidences_equal(
+            pops.gather(np.asarray(idx, dtype=np.intp)),
+            reference_tables.compile_rows(
+                tuple(tuple(column[p] for column in paths) for p in idx),
+                n_links=8, n_alternatives=3,
+            ),
+        )
 
     @pytest.mark.parametrize("n_rows", [0, 1, 4])
     @pytest.mark.parametrize("cols", [[], [1], [0, 2], [2, 0, 1]])
     def test_gather_columns(self, n_rows, cols):
-        rows = _ragged(n_rows, 3)
-        _same_ragged(
-            _gather_columns(rows, cols),
-            tuple(tuple(row[j] for j in cols) for row in rows),
+        # Any selection of a side's columns compiles per PoP in that order.
+        paths = _paths(n_rows, 3)
+        picked = tuple(paths[j] for j in cols)
+        _assert_incidences_equal(
+            PathIncidence.from_paths(picked, n_rows, n_links=8),
+            reference_tables.compile_rows(
+                tuple(
+                    tuple(column[p] for column in picked)
+                    for p in range(n_rows)
+                ),
+                n_links=8, n_alternatives=len(cols),
+            ),
         )
 
     @pytest.mark.parametrize("n_views", [0, 1, 3])
     def test_per_pop_rows(self, n_views):
-        views = [tuple(np.arange(p + v) for p in range(4)) for v in range(n_views)]
-        _same_ragged(
-            _per_pop_rows(views, 4),
-            tuple(tuple(view[p] for view in views) for p in range(4)),
+        # Row p * I + i is view i's entry for PoP p; None compiles empty.
+        views = tuple(
+            tuple(
+                None if p == v else np.arange(p + v, dtype=np.intp)
+                for p in range(4)
+            )
+            for v in range(n_views)
         )
+        pops = PathIncidence.from_paths(views, 4, n_links=8)
+        assert (pops.n_flows, pops.n_alternatives) == (4, n_views)
+        for p in range(4):
+            for v, view in enumerate(views):
+                want = view[p] if view[p] is not None else []
+                assert pops.row_links(p, v).tolist() == list(want)
 
     def test_one_column_table_derivations(self, table):
-        # One surviving column takes the 1-tuple path of every gather.
+        # One surviving column keeps that column's paths themselves.
         single = table.without_alternative(1)
-        assert all(len(row) == 1 for row in single.up_links)
-        _same_ragged(single.up_links, tuple((row[0],) for row in table.up_links))
+        assert len(single.up_paths) == 1
+        assert single.up_paths[0] is table.up_paths[0]
+        assert single.down_paths[0] is table.down_paths[0]
         one_row = single.subset([4])
-        _same_ragged(one_row.down_links, (single.down_links[4],))
+        assert one_row.down_paths is single.down_paths
+        for derived in (single, one_row):
+            for side in "ab":
+                _assert_incidences_equal(
+                    derived.incidence(side),
+                    reference_tables.incidence(derived, side),
+                )
 
 
 class TestSubsetValidation:

@@ -58,18 +58,28 @@ from reference.sssp import NetworkxRouting
 
 
 def _assert_tables_equal(left, right) -> None:
-    """Bit-exact equality over every array and ragged row of two tables."""
+    """Bit-exact equality over every array, path and per-flow row of two
+    tables."""
     for name in ("up_weight", "down_weight", "up_km", "down_km", "ic_km"):
         a, b = getattr(left, name), getattr(right, name)
         assert a.shape == b.shape
         assert np.array_equal(a, b), name
-    for name in ("up_links", "down_links"):
+    for name in ("up_paths", "down_paths"):
         a, b = getattr(left, name), getattr(right, name)
         assert len(a) == len(b)
-        for row_a, row_b in zip(a, b):
-            assert len(row_a) == len(row_b)
-            for cell_a, cell_b in zip(row_a, row_b):
-                assert np.array_equal(cell_a, cell_b), name
+        for column_a, column_b in zip(a, b):
+            assert len(column_a) == len(column_b)
+            for cell_a, cell_b in zip(column_a, column_b):
+                assert (cell_a is None) == (cell_b is None), name
+                if cell_a is not None:
+                    assert np.array_equal(cell_a, cell_b), name
+    for side in "ab":
+        got = left.incidence(side)
+        want = reference_tables.incidence(right, side)
+        for field in ("indptr", "indices", "entry_flow"):
+            assert np.array_equal(
+                getattr(got, field), getattr(want, field)
+            ), (side, field)
 
 
 def _strided_flowset(pair, target_flows: int) -> FlowSet:
@@ -317,10 +327,25 @@ class TestChunkedBuildEquivalence:
         with pytest.raises(ConfigurationError, match="chunk_rows"):
             list(iter_pair_cost_table_blocks(chunk_pair, chunk_flowset, chunk_rows=-3))
 
-    def test_bad_table_chunk_rejected(self, chunk_tables):
+    def test_bad_table_chunk_rejected(
+        self, chunk_pair, chunk_flowset, chunk_tables
+    ):
+        """Zero, and anything but an integer, is rejected by all three
+        block sizers: a float, a bool or a string was truncated or cast."""
         _, batched = chunk_tables
         with pytest.raises(ConfigurationError, match="chunk_rows"):
             list(batched.iter_blocks(chunk_rows=0))
+        for chunk_rows in (2.5, True, "7", 0.5):
+            with pytest.raises(ConfigurationError, match="chunk_rows"):
+                list(batched.iter_blocks(chunk_rows=chunk_rows))
+            with pytest.raises(ConfigurationError, match="chunk_rows"):
+                build_pair_cost_table(
+                    chunk_pair, chunk_flowset, chunk_rows=chunk_rows
+                )
+            with pytest.raises(ConfigurationError, match="chunk_rows"):
+                list(iter_pair_cost_table_blocks(
+                    chunk_pair, chunk_flowset, chunk_rows=chunk_rows
+                ))
 
 
 # ---------------------------------------------------------------------------

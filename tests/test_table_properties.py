@@ -11,8 +11,10 @@ index sets:
 * ``without_alternative`` and ``subset`` commute:
   ``t.without_alternative(k).subset(idx) == t.subset(idx).without_alternative(k)``;
 * ``subset`` composes: ``t.subset(i).subset(j) == t.subset(i[j])``;
-* compiled CSR incidences derived structurally along any of those routes
-  are bit-identical to compiling the result's ragged rows from scratch.
+* the flow-level incidence of a table reached along any route — built,
+  streamed in blocks, columns dropped in any order or in a batch, subsets,
+  and compositions of these — is bit-identical to compiling the result's
+  per-flow reference rows one at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.costs import PairCostTable, build_pair_cost_table
+from repro.routing.costs import (
+    PairCostTable,
+    build_pair_cost_table,
+    iter_pair_cost_table_blocks,
+)
 from repro.routing.flows import build_full_flowset
 from repro.routing.incidence import PathIncidence
 from repro.topology.builders import build_custom_isp
@@ -69,16 +75,15 @@ TABLE = _property_table()
 
 
 def assert_tables_identical(got: PairCostTable, want: PairCostTable) -> None:
-    """Bit-exact equality across dense arrays, ragged rows and flowset."""
+    """Bit-exact equality across dense arrays, paths and flowset."""
     for name in ("up_weight", "down_weight", "up_km", "down_km", "ic_km"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert len(got.up_links) == len(want.up_links)
-    for got_row, want_row in zip(got.up_links, want.up_links):
-        for g, w in zip(got_row, want_row):
-            assert np.array_equal(g, w)
-    for got_row, want_row in zip(got.down_links, want.down_links):
-        for g, w in zip(got_row, want_row):
-            assert np.array_equal(g, w)
+    for name in ("up_paths", "down_paths"):
+        got_paths, want_paths = getattr(got, name), getattr(want, name)
+        assert len(got_paths) == len(want_paths), name
+        for got_column, want_column in zip(got_paths, want_paths):
+            for g, w in zip(got_column, want_column):
+                assert np.array_equal(g, w), name
     assert np.array_equal(got.flowset.srcs(), want.flowset.srcs())
     assert np.array_equal(got.flowset.dsts(), want.flowset.dsts())
     assert np.array_equal(got.flowset.sizes(), want.flowset.sizes())
@@ -96,15 +101,8 @@ def assert_incidences_identical(
 
 
 def _recompiled(table: PairCostTable, side: str) -> PathIncidence:
-    """The incidence a from-scratch ragged compilation would produce."""
-    link_table = table.up_links if side == "a" else table.down_links
-    n_links = (
-        table.pair.isp_a.n_links() if side == "a"
-        else table.pair.isp_b.n_links()
-    )
-    return PathIncidence.from_link_table(
-        link_table, n_links, table.n_alternatives
-    )
+    """The incidence a row-by-row compile of the per-flow rows produces."""
+    return reference_tables.incidence(table, side)
 
 
 def _warm_parent() -> PairCostTable:
@@ -213,10 +211,10 @@ def test_fixture_shape():
 
 
 class TestEmptySubsetShortCircuit:
-    """Regression: an empty scope never compiles incidence (PR 3 rule)."""
+    """An empty scope gathers no rows and compiles nothing per flow."""
 
     def test_cold_parent_empty_subset_never_compiles(self, monkeypatch):
-        table = _property_table()  # cold: no incidence compiled yet
+        table = _property_table()  # cold: nothing compiled yet
         reference = {
             side: _recompiled(
                 reference_tables.subset(table, np.empty(0, dtype=np.intp)),
@@ -224,18 +222,23 @@ class TestEmptySubsetShortCircuit:
             )
             for side in "ab"
         }
+        compiled = []
+        compile_paths = PathIncidence.from_paths.__func__
 
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("empty subset must not compile incidence")
+        def counting(cls, paths, n_pops, n_links):
+            compiled.append(paths)
+            return compile_paths(cls, paths, n_pops, n_links)
 
-        monkeypatch.setattr(PathIncidence, "from_link_table", boom)
+        monkeypatch.setattr(PathIncidence, "from_paths", classmethod(counting))
         empty = table.subset(np.empty(0, dtype=np.intp))
         assert empty.n_flows == 0
         assert len(empty.flowset) == 0
         for side in "ab":
-            incidence = empty.incidence(side)  # pre-attached, no compile
+            incidence = empty.incidence(side)
             assert_incidences_identical(incidence, reference[side])
             assert incidence.indices.size == 0
+        # Only the per-PoP CSR of each side (P·I paths), never flow rows.
+        assert compiled == [table.up_paths, table.down_paths]
 
     def test_warm_parent_empty_subset_never_compiles(self, monkeypatch):
         table = _warm_parent()
@@ -243,7 +246,7 @@ class TestEmptySubsetShortCircuit:
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("empty subset must not compile incidence")
 
-        monkeypatch.setattr(PathIncidence, "from_link_table", boom)
+        monkeypatch.setattr(PathIncidence, "from_paths", boom)
         empty = table.subset(np.empty(0, dtype=np.intp))
         for side in "ab":
             assert empty.incidence(side).n_flows == 0
@@ -391,3 +394,85 @@ def test_drop_validation_unified_with_subset():
         table.without_alternative(7)
     with pytest.raises(RoutingError, match="every alternative"):
         table.batch_without_alternatives([[0], [0, 1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# Every route to a table: its incidence is the reference compile of its rows
+# ---------------------------------------------------------------------------
+
+
+def _fresh_table(warm: bool) -> PairCostTable:
+    """The property table, cold or with both per-PoP CSRs compiled."""
+    table = _property_table()
+    if warm:
+        table.pop_incidence("a")
+        table.pop_incidence("b")
+    return table
+
+
+def _derive(table: PairCostTable, step: tuple) -> PairCostTable:
+    kind, seed = step
+    rng = np.random.default_rng(seed)
+    n_alt = table.n_alternatives
+    if kind == "drop":
+        if n_alt == 1:  # the last column cannot fail
+            return table
+        return table.without_alternative(int(rng.integers(0, n_alt)))
+    if kind == "drops":
+        size = int(rng.integers(0, n_alt))
+        return table.without_alternatives(rng.permutation(n_alt)[:size])
+    if kind == "batch":
+        drop_sets = [
+            rng.permutation(n_alt)[: int(rng.integers(0, n_alt))]
+            for _ in range(3)
+        ]
+        return table.batch_without_alternatives(drop_sets)[
+            int(rng.integers(0, 3))
+        ]
+    if kind == "subset":
+        size = int(rng.integers(0, table.n_flows + 1))
+        return table.subset(rng.permutation(table.n_flows)[:size])
+    blocks = list(table.iter_blocks(int(rng.integers(1, table.n_flows + 2))))
+    return blocks[int(rng.integers(0, len(blocks)))] if blocks else table
+
+
+_STEPS = st.tuples(
+    st.sampled_from(["drop", "drops", "batch", "subset", "block"]),
+    st.integers(0, 2**31 - 1),
+)
+
+
+@settings(deadline=None)
+@given(
+    start=st.sampled_from(["built", "chunked"]),
+    warm=st.booleans(),
+    chunk_rows=st.integers(1, 20),
+    steps=st.lists(_STEPS, max_size=4),
+)
+def test_incidence_equals_reference_compile_on_every_route(
+    start, warm, chunk_rows, steps
+):
+    table = _fresh_table(warm)
+    if start == "chunked":
+        blocks = list(iter_pair_cost_table_blocks(
+            table.pair, table.flowset, chunk_rows=chunk_rows
+        ))
+        table = blocks[chunk_rows % len(blocks)]
+    for step in steps:
+        derived = _derive(table, step)
+        # Derivations drop or share the path arrays, never copy them.
+        for name in ("up_paths", "down_paths"):
+            survivors = {id(links) for links in getattr(table, name)}
+            assert all(
+                id(links) in survivors for links in getattr(derived, name)
+            )
+        table = derived
+        for side in "ab":
+            got = table.incidence(side)
+            want = reference_tables.incidence(table, side)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.entry_flow, want.entry_flow)
+            assert (got.n_flows, got.n_alternatives, got.n_links) == (
+                want.n_flows, want.n_alternatives, want.n_links,
+            )
