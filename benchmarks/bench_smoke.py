@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Emit ``BENCH_core.json``: reference vs vectorized timings of hot kernels.
 
-A lightweight, dependency-free companion to ``bench_core_micro.py``: each
-kernel runs a few times under ``time.perf_counter`` (best-of-N, no
+Each kernel runs a few times under ``time.perf_counter`` (best-of-N, no
 statistics machinery) next to the slower path it replaced, and the
 resulting before/after numbers are written as JSON. The slow side of each
 kernel is either the plain-loop reference in ``tests/reference`` or a
@@ -18,8 +17,8 @@ exits non-zero if any recorded speedup drops below 1.0 — i.e. if a
 
     PYTHONPATH=src python benchmarks/bench_smoke.py --check
 
-Scales with ``REPRO_BENCH_PRESET`` (quick / bench / paper) like the figure
-benchmarks; the committed baseline uses the default ``bench`` preset.
+Scales with ``REPRO_BENCH_PRESET`` (quick / bench / paper); the committed
+baseline uses the default ``bench`` preset.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import build_distance_problem
 from repro.geo.cities import default_city_database
 from repro.geo.population import GRID_HALF_SIDE_KM, city_grid_population
-from repro.optimal import bandwidth_lp
-from repro.optimal.bandwidth_lp import _link_constraint_rows, solve_min_max_load_lp
+from repro.optimal.bandwidth_lp import _link_constraint_rows
 from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
@@ -86,8 +84,8 @@ from reference.sssp import NetworkxRouting  # noqa: E402
 from reference.topology import NetworkxTopologyGenerator  # noqa: E402
 
 #: The scale axis: synthetic grid pairs (PoPs per ISP) far beyond what the
-#: measured dataset provides, exercising the csgraph SSSP batch, the
-#: chunked table build, and the solver-interface LP at growing sizes.
+#: measured dataset provides, exercising the csgraph SSSP batch, the table
+#: build and incidence, and the LP's constraint assembly at growing sizes.
 SCALE_PRESETS = {"small": 64, "medium": 144, "large": 256}
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_core.json"
@@ -548,21 +546,6 @@ def _lp_assembly(table, caps_a, caps_b, rows):
     return assemble
 
 
-def _with_loop_assembly(solve):
-    """Run ``solve`` with the LP's constraint assembler swapped for the
-    reference loop (same LP, assembled triplet by triplet)."""
-
-    def run():
-        vectorized = bandwidth_lp._link_constraint_rows
-        bandwidth_lp._link_constraint_rows = reference_loads.link_constraint_rows
-        try:
-            return solve()
-        finally:
-            bandwidth_lp._link_constraint_rows = vectorized
-
-    return run
-
-
 def _scale_flowset(pair, target_flows: int) -> FlowSet:
     """An evenly strided sub-sampling of the pair's full (src, dst) space.
 
@@ -621,29 +604,26 @@ def _scale_kernels(benches: dict) -> None:
             _table_incidence_kernel(table, reference_tables.incidence),
             3,
         )
-        benches[f"table_build_chunked_{preset}"] = (
+        benches[f"table_build_{preset}"] = (
             lambda p=pair, f=flowset, ra=routing_a, rb=routing_b:
-                build_pair_cost_table(p, f, ra, rb, chunk_rows=512),
+                build_pair_cost_table(p, f, ra, rb),
             lambda p=pair, f=flowset, ra=routing_a, rb=routing_b:
                 reference_tables.build_pair_cost_table(p, f, ra, rb),
             3,
         )
-        # The LP the experiments actually solve per failure case: the
-        # affected-flows negotiation scope, not the full table (whose
-        # solve time would swamp the assembly difference and the CI
-        # budget alike).
+        # The LP the experiments actually solve per failure case is over
+        # the affected-flows negotiation scope. Only its constraint
+        # assembly differs from the reference: timing the HiGHS solve
+        # too, identical on both sides, left a margin host noise could
+        # read as a regression.
         lp_table = table.subset(np.flatnonzero(defaults == 0))
         lp_table.incidence("a")
         lp_table.incidence("b")  # the case's session has gathered them
-        benches[f"lp_solver_{preset}"] = (
-            lambda t=lp_table, ca=caps_a, cb=caps_b:
-                solve_min_max_load_lp(t, ca, cb, solver="highs"),
-            _with_loop_assembly(
-                lambda t=lp_table, ca=caps_a, cb=caps_b:
-                    solve_min_max_load_lp(t, ca, cb)
+        benches[f"lp_assembly_{preset}"] = (
+            _lp_assembly(lp_table, caps_a, caps_b, _link_constraint_rows),
+            _lp_assembly(
+                lp_table, caps_a, caps_b, reference_loads.link_constraint_rows
             ),
-            # The thinnest margin of any kernel (~1.2x): more interleaved
-            # repeats keep host noise from reading as a regression.
             5,
         )
 

@@ -18,8 +18,11 @@
     python -m repro sweep bandwidth --preset paper --workers -1 \\
         --checkpoint-dir ckpt/ --resume
 
-The CLI prints the same CDF series the benchmark harness emits, so a user
-can reproduce any figure without pytest.
+``distance`` prints Figures 4, 5 and 6 (10 with ``--cheating``) and
+``bandwidth`` Figure 7 (8, 9 and 11 with ``--unilateral``, ``--diverse``
+and ``--cheating``) as CDF series. Each ends with the paper's claims
+measured on those figures, the block ``sweep distance`` / ``sweep
+bandwidth`` prints. ``FIGURES.md`` holds their bench-preset output.
 
 Every experiment executes through the unified sweep runner
 (:mod:`repro.experiments.runner`): ``--workers N`` parallelizes at unit
@@ -335,64 +338,92 @@ def _sweep(args: argparse.Namespace, spec: ScenarioSpec):
     return runner.run(spec, config, params)
 
 
+def _claims(spec: ScenarioSpec, aggregate) -> str:
+    """The claim block ``sweep <scenario>`` prints for ``aggregate``."""
+    claims = spec.summarize(aggregate) if spec.summarize else [
+        ("result", repr(aggregate))
+    ]
+    return format_claims(f"sweep: {spec.name}", claims)
+
+
+def _print_figures(figures, out) -> None:
+    for title, cdfs in figures:
+        print(format_series_table(title, cdfs), file=out)
+
+
 def _run_distance(args: argparse.Namespace, out) -> int:
-    result = _sweep(args, get_scenario("distance"))
-    print(format_series_table(
-        "Figure 4a: total % distance gain (CDF over pairs)",
-        [result.cdf_total_gain("optimal"), result.cdf_total_gain("negotiated")],
-    ), file=out)
-    print(format_series_table(
-        "Figure 4b: individual per-ISP % gain (CDF)",
-        [result.cdf_individual_gain("optimal"),
-         result.cdf_individual_gain("negotiated")],
-    ), file=out)
-    claims = [
-        ("median total gain (optimal / negotiated)",
-         f"{result.median_total_gain('optimal'):.2f}% / "
-         f"{result.median_total_gain('negotiated'):.2f}%"),
-        ("fraction of ISPs losing (optimal / negotiated)",
-         f"{result.fraction_isps_losing('optimal'):.2f} / "
-         f"{result.fraction_isps_losing('negotiated'):.2f}"),
+    spec = get_scenario("distance")
+    result = _sweep(args, spec)
+    total, individual = result.cdf_total_gain, result.cdf_individual_gain
+    figures = [
+        ("Figure 4a: total % distance gain over ISP pairs (CDF)",
+         [total("optimal"), total("negotiated")]),
+        ("Figure 4b: individual per-ISP % gain (CDF)",
+         [individual("optimal"), individual("negotiated")]),
+        ("Figure 5: total % gain of per-flow strategies (CDF over pairs)",
+         [total("flow_pareto"), total("flow_both_better"),
+          total("negotiated")]),
+        ("Figure 6: per-flow % gain, all flows pooled (CDF)",
+         [result.cdf_flow_gain("optimal"),
+          result.cdf_flow_gain("negotiated")]),
     ]
     if args.include_cheating:
-        claims.append(
-            ("median total gain with one cheater",
-             f"{result.cdf_total_gain('cheating').median():.2f}%")
-        )
-    print(format_claims("summary", claims), file=out)
+        figures += [
+            ("Figure 10a: total % gain, both truthful vs one cheater (CDF)",
+             [total("negotiated"), total("cheating")]),
+            ("Figure 10b: individual % gain under cheating (CDF)",
+             [individual("negotiated"), individual("cheater"),
+              individual("truthful")]),
+        ]
+    _print_figures(figures, out)
     grouped = gain_by_interconnection_count(result)
     print("-- negotiated gain by interconnection count --", file=out)
     for count, (n_pairs, median) in grouped.items():
         print(f"  {count} interconnections: {n_pairs:3d} pairs, "
               f"median gain {median:5.2f}%", file=out)
+    print(_claims(spec, result), file=out)
     return 0
 
 
 def _run_bandwidth(args: argparse.Namespace, out) -> int:
-    result = _sweep(args, get_scenario("bandwidth"))
-    print(format_series_table(
-        "Figure 7 (left): upstream MEL ratio to optimal (CDF)",
-        [result.cdf_ratio("default", "a"), result.cdf_ratio("negotiated", "a")],
-    ), file=out)
-    print(format_series_table(
-        "Figure 7 (right): downstream MEL ratio to optimal (CDF)",
-        [result.cdf_ratio("default", "b"), result.cdf_ratio("negotiated", "b")],
-    ), file=out)
+    spec = get_scenario("bandwidth")
+    result = _sweep(args, spec)
+    ratio = result.cdf_ratio
+    figures = [
+        ("Figure 7 (left): upstream MEL ratio to optimal (CDF over "
+         "failures)",
+         [ratio("default", "a"), ratio("negotiated", "a")]),
+        ("Figure 7 (right): downstream MEL ratio to optimal (CDF over "
+         "failures)",
+         [ratio("default", "b"), ratio("negotiated", "b")]),
+    ]
     if args.include_unilateral:
-        print(format_series_table(
-            "Figure 8: downstream MEL, unilateral / default",
-            [result.cdf_unilateral_downstream()],
-        ), file=out)
+        figures.append(
+            ("Figure 8: downstream MEL, upstream-unilateral / default (CDF)",
+             [result.cdf_unilateral_downstream()])
+        )
     if args.include_diverse:
-        print(format_series_table(
-            "Figure 9 (right): downstream distance gain %",
-            [result.cdf_diverse_downstream_gain()],
-        ), file=out)
+        figures += [
+            ("Figure 9 (left): upstream MEL ratio to optimal, diverse "
+             "objectives (CDF)",
+             [ratio("default", "a"), ratio("diverse", "a")]),
+            ("Figure 9 (right): downstream % distance gain over default "
+             "(CDF)",
+             [result.cdf_diverse_downstream_gain()]),
+        ]
     if args.include_cheating:
-        print(format_series_table(
-            "Figure 11: MEL ratios with a cheating upstream",
-            [result.cdf_ratio("cheating", "a"), result.cdf_ratio("cheating", "b")],
-        ), file=out)
+        figures += [
+            ("Figure 11 (left): upstream (cheater) MEL ratio to optimal "
+             "(CDF)",
+             [ratio("negotiated", "a"), ratio("cheating", "a"),
+              ratio("default", "a")]),
+            ("Figure 11 (right): downstream (truthful) MEL ratio to optimal "
+             "(CDF)",
+             [ratio("negotiated", "b"), ratio("cheating", "b"),
+              ratio("default", "b")]),
+        ]
+    _print_figures(figures, out)
+    print(_claims(spec, result), file=out)
     return 0
 
 
@@ -488,11 +519,7 @@ def _run_robust(args: argparse.Namespace, out) -> int:
 
 def _run_sweep(args: argparse.Namespace, out) -> int:
     spec = get_scenario(args.scenario)
-    aggregate = _sweep(args, spec)
-    claims = spec.summarize(aggregate) if spec.summarize else [
-        ("result", repr(aggregate))
-    ]
-    print(format_claims(f"sweep: {spec.name}", claims), file=out)
+    print(_claims(spec, _sweep(args, spec)), file=out)
     return 0
 
 

@@ -43,7 +43,7 @@ from repro.experiments.oscillation import (
     run_oscillation_pair,
     simulate_best_response,
 )
-from repro.experiments.report import format_cdf_block, format_claims
+from repro.experiments.report import format_claims
 from repro.experiments.runner import (
     CheckpointStore,
     ScenarioSpec,
@@ -68,7 +68,6 @@ __all__ = [
     "AvailabilityExperimentResult",
     "run_pair_availability",
     "run_availability_experiment",
-    "format_cdf_block",
     "format_claims",
     "run_grouped_ablation",
     "DestinationPairResult",

@@ -547,13 +547,69 @@ def _bandwidth_reduce(config, params, results):
 
 
 def _bandwidth_summary(result: BandwidthExperimentResult) -> list:
-    return [
-        ("failure cases", str(len(result.cases))),
-        ("median upstream MEL ratio (default)",
-         f"{result.cdf_ratio('default', 'a').median():.3f}"),
-        ("median upstream MEL ratio (negotiated)",
-         f"{result.cdf_ratio('negotiated', 'a').median():.3f}"),
+    """The paper's Section 5.2-5.4 claims against this result's figures.
+
+    Figure 7 always; Figures 8, 9 and 11 when the sweep ran the
+    unilateral, diverse or cheating variant.
+    """
+    def_a = result.cdf_ratio("default", "a")
+    neg_a = result.cdf_ratio("negotiated", "a")
+    def_b = result.cdf_ratio("default", "b")
+    claims = [
+        ("Figure 7: the default MEL is often significantly larger than "
+         "optimal (ratio > 2 for half the upstream cases in the paper)",
+         f"upstream default/optimal: median {def_a.median():.2f}, ratio >= 2 "
+         f"in {100 * def_a.fraction_at_least(2.0):.0f}% of cases, >= 5 in "
+         f"{100 * def_a.fraction_at_least(5.0):.0f}%"),
+        ("Figure 7: negotiated routing is very close to optimal (most MEL "
+         "ratios are one)",
+         f"upstream negotiated/optimal: median {neg_a.median():.2f}, within "
+         f"1.1x in {100 * neg_a.fraction_at_most(1.1):.0f}% of cases"),
+        ("Figure 7: the overload tendency is more pronounced for the "
+         "upstream",
+         f"median default ratio: upstream {def_a.median():.2f} vs downstream "
+         f"{def_b.median():.2f}"),
     ]
+    if any(c.mel_unilateral_b is not None for c in result.cases):
+        unilateral = result.cdf_unilateral_downstream()
+        claims += [
+            ("Figure 8: the result is unpredictable: sometimes helps the "
+             "downstream (left end), sometimes hurts it (right end)",
+             f"helps in {100 * unilateral.fraction_below(1.0):.0f}% of "
+             "cases, hurts in "
+             f"{100 * (1 - unilateral.fraction_at_most(1.0)):.0f}%, max "
+             f"ratio {unilateral.max():.2f}"),
+            ("Figure 8: in 10% of the paper's cases the MEL more than "
+             "doubles",
+             f"ratio >= 2 in {100 * unilateral.fraction_at_least(2.0):.1f}% "
+             "of our cases"),
+        ]
+    if any(c.mel_diverse_a is not None for c in result.cases):
+        gain_b = result.cdf_diverse_downstream_gain()
+        claims += [
+            ("Figure 9: the upstream can effectively control overload",
+             "upstream MEL ratio with diverse negotiation: median "
+             f"{result.cdf_ratio('diverse', 'a').median():.2f} (default "
+             f"{def_a.median():.2f})"),
+            ("Figure 9: the downstream can significantly reduce the "
+             "distance traffic traverses in its network",
+             f"downstream distance gain: median {gain_b.median():.1f}%, p90 "
+             f"{gain_b.percentile(90):.1f}%"),
+        ]
+    if any(c.mel_cheat_a is not None for c in result.cases):
+        claims += [
+            ("Figure 11: cheating reduces the benefit for the truthful "
+             "downstream",
+             "downstream median MEL ratio: truthful negotiation "
+             f"{result.cdf_ratio('negotiated', 'b').median():.2f} vs under "
+             f"cheating {result.cdf_ratio('cheating', 'b').median():.2f} "
+             f"(default {def_b.median():.2f})"),
+            ("Figure 11: cheating also reduces the benefit for the cheating "
+             "upstream (it does not beat honest negotiation)",
+             f"upstream median MEL ratio: truthful {neg_a.median():.2f} vs "
+             f"cheating {result.cdf_ratio('cheating', 'a').median():.2f}"),
+        ]
+    return claims
 
 
 BANDWIDTH_SCENARIO = register_scenario(ScenarioSpec(

@@ -302,8 +302,8 @@ def run_multi_isp(
     """Build an internetwork and run one coordination.
 
     Returns the raw :class:`~repro.core.multi_session.MultiNegotiationResult`.
-    The ``multi_isp`` sweep runs its one unit through here; examples and
-    benchmarks call it directly. Keyword arguments pass through to
+    The ``multi_isp`` sweep runs its one unit through here; callers that
+    want the raw result call it directly. Keyword arguments pass through to
     :class:`~repro.core.multi_session.MultiSessionCoordinator`, backfilled
     with the sweep's defaults; an explicit ``internetwork`` skips
     generation. A name that is neither an internetwork shape param nor a

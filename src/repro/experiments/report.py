@@ -1,8 +1,9 @@
 """Paper-style text rendering of experiment results.
 
-The benchmark harness prints, for every figure, the CDF series the figure
-plots plus the headline claims the paper states in prose. Nothing here
-computes — it only formats.
+The ``distance`` and ``bandwidth`` CLI verbs print, for every figure, the
+CDF series the figure plots (:func:`format_series_table`) and then the
+claims the paper states in prose next to what was measured
+(:func:`format_claims`). Nothing here computes — it only formats.
 """
 
 from __future__ import annotations
@@ -11,16 +12,7 @@ from typing import Sequence
 
 from repro.util.cdf import Cdf
 
-__all__ = ["format_cdf_block", "format_claims", "format_series_table"]
-
-
-def format_cdf_block(title: str, cdfs: Sequence[Cdf], points: int = 11,
-                     unit: str = "") -> str:
-    """Render one figure panel: a title plus each curve's CDF rows."""
-    lines = [f"== {title} =="]
-    for cdf in cdfs:
-        lines.append(cdf.format_rows(points=points, unit=unit))
-    return "\n".join(lines)
+__all__ = ["format_claims", "format_series_table"]
 
 
 def format_series_table(title: str, cdfs: Sequence[Cdf],

@@ -47,22 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import RoutingError
 from repro.routing.flows import FlowSet
 from repro.routing.incidence import PathIncidence
 from repro.routing.paths import IntradomainRouting
 from repro.topology.interconnect import IspPair
-from repro.util.validation import check_int
 
-__all__ = [
-    "PairCostTable",
-    "build_pair_cost_table",
-    "iter_pair_cost_table_blocks",
-    "DEFAULT_CHUNK_ROWS",
-]
-
-#: Default flow-row block size for the streaming block iterators.
-DEFAULT_CHUNK_ROWS = 2048
+__all__ = ["PairCostTable", "build_pair_cost_table"]
 
 
 def _validate_index_set(indices, n: int, what: str) -> np.ndarray:
@@ -311,22 +302,6 @@ class PairCostTable:
                 object.__setattr__(derived, attr, self.__dict__[attr])
         return derived
 
-    def iter_blocks(self, chunk_rows: int = DEFAULT_CHUNK_ROWS):
-        """Yield this table as consecutive flow-row blocks.
-
-        Each block is a :meth:`subset` of at most ``chunk_rows`` consecutive
-        flows (so the last block may be short). Downstream kernels that
-        reduce over flows — load accumulation, preference scoring — can
-        stream a large table block by block instead of holding derived
-        per-flow state for all F rows at once. Blocks share this table's
-        storage (row-gathered views, shared paths) and are bit-identical to
-        the equivalent ``subset(np.arange(lo, hi))`` call.
-        """
-        chunk_rows = check_int(chunk_rows, "chunk_rows", 1)
-        for lo in range(0, self.n_flows, chunk_rows):
-            hi = min(lo + chunk_rows, self.n_flows)
-            yield self.subset(np.arange(lo, hi, dtype=np.intp))
-
     def validate(self) -> None:
         f, i = self.up_weight.shape
         for name in ("down_weight", "up_km", "down_km"):
@@ -357,66 +332,11 @@ def _check_reachable(
         )
 
 
-class _ColumnFill:
-    """One pair's per-interconnection SSSP views, gathered by flow rows.
-
-    The link views (``up_paths``/``down_paths``) pass to every table as
-    they are; the distance views fill the dense arrays.
-
-    Both builders fill through this: :func:`build_pair_cost_table` into
-    its preallocated (F, I) arrays, :func:`iter_pair_cost_table_blocks`
-    into one fresh block at a time. Each column of a block is one gather
-    from a dense per-PoP view, so every cell is exactly the float a
-    per-cell routing query returns.
-    """
-
-    def __init__(self, pair, flowset, routing_a, routing_b):
-        if flowset.pair is not pair and flowset.pair.name != pair.name:
-            raise RoutingError("flowset was built for a different pair")
-        routing_a = routing_a or IntradomainRouting(pair.isp_a)
-        routing_b = routing_b or IntradomainRouting(pair.isp_b)
-        ics = pair.interconnections
-        self.pair = pair
-        self.n_flows, self.n_alternatives = len(flowset), len(ics)
-        self.ic_km = np.asarray([ic.length_km for ic in ics], dtype=float)
-        # Warm the SSSP caches from the interconnection PoPs: paths are
-        # symmetric on an undirected graph, so dist(src, exit) =
-        # dist(exit, src).
-        routing_a.warm([ic.pop_a for ic in ics])
-        routing_b.warm([ic.pop_b for ic in ics])
-        self.srcs = flowset.srcs()
-        self.dsts = flowset.dsts()
-        self.up_paths = tuple(routing_a.path_links_array(ic.pop_a) for ic in ics)
-        self.down_paths = tuple(
-            routing_b.path_links_array(ic.pop_b) for ic in ics
-        )
-        self._up_w = [routing_a.weight_distance_array(ic.pop_a) for ic in ics]
-        self._up_k = [routing_a.geo_distance_array(ic.pop_a) for ic in ics]
-        self._dn_w = [routing_b.weight_distance_array(ic.pop_b) for ic in ics]
-        self._dn_k = [routing_b.geo_distance_array(ic.pop_b) for ic in ics]
-
-    def fill(self, lo, hi, up_weight, down_weight, up_km, down_km) -> None:
-        """Gather flow rows ``lo:hi`` into four (hi - lo, I) arrays."""
-        src_blk = self.srcs[lo:hi]
-        dst_blk = self.dsts[lo:hi]
-        for i in range(self.n_alternatives):
-            up_weight[:, i] = self._up_w[i][src_blk]
-            up_km[:, i] = self._up_k[i][src_blk]
-            down_weight[:, i] = self._dn_w[i][dst_blk]
-            down_km[:, i] = self._dn_k[i][dst_blk]
-        pair = self.pair
-        _check_reachable(pair, up_weight, "source", pair.isp_a.name, src_blk)
-        _check_reachable(
-            pair, down_weight, "destination", pair.isp_b.name, dst_blk
-        )
-
-
 def build_pair_cost_table(
     pair: IspPair,
     flowset: FlowSet,
     routing_a: IntradomainRouting | None = None,
     routing_b: IntradomainRouting | None = None,
-    chunk_rows: int | None = None,
 ) -> PairCostTable:
     """Build the cost table for ``flowset`` over ``pair`` (direction A->B).
 
@@ -426,32 +346,38 @@ def build_pair_cost_table(
 
     The (F, I) arrays fill column by column from each interconnection's
     dense per-PoP SSSP views — one gather per column instead of F·I
-    per-cell routing queries. ``chunk_rows`` splits the fill into flow-row
-    blocks of at most that many rows, bounding the per-block intermediate
-    state; ``None`` (default) fills everything as one block. The result is
-    bit-identical for every block size. For a table that should never
-    fully materialize, use :func:`iter_pair_cost_table_blocks` instead.
+    per-cell routing queries, so every cell is exactly the float a
+    per-cell routing query returns. The per-PoP link views
+    (``up_paths``/``down_paths``) pass to the table as they are.
 
     Disconnected src/dst PoPs raise :class:`RoutingError` naming the pair
     and the offending PoPs instead of letting non-finite distances into
     the table.
     """
-    block = (
-        max(len(flowset), 1) if chunk_rows is None
-        else check_int(chunk_rows, "chunk_rows", 1)
-    )
-    fill = _ColumnFill(pair, flowset, routing_a, routing_b)
-    n_f, n_i = fill.n_flows, fill.n_alternatives
-    up_weight = np.zeros((n_f, n_i))
-    down_weight = np.zeros((n_f, n_i))
-    up_km = np.zeros((n_f, n_i))
-    down_km = np.zeros((n_f, n_i))
-    for lo in range(0, n_f, block):
-        hi = min(lo + block, n_f)
-        fill.fill(
-            lo, hi, up_weight[lo:hi], down_weight[lo:hi], up_km[lo:hi],
-            down_km[lo:hi],
-        )
+    if flowset.pair is not pair and flowset.pair.name != pair.name:
+        raise RoutingError("flowset was built for a different pair")
+    routing_a = routing_a or IntradomainRouting(pair.isp_a)
+    routing_b = routing_b or IntradomainRouting(pair.isp_b)
+    ics = pair.interconnections
+    # Warm the SSSP caches from the interconnection PoPs: paths are
+    # symmetric on an undirected graph, so dist(src, exit) =
+    # dist(exit, src).
+    routing_a.warm([ic.pop_a for ic in ics])
+    routing_b.warm([ic.pop_b for ic in ics])
+    srcs = flowset.srcs()
+    dsts = flowset.dsts()
+    shape = (len(flowset), len(ics))
+    up_weight = np.zeros(shape)
+    down_weight = np.zeros(shape)
+    up_km = np.zeros(shape)
+    down_km = np.zeros(shape)
+    for i, ic in enumerate(ics):
+        up_weight[:, i] = routing_a.weight_distance_array(ic.pop_a)[srcs]
+        up_km[:, i] = routing_a.geo_distance_array(ic.pop_a)[srcs]
+        down_weight[:, i] = routing_b.weight_distance_array(ic.pop_b)[dsts]
+        down_km[:, i] = routing_b.geo_distance_array(ic.pop_b)[dsts]
+    _check_reachable(pair, up_weight, "source", pair.isp_a.name, srcs)
+    _check_reachable(pair, down_weight, "destination", pair.isp_b.name, dsts)
     table = PairCostTable(
         pair=pair,
         flowset=flowset,
@@ -459,58 +385,9 @@ def build_pair_cost_table(
         down_weight=down_weight,
         up_km=up_km,
         down_km=down_km,
-        ic_km=fill.ic_km,
-        up_paths=fill.up_paths,
-        down_paths=fill.down_paths,
+        ic_km=np.asarray([ic.length_km for ic in ics], dtype=float),
+        up_paths=tuple(routing_a.path_links_array(ic.pop_a) for ic in ics),
+        down_paths=tuple(routing_b.path_links_array(ic.pop_b) for ic in ics),
     )
     table.validate()
     return table
-
-
-def iter_pair_cost_table_blocks(
-    pair: IspPair,
-    flowset: FlowSet,
-    chunk_rows: int | None = None,
-    routing_a: IntradomainRouting | None = None,
-    routing_b: IntradomainRouting | None = None,
-):
-    """Stream the cost table as independent flow-row block tables.
-
-    The bounded-memory build path for production-scale pairs: instead of
-    materializing the full (F, I) table, yields one :class:`PairCostTable`
-    per consecutive block of at most ``chunk_rows`` flows (default
-    :data:`DEFAULT_CHUNK_ROWS`), built directly from the shared per-source
-    SSSP views. Only one block's (chunk, I) arrays exist at a time; the
-    per-source dense views are O(n_pops) each and shared across blocks.
-
-    Each yielded block is bit-identical to
-    ``build_pair_cost_table(...).subset(np.arange(lo, hi))`` — same
-    gathers, same shared paths, same reindexed flowset view.
-    Reachability failures raise :class:`RoutingError` naming the pair, at
-    the first block that touches a disconnected PoP.
-    """
-    chunk_rows = (
-        DEFAULT_CHUNK_ROWS if chunk_rows is None
-        else check_int(chunk_rows, "chunk_rows", 1)
-    )
-    fill = _ColumnFill(pair, flowset, routing_a, routing_b)
-    n_f, n_i = fill.n_flows, fill.n_alternatives
-    for lo in range(0, n_f, chunk_rows):
-        hi = min(lo + chunk_rows, n_f)
-        up_weight, down_weight, up_km, down_km = (
-            np.zeros((hi - lo, n_i)) for _ in range(4)
-        )
-        fill.fill(lo, hi, up_weight, down_weight, up_km, down_km)
-        block = PairCostTable(
-            pair=pair,
-            flowset=flowset._subset_view(np.arange(lo, hi, dtype=np.intp)),
-            up_weight=up_weight,
-            down_weight=down_weight,
-            up_km=up_km,
-            down_km=down_km,
-            ic_km=fill.ic_km.copy(),
-            up_paths=fill.up_paths,
-            down_paths=fill.down_paths,
-        )
-        block.validate()
-        yield block

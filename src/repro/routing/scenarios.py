@@ -128,6 +128,12 @@ class FailureModel:
                     "non-empty"
                 )
             for col in group:
+                check_int(col, f"shared-risk group {g} member", 0)
+                if seen.get(col) == g:
+                    raise ConfigurationError(
+                        f"shared-risk group {g} lists interconnection {col} "
+                        "more than once"
+                    )
                 if col in seen:
                     raise ConfigurationError(
                         f"interconnection {col} appears in more than one "
@@ -230,7 +236,7 @@ class FailureModel:
                 if self.group_probabilities is not None
                 else self.link_probability
             )
-            units.append((tuple(sorted(int(c) for c in group)), float(prob)))
+            units.append((tuple(sorted(group)), float(prob)))
             grouped.update(group)
         for col in range(n_alternatives):
             if col in grouped:

@@ -2,8 +2,9 @@
 
 Every figure in the paper's evaluation is a cumulative distribution plotted
 over ISP pairs, flows, or failed links. :class:`Cdf` captures one such series
-and can render the exact rows a figure encodes (value at each cumulative
-percentage), which is what the benchmark harness prints.
+and gives the exact rows a figure encodes (value at each cumulative
+percentage), which the CLI prints through
+:func:`repro.experiments.report.format_series_table`.
 """
 
 from __future__ import annotations
@@ -91,14 +92,6 @@ class Cdf:
             raise ConfigurationError(f"need at least 2 points, got {points}")
         qs = np.linspace(0.0, 100.0, points)
         return [(float(q), self.percentile(float(q))) for q in qs]
-
-    def format_rows(self, points: int = 11, unit: str = "") -> str:
-        """Human-readable table of the CDF curve (used by bench output)."""
-        header = f"  {self.label or 'cdf'} (n={len(self)})"
-        lines = [header]
-        for q, v in self.series(points):
-            lines.append(f"    {q:5.1f}% of sample <= {v:10.3f}{unit}")
-        return "\n".join(lines)
 
 
 def empirical_cdf(sample: Iterable[float], label: str = "") -> Cdf:

@@ -4,9 +4,8 @@ The tier-1 test command executes each hot kernel exactly once — no timing,
 no statistics — so a refactor that breaks a vectorized kernel (shape drift,
 incidence-cache invalidation) fails fast here rather than silently in the
 nightly benchmarks. Each kernel is checked against its reference in
-``tests/reference``. The timed counterparts live in
-``benchmarks/bench_core_micro.py``; the committed baseline numbers in
-``BENCH_core.json`` come from ``benchmarks/bench_smoke.py``.
+``tests/reference``. The timed counterparts, and the committed baseline
+numbers in ``BENCH_core.json``, come from ``benchmarks/bench_smoke.py``.
 
 Run just these with ``pytest -m bench_smoke``.
 """

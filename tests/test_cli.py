@@ -86,26 +86,43 @@ class TestCommands:
         out = io.StringIO()
         assert main(["distance", "--preset", "quick"], out=out) == 0
         text = out.getvalue()
-        assert "Figure 4a" in text
+        for title in ("Figure 4a", "Figure 4b", "Figure 5", "Figure 6"):
+            assert f"== {title}: " in text
+        assert "Figure 10" not in text
         assert "interconnections:" in text
 
     def test_distance_with_cheating(self):
         out = io.StringIO()
         assert main(["distance", "--preset", "quick", "--cheating"],
                     out=out) == 0
-        assert "one cheater" in out.getvalue()
+        text = out.getvalue()
+        assert "one cheater" in text
+        for title in ("Figure 10a", "Figure 10b"):
+            assert f"== {title}: " in text
 
     def test_bandwidth_quick(self):
         out = io.StringIO()
         code = main(
-            ["bandwidth", "--preset", "quick", "--unilateral", "--diverse"],
+            ["bandwidth", "--preset", "quick", "--unilateral", "--diverse",
+             "--cheating"],
             out=out,
         )
         assert code == 0
         text = out.getvalue()
-        assert "Figure 7" in text
-        assert "Figure 8" in text
-        assert "Figure 9" in text
+        for figure in (7, 9, 11):
+            for panel in ("left", "right"):
+                assert f"== Figure {figure} ({panel}): " in text
+        assert "== Figure 8: " in text
+        for figure in (7, 8, 9, 11):
+            assert f"  * Figure {figure}: " in text
+
+    @pytest.mark.parametrize("verb", ["distance", "bandwidth"])
+    def test_verb_ends_with_the_sweep_claims(self, verb):
+        figures, claims = io.StringIO(), io.StringIO()
+        assert main([verb, "--preset", "quick"], out=figures) == 0
+        assert main(["sweep", verb, "--preset", "quick"], out=claims) == 0
+        assert claims.getvalue().startswith(f"-- sweep: {verb}: ")
+        assert figures.getvalue().endswith(claims.getvalue())
 
     def test_seed_override_changes_nothing_structural(self):
         out = io.StringIO()

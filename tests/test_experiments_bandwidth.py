@@ -1,8 +1,11 @@
 """Tests for the bandwidth experiment (Section 5.2 harness)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.capacity.provisioning import ProportionalCapacity, UnusedLinkPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.bandwidth import (
     run_bandwidth_case,
@@ -12,6 +15,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.geo.population import PopulationModel
 from repro.topology.dataset import build_default_dataset
 from repro.traffic.gravity import GravityWorkload
+from repro.traffic.workloads import IdenticalWorkload, UniformRandomWorkload
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +142,10 @@ class TestCaseValidation:
 class TestExperiment:
     @pytest.fixture(scope="class")
     def result(self, config):
-        return run_bandwidth_experiment(config, include_unilateral=True)
+        return run_bandwidth_experiment(
+            config, include_unilateral=True, include_diverse=True,
+            include_cheating=True,
+        )
 
     def test_case_count(self, result, config):
         assert 0 < len(result.cases) <= (
@@ -155,11 +162,31 @@ class TestExperiment:
     def test_unilateral_cdf(self, result):
         cdf = result.cdf_unilateral_downstream()
         assert len(cdf) == len(result.cases)
+        # Figure 8: somewhere the upstream's optimum does not help the
+        # downstream.
+        assert cdf.max() >= 1.0
 
     def test_negotiated_beats_default_in_aggregate(self, result):
+        default_a = result.cdf_ratio("default", "a")
         assert (
             result.cdf_ratio("negotiated", "a").mean()
-            <= result.cdf_ratio("default", "a").mean() + 1e-9
+            <= default_a.mean() + 1e-9
+        )
+        # Figure 7, and Figure 9 with a distance-minded downstream.
+        assert (
+            result.cdf_ratio("negotiated", "a").median()
+            <= default_a.median() + 1e-9
+        )
+        assert (
+            result.cdf_ratio("diverse", "a").median()
+            <= default_a.median() + 1e-9
+        )
+        assert result.cdf_diverse_downstream_gain().median() >= 0.0
+        # Figure 11: a cheating upstream leaves the truthful downstream
+        # within 0.25 of its default median.
+        assert (
+            result.cdf_ratio("cheating", "b").median()
+            <= result.cdf_ratio("default", "b").median() + 0.25
         )
 
     def test_deterministic(self, config):
@@ -169,3 +196,26 @@ class TestExperiment:
         for ca, cb in zip(a.cases, b.cases):
             assert ca.mel_negotiated_a == cb.mel_negotiated_a
             assert ca.mel_default_b == cb.mel_default_b
+
+
+class TestAlternateModels:
+    """Section 5.2's alternate workload and capacity models: negotiation
+    still beats the default, as under the paper's models."""
+
+    @pytest.mark.parametrize("models", [
+        {"workload": IdenticalWorkload()},
+        {"workload": UniformRandomWorkload(
+            seed=ExperimentConfig.quick().seed)},
+        {"provisioner": ProportionalCapacity(
+            unused_policy=UnusedLinkPolicy.MAX)},
+        {"provisioner": ProportionalCapacity(
+            unused_policy=UnusedLinkPolicy.MEAN)},
+        {"provisioner": ProportionalCapacity(round_power_of_two=True)},
+    ], ids=["identical", "uniform", "unused-max", "unused-mean", "pow2"])
+    def test_negotiated_no_worse_than_default(self, config, models):
+        small = replace(config, max_pairs_bandwidth=8, max_failures_per_pair=1)
+        result = run_bandwidth_experiment(small, **models)
+        assert (
+            result.cdf_ratio("negotiated", "a").median()
+            <= result.cdf_ratio("default", "a").median() + 1e-9
+        )

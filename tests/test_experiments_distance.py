@@ -88,7 +88,9 @@ class TestRunPair:
 class TestExperiment:
     @pytest.fixture(scope="class")
     def result(self, quick_config_module):
-        return run_distance_experiment(quick_config_module)
+        return run_distance_experiment(
+            quick_config_module, include_cheating=True
+        )
 
     def test_pair_count_capped(self, result, quick_config_module):
         assert len(result.pairs) <= quick_config_module.max_pairs_distance
@@ -109,11 +111,28 @@ class TestExperiment:
         assert result.median_total_gain("negotiated") <= (
             result.median_total_gain("optimal") + 1e-9
         )
-        # No ISP loses with negotiation; some lose with global optimal.
+        # No ISP loses with negotiation; some lose with global optimal
+        # (Figure 4b).
         assert result.fraction_isps_losing("negotiated") == 0.0
-        # Per-flow baselines are far from optimal.
+        assert result.fraction_isps_losing("optimal") > 0.1
+        # Per-flow baselines are far from optimal, and even the
+        # both-better filter trails negotiation (Figure 5).
         assert result.cdf_total_gain("flow_both_better").median() <= (
             result.median_total_gain("optimal") + 1e-9
+        )
+        assert result.cdf_total_gain("flow_both_better").median() <= (
+            result.median_total_gain("negotiated") + 1e-9
+        )
+        # Negotiation catches most flows optimal routing improves by >= 20%
+        # (Figure 6).
+        assert result.fraction_flows_gaining_at_least("negotiated", 20) >= (
+            0.6 * result.fraction_flows_gaining_at_least("optimal", 20)
+        )
+        # A cheater never makes the truthful ISP lose, and the total gain
+        # does not rise (Figure 10).
+        assert result.cdf_individual_gain("truthful").min() >= -1e-9
+        assert result.median_total_gain("cheating") <= (
+            result.median_total_gain("negotiated") + 1e-9
         )
 
     def test_flow_gain_pool(self, result):

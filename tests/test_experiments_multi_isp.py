@@ -233,6 +233,13 @@ class TestRunMultiIsp:
         ):
             run_multi_isp(config, **{name: 3})
 
+    def test_random_order_chain_converges(self, config):
+        result = run_multi_isp(
+            config, n_isps=4, shape="chain", transit_scale=3.0,
+            max_rounds=8, order="random",
+        )
+        assert result.converged
+
     def test_direct_runner_matches_coordinator_defaults(self, config):
         result = run_multi_isp(config, n_isps=3, max_rounds=3)
         assert result.isp_names

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.capacity.loads import link_loads
 from repro.core import (
     NegotiationAgent,
     NegotiationSession,
@@ -13,6 +14,7 @@ from repro.core.evaluators import LoadAwareEvaluator
 from repro.core.strategies import ReassignEveryFraction
 from repro.errors import ConfigurationError
 from repro.experiments.oscillation import simulate_best_response
+from repro.metrics.mel import max_excess_load
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.flows import Flow, FlowSet
 
@@ -30,8 +32,6 @@ def fig2_setup(fig2):
     bg = [Flow(index=i, src=s, dst=d)
           for i, (_, s, d, _) in enumerate(fig2.background_flows)]
     bg_table = build_pair_cost_table(post, FlowSet(post, bg))
-    from repro.capacity.loads import link_loads
-
     base_a = link_loads(bg_table, np.array([1, 0]), "a")
     base_b = link_loads(bg_table, np.array([1, 0]), "b")
     defaults = np.array([0, 0])  # both affected flows pile onto Bot
@@ -75,6 +75,12 @@ class TestFigure2Oscillation:
         assert result.stable
         assert not result.cycled
         assert np.array_equal(result.final_choices, agreed)
+        # The agreement relieves the downstream's early-exit pile-up.
+        pileup, relieved = (
+            max_excess_load(link_loads(table, choices, "b") + base_b, caps_b)
+            for choices in (defaults, agreed)
+        )
+        assert relieved < pileup
 
 
 class TestSimulatorMechanics:

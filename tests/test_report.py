@@ -1,26 +1,7 @@
 """Tests for the paper-style report formatting."""
 
-from repro.experiments.report import (
-    format_cdf_block,
-    format_claims,
-    format_series_table,
-)
+from repro.experiments.report import format_claims, format_series_table
 from repro.util.cdf import empirical_cdf
-
-
-class TestFormatCdfBlock:
-    def test_contains_title_and_rows(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0], label="gain")
-        text = format_cdf_block("Figure X", [cdf], points=3)
-        assert "== Figure X ==" in text
-        assert "gain" in text
-        assert "100.0%" in text
-
-    def test_multiple_curves(self):
-        a = empirical_cdf([1.0], label="one")
-        b = empirical_cdf([2.0], label="two")
-        text = format_cdf_block("T", [a, b], points=2)
-        assert "one" in text and "two" in text
 
 
 class TestFormatSeriesTable:

@@ -1,4 +1,4 @@
-"""The scale-out core spine: batched SSSP, chunked builds, pluggable LPs.
+"""The scale-out core spine: batched SSSP, batched table builds, pluggable LPs.
 
 Covers the PR 8 contracts end to end:
 
@@ -7,15 +7,14 @@ Covers the PR 8 contracts end to end:
   per-source views);
 * ``build_scale_pair`` manufactures deterministic grid pairs beyond the
   city database's ~136-city ceiling;
-* chunked table builds and the streaming block iterator are bit-identical
-  to the single-block build and to the cell-by-cell reference build across
-  chunk sizes (Hypothesis property);
+* the batched table build is bit-identical to the cell-by-cell reference
+  build;
 * disconnected PoPs surface as a typed :class:`RoutingError` naming the
   pair (satellite 2);
 * the LP solver registry resolves, validates, injects, and falls back to
   dense assembly per backend capabilities, with the default backend
   bit-identical to the historical hardwired call;
-* a 200-PoP-per-ISP pair flows through the whole spine — chunked build,
+* a 200-PoP-per-ISP pair flows through the whole spine — table build,
   early-exit defaults, failure, negotiation, joint and unilateral LPs.
 """
 
@@ -23,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.capacity.loads import link_loads
 from repro.capacity.provisioning import ProportionalCapacity
@@ -43,11 +40,7 @@ from repro.optimal.solver import (
     resolve_lp_solver,
 )
 from repro.optimal.unilateral import solve_upstream_unilateral_lp
-from repro.routing.costs import (
-    DEFAULT_CHUNK_ROWS,
-    build_pair_cost_table,
-    iter_pair_cost_table_blocks,
-)
+from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
 from repro.routing.paths import IntradomainRouting
@@ -229,123 +222,40 @@ class TestBuildScalePair:
 
 
 # ---------------------------------------------------------------------------
-# chunked builds == single-block builds == the cell-by-cell reference
+# batched builds == the cell-by-cell reference
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def chunk_pair():
+def grid_pair():
     return build_scale_pair(12, n_interconnections=3, seed=5)
 
 
 @pytest.fixture(scope="module")
-def chunk_flowset(chunk_pair):
+def grid_flowset(grid_pair):
     return build_full_flowset(
-        chunk_pair, lambda src, dst: 1.0 + ((src * 31 + dst) % 5) * 0.5
+        grid_pair, lambda src, dst: 1.0 + ((src * 31 + dst) % 5) * 0.5
     )
 
 
 @pytest.fixture(scope="module")
-def chunk_tables(chunk_pair, chunk_flowset):
-    """(cell-by-cell, single-block) tables over shared routing caches."""
-    routing_a = IntradomainRouting(chunk_pair.isp_a)
-    routing_b = IntradomainRouting(chunk_pair.isp_b)
+def grid_tables(grid_pair, grid_flowset):
+    """(cell-by-cell, batched) tables over shared routing caches."""
+    routing_a = IntradomainRouting(grid_pair.isp_a)
+    routing_b = IntradomainRouting(grid_pair.isp_b)
     legacy = reference_tables.build_pair_cost_table(
-        chunk_pair, chunk_flowset, routing_a, routing_b
+        grid_pair, grid_flowset, routing_a, routing_b
     )
     batched = build_pair_cost_table(
-        chunk_pair, chunk_flowset, routing_a, routing_b
+        grid_pair, grid_flowset, routing_a, routing_b
     )
     return legacy, batched
 
 
 class TestChunkedBuildEquivalence:
-    def test_batched_matches_legacy(self, chunk_tables):
-        legacy, batched = chunk_tables
+    def test_batched_matches_legacy(self, grid_tables):
+        legacy, batched = grid_tables
         _assert_tables_equal(legacy, batched)
-
-    @given(chunk_rows=st.integers(min_value=1, max_value=200))
-    @example(chunk_rows=1)  # one flow per block
-    @example(chunk_rows=7)  # non-divisor of 144
-    @example(chunk_rows=144)  # exactly F: single full block
-    @example(chunk_rows=200)  # > F: single short block
-    @settings(max_examples=25, deadline=None)
-    def test_chunked_matches_monolithic_and_legacy(
-        self, chunk_pair, chunk_flowset, chunk_tables, chunk_rows
-    ):
-        legacy, batched = chunk_tables
-        chunked = build_pair_cost_table(
-            chunk_pair, chunk_flowset, chunk_rows=chunk_rows
-        )
-        _assert_tables_equal(chunked, batched)
-        _assert_tables_equal(chunked, legacy)
-
-    @given(chunk_rows=st.integers(min_value=1, max_value=200))
-    @example(chunk_rows=1)
-    @example(chunk_rows=11)
-    @example(chunk_rows=144)
-    @settings(max_examples=10, deadline=None)
-    def test_streaming_blocks_match_subsets(
-        self, chunk_pair, chunk_flowset, chunk_tables, chunk_rows
-    ):
-        _, batched = chunk_tables
-        n_f = len(chunk_flowset)
-        lo = 0
-        for block in iter_pair_cost_table_blocks(
-            chunk_pair, chunk_flowset, chunk_rows=chunk_rows
-        ):
-            hi = min(lo + chunk_rows, n_f)
-            expected = batched.subset(np.arange(lo, hi, dtype=np.intp))
-            _assert_tables_equal(block, expected)
-            assert np.array_equal(
-                block.flowset.sizes(), expected.flowset.sizes()
-            )
-            lo = hi
-        assert lo == n_f  # every flow streamed exactly once
-
-    def test_iter_blocks_round_trip(self, chunk_tables):
-        _, batched = chunk_tables
-        blocks = list(batched.iter_blocks(chunk_rows=50))
-        assert [b.n_flows for b in blocks] == [50, 50, 44]
-        assert np.array_equal(
-            np.concatenate([b.up_weight for b in blocks]), batched.up_weight
-        )
-
-    def test_default_chunk_rows(self, chunk_pair, chunk_flowset, chunk_tables):
-        _, batched = chunk_tables
-        assert DEFAULT_CHUNK_ROWS >= 1
-        chunked = build_pair_cost_table(
-            chunk_pair, chunk_flowset, chunk_rows=DEFAULT_CHUNK_ROWS
-        )
-        _assert_tables_equal(chunked, batched)
-        blocks = list(iter_pair_cost_table_blocks(chunk_pair, chunk_flowset))
-        assert len(blocks) == -(-len(chunk_flowset) // DEFAULT_CHUNK_ROWS)
-
-    def test_bad_chunk_rows_rejected(self, chunk_pair, chunk_flowset):
-        with pytest.raises(ConfigurationError, match="chunk_rows"):
-            build_pair_cost_table(chunk_pair, chunk_flowset, chunk_rows=0)
-        with pytest.raises(ConfigurationError, match="chunk_rows"):
-            list(iter_pair_cost_table_blocks(chunk_pair, chunk_flowset, chunk_rows=-3))
-
-    def test_bad_table_chunk_rejected(
-        self, chunk_pair, chunk_flowset, chunk_tables
-    ):
-        """Zero, and anything but an integer, is rejected by all three
-        block sizers: a float, a bool or a string was truncated or cast."""
-        _, batched = chunk_tables
-        with pytest.raises(ConfigurationError, match="chunk_rows"):
-            list(batched.iter_blocks(chunk_rows=0))
-        for chunk_rows in (2.5, True, "7", 0.5):
-            with pytest.raises(ConfigurationError, match="chunk_rows"):
-                list(batched.iter_blocks(chunk_rows=chunk_rows))
-            with pytest.raises(ConfigurationError, match="chunk_rows"):
-                build_pair_cost_table(
-                    chunk_pair, chunk_flowset, chunk_rows=chunk_rows
-                )
-            with pytest.raises(ConfigurationError, match="chunk_rows"):
-                list(iter_pair_cost_table_blocks(
-                    chunk_pair, chunk_flowset, chunk_rows=chunk_rows
-                ))
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +283,14 @@ class TestUnreachableDiagnostics:
         )
         return pair, flowset, routing_a, routing_b
 
-    @pytest.mark.parametrize(
-        "chunk_rows", [None, 4], ids=["batched", "chunked"]
-    )
-    def test_build_names_pair_and_pops(self, poisoned, chunk_rows):
+    def test_build_names_pair_and_pops(self, poisoned):
         pair, flowset, routing_a, routing_b = poisoned
         with pytest.raises(RoutingError) as err:
-            build_pair_cost_table(
-                pair, flowset, routing_a, routing_b, chunk_rows=chunk_rows
-            )
+            build_pair_cost_table(pair, flowset, routing_a, routing_b)
         message = str(err.value)
         assert f"pair {pair.name}" in message
         assert pair.isp_a.name in message
         assert "source PoPs [2]" in message
-
-    def test_streaming_build_names_pair(self, poisoned):
-        pair, flowset, routing_a, routing_b = poisoned
-        with pytest.raises(RoutingError, match=f"pair {pair.name}"):
-            list(
-                iter_pair_cost_table_blocks(
-                    pair, flowset, routing_a=routing_a, routing_b=routing_b
-                )
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +425,13 @@ class TestConfigThreading:
 # ---------------------------------------------------------------------------
 
 
-def _run_scale_spine(n_pops: int, target_flows: int, chunk_rows: int):
+def _run_scale_spine(n_pops: int, target_flows: int):
     """Build -> fail -> negotiate -> joint + unilateral LPs at scale."""
     pair = build_scale_pair(n_pops, n_interconnections=6, seed=11)
     routing_a = IntradomainRouting(pair.isp_a)
     routing_b = IntradomainRouting(pair.isp_b)
     flowset = _strided_flowset(pair, target_flows)
-    table = build_pair_cost_table(
-        pair, flowset, routing_a, routing_b, chunk_rows=chunk_rows
-    )
+    table = build_pair_cost_table(pair, flowset, routing_a, routing_b)
     assert table.up_weight.shape == (len(flowset), 6)
     assert np.isfinite(table.up_weight).all()
     assert np.isfinite(table.down_weight).all()
@@ -590,17 +484,13 @@ def _run_scale_spine(n_pops: int, target_flows: int, chunk_rows: int):
 class TestScaleEndToEnd:
     def test_200_pop_pair_spine(self):
         """Acceptance: a 200-PoP-per-ISP pair crosses the whole new spine."""
-        opt_t, neg_mel = _run_scale_spine(
-            n_pops=200, target_flows=1200, chunk_rows=257
-        )
+        opt_t, neg_mel = _run_scale_spine(n_pops=200, target_flows=1200)
         assert np.isfinite(opt_t) and opt_t >= 0.0
         assert np.isfinite(neg_mel)
 
     @pytest.mark.slow
     def test_300_pop_pair_spine_slow(self):
-        opt_t, neg_mel = _run_scale_spine(
-            n_pops=300, target_flows=4000, chunk_rows=512
-        )
+        opt_t, neg_mel = _run_scale_spine(n_pops=300, target_flows=4000)
         assert np.isfinite(opt_t) and opt_t >= 0.0
         assert np.isfinite(neg_mel)
 

@@ -121,11 +121,28 @@ class TestValidation:
             {"max_failed": 2.5},  # enumerated like 3
             {"link_probability": "0.1"},
             {"cutoff": "1e-6"},
+            {"shared_risk_groups": ((1.5,),)},  # failed as two units
+            {"shared_risk_groups": ((True,),)},  # read as column 1
+            {"shared_risk_groups": (("1",),)},
+            {"shared_risk_groups": ((-1,),)},
+            {"shared_risk_groups": ((0, 0),)},  # a repeat inside one group
         ],
     )
     def test_bad_models_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FailureModel(**kwargs)
+
+    def test_group_members_checked_at_construction(self):
+        with pytest.raises(ConfigurationError, match="group 1 member"):
+            FailureModel(shared_risk_groups=((0,), (1.5,)))
+        with pytest.raises(
+            ConfigurationError, match="group 0 lists interconnection 0 more"
+        ):
+            FailureModel(shared_risk_groups=((0, 0),))
+        numpy_member = FailureModel(
+            link_probability=0.05, shared_risk_groups=((np.int64(1),),)
+        )
+        assert len(enumerate_failure_scenarios(3, numpy_member).scenarios) == 8
 
     def test_group_out_of_range_rejected_at_enumeration(self):
         model = FailureModel(shared_risk_groups=((0, 5),))

@@ -12,8 +12,8 @@ index sets:
   ``t.without_alternative(k).subset(idx) == t.subset(idx).without_alternative(k)``;
 * ``subset`` composes: ``t.subset(i).subset(j) == t.subset(i[j])``;
 * the flow-level incidence of a table reached along any route — built,
-  streamed in blocks, columns dropped in any order or in a batch, subsets,
-  and compositions of these — is bit-identical to compiling the result's
+  columns dropped in any order or in a batch, subsets, and compositions
+  of these — is bit-identical to compiling the result's
   per-flow reference rows one at a time.
 """
 
@@ -24,11 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.costs import (
-    PairCostTable,
-    build_pair_cost_table,
-    iter_pair_cost_table_blocks,
-)
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.flows import build_full_flowset
 from repro.routing.incidence import PathIncidence
 from repro.topology.builders import build_custom_isp
@@ -429,35 +425,20 @@ def _derive(table: PairCostTable, step: tuple) -> PairCostTable:
         return table.batch_without_alternatives(drop_sets)[
             int(rng.integers(0, 3))
         ]
-    if kind == "subset":
-        size = int(rng.integers(0, table.n_flows + 1))
-        return table.subset(rng.permutation(table.n_flows)[:size])
-    blocks = list(table.iter_blocks(int(rng.integers(1, table.n_flows + 2))))
-    return blocks[int(rng.integers(0, len(blocks)))] if blocks else table
+    size = int(rng.integers(0, table.n_flows + 1))
+    return table.subset(rng.permutation(table.n_flows)[:size])
 
 
 _STEPS = st.tuples(
-    st.sampled_from(["drop", "drops", "batch", "subset", "block"]),
+    st.sampled_from(["drop", "drops", "batch", "subset"]),
     st.integers(0, 2**31 - 1),
 )
 
 
 @settings(deadline=None)
-@given(
-    start=st.sampled_from(["built", "chunked"]),
-    warm=st.booleans(),
-    chunk_rows=st.integers(1, 20),
-    steps=st.lists(_STEPS, max_size=4),
-)
-def test_incidence_equals_reference_compile_on_every_route(
-    start, warm, chunk_rows, steps
-):
+@given(warm=st.booleans(), steps=st.lists(_STEPS, max_size=4))
+def test_incidence_equals_reference_compile_on_every_route(warm, steps):
     table = _fresh_table(warm)
-    if start == "chunked":
-        blocks = list(iter_pair_cost_table_blocks(
-            table.pair, table.flowset, chunk_rows=chunk_rows
-        ))
-        table = blocks[chunk_rows % len(blocks)]
     for step in steps:
         derived = _derive(table, step)
         # Derivations drop or share the path arrays, never copy them.

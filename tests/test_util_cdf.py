@@ -76,11 +76,6 @@ class TestCdfRendering:
         with pytest.raises(ConfigurationError):
             empirical_cdf([1]).series(points=1)
 
-    def test_format_rows_contains_label(self):
-        text = empirical_cdf([1, 2], label="gain").format_rows(points=2)
-        assert "gain" in text
-        assert "n=2" in text
-
 
 class TestModuleHelpers:
     def test_percentile_helper(self):
