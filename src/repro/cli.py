@@ -30,14 +30,15 @@ granularity with a shared-dataset warm start (``-1`` = one worker per
 CPU), and ``--checkpoint-dir DIR`` persists per-unit result shards keyed
 by a (scenario, config) fingerprint so an interrupted sweep rerun with
 ``--resume`` recomputes only the missing units (a checkpoint written under
-a different fingerprint refuses to resume). Every sweep-capable command
-also exposes ``--max-retries`` / ``--retry-backoff``, the runner's
-per-unit fault-tolerance knobs. The ``sweep`` subcommand runs any
-registered scenario — ``availability``, ``distance``, ``bandwidth``,
-``oscillation``, ``destination``, ``multi_isp``, ``robust_negotiation`` —
-at its defaults and prints its summary claims. The other experiment
-verbs' flags store into their scenario's param names and take their
-defaults from its ``default_params``.
+a different fingerprint refuses to resume). Each unit runs once: the units
+that raise are named in one ``repro: error:`` line after the others have
+completed and checkpointed, so ``--resume`` re-runs only those. The
+``sweep`` subcommand runs any registered scenario — ``availability``,
+``distance``, ``bandwidth``, ``oscillation``, ``destination``,
+``multi_isp``, ``robust_negotiation`` — at its defaults and prints its
+summary claims. The other experiment verbs' flags store into their
+scenario's param names and take their defaults from its
+``default_params``.
 
 ``multi-isp`` runs the multi-ISP coordination sweep (chain / ring /
 random internetworks; chained pairwise sessions with transit background)
@@ -68,7 +69,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     get_scenario,
-    retry_kwargs,
 )
 from repro.optimal.solver import available_lp_solvers
 
@@ -129,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --checkpoint-dir: skip units whose "
                             "shards are already complete (refuses if the "
                             "directory holds a different sweep)")
-        p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                       help="retries per failing sweep unit "
-                            "(default: runner default)")
-        p.add_argument("--retry-backoff", type=float, default=None,
-                       metavar="S",
-                       help="base retry backoff in seconds, doubling per "
-                            "attempt (default: runner default)")
 
     def add_verb(verb: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(verb, **kwargs)
@@ -333,7 +326,6 @@ def _sweep(args: argparse.Namespace, spec: ScenarioSpec):
         workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        **retry_kwargs(args.max_retries, args.retry_backoff),
     )
     return runner.run(spec, config, params)
 

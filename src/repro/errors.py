@@ -75,7 +75,7 @@ class FaultInjectionError(ReproError):
 
 
 class SweepUnitError(ReproError):
-    """Sweep units kept failing after their retry budget was exhausted.
+    """Sweep units raised; each was attempted once.
 
     Raised by :class:`~repro.experiments.runner.SweepRunner` *after* every
     other unit has completed (and, with checkpointing, been persisted), so
@@ -95,8 +95,8 @@ class SweepUnitError(ReproError):
             for index, payload, exc in self.failures
         )
         super().__init__(
-            f"{len(self.failures)} unit(s) of sweep {scenario!r} failed "
-            f"after retries: {details}"
+            f"{len(self.failures)} unit(s) of sweep {scenario!r} failed: "
+            f"{details}"
         )
 
 

@@ -48,7 +48,6 @@ from repro.experiments.runner import (
     CheckpointStore,
     ScenarioSpec,
     SweepRunner,
-    run_scenario,
     scenario_names,
 )
 
@@ -88,6 +87,5 @@ __all__ = [
     "ScenarioSpec",
     "SweepRunner",
     "CheckpointStore",
-    "run_scenario",
     "scenario_names",
 ]

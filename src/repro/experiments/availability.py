@@ -60,7 +60,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
-    retry_kwargs,
 )
 from repro.geo.population import PopulationModel
 from repro.metrics.mel import max_excess_load
@@ -81,7 +80,11 @@ from repro.routing.scenarios import (
 from repro.topology.interconnect import IspPair
 from repro.traffic.gravity import GravityWorkload
 from repro.util.cdf import Cdf
-from repro.util.validation import check_finite, check_quantile
+from repro.util.validation import (
+    check_finite,
+    check_quantile,
+    check_sequence,
+)
 
 __all__ = [
     "ScenarioOutcome",
@@ -208,10 +211,14 @@ class PairAvailabilityResult:
 
 
 def _failure_model(params) -> FailureModel:
+    groups = check_sequence(params["shared_risk_groups"], "shared_risk_groups")
+    if params["group_probabilities"] is not None:
+        check_sequence(params["group_probabilities"], "group_probabilities")
     return FailureModel(
         link_probability=params["link_probability"],
         shared_risk_groups=tuple(
-            tuple(g) for g in params["shared_risk_groups"]
+            tuple(check_sequence(group, f"shared-risk group {g}"))
+            for g, group in enumerate(groups)
         ),
         group_probabilities=params["group_probabilities"],
         cutoff=params["cutoff"],
@@ -419,7 +426,7 @@ def _availability_units(config, params):
     # Check the failure model, quantiles and threshold before the dataset
     # is built: the reducer reads the last two only after every unit ran.
     _failure_model(params)
-    for q in params["quantiles"]:
+    for q in check_sequence(params["quantiles"], "quantiles"):
         check_quantile(q, "quantile")
     check_finite(params["survivability_threshold"], "survivability_threshold")
     _, pairs = pairs_for(config, 3, config.max_pairs_bandwidth)
@@ -474,8 +481,6 @@ def run_availability_experiment(
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
-    max_retries: int | None = None,
-    retry_backoff: float | None = None,
     **params,
 ) -> AvailabilityExperimentResult:
     """Run the availability experiment over the configured dataset.
@@ -490,6 +495,5 @@ def run_availability_experiment(
     count, and any interrupt→resume split produce bit-identical results.
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        **retry_kwargs(max_retries, retry_backoff),
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
     ).run(AVAILABILITY_SCENARIO, config, params)

@@ -63,7 +63,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
-    retry_kwargs,
 )
 from repro.geo.cities import default_city_database
 from repro.geo.population import PopulationModel
@@ -633,8 +632,6 @@ def run_bandwidth_experiment(
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
-    max_retries: int | None = None,
-    retry_backoff: float | None = None,
     **params,
 ) -> BandwidthExperimentResult:
     """Run the Section 5.2 experiment over the configured dataset.
@@ -655,6 +652,5 @@ def run_bandwidth_experiment(
     ``provisioner`` objects must be picklable when ``workers > 1``.
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        **retry_kwargs(max_retries, retry_backoff),
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
     ).run(BANDWIDTH_SCENARIO, config, params)

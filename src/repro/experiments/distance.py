@@ -37,7 +37,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
-    retry_kwargs,
 )
 from repro.metrics.distance import percent_gain
 from repro.routing.costs import PairCostTable, build_pair_cost_table
@@ -47,7 +46,7 @@ from repro.routing.paths import IntradomainRouting
 from repro.topology.interconnect import IspPair
 from repro.util.cdf import Cdf
 from repro.util.rng import derive_rng
-from repro.util.validation import check_bool, check_int
+from repro.util.validation import check_bool, check_int, check_sequence
 
 __all__ = [
     "DistanceProblem",
@@ -457,8 +456,6 @@ def run_distance_experiment(
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
-    max_retries: int | None = None,
-    retry_backoff: float | None = None,
     **params,
 ) -> DistanceExperimentResult:
     """Run the Section 5.1 experiment over the configured dataset.
@@ -473,8 +470,7 @@ def run_distance_experiment(
     count produces identical results.
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        **retry_kwargs(max_retries, retry_backoff),
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
     ).run(DISTANCE_SCENARIO, config, params)
 
 
@@ -495,7 +491,10 @@ def _memo_distance_problem(pair: IspPair) -> DistanceProblem:
 
 
 def _grouped_units(config, params):
-    return [check_int(n, "n_groups", 1) for n in params["group_counts"]]
+    return [
+        check_int(n, "n_groups", 1)
+        for n in check_sequence(params["group_counts"], "group_counts")
+    ]
 
 
 def _grouped_unit(config, params, n_groups):
@@ -552,5 +551,5 @@ def run_grouped_ablation(
     config = config or ExperimentConfig()
     return SweepRunner(workers=workers).run(
         GROUPED_SCENARIO, config,
-        {"pair": pair, "group_counts": list(group_counts)},
+        {"pair": pair, "group_counts": group_counts},
     )

@@ -29,7 +29,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
-    retry_kwargs,
 )
 from repro.topology.internetwork import (
     Internetwork,
@@ -350,8 +349,6 @@ def run_multi_isp_experiment(
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
-    max_retries: int | None = None,
-    retry_backoff: float | None = None,
     **params,
 ) -> MultiIspExperimentResult:
     """Run the multi-ISP convergence sweep through the unified runner.
@@ -371,6 +368,5 @@ def run_multi_isp_experiment(
     to serial.
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        **retry_kwargs(max_retries, retry_backoff),
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
     ).run(MULTI_ISP_SCENARIO, config, params)

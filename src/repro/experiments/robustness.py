@@ -41,9 +41,8 @@ from repro.experiments.runner import (
     ScenarioSpec,
     SweepRunner,
     register_scenario,
-    retry_kwargs,
 )
-from repro.util.validation import check_int
+from repro.util.validation import check_int, check_sequence
 
 __all__ = [
     "RobustUnitRecord",
@@ -151,7 +150,8 @@ class RobustnessExperimentResult:
 
 def _robustness_units(config, params):
     seeds = tuple(
-        check_int(seed, "fault seed", 0) for seed in params["fault_seeds"]
+        check_int(seed, "fault seed", 0)
+        for seed in check_sequence(params["fault_seeds"], "fault_seeds")
     )
     if not seeds:
         raise ConfigurationError(
@@ -266,8 +266,6 @@ def run_robustness_experiment(
     workers: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
-    max_retries: int | None = None,
-    retry_backoff: float | None = None,
     **params,
 ) -> RobustnessExperimentResult:
     """Run the robust-negotiation sweep through the unified runner.
@@ -278,6 +276,5 @@ def run_robustness_experiment(
     produces bit-identical results.
     """
     return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        **retry_kwargs(max_retries, retry_backoff),
+        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume
     ).run(ROBUSTNESS_SCENARIO, config, params)

@@ -24,7 +24,12 @@ ordered reducer — and executed by a :class:`SweepRunner` that owns:
   shards and runs only the missing units; a checkpoint directory written
   under a *different* fingerprint refuses to resume
   (:class:`~repro.errors.ConfigurationError`) rather than silently mixing
-  experiments.
+  experiments;
+* **failure collection** — each unit runs once. A unit that raises is
+  recorded and the sweep moves on, so every other unit still completes
+  (and checkpoints) before a :class:`~repro.errors.SweepUnitError` lists
+  the failed units with their payloads; a rerun would fail the same way,
+  since a unit is a pure function of its arguments.
 
 **Determinism contract:** unit enumeration is deterministic in the config,
 every unit is independent, and results are reduced in unit order — so any
@@ -48,7 +53,6 @@ from __future__ import annotations
 import json
 import logging
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,13 +71,12 @@ from repro.experiments.parallel import (
     warm_dataset,
 )
 from repro.topology.serialization import stable_fingerprint
-from repro.util.validation import check_int, check_non_negative
 
 _log = logging.getLogger(__name__)
 
-#: Errors a unit raises the same way on every attempt: bad parameters,
-#: unrealizable topologies and unroutable ones. They are never retried and
-#: abort the sweep at once instead of failing every unit in turn.
+#: Errors that would fail every unit in turn: bad parameters, unrealizable
+#: topologies and unroutable ones. They abort the sweep at once instead of
+#: being collected into a :class:`~repro.errors.SweepUnitError`.
 _DETERMINISTIC_ERRORS = (ConfigurationError, TopologyError, RoutingError)
 
 __all__ = [
@@ -84,27 +87,7 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
-    "run_scenario",
-    "retry_kwargs",
 ]
-
-
-def retry_kwargs(
-    max_retries: int | None = None, retry_backoff: float | None = None
-) -> dict:
-    """SweepRunner retry kwargs from optional CLI/driver overrides.
-
-    ``None`` means "keep the runner default" — the returned dict carries
-    only the explicitly-set knobs, so drivers can thread optional
-    ``max_retries`` / ``retry_backoff`` parameters without duplicating the
-    defaults.
-    """
-    kwargs: dict = {}
-    if max_retries is not None:
-        kwargs["max_retries"] = max_retries
-    if retry_backoff is not None:
-        kwargs["retry_backoff_s"] = retry_backoff
-    return kwargs
 
 
 @dataclass(frozen=True)
@@ -350,6 +333,15 @@ def _sweep_unit_worker(payload):
 class SweepRunner:
     """Executes :class:`ScenarioSpec` sweeps (see module docstring).
 
+    Each unit runs once. One that raises is recorded with its payload and
+    skipped: every other unit still completes (and checkpoints), then a
+    :class:`~repro.errors.SweepUnitError` lists the failures, so a resume
+    re-runs only them. A pool worker that dies fails the units still in
+    the pool the same way. A :class:`~repro.errors.ConfigurationError`,
+    :class:`~repro.errors.TopologyError` or
+    :class:`~repro.errors.RoutingError` would fail every unit alike: it is
+    raised as is, without running the remaining units.
+
     Attributes:
         workers: process count per :func:`resolve_workers` (None = serial).
         checkpoint_dir: root directory for per-unit result shards
@@ -358,40 +350,11 @@ class SweepRunner:
             only the missing units. Requires a fingerprint match. A shard
             that turns out truncated or corrupt is logged, dropped and
             re-run instead of crashing the resume.
-        warm_start: prime the parent's dataset cache before a parallel
-            run so fork workers inherit the built dataset.
-        max_retries: how many times a failing unit is retried (on any
-            ``Exception``; interrupts always propagate) with bounded
-            deterministic backoff before being recorded as failed. A unit
-            that exhausts its budget does *not* kill the sweep: every
-            other unit still completes (and checkpoints), then a
-            :class:`~repro.errors.SweepUnitError` surfaces the exceptions
-            with their unit payloads attached. A
-            :class:`~repro.errors.ConfigurationError`,
-            :class:`~repro.errors.TopologyError` or
-            :class:`~repro.errors.RoutingError` is deterministic: it is
-            raised as is on its first occurrence, without retries and
-            without running the remaining units.
-        retry_backoff_s: base backoff; attempt ``k`` sleeps
-            ``retry_backoff_s * 2**(k-1)``, capped at 1 s — deterministic,
-            no jitter, so reruns behave identically.
     """
 
     workers: int | None = None
     checkpoint_dir: str | Path | None = None
     resume: bool = False
-    warm_start: bool = True
-    max_retries: int = 2
-    retry_backoff_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        check_int(self.max_retries, "max_retries", 0)
-        check_non_negative(self.retry_backoff_s, "retry_backoff_s")
-
-    def _backoff(self, attempt: int) -> None:
-        delay = min(self.retry_backoff_s * 2 ** (attempt - 1), 1.0)
-        if delay > 0:
-            time.sleep(delay)
 
     def run(
         self,
@@ -459,33 +422,12 @@ class SweepRunner:
         return spec.reduce(config, merged, results)
 
     def _execute(self, spec, config, params, units, todo, n_workers, failures):
-        """Yield ``(unit_index, result)`` in unit order, serial or pooled.
-
-        A unit whose execution raises is retried ``max_retries`` times
-        with deterministic backoff; one that keeps failing is appended to
-        ``failures`` as ``(index, unit_payload, exception)`` and skipped,
-        leaving the remaining units to complete. A deterministic error
-        propagates at once.
-        """
+        """Yield ``(unit_index, result)`` in unit order, serial or pooled."""
         if n_workers <= 1 or len(todo) <= 1:
-            for index in todo:
-                for attempt in range(self.max_retries + 1):
-                    try:
-                        result = spec.run_unit(config, params, units[index])
-                    except _DETERMINISTIC_ERRORS:
-                        raise
-                    except Exception as exc:
-                        if attempt >= self.max_retries:
-                            _log.warning(
-                                "sweep %s unit %d failed after %d attempt(s)",
-                                spec.name, index, attempt + 1,
-                            )
-                            failures.append((index, units[index], exc))
-                            break
-                        self._backoff(attempt + 1)
-                    else:
-                        yield index, result
-                        break
+            yield from _drain(
+                spec.name, units, todo, failures,
+                lambda index: spec.run_unit(config, params, units[index]),
+            )
             return
         _ensure_registered()
         if _SCENARIOS.get(spec.name) is not spec:
@@ -498,67 +440,51 @@ class SweepRunner:
                 "processes — call register_scenario(spec) first"
             )
         mp_context = fork_context()
-        if self.warm_start and spec.uses_dataset:
+        if spec.uses_dataset:
             # Build the dataset once here in the parent; on fork platforms
             # every worker inherits it copy-on-write instead of rebuilding.
             warm_dataset(config)
         params_items = tuple(params.items())
-        payloads = {
-            index: (spec.name, config, params_items, units[index])
-            for index in todo
-        }
         with ProcessPoolExecutor(
             max_workers=min(n_workers, len(todo)), mp_context=mp_context
         ) as pool:
             # One future per unit, consumed in submission order, so shards
             # land on disk as units finish — an interrupt loses only the
             # in-flight units, and resume picks up from the completed set.
-            # A failed future is resubmitted (the retry runs in a pool
-            # worker; only the backoff sleeps here in the parent).
             futures = {
-                index: pool.submit(_sweep_unit_worker, payloads[index])
+                index: pool.submit(
+                    _sweep_unit_worker,
+                    (spec.name, config, params_items, units[index]),
+                )
                 for index in todo
             }
-            for index in todo:
-                attempt = 0
-                while True:
-                    try:
-                        result = futures[index].result()
-                    except KeyboardInterrupt:
-                        raise
-                    except _DETERMINISTIC_ERRORS:
-                        for future in futures.values():
-                            future.cancel()
-                        raise
-                    except Exception as exc:
-                        attempt += 1
-                        if attempt > self.max_retries:
-                            _log.warning(
-                                "sweep %s unit %d failed after %d "
-                                "attempt(s)", spec.name, index, attempt,
-                            )
-                            failures.append((index, units[index], exc))
-                            break
-                        self._backoff(attempt)
-                        futures[index] = pool.submit(
-                            _sweep_unit_worker, payloads[index]
-                        )
-                    else:
-                        yield index, result
-                        break
+            try:
+                yield from _drain(
+                    spec.name, units, todo, failures,
+                    lambda index: futures[index].result(),
+                )
+            finally:
+                for future in futures.values():
+                    future.cancel()
 
 
-def run_scenario(
-    name: str,
-    config: ExperimentConfig | None = None,
-    params: Mapping[str, Any] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
-    max_retries: int = 2,
-) -> Any:
-    """Convenience wrapper: resolve a scenario by name and run it."""
-    return SweepRunner(
-        workers=workers, checkpoint_dir=checkpoint_dir, resume=resume,
-        max_retries=max_retries,
-    ).run(name, config, params)
+def _drain(name, units, todo, failures, outcome):
+    """Yield ``(index, outcome(index))`` for each index in ``todo``.
+
+    An index whose outcome raises is appended to ``failures`` as
+    ``(index, unit_payload, exception)`` and skipped; a deterministic
+    error propagates at once.
+    """
+    for index in todo:
+        try:
+            result = outcome(index)
+        except _DETERMINISTIC_ERRORS:
+            raise
+        except Exception as exc:
+            _log.warning(
+                "sweep %s unit %d failed: %s: %s",
+                name, index, exc.__class__.__name__, exc,
+            )
+            failures.append((index, units[index], exc))
+        else:
+            yield index, result

@@ -12,7 +12,6 @@ from repro.optimal.solver import (
     LpSolution,
     LpSolver,
     ScipyLinprogSolver,
-    SolverCapabilities,
     available_lp_solvers,
     register_lp_solver,
     resolve_lp_solver,
@@ -30,7 +29,6 @@ __all__ = [
     "LpSolution",
     "LpSolver",
     "ScipyLinprogSolver",
-    "SolverCapabilities",
     "available_lp_solvers",
     "register_lp_solver",
     "resolve_lp_solver",

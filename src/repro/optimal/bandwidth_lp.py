@@ -182,9 +182,6 @@ def solve_min_max_load_lp(
     c[t_col] = 1.0
     bounds = [(0.0, 1.0)] * n_x + [(0.0, None)]
 
-    if not backend.capabilities.sparse_constraints:
-        a_ub = a_ub.toarray()
-        a_eq = a_eq.toarray()
     result = backend.solve(
         LpProblem(
             c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,

@@ -9,8 +9,9 @@ bit-identical to the pre-interface code.
 
 Adding a backend:
 
-1. subclass :class:`LpSolver`, implement :meth:`LpSolver.solve`, and
-   declare honest :class:`SolverCapabilities`;
+1. subclass :class:`LpSolver` and implement :meth:`LpSolver.solve`; it
+   receives ``a_ub`` / ``a_eq`` as scipy sparse matrices, so a backend
+   that needs dense arrays converts them itself;
 2. :func:`register_lp_solver` it under a new name;
 3. select it anywhere a ``solver=`` parameter is threaded —
    ``solve_min_max_load_lp``, ``run_bandwidth_case``,
@@ -33,7 +34,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "SolverCapabilities",
     "LpProblem",
     "LpSolution",
     "LpSolver",
@@ -46,21 +46,6 @@ __all__ = [
 
 #: Name of the backend used when no solver is selected.
 DEFAULT_LP_SOLVER = "highs"
-
-
-@dataclass(frozen=True)
-class SolverCapabilities:
-    """What a backend can consume, so callers can adapt assembly.
-
-    ``sparse_constraints``: accepts scipy sparse matrices for ``a_ub`` /
-    ``a_eq`` (a dense copy is made for backends that do not).
-    ``warm_start``: can seed from a prior solution (none of the bundled
-    scipy methods can; the flag exists so an external backend can
-    advertise it and sweep drivers can exploit it).
-    """
-
-    sparse_constraints: bool = True
-    warm_start: bool = False
 
 
 @dataclass(frozen=True)
@@ -100,7 +85,6 @@ class LpSolver:
     """Base class for LP backends. Subclass and register to plug in."""
 
     name: str = "abstract"
-    capabilities: SolverCapabilities = SolverCapabilities()
 
     def solve(self, problem: LpProblem) -> LpSolution:
         raise NotImplementedError
@@ -117,8 +101,6 @@ class ScipyLinprogSolver(LpSolver):
     ``"highs-ipm"`` (interior point) are registered as alternates for
     cross-backend verification and experimentation.
     """
-
-    capabilities = SolverCapabilities(sparse_constraints=True)
 
     def __init__(self, name: str, method: str):
         self.name = name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from numbers import Integral, Real
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "check_in_range",
     "check_probability",
     "check_quantile",
+    "check_sequence",
     "validate_choice",
 ]
 
@@ -108,4 +110,22 @@ def check_quantile(value: float, name: str) -> float:
     value = check_finite(value, name)
     if not 0.0 < value < 1.0:
         raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
+    return value
+
+
+def check_sequence(value, name: str):
+    """Raise unless ``value`` is a sequence; return it unchanged.
+
+    Lists, tuples, ranges and numpy arrays of rank >= 1 pass; scalars,
+    bools, strings and ``None`` do not, so a sequence-valued param fails
+    here instead of with a bare ``TypeError`` where it is iterated.
+    """
+    if isinstance(value, np.ndarray):
+        is_sequence = value.ndim > 0
+    else:
+        is_sequence = isinstance(value, Sequence) and not isinstance(
+            value, (str, bytes)
+        )
+    if not is_sequence:
+        raise ConfigurationError(f"{name} must be a sequence, got {value!r}")
     return value

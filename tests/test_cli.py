@@ -159,11 +159,7 @@ class TestCommands:
 class TestErrors:
     """A library error ends the command with one stderr line and exit 2."""
 
-    def test_bad_link_probability_fails_once(self, capsys, monkeypatch):
-        from repro.experiments import runner
-
-        sleeps: list[float] = []
-        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
+    def test_bad_link_probability_fails_once(self, capsys):
         out = io.StringIO()
         code = main(
             ["availability", "--preset", "quick", "--link-prob", "0.7"],
@@ -177,7 +173,6 @@ class TestErrors:
         assert "link_probability=0.7" in lines[0]
         assert "Traceback" not in err
         assert out.getvalue() == ""
-        assert sleeps == []  # a ConfigurationError is never retried
 
     @pytest.mark.parametrize("flags, knob", [
         (["multi-isp", "--transit-scale", "nan"], "transit_scale"),
@@ -187,12 +182,8 @@ class TestErrors:
         (["availability", "--quantiles", "0.95,1.5"], "quantile"),
     ])
     def test_non_finite_coordinator_knob_fails_once(
-        self, capsys, monkeypatch, flags, knob
+        self, capsys, flags, knob
     ):
-        from repro.experiments import runner
-
-        sleeps: list[float] = []
-        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
         out = io.StringIO()
         code = main([*flags, "--preset", "quick"], out=out)
         assert code == 2
@@ -201,7 +192,6 @@ class TestErrors:
         assert lines[0].startswith("repro: error: ")
         assert knob in lines[0]
         assert out.getvalue() == ""
-        assert sleeps == []
 
     def test_removed_engine_flags_are_argparse_errors(self):
         for argv in (
@@ -211,3 +201,17 @@ class TestErrors:
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("verb", [
+        "distance", "bandwidth", "availability", "multi-isp", "robust",
+        "sweep distance",
+    ])
+    def test_retry_flags_are_argparse_errors(self, capsys, verb):
+        flags = ["--max-retries", "1", "--retry-backoff", "0.2"]
+        with pytest.raises(SystemExit) as exc:
+            main([*verb.split(), *flags])
+        assert exc.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join(flags)}"
+            in capsys.readouterr().err
+        )

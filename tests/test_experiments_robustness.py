@@ -76,9 +76,8 @@ class TestRobustnessSweep:
 
     def test_unrealizable_internetwork_fails_once(self, monkeypatch):
         """Every (seed, mode) unit shares the internetwork, so a shape
-        that cannot be built raises its TopologyError once, unretried."""
+        that cannot be built raises its TopologyError once."""
         import repro.experiments.internetwork as internetwork
-        from repro.experiments import runner
 
         builds = []
         original = internetwork.build_internetwork
@@ -87,16 +86,13 @@ class TestRobustnessSweep:
             builds.append(net_config)
             return original(net_config)
 
-        sleeps: list[float] = []
         monkeypatch.setattr(internetwork, "build_internetwork", counting_build)
-        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
         with pytest.raises(TopologyError, match="no ring of 5 ISPs"):
             run_robustness_experiment(
                 ExperimentConfig.quick(), n_isps=5, shape="ring",
                 min_interconnections=40,
             )
         assert len(builds) == 1
-        assert sleeps == []
 
     def test_paired_requires_both_modes_per_seed(self):
         lonely = RobustUnitRecord(
@@ -138,18 +134,3 @@ class TestRobustnessCli:
         parser = build_parser()
         args = parser.parse_args(["sweep", "robust_negotiation"])
         assert args.scenario == "robust_negotiation"
-        assert args.max_retries is None
-        assert args.retry_backoff is None
-
-    def test_retry_knobs_parse_on_sweep_capable_commands(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for command in ("sweep", "distance", "bandwidth", "availability",
-                        "multi-isp", "robust"):
-            argv = [command, "--max-retries", "5", "--retry-backoff", "0.2"]
-            if command == "sweep":
-                argv.insert(1, "distance")
-            args = parser.parse_args(argv)
-            assert args.max_retries == 5
-            assert args.retry_backoff == pytest.approx(0.2)

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     SweepRunner,
     get_scenario,
     register_scenario,
-    run_scenario,
     scenario_names,
     sweep_fingerprint,
 )
@@ -53,7 +52,7 @@ class TestRegistry:
             get_scenario("no-such-sweep")
 
     def test_run_scenario_by_name(self, tiny_config):
-        result = run_scenario("distance", tiny_config)
+        result = SweepRunner().run("distance", tiny_config)
         assert len(result.pairs) == 2
 
     @pytest.mark.parametrize("name", [
@@ -344,9 +343,8 @@ class TestRunnerEdgeCases:
     ):
         """An unknown scenario must fail typed, even on the resume path."""
         with pytest.raises(ConfigurationError, match="unknown sweep scenario"):
-            run_scenario(
-                "never-registered", tiny_config,
-                checkpoint_dir=tmp_path / "ck", resume=True,
+            SweepRunner(checkpoint_dir=tmp_path / "ck", resume=True).run(
+                "never-registered", tiny_config
             )
 
     def test_parallel_run_of_unregistered_spec_refuses_up_front(
@@ -369,7 +367,7 @@ class TestRunnerEdgeCases:
     ):
         """A failing worker must not kill the sweep or leave torn shards.
 
-        PR 6 contract: the failing unit is retried, then surfaced as a
+        The failing unit is surfaced as a
         :class:`~repro.errors.SweepUnitError` with its payload attached —
         after every other unit completed and checkpointed.
         """
@@ -403,10 +401,9 @@ class TestRunnerEdgeCases:
 
         tripwire.touch()
         with pytest.raises(SweepUnitError, match="synthetic worker failure"):
-            SweepRunner(
-                workers=2, checkpoint_dir=tmp_path / "ck",
-                retry_backoff_s=0.0,
-            ).run(spec, tiny_config, params)
+            SweepRunner(workers=2, checkpoint_dir=tmp_path / "ck").run(
+                spec, tiny_config, params
+            )
 
         store = CheckpointStore(tmp_path / "ck", "_test_crashing", fingerprint)
         # Every unit except the failing one completed and was persisted:

@@ -1,8 +1,10 @@
-"""Sweep-runner fault tolerance: retries, failure surfacing, corrupt shards."""
+"""Sweep-runner fault tolerance: failure surfacing, worker exits,
+corrupt shards."""
 
 from __future__ import annotations
 
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.experiments.runner import (
     CheckpointStore,
     ScenarioSpec,
     SweepRunner,
+    get_scenario,
     register_scenario,
     sweep_fingerprint,
 )
@@ -32,38 +35,24 @@ def tiny_config():
     )
 
 
-def _counting_spec(name: str):
-    """A spec whose unit failures are driven by files (works across forks).
+def _failing_spec(name: str):
+    """A spec whose unit fails while its ``fail-<unit>`` file exists.
 
-    ``params["fail_dir"]`` holds one ``fail-<unit>`` file per unit that
-    should fail; each attempt consumes one ``budget-<unit>-<n>`` token
-    first, so "fail twice then succeed" is expressible across processes.
-    Every attempt is appended to ``params["log"]``.
+    The files live in ``params["fail_dir"]``, so they reach forked
+    workers. Every attempt is appended to ``params["log"]``.
     """
     import os
-
-    def units(config, params):
-        return [0, 1, 2, 3]
 
     def run_unit(config, params, unit):
         with open(params["log"], "a", encoding="utf-8") as fh:
             fh.write(f"{unit}\n")
-        budget = os.path.join(params["fail_dir"], f"budget-{unit}")
-        remaining = 0
-        if os.path.exists(budget):
-            with open(budget, "r", encoding="utf-8") as fh:
-                remaining = int(fh.read())
-        if remaining > 0:
-            with open(budget, "w", encoding="utf-8") as fh:
-                fh.write(str(remaining - 1))
-            raise ValueError(f"transient failure of unit {unit}")
         if os.path.exists(os.path.join(params["fail_dir"], f"fail-{unit}")):
-            raise ValueError(f"persistent failure of unit {unit}")
+            raise ValueError(f"failure of unit {unit}")
         return unit * 10
 
     return register_scenario(ScenarioSpec(
         name=name,
-        enumerate_units=units,
+        enumerate_units=lambda config, params: [0, 1, 2, 3],
         run_unit=run_unit,
         reduce=lambda config, params, results: list(results),
         default_params={"log": None, "fail_dir": None},
@@ -75,51 +64,31 @@ def _attempts(log_path) -> list[str]:
 
 
 class TestRetries:
-    def test_transient_failure_is_retried_serial(self, tiny_config, tmp_path):
-        spec = _counting_spec("_test_retry_serial")
-        (tmp_path / "budget-1").write_text("2")  # unit 1 fails twice
-        params = {"log": str(tmp_path / "log"), "fail_dir": str(tmp_path)}
-        result = SweepRunner(max_retries=2, retry_backoff_s=0.0).run(
-            spec, tiny_config, params
-        )
-        assert result == [0, 10, 20, 30]
-        attempts = _attempts(tmp_path / "log")
-        assert attempts.count("1") == 3  # two failures + the success
-        assert attempts.count("0") == attempts.count("2") == 1
+    """No unit is retried: a unit is a pure function of its arguments, so
+    a second attempt would fail the same way."""
 
-    def test_transient_failure_is_retried_parallel(
-        self, tiny_config, tmp_path
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_raising_unit_is_attempted_once(
+        self, tiny_config, tmp_path, workers
     ):
-        spec = _counting_spec("_test_retry_parallel")
-        (tmp_path / "budget-2").write_text("1")
-        params = {"log": str(tmp_path / "log"), "fail_dir": str(tmp_path)}
-        result = SweepRunner(
-            workers=2, max_retries=2, retry_backoff_s=0.0
-        ).run(spec, tiny_config, params)
-        assert result == [0, 10, 20, 30]
-        assert _attempts(tmp_path / "log").count("2") == 2
-
-    def test_exhausted_retries_surface_payload_and_spare_the_rest(
-        self, tiny_config, tmp_path
-    ):
-        spec = _counting_spec("_test_retry_exhausted")
+        spec = _failing_spec(f"_test_attempted_once_{workers}")
         (tmp_path / "fail-1").touch()
         params = {"log": str(tmp_path / "log"), "fail_dir": str(tmp_path)}
         with pytest.raises(SweepUnitError) as excinfo:
-            SweepRunner(
-                max_retries=1, retry_backoff_s=0.0,
-                checkpoint_dir=tmp_path / "ck",
-            ).run(spec, tiny_config, params)
+            SweepRunner(workers=workers, checkpoint_dir=tmp_path / "ck").run(
+                spec, tiny_config, params
+            )
         err = excinfo.value
-        assert err.scenario == "_test_retry_exhausted"
+        assert err.scenario == spec.name
         ((index, payload, inner),) = err.failures
         assert index == 1 and payload == 1
         assert isinstance(inner, ValueError)
-        assert "persistent failure of unit 1" in str(err)
-        # 1 original attempt + 1 retry, and the later units still ran.
-        attempts = _attempts(tmp_path / "log")
-        assert attempts.count("1") == 2
-        assert attempts.count("2") == attempts.count("3") == 1
+        assert str(err) == (
+            f"1 unit(s) of sweep {spec.name!r} failed: "
+            "unit 1 (1): ValueError: failure of unit 1"
+        )
+        # Every unit ran exactly once, the failed one included.
+        assert sorted(_attempts(tmp_path / "log")) == ["0", "1", "2", "3"]
         # Completed shards were preserved for resume.
         store = CheckpointStore(
             tmp_path / "ck", spec.name,
@@ -127,13 +96,58 @@ class TestRetries:
         )
         assert store.completed(4) == {0, 2, 3}
 
-    def test_max_retries_zero_fails_fast(self, tiny_config, tmp_path):
-        spec = _counting_spec("_test_retry_zero")
-        (tmp_path / "fail-0").touch()
-        params = {"log": str(tmp_path / "log"), "fail_dir": str(tmp_path)}
-        with pytest.raises(SweepUnitError):
-            SweepRunner(max_retries=0).run(spec, tiny_config, params)
-        assert _attempts(tmp_path / "log").count("0") == 1
+    def test_worker_exit_fails_its_unit(self, tiny_config, tmp_path):
+        """A unit that kills its pool worker is listed in the
+        SweepUnitError, with the units the broken pool took down."""
+        tripwire = tmp_path / "exit"
+
+        def run_unit(config, params, unit):
+            import os
+            import time
+
+            if unit == 3 and os.path.exists(params["tripwire"]):
+                os._exit(1)
+            if unit < 3:
+                # Let the early units land before the exit breaks the pool.
+                time.sleep(0.05)
+            return unit * 10
+
+        spec = register_scenario(ScenarioSpec(
+            name="_test_worker_exit",
+            enumerate_units=lambda config, params: [0, 1, 2, 3, 4, 5],
+            run_unit=run_unit,
+            reduce=lambda config, params, results: list(results),
+            default_params={"tripwire": None},
+        ))
+        params = {"tripwire": str(tripwire)}
+
+        tripwire.touch()
+        with pytest.raises(SweepUnitError) as excinfo:
+            SweepRunner(workers=2, checkpoint_dir=tmp_path / "ck").run(
+                spec, tiny_config, params
+            )
+        failed = {index: exc for index, _, exc in excinfo.value.failures}
+        assert 3 in failed
+        assert all(isinstance(exc, BrokenProcessPool)
+                   for exc in failed.values())
+
+        store = CheckpointStore(
+            tmp_path / "ck", spec.name,
+            sweep_fingerprint(spec.name, tiny_config, params),
+        )
+        # Every unit either failed or left a shard holding its exact
+        # result, and no torn temp file was left behind.
+        completed = store.completed(6)
+        assert completed == set(range(6)) - set(failed)
+        for index in completed:
+            assert store.load(index) == index * 10
+        assert not list(store.dir.glob("*.tmp"))
+
+        tripwire.unlink()
+        resumed = SweepRunner(
+            workers=2, checkpoint_dir=tmp_path / "ck", resume=True
+        ).run(spec, tiny_config, params)
+        assert resumed == SweepRunner().run(spec, tiny_config, params)
 
     @pytest.mark.parametrize("workers", [None, 2])
     @pytest.mark.parametrize(
@@ -142,9 +156,8 @@ class TestRetries:
     def test_deterministic_error_fails_once(
         self, tiny_config, tmp_path, workers, error
     ):
-        """Bad parameters, unrealizable or unroutable topologies fail the
-        same way on every attempt: no retries, and the sweep stops at the
-        first one."""
+        """Bad parameters, unrealizable or unroutable topologies would fail
+        every unit alike: the sweep stops at the first one."""
         log = tmp_path / "log"
 
         def run_unit(config, params, unit):
@@ -162,49 +175,20 @@ class TestRetries:
             default_params={"log": None},
         ))
         with pytest.raises(error, match="deterministic failure of unit 1"):
-            SweepRunner(
-                workers=workers, max_retries=3, retry_backoff_s=0.0,
-            ).run(spec, tiny_config, {"log": str(log)})
+            SweepRunner(workers=workers).run(
+                spec, tiny_config, {"log": str(log)}
+            )
         attempts = _attempts(log)
         assert attempts.count("1") == 1
         if workers is None:
             assert attempts == ["0", "1"]  # later units never started
 
-    def test_backoff_is_bounded_and_deterministic(self, monkeypatch):
-        sleeps: list[float] = []
-        monkeypatch.setattr(
-            "repro.experiments.runner.time.sleep", sleeps.append
-        )
-        runner = SweepRunner(max_retries=8, retry_backoff_s=0.05)
-        for attempt in range(1, 9):
-            runner._backoff(attempt)
-        assert sleeps == [
-            min(0.05 * 2 ** (k - 1), 1.0) for k in range(1, 9)
-        ]
-        assert max(sleeps) == 1.0  # capped
-
-    def test_negative_retry_config_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_retries"):
-            SweepRunner(max_retries=-1)
-        with pytest.raises(ConfigurationError, match="retry_backoff_s"):
-            SweepRunner(retry_backoff_s=-0.1)
-
-    @pytest.mark.parametrize("knob, value", [
-        ("max_retries", 1.5), ("max_retries", True),
-        ("retry_backoff_s", float("nan")), ("retry_backoff_s", "0.1"),
-    ])
-    def test_retry_knobs_must_be_typed(self, knob, value):
-        # max_retries=1.5 died in range() at the first retry, and a NaN
-        # backoff switched the sleep off (nan > 0 is false).
-        with pytest.raises(ConfigurationError, match=knob):
-            SweepRunner(**{knob: value})
-
 
 class TestBadParamsFailOnce:
-    """A bad sweep param raises one typed error, with no retry sleeps.
+    """A bad sweep param raises one typed error before any unit runs.
 
     Each probe used to run with its value truncated or read as truthy,
-    or to fail every unit with a bare ``TypeError`` after its retries.
+    or to fail every unit with a bare ``TypeError``.
     """
 
     @pytest.mark.parametrize("scenario, params, knob", [
@@ -219,8 +203,7 @@ class TestBadParamsFailOnce:
         ("robust_negotiation", {"include_transit": "no"}, "include_transit"),
         ("oscillation", {"max_steps": 2.5}, "max_steps"),
     ])
-    def test_probe(self, tiny_config, monkeypatch, scenario, params, knob):
-        from repro.experiments import runner
+    def test_probe(self, tiny_config, scenario, params, knob):
         from repro.experiments.internetwork import run_multi_isp_experiment
         from repro.experiments.oscillation import run_oscillation_experiment
         from repro.experiments.robustness import run_robustness_experiment
@@ -230,11 +213,45 @@ class TestBadParamsFailOnce:
             "oscillation": run_oscillation_experiment,
             "robust_negotiation": run_robustness_experiment,
         }[scenario]
-        sleeps: list[float] = []
-        monkeypatch.setattr(runner.time, "sleep", sleeps.append)
         with pytest.raises(ConfigurationError, match=knob):
             wrapper(tiny_config, **params)
-        assert sleeps == []
+
+    @pytest.mark.parametrize("scenario, params, message", [
+        ("availability", {"quantiles": 0.95},
+         "quantiles must be a sequence, got 0.95"),
+        ("availability", {"quantiles": True}, "quantiles must be a sequence"),
+        ("availability", {"quantiles": None}, "quantiles must be a sequence"),
+        ("availability", {"quantiles": "0.95"},
+         "quantiles must be a sequence"),
+        ("availability", {"shared_risk_groups": 1},
+         "shared_risk_groups must be a sequence"),
+        ("availability", {"shared_risk_groups": True},
+         "shared_risk_groups must be a sequence"),
+        ("availability", {"shared_risk_groups": None},
+         "shared_risk_groups must be a sequence"),
+        ("availability", {"shared_risk_groups": ((0, 1), 2)},
+         "shared-risk group 1 must be a sequence, got 2"),
+        ("availability", {"group_probabilities": 0.1},
+         "group_probabilities must be a sequence"),
+        ("availability", {"group_probabilities": True},
+         "group_probabilities must be a sequence"),
+        ("robust_negotiation", {"fault_seeds": 3},
+         "fault_seeds must be a sequence, got 3"),
+        ("robust_negotiation", {"fault_seeds": True},
+         "fault_seeds must be a sequence"),
+        ("robust_negotiation", {"fault_seeds": None},
+         "fault_seeds must be a sequence"),
+        ("grouped", {"group_counts": 2}, "group_counts must be a sequence"),
+    ])
+    def test_sequence_param_must_be_a_sequence(
+        self, tiny_config, scenario, params, message
+    ):
+        def no_unit(config, params, unit):
+            raise AssertionError("a unit ran")
+
+        spec = replace(get_scenario(scenario), run_unit=no_unit)
+        with pytest.raises(ConfigurationError, match=message):
+            SweepRunner().run(spec, tiny_config, params)
 
 
 class TestCorruptShards:

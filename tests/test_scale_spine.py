@@ -11,9 +11,8 @@ Covers the PR 8 contracts end to end:
   build;
 * disconnected PoPs surface as a typed :class:`RoutingError` naming the
   pair (satellite 2);
-* the LP solver registry resolves, validates, injects, and falls back to
-  dense assembly per backend capabilities, with the default backend
-  bit-identical to the historical hardwired call;
+* the LP solver registry resolves, validates and injects backends, with
+  the default backend bit-identical to the historical hardwired call;
 * a 200-PoP-per-ISP pair flows through the whole spine — table build,
   early-exit defaults, failure, negotiation, joint and unilateral LPs.
 """
@@ -34,7 +33,6 @@ from repro.optimal.solver import (
     DEFAULT_LP_SOLVER,
     LpSolution,
     LpSolver,
-    SolverCapabilities,
     available_lp_solvers,
     register_lp_solver,
     resolve_lp_solver,
@@ -301,11 +299,8 @@ class TestUnreachableDiagnostics:
 class _RecordingSolver(LpSolver):
     """Delegates to the default backend, recording what it was handed."""
 
-    def __init__(self, name="recording", sparse_constraints=True):
+    def __init__(self, name="recording"):
         self.name = name
-        self.capabilities = SolverCapabilities(
-            sparse_constraints=sparse_constraints
-        )
         self.problems = []
         self._inner = resolve_lp_solver(DEFAULT_LP_SOLVER)
 
@@ -371,16 +366,6 @@ class TestSolverInjection:
         assert len(recorder.problems) == 1
         assert injected.t == reference.t
         assert np.array_equal(injected.fractions, reference.fractions)
-
-    def test_dense_fallback_for_limited_backends(self, lp_setup):
-        table, _, caps_a, caps_b = lp_setup
-        reference = solve_min_max_load_lp(table, caps_a, caps_b)
-        dense = _RecordingSolver(name="dense", sparse_constraints=False)
-        result = solve_min_max_load_lp(table, caps_a, caps_b, solver=dense)
-        problem = dense.problems[0]
-        assert isinstance(problem.a_ub, np.ndarray)
-        assert isinstance(problem.a_eq, np.ndarray)
-        assert result.t == pytest.approx(reference.t, abs=1e-9)
 
     def test_cross_backend_objectives_agree(self, lp_setup):
         table, _, caps_a, caps_b = lp_setup

@@ -13,6 +13,7 @@ from repro.util.validation import (
     check_positive,
     check_probability,
     check_quantile,
+    check_sequence,
 )
 
 
@@ -108,3 +109,19 @@ class TestCheckQuantile:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError, match="q must be"):
             check_quantile(bad, "q")
+
+
+class TestCheckSequence:
+    @pytest.mark.parametrize("good", [
+        [1, 2], (0.5,), (), range(3), np.array([1, 2]), np.zeros((2, 2)),
+    ])
+    def test_passes_unchanged(self, good):
+        assert check_sequence(good, "x") is good
+
+    @pytest.mark.parametrize("bad", [
+        3, 0.95, True, np.bool_(True), np.float64(0.5), np.array(0.5), None,
+        "0.95", b"ab", {1, 2}, {"a": 1},
+    ])
+    def test_rejects_non_sequences(self, bad):
+        with pytest.raises(ConfigurationError, match="x must be a sequence"):
+            check_sequence(bad, "x")
