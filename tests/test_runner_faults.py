@@ -78,15 +78,8 @@ class TestRetries:
             SweepRunner(workers=workers, checkpoint_dir=tmp_path / "ck").run(
                 spec, tiny_config, params
             )
-        err = excinfo.value
-        assert err.scenario == spec.name
-        ((index, payload, inner),) = err.failures
-        assert index == 1 and payload == 1
-        assert isinstance(inner, ValueError)
-        assert str(err) == (
-            f"1 unit(s) of sweep {spec.name!r} failed: "
-            "unit 1 (1): ValueError: failure of unit 1"
-        )
+        ((index, _, inner),) = excinfo.value.failures
+        assert index == 1 and isinstance(inner, ValueError)
         # Every unit ran exactly once, the failed one included.
         assert sorted(_attempts(tmp_path / "log")) == ["0", "1", "2", "3"]
         # Completed shards were preserved for resume.
@@ -95,6 +88,51 @@ class TestRetries:
             sweep_fingerprint(spec.name, tiny_config, params),
         )
         assert store.completed(4) == {0, 2, 3}
+
+    def test_exhausted_retries_surface_payload_and_spare_the_rest(
+        self, tiny_config, tmp_path
+    ):
+        """A unit's one attempt is its whole budget: its error surfaces
+        with its payload, and the later units still run and checkpoint
+        their exact results."""
+        spec = _failing_spec("_test_retry_exhausted")
+        (tmp_path / "fail-1").touch()
+        params = {"log": str(tmp_path / "log"), "fail_dir": str(tmp_path)}
+        with pytest.raises(SweepUnitError) as excinfo:
+            SweepRunner(checkpoint_dir=tmp_path / "ck").run(
+                spec, tiny_config, params
+            )
+        err = excinfo.value
+        assert err.scenario == "_test_retry_exhausted"
+        ((index, payload, inner),) = err.failures
+        assert index == 1 and payload == 1
+        assert isinstance(inner, ValueError)
+        assert str(err) == (
+            "1 unit(s) of sweep '_test_retry_exhausted' failed: "
+            "unit 1 (1): ValueError: failure of unit 1"
+        )
+        # The later units still ran, in order, after the failure.
+        assert _attempts(tmp_path / "log") == ["0", "1", "2", "3"]
+        store = CheckpointStore(
+            tmp_path / "ck", spec.name,
+            sweep_fingerprint(spec.name, tiny_config, params),
+        )
+        assert {i: store.load(i) for i in store.completed(4)} == {
+            0: 0, 2: 20, 3: 30,
+        }
+
+    def test_max_retries_zero_fails_fast(self, tiny_config, tmp_path):
+        """Failing fast is the only mode: the runner takes no retry knob,
+        and a failing first unit is attempted once, then reported."""
+        with pytest.raises(TypeError, match="max_retries"):
+            SweepRunner(max_retries=0)
+        spec = _failing_spec("_test_retry_zero")
+        (tmp_path / "fail-0").touch()
+        params = {"log": str(tmp_path / "log"), "fail_dir": str(tmp_path)}
+        with pytest.raises(SweepUnitError) as excinfo:
+            SweepRunner().run(spec, tiny_config, params)
+        assert [index for index, _, _ in excinfo.value.failures] == [0]
+        assert _attempts(tmp_path / "log").count("0") == 1
 
     def test_worker_exit_fails_its_unit(self, tiny_config, tmp_path):
         """A unit that kills its pool worker is listed in the
