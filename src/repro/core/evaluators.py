@@ -38,6 +38,7 @@ import numpy as np
 from repro.capacity.loads import LoadTracker, RowGather, validate_capacities
 from repro.core.mapping import (
     PreferenceMapper,
+    check_unit,
     conservative_round,
     map_cost_matrix,
 )
@@ -271,10 +272,8 @@ class LoadAwareEvaluator:
         ratio_unit: float = 0.1,
         conservative: bool = True,
     ):
-        if ratio_unit <= 0:
-            raise PreferenceError(f"ratio_unit must be > 0, got {ratio_unit}")
         self.range = range_ or PreferenceRange()
-        self.ratio_unit = float(ratio_unit)
+        self.ratio_unit = check_unit(ratio_unit, "ratio_unit")
         self.conservative = conservative
         self._table = table
         self._side = side
@@ -432,9 +431,7 @@ class FortzCostEvaluator:
         # deltas at a few classes without instance peeking.
         if cost_unit is None:
             cost_unit = max(float(self._sizes.mean()), 1e-9) * 0.5
-        if cost_unit <= 0:
-            raise PreferenceError(f"cost_unit must be > 0, got {cost_unit}")
-        self.cost_unit = float(cost_unit)
+        self.cost_unit = check_unit(cost_unit, "cost_unit")
         self.conservative = conservative
         self._prefs = np.zeros((table.n_flows, table.n_alternatives),
                                dtype=np.int64)

@@ -22,6 +22,7 @@ default. Three mappers cover the paper's design space:
 
 from __future__ import annotations
 
+import math
 from typing import Protocol
 
 import numpy as np
@@ -68,6 +69,18 @@ def conservative_round(units: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     return np.floor(np.where(np.abs(units) <= atol, 0.0, units))
 
 
+def check_unit(value: float, name: str) -> float:
+    """Raise unless ``value`` is a finite scale > 0; return it as float.
+
+    A NaN unit casts every class to -2**63, outside [-P, P], and an
+    infinite one maps every alternative to class 0, so both are refused
+    with :class:`PreferenceError` like a unit <= 0.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise PreferenceError(f"{name} must be finite and > 0, got {value}")
+    return float(value)
+
+
 def delta_matrix(costs: np.ndarray, defaults: np.ndarray) -> np.ndarray:
     """Improvement of each alternative over the default: positive = better.
 
@@ -101,10 +114,8 @@ class LinearDeltaMapper:
 
     def __init__(self, range_: PreferenceRange | None = None, unit: float = 1.0,
                  conservative: bool = False):
-        if unit <= 0:
-            raise PreferenceError(f"unit must be > 0, got {unit}")
         self.range = range_ or PreferenceRange()
-        self.unit = float(unit)
+        self.unit = check_unit(unit, "unit")
         self.conservative = conservative
 
     def map(self, costs: np.ndarray, defaults: np.ndarray) -> np.ndarray:
@@ -138,12 +149,10 @@ class AutoScaleDeltaMapper:
     def __init__(self, range_: PreferenceRange | None = None,
                  min_unit: float = 1e-9, conservative: bool = True,
                  quantile: float = 90.0):
-        if min_unit <= 0:
-            raise PreferenceError(f"min_unit must be > 0, got {min_unit}")
         if not 0 < quantile <= 100:
             raise PreferenceError(f"quantile must be in (0, 100], got {quantile}")
         self.range = range_ or PreferenceRange()
-        self.min_unit = float(min_unit)
+        self.min_unit = check_unit(min_unit, "min_unit")
         self.conservative = conservative
         self.quantile = float(quantile)
 
@@ -153,7 +162,22 @@ class AutoScaleDeltaMapper:
         nonzero = magnitudes[magnitudes > 0]
         if nonzero.size == 0:
             return np.zeros_like(deltas, dtype=np.int64)
-        anchor = float(np.percentile(nonzero, self.quantile))
+        if self.quantile == 100.0:
+            # numpy's linear method lands on index n-1 with weight 0, so
+            # for finite magnitudes the 100th percentile is the max: the
+            # same float at a twentieth of the cost. (An infinite magnitude
+            # makes numpy interpolate inf - inf = NaN where max gives inf;
+            # both are rejected below.)
+            anchor = float(nonzero.max())
+        else:
+            anchor = float(np.percentile(nonzero, self.quantile))
+        if not math.isfinite(anchor):
+            # A NaN or infinite unit would cast every class (or the
+            # infinite ones) to -2**63, outside [-P, P].
+            raise PreferenceError(
+                f"cannot scale classes: the {self.quantile:g}th percentile "
+                f"of |delta| is {anchor} (infinite costs)"
+            )
         unit = max(anchor / self.range.p, self.min_unit)
         units = deltas / unit
         if self.conservative:

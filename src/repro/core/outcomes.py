@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,9 +23,13 @@ class TerminationReason(enum.Enum):
     ROUND_LIMIT = "round limit reached"
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One accepted (or vetoed) round of the protocol.
+
+    A ``NamedTuple``: a session builds one per round, and a tuple's
+    constructor costs about a quarter of a frozen dataclass's, whose
+    ``__init__`` sets each field through ``object.__setattr__``. Fields
+    read by name, and assigning one raises ``AttributeError`` as before.
 
     Attributes:
         round_index: 0-based round number.
@@ -33,6 +38,8 @@ class RoundRecord:
         alternative: proposed interconnection index.
         pref_a / pref_b: the disclosed preference classes at proposal time.
         accepted: whether the responder accepted.
+        true_a / true_b: each ISP's improvement on its actual (private)
+            metric; 0 for rejected rounds. Used by the win-win rollback.
     """
 
     round_index: int
@@ -42,8 +49,6 @@ class RoundRecord:
     pref_a: int
     pref_b: int
     accepted: bool
-    #: Each ISP's improvement on its actual (private) metric; 0 for
-    #: rejected rounds. Used by the win-win rollback.
     true_a: float = 0.0
     true_b: float = 0.0
 

@@ -36,6 +36,8 @@ A round costs amortized O(1), an epoch O(F·I·log(F·I)) plus one
 O(R + D·F·I·log(F·I)) for R rounds and D disclosures, against O(R·F·I) for
 rescanning each round. The rollback is O(A·log A) for A accepted rounds
 (see :func:`rollback_victims`); wire messages are built only when recorded.
+Each round's :class:`~repro.core.outcomes.RoundRecord` is a ``NamedTuple``
+built at settle, a quarter of a frozen dataclass's construction cost.
 """
 
 from __future__ import annotations

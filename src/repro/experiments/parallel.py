@@ -9,11 +9,11 @@ This module provides the machinery the sweep runner shares:
   contract table);
 * :func:`fork_context` — the start method that lets workers inherit the
   parent's warm caches;
-* :func:`dataset_for` / :func:`pairs_for` — the bounded, fingerprint-keyed
-  per-process dataset cache, plus :func:`warm_dataset` to prime it in the
-  parent *before* forking so workers inherit the built dataset instead of
-  each rebuilding it (the shared-dataset warm start; see
-  :class:`repro.experiments.runner.SweepRunner`).
+* :func:`dataset_for` / :func:`pairs_for` — the bounded per-process
+  dataset cache, keyed on the frozen dataset config, plus
+  :func:`warm_dataset` to prime it in the parent *before* forking so
+  workers inherit the built dataset instead of each rebuilding it (the
+  shared-dataset warm start; see :class:`repro.experiments.runner.SweepRunner`).
 
 **Determinism contract:** results are returned in submission order and
 each unit's computation is independent and seeded by the config, so
@@ -30,8 +30,7 @@ from collections import OrderedDict
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.topology.dataset import build_default_dataset
-from repro.topology.serialization import config_fingerprint
+from repro.topology.dataset import DatasetConfig, build_default_dataset
 
 __all__ = [
     "resolve_workers",
@@ -110,7 +109,7 @@ DATASET_CACHE_SIZE = 4
 #: free; keep a few per process, keyed alongside the dataset entries.
 PAIRS_CACHE_SIZE = 8
 
-_dataset_cache: "OrderedDict[str, object]" = OrderedDict()
+_dataset_cache: "OrderedDict[DatasetConfig, object]" = OrderedDict()
 _pairs_cache: "OrderedDict[tuple, list]" = OrderedDict()
 
 
@@ -124,12 +123,15 @@ def _cache_put(cache: OrderedDict, key, value, maxsize: int) -> None:
 def dataset_for(config: ExperimentConfig):
     """The experiment's dataset, built at most once per process per config.
 
-    Keyed on the dataset config's fingerprint — the same identity the
-    checkpoint store uses (:func:`repro.topology.serialization.config_fingerprint`)
-    — so configs that differ only in sweep caps share one built dataset.
-    The cache is bounded (:data:`DATASET_CACHE_SIZE`, LRU eviction).
+    Keyed on the frozen :class:`~repro.topology.dataset.DatasetConfig`
+    itself, so configs that differ only in sweep caps share one built
+    dataset. Equal configs are one key, just as they share one checkpoint
+    fingerprint (:func:`repro.topology.serialization.config_fingerprint`),
+    but a lookup hashes the fields (under 1 µs) where a fingerprint
+    SHA-256-hashes their canonical JSON (about 50 µs, twice per sweep
+    unit). The cache is bounded (:data:`DATASET_CACHE_SIZE`, LRU eviction).
     """
-    key = config_fingerprint(config.dataset)
+    key = config.dataset
     dataset = _dataset_cache.get(key)
     if dataset is None:
         dataset = build_default_dataset(config.dataset)
@@ -152,7 +154,7 @@ def pairs_for(
     """
     dataset = dataset_for(config)
     key = (
-        config_fingerprint(config.dataset),
+        config.dataset,
         int(min_interconnections),
         None if max_pairs is None else int(max_pairs),
     )
@@ -177,8 +179,7 @@ def warm_dataset(config: ExperimentConfig, dataset=None):
     ``paper``-preset sweeps. Passing a prebuilt ``dataset`` skips the
     build (it must match the config). Returns the cached dataset.
     """
-    key = config_fingerprint(config.dataset)
     if dataset is not None:
-        _cache_put(_dataset_cache, key, dataset, DATASET_CACHE_SIZE)
+        _cache_put(_dataset_cache, config.dataset, dataset, DATASET_CACHE_SIZE)
         return dataset
     return dataset_for(config)

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.routing.costs import PairCostTable
-from repro.util.validation import check_finite, check_int
+from repro.util.validation import check_finite, check_int, check_sequence
 
 __all__ = [
     "FailureModel",
@@ -97,6 +97,17 @@ class FailureModel:
             )
         if self.max_failed is not None:
             check_int(self.max_failed, "max_failed", 0)
+        # Sequence fields are stored as tuples (numpy arrays included), so
+        # a scalar fails here with a typed error and the model hashes.
+        groups = check_sequence(self.shared_risk_groups, "shared_risk_groups")
+        object.__setattr__(self, "shared_risk_groups", tuple(
+            tuple(check_sequence(group, f"shared-risk group {g}"))
+            for g, group in enumerate(groups)
+        ))
+        for name in ("link_probabilities", "group_probabilities"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(check_sequence(value, name)))
         if self.group_probabilities is not None and len(
             self.group_probabilities
         ) != len(self.shared_risk_groups):

@@ -33,6 +33,7 @@ from repro.geo.coords import great_circle_km
 from repro.topology.elements import Link, PoP
 from repro.topology.isp import ISPTopology, spanning_forest
 from repro.util.rng import RngSource, derive_rng
+from repro.util.validation import check_sequence
 
 __all__ = ["GeneratorConfig", "TopologyGenerator", "REGION_GROUPS"]
 
@@ -62,7 +63,8 @@ class GeneratorConfig:
             mesh (complete graph, uniform weights). The paper's dataset had
             8 of 65 such ISPs (~0.12).
         footprint_weights: probabilities of (regional, continental, global)
-            footprints.
+            footprints; any sequence is stored as a tuple, so the config
+            stays hashable (the dataset caches key on it).
     """
 
     min_pops: int = 8
@@ -73,6 +75,8 @@ class GeneratorConfig:
     footprint_weights: tuple[float, float, float] = (0.30, 0.45, 0.25)
 
     def __post_init__(self) -> None:
+        weights = check_sequence(self.footprint_weights, "footprint_weights")
+        object.__setattr__(self, "footprint_weights", tuple(weights))
         if self.min_pops < 2:
             raise ConfigurationError("min_pops must be >= 2")
         if self.max_pops < self.min_pops:

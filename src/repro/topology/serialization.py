@@ -6,9 +6,9 @@ same schema, e.g. converted Rocketfuel data) and re-run experiments on it.
 The fingerprint helpers hash the same canonical representations: a
 fingerprint identifies "the experiment that would be produced by this
 config / this dataset" and is the key under which the sweep runner's
-checkpoint store shards results and the per-process dataset cache bounds
-its entries (see :mod:`repro.experiments.runner` and
-:mod:`repro.experiments.parallel`).
+checkpoint store shards results (see :mod:`repro.experiments.runner`).
+The in-process dataset caches key on the frozen config itself
+(:mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations

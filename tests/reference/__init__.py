@@ -18,6 +18,8 @@ between a production kernel and its reference here; the golden digests in
   fractional loads and the LP's link-constraint triplets;
 * :mod:`reference.evaluators` — load-aware and Fortz evaluators that
   recompute preferences one (flow, alternative) at a time;
+* :mod:`reference.mapping` — the auto-scale mapper anchored by
+  ``np.percentile`` at every quantile, 100 included;
 * :mod:`reference.negotiation` — the masked-rescan stop rule, a proposal
   rule that keeps the session on its rescanning loop, and the
   min-and-remove win-win rollback;

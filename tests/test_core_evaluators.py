@@ -138,10 +138,12 @@ class TestLoadAwareEvaluator:
         assert ev.true_delta(1, 1) == pytest.approx(0.5)
 
     def test_bad_ratio_unit(self, setup):
+        # NaN used to disclose class -2**63 and inf class 0 everywhere.
         table, caps_b, base_b, defaults = setup
-        with pytest.raises(PreferenceError):
-            LoadAwareEvaluator(table, "b", caps_b, defaults,
-                               base_loads=base_b, ratio_unit=0.0)
+        for ratio_unit in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(PreferenceError):
+                LoadAwareEvaluator(table, "b", caps_b, defaults,
+                                   base_loads=base_b, ratio_unit=ratio_unit)
 
     def test_defaults_shape_checked(self, setup):
         table, caps_b, base_b, _ = setup

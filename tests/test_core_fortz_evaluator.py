@@ -88,9 +88,12 @@ class TestFortzCostEvaluator:
         assert ev.preferences().shape == (table.n_flows, table.n_alternatives)
 
     def test_bad_cost_unit(self, setup):
+        # NaN used to disclose class -2**63 and inf class 0 everywhere.
         table, caps, defaults = setup
-        with pytest.raises(PreferenceError):
-            FortzCostEvaluator(table, "a", caps, defaults, cost_unit=0.0)
+        for cost_unit in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(PreferenceError):
+                FortzCostEvaluator(table, "a", caps, defaults,
+                                   cost_unit=cost_unit)
 
     def test_defaults_shape_checked(self, setup):
         table, caps, _ = setup

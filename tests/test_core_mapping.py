@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.mapping import (
@@ -15,6 +15,8 @@ from repro.core.mapping import (
 )
 from repro.core.preferences import PreferenceRange
 from repro.errors import PreferenceError
+
+from reference import mapping as reference
 
 
 class TestDeltaMatrix:
@@ -79,8 +81,9 @@ class TestLinearDeltaMapper:
         assert prefs[0, 2] == -1  # any loss is at least -1
 
     def test_bad_unit(self):
-        with pytest.raises(PreferenceError):
-            LinearDeltaMapper(unit=0.0)
+        for unit in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(PreferenceError):
+                LinearDeltaMapper(unit=unit)
 
 
 class TestAutoScaleDeltaMapper:
@@ -102,6 +105,23 @@ class TestAutoScaleDeltaMapper:
             AutoScaleDeltaMapper(quantile=0.0)
         with pytest.raises(PreferenceError):
             AutoScaleDeltaMapper(quantile=101.0)
+
+    def test_bad_min_unit(self):
+        for min_unit in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(PreferenceError):
+                AutoScaleDeltaMapper(min_unit=min_unit)
+
+    @pytest.mark.parametrize("quantile", [100.0, 90.0])
+    def test_infinite_anchor_rejected(self, quantile):
+        # An infinite |delta| anchors the scale at inf (the max) or NaN
+        # (numpy's interpolation); either unit would cast classes to
+        # -2**63, so the mapper refuses the matrix instead.
+        mapper = AutoScaleDeltaMapper(quantile=quantile)
+        # numpy warns as its interpolation computes inf - inf.
+        with np.errstate(invalid="ignore"), pytest.raises(
+            PreferenceError, match="infinite costs"
+        ):
+            mapper.map(np.array([[1.0, np.inf]]), np.array([0]))
 
     def test_symmetric_instance_symmetric_classes(self):
         costs = np.array([[5.0, 0.0], [0.0, 5.0]])
@@ -168,3 +188,58 @@ def test_autoscale_respects_range_and_default(n_flows, n_alts, p):
     assert prefs.max() <= p
     rows = np.arange(n_flows)
     assert np.all(prefs[rows, defaults] == 0)
+
+
+#: A few repeated values make tied deltas common; inf is drawn on request.
+_COST_POOL = [0.0, 1.0, 2.5, 4.0, 1000.0]
+
+
+@st.composite
+def _cost_cases(draw):
+    n_flows, n_alts = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pool = _COST_POOL + ([np.inf] if draw(st.booleans()) else [])
+    values = st.one_of(st.sampled_from(pool), st.floats(0.0, 1e4))
+    costs = draw(st.lists(values, min_size=n_flows * n_alts,
+                          max_size=n_flows * n_alts))
+    defaults = draw(st.lists(st.integers(0, n_alts - 1), min_size=n_flows,
+                             max_size=n_flows))
+    return np.reshape(costs, (n_flows, n_alts)), np.array(defaults)
+
+
+def _validated(mapper, costs, defaults):
+    """``map_cost_matrix``'s classes, or None where it rejects them."""
+    # inf costs take inf - inf = NaN deltas through numpy's casts.
+    with np.errstate(invalid="ignore"):
+        try:
+            return map_cost_matrix(costs, defaults, mapper)
+        except PreferenceError:
+            return None
+
+
+@given(_cost_cases(), st.integers(1, 12), st.booleans())
+@example((np.array([[1.0, 2.5, 2.5], [2.5, 1.0, 1.0]]), np.array([0, 1])),
+         5, True)  # ties
+@example((np.array([[1.0, 2.5], [4.0, 4.0]]), np.array([0, 1])),
+         3, False)  # one nonzero delta
+@example((np.array([[2.5, 2.5], [1.0, 1.0]]), np.array([0, 1])),
+         10, True)  # all-zero deltas
+@example((np.array([[1.0, np.inf], [4.0, 2.5]]), np.array([0, 0])),
+         10, False)  # an infinite cost
+@example((np.array([[np.inf, np.inf], [4.0, 2.5]]), np.array([0, 0])),
+         10, True)  # an all-inf row: NaN deltas, finite anchor
+def test_autoscale_max_anchor_matches_percentile(case, p, conservative):
+    """Quantile 100 reads the max: the classes np.percentile gives, bit
+    for bit, wherever those lie in [-P, P]; an infinite |delta| is
+    rejected where the percentile's NaN anchor gave classes of -2**63."""
+    costs, defaults = case
+    kwargs = dict(range_=PreferenceRange(p), conservative=conservative,
+                  quantile=100.0)
+    got = _validated(AutoScaleDeltaMapper(**kwargs), costs, defaults)
+    want = _validated(reference.AutoScaleDeltaMapper(**kwargs), costs,
+                      defaults)
+    if np.isfinite(costs).all():
+        assert want is not None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -23,6 +23,12 @@ class TestRoundRecord:
         record = RoundRecord(0, 0, 0, 0, 0, 0, False)
         assert record.true_a == 0.0 and record.true_b == 0.0
 
+    def test_fields_are_read_only(self):
+        record = RoundRecord(0, 0, 0, 0, 0, 0, False)
+        with pytest.raises(AttributeError):
+            record.accepted = True
+        assert record.accepted is False
+
 
 class TestNegotiationOutcome:
     def _outcome(self, **kwargs):

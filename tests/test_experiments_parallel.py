@@ -16,11 +16,14 @@ from repro.experiments.oscillation import run_oscillation_experiment
 from repro.experiments.parallel import (
     DATASET_CACHE_SIZE,
     _dataset_cache,
+    _pairs_cache,
     dataset_for,
     pairs_for,
     resolve_workers,
     warm_dataset,
 )
+from repro.topology import serialization
+from repro.topology.serialization import config_fingerprint
 
 
 class TestResolveWorkers:
@@ -50,7 +53,7 @@ class TestDatasetCache:
         config = ExperimentConfig.quick()
         ds1 = dataset_for(config)
         # A different sweep cap over the same dataset config reuses the
-        # built dataset (the cache keys on the *dataset* fingerprint).
+        # built dataset (the cache keys on the *dataset* config).
         ds2 = dataset_for(replace(config, max_pairs_distance=1))
         assert ds1 is ds2
 
@@ -78,6 +81,44 @@ class TestDatasetCache:
         _, pairs1 = pairs_for(config, 2, config.max_pairs_distance)
         _, pairs2 = pairs_for(config, 2, config.max_pairs_distance)
         assert pairs1 is pairs2
+
+    def test_lookups_never_fingerprint(self, monkeypatch):
+        # The caches key on the frozen DatasetConfig: a build and a hit
+        # each hash its fields, and neither takes the SHA-256 of its JSON.
+        def refuse(payload):
+            raise AssertionError("the dataset caches took a fingerprint")
+
+        monkeypatch.setattr(serialization, "config_fingerprint", refuse)
+        monkeypatch.setattr(serialization, "stable_fingerprint", refuse)
+        base = ExperimentConfig.quick()
+        config = replace(base, dataset=replace(base.dataset, seed=8100))
+        saved = [(cache, dict(cache)) for cache in (_dataset_cache, _pairs_cache)]
+        try:
+            first = pairs_for(config, 2, config.max_pairs_distance)
+            second = pairs_for(config, 2, config.max_pairs_distance)
+        finally:
+            for cache, before in saved:
+                cache.clear()
+                cache.update(before)
+        assert first[0] is second[0]
+        assert first[1] is second[1]
+
+    def test_equal_configs_share_entry(self):
+        # A list of footprint weights is stored as a tuple, so the config
+        # hashes, and equals the config built from the tuple.
+        config = ExperimentConfig.quick()
+        generator = config.dataset.generator
+        listed = replace(config, dataset=replace(
+            config.dataset,
+            generator=replace(
+                generator, footprint_weights=list(generator.footprint_weights)
+            ),
+        ))
+        assert listed.dataset == config.dataset
+        assert config_fingerprint(listed.dataset) == config_fingerprint(
+            config.dataset
+        )
+        assert dataset_for(listed) is dataset_for(config)
 
 
 @pytest.fixture(scope="module")

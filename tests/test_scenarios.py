@@ -126,11 +126,28 @@ class TestValidation:
             {"shared_risk_groups": (("1",),)},
             {"shared_risk_groups": ((-1,),)},
             {"shared_risk_groups": ((0, 0),)},  # a repeat inside one group
+            {"group_probabilities": 0.1},  # not sequences: no bare TypeError
+            {"shared_risk_groups": 5},
+            {"shared_risk_groups": (3,)},
+            {"link_probabilities": 0.1},
         ],
     )
     def test_bad_models_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FailureModel(**kwargs)
+
+    def test_sequence_fields_stored_as_tuples(self):
+        model = FailureModel(
+            link_probabilities=np.array([0.1, 0.2]),
+            shared_risk_groups=[[0, 1]],
+            group_probabilities=[0.05],
+        )
+        tupled = FailureModel(
+            link_probabilities=(0.1, 0.2),
+            shared_risk_groups=((0, 1),),
+            group_probabilities=(0.05,),
+        )
+        assert model == tupled and hash(model) == hash(tupled)
 
     def test_group_members_checked_at_construction(self):
         with pytest.raises(ConfigurationError, match="group 1 member"):

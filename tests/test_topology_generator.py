@@ -33,11 +33,21 @@ class TestGeneratorConfig:
             {"mesh_probability": 1.5},
             {"footprint_weights": (0.0, 0.0, 0.0)},
             {"footprint_weights": (1.0, -1.0, 1.0)},
+            {"footprint_weights": 0.5},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigurationError):
             GeneratorConfig(**kwargs)
+
+    def test_footprint_weights_stored_as_tuple(self):
+        # A tuple keeps the frozen config hashable: the dataset caches
+        # key on it.
+        config = GeneratorConfig(footprint_weights=[0.2, 0.5, 0.3])
+        assert config.footprint_weights == (0.2, 0.5, 0.3)
+        assert hash(config) == hash(
+            GeneratorConfig(footprint_weights=(0.2, 0.5, 0.3))
+        )
 
 
 class TestGeneration:
