@@ -58,7 +58,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import build_distance_problem
 from repro.geo.cities import default_city_database
 from repro.geo.population import GRID_HALF_SIDE_KM, city_grid_population
-from repro.optimal.bandwidth_lp import _link_constraint_rows
+from repro.optimal.bandwidth_lp import _link_constraints
 from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
@@ -525,17 +525,17 @@ def _warm_start_setup(config: ExperimentConfig, warm: bool):
     return setup
 
 
-def _lp_assembly(table, caps_a, caps_b, rows):
-    """Assemble both sides' link-constraint triplets, as the LP does."""
-    base_a = np.zeros(caps_a.shape[0])
-    base_b = np.zeros(caps_b.shape[0])
-    t_col = table.n_flows * table.n_alternatives
-
-    def assemble():
-        rows(table, "a", caps_a, base_a, 0, t_col)
-        rows(table, "b", caps_b, base_b, caps_a.shape[0], t_col)
-
-    return assemble
+def _lp_assembly(table, caps_a, caps_b, assemble):
+    """Assemble both sides' link constraints as one CSC matrix, as the LP
+    does: the production assembler, or the reference triplets through
+    COO -> CSR -> CSC."""
+    args = (
+        table,
+        ("a", "b"),
+        [caps_a, caps_b],
+        [np.zeros(caps_a.shape[0]), np.zeros(caps_b.shape[0])],
+    )
+    return lambda: assemble(*args)
 
 
 def _scale_flowset(pair, target_flows: int) -> FlowSet:
@@ -612,9 +612,9 @@ def _scale_kernels(benches: dict) -> None:
         lp_table.incidence("a")
         lp_table.incidence("b")  # the case's session has gathered them
         benches[f"lp_assembly_{preset}"] = (
-            _lp_assembly(lp_table, caps_a, caps_b, _link_constraint_rows),
+            _lp_assembly(lp_table, caps_a, caps_b, _link_constraints),
             _lp_assembly(
-                lp_table, caps_a, caps_b, reference_loads.link_constraint_rows
+                lp_table, caps_a, caps_b, reference_loads.link_constraints
             ),
             5,
         )
@@ -734,9 +734,9 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             10,
         ),
         "lp_assembly": (
-            _lp_assembly(table, caps_a, caps_b, _link_constraint_rows),
+            _lp_assembly(table, caps_a, caps_b, _link_constraints),
             _lp_assembly(
-                table, caps_a, caps_b, reference_loads.link_constraint_rows
+                table, caps_a, caps_b, reference_loads.link_constraints
             ),
             10,
         ),

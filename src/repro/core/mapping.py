@@ -84,7 +84,9 @@ def check_unit(value: float, name: str) -> float:
 def delta_matrix(costs: np.ndarray, defaults: np.ndarray) -> np.ndarray:
     """Improvement of each alternative over the default: positive = better.
 
-    ``delta[f, i] = costs[f, default_f] - costs[f, i]``.
+    ``delta[f, i] = costs[f, default_f] - costs[f, i]``. A NaN delta (a NaN
+    cost, or a default and an alternative both infinite) raises
+    :class:`PreferenceError` naming the first such (flow, alternative).
     """
     costs = np.asarray(costs, dtype=float)
     defaults = np.asarray(defaults, dtype=np.intp)
@@ -99,7 +101,16 @@ def delta_matrix(costs: np.ndarray, defaults: np.ndarray) -> np.ndarray:
     ):
         raise PreferenceError("default alternative index out of range")
     default_costs = costs[np.arange(costs.shape[0]), defaults]
-    return default_costs[:, np.newaxis] - costs
+    with np.errstate(invalid="ignore"):
+        deltas = default_costs[:, np.newaxis] - costs
+    if np.isnan(deltas).any():
+        flow, alternative = np.argwhere(np.isnan(deltas))[0]
+        raise PreferenceError(
+            f"cost delta of flow {flow}, alternative {alternative} is NaN: "
+            f"default cost {default_costs[flow]!r}, alternative cost "
+            f"{costs[flow, alternative]!r}"
+        )
+    return deltas
 
 
 class LinearDeltaMapper:

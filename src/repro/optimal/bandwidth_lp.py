@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_array, vstack
 
 from repro.errors import OptimizationError
 from repro.optimal.solver import LpProblem, LpSolver, resolve_lp_solver
@@ -52,43 +52,44 @@ class LpRoutingResult:
             raise OptimizationError(f"LP objective must be >= 0, got {self.t}")
 
 
-def _link_constraint_rows(
+def _link_constraints(
     table: PairCostTable,
-    side: str,
-    caps: np.ndarray,
-    base: np.ndarray,
-    row_offset: int,
-    t_col: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets and RHS for one ISP side's link constraints.
+    sides: tuple[str, ...],
+    caps: list[np.ndarray],
+    bases: list[np.ndarray],
+) -> tuple[csc_array, np.ndarray]:
+    """``a_ub`` in CSC and ``b_ub`` of the link constraints over ``sides``.
 
-    The x-variable triplets *are* the table's compiled CSR incidence: row
-    ids come from ``indices``, column ids from the CSR row of each entry,
-    values from ``sizes[entry_flow]`` — in (flow, alternative, path-order)
-    sequence, the order a loop over the table's per-flow rows emits them.
+    Each side's block is its flow-level incidence read as columns:
+    x-column ``f * I + i`` holds row ``f * I + i``'s path links valued at
+    the flow's size, and the ``t`` column ``-cap`` on every link. The
+    blocks stack in side order and each column is sorted ascending
+    (``sort_indices``), which is how ``csc_array(vstack(...))`` lays out
+    the COO triplets of the reference loop (paths are simple, so no entry
+    repeats).
 
     ``table.incidence(side)`` is gathered once per table from the per-PoP
     CSR its parent shares with it, and cached, so the joint and unilateral
     LPs of one negotiation scope share it.
     """
-    n_links = caps.shape[0]
-    inc = table.incidence(side)
     sizes = table.flowset.sizes()
-    n_matrix_rows = inc.n_flows * inc.n_alternatives
-    entry_counts = np.diff(inc.indptr)
-    link_ids = np.arange(n_links, dtype=np.intp)
-    rows_arr = np.concatenate([row_offset + inc.indices, row_offset + link_ids])
-    cols_arr = np.concatenate(
-        [
-            np.repeat(np.arange(n_matrix_rows, dtype=np.intp), entry_counts),
-            np.full(n_links, t_col, dtype=np.intp),
-        ]
-    )
-    vals_arr = np.concatenate(
-        [sizes[inc.entry_flow], -np.asarray(caps, dtype=float)]
-    )
-    rhs = -np.asarray(base, dtype=float)
-    return rows_arr, cols_arr, vals_arr, rhs
+    n_x = table.n_flows * table.n_alternatives
+    blocks = []
+    for side, cap in zip(sides, caps):
+        inc = table.incidence(side)
+        blocks.append(
+            csc_array(
+                (
+                    np.concatenate([sizes[inc.entry_flow], -cap]),
+                    np.concatenate([inc.indices, np.arange(cap.shape[0])]),
+                    np.append(inc.indptr, inc.indptr[-1] + cap.shape[0]),
+                ),
+                shape=(cap.shape[0], n_x + 1),
+            )
+        )
+    a_ub = vstack(blocks, format="csc")
+    a_ub.sort_indices()
+    return a_ub, -np.concatenate(bases)
 
 
 def solve_min_max_load_lp(
@@ -106,86 +107,73 @@ def solve_min_max_load_lp(
     upstream-unilateral optimization of Figure 8. Both capacity arrays must
     always be supplied (shapes are validated against the pair).
 
+    Capacities must be finite and positive and base loads finite and
+    non-negative, else :class:`OptimizationError`.
+
     ``solver`` selects the LP backend by registry name (or an injected
     :class:`~repro.optimal.solver.LpSolver` instance); ``None`` means the
     default scipy-HiGHS backend, which is bit-identical to the historical
     hardwired ``linprog`` call. See :mod:`repro.optimal.solver`.
     """
     backend = resolve_lp_solver(solver)
+    if sorted(sides) not in (["a"], ["b"], ["a", "b"]):
+        raise OptimizationError(
+            f"sides must be 'a', 'b' or both, got {sides!r}"
+        )
     n_f, n_i = table.n_flows, table.n_alternatives
-    caps_a = np.asarray(caps_a, dtype=float)
-    caps_b = np.asarray(caps_b, dtype=float)
-    n_links_a = table.pair.isp_a.n_links()
-    n_links_b = table.pair.isp_b.n_links()
-    if caps_a.shape != (n_links_a,):
-        raise OptimizationError(f"caps_a must have shape ({n_links_a},)")
-    if caps_b.shape != (n_links_b,):
-        raise OptimizationError(f"caps_b must have shape ({n_links_b},)")
-    if np.any(caps_a <= 0) or np.any(caps_b <= 0):
-        raise OptimizationError("capacities must be positive")
-    base_a = np.zeros(n_links_a) if base_a is None else np.asarray(base_a, float)
-    base_b = np.zeros(n_links_b) if base_b is None else np.asarray(base_b, float)
-    for name, side_sel in (("a", base_a), ("b", base_b)):
-        if np.any(side_sel < 0):
-            raise OptimizationError(f"base loads ({name}) must be non-negative")
+    caps = {"a": caps_a, "b": caps_b}
+    bases = {"a": base_a, "b": base_b}
+    for side in "ab":
+        n_links = table.pair.isp(side).n_links()
+        cap = caps[side] = np.asarray(caps[side], dtype=float)
+        if cap.shape != (n_links,):
+            raise OptimizationError(f"caps_{side} must have shape ({n_links},)")
+        if not (np.isfinite(cap).all() and (cap > 0).all()):
+            raise OptimizationError(f"caps_{side} must be finite and positive")
+        if bases[side] is None:
+            bases[side] = np.zeros(n_links)
+        base = bases[side] = np.asarray(bases[side], dtype=float)
+        if base.shape != (n_links,):
+            raise OptimizationError(f"base_{side} must have shape ({n_links},)")
+        if not (np.isfinite(base).all() and (base >= 0).all()):
+            raise OptimizationError(
+                f"base loads ({side}) must be finite and non-negative"
+            )
     if n_f == 0:
         # No flow variables: the LP degenerates to ``t >= base_l / cap_l``
         # for every link in the objective sides, so the optimum is the base
         # state itself — not 0.0, which would understate loaded networks.
         t = 0.0
         for side in sides:
-            caps = caps_a if side == "a" else caps_b
-            base = base_a if side == "a" else base_b
-            if caps.size:
-                t = max(t, float((base / caps).max()))
+            if caps[side].size:
+                t = max(t, float((bases[side] / caps[side]).max()))
         return LpRoutingResult(t=t, fractions=np.zeros((0, n_i)))
 
     n_x = n_f * n_i
-    t_col = n_x
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    rhs_parts: list[np.ndarray] = []
-    offset = 0
-    for side in sides:
-        caps = caps_a if side == "a" else caps_b
-        base = base_a if side == "a" else base_b
-        r, c, v, rhs = _link_constraint_rows(
-            table, side, caps, base, offset, t_col
-        )
-        row_parts.append(r)
-        col_parts.append(c)
-        val_parts.append(v)
-        rhs_parts.append(rhs)
-        offset += caps.shape[0]
-    a_ub = coo_matrix(
+    a_ub, b_ub = _link_constraints(
+        table,
+        sides,
+        [caps[side] for side in sides],
+        [bases[side] for side in sides],
+    )
+    # sum_i x[f, i] = 1 for every flow: one 1.0 per x-column, none for t.
+    a_eq = csc_array(
         (
-            np.concatenate(val_parts) if val_parts else np.zeros(0),
-            (
-                np.concatenate(row_parts) if row_parts else np.zeros(0, np.intp),
-                np.concatenate(col_parts) if col_parts else np.zeros(0, np.intp),
-            ),
+            np.ones(n_x),
+            np.repeat(np.arange(n_f), n_i),
+            np.append(np.arange(n_x + 1), n_x),
         ),
-        shape=(offset, n_x + 1),
-    ).tocsr()
-    b_ub = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-
-    # sum_i x[f, i] = 1 for every flow.
-    eq_rows = np.repeat(np.arange(n_f), n_i)
-    eq_cols = np.arange(n_x)
-    a_eq = coo_matrix(
-        (np.ones(n_x), (eq_rows, eq_cols)), shape=(n_f, n_x + 1)
-    ).tocsr()
-    b_eq = np.ones(n_f)
-
+        shape=(n_f, n_x + 1),
+    )
     c = np.zeros(n_x + 1)
-    c[t_col] = 1.0
-    bounds = [(0.0, 1.0)] * n_x + [(0.0, None)]
+    c[n_x] = 1.0
+    bounds = np.tile((0.0, 1.0), (n_x + 1, 1))
+    bounds[n_x, 1] = np.inf  # t >= 0, unbounded above
 
     result = backend.solve(
         LpProblem(
-            c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-            bounds=tuple(bounds),
+            c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(n_f),
+            bounds=bounds,
         )
     )
     if not result.success or result.x is None:
@@ -197,7 +185,7 @@ def solve_min_max_load_lp(
     fractions = np.clip(fractions, 0.0, None)
     row_sums = fractions.sum(axis=1, keepdims=True)
     fractions = np.where(row_sums > 0, fractions / row_sums, 1.0 / n_i)
-    return LpRoutingResult(t=float(result.x[t_col]), fractions=fractions)
+    return LpRoutingResult(t=float(result.x[n_x]), fractions=fractions)
 
 
 def fractional_loads(

@@ -131,7 +131,8 @@ def _canonicalize(obj: Any) -> Any:
 
     Dataclasses flatten to ``{class_name, field: value, ...}`` so two
     different config types with identical fields cannot collide, and
-    enums flatten to their member identity. A non-dataclass object can
+    enums flatten to their member identity, and a numpy array to its
+    dtype, shape and values. A non-dataclass object can
     opt into fingerprinting by exposing a ``fingerprint_payload()``
     method returning its identifying state (the stock
     :class:`~repro.traffic.gravity.GravityWorkload` does); anything else
@@ -153,6 +154,12 @@ def _canonicalize(obj: Any) -> Any:
         return [_canonicalize(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
+    if isinstance(obj, np.ndarray):
+        return {
+            "__ndarray__": str(obj.dtype),
+            "shape": list(obj.shape),
+            "values": _canonicalize(obj.tolist()),
+        }
     # A numpy scalar fingerprints as its value, not its type name: cache
     # keys and checkpoints must tell n_isps=3 from 4 and a float32 0.3
     # from 0.7.

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.capacity.loads import link_loads
+from repro.capacity.provisioning import ProportionalCapacity
 from repro.experiments.config import ExperimentConfig
+from repro.routing.costs import build_pair_cost_table
+from repro.routing.exits import early_exit_choices
+from repro.routing.flows import build_full_flowset
 from repro.topology.builders import (
     build_custom_isp,
     build_figure1_pair,
     build_figure2_pair,
+    build_scale_pair,
 )
 from repro.topology.dataset import DatasetConfig, build_default_dataset
 from repro.topology.generator import GeneratorConfig
@@ -85,6 +91,17 @@ def small_pair():
         Interconnection(index=1, city="Right", pop_a=2, pop_b=2),
     ]
     return IspPair(isp_x, isp_y, ics)
+
+
+@pytest.fixture(scope="module")
+def lp_setup():
+    """A small scale pair with early-exit defaults and capacities."""
+    pair = build_scale_pair(9, n_interconnections=3, seed=3)
+    table = build_pair_cost_table(pair, build_full_flowset(pair))
+    defaults = early_exit_choices(table)
+    caps_a = ProportionalCapacity().capacities(link_loads(table, defaults, "a"))
+    caps_b = ProportionalCapacity().capacities(link_loads(table, defaults, "b"))
+    return table, defaults, caps_a, caps_b
 
 
 @pytest.fixture()

@@ -15,7 +15,10 @@ between a production kernel and its reference here; the golden digests in
   link rows a table's per-PoP paths stand for, their row-by-row CSR
   compile and the per-flow table subset;
 * :mod:`reference.loads` — link loads, a per-flow-row load tracker,
-  fractional loads and the LP's link-constraint triplets;
+  fractional loads and the LP's link-constraint triplets, with the
+  COO -> CSR -> CSC matrix they make;
+* :mod:`reference.lp` — the LP backend as one ``scipy.optimize.linprog``
+  call;
 * :mod:`reference.evaluators` — load-aware and Fortz evaluators that
   recompute preferences one (flow, alternative) at a time;
 * :mod:`reference.mapping` — the auto-scale mapper anchored by

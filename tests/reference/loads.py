@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from reference import tables
 
@@ -61,6 +62,21 @@ def link_constraint_rows(table, side, caps, base, row_offset, t_col):
         np.asarray(vals, dtype=float),
         -np.asarray(base, dtype=float),
     )
+
+
+def link_constraints(table, sides, caps, bases):
+    """``a_ub`` and ``b_ub`` over ``sides``: every side's triplets, each
+    side's rows after the sides before it, then COO -> CSR -> CSC."""
+    t_col = table.n_flows * table.n_alternatives
+    parts, offset = [], 0
+    for side, cap, base in zip(sides, caps, bases):
+        parts.append(
+            link_constraint_rows(table, side, cap, base, offset, t_col)
+        )
+        offset += cap.shape[0]
+    rows, cols, vals, rhs = (np.concatenate(column) for column in zip(*parts))
+    a_ub = coo_matrix((vals, (rows, cols)), shape=(offset, t_col + 1))
+    return a_ub.tocsr().tocsc(), rhs
 
 
 class LoadTracker:

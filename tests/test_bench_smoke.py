@@ -22,7 +22,7 @@ from repro.core.evaluators import FortzCostEvaluator, LoadAwareEvaluator
 from repro.core.session import NegotiationSession, SessionConfig
 from repro.core.strategies import ReassignEveryFraction
 from repro.optimal.bandwidth_lp import (
-    _link_constraint_rows,
+    _link_constraints,
     fractional_loads,
     solve_min_max_load_lp,
 )
@@ -143,14 +143,14 @@ def test_smoke_base_seeded_link_loads(fixture):
 
 def test_smoke_lp_assembly_and_fractional_loads(fixture):
     table, defaults, caps_a, caps_b = fixture
-    t_col = table.n_flows * table.n_alternatives
-    base = np.zeros(caps_a.shape[0])
-    sparse = _link_constraint_rows(table, "a", caps_a, base, 0, t_col)
-    reference = reference_loads.link_constraint_rows(
-        table, "a", caps_a, base, 0, t_col
+    args = (table, ("a", "b"), [caps_a, caps_b], [caps_a * 0.0, caps_b * 0.0])
+    (a_ub, b_ub), (want_a_ub, want_b_ub) = (
+        _link_constraints(*args),
+        reference_loads.link_constraints(*args),
     )
-    for got, want in zip(sparse, reference):
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a_ub, name), getattr(want_a_ub, name))
+    assert np.array_equal(b_ub, want_b_ub)
     lp = solve_min_max_load_lp(table, caps_a, caps_b)
     for side in "ab":
         assert np.array_equal(

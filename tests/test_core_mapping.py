@@ -38,6 +38,28 @@ class TestDeltaMatrix:
             delta_matrix(np.zeros((1, 2)), np.array([5]))
 
 
+    def test_nan_delta_names_first_cell(self):
+        costs = np.array([[1.0, 2.0], [np.inf, np.inf], [np.nan, 1.0]])
+        with pytest.raises(
+            PreferenceError, match="flow 1, alternative 0 is NaN"
+        ):
+            delta_matrix(costs, np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "mapper",
+        [LinearDeltaMapper(PreferenceRange(10)), AutoScaleDeltaMapper()],
+        ids=["linear", "autoscale"],
+    )
+    def test_both_costs_infinite_is_a_preference_error(self, mapper):
+        # Default and alternative both unreachable: inf - inf. This used to
+        # warn twice and then report classes of -2**63 out of range.
+        costs = np.array([[4.0, 2.5], [np.inf, np.inf]])
+        with pytest.raises(
+            PreferenceError, match="flow 1, alternative 0 is NaN"
+        ):
+            map_cost_matrix(costs, np.array([0, 1]), mapper)
+
+
 class TestConservativeRound:
     def test_gains_floored(self):
         assert list(conservative_round(np.array([0.4, 1.7]))) == [0.0, 1.0]

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from repro.capacity.loads import link_loads
 from repro.errors import OptimizationError
 from repro.metrics.mel import max_excess_load
 from repro.optimal.bandwidth_lp import (
     LpRoutingResult,
-    _link_constraint_rows,
     fractional_loads,
     solve_min_max_load_lp,
 )
+from repro.optimal.solver import LpSolver, resolve_lp_solver
 from repro.optimal.distance_opt import optimal_distance_choices
 from repro.optimal.unilateral import solve_upstream_unilateral_lp
 from repro.routing.costs import build_pair_cost_table
@@ -116,6 +117,25 @@ class TestLpValidation:
                 base_a=-np.ones(table.pair.isp_a.n_links()),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["caps", "base"])
+    def test_non_finite_caps_and_base(self, lp_setup, which, value):
+        table, _, caps_a, caps_b = lp_setup
+        bad = (caps_a if which == "caps" else np.zeros_like(caps_a)).copy()
+        bad[1] = value
+        kwargs = (
+            {"caps_a": bad, "caps_b": caps_b}
+            if which == "caps"
+            else {"caps_a": caps_a, "caps_b": caps_b, "base_a": bad}
+        )
+        with pytest.raises(OptimizationError, match="finite"):
+            solve_min_max_load_lp(table, **kwargs)
+
+    @pytest.mark.parametrize("sides", [(), ("q",), ("a", "a")])
+    def test_bad_sides(self, table, caps, sides):
+        with pytest.raises(OptimizationError, match="sides"):
+            solve_min_max_load_lp(table, *caps, sides=sides)
+
     def test_negative_objective_rejected(self):
         with pytest.raises(OptimizationError):
             LpRoutingResult(t=-1.0, fractions=np.zeros((0, 2)))
@@ -131,11 +151,31 @@ class TestLpValidation:
             )
 
 
-class TestAssemblyEquivalence:
-    """Incidence-backed LP assembly vs the reference ragged-table loops.
+class _Recorder(LpSolver):
+    """Solves with the default backend, keeping every problem it was handed."""
 
-    The vectorized assembler must emit the *same triplet sequence* as the
-    loops (not merely an equivalent matrix), and vectorized
+    name = "recorder"
+
+    def __init__(self):
+        self.problems = []
+
+    def solve(self, problem):
+        self.problems.append(problem)
+        return resolve_lp_solver(None).solve(problem)
+
+
+def _assert_csc_equal(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestAssemblyEquivalence:
+    """CSC LP assembly vs the reference ragged-table loops.
+
+    The assembled ``a_ub`` and ``a_eq`` must be, array for array, what
+    scipy makes of the reference loops' COO triplets (COO -> CSR -> CSC,
+    the layout ``linprog`` handed HiGHS), and vectorized
     ``fractional_loads`` must match the loop bit for bit — base loads and
     entries accumulate in the loop's order. The solution tests swap the
     reference assembler in and solve both LPs.
@@ -144,25 +184,48 @@ class TestAssemblyEquivalence:
     @staticmethod
     def _loop_assembly(monkeypatch):
         monkeypatch.setattr(
-            "repro.optimal.bandwidth_lp._link_constraint_rows",
-            reference_loads.link_constraint_rows,
+            "repro.optimal.bandwidth_lp._link_constraints",
+            reference_loads.link_constraints,
         )
 
-    def test_constraint_triplets_identical(self, table, caps):
-        caps_a, caps_b = caps
-        t_col = table.n_flows * table.n_alternatives
-        offset = 0
-        for side, caps_side in (("a", caps_a), ("b", caps_b)):
-            base = np.linspace(0.0, 1.0, caps_side.shape[0])
-            sparse = _link_constraint_rows(
-                table, side, caps_side, base, offset, t_col
+    @staticmethod
+    def _assert_matrices_match_triplets(table, caps_a, caps_b):
+        n_f, n_i = table.n_flows, table.n_alternatives
+        caps = {"a": caps_a, "b": caps_b}
+        bases = {
+            side: np.linspace(0.0, 1.0, caps[side].shape[0]) for side in "ab"
+        }
+        for sides in (("a", "b"), ("a",)):
+            recorder = _Recorder()
+            solve_min_max_load_lp(
+                table, caps_a, caps_b, bases["a"], bases["b"], sides=sides,
+                solver=recorder,
             )
-            legacy = reference_loads.link_constraint_rows(
-                table, side, caps_side, base, offset, t_col
+            (problem,) = recorder.problems
+            a_ub, b_ub = reference_loads.link_constraints(
+                table,
+                sides,
+                [caps[side] for side in sides],
+                [bases[side] for side in sides],
             )
-            for got, want in zip(sparse, legacy):
-                assert np.array_equal(np.asarray(got), np.asarray(want))
-            offset += caps_side.shape[0]
+            _assert_csc_equal(problem.a_ub, a_ub)
+            assert np.array_equal(problem.b_ub, b_ub)
+            a_eq = coo_matrix(
+                (
+                    np.ones(n_f * n_i),
+                    (np.repeat(np.arange(n_f), n_i), np.arange(n_f * n_i)),
+                ),
+                shape=(n_f, n_f * n_i + 1),
+            )
+            _assert_csc_equal(problem.a_eq, a_eq.tocsr().tocsc())
+            assert np.array_equal(problem.b_eq, np.ones(n_f))
+
+    def test_constraint_matrices_identical(self, table, caps):
+        self._assert_matrices_match_triplets(table, *caps)
+
+    def test_constraint_matrices_identical_at_scale(self, lp_setup):
+        table, _, caps_a, caps_b = lp_setup
+        self._assert_matrices_match_triplets(table, caps_a, caps_b)
 
     def test_solution_identical(self, table, caps, monkeypatch):
         caps_a, caps_b = caps

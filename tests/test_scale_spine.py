@@ -11,26 +11,43 @@ Covers the PR 8 contracts end to end:
   build;
 * disconnected PoPs surface as a typed :class:`RoutingError` naming the
   pair (satellite 2);
-* the LP solver registry resolves, validates and injects backends, with
-  the default backend bit-identical to the historical hardwired call;
+* the LP solver registry resolves, validates and injects backends, and
+  every registered backend is bit-identical to ``linprog``
+  (``tests/reference/lp.py``), with non-finite or mis-shaped problem
+  data a typed :class:`OptimizationError`;
 * a 200-PoP-per-ISP pair flows through the whole spine — table build,
   early-exit defaults, failure, negotiation, joint and unilateral LPs.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csc_array
 
 from repro.capacity.loads import link_loads
 from repro.capacity.provisioning import ProportionalCapacity
-from repro.errors import ConfigurationError, RoutingError, TopologyError
+from repro.errors import (
+    ConfigurationError,
+    OptimizationError,
+    RoutingError,
+    TopologyError,
+)
 from repro.experiments.bandwidth import _negotiate_bandwidth
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.mel import max_excess_load
 from repro.optimal.bandwidth_lp import solve_min_max_load_lp
 from repro.optimal.solver import (
     DEFAULT_LP_SOLVER,
+    HIGHS_MODULE,
+    LpProblem,
     LpSolution,
     LpSolver,
     available_lp_solvers,
@@ -45,6 +62,7 @@ from repro.routing.paths import IntradomainRouting
 from repro.topology.builders import build_scale_pair
 
 from reference import tables as reference_tables
+from reference.lp import LinprogSolver
 from reference.sssp import NetworkxRouting
 
 
@@ -309,17 +327,6 @@ class _RecordingSolver(LpSolver):
         return self._inner.solve(problem)
 
 
-@pytest.fixture(scope="module")
-def lp_setup():
-    """A small scale pair with early-exit defaults and capacities."""
-    pair = build_scale_pair(9, n_interconnections=3, seed=3)
-    table = build_pair_cost_table(pair, build_full_flowset(pair))
-    defaults = early_exit_choices(table)
-    caps_a = ProportionalCapacity().capacities(link_loads(table, defaults, "a"))
-    caps_b = ProportionalCapacity().capacities(link_loads(table, defaults, "b"))
-    return table, defaults, caps_a, caps_b
-
-
 class TestSolverRegistry:
     def test_default_is_first_and_highs(self):
         names = available_lp_solvers()
@@ -388,6 +395,163 @@ class TestSolverInjection:
         table, _, caps_a, caps_b = lp_setup
         with pytest.raises(ConfigurationError, match="solver"):
             solve_min_max_load_lp(table, caps_a, caps_b, solver="gurobi")
+
+
+def _recorded_problem(table, caps_a, caps_b, **kwargs) -> LpProblem:
+    """The one :class:`LpProblem` ``solve_min_max_load_lp`` builds."""
+    recorder = _RecordingSolver()
+    solve_min_max_load_lp(table, caps_a, caps_b, solver=recorder, **kwargs)
+    (problem,) = recorder.problems
+    return problem
+
+
+def _assert_backends_match_linprog(problem: LpProblem) -> list[LpSolution]:
+    """Every registered HiGHS backend against ``linprog`` with the same
+    method: ``x``, objective and success compared with ``==``."""
+    solutions = []
+    for name in ("highs", "highs-ds", "highs-ipm"):
+        got = resolve_lp_solver(name).solve(problem)
+        want = LinprogSolver(name, name).solve(problem)
+        assert got.success == want.success, name
+        assert (got.x is None) == (want.x is None), name
+        assert got.x is None or np.array_equal(got.x, want.x), name
+        assert np.array_equal(got.objective, want.objective, equal_nan=True)
+        solutions.append(got)
+    return solutions
+
+
+class TestBackendsMatchLinprog:
+    def test_lp_setup(self, lp_setup):
+        table, _, caps_a, caps_b = lp_setup
+        problem = _recorded_problem(table, caps_a, caps_b)
+        assert all(s.success for s in _assert_backends_match_linprog(problem))
+
+    def test_upstream_only(self, lp_setup):
+        table, _, caps_a, caps_b = lp_setup
+        problem = _recorded_problem(table, caps_a, caps_b, sides=("a",))
+        assert all(s.success for s in _assert_backends_match_linprog(problem))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_pops=st.integers(2, 9),
+        n_interconnections=st.integers(1, 4),
+        pair_seed=st.integers(0, 1000),
+        load_seed=st.integers(0, 2**32 - 1),
+        upstream_only=st.booleans(),
+    )
+    def test_drawn_scale_pairs(
+        self, n_pops, n_interconnections, pair_seed, load_seed, upstream_only
+    ):
+        pair = build_scale_pair(
+            n_pops, min(n_interconnections, n_pops), seed=pair_seed
+        )
+        table = build_pair_cost_table(pair, build_full_flowset(pair))
+        defaults = early_exit_choices(table)
+        provision = ProportionalCapacity().capacities
+        caps = [provision(link_loads(table, defaults, s)) for s in "ab"]
+        rng = np.random.default_rng(load_seed)
+        bases = [rng.random(cap.shape[0]) * cap for cap in caps]
+        problem = _recorded_problem(
+            table, *caps, base_a=bases[0], base_b=bases[1],
+            sides=("a",) if upstream_only else ("a", "b"),
+        )
+        _assert_backends_match_linprog(problem)
+
+    def test_infeasible_problem_fails_in_both(self):
+        # x0 + x1 <= 1 and x0 + x1 == 2 cannot both hold.
+        problem = LpProblem(
+            c=np.array([1.0, 1.0]),
+            a_ub=csc_array([[1.0, 1.0]]),
+            b_ub=np.array([1.0]),
+            a_eq=csc_array([[1.0, 1.0]]),
+            b_eq=np.array([2.0]),
+            bounds=np.array([[0.0, np.inf], [0.0, np.inf]]),
+        )
+        for solution in _assert_backends_match_linprog(problem):
+            assert not solution.success and solution.x is None
+
+    def test_missing_highs_module_is_a_configuration_error(
+        self, lp_setup, monkeypatch
+    ):
+        table, _, caps_a, caps_b = lp_setup
+        monkeypatch.setitem(sys.modules, HIGHS_MODULE, None)
+        with pytest.raises(
+            ConfigurationError, match=re.escape(HIGHS_MODULE)
+        ) as info:
+            solve_min_max_load_lp(table, caps_a, caps_b)
+        assert f"scipy {scipy.__version__}" in str(info.value)
+
+
+class TestBackendInputChecks:
+    """The checks ``linprog`` made on its inputs, as typed errors."""
+
+    @staticmethod
+    def _problem(**changes) -> LpProblem:
+        problem = LpProblem(
+            c=np.array([0.0, 1.0]),
+            a_ub=csc_array([[1.0, -2.0]]),
+            b_ub=np.array([0.5]),
+            a_eq=csc_array([[1.0, 0.0]]),
+            b_eq=np.array([1.0]),
+            bounds=np.array([[0.0, 1.0], [0.0, np.inf]]),
+        )
+        return replace(problem, **changes)
+
+    def test_valid_problem_solves(self):
+        solution = resolve_lp_solver(None).solve(self._problem())
+        assert solution.success
+        assert solution.objective == 0.25
+
+    def test_post_solve_check_fails_a_solution_off_tolerance(
+        self, monkeypatch
+    ):
+        # A negative tolerance fails every optimal solution: HiGHS's x
+        # comes back, flagged as linprog flags one that misses a bound.
+        monkeypatch.setattr("repro.optimal.solver._CHECK_TOL", -1.0)
+        solution = resolve_lp_solver(None).solve(self._problem())
+        assert not solution.success
+        assert solution.x is not None and solution.objective == 0.25
+        assert "misses a bound or a constraint" in solution.message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field", ["c", "a_ub", "b_ub", "a_eq", "b_eq"]
+    )
+    def test_non_finite_entries(self, field, value):
+        original = getattr(self._problem(), field)
+        if isinstance(original, csc_array):
+            bad = original.copy()
+            bad.data[0] = value
+        else:
+            bad = original.copy()
+            bad[0] = value
+        for name in ("highs", "highs-ds", "highs-ipm"):
+            with pytest.raises(OptimizationError, match="inf or NaN"):
+                resolve_lp_solver(name).solve(self._problem(**{field: bad}))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            np.array([[0.0, 1.0]]),
+            np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]),
+            np.zeros(4),
+            np.array([[1.0, 0.0], [0.0, np.inf]]),
+            np.array([[0.0, np.nan], [0.0, np.inf]]),
+        ],
+    )
+    def test_bad_bounds(self, bounds):
+        with pytest.raises(OptimizationError, match="bounds"):
+            resolve_lp_solver(None).solve(self._problem(bounds=bounds))
+
+    def test_mismatched_shapes(self):
+        with pytest.raises(OptimizationError, match="b_ub"):
+            resolve_lp_solver(None).solve(
+                self._problem(b_ub=np.array([0.5, 0.5]))
+            )
+        with pytest.raises(OptimizationError, match="a_eq"):
+            resolve_lp_solver(None).solve(
+                self._problem(a_eq=csc_array([[1.0, 0.0, 0.0]]))
+            )
 
 
 class TestConfigThreading:

@@ -91,6 +91,17 @@ class TestFingerprints:
         assert on == stable_fingerprint({"flag": True})
         assert on != stable_fingerprint({"flag": np.bool_(False)})
 
+    def test_arrays_fingerprint_by_dtype_shape_and_values(self):
+        base = stable_fingerprint(np.array([0.1, 0.2]))
+        assert base == stable_fingerprint(np.array([0.1, 0.2]))
+        assert base != stable_fingerprint(np.array([0.3, 0.4]))
+        assert base != stable_fingerprint(np.array([0.1, 0.2], np.float32))
+        ints = np.array([1, 2, 3, 4])
+        fingerprint = stable_fingerprint({"w": ints})
+        assert fingerprint != stable_fingerprint({"w": ints.reshape(2, 2)})
+        assert fingerprint != stable_fingerprint({"w": ints.astype(np.int32)})
+        assert fingerprint != stable_fingerprint({"w": [1, 2, 3, 4]})
+
     def test_config_fingerprint_covers_nested_dataclasses(self, quick_config):
         base = config_fingerprint(quick_config)
         assert config_fingerprint(quick_config) == base
