@@ -477,7 +477,7 @@ def _damped_redrive_setup(config: ExperimentConfig):
 
     def coordinator(damping: str) -> FlipCoordinator:
         return FlipCoordinator(
-            net, config=config, max_rounds=10, include_transit=False,
+            net, config=config, max_rounds=10, transit_scale=0.0,
             damping=damping,
         )
 

@@ -219,13 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi.add_argument("--order", choices=("round_robin", "random"),
                          default=params["order"],
                          help="per-round edge order (default: %(default)s)")
-    p_multi.add_argument("--no-transit", dest="include_transit",
-                         action="store_false",
-                         default=params["include_transit"],
-                         help="disable inter-domain transit background")
     p_multi.add_argument("--transit-scale", type=float,
                          default=params["transit_scale"],
-                         help="mean per-PoP transit demand "
+                         help="mean per-PoP transit demand; 0 disables "
+                              "inter-domain transit background "
                               "(default: %(default)s)")
     p_multi.add_argument("--coord-workers", type=int,
                          default=params["coord_workers"], metavar="W",
@@ -237,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="oscillation response: off = stop on a "
                               "fingerprint revisit, ladder = escalate "
                               "hysteresis then seeded perturbation "
-                              "(default: the config's, normally off)")
+                              "(default: %(default)s)")
     p_multi.add_argument("--hysteresis-margin", type=float,
                          default=params["hysteresis_margin"], metavar="E",
                          help="required per-endpoint MEL improvement on "
                               "cycle-implicated edges while damping "
-                              "hysteresis is armed (default: the "
-                              "config's, normally 0.05)")
+                              "hysteresis is armed (default: "
+                              "%(default)s)")
 
     params = get_scenario("robust_negotiation").default_params
     p_robust = add_verb(
@@ -477,7 +474,7 @@ def _run_multi_isp(args: argparse.Namespace, out) -> int:
     print(f"internetwork: {len(result.isp_names)} ISPs "
           f"({', '.join(result.isp_names)}), "
           f"{len(result.edge_names)} peering edges", file=out)
-    transit_note = "with transit" if args.include_transit else "no transit"
+    transit_note = "with transit" if args.transit_scale else "no transit"
     print(f"initial global MEL ({transit_note}): {result.initial_mel:.4f}",
           file=out)
     for round_index in range(result.n_rounds):

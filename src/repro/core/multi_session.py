@@ -145,7 +145,6 @@ from repro.topology.internetwork import Internetwork
 from repro.traffic.gravity import GravityWorkload, pop_gravity_weights
 from repro.util.rng import derive_rng
 from repro.util.validation import (
-    check_bool,
     check_int,
     check_non_negative,
     check_probability,
@@ -435,9 +434,9 @@ class MultiSessionCoordinator:
     the preference range, ratio unit and reassignment fraction; ``workload``
     the gravity flow sizes; ``provisioner`` the capacity model. ``order``
     selects the per-round edge order — ``"round_robin"`` (edge-index order
-    every round) or ``"random"`` (a seeded shuffle per round). Transit
-    background can be disabled (``include_transit=False``) to study pure
-    session interaction.
+    every round) or ``"random"`` (a seeded shuffle per round).
+    ``transit_scale`` sets the mean per-PoP transit demand; ``0`` builds
+    no transit background, to study pure session interaction.
 
     Robustness knobs: ``fault_plan`` schedules injected failures (see
     :mod:`repro.core.faults`); ``quarantine_after`` consecutive failed
@@ -453,10 +452,7 @@ class MultiSessionCoordinator:
     escalates through hysteresis and seeded scope perturbation — see
     :mod:`repro.core.damping`); ``hysteresis_margin`` is rung 1's
     required per-endpoint improvement and ``damping_budget`` bounds the
-    escalations before falling back to the abort. ``damping`` and
-    ``hysteresis_margin`` default to ``None`` = inherit
-    ``config.damping`` / ``config.hysteresis_margin``, so sweeps thread
-    them through :class:`~repro.experiments.config.ExperimentConfig`.
+    escalations before falling back to the abort.
 
     Scale knobs: ``coord_workers`` (the ``resolve_workers`` contract of
     :mod:`repro.experiments.parallel`: ``None``/0/1 serial, ``-1`` one
@@ -475,7 +471,6 @@ class MultiSessionCoordinator:
         order: str = "round_robin",
         seed: int | None = None,
         max_rounds: int = 8,
-        include_transit: bool = True,
         transit_scale: float = 1.0,
         coord_workers: int | None = None,
         fault_plan: FaultPlan | None = None,
@@ -485,8 +480,8 @@ class MultiSessionCoordinator:
         quarantine_after: int = 2,
         quarantine_backoff_rounds: int = 1,
         quarantine_backoff_cap: int = 8,
-        damping: str | None = None,
-        hysteresis_margin: float | None = None,
+        damping: str = "off",
+        hysteresis_margin: float = 0.05,
         damping_budget: int = 4,
     ):
         # Imported lazily: core must not depend on the experiments
@@ -505,7 +500,6 @@ class MultiSessionCoordinator:
             quarantine_backoff_cap, "quarantine_backoff_cap",
             quarantine_backoff_rounds,
         )
-        include_transit = check_bool(include_transit, "include_transit")
         tail_weight = check_probability(tail_weight, "tail_weight")
         tail_quantile = check_quantile(tail_quantile, "tail_quantile")
         self.net = internetwork
@@ -523,7 +517,6 @@ class MultiSessionCoordinator:
         self.order = order
         self.seed = self.config.seed if seed is None else seed
         self.max_rounds = max_rounds
-        self.include_transit = include_transit
         self.transit_scale = transit_scale
         self.coord_workers = resolve_workers(coord_workers)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
@@ -539,15 +532,9 @@ class MultiSessionCoordinator:
         self.quarantine_after = quarantine_after
         self.quarantine_backoff_rounds = quarantine_backoff_rounds
         self.quarantine_backoff_cap = quarantine_backoff_cap
-        # None defers to the experiment config, so sweeps thread damping
-        # through ExperimentConfig while direct callers can override.
         self.damping_config = DampingConfig(
-            mode=self.config.damping if damping is None else damping,
-            hysteresis_margin=(
-                self.config.hysteresis_margin
-                if hysteresis_margin is None
-                else hysteresis_margin
-            ),
+            mode=damping,
+            hysteresis_margin=hysteresis_margin,
             budget=damping_budget,
         )
         #: The run-scoped damping state machine; live only inside run().
@@ -591,8 +578,7 @@ class MultiSessionCoordinator:
             self._caps[isp.name] = self.provisioner.capacities(planned)
         self._transit_index: TransitLoadIndex | None = None
         if (
-            include_transit
-            and transit_scale != 0
+            transit_scale != 0
             and self.net.n_isps() >= 3
             and self.net.n_edges() > 0
         ):

@@ -144,11 +144,5 @@ class FlowSignatureTable:
                     expired.append(signature)
         return expired
 
-    def active_signatures(self) -> list[FlowSignature]:
-        return sorted(
-            self._active.values(),
-            key=lambda s: (s.src_prefix, s.dst_prefix, s.ingress_id),
-        )
-
     def __len__(self) -> int:
         return len(self._active)

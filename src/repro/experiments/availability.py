@@ -18,9 +18,14 @@ Per pair:
    pre-failure table
    (:func:`~repro.routing.scenarios.derive_scenario_tables`) — thousands
    of scenarios cost thousands of structural column drops, zero routing.
-3. For each scenario, score the default re-route and the Nexit-negotiated
-   agreement by per-side MEL, negotiating only over the scenario's
-   affected-flow scope through the ``subset`` fast path. A scenario that
+3. Score each routable scenario as the bandwidth experiment scores a
+   failure, through the same failure case
+   (:class:`~repro.experiments.bandwidth._FailureCase`): the flows whose
+   pre-failure exit is among the failed columns are re-routed, every
+   other flow is background load, and the default re-route and the
+   Nexit-negotiated agreement over the affected-flow scope are compared
+   by per-side MEL. The all-up scenario is one such case; it affects no
+   flow, so its MELs are the pre-failure placement's. A scenario that
    severs *every* interconnection leaves every flow unroutable: it is
    reported as such with its demand attributed (``unroutable_demand``) and
    the negotiation session is skipped for that scope — never a crash.
@@ -47,11 +52,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.capacity.loads import link_loads
 from repro.capacity.provisioning import ProportionalCapacity
 from repro.errors import ConfigurationError
 from repro.experiments.bandwidth import (
     _build_context,
+    _FailureCase,
     _negotiate_bandwidth_iterated,
 )
 from repro.experiments.config import ExperimentConfig
@@ -62,18 +67,15 @@ from repro.experiments.runner import (
     register_scenario,
 )
 from repro.geo.population import PopulationModel
-from repro.metrics.mel import max_excess_load
 from repro.metrics.tail import (
     _tail_distribution,  # noqa: F401  (re-export for the metric tests)
     conditional_value_at_risk,
     expected_mel,
     value_at_risk,
 )
-from repro.routing.exits import early_exit_choices
 from repro.routing.scenarios import (
     FailureModel,
     FailureScenarioSet,
-    affected_flow_indices,
     derive_scenario_tables,
     enumerate_failure_scenarios,
 )
@@ -254,13 +256,6 @@ def run_pair_availability(
         coverage=scenario_set.coverage,
     )
 
-    mel_pre_a = max_excess_load(
-        link_loads(table_pre, context.default_pre, "a"), context.caps_a
-    )
-    mel_pre_b = max_excess_load(
-        link_loads(table_pre, context.default_pre, "b"), context.caps_b
-    )
-
     for scenario, table_post in zip(scenario_set.scenarios, tables):
         if table_post is None:
             # Every interconnection severed: no flow has a surviving
@@ -278,59 +273,17 @@ def run_pair_availability(
                 mel_negotiated_b=math.inf,
             ))
             continue
-        if not scenario.failed:
-            # The all-up scenario is the pre-failure state itself.
-            result.outcomes.append(ScenarioOutcome(
-                failed=(),
-                probability=scenario.probability,
-                n_affected=0,
-                routable=True,
-                unroutable_demand=0.0,
-                mel_default_a=mel_pre_a,
-                mel_default_b=mel_pre_b,
-                mel_negotiated_a=mel_pre_a,
-                mel_negotiated_b=mel_pre_b,
-            ))
-            continue
-
-        default_post = early_exit_choices(table_post)
-        affected_idx = affected_flow_indices(scenario, context.default_pre)
-        affected = np.zeros(table_post.n_flows, dtype=bool)
-        affected[affected_idx] = True
-        base_a = link_loads(table_post, default_post, "a", active=~affected)
-        base_b = link_loads(table_post, default_post, "b", active=~affected)
-        loads_def_a = link_loads(
-            table_post, default_post, "a", active=affected, base=base_a
+        case = _FailureCase(context, table_post, scenario.failed)
+        mel_def_a, mel_def_b = case.default_mels()
+        # No flow defaulted to a failed column: nothing to re-route.
+        mel_neg_a, mel_neg_b = (
+            _negotiate_bandwidth_iterated(case, config)
+            if case.affected.size else (mel_def_a, mel_def_b)
         )
-        loads_def_b = link_loads(
-            table_post, default_post, "b", active=affected, base=base_b
-        )
-        mel_def_a = max_excess_load(loads_def_a, context.caps_a)
-        mel_def_b = max_excess_load(loads_def_b, context.caps_b)
-
-        if affected_idx.size == 0:
-            # No flow defaulted to a failed column — nothing to re-route.
-            mel_neg_a, mel_neg_b = mel_def_a, mel_def_b
-        else:
-            sub_table = table_post.subset(affected_idx)
-            defaults_sub = default_post[affected_idx]
-            sub_choices = _negotiate_bandwidth_iterated(
-                sub_table, defaults_sub, context.caps_a, context.caps_b,
-                base_a, base_b, config,
-            )
-            full_neg = default_post.copy()
-            full_neg[affected_idx] = sub_choices
-            mel_neg_a = max_excess_load(
-                link_loads(table_post, full_neg, "a"), context.caps_a
-            )
-            mel_neg_b = max_excess_load(
-                link_loads(table_post, full_neg, "b"), context.caps_b
-            )
-
         result.outcomes.append(ScenarioOutcome(
             failed=scenario.failed,
             probability=scenario.probability,
-            n_affected=int(affected_idx.size),
+            n_affected=case.affected.size,
             routable=True,
             unroutable_demand=0.0,
             mel_default_a=mel_def_a,

@@ -16,6 +16,14 @@ Per (pair, failed interconnection) case:
    upstream (Figure 11).
 4. Score everything by MEL (max load/capacity over a network's links).
 
+Steps 2 and 4 are one object, :class:`_FailureCase`, which the
+availability and oscillation experiments build for their failures too.
+From the pair's context, a post-failure table and the failed columns it
+derives the post-failure early-exit defaults, the affected flows, their
+background loads and the affected flows' sub-table (the negotiation
+*scope*), and it scores the default, a negotiated and a fractional
+placement by both sides' MELs.
+
 Failure-case fast path: step 2 does no routing work at all — the
 post-failure cost table is *derived* from the pair's pre-failure table by
 dropping the failed column
@@ -29,21 +37,22 @@ flows' endpoint PoPs (:func:`~repro.capacity.loads.link_loads`), so the
 full and post-failure tables never build per-flow link rows.
 
 Negotiation-scope fast path: step 3 negotiates over the affected flows
-only, and the sub-table it hands to the session, the joint/unilateral LPs
-and the load kernels is *derived* too — ``table_post.subset`` row-gathers
+only, and the scope it hands to the session, the joint/unilateral LPs
+and the load kernels is *derived* too — ``table.subset`` row-gathers
 the dense arrays and the flowset (an array-backed view) and shares the
 post-failure table's paths and compiled per-PoP CSR. The scope's
 flow-level incidence, which the sessions and LPs read, is the only one a
 case builds: one gather of the scope's rows. Default-routing loads are
-likewise derived from the just-computed background loads
+likewise derived from the background loads
 (``link_loads(..., base=...)``) instead of a second full pass, and a
 failure that affects no flow short-circuits to the default MELs without
-spinning up the LP or a zero-flow session.
+building the scope, spinning up the LP or a zero-flow session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,13 +78,13 @@ from repro.geo.population import PopulationModel
 from repro.metrics.mel import max_excess_load
 from repro.optimal.bandwidth_lp import fractional_loads, solve_min_max_load_lp
 from repro.optimal.unilateral import solve_upstream_unilateral_lp
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.topology.interconnect import IspPair
 from repro.traffic.gravity import GravityWorkload
 from repro.util.cdf import Cdf
-from repro.util.validation import check_bool
+from repro.util.validation import check_bool, check_int
 
 __all__ = [
     "BandwidthCaseResult",
@@ -170,39 +179,110 @@ def _build_context(
     )
 
 
+class _FailureCase:
+    """One hypothesized failure of a pair, scored the Section 5.2 way.
+
+    Built from the pair's context, the post-failure ``table`` the caller
+    derived and the ``failed`` columns. The flows whose pre-failure exit
+    failed are ``affected`` (ascending indices) and get re-routed; every
+    other flow keeps its post-failure early-exit default (``defaults``)
+    and is background load (``base_a`` / ``base_b``). ``scope``, the
+    affected flows' sub-table, is derived on first use, so a failure
+    that affects no flow never builds it. The MEL methods score both
+    sides and return ``(mel_a, mel_b)``.
+    """
+
+    def __init__(
+        self, context: _CaseContext, table: PairCostTable,
+        failed: tuple[int, ...],
+    ):
+        self.context = context
+        self.table = table
+        self.defaults = early_exit_choices(table)
+        self._mask = np.isin(context.default_pre, failed)
+        self.affected = np.flatnonzero(self._mask)
+        self.base_a = link_loads(table, self.defaults, "a", active=~self._mask)
+        self.base_b = link_loads(table, self.defaults, "b", active=~self._mask)
+
+    @classmethod
+    def of_column(cls, context: _CaseContext, failed_ic_index):
+        """The failure of interconnection ``failed_ic_index`` alone.
+
+        The index is checked before the post-failure table is derived.
+        """
+        k = check_int(failed_ic_index, "failed_ic_index", 0)
+        n = context.pair.n_interconnections()
+        if k >= n:
+            raise ConfigurationError(
+                f"failed_ic_index must be in 0..{n - 1} for the pair's {n} "
+                f"interconnections, got {k}"
+            )
+        return cls(context, context.table_pre.without_alternative(k), (k,))
+
+    @cached_property
+    def scope(self) -> PairCostTable:
+        return self.table.subset(self.affected)
+
+    def score(self, loads) -> tuple[float, float]:
+        """Both sides' MELs of the per-link loads ``loads(side, base)``."""
+        return (
+            max_excess_load(loads("a", self.base_a), self.context.caps_a),
+            max_excess_load(loads("b", self.base_b), self.context.caps_b),
+        )
+
+    def default_mels(self) -> tuple[float, float]:
+        """The early-exit re-route: the affected flows over the background.
+
+        Per link the floats accumulate base-first, then the affected
+        flows in order, not in the interleaved order of a full pass.
+        """
+        return self.score(lambda side, base: link_loads(
+            self.table, self.defaults, side, active=self._mask, base=base
+        ))
+
+    def mels(self, sub_choices: np.ndarray) -> tuple[float, float]:
+        """The full placement that re-routes the scope to ``sub_choices``."""
+        full = self.defaults.copy()
+        full[self.affected] = sub_choices
+        return self.score(lambda side, _: link_loads(self.table, full, side))
+
+    def fractional_mels(self, fractions: np.ndarray) -> tuple[float, float]:
+        """An LP's fractional placement of the scope over the background."""
+        return self.score(lambda side, base: fractional_loads(
+            self.scope, fractions, side, base
+        ))
+
+
 def _negotiate_bandwidth(
-    sub_table,
+    case: _FailureCase,
     defaults_sub: np.ndarray,
-    caps_a: np.ndarray,
-    caps_b: np.ndarray,
-    base_a: np.ndarray,
-    base_b: np.ndarray,
     config: ExperimentConfig,
     upstream_cheats: bool = False,
     downstream_distance: bool = False,
 ) -> np.ndarray:
-    """Run a Nexit session over the affected flows; return sub-choices."""
+    """Run a Nexit session over the case's scope; return sub-choices."""
+    scope = case.scope
     p_range = PreferenceRange(config.preference_p)
     ev_a = LoadAwareEvaluator(
-        sub_table,
+        scope,
         "a",
-        caps_a,
+        case.context.caps_a,
         defaults_sub,
-        base_loads=base_a,
+        base_loads=case.base_a,
         range_=p_range,
         ratio_unit=config.ratio_unit,
     )
     if downstream_distance:
         ev_b = StaticCostEvaluator(
-            sub_table.down_km, defaults_sub, AutoScaleDeltaMapper(p_range)
+            scope.down_km, defaults_sub, AutoScaleDeltaMapper(p_range)
         )
     else:
         ev_b = LoadAwareEvaluator(
-            sub_table,
+            scope,
             "b",
-            caps_b,
+            case.context.caps_b,
             defaults_sub,
-            base_loads=base_b,
+            base_loads=case.base_b,
             range_=p_range,
             ratio_unit=config.ratio_unit,
         )
@@ -216,7 +296,7 @@ def _negotiate_bandwidth(
     session = NegotiationSession(
         agent_a,
         agent_b,
-        sizes=sub_table.flowset.sizes(),
+        sizes=scope.flowset.sizes(),
         defaults=defaults_sub,
         config=SessionConfig(
             reassignment_policy=ReassignEveryFraction(config.reassign_fraction)
@@ -226,45 +306,37 @@ def _negotiate_bandwidth(
 
 
 def _negotiate_bandwidth_iterated(
-    sub_table,
-    defaults_sub: np.ndarray,
-    caps_a: np.ndarray,
-    caps_b: np.ndarray,
-    base_a: np.ndarray,
-    base_b: np.ndarray,
+    case: _FailureCase,
     config: ExperimentConfig,
     max_passes: int = 3,
-) -> np.ndarray:
-    """Continuous renegotiation with Pareto acceptance.
+) -> tuple[float, float]:
+    """Continuous renegotiation with Pareto acceptance; the MELs it ends at.
 
     Section 6: negotiation "will be a continuous process ... used to
     continually find routing patterns that benefit both ISPs". Each pass
     re-runs the protocol with the previous agreement as the default; the
     new agreement is adopted only if it leaves neither ISP worse off (by
-    its own network MEL), otherwise renegotiation stops.
+    its own network MEL), otherwise renegotiation stops. The gate scores
+    the scope over the background loads; the returned MELs score the
+    full placement the renegotiation ends at (:meth:`_FailureCase.mels`).
     """
 
-    def side_mels(choices: np.ndarray) -> tuple[float, float]:
-        loads_a = link_loads(sub_table, choices, "a") + base_a
-        loads_b = link_loads(sub_table, choices, "b") + base_b
-        return (
-            max_excess_load(loads_a, caps_a),
-            max_excess_load(loads_b, caps_b),
+    def scope_mels(choices: np.ndarray) -> tuple[float, float]:
+        return case.score(
+            lambda side, base: link_loads(case.scope, choices, side) + base
         )
 
-    current = np.asarray(defaults_sub, dtype=np.intp).copy()
-    mel_a, mel_b = side_mels(current)
+    current = case.defaults[case.affected]
+    mel_a, mel_b = scope_mels(current)
     for _ in range(max_passes):
-        proposal = _negotiate_bandwidth(
-            sub_table, current, caps_a, caps_b, base_a, base_b, config
-        )
+        proposal = _negotiate_bandwidth(case, current, config)
         if np.array_equal(proposal, current):
             break
-        new_a, new_b = side_mels(proposal)
+        new_a, new_b = scope_mels(proposal)
         if new_a > mel_a + 1e-12 or new_b > mel_b + 1e-12:
             break  # one side would veto the re-routed configuration
         current, mel_a, mel_b = proposal, new_a, new_b
-    return current
+    return case.mels(current)
 
 
 def run_pair_cases(
@@ -318,31 +390,11 @@ def run_bandwidth_case(
             "bandwidth cases need >= 3 interconnections (2 must survive)"
         )
 
+    case = _FailureCase.of_column(context, failed_ic_index)
     failed_city = pair.interconnections[failed_ic_index].city
-    table_post = context.table_pre.without_alternative(failed_ic_index)
-    default_post = early_exit_choices(table_post)
+    mel_def_a, mel_def_b = case.default_mels()
 
-    affected = np.asarray(context.default_pre) == failed_ic_index
-    affected_idx = np.flatnonzero(affected)
-    base_a = link_loads(table_post, default_post, "a", active=~affected)
-    base_b = link_loads(table_post, default_post, "b", active=~affected)
-
-    # Default routing MEL (early-exit re-route of the affected flows),
-    # derived from the background loads just computed: seed with base and
-    # accumulate only the affected flows' contribution, instead of a second
-    # full link_loads pass over every flow. Per link the floats accumulate
-    # base-first then affected flows in order — not the interleaved order
-    # of a full pass.
-    loads_def_a = link_loads(
-        table_post, default_post, "a", active=affected, base=base_a
-    )
-    loads_def_b = link_loads(
-        table_post, default_post, "b", active=affected, base=base_b
-    )
-    mel_def_a = max_excess_load(loads_def_a, context.caps_a)
-    mel_def_b = max_excess_load(loads_def_b, context.caps_b)
-
-    if affected_idx.size == 0:
+    if case.affected.size == 0:
         # Degenerate failure: no flow defaulted to the failed
         # interconnection, so there is nothing to re-route — every method
         # keeps the default placement, and the best achievable joint MEL is
@@ -371,43 +423,20 @@ def run_bandwidth_case(
             result.diverse_downstream_gain_pct = 0.0
         return result
 
-    # The negotiation scope: a sub-table over the affected flows only
-    # (dense rows gathered, flowset reindexed as a view, paths and per-PoP
-    # CSR shared) — the session and LPs below share its one flow-level
-    # incidence.
-    sub_table = table_post.subset(affected_idx)
-    defaults_sub = default_post[affected_idx]
-
     # Globally optimal (fractional LP over both ISPs).
-    lp = solve_min_max_load_lp(
-        sub_table, context.caps_a, context.caps_b, base_a, base_b,
-        solver=config.lp_solver,
+    lp_args = (
+        case.scope, context.caps_a, context.caps_b, case.base_a, case.base_b
     )
-    mel_opt_a = max_excess_load(
-        fractional_loads(sub_table, lp.fractions, "a", base_a), context.caps_a
-    )
-    mel_opt_b = max_excess_load(
-        fractional_loads(sub_table, lp.fractions, "b", base_b), context.caps_b
-    )
+    lp = solve_min_max_load_lp(*lp_args, solver=config.lp_solver)
+    mel_opt_a, mel_opt_b = case.fractional_mels(lp.fractions)
 
     # Negotiated routing (continuous renegotiation, Pareto-gated).
-    sub_choices = _negotiate_bandwidth_iterated(
-        sub_table, defaults_sub, context.caps_a, context.caps_b,
-        base_a, base_b, config,
-    )
-    full_neg = default_post.copy()
-    full_neg[affected_idx] = sub_choices
-    mel_neg_a = max_excess_load(
-        link_loads(table_post, full_neg, "a"), context.caps_a
-    )
-    mel_neg_b = max_excess_load(
-        link_loads(table_post, full_neg, "b"), context.caps_b
-    )
+    mel_neg_a, mel_neg_b = _negotiate_bandwidth_iterated(case, config)
 
     result = BandwidthCaseResult(
         pair_name=pair.name,
         failed_city=failed_city,
-        n_affected=int(affected.sum()),
+        n_affected=case.affected.size,
         mel_default_a=mel_def_a,
         mel_default_b=mel_def_b,
         mel_negotiated_a=mel_neg_a,
@@ -418,47 +447,27 @@ def run_bandwidth_case(
     )
 
     if include_unilateral:
-        uni = solve_upstream_unilateral_lp(
-            sub_table, context.caps_a, context.caps_b, base_a, base_b,
-            solver=config.lp_solver,
-        )
-        result.mel_unilateral_a = max_excess_load(
-            fractional_loads(sub_table, uni.fractions, "a", base_a),
-            context.caps_a,
-        )
-        result.mel_unilateral_b = max_excess_load(
-            fractional_loads(sub_table, uni.fractions, "b", base_b),
-            context.caps_b,
+        uni = solve_upstream_unilateral_lp(*lp_args, solver=config.lp_solver)
+        result.mel_unilateral_a, result.mel_unilateral_b = (
+            case.fractional_mels(uni.fractions)
         )
 
+    defaults_sub = case.defaults[case.affected]
     if include_cheating:
         cheat_sub = _negotiate_bandwidth(
-            sub_table, defaults_sub, context.caps_a, context.caps_b,
-            base_a, base_b, config, upstream_cheats=True,
+            case, defaults_sub, config, upstream_cheats=True
         )
-        full_cheat = default_post.copy()
-        full_cheat[affected_idx] = cheat_sub
-        result.mel_cheat_a = max_excess_load(
-            link_loads(table_post, full_cheat, "a"), context.caps_a
-        )
-        result.mel_cheat_b = max_excess_load(
-            link_loads(table_post, full_cheat, "b"), context.caps_b
-        )
+        result.mel_cheat_a, result.mel_cheat_b = case.mels(cheat_sub)
 
     if include_diverse:
         div_sub = _negotiate_bandwidth(
-            sub_table, defaults_sub, context.caps_a, context.caps_b,
-            base_a, base_b, config, downstream_distance=True,
+            case, defaults_sub, config, downstream_distance=True
         )
-        full_div = default_post.copy()
-        full_div[affected_idx] = div_sub
-        result.mel_diverse_a = max_excess_load(
-            link_loads(table_post, full_div, "a"), context.caps_a
-        )
+        result.mel_diverse_a, _ = case.mels(div_sub)
         # Downstream distance gain over the affected flows.
-        rows = np.arange(sub_table.n_flows)
-        km_def = float(sub_table.down_km[rows, defaults_sub].sum())
-        km_div = float(sub_table.down_km[rows, div_sub].sum())
+        rows = np.arange(case.scope.n_flows)
+        km_def = float(case.scope.down_km[rows, defaults_sub].sum())
+        km_div = float(case.scope.down_km[rows, div_sub].sum())
         result.diverse_downstream_gain_pct = (
             0.0 if km_def <= 0 else 100.0 * (km_def - km_div) / km_def
         )

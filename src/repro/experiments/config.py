@@ -37,14 +37,11 @@ class ExperimentConfig:
         lp_solver: registered LP backend name for every LP the experiment
             solves ("highs" = the default scipy-HiGHS backend; see
             :mod:`repro.optimal.solver`).
-        damping: what multi-ISP coordination does on a fingerprint
-            revisit ("off" = stop with ``stop_reason="oscillating"``,
-            the PR 9 behaviour; "ladder" = escalate through hysteresis
-            and seeded perturbation first; see
-            :mod:`repro.core.damping`).
-        hysteresis_margin: required per-endpoint MEL improvement for
-            re-agreements on cycle-implicated edges while the damping
-            ladder's hysteresis rung is armed.
+
+    The multi-ISP coordination knobs (``transit_scale``, ``damping``,
+    ``hysteresis_margin``, ...) are arguments of
+    :class:`~repro.core.multi_session.MultiSessionCoordinator` and params
+    of the ``multi_isp`` sweep.
     """
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -56,11 +53,8 @@ class ExperimentConfig:
     reassign_fraction: float = 0.05
     seed: int = 7
     lp_solver: str = "highs"
-    damping: str = "off"
-    hysteresis_margin: float = 0.05
 
     def __post_init__(self) -> None:
-        from repro.core.damping import DAMPING_MODES
         from repro.optimal.solver import available_lp_solvers
         from repro.util.validation import (
             check_int,
@@ -69,8 +63,6 @@ class ExperimentConfig:
         )
 
         validate_choice(self.lp_solver, available_lp_solvers(), "lp_solver")
-        validate_choice(self.damping, DAMPING_MODES, "damping")
-        check_positive(self.hysteresis_margin, "hysteresis_margin")
         check_int(self.preference_p, "preference_p", 1)
         check_positive(self.ratio_unit, "ratio_unit")
         if not 0 < self.reassign_fraction <= 1:

@@ -58,7 +58,7 @@ _SHAPE_DEFAULTS: dict[str, Any] = {
 
 #: Params passed through to the coordinator under their own names.
 _COORDINATOR_KEYS = (
-    "order", "include_transit", "transit_scale", "coord_workers",
+    "order", "transit_scale", "coord_workers",
     "damping", "hysteresis_margin",
 )
 
@@ -66,13 +66,10 @@ _MULTI_ISP_DEFAULTS: dict[str, Any] = {
     **_SHAPE_DEFAULTS,
     "rounds": 4,
     "order": "round_robin",
-    "include_transit": True,
     "transit_scale": 3.0,
     "coord_workers": None,
-    # None = inherit config.damping / config.hysteresis_margin, so one
-    # ExperimentConfig threads the damping ladder through whole sweeps.
-    "damping": None,
-    "hysteresis_margin": None,
+    "damping": "off",
+    "hysteresis_margin": 0.05,
 }
 
 #: Built internetworks, memoized per process: the robustness sweep's
@@ -161,11 +158,6 @@ class MultiIspExperimentResult:
                 records[-1].global_mel if records else self.initial_mel
             )
         return trajectory
-
-    def executed_rounds(self) -> int:
-        return len(
-            {r.round_index for r in self.records if r.executed_round}
-        )
 
     def converged_round(self) -> int | None:
         """First executed round that changed nothing (None if it never did)."""
@@ -355,10 +347,10 @@ def run_multi_isp_experiment(
 
     Keyword ``params`` override :data:`MULTI_ISP_SCENARIO`'s
     ``default_params``: the internetwork's shape (``n_isps``, ``shape``,
-    ...), the coordination (``rounds``, ``order``, ``include_transit``,
-    ``transit_scale``, ``coord_workers``) and ``damping`` /
-    ``hysteresis_margin``, which select the oscillation response (see
-    :mod:`repro.core.damping`); ``None`` inherits the config's values.
+    ...), the coordination (``rounds``, ``order``, ``transit_scale``, where
+    ``0`` builds no transit background, and ``coord_workers``) and
+    ``damping`` / ``hysteresis_margin``, which select the oscillation
+    response (see :mod:`repro.core.damping`).
 
     The sweep is one unit, the whole coordination, returned as its padded
     (round, edge) grid; ``checkpoint_dir`` / ``resume`` persist that

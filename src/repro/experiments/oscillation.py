@@ -15,9 +15,11 @@ describes; a Nexit agreement is a fixed point by construction.
 
 :func:`run_oscillation_experiment` sweeps the simulator over the dataset
 (one best-response trajectory per qualifying pair's first-interconnection
-failure, on the affected flows with everything else as background
-traffic) through the unified sweep runner, quantifying how often
-uncoordinated reactions cycle versus stabilize.
+failure) through the unified sweep runner, quantifying how often
+uncoordinated reactions cycle versus stabilize. Each failure is the
+bandwidth experiment's failure case
+(:class:`~repro.experiments.bandwidth._FailureCase`): the affected flows
+move inside its scope, everything else is background traffic.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.experiments.runner import (
 )
 from repro.metrics.mel import max_excess_load
 from repro.routing.costs import PairCostTable
-from repro.routing.exits import early_exit_choices
 from repro.util.validation import check_int
 
 __all__ = [
@@ -222,13 +223,15 @@ def run_oscillation_pair(
 ) -> OscillationPairResult:
     """Simulate uncoordinated reactions to one pair's failure.
 
-    Reuses the bandwidth experiment's per-pair setup (gravity workload,
-    proportional capacities, derived post-failure table): the flows whose
+    The failure is the bandwidth experiment's failure case
+    (:class:`~repro.experiments.bandwidth._FailureCase`, over the same
+    gravity workload and proportional capacities): the flows whose
     pre-failure exit was the failed interconnection re-route by
-    best-response moves while everything else stays put as background
-    load. A failure that affects no flow is trivially stable in 0 steps.
+    best-response moves inside the case's scope while everything else
+    stays put as background load. A failure that affects no flow is
+    trivially stable in 0 steps.
     """
-    from repro.experiments.bandwidth import _build_context
+    from repro.experiments.bandwidth import _build_context, _FailureCase
     from repro.geo.population import PopulationModel
     from repro.traffic.gravity import GravityWorkload
 
@@ -239,33 +242,26 @@ def run_oscillation_pair(
 
         workload = GravityWorkload(PopulationModel(default_city_database()))
     context = _build_context(pair, workload)
-    table_post = context.table_pre.without_alternative(failed_ic_index)
-    default_post = early_exit_choices(table_post)
+    case = _FailureCase.of_column(context, failed_ic_index)
     failed_city = pair.interconnections[failed_ic_index].city
-
-    affected = np.asarray(context.default_pre) == failed_ic_index
-    affected_idx = np.flatnonzero(affected)
-    if affected_idx.size == 0:
+    if case.affected.size == 0:
         return OscillationPairResult(
             pair_name=pair.name, failed_city=failed_city, n_affected=0,
             n_steps=0, cycled=False, stable=True,
         )
-    base_a = link_loads(table_post, default_post, "a", active=~affected)
-    base_b = link_loads(table_post, default_post, "b", active=~affected)
-    sub_table = table_post.subset(affected_idx)
     sim = simulate_best_response(
-        sub_table,
-        default_post[affected_idx],
+        case.scope,
+        case.defaults[case.affected],
         context.caps_a,
         context.caps_b,
-        base_a,
-        base_b,
+        case.base_a,
+        case.base_b,
         max_steps=max_steps,
     )
     return OscillationPairResult(
         pair_name=pair.name,
         failed_city=failed_city,
-        n_affected=int(affected_idx.size),
+        n_affected=case.affected.size,
         n_steps=sim.n_steps,
         cycled=sim.cycled,
         stable=sim.stable,

@@ -60,7 +60,6 @@ _ROBUSTNESS_DEFAULTS: dict[str, Any] = {
     # Coordination.
     "rounds": 6,
     "order": "round_robin",
-    "include_transit": False,
     "transit_scale": 0.0,
     # Failure distribution the agents plan against (and are assessed on).
     "link_probability": 0.05,
@@ -187,7 +186,6 @@ def _robustness_unit(config, params, unit):
         config=config,
         order=params["order"],
         max_rounds=params["rounds"],
-        include_transit=params["include_transit"],
         transit_scale=params["transit_scale"],
         fault_plan=plan,
         failure_model=model,

@@ -26,7 +26,6 @@ from repro.routing.scenarios import (
     FailureModel,
     FailureScenario,
     FailureScenarioSet,
-    affected_flow_indices,
     derive_scenario_tables,
     enumerate_failure_scenarios,
 )
@@ -55,6 +54,5 @@ __all__ = [
     "FailureScenario",
     "FailureScenarioSet",
     "enumerate_failure_scenarios",
-    "affected_flow_indices",
     "derive_scenario_tables",
 ]

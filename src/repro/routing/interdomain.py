@@ -310,10 +310,6 @@ class TransitLoadIndex:
         self._loads_cache: dict[str, np.ndarray] | None = None
 
     @property
-    def n_demands(self) -> int:
-        return len(self._demands)
-
-    @property
     def blocked(self) -> dict[int, frozenset[int]]:
         return {
             edge: frozenset(columns)

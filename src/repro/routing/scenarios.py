@@ -17,10 +17,12 @@ probabilistic object:
 * each resulting :class:`FailureScenario` maps onto the structural derive
   contract — its failed columns are exactly a
   :meth:`~repro.routing.costs.PairCostTable.without_alternatives` drop
-  set, and its affected-flow scope (:func:`affected_flow_indices`) feeds
-  the existing :meth:`~repro.routing.costs.PairCostTable.subset` fast
-  path — so a whole scenario set's tables derive from one parent in one
-  batch (:func:`derive_scenario_tables`) with zero routing work.
+  set — so a whole scenario set's tables derive from one parent in one
+  batch (:func:`derive_scenario_tables`) with zero routing work. The
+  experiments turn a scenario and its table into a failure case (the
+  affected flows, their background loads and their
+  :meth:`~repro.routing.costs.PairCostTable.subset` scope) the same way
+  they turn a single failed column into one.
 
 **Determinism contract.** Scenario order is canonical — ascending by
 (number of failed columns, failed column tuple) — and each scenario's
@@ -42,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from numbers import Real
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.routing.costs import PairCostTable
 from repro.util.validation import check_finite, check_int, check_sequence
@@ -53,7 +53,6 @@ __all__ = [
     "FailureScenario",
     "FailureScenarioSet",
     "enumerate_failure_scenarios",
-    "affected_flow_indices",
     "derive_scenario_tables",
 ]
 
@@ -387,23 +386,6 @@ def enumerate_failure_scenarios(
         coverage=coverage,
         model=model,
     )
-
-
-def affected_flow_indices(
-    scenario: FailureScenario, default_choices: np.ndarray
-) -> np.ndarray:
-    """Flows whose pre-failure default exit died with this scenario.
-
-    The negotiation scope of the scenario: exactly the flows whose
-    early-exit choice is one of the failed columns, as an index array fit
-    for :meth:`~repro.routing.costs.PairCostTable.subset`.
-    """
-    choices = np.asarray(default_choices)
-    if not scenario.failed:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(
-        np.isin(choices, np.asarray(scenario.failed))
-    ).astype(np.intp)
 
 
 def derive_scenario_tables(

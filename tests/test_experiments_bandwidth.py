@@ -139,6 +139,95 @@ class TestCaseValidation:
             run_bandwidth_case(two_ic, 0, config, workload)
 
 
+class TestFailureIndex:
+    """Both single-failure entry points check the index the same way."""
+
+    @pytest.fixture(scope="class")
+    def context(self, pair, workload):
+        from repro.experiments.bandwidth import _build_context
+
+        return _build_context(pair, workload)
+
+    @pytest.mark.parametrize("index, message", [
+        (True, "integer >= 0, got True"),
+        (1.0, "integer >= 0, got 1.0"),
+        (-1, "integer >= 0, got -1"),
+        (99, r"in 0\.\.4 for the pair's 5 interconnections, got 99"),
+    ], ids=["True", "1.0", "-1", "99"])
+    def test_bad_index_rejected(self, context, config, workload, index,
+                                message):
+        from repro.experiments.oscillation import run_oscillation_pair
+
+        match = "failed_ic_index must be .*" + message
+        with pytest.raises(ConfigurationError, match=match):
+            run_bandwidth_case(context, index, config)
+        with pytest.raises(ConfigurationError, match=match):
+            run_oscillation_pair(
+                context.pair, config, workload, failed_ic_index=index
+            )
+
+    def test_numpy_index_accepted(self, context, config, workload):
+        from repro.experiments.oscillation import run_oscillation_pair
+
+        assert run_bandwidth_case(context, np.int64(1), config) == (
+            run_bandwidth_case(context, 1, config)
+        )
+        assert run_oscillation_pair(
+            context.pair, config, workload, failed_ic_index=np.int64(1)
+        ) == run_oscillation_pair(
+            context.pair, config, workload, failed_ic_index=1
+        )
+
+
+class TestOneFailureCase:
+    """Bandwidth, availability and oscillation score a failure alike."""
+
+    def test_single_failures_agree(self, dataset, config, workload):
+        from repro.capacity.loads import link_loads
+        from repro.experiments.availability import run_pair_availability
+        from repro.experiments.bandwidth import _build_context
+        from repro.experiments.oscillation import run_oscillation_pair
+        from repro.metrics.mel import max_excess_load
+        from repro.routing.scenarios import FailureModel
+
+        model = FailureModel(link_probability=0.05, cutoff=1e-9, max_failed=1)
+        n_cases = 0
+        for pair in dataset.pairs(min_interconnections=3, max_pairs=4):
+            context = _build_context(pair, workload)
+            outcomes = {
+                outcome.failed: outcome
+                for outcome in run_pair_availability(
+                    pair, config, model, workload
+                ).outcomes
+            }
+            pre = tuple(
+                max_excess_load(
+                    link_loads(context.table_pre, context.default_pre, side),
+                    caps,
+                )
+                for side, caps in (("a", context.caps_a), ("b", context.caps_b))
+            )
+            all_up = outcomes[()]
+            assert (all_up.mel_default_a, all_up.mel_default_b) == pre
+            assert (all_up.mel_negotiated_a, all_up.mel_negotiated_b) == pre
+            for k in range(pair.n_interconnections()):
+                case = run_bandwidth_case(context, k, config)
+                scenario = outcomes[(k,)]
+                trajectory = run_oscillation_pair(
+                    pair, config, workload, failed_ic_index=k
+                )
+                assert scenario.n_affected == case.n_affected
+                assert trajectory.n_affected == case.n_affected
+                assert (scenario.mel_default_a, scenario.mel_default_b) == (
+                    case.mel_default_a, case.mel_default_b
+                )
+                assert (
+                    scenario.mel_negotiated_a, scenario.mel_negotiated_b
+                ) == (case.mel_negotiated_a, case.mel_negotiated_b)
+                n_cases += 1
+        assert n_cases == 17
+
+
 class TestExperiment:
     @pytest.fixture(scope="class")
     def result(self, config):

@@ -256,11 +256,11 @@ class TestRunMultiIsp:
         """Regression: density knobs must reach the internetwork build."""
         sparse = run_multi_isp(
             config, n_isps=5, shape="random", peering_probability=0.0,
-            max_rounds=1, include_transit=False,
+            max_rounds=1, transit_scale=0.0,
         )
         dense = run_multi_isp(
             config, n_isps=5, shape="random", peering_probability=1.0,
-            max_rounds=1, include_transit=False,
+            max_rounds=1, transit_scale=0.0,
         )
         assert len(sparse.edge_names) == 4  # exactly the spanning tree
         assert len(dense.edge_names) > len(sparse.edge_names)
@@ -337,7 +337,7 @@ class TestCli:
 
         assert main([
             "multi-isp", "--preset", "quick", "--isps", "3",
-            "--rounds", "2", "--no-transit",
+            "--rounds", "2", "--transit-scale", "0",
         ]) == 0
         out = capsys.readouterr().out
         assert "initial global MEL (no transit)" in out
@@ -437,7 +437,7 @@ class TestHundredIspScale:
     def test_hundred_isps_converge_with_narrow_schedule(self, config):
         net = self._hundred(seed=11)
         result = run_multi_isp(
-            config, internetwork=net, include_transit=False, max_rounds=12,
+            config, internetwork=net, transit_scale=0.0, max_rounds=12,
         )
         assert result.stop_reason == "converged"
         assert result.converged
@@ -457,7 +457,7 @@ class TestHundredIspScale:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_multi_isp(
-                config, internetwork=net, include_transit=False,
+                config, internetwork=net, transit_scale=0.0,
                 max_rounds=12,
             )
         assert result.stop_reason == "oscillating"
@@ -487,7 +487,7 @@ class TestHundredIspScale:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             undamped = run_multi_isp(
-                config, internetwork=net, include_transit=False,
+                config, internetwork=net, transit_scale=0.0,
                 max_rounds=24,
             )
         assert undamped.stop_reason == "oscillating"
@@ -495,7 +495,7 @@ class TestHundredIspScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             damped = run_multi_isp(
-                config, internetwork=net, include_transit=False,
+                config, internetwork=net, transit_scale=0.0,
                 max_rounds=24, damping="ladder",
             )
         assert damped.stop_reason == "converged"

@@ -566,7 +566,7 @@ class TestTransitEngines:
 def _flip_coordinator(config, **kwargs):
     """The shared flip oscillator on a 3-ISP chain, without transit."""
     return FlipCoordinator(
-        _net(3), config=config, max_rounds=10, include_transit=False,
+        _net(3), config=config, max_rounds=10, transit_scale=0.0,
         **kwargs,
     )
 
@@ -639,22 +639,18 @@ class TestDampingLadder:
             result = coordinator.run()
         assert result.stop_reason == "oscillating"
 
-    def test_damping_knobs_inherit_config(self, monkeypatch):
-        import dataclasses
-
-        config = dataclasses.replace(
-            ExperimentConfig.quick(), damping="ladder",
+    def test_damping_knobs_default_off(self, config):
+        coordinator = MultiSessionCoordinator(
+            _net(2), config=config, transit_scale=0.0
+        )
+        assert coordinator.damping_config.mode == "off"
+        assert coordinator.damping_config.hysteresis_margin == 0.05
+        override = MultiSessionCoordinator(
+            _net(2), config=config, transit_scale=0.0, damping="ladder",
             hysteresis_margin=0.2,
         )
-        coordinator = MultiSessionCoordinator(
-            _net(2), config=config, include_transit=False
-        )
-        assert coordinator.damping_config.mode == "ladder"
-        assert coordinator.damping_config.hysteresis_margin == 0.2
-        override = MultiSessionCoordinator(
-            _net(2), config=config, include_transit=False, damping="off"
-        )
-        assert override.damping_config.mode == "off"
+        assert override.damping_config.mode == "ladder"
+        assert override.damping_config.hysteresis_margin == 0.2
 
     def test_random_order_fingerprint_mixes_schedule_state(self, config):
         # Regression: under order="random" a placement revisit does not
@@ -727,7 +723,7 @@ class TestDampingOffEquivalence:
             assume(False)
         results = [
             MultiSessionCoordinator(
-                net, config=config, max_rounds=6, include_transit=False,
+                net, config=config, max_rounds=6, transit_scale=0.0,
                 **kwargs,
             ).run()
             for kwargs in (

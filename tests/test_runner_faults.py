@@ -231,14 +231,14 @@ class TestBadParamsFailOnce:
 
     @pytest.mark.parametrize("scenario, params, knob", [
         ("multi_isp", {"n_isps": 3.7}, "n_isps"),
-        ("multi_isp", {"include_transit": "no"}, "include_transit"),
+        ("multi_isp", {"transit_scale": -1.0}, "transit_scale"),
         ("multi_isp", {"min_interconnections": 2.5}, "min_interconnections"),
         ("multi_isp", {"max_interconnections": 2.5}, "max_interconnections"),
         ("multi_isp", {"pool_size": 9.5}, "pool_size"),
         ("multi_isp", {"transit_scale": "3"}, "transit_scale"),
         ("multi_isp", {"n_isp": 3}, "unknown multi_isp params: n_isp"),
         ("robust_negotiation", {"abort_rate": "0.1"}, "abort_rate"),
-        ("robust_negotiation", {"include_transit": "no"}, "include_transit"),
+        ("robust_negotiation", {"transit_scale": "0"}, "transit_scale"),
         ("oscillation", {"max_steps": 2.5}, "max_steps"),
     ])
     def test_probe(self, tiny_config, scenario, params, knob):

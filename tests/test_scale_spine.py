@@ -40,7 +40,11 @@ from repro.errors import (
     RoutingError,
     TopologyError,
 )
-from repro.experiments.bandwidth import _negotiate_bandwidth
+from repro.experiments.bandwidth import (
+    _CaseContext,
+    _FailureCase,
+    _negotiate_bandwidth,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.mel import max_excess_load
 from repro.optimal.bandwidth_lp import solve_min_max_load_lp
@@ -591,23 +595,16 @@ def _run_scale_spine(n_pops: int, target_flows: int):
 
     # Fail the busiest interconnection so a real negotiation scope exists.
     failed = int(np.bincount(defaults, minlength=6).argmax())
-    table_post = table.without_alternative(failed)
-    assert table_post.n_alternatives == 5
-    default_post = early_exit_choices(table_post)
-    affected_idx = np.flatnonzero(defaults == failed)
-    assert affected_idx.size > 0
-    active = np.ones(len(flowset), dtype=bool)
-    active[affected_idx] = False
-    base_a = link_loads(table_post, default_post, "a", active=active)
-    base_b = link_loads(table_post, default_post, "b", active=active)
-
-    sub_table = table_post.subset(affected_idx)
-    defaults_sub = default_post[affected_idx]
+    case = _FailureCase.of_column(
+        _CaseContext(pair, table, defaults, caps_a, caps_b), failed
+    )
+    assert case.table.n_alternatives == 5
+    assert case.affected.size > 0
+    sub_table, base_a, base_b = case.scope, case.base_a, case.base_b
+    defaults_sub = case.defaults[case.affected]
     config = ExperimentConfig.quick()
 
-    choices = _negotiate_bandwidth(
-        sub_table, defaults_sub, caps_a, caps_b, base_a, base_b, config
-    )
+    choices = _negotiate_bandwidth(case, defaults_sub, config)
     assert choices.shape == defaults_sub.shape
     assert np.all((choices >= 0) & (choices < 5))
     mel_neg = max(
@@ -618,7 +615,7 @@ def _run_scale_spine(n_pops: int, target_flows: int):
     lp = solve_min_max_load_lp(
         sub_table, caps_a, caps_b, base_a, base_b, solver=config.lp_solver
     )
-    assert lp.fractions.shape == (affected_idx.size, 5)
+    assert lp.fractions.shape == (case.affected.size, 5)
     assert np.allclose(lp.fractions.sum(axis=1), 1.0, atol=1e-8)
     # The fractional joint optimum lower-bounds any integral negotiation.
     assert lp.t <= mel_neg + 1e-9

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.routing.scenarios import (
     FailureModel,
-    affected_flow_indices,
     derive_scenario_tables,
     enumerate_failure_scenarios,
 )
@@ -173,16 +172,28 @@ class TestValidation:
 
 
 class TestScopeMapping:
-    def test_affected_flows_are_exactly_the_failed_defaults(self):
-        defaults = np.array([0, 1, 2, 1, 0, 2])
+    def test_affected_flows_are_exactly_the_failed_defaults(self, lp_setup):
+        from repro.experiments.bandwidth import _CaseContext, _FailureCase
+
+        full, _, caps_a, caps_b = lp_setup
+        table = full.subset(np.arange(6))
+        context = _CaseContext(
+            pair=table.pair,
+            table_pre=table,
+            default_pre=np.array([0, 1, 2, 1, 0, 2]),
+            caps_a=caps_a,
+            caps_b=caps_b,
+        )
         model = FailureModel(link_probability=0.1, cutoff=1e-6)
         result = enumerate_failure_scenarios(3, model)
-        scenario = next(s for s in result.scenarios if s.failed == (0, 2))
-        assert affected_flow_indices(scenario, defaults).tolist() == [
-            0, 2, 4, 5
-        ]
-        empty = next(s for s in result.scenarios if s.failed == ())
-        assert affected_flow_indices(empty, defaults).size == 0
+        tables = derive_scenario_tables(table, result)
+        cases = {
+            s.failed: _FailureCase(context, post, s.failed)
+            for s, post in zip(result.scenarios, tables)
+            if post is not None
+        }
+        assert cases[(0, 2)].affected.tolist() == [0, 2, 4, 5]
+        assert cases[()].affected.size == 0
 
 
 class TestDeriveScenarioTables:
