@@ -84,7 +84,7 @@ from reference.sssp import NetworkxRouting  # noqa: E402
 from reference.topology import NetworkxTopologyGenerator  # noqa: E402
 
 #: The scale axis: synthetic grid pairs (PoPs per ISP) far beyond what the
-#: measured dataset provides, exercising the csgraph SSSP batch, the table
+#: measured dataset provides, exercising the all-sources Dijkstra, the table
 #: build and incidence, and the LP's constraint assembly at growing sizes.
 SCALE_PRESETS = {"small": 64, "medium": 144, "large": 256}
 
@@ -559,8 +559,8 @@ def _sssp_batch_kernel(pair, routing_cls):
     """All-sources SSSP warm on one scale ISP, from a cold routing state.
 
     A fresh routing per run keeps the cache cold, so the timing is the
-    actual batch cost: one csgraph call plus predecessor-DP reconstruction
-    versus per-source networkx Dijkstra.
+    actual batch cost: one heap Dijkstra per source over the ISP's
+    adjacency lists versus one networkx Dijkstra per source.
     """
     sources = range(pair.isp_a.n_pops())
 

@@ -470,11 +470,16 @@ def _run_figure1(out) -> int:
 
 
 def _run_multi_isp(args: argparse.Namespace, out) -> int:
+    from repro.core.multi_session import carries_transit
+
     result = _sweep(args, get_scenario("multi_isp"))
     print(f"internetwork: {len(result.isp_names)} ISPs "
           f"({', '.join(result.isp_names)}), "
           f"{len(result.edge_names)} peering edges", file=out)
-    transit_note = "with transit" if args.transit_scale else "no transit"
+    transit = carries_transit(
+        len(result.isp_names), len(result.edge_names), args.transit_scale
+    )
+    transit_note = "with transit" if transit else "no transit"
     print(f"initial global MEL ({transit_note}): {result.initial_mel:.4f}",
           file=out)
     for round_index in range(result.n_rounds):

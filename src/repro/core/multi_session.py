@@ -157,6 +157,7 @@ __all__ = [
     "CoordinationRound",
     "MultiNegotiationResult",
     "MultiSessionCoordinator",
+    "carries_transit",
 ]
 
 _ORDERS = ("round_robin", "random")
@@ -171,6 +172,15 @@ _log = logging.getLogger(__name__)
 #: payload, so a worker forked in any round computes the same result. A
 #: working table changes only on a severance, and pools refuse fault plans.
 _POOL_COORDINATOR: "MultiSessionCoordinator | None" = None
+
+
+def carries_transit(n_isps: int, n_edges: int, transit_scale: float) -> bool:
+    """Whether a coordination builds a transit background.
+
+    Transit crosses an intermediate ISP, so it needs a third ISP and a
+    peering edge, and a non-zero ``transit_scale``.
+    """
+    return transit_scale != 0 and n_isps >= 3 and n_edges > 0
 
 
 def _pool_session_worker(payload):
@@ -577,10 +587,8 @@ class MultiSessionCoordinator:
                 planned = planned + self._states[index].side_loads(side)
             self._caps[isp.name] = self.provisioner.capacities(planned)
         self._transit_index: TransitLoadIndex | None = None
-        if (
-            transit_scale != 0
-            and self.net.n_isps() >= 3
-            and self.net.n_edges() > 0
+        if carries_transit(
+            self.net.n_isps(), self.net.n_edges(), transit_scale
         ):
             routes = propagate_interdomain_routes(self.net)
             self._transit_index = TransitLoadIndex(

@@ -17,19 +17,25 @@ Formulation (variables x[f, i] >= 0, t >= 0):
 where s_f is the flow size, base_l the background load (traffic outside the
 negotiated set) and cap_l the provisioned capacity. The optimum t* is the
 best achievable joint MEL.
+
+``scipy.sparse`` is imported by the functions that assemble the constraint
+matrices, not with this module, so runs that solve no LP never load scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csc_array, vstack
 
 from repro.errors import OptimizationError
 from repro.optimal.solver import LpProblem, LpSolver, resolve_lp_solver
 from repro.routing.costs import PairCostTable
 from repro.routing.incidence import multirange_gather
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 __all__ = ["LpRoutingResult", "solve_min_max_load_lp", "fractional_loads"]
 
@@ -72,6 +78,8 @@ def _link_constraints(
     CSR its parent shares with it, and cached, so the joint and unilateral
     LPs of one negotiation scope share it.
     """
+    from scipy.sparse import csc_array, vstack
+
     sizes = table.flowset.sizes()
     n_x = table.n_flows * table.n_alternatives
     blocks = []
@@ -156,6 +164,8 @@ def solve_min_max_load_lp(
         [caps[side] for side in sides],
         [bases[side] for side in sides],
     )
+    from scipy.sparse import csc_array
+
     # sum_i x[f, i] = 1 for every flow: one 1.0 per x-column, none for t.
     a_eq = csc_array(
         (

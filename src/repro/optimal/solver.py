@@ -26,10 +26,12 @@ Unknown solver names raise :class:`ConfigurationError` (the library-wide
 backend-selection convention); solver *failures* on a concrete problem,
 and non-finite or mis-shaped problem data, raise :class:`OptimizationError`.
 
-The HiGHS bindings (and with them ``scipy.optimize``) are imported at the
-first solve, not with this module, so runs that solve no LP (``distance``,
-``multi-isp``) never load them. A scipy without that module raises
-:class:`ConfigurationError` naming the module and the scipy version.
+scipy is imported at the first solve, not with this module: the HiGHS
+bindings (and with them ``scipy.optimize``) and the ``scipy.sparse``
+matrices a backend stacks its constraints in. Runs that solve no LP
+(``distance``, ``multi-isp``) never load scipy at all. A scipy without the
+HiGHS module raises :class:`ConfigurationError` naming the module and the
+scipy version.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, vstack
 
 from repro.errors import ConfigurationError, OptimizationError
 from repro.util.validation import validate_choice
@@ -131,6 +132,8 @@ def _highs_core():
 
 def _constraints(matrix, rhs, n: int, kind: str):
     """One constraint block in CSC and its right-hand side, checked."""
+    from scipy.sparse import csc_array
+
     matrix = csc_array((0, n) if matrix is None else matrix)
     rhs = np.zeros(0) if rhs is None else np.asarray(rhs, dtype=float)
     if matrix.shape[1] != n or rhs.shape != (matrix.shape[0],):
@@ -213,6 +216,8 @@ class ScipyLinprogSolver(LpSolver):
         ]
 
     def solve(self, problem: LpProblem) -> LpSolution:
+        from scipy.sparse import vstack
+
         core = _highs_core()
         c, a_ub, b_ub, a_eq, b_eq, bounds = _checked(problem)
         a = vstack((a_ub, a_eq), format="csc")

@@ -5,27 +5,27 @@ Section 5.1 is measured over the geographic *length* of the chosen path —
 the same split the paper inherits from Rocketfuel, whose inferred weights
 approximate but do not equal geographic distance.
 
-The per-source caches are filled by one batched
-``scipy.sparse.csgraph.dijkstra`` call over the ISP's compiled CSR link
-graph for all missing sources; distances and paths are then reconstructed
-from the predecessor matrix by dynamic programming in ascending-distance
-order. Accumulating ``d[pred] + w`` along the shortest-path tree gives the
-same floats as a textbook per-source Dijkstra whenever shortest paths are
-unique (the repo's jittered continuous weights guarantee this; equal-cost
-ties may legitimately route a different, equally short path). The
-per-source reference lives in the test suite.
+Each source is routed by a textbook Dijkstra over the ISP's per-PoP
+adjacency lists (:meth:`~repro.topology.isp.ISPTopology.adjacency`) with a
+``(distance, PoP)`` heap, so PoPs settle in (distance, index) order and a
+PoP's predecessor is the first settled neighbour that reaches its minimum.
+Each relaxation computes ``d[u] + w``, the float a per-source networkx
+Dijkstra computes, so distances match it bit for bit, and so do paths
+whenever shortest paths are unique (the repo's jittered continuous weights
+guarantee this; under equal-cost ties the two may route different, equally
+short paths). The networkx reference lives in the test suite.
 
-Paths are computed lazily and cached; an ISP with ``k`` interconnections
-only ever needs ``k + |sources|`` single-source runs, and ``warm()``
-batches them into a single csgraph call.
+Paths are computed lazily and cached per source; an ISP with ``k``
+interconnections only ever needs ``k + |sources|`` single-source runs, and
+``warm()`` runs the missing ones up front.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import RoutingError
 from repro.topology.isp import ISPTopology
@@ -38,8 +38,8 @@ class IntradomainRouting:
 
     def __init__(self, isp: ISPTopology):
         self._isp = isp
-        # src -> (weight-dist dict, path dict)
-        self._sssp_cache: dict[int, tuple[dict[int, float], dict[int, list[int]]]] = {}
+        # src -> (weight-dist dict in settle order, predecessor per PoP)
+        self._sssp_cache: dict[int, tuple[dict[int, float], list[int]]] = {}
         # (src, dst) -> np.ndarray of link indices
         self._link_cache: dict[tuple[int, int], np.ndarray] = {}
         # (src, dst) -> geographic length of the routed path
@@ -49,12 +49,6 @@ class IntradomainRouting:
         # the routing layer's last per-query allocation).
         self._link_lengths = np.asarray(
             [link.length_km for link in isp.links], dtype=float
-        )
-        # link index -> routing weight, mirrored from the topology so the
-        # csgraph DP accumulates the exact Python floats of the link
-        # attributes.
-        self._link_weights = np.asarray(
-            [link.weight for link in isp.links], dtype=float
         )
         # src -> dense per-PoP views for the batched table builder
         self._weight_array_cache: dict[int, np.ndarray] = {}
@@ -67,60 +61,41 @@ class IntradomainRouting:
 
     # -- internals ----------------------------------------------------------
 
-    def _sssp(self, src: int) -> tuple[dict[int, float], dict[int, list[int]]]:
+    def _sssp(self, src: int) -> tuple[dict[int, float], list[int]]:
         if src not in self._sssp_cache:
             self._sssp_batch([src])
         return self._sssp_cache[src]
 
     def _sssp_batch(self, sources: Sequence[int]) -> None:
-        """Fill the SSSP cache for every missing source in one csgraph call.
+        """Fill the SSSP cache for every missing source, one Dijkstra each.
 
-        The predecessor matrix is turned back into ``(dists, paths)``
-        dicts: processing destinations in ascending-distance order
-        (strictly positive weights put every predecessor before its
-        children) lets each entry be derived from its predecessor's —
-        ``d[dst] = d[pred] + w`` is the left-associated accumulation a
-        textbook Dijkstra performs, so cached floats match a per-source
-        Dijkstra bit for bit.
+        A source's entry is its distances as a dict in settle order (so
+        every PoP follows its predecessor) and its predecessor list (``-1``
+        for the source and for unreachable PoPs).
         """
-        missing: list[int] = []
+        adjacency = self._isp.adjacency()
+        n = len(adjacency)
         for src in sources:
-            if src not in self._sssp_cache and src not in missing:
-                self._isp.pop(src)  # validates the index
-                missing.append(src)
-        if not missing:
-            return
-        dist_rows, pred_rows = _csgraph_dijkstra(
-            self._isp.link_csr(),
-            directed=True,
-            indices=missing,
-            return_predecessors=True,
-        )
-        dist_rows = np.atleast_2d(dist_rows)
-        pred_rows = np.atleast_2d(pred_rows)
-        edge_links = self._isp.link_index_map()
-        # Ascending-distance visit order and reachable counts for the whole
-        # batch in one vectorized pass; .tolist() hoists the per-element
-        # numpy-scalar conversions out of the DP loop (exact float values
-        # either way).
-        order_rows = np.argsort(dist_rows, axis=1, kind="stable")
-        finite_counts = np.isfinite(dist_rows).sum(axis=1).tolist()
-        pred_lists = pred_rows.tolist()
-        weights = self._link_weights.tolist()
-        for row, src in enumerate(missing):
-            pred_row = pred_lists[row]
+            if src in self._sssp_cache:
+                continue
+            self._isp.pop(src)  # validates the index
             dists: dict[int, float] = {}
-            paths: dict[int, list[int]] = {}
-            for dst in order_rows[row, : finite_counts[row]].tolist():
-                if dst == src:
-                    dists[src] = 0.0
-                    paths[src] = [src]
+            best = [float("inf")] * n
+            preds = [-1] * n
+            best[src] = 0.0
+            heap = [(0.0, src)]
+            while heap:
+                dist, pop = heappop(heap)
+                if pop in dists:
                     continue
-                pred = pred_row[dst]
-                link = edge_links[(pred, dst)]
-                dists[dst] = dists[pred] + weights[link]
-                paths[dst] = paths[pred] + [dst]
-            self._sssp_cache[src] = (dists, paths)
+                dists[pop] = dist
+                for neighbour, weight in adjacency[pop]:
+                    candidate = dist + weight
+                    if candidate < best[neighbour]:
+                        best[neighbour] = candidate
+                        preds[neighbour] = pop
+                        heappush(heap, (candidate, neighbour))
+            self._sssp_cache[src] = (dists, preds)
 
     # -- public API -----------------------------------------------------------
 
@@ -136,13 +111,17 @@ class IntradomainRouting:
 
     def path(self, src: int, dst: int) -> list[int]:
         """PoP indices along the routed path, inclusive of endpoints."""
-        _, paths = self._sssp(src)
-        try:
-            return list(paths[dst])
-        except KeyError:
+        dists, preds = self._sssp(src)
+        if dst not in dists:
             raise RoutingError(
                 f"{self._isp.name}: no path from PoP {src} to {dst}"
-            ) from None
+            )
+        pops = [dst]
+        while dst != src:
+            dst = preds[dst]
+            pops.append(dst)
+        pops.reverse()
+        return pops
 
     def path_links(self, src: int, dst: int) -> np.ndarray:
         """Link indices along the routed path (empty array if src == dst)."""
@@ -177,9 +156,8 @@ class IntradomainRouting:
         return dict(dists)
 
     def warm(self, sources: Sequence[int]) -> None:
-        """Pre-compute SSSP state for the given sources (optional): all
-        missing sources share one batched Dijkstra call."""
-        self._sssp_batch(list(sources))
+        """Pre-compute SSSP state for the given sources (optional)."""
+        self._sssp_batch(sources)
 
     # -- batched per-source views (the column-fill table builder) -------------
 
@@ -219,7 +197,7 @@ class IntradomainRouting:
         """Fill both per-source views in one DP over the shortest-path tree.
 
         Every routed path from ``src`` is its predecessor's path plus one
-        hop, so visiting destinations in hop-count order (parents first)
+        hop, so visiting destinations in settle order (parents first)
         derives each from its parent: ``links[dst] = links[pred] + [link]``
         and ``geo[dst] = geo[pred] + length[link]``. The second is exactly
         the left fold :meth:`geo_distance_km` performs along the path. This
@@ -229,14 +207,14 @@ class IntradomainRouting:
         :meth:`path_links` / :meth:`geo_distance_km` caches, so those stay
         plain per-path computations.
         """
-        _, paths = self._sssp(src)
+        dists, preds = self._sssp(src)
         edge_links = self._isp.link_index_map()
         lengths = self._link_lengths.tolist()
         hops: dict[int, list[int]] = {src: []}
         km: dict[int, float] = {src: 0.0}
-        for dst in sorted(paths, key=lambda pop: len(paths[pop])):
+        for dst in dists:
             if dst != src:
-                pred = paths[dst][-2]
+                pred = preds[dst]
                 link = edge_links[(pred, dst)]
                 hops[dst] = hops[pred] + [link]
                 km[dst] = km[pred] + lengths[link]

@@ -110,9 +110,9 @@ def build_scale_pair(
     both ISPs are near-square grid topologies over the same synthetic
     city set (interconnection cities therefore exist on both sides), with
     per-ISP jittered continuous link weights drawn deterministically from
-    ``seed``. Continuous jitter makes every shortest path unique, which
-    keeps csgraph routing bit-identical to a textbook per-source Dijkstra
-    (equal-cost ties are the one case where they may legitimately differ).
+    ``seed``. Continuous jitter makes every shortest path unique, so any
+    Dijkstra routes the same paths here, networkx's included (equal-cost
+    ties are the one case where two may legitimately differ).
 
     ``n_interconnections`` evenly spaced grid cities peer the two sides
     at the same PoP index on both.

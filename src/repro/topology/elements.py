@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import TopologyError
@@ -42,8 +43,10 @@ class Link:
         weight: routing weight (OSPF-style); shortest paths minimize the sum
             of weights. The dataset generator sets weight = geographic
             length, mirroring how the Rocketfuel weights were inferred.
+            Finite and > 0: Dijkstra needs positive weights, and a NaN or
+            inf weight would be routed around or leave PoPs unreachable.
         length_km: geographic length of the link, used by the distance
-            resource metric.
+            resource metric. Finite and >= 0.
     """
 
     index: int
@@ -64,10 +67,14 @@ class Link:
             low, high = self.v, self.u
             object.__setattr__(self, "u", low)
             object.__setattr__(self, "v", high)
-        if self.weight <= 0:
-            raise TopologyError(f"link weight must be > 0, got {self.weight}")
-        if self.length_km < 0:
-            raise TopologyError(f"link length must be >= 0, got {self.length_km}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise TopologyError(
+                f"link weight must be finite and > 0, got {self.weight}"
+            )
+        if not (math.isfinite(self.length_km) and self.length_km >= 0):
+            raise TopologyError(
+                f"link length must be finite and >= 0, got {self.length_km}"
+            )
 
     @property
     def endpoints(self) -> tuple[int, int]:

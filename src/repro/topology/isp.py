@@ -5,17 +5,14 @@ of PoPs. It mirrors what the Rocketfuel dataset provides for each measured
 ISP: city-level nodes with geographic coordinates and weighted inter-PoP
 links. Routing over the topology lives in :mod:`repro.routing`.
 
-The graph is held as an endpoints-to-link dict and a per-PoP degree list,
-plus the CSR that :meth:`ISPTopology.link_csr` compiles for routing on
-first use; :func:`spanning_forest` (union-find) checks connectivity.
+The graph is held as an endpoints-to-link dict and per-PoP adjacency
+lists (:meth:`ISPTopology.adjacency`, which routing's Dijkstra walks);
+:func:`spanning_forest` (union-find) checks connectivity.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-import numpy as np
-import scipy.sparse
 
 from repro.errors import TopologyError
 from repro.geo.coords import great_circle_km
@@ -68,7 +65,6 @@ class ISPTopology:
         self._validate_links()
         self._validate_connected()
         self._pop_by_city = {pop.city: pop for pop in self._pops}
-        self._link_csr: scipy.sparse.csr_matrix | None = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -92,7 +88,7 @@ class ISPTopology:
                 f"ISP {self._name!r}: link indices must be dense 0..m-1"
             )
         self._link_index: dict[tuple[int, int], int] = {}
-        self._degrees = [0] * n
+        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for link in self._links:
             if link.u >= n or link.v >= n:
                 raise TopologyError(
@@ -104,12 +100,12 @@ class ISPTopology:
                 )
             self._link_index[link.endpoints] = link.index
             self._link_index[link.v, link.u] = link.index
-            self._degrees[link.u] += 1
-            self._degrees[link.v] += 1
+            weight = float(link.weight)
+            adjacency[link.u].append((link.v, weight))
+            adjacency[link.v].append((link.u, weight))
+        self._adjacency = tuple(tuple(neighbours) for neighbours in adjacency)
 
     def _validate_connected(self) -> None:
-        # Union-find, not csgraph over link_csr(): ~7 us per ISP against ~0.2 ms,
-        # and link_csr() keeps compiling (and checking weights) on first use.
         n = len(self._pops)
         if len(spanning_forest(n, (link.endpoints for link in self._links))) != n - 1:
             raise TopologyError(f"ISP {self._name!r}: topology is disconnected")
@@ -163,35 +159,14 @@ class ISPTopology:
         """``(u, v) -> link index`` in both orientations (treat as read-only)."""
         return self._link_index
 
-    def link_csr(self) -> scipy.sparse.csr_matrix:
-        """Symmetric CSR adjacency over link weights, compiled once per ISP.
+    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per-PoP ``(neighbour, weight)`` pairs in link order, built once.
 
-        This is the graph the batched :mod:`scipy.sparse.csgraph` SSSP
-        engine runs over. Weights must be strictly positive: csgraph
-        treats stored zeros as absent edges, so a zero-weight link would
-        silently vanish from the routed graph.
+        ``adjacency()[p]`` lists every link at PoP ``p`` by ascending link
+        index, each as the far endpoint and the link's weight as a float;
+        the graph routing runs its Dijkstra over.
         """
-        if self._link_csr is None:
-            for link in self._links:
-                if not link.weight > 0:
-                    raise TopologyError(
-                        f"ISP {self._name!r}: link {link.index} has non-positive "
-                        f"weight {link.weight}; link_csr() requires weights > 0"
-                    )
-            n = self.n_pops()
-            u = np.asarray([link.u for link in self._links], dtype=np.intp)
-            v = np.asarray([link.v for link in self._links], dtype=np.intp)
-            w = np.asarray([link.weight for link in self._links], dtype=float)
-            matrix = scipy.sparse.coo_matrix(
-                (
-                    np.concatenate([w, w]),
-                    (np.concatenate([u, v]), np.concatenate([v, u])),
-                ),
-                shape=(n, n),
-            ).tocsr()
-            matrix.data.setflags(write=False)
-            self._link_csr = matrix
-        return self._link_csr
+        return self._adjacency
 
     # -- derived properties --------------------------------------------------
 
@@ -219,7 +194,7 @@ class ISPTopology:
 
     def degree(self, pop_index: int) -> int:
         self.pop(pop_index)
-        return self._degrees[pop_index]
+        return len(self._adjacency[pop_index])
 
     def geographic_span_km(self) -> float:
         """Largest great-circle distance between any two PoPs."""

@@ -9,13 +9,29 @@ from repro.routing.paths import IntradomainRouting
 from reference.topology import isp_graph
 
 
+def sssp_entry(graph, src: int, n_pops: int):
+    """One source's ``(dists, preds)`` cache entry from networkx.
+
+    networkx returns its distances in settle order, the order the routing
+    cache keeps them in, and one path per reached PoP; each path's
+    second-to-last PoP is that PoP's predecessor (``-1`` for the source and
+    for unreached PoPs).
+    """
+    dists, paths = nx.single_source_dijkstra(graph, src, weight="weight")
+    preds = [-1] * n_pops
+    for dst, path in paths.items():
+        if len(path) > 1:
+            preds[dst] = path[-2]
+    return dists, preds
+
+
 class NetworkxRouting(IntradomainRouting):
     """:class:`IntradomainRouting` whose SSSP cache is filled by networkx.
 
     Every public query (distances, paths, dense per-source views) reads the
-    same ``(dists, paths)`` cache, so this is a drop-in reference wherever
-    a routing is accepted. On tie-free topologies it matches the batched
-    csgraph fill bit for bit; under equal-cost ties the two may route
+    same ``(dists, preds)`` cache, so this is a drop-in reference wherever
+    a routing is accepted. On tie-free topologies it matches the heap
+    Dijkstra bit for bit; under equal-cost ties the two may route
     different, equally short paths.
     """
 
@@ -27,6 +43,6 @@ class NetworkxRouting(IntradomainRouting):
         for src in sources:
             if src not in self._sssp_cache:
                 self._isp.pop(src)  # validates the index
-                self._sssp_cache[src] = nx.single_source_dijkstra(
-                    self._graph, src, weight="weight"
+                self._sssp_cache[src] = sssp_entry(
+                    self._graph, src, self._isp.n_pops()
                 )

@@ -342,6 +342,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "initial global MEL (no transit)" in out
 
+    def test_multi_isp_command_two_isps_no_transit_label(self, capsys):
+        # Transit needs a third ISP to cross: with two, the coordinator
+        # builds no transit background whatever --transit-scale says.
+        from repro.cli import main
+
+        assert main([
+            "multi-isp", "--preset", "quick", "--isps", "2", "--rounds", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "internetwork: 2 ISPs" in out
+        assert "initial global MEL (no transit)" in out
+
     def test_sweep_multi_isp_command(self, capsys, tmp_path):
         from repro.cli import main
 

@@ -12,7 +12,7 @@ from repro.capacity.loads import link_loads
 from repro.capacity.provisioning import ProportionalCapacity
 from repro.core.agent import NegotiationAgent
 from repro.core.evaluators import LoadAwareEvaluator
-from repro.core.multi_session import MultiSessionCoordinator
+from repro.core.multi_session import MultiSessionCoordinator, carries_transit
 from repro.core.preferences import PreferenceRange
 from repro.core.session import NegotiationSession, SessionConfig
 from repro.core.strategies import ReassignEveryFraction
@@ -290,6 +290,25 @@ class TestDegenerateInternetworks:
         result = MultiSessionCoordinator(net, config=config).run()
         assert result.converged
 
+    @pytest.mark.parametrize(
+        "n_isps, transit_scale, expected",
+        [(2, 3.0, False), (3, 0.0, False), (3, 3.0, True)],
+    )
+    def test_transit_built_exactly_when_carries_transit(
+        self, config, n_isps, transit_scale, expected
+    ):
+        # The CLI labels its run from carries_transit, so the label and
+        # the coordinator's transit background cannot disagree.
+        net = _net(n_isps)
+        coordinator = MultiSessionCoordinator(
+            net, config=config, transit_scale=transit_scale
+        )
+        assert carries_transit(
+            net.n_isps(), net.n_edges(), transit_scale
+        ) is expected
+        assert (coordinator._transit_index is not None) is expected
+        assert not carries_transit(3, 0, transit_scale)
+
     def test_empty_scope_skips_without_session(self, config, monkeypatch):
         """An edge whose scope is empty must short-circuit the session."""
         net = _net(3)
@@ -345,8 +364,8 @@ class TestScaleSpineThreading:
         result_fast = fast.run()
         result_slow = slow.run()
         # Generated topologies have jittered continuous weights (unique
-        # shortest paths), so csgraph and networkx routing must coordinate
-        # identically.
+        # shortest paths), so the heap Dijkstra and networkx routing must
+        # coordinate identically.
         assert result_fast.final_mel == result_slow.final_mel
         for a, b in zip(result_fast.choices, result_slow.choices):
             assert np.array_equal(a, b)

@@ -1,8 +1,9 @@
 """Tests for repro.routing.paths."""
 
-import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError, TopologyError
 from repro.routing.paths import IntradomainRouting
@@ -12,7 +13,7 @@ from repro.topology.builders import (
     build_scale_pair,
 )
 
-from reference.sssp import NetworkxRouting
+from reference.sssp import NetworkxRouting, sssp_entry
 
 
 @pytest.fixture()
@@ -124,8 +125,8 @@ class _CutRouting(NetworkxRouting):
         graph.remove_edge(*self.cut)
         for src in sources:
             if src not in self._sssp_cache:
-                self._sssp_cache[src] = nx.single_source_dijkstra(
-                    graph, src, weight="weight"
+                self._sssp_cache[src] = sssp_entry(
+                    graph, src, self._isp.n_pops()
                 )
 
 
@@ -179,3 +180,79 @@ class TestTreeViews:
         geo = routing.geo_distance_array(0)
         assert routing.geo_distance_array(0) is geo
         assert not geo.flags.writeable
+
+
+@st.composite
+def random_isps(draw, integer_weights: bool):
+    """A random connected ISP of 2-30 PoPs: a random spanning tree plus up
+    to ``2n`` extra links, in shuffled link order.
+
+    Weights are jittered continuous floats (every shortest path unique) or,
+    with ``integer_weights``, integers 1-4 (equal-cost ties everywhere).
+    """
+    n_pops = draw(st.integers(2, 30))
+    n_extra = draw(st.integers(0, 2 * n_pops))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n_pops)}
+    for _ in range(n_extra):
+        u, v = sorted(rng.choice(n_pops, size=2, replace=False).tolist())
+        edges.add((u, v))
+    edges = [sorted(edges)[k] for k in rng.permutation(len(edges))]
+    if integer_weights:
+        weights = rng.integers(1, 5, size=len(edges)).astype(float)
+    else:
+        weights = 100.0 + rng.uniform(0.0, 25.0, size=len(edges))
+    lengths = rng.uniform(0.0, 500.0, size=len(edges))
+    return build_custom_isp(
+        "random",
+        [(f"City{p}", 0.1 * p, -0.1 * p) for p in range(n_pops)],
+        [(u, v, float(w)) for (u, v), w in zip(edges, weights)],
+        lengths=lengths.tolist(),
+    )
+
+
+class TestDijkstraDifferential:
+    """The heap Dijkstra against one networkx Dijkstra per source."""
+
+    @settings(deadline=None)
+    @given(isp=random_isps(integer_weights=False))
+    def test_jittered_weights_match_networkx(self, isp):
+        fast, slow = IntradomainRouting(isp), NetworkxRouting(isp)
+        for src in range(isp.n_pops()):
+            assert fast.distances_to_all(src) == slow.distances_to_all(src)
+            assert np.array_equal(
+                fast.weight_distance_array(src), slow.weight_distance_array(src)
+            )
+            assert np.array_equal(
+                fast.geo_distance_array(src), slow.geo_distance_array(src)
+            )
+            for got, want in zip(
+                fast.path_links_array(src), slow.path_links_array(src)
+            ):
+                assert np.array_equal(got, want)
+            for dst in range(isp.n_pops()):
+                assert fast.path(src, dst) == slow.path(src, dst)
+                assert np.array_equal(
+                    fast.path_links(src, dst), slow.path_links(src, dst)
+                )
+
+    @settings(deadline=None)
+    @given(isp=random_isps(integer_weights=True))
+    def test_integer_weights_match_networkx_and_pin_the_tie_rule(self, isp):
+        fast, slow = IntradomainRouting(isp), NetworkxRouting(isp)
+        adjacency = isp.adjacency()
+        for src in range(isp.n_pops()):
+            dists = fast.distances_to_all(src)
+            assert dists == slow.distances_to_all(src)
+            # PoPs settle in (distance, index) order ...
+            assert list(dists) == sorted(dists, key=lambda p: (dists[p], p))
+            # ... and each takes as predecessor the first settled
+            # neighbour that reaches its distance.
+            for dst in dists:
+                if dst == src:
+                    continue
+                reaching = [
+                    u for u, w in adjacency[dst] if dists[u] + w == dists[dst]
+                ]
+                first = min(reaching, key=lambda u: (dists[u], u))
+                assert fast.path(src, dst)[-2] == first

@@ -2,9 +2,9 @@
 
 Covers the PR 8 contracts end to end:
 
-* batched csgraph SSSP is bit-identical to the per-source networkx
+* the heap Dijkstra is bit-identical to the per-source networkx
   reference on every public routing surface (distances, paths, dense
-  per-source views);
+  per-source views), and runs over each ISP's adjacency lists;
 * ``build_scale_pair`` manufactures deterministic grid pairs beyond the
   city database's ~136-city ceiling;
 * the batched table build is bit-identical to the cell-by-cell reference
@@ -110,11 +110,11 @@ def _strided_flowset(pair, target_flows: int) -> FlowSet:
 
 
 # ---------------------------------------------------------------------------
-# csgraph SSSP vs the networkx reference
+# Heap Dijkstra vs the networkx reference
 # ---------------------------------------------------------------------------
 
 
-class TestCsgraphEngine:
+class TestDijkstraEngine:
     def test_unknown_engine_rejected(self, fig1):
         # One SSSP path: there is no engine to select any more.
         with pytest.raises(TypeError, match="engine"):
@@ -132,8 +132,9 @@ class TestCsgraphEngine:
 
     def test_distances_identical_under_ties(self, fig2):
         # Figure 2's hand-built integer weights contain equal-cost ties —
-        # the one case where csgraph and networkx may legitimately route
-        # different (equally short) paths. Distances must still agree.
+        # the one case where the heap Dijkstra and networkx may
+        # legitimately route different (equally short) paths. Distances
+        # must still agree.
         for isp in (fig2.pair.isp_a, fig2.pair.isp_b):
             fast = IntradomainRouting(isp)
             slow = NetworkxRouting(isp)
@@ -150,7 +151,7 @@ class TestCsgraphEngine:
         fast = IntradomainRouting(isp)
         slow = NetworkxRouting(isp)
         sources = range(isp.n_pops())
-        fast.warm(sources)  # one batched csgraph call for all sources
+        fast.warm(sources)  # one heap Dijkstra per source
         slow.warm(sources)
         for src in sources:
             d_fast = fast.distances_to_all(src)
@@ -186,30 +187,28 @@ class TestCsgraphEngine:
             routing.warm([fig1.pair.isp_a.n_pops() + 3])
 
 
-class TestLinkCsr:
-    def test_symmetric_and_matches_link_weights(self, fig1):
-        isp = fig1.pair.isp_a
-        dense = isp.link_csr().toarray()
-        assert np.array_equal(dense, dense.T)
-        for link in isp.links:
-            assert dense[link.u, link.v] == link.weight
-        assert dense.diagonal().sum() == 0.0
+class TestAdjacency:
+    def test_each_link_at_both_ends_in_link_order(self, fig1, fig2):
+        scale = build_scale_pair(30, n_interconnections=3, seed=2).isp_a
+        for isp in (fig1.pair.isp_a, fig2.pair.isp_b, scale):
+            adjacency = isp.adjacency()
+            assert len(adjacency) == isp.n_pops()
+            for pop in range(isp.n_pops()):
+                assert adjacency[pop] == tuple(
+                    (link.other(pop), link.weight)
+                    for link in isp.links
+                    if pop in link.endpoints
+                )
+                assert len(adjacency[pop]) == isp.degree(pop)
+                # Figure 2's integer weights are routed as floats.
+                assert all(type(w) is float for _, w in adjacency[pop])
 
-    def test_compiled_once_and_read_only(self, fig1):
+    def test_built_once_and_read_only(self, fig1):
         isp = fig1.pair.isp_b
-        matrix = isp.link_csr()
-        assert isp.link_csr() is matrix
-        assert not matrix.data.flags.writeable
-
-    def test_non_positive_weight_rejected(self):
-        pair = build_scale_pair(6, n_interconnections=2, seed=0)
-        isp = pair.isp_a
-        # Link validates weight > 0 at construction, so a zero weight can
-        # only arrive via mutation — exactly the corruption the compile
-        # guard exists to catch (csgraph drops stored zeros silently).
-        object.__setattr__(isp.links[0], "weight", 0.0)
-        with pytest.raises(TopologyError, match="non-positive"):
-            isp.link_csr()
+        adjacency = isp.adjacency()
+        assert isp.adjacency() is adjacency
+        assert type(adjacency) is tuple
+        assert all(type(neighbours) is tuple for neighbours in adjacency)
 
 
 class TestBuildScalePair:

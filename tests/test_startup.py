@@ -1,9 +1,11 @@
 """Import structure: what a process loads before it does any work.
 
-networkx is a test-only dependency, and ``scipy.optimize`` is imported at
-the first LP solve, so neither may load with the package, its CLI or its
-experiment drivers. This process has long since imported both, so every
-check runs in a fresh interpreter.
+networkx is a test-only dependency, and scipy is imported at the first LP
+(``scipy.sparse`` where the LP assembles its constraints,
+``scipy.optimize`` at its solve), so neither may load with the package,
+its CLI or its experiment drivers, nor in a run that solves no LP. This
+process has long since imported both, so every check runs in a fresh
+interpreter.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ MODULES = (
     "repro.experiments.internetwork",
     "repro.experiments.bandwidth",
 )
-HEAVY = ("networkx", "scipy.optimize")
+#: Top-level packages no import may load.
+HEAVY = ("networkx", "scipy")
 
 #: The verbs run without networkx, in this order; only bandwidth solves LPs.
 VERBS = (
@@ -41,23 +44,39 @@ import io, json, sys
 sys.modules["networkx"] = None  # every networkx import now raises ImportError
 
 from repro.cli import main
+from repro.optimal import bandwidth_lp
 from repro.optimal.solver import ScipyLinprogSolver
 
-solve = ScipyLinprogSolver.solve
-optimize_at_solve = []
+
+def loaded():
+    # Whether scipy, scipy.sparse and scipy.optimize are loaded.
+    return [
+        any(m == name or m.startswith(name + ".") for m in sys.modules)
+        for name in ("scipy", "scipy.sparse", "scipy.optimize")
+    ]
 
 
-def spy(self, problem):
-    optimize_at_solve.append("scipy.optimize" in sys.modules)
+assemble, solve = bandwidth_lp._link_constraints, ScipyLinprogSolver.solve
+at_assembly, at_solve = [], []
+
+
+def spy_assembly(*args):
+    at_assembly.append(loaded())
+    return assemble(*args)
+
+
+def spy_solve(self, problem):
+    at_solve.append(loaded())
     return solve(self, problem)
 
 
-ScipyLinprogSolver.solve = spy
+bandwidth_lp._link_constraints = spy_assembly
+ScipyLinprogSolver.solve = spy_solve
 runs = {}
 for argv in %r:
     status = main(argv, out=io.StringIO())
-    runs[argv[0]] = [status, len(optimize_at_solve), "scipy.optimize" in sys.modules]
-print(json.dumps({"runs": runs, "optimize_at_solve": optimize_at_solve}))
+    runs[argv[0]] = [status, len(at_solve), loaded()]
+print(json.dumps({"runs": runs, "at_assembly": at_assembly, "at_solve": at_solve}))
 """
 
 
@@ -79,13 +98,16 @@ def _run_python(code: str, cwd: Path):
 def test_imports_leave_networkx_and_scipy_optimize_out(tmp_path):
     # Imports only ever add to sys.modules, so checking after each import
     # in turn proves each module clean on its own, and names the first
-    # one that is not.
+    # one that is not. Any scipy submodule counts, scipy.optimize included.
     loaded = _run_python(
         "import importlib, json, sys\n"
         "loaded = {}\n"
         f"for name in {MODULES!r}:\n"
         "    importlib.import_module(name)\n"
-        f"    loaded[name] = [m for m in {HEAVY!r} if m in sys.modules]\n"
+        "    loaded[name] = sorted(\n"
+        "        m for m in sys.modules\n"
+        f"        if m.partition('.')[0] in {HEAVY!r}\n"
+        "    )\n"
         "print(json.dumps(loaded))\n",
         tmp_path,
     )
@@ -95,11 +117,17 @@ def test_imports_leave_networkx_and_scipy_optimize_out(tmp_path):
 def test_cli_runs_without_networkx_and_loads_optimize_at_first_lp(tmp_path):
     report = _run_python(CLI_SCRIPT % (VERBS,), tmp_path)
     runs = report["runs"]
-    # [exit status, LP solves so far, scipy.optimize loaded]
-    assert runs["figure1"] == [0, 0, False]
-    assert runs["distance"] == [0, 0, False]
-    assert runs["multi-isp"] == [0, 0, False]
-    status, solves, optimize_loaded = runs["bandwidth"]
-    assert status == 0 and solves > 0 and optimize_loaded
-    # The first solve imports scipy.optimize; every later one finds it.
-    assert report["optimize_at_solve"] == [False] + [True] * (solves - 1)
+    none = [False, False, False]
+    # [exit status, LP solves so far, [scipy, .sparse, .optimize] loaded]
+    assert runs["figure1"] == [0, 0, none]
+    assert runs["distance"] == [0, 0, none]
+    assert runs["multi-isp"] == [0, 0, none]
+    status, solves, after = runs["bandwidth"]
+    assert status == 0 and solves > 0 and after == [True, True, True]
+    # No scipy until the first LP assembles its constraints, which loads
+    # scipy.sparse; its solve then loads scipy.optimize, and every later
+    # LP finds both.
+    assert report["at_assembly"][0] == none
+    assert report["at_solve"] == [[True, True, False]] + [[True, True, True]] * (
+        solves - 1
+    )

@@ -1,5 +1,7 @@
 """Tests for repro.topology.elements."""
 
+import math
+
 import pytest
 
 from repro.errors import TopologyError
@@ -49,9 +51,22 @@ class TestLink:
         with pytest.raises(TopologyError):
             Link(index=0, u=0, v=1, weight=weight, length_km=1.0)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # Dijkstra would route around a NaN link, and an inf one leaves
+        # the PoPs behind it unreachable although the graph is connected.
+        with pytest.raises(TopologyError, match="weight must be finite"):
+            Link(index=0, u=0, v=1, weight=weight, length_km=1.0)
+
     def test_negative_length_rejected(self):
         with pytest.raises(TopologyError):
             Link(index=0, u=0, v=1, weight=1.0, length_km=-0.1)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_rejected(self, length):
+        # A NaN length would make every routed distance over it NaN.
+        with pytest.raises(TopologyError, match="length must be finite"):
+            Link(index=0, u=0, v=1, weight=1.0, length_km=length)
 
     def test_zero_length_allowed(self):
         # Same-city peering links can be zero length.

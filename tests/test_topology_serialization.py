@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, TopologyError
 from repro.topology.builders import build_line_isp
 from repro.topology.serialization import (
     FINGERPRINT_LEN,
@@ -64,6 +64,22 @@ class TestErrors:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"schema": 99, "isps": []}))
         with pytest.raises(SerializationError):
+            load_dataset_json(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weight", float("nan")), ("weight", float("inf")),
+         ("length_km", float("nan")), ("length_km", float("inf"))],
+    )
+    def test_non_finite_link_rejected(self, tmp_path, field, value):
+        # json reads NaN and Infinity as floats; the Link check refuses
+        # them while the file loads, not at the first routing query.
+        path = tmp_path / "non_finite.json"
+        save_dataset_json([build_line_isp("nf", ["A", "B", "C"])], path)
+        payload = json.loads(path.read_text())
+        payload["isps"][0]["links"][1][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TopologyError, match="must be finite"):
             load_dataset_json(path)
 
 
