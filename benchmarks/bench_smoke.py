@@ -49,11 +49,7 @@ from repro.core.evaluators import (
 from repro.core.mapping import AutoScaleDeltaMapper, LinearDeltaMapper
 from repro.core.preferences import PreferenceRange
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.core.strategies import (
-    MaxCombinedProposals,
-    ReassignEveryFraction,
-    TerminationMode,
-)
+from repro.core.strategies import ReassignEveryFraction, TerminationMode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import build_distance_problem
 from repro.geo.cities import default_city_database
@@ -76,8 +72,6 @@ from reference import tables as reference_tables  # noqa: E402
 from reference.negotiation import (  # noqa: E402
     PerRoundSession,
     ReferenceRollbackSession,
-    RescanningProposals,
-    ScanningAgent,
     outcome_signature,
 )
 from reference.sssp import NetworkxRouting  # noqa: E402
@@ -344,44 +338,45 @@ def _rollback_session_setup(problem):
     sides run under full termination, so the session accepts every trade
     with a positive joint gain, and B ends below its default by one class
     per trade. The win-win rollback then undoes all of them, one tie
-    (pref_b = -1) at a time. The production side is the epoch loop (one
-    epoch here: nothing reassigns) plus the heap rollback; the reference
-    side is :class:`PerRoundSession`, which rescans the (F, I) matrix every
-    round, and rolls back by min-and-remove. Both deliver the identical
-    outcome (asserted once at setup).
+    (pref_b = -1) at a time. Both sides run the same agents and evaluators.
+    The production side is the epoch loop (one epoch here: nothing
+    reassigns) plus the heap rollback; the reference side is
+    :class:`ReferenceRollbackSession`, whose per-round proposal rule
+    rescans the (F, I) matrix every round, and which rolls back by
+    min-and-remove. Both deliver the identical outcome (asserted once at
+    setup).
     """
     rows = np.arange(problem.n_flows)
     flat_cost = np.ones_like(problem.cost_b)
     flat_cost[rows, problem.defaults] = 0.0
     p_range = PreferenceRange(10)
 
-    def session(session_cls, agent_cls, proposals_cls):
+    def session(session_cls):
         def run():
             mapper_a = AutoScaleDeltaMapper(
                 p_range, conservative=False, quantile=100.0
             )
             mapper_b = LinearDeltaMapper(p_range, unit=1.0)
             return session_cls(
-                agent_cls(
+                NegotiationAgent(
                     "a",
                     StaticCostEvaluator(
                         problem.cost_a, problem.defaults, mapper_a
                     ),
                     termination=TerminationMode.FULL,
                 ),
-                agent_cls(
+                NegotiationAgent(
                     "b",
                     StaticCostEvaluator(flat_cost, problem.defaults, mapper_b),
                     termination=TerminationMode.FULL,
                 ),
                 defaults=problem.defaults,
-                config=SessionConfig(proposal_policy=proposals_cls()),
             ).run()
 
         return run
 
-    fast = session(NegotiationSession, NegotiationAgent, MaxCombinedProposals)
-    slow = session(ReferenceRollbackSession, ScanningAgent, RescanningProposals)
+    fast = session(NegotiationSession)
+    slow = session(ReferenceRollbackSession)
     assert outcome_signature(fast()) == outcome_signature(slow())
     return fast, slow
 
@@ -665,21 +660,19 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
         )
         return lambda: evaluator.reassign(remaining)
 
-    def session_run(evaluator_cls, agent_cls, proposals_cls,
-                    session_cls=NegotiationSession):
+    def session_run(evaluator_cls, session_cls=NegotiationSession):
         def run():
             session = session_cls(
-                agent_cls(
+                NegotiationAgent(
                     "a", evaluator_cls(table, "a", caps_a, defaults)
                 ),
-                agent_cls(
+                NegotiationAgent(
                     "b", evaluator_cls(table, "b", caps_b, defaults)
                 ),
                 sizes=table.flowset.sizes(),
                 defaults=defaults,
                 config=SessionConfig(
                     reassignment_policy=ReassignEveryFraction(0.05),
-                    proposal_policy=proposals_cls(),
                 ),
             )
             return session.run()
@@ -759,26 +752,20 @@ def main(output: Path = DEFAULT_OUTPUT, check: bool = False) -> dict:
             scenario_aware_reassign(ReferenceScenarioAwareEvaluator),
             3,
         ),
-        "session_reassign_loadaware": (
+        # The whole session: the epoch loop over the vectorized evaluators
+        # against the per-round session over the loop evaluators.
+        "session_reassign_loadaware": _same_outcome(
+            session_run(LoadAwareEvaluator),
             session_run(
-                LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals
-            ),
-            session_run(
-                reference_evaluators.LoadAwareEvaluator, ScanningAgent,
-                RescanningProposals, PerRoundSession,
+                reference_evaluators.LoadAwareEvaluator, PerRoundSession
             ),
             3,
         ),
         # The epoch batching alone: both sides run the production
-        # evaluators, agents and proposal rule; only the loop differs.
+        # evaluators, agents and policies; only the loop differs.
         "session_epoch_loadaware": _same_outcome(
-            session_run(
-                LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals
-            ),
-            session_run(
-                LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals,
-                PerRoundSession,
-            ),
+            session_run(LoadAwareEvaluator),
+            session_run(LoadAwareEvaluator, PerRoundSession),
             5,
         ),
         "sweep_warm_start": (

@@ -6,9 +6,12 @@ the protocol: what to disclose, when to stop, and whether to accept a
 proposal. Deployment-wise this is the "negotiation agent" of Figure 12 that
 sits on top of the routing infrastructure.
 
-A session runs the stop rule over an epoch from
-:meth:`~NegotiationAgent.gain_flows` and settles the epoch with
-:meth:`~NegotiationAgent.commit_epoch`, so an override of a decision sees
+A session reads :meth:`~NegotiationAgent.disclosed_preferences` and
+:meth:`~NegotiationAgent.gain_flows` once per epoch (the rounds between two
+disclosures), asks :meth:`~NegotiationAgent.decide_accept` every round, and
+settles each epoch with :meth:`~NegotiationAgent.commit_epoch`. A subclass
+may override what it discloses, provided that changes only on
+reassignment, and how it accepts; an accept override sees
 ``cumulative_gain`` each round but evaluator state as of the epoch's start.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.evaluators import Evaluator, commit_in_order
+from repro.core.evaluators import Evaluator
 from repro.core.strategies import AcceptancePolicy, AlwaysAccept, TerminationMode
 from repro.errors import NegotiationError
 
@@ -25,11 +28,6 @@ __all__ = ["NegotiationAgent"]
 
 class NegotiationAgent:
     """One ISP's side of a Nexit session."""
-
-    #: Disclosed and true classes only change on reassignment, so a session
-    #: decides an epoch from one read of them. A subclass whose classes vary
-    #: round to round sets this False, making every epoch one round long.
-    disclosure_changes_only_on_reassign = True
 
     def __init__(
         self,
@@ -68,29 +66,19 @@ class NegotiationAgent:
 
     # -- protocol decisions ---------------------------------------------------
 
-    def wants_to_stop(self, remaining: np.ndarray,
-                      reassignable: bool = False) -> bool:
-        """The "Stop?" step, from this agent's perspective.
-
-        Early termination: stop when no remaining alternative carries a
-        positive preference for *this* agent — it "perceives no additional
-        gain in continuing". When preferences are ``reassignable``
-        (load-dependent), a zero-now alternative can become positive after
-        reassignment, so the agent only stops once every remaining
-        alternative is strictly negative. Full termination: never stop
-        unilaterally (the session stops when joint gain is exhausted).
-
-        A session answers this for the stock agent from a cursor over
-        :meth:`gain_flows` and only calls an override of it.
-        """
-        if self.termination is TerminationMode.FULL:
-            return False
-        return not self.gain_flows(remaining, reassignable)
-
     def gain_flows(self, remaining: np.ndarray,
                    reassignable: bool = False) -> list[int]:
-        """The remaining flows with a true class of 1 or more (0 or more when
-        ``reassignable``): an EARLY agent stops once none is left."""
+        """The "Stop?" step: the remaining flows with a true class of 1 or
+        more, or 0 or more when ``reassignable``.
+
+        Under early termination the agent stops on its turn once none of
+        them is left: it "perceives no additional gain in continuing". When
+        preferences are ``reassignable`` (load-dependent), a zero-now
+        alternative can become positive after reassignment, so the agent
+        only stops once every remaining alternative is strictly negative.
+        Under full termination it never stops on its own (the session
+        stops when joint gain is exhausted).
+        """
         floor = 0 if reassignable else 1
         gains = (self.true_preferences() >= floor).any(axis=1)
         return np.flatnonzero(np.asarray(remaining, dtype=bool) & gains).tolist()
@@ -103,27 +91,15 @@ class NegotiationAgent:
 
     # -- state updates ---------------------------------------------------------
 
-    def commit(self, flow_index: int, alternative: int, own_pref: int) -> float:
-        """Record an accepted alternative; returns this agent's true delta.
-
-        The true delta is evaluated *before* the evaluator registers the
-        placement (load-aware metrics are state-dependent). A session does
-        not call this: it adds class gains itself and settles each epoch
-        through :meth:`commit_epoch`.
-        """
-        delta = float(self.evaluator.true_delta(flow_index, alternative))
-        self.evaluator.commit(flow_index, alternative)
-        self.cumulative_gain += int(own_pref)
-        self.true_cumulative += delta
-        return delta
-
     def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
-        """:meth:`commit` for an epoch's flows in order, minus the class gain
-        (the session adds it per round); returns the true deltas. Uses the
-        evaluator's fused ``commit_epoch`` where it has one."""
-        fused = getattr(self.evaluator, "commit_epoch", None)
-        deltas = (fused(flows, alternatives) if fused
-                  else commit_in_order(self.evaluator, flows, alternatives))
+        """Place an epoch's accepted flows in order and add their true deltas
+        to :attr:`true_cumulative`; returns the deltas.
+
+        Each delta is evaluated *before* the evaluator registers that
+        flow's placement (load-aware metrics are state-dependent). The
+        session adds the class gains itself, round by round.
+        """
+        deltas = self.evaluator.commit_epoch(flows, alternatives)
         for delta in deltas:
             self.true_cumulative += delta
         return deltas

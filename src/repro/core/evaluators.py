@@ -16,14 +16,20 @@ Three concrete evaluators:
   are based on constraints such as available bandwidth that may change
   after some flows have been negotiated".
 
+A session settles each epoch through one ``commit_epoch`` call per side:
+the epoch's accepted flows placed in order, each with its true delta taken
+just before its placement. :class:`StaticCostEvaluator` and
+:class:`LoadAwareEvaluator` fuse it (one gather, one tracker loop); the
+others define it as :func:`commit_in_order`, one ``true_delta`` and one
+``commit`` per flow.
+
 The load-dependent evaluators (:class:`LoadAwareEvaluator`,
 :class:`FortzCostEvaluator`) recompute whole preference matrices per
 reassignment as a handful of array expressions over the table's compiled
 path incidence (gather, per-entry score, segment reduction) — no
 Python-level per-(flow, alternative) calls — while ``true_delta`` and
-``commit`` run the tracker's scalar list kernels (fused over a session
-epoch in :class:`LoadAwareEvaluator`'s ``commit_epoch``). Both
-check their capacities once, at construction
+``commit`` run the tracker's scalar list kernels. Both check their
+capacities once, at construction
 (:func:`~repro.capacity.loads.validate_capacities`), and keep them fixed.
 The equivalence tests pin them bit for bit against per-(flow, alternative)
 reference loops.
@@ -78,37 +84,28 @@ class Evaluator(Protocol):
         """
         ...
 
-    def commit(self, flow_index: int, alternative: int) -> None:
-        """Record that a flow was negotiated to ``alternative``."""
-        ...
-
     def reassign(self, remaining: np.ndarray) -> None:
         """Recompute preferences for the flows still on the table."""
         ...
 
-    def true_delta(self, flow_index: int, alternative: int) -> float:
-        """This ISP's *actual* metric improvement if the flow moves to
-        ``alternative`` (positive = better than default). Used only for
-        the ISP's private accounting (win-win rollback); never disclosed.
+    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """Record that each flow was negotiated to its alternative, in order,
+        and return each one's true delta: this ISP's *actual* metric
+        improvement from the move (positive = better than default), taken
+        just before that flow's placement. The deltas serve only the ISP's
+        private accounting (win-win rollback); they are never disclosed.
         """
         ...
 
 
-def commit_in_order(evaluator: Evaluator, flows, alternatives) -> list[float]:
-    """One ``true_delta`` then one ``commit`` per flow, in order; the deltas.
-    An evaluator may fuse it into a ``commit_epoch`` method of its own."""
+def commit_in_order(evaluator, flows, alternatives) -> list[float]:
+    """``commit_epoch`` as one ``true_delta`` then one ``commit`` per flow,
+    in order; returns the deltas."""
     deltas = []
     for flow_index, alternative in zip(flows, alternatives):
         deltas.append(float(evaluator.true_delta(flow_index, alternative)))
         evaluator.commit(flow_index, alternative)
     return deltas
-
-
-def _overrides_steps(evaluator, base: type) -> bool:
-    """Whether ``evaluator``'s class overrides ``base``'s ``true_delta`` or
-    ``commit``, so that ``base``'s fused ``commit_epoch`` no longer applies."""
-    cls = type(evaluator)
-    return cls.true_delta is not base.true_delta or cls.commit is not base.commit
 
 
 class StaticPreferenceEvaluator:
@@ -168,6 +165,8 @@ class StaticPreferenceEvaluator:
         # No underlying metric: the classes are the ground truth.
         return float(self._prefs[flow_index, alternative])
 
+    commit_epoch = commit_in_order
+
 
 class StaticCostEvaluator:
     """Per-flow costs mapped to classes once (load-independent metrics)."""
@@ -219,8 +218,6 @@ class StaticCostEvaluator:
 
     def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
         """:func:`commit_in_order` as one gather (commits are no-ops)."""
-        if _overrides_steps(self, StaticCostEvaluator):
-            return commit_in_order(self, flows, alternatives)
         flows = np.asarray(flows, dtype=np.intp)
         costs = self._costs
         deltas = costs[flows, self._defaults[flows]] - costs[flows, alternatives]
@@ -326,8 +323,6 @@ class LoadAwareEvaluator:
 
     def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
         """:func:`commit_in_order` as one tracker loop."""
-        if _overrides_steps(self, LoadAwareEvaluator):
-            return commit_in_order(self, flows, alternatives)
         return self._tracker.place_epoch(
             flows, alternatives, self._default_list, self._cap_list
         )
@@ -464,6 +459,8 @@ class FortzCostEvaluator:
         )
         alt_cost = self._placement_cost_increase(flow_index, alternative)
         return default_cost - alt_cost
+
+    commit_epoch = commit_in_order
 
     def _placement_cost_increase(self, flow_index: int, alternative: int) -> float:
         """Marginal Fortz cost of placing the flow on its path links.

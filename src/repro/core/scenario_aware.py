@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from repro.capacity.loads import LoadTracker, link_loads
-from repro.core.evaluators import LoadAwareEvaluator
+from repro.core.evaluators import LoadAwareEvaluator, commit_in_order
 from repro.core.preferences import PreferenceRange
 from repro.errors import ConfigurationError
 from repro.metrics.mel import max_excess_load
@@ -86,8 +86,9 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
     blends the nominal block scored from the live gather (re-gathered when
     the remaining flows fall below half of it). :meth:`true_delta` scores
     one flow per commit, so it gathers that flow alone instead of scoring
-    the live set; overriding it puts a session's settlement back on one
-    ``true_delta`` and one ``commit`` per flow.
+    the live set, and a session settles its epochs through
+    :func:`~repro.core.evaluators.commit_in_order`: one ``true_delta`` and
+    one ``commit`` per flow.
     """
 
     def __init__(
@@ -192,6 +193,8 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         return float(
             row[self._defaults[flow_index]] - row[alternative]
         )
+
+    commit_epoch = commit_in_order
 
 
 def scenario_placement_mels(

@@ -6,13 +6,13 @@ Runs the round-based protocol of Section 4 between two
     decide turn -> propose an alternative -> accept? -> reassign? -> stop?
 
 The engine is deterministic given the agents and policies. A win-win
-*rollback* guard (on by default) implements the paper's guarantee that "an
-ISP can ensure that it is no worse off than the default case": if the
-session ends with either side's cumulative disclosed gain negative, the most
-recent concessions are rolled back ("the ISP can partially or fully rollback
-the compromises made", Section 6) until both sides are at or above the
-default. With truthful agents and early termination this rarely triggers,
-but it makes the no-loss property structural rather than statistical.
+*rollback* guard implements the paper's guarantee that "an ISP can ensure
+that it is no worse off than the default case": if the session ends with
+either side's cumulative disclosed gain below its floor (0 by default), the
+worst concessions are rolled back ("the ISP can partially or fully rollback
+the compromises made", Section 6) until both sides are at or above it.
+With truthful agents and early termination this rarely triggers, but it
+makes the no-loss property structural rather than statistical.
 
 Performance: the session runs in *epochs*, the rounds between two
 disclosures (the first, then each reassignment). No decision inside an
@@ -21,11 +21,11 @@ epoch is decided, then settled:
 
 * **decide**: each round is list bookkeeping plus the turn, accept and
   reassignment calls. The stop test is a cursor over each EARLY agent's
-  :meth:`~repro.core.agent.NegotiationAgent.gain_flows` and the pick a
-  cursor over each proposer's
-  :meth:`~repro.core.strategies.MaxCombinedProposals.pick_order`, both
-  taken once per epoch; any other proposal rule, and an agent's override
-  of ``wants_to_stop``, is asked every round.
+  :meth:`~repro.core.agent.NegotiationAgent.gain_flows` (a FULL agent
+  never stops on its own) and the pick a cursor over each proposer's
+  :meth:`~repro.core.strategies.ProposalPolicy.pick_order`, both taken
+  once per epoch. An epoch ends only on a reassignment, a stop,
+  exhaustion or the round limit.
 * **settle**: one :meth:`~repro.core.agent.NegotiationAgent.commit_epoch`
   call per side returns each accepted flow's true delta, taken just before
   its placement; both sides then reassign. Agents may not share an
@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -74,26 +74,32 @@ from repro.errors import NegotiationError
 __all__ = ["SessionConfig", "NegotiationSession"]
 
 
+def _missing(obj, *methods: str) -> list[str]:
+    """The names among ``methods`` that ``obj`` cannot call."""
+    return [name for name in methods if not callable(getattr(obj, name, None))]
+
+
 @dataclass
 class SessionConfig:
     """Protocol-step policies agreed "contractually in advance".
 
     Attributes:
         turn_policy: who proposes each round (default: alternate).
-        proposal_policy: how the proposer picks (default: max combined sum,
-            local tie-break — the paper's experimental setting).
+        proposal_policy: how the proposer picks, in the epoch form of
+            :class:`~repro.core.strategies.ProposalPolicy` (default: max
+            combined sum, local tie-break — the paper's experimental
+            setting).
         reassignment_policy: when preferences refresh (default: never);
             each run restarts it from a zero threshold.
-        rollback: enforce the win-win guarantee by rolling back trailing
-            concessions if either side ends below the default.
-        rollback_floors: minimum acceptable cumulative class gain per side,
-            ``(floor_a, floor_b)``, each ``<= 0`` and not NaN. The default
-            (0, 0) is the strict no-worse-than-default guarantee; negative
-            floors let an ISP extend *credit* — accept a bounded loss now to
-            be repaid in a later session (the Section 3 "credits" idea, see
-            :mod:`repro.core.credits`), and ``-inf`` is unlimited credit.
-            The private true-metric guard only applies at a floor of 0,
-            since credit is denominated in preference classes.
+        rollback_floors: the win-win rollback's minimum cumulative class
+            gain per side, ``(floor_a, floor_b)``, each a real ``<= 0`` and
+            not NaN. The default (0, 0) is the strict no-worse-than-default
+            guarantee; negative floors let an ISP extend *credit* — accept a
+            bounded loss now to be repaid in a later session (the Section 3
+            "credits" idea, see :mod:`repro.core.credits`), and ``-inf`` is
+            unlimited credit: ``(-inf, -inf)`` rolls nothing back. The
+            private true-metric guard only applies at a floor of 0, since
+            credit is denominated in preference classes.
         max_rounds: safety valve, ``None`` (flows + slack) or an int >= 0.
         record_messages: keep a full wire-message transcript.
     """
@@ -101,15 +107,26 @@ class SessionConfig:
     turn_policy: TurnPolicy = field(default_factory=AlternatingTurns)
     proposal_policy: ProposalPolicy = field(default_factory=MaxCombinedProposals)
     reassignment_policy: ReassignmentPolicy = field(default_factory=ReassignNever)
-    rollback: bool = True
     rollback_floors: tuple[float, float] = (0.0, 0.0)
     max_rounds: int | None = None
     record_messages: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.rollback_floors) != 2:
-            raise NegotiationError("rollback_floors must be a (a, b) pair")
-        if any(math.isnan(f) or f > 0 for f in self.rollback_floors):
+        missing = _missing(self.proposal_policy, "viable_cells", "pick_order")
+        if missing:
+            raise NegotiationError(
+                f"proposal policy {type(self.proposal_policy).__name__} has no "
+                f"{' or '.join(missing)}; a policy speaks the epoch form"
+            )
+        floors = self.rollback_floors
+        if not (
+            isinstance(floors, (tuple, list)) and len(floors) == 2
+            and all(isinstance(f, Real) and not isinstance(f, bool) for f in floors)
+        ):
+            raise NegotiationError(
+                f"rollback_floors must be a pair of real numbers: {floors!r}"
+            )
+        if any(math.isnan(f) or f > 0 for f in floors):
             raise NegotiationError(
                 "rollback floors must be <= 0 and not NaN (0 = strict no-loss)"
             )
@@ -215,6 +232,12 @@ class NegotiationSession:
                 "the two agents share one evaluator object; each ISP needs "
                 "its own"
             )
+        for agent in (agent_a, agent_b):
+            if _missing(agent.evaluator, "commit_epoch"):
+                raise NegotiationError(
+                    f"agent {agent.name!r}'s evaluator "
+                    f"{type(agent.evaluator).__name__} has no commit_epoch"
+                )
         self.n_flows, self.n_alternatives = shape_a
         if sizes is None:
             self.sizes = np.ones(self.n_flows)
@@ -233,7 +256,13 @@ class NegotiationSession:
         if defaults is None:
             self.defaults = np.asarray(agent_a.defaults, dtype=np.intp).copy()
         else:
-            self.defaults = np.asarray(defaults, dtype=np.intp).copy()
+            defaults = np.asarray(defaults)
+            if defaults.dtype.kind not in "iu":
+                raise NegotiationError(
+                    f"defaults must be integer alternative indices, not "
+                    f"{defaults.dtype}"
+                )
+            self.defaults = defaults.astype(np.intp)
             if self.defaults.shape != (self.n_flows,):
                 raise NegotiationError("defaults shape mismatch")
         if self.n_flows and (
@@ -270,18 +299,12 @@ class NegotiationSession:
             # Every flow needs at most one accepted round; allow slack for
             # vetoed proposals.
             max_rounds = n_f * (n_alt + 1) + 8
-        turn_policy, reassigner = cfg.turn_policy, cfg.reassignment_policy
+        turn_policy, proposals = cfg.turn_policy, cfg.proposal_policy
+        reassigner = cfg.reassignment_policy
         # With reassignable (load-dependent) classes a zero-gain round still
         # helps, so the stop test and the pick both accept a zero.
         reassignable = getattr(reassigner, "may_change", False)
-        # The stock proposal and stop rules run from cursors over their
-        # epoch forms; any other rule, or an agent's override, is asked.
-        cursor_picks = type(cfg.proposal_policy) is MaxCombinedProposals
-        stock_stop = NegotiationAgent.wants_to_stop
-        ask_stop = [type(a).wants_to_stop is not stock_stop for a in agents]
         early = [a.termination is TerminationMode.EARLY for a in agents]
-        # Classes that may change any round end the epoch every round.
-        stable = all(a.disclosure_changes_only_on_reassign for a in agents)
 
         reassigner.mark_reassigned(0.0)  # a reused config starts afresh
         agent_a.reset()
@@ -328,11 +351,7 @@ class NegotiationSession:
                 # only on one's own turn is essential to the win-win dynamic:
                 # the peer always gets its reciprocal turn before the other
                 # side can walk away with a one-sided gain.
-                if ask_stop[proposer]:
-                    stop = agents[proposer].wants_to_stop(
-                        remaining, reassignable=reassignable
-                    )
-                elif early[proposer]:
+                if early[proposer]:
                     keep = stops[proposer]
                     if keep is None:
                         keep = stops[proposer] = agents[proposer].gain_flows(
@@ -342,46 +361,36 @@ class NegotiationSession:
                     while k < n and not live[keep[k]]:
                         k += 1
                     stop_at[proposer] = k
-                    stop = k == n
-                else:
-                    stop = False
-                if stop:
-                    reason = (TerminationReason.EARLY_STOP_A,
-                              TerminationReason.EARLY_STOP_B)[proposer]
-                    if record:
-                        record(StopMessage("ab"[proposer], reason.value))
-                    break
+                    if k == n:
+                        reason = (TerminationReason.EARLY_STOP_A,
+                                  TerminationReason.EARLY_STOP_B)[proposer]
+                        if record:
+                            record(StopMessage("ab"[proposer], reason.value))
+                        break
 
-                # Propose an alternative.
-                if cursor_picks:
-                    order = picks[proposer]
-                    if order is None:
-                        if viable is None:
-                            viable = MaxCombinedProposals.viable_cells(
-                                *disclosed, remaining, banned, reassignable
-                            )
-                        order = picks[proposer] = MaxCombinedProposals.pick_order(
-                            disclosed[proposer], viable
+                # Propose an alternative: the first cell of the proposer's
+                # order still in a remaining flow and not rejected since.
+                order = picks[proposer]
+                if order is None:
+                    if viable is None:
+                        viable = proposals.viable_cells(
+                            *disclosed, remaining, banned, reassignable
                         )
-                    pick_flows, pick_alts = order
-                    k, n = pick_at[proposer], len(pick_flows)
-                    while k < n and not (
-                        live[pick_flows[k]]
-                        and not (bans and (pick_flows[k], pick_alts[k]) in bans)
-                    ):
-                        k += 1
-                    pick_at[proposer] = k
-                    pick = (pick_flows[k], pick_alts[k]) if k < n else None
-                else:
-                    own, other = disclosed if proposer == 0 else disclosed[::-1]
-                    pick = cfg.proposal_policy.propose(
-                        own, other, remaining[:, np.newaxis] & ~banned,
-                        allow_zero=reassignable,
+                    order = picks[proposer] = proposals.pick_order(
+                        disclosed[proposer], disclosed[1 - proposer], viable
                     )
-                if pick is None:
+                pick_flows, pick_alts = order
+                k, n = pick_at[proposer], len(pick_flows)
+                while k < n and not (
+                    live[pick_flows[k]]
+                    and not (bans and (pick_flows[k], pick_alts[k]) in bans)
+                ):
+                    k += 1
+                pick_at[proposer] = k
+                if k == n:
                     reason = TerminationReason.NO_JOINT_GAIN
                     break
-                flow, alternative = pick
+                flow, alternative = pick_flows[k], pick_alts[k]
                 pref_a = int(disclosed[0][flow, alternative])
                 pref_b = int(disclosed[1][flow, alternative])
                 if record:
@@ -419,8 +428,6 @@ class NegotiationSession:
                 else:
                     banned[flow, alternative] = True
                     bans.add((flow, alternative))
-                if not stable:
-                    break
 
             # -- settle: one call per side, then the epoch's round records.
             if flows:
@@ -444,18 +451,17 @@ class NegotiationSession:
                 self._advertise(reassigned=True)
 
         # (gain_a, gain_b, true_a, true_b), after the win-win rollback.
-        gains = (agent_a.cumulative_gain, agent_b.cumulative_gain,
-                 agent_a.true_cumulative, agent_b.true_cumulative)
-        rolled_back: list[int] = []
-        if cfg.rollback:
-            victims, gains = self._rollback_victims(
-                accepted_order, gains, cfg.rollback_floors
-            )
-            for victim in victims:
-                choices[victim.flow_index] = self.defaults[victim.flow_index]
-                negotiated[victim.flow_index] = False
-                rolled_back.append(victim.round_index)
+        victims, gains = self._rollback_victims(
+            accepted_order,
+            (agent_a.cumulative_gain, agent_b.cumulative_gain,
+             agent_a.true_cumulative, agent_b.true_cumulative),
+            cfg.rollback_floors,
+        )
+        for victim in victims:
+            choices[victim.flow_index] = self.defaults[victim.flow_index]
+            negotiated[victim.flow_index] = False
         return NegotiationOutcome(
-            choices, negotiated, *gains, rounds=rounds, rolled_back=rolled_back,
+            choices, negotiated, *gains, rounds=rounds,
+            rolled_back=[victim.round_index for victim in victims],
             reason=reason, reassignments=reassignments,
         )

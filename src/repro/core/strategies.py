@@ -20,9 +20,10 @@ policy:
   perceive no additional gain in continuing") or
   :class:`TerminationMode.FULL` (continue while joint gain exists).
 
-A session reads exactly :class:`MaxCombinedProposals` from its epoch form
-(:meth:`~MaxCombinedProposals.pick_order`); every other policy, subclasses
-included, is called every round.
+A proposal policy speaks in epochs: the session asks it for one order of
+candidate cells per proposer and disclosure (see :class:`ProposalPolicy`)
+and walks that order round by round. The turn, acceptance and reassignment
+policies are called every round.
 """
 
 from __future__ import annotations
@@ -107,12 +108,15 @@ class CoinTossTurns:
 
 
 class ProposalPolicy(Protocol):
-    """Selects (flow, alternative) among the remaining candidates.
+    """Selects the (flow, alternative) cells a proposer offers, one epoch at
+    a time (an epoch is the rounds between two disclosures).
 
-    ``own`` is the proposer's preference matrix, ``other`` the remote one,
-    ``candidates`` a boolean (F, I) mask of selectable entries. Returns
-    ``(flow_index, alternative)`` or ``None`` when nothing is worth
-    proposing.
+    A session calls :meth:`viable_cells` once per epoch on both sides'
+    disclosed classes, and :meth:`pick_order` once per proposer with its own
+    classes first. Each round it proposes the first listed cell whose flow
+    is still remaining and that has not been rejected since; none left
+    ends the session. Remaining ties resolve to the lowest
+    (flow, alternative), making the whole protocol deterministic.
 
     ``allow_zero`` is set by the session when preferences are
     load-dependent (reassignable): committing a zero-gain alternative is
@@ -122,78 +126,44 @@ class ProposalPolicy(Protocol):
     is False.
     """
 
-    def propose(
+    def viable_cells(
         self,
-        own: np.ndarray,
-        other: np.ndarray,
-        candidates: np.ndarray,
+        prefs_a: np.ndarray,
+        prefs_b: np.ndarray,
+        remaining: np.ndarray,
+        banned: np.ndarray,
         allow_zero: bool = False,
-    ) -> tuple[int, int] | None: ...
+    ) -> tuple: ...
 
-
-def _masked_argmax(
-    primary: np.ndarray, tiebreak: np.ndarray, mask: np.ndarray
-) -> tuple[int, int] | None:
-    """Argmax of ``primary`` over ``mask``, ties broken by ``tiebreak``.
-
-    Remaining ties resolve to the lowest (flow, alternative), making the
-    whole protocol deterministic.
-    """
-    if not mask.any():
-        return None
-    neg_inf = np.finfo(float).min
-    masked_primary = np.where(mask, primary.astype(float), neg_inf)
-    best_primary = masked_primary.max()
-    at_best = masked_primary >= best_primary  # == best within fp exactness
-    masked_tie = np.where(at_best, tiebreak.astype(float), neg_inf)
-    best_tie = masked_tie.max()
-    final = at_best & (tiebreak >= best_tie)
-    flows, alts = np.nonzero(final)
-    return int(flows[0]), int(alts[0])
+    def pick_order(
+        self, own: np.ndarray, other: np.ndarray, viable: tuple
+    ) -> tuple[list[int], list[int]]: ...
 
 
 class MaxCombinedProposals:
     """Maximize the two ISPs' preference sum; break ties locally.
 
-    Epoch form: :meth:`pick_order`, whose first cell still in a remaining
-    flow and not banned since is :meth:`propose`'s pick (none: ``None``).
+    With static preferences, only positive joint gains are worth proposing:
+    a flow whose best alternative is its default simply stays at the
+    default. With reassignable preferences, zero-gain commitments still
+    advance the negotiation.
     """
-
-    def propose(
-        self,
-        own: np.ndarray,
-        other: np.ndarray,
-        candidates: np.ndarray,
-        allow_zero: bool = False,
-    ) -> tuple[int, int] | None:
-        combined = own + other
-        if not candidates.any():
-            return None
-        # With static preferences, only positive joint gains are worth
-        # proposing: a flow whose best alternative is its default simply
-        # stays at the default. With reassignable preferences, zero-gain
-        # commitments still advance the negotiation.
-        floor = 0 if allow_zero else 1
-        viable = candidates & (combined >= floor)
-        if not viable.any():
-            return None
-        return _masked_argmax(combined, own, viable)
 
     @staticmethod
     def viable_cells(prefs_a, prefs_b, remaining, banned, allow_zero=False) -> tuple:
-        """The cells :meth:`propose` may pick — in a remaining flow, not
-        banned, combined class at its floor or above — as row-major flat
-        indices and their negated combined classes."""
+        """The cells in a remaining flow, not banned, with a combined class
+        at the floor or above, as row-major flat indices and their negated
+        combined classes (one pass serves both proposers)."""
         combined = np.add(prefs_a, prefs_b, dtype=np.int64)
         floor = 0 if allow_zero else 1
         cells = np.flatnonzero((combined >= floor) & ~banned & remaining[:, None])
         return cells, -combined.ravel()[cells]
 
     @staticmethod
-    def pick_order(own: np.ndarray, viable: tuple) -> tuple[list, list]:
-        """One proposer's flows and alternatives over ``viable`` in
-        :meth:`propose`'s order, ``(-combined, -own, flow, alternative)``
-        (the lexsort is stable over row-major cells)."""
+    def pick_order(own, other, viable) -> tuple[list, list]:
+        """``viable`` in ``(-combined, -own, flow, alternative)`` order (the
+        lexsort is stable over row-major cells)."""
+        del other
         cells, neg_combined = viable
         n_alt = own.shape[1]
         own = np.asarray(own, dtype=np.int64).ravel()[cells]
@@ -209,20 +179,26 @@ class BestLocalProposals:
     remaining preference is not positive (non-negative if ``allow_zero``).
     """
 
-    def propose(
-        self,
-        own: np.ndarray,
-        other: np.ndarray,
-        candidates: np.ndarray,
-        allow_zero: bool = False,
-    ) -> tuple[int, int] | None:
-        if not candidates.any():
-            return None
-        floor = 0 if allow_zero else 1
-        viable = candidates & (own >= floor)
-        if not viable.any():
-            return None
-        return _masked_argmax(own, other, viable)
+    @staticmethod
+    def viable_cells(prefs_a, prefs_b, remaining, banned, allow_zero=False) -> tuple:
+        """The cells in a remaining flow and not banned, as row-major flat
+        indices, and the proposer's class floor."""
+        del prefs_a, prefs_b
+        cells = np.flatnonzero(~banned & remaining[:, None])
+        return cells, 0 if allow_zero else 1
+
+    @staticmethod
+    def pick_order(own, other, viable) -> tuple[list, list]:
+        """The cells of ``viable`` whose own class is at the floor or above,
+        in ``(-own, -other, flow, alternative)`` order."""
+        cells, floor = viable
+        n_alt = own.shape[1]
+        own = np.asarray(own, dtype=np.int64).ravel()[cells]
+        keep = own >= floor
+        cells, own = cells[keep], own[keep]
+        other = np.asarray(other, dtype=np.int64).ravel()[cells]
+        cells = cells[np.lexsort((-other, -own))]
+        return (cells // n_alt).tolist(), (cells % n_alt).tolist()
 
 
 # ---------------------------------------------------------------------------

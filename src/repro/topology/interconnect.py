@@ -10,6 +10,7 @@ bandwidth experiment pairs with >= 3 (247 pairs).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,8 +44,11 @@ class Interconnection:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise TopologyError("interconnection index must be >= 0")
-        if self.length_km < 0:
-            raise TopologyError("interconnection length must be >= 0")
+        if not (math.isfinite(self.length_km) and self.length_km >= 0):
+            raise TopologyError(
+                f"interconnection length must be finite and >= 0, "
+                f"got {self.length_km}"
+            )
 
 
 class IspPair:

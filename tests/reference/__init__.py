@@ -23,9 +23,9 @@ between a production kernel and its reference here; the golden digests in
   recompute preferences one (flow, alternative) at a time;
 * :mod:`reference.mapping` — the auto-scale mapper anchored by
   ``np.percentile`` at every quantile, 100 included;
-* :mod:`reference.negotiation` — the masked-rescan stop rule, a proposal
-  rule that keeps the session on its rescanning loop, and the
-  min-and-remove win-win rollback;
+* :mod:`reference.negotiation` — the per-round session, with the
+  masked-rescan stop rule, one masked-argmax proposal rule per policy,
+  the per-flow commit and the min-and-remove win-win rollback;
 * :mod:`reference.scenario` — scenario-aware scoring over materialized
   per-scenario tables;
 * :mod:`reference.transit` — transit background by walking every demand.

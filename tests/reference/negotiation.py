@@ -1,18 +1,21 @@
 """The session protocol one round at a time: the oracle for the epoch loop.
 
 :class:`PerRoundSession` runs every protocol step as a call per round —
-turn policy, the agent's masked-rescan stop check, the proposal policy over
-the (F, I) candidate mask, the agent's accept decision, one ``commit`` per
-side, and the reassignment test — exactly the loop the production
+turn policy, the masked-rescan stop rule, the proposal rule over the (F, I)
+candidate mask, the accept decision, one per-flow commit per side, and the
+reassignment test — exactly the loop the production
 :class:`~repro.core.session.NegotiationSession` decides an epoch at a time.
-:class:`ReferenceRollbackSession` adds the min-and-remove rollback.
+The production agents, evaluators and policies speak only the epoch form
+(a stop cursor, a pick order, one ``commit_epoch`` per side), so the
+per-round stop, proposal and commit rules live here, and any production
+agent or policy runs under both sessions. :class:`ReferenceRollbackSession`
+adds the min-and-remove rollback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.agent import NegotiationAgent
 from repro.core.messages import (
     AcceptMessage,
     ProposalMessage,
@@ -22,32 +25,89 @@ from repro.core.messages import (
 )
 from repro.core.outcomes import NegotiationOutcome, RoundRecord, TerminationReason
 from repro.core.session import NegotiationSession
-from repro.core.strategies import MaxCombinedProposals, TerminationMode
+from repro.core.strategies import (
+    BestLocalProposals,
+    MaxCombinedProposals,
+    TerminationMode,
+)
 
 
-class ScanningAgent(NegotiationAgent):
-    """An agent whose stop rule rescans the masked preference matrix.
+def wants_to_stop(agent, remaining, reassignable=False) -> bool:
+    """The "Stop?" step as a rescan of the agent's masked true classes.
 
-    The same rule as the stock agent's, but as an override: a production
-    session asks it every round instead of reading its own stop cursor.
+    An EARLY agent stops when no remaining alternative reaches its class
+    floor (1, or 0 when ``reassignable``); a FULL agent never stops on its
+    own.
     """
-
-    def wants_to_stop(self, remaining, reassignable=False) -> bool:
-        if self.termination is TerminationMode.FULL:
-            return False
-        masked = self.true_preferences()[np.asarray(remaining, dtype=bool)]
-        if not masked.size:
-            return True
-        return int(masked.max()) < (0 if reassignable else 1)
+    if agent.termination is TerminationMode.FULL:
+        return False
+    masked = agent.true_preferences()[np.asarray(remaining, dtype=bool)]
+    if not masked.size:
+        return True
+    return int(masked.max()) < (0 if reassignable else 1)
 
 
-class RescanningProposals(MaxCombinedProposals):
-    """The stock proposal rule under another type.
+def masked_argmax(primary, tiebreak, mask):
+    """Argmax of ``primary`` over ``mask``, ties broken by ``tiebreak``.
 
-    A production session reads its presorted pick order only for exactly
-    :class:`MaxCombinedProposals`, so this subclass runs the same rule
-    through a ``propose`` call that rescans the (F, I) matrix every round.
+    Remaining ties resolve to the lowest (flow, alternative), making the
+    whole protocol deterministic.
     """
+    if not mask.any():
+        return None
+    neg_inf = np.finfo(float).min
+    masked_primary = np.where(mask, primary.astype(float), neg_inf)
+    best_primary = masked_primary.max()
+    at_best = masked_primary >= best_primary  # == best within fp exactness
+    masked_tie = np.where(at_best, tiebreak.astype(float), neg_inf)
+    best_tie = masked_tie.max()
+    final = at_best & (tiebreak >= best_tie)
+    flows, alts = np.nonzero(final)
+    return int(flows[0]), int(alts[0])
+
+
+def max_combined_pick(own, other, candidates, allow_zero=False):
+    """:class:`MaxCombinedProposals` for one round: the candidate with the
+    largest combined class at the floor or above, own class breaking ties."""
+    combined = own + other
+    if not candidates.any():
+        return None
+    floor = 0 if allow_zero else 1
+    viable = candidates & (combined >= floor)
+    if not viable.any():
+        return None
+    return masked_argmax(combined, own, viable)
+
+
+def best_local_pick(own, other, candidates, allow_zero=False):
+    """:class:`BestLocalProposals` for one round: the candidate with the
+    largest own class at the floor or above, the peer's class breaking
+    ties."""
+    if not candidates.any():
+        return None
+    floor = 0 if allow_zero else 1
+    viable = candidates & (own >= floor)
+    if not viable.any():
+        return None
+    return masked_argmax(own, other, viable)
+
+
+#: The per-round rule of each production proposal policy.
+PROPOSAL_RULES = {
+    MaxCombinedProposals: max_combined_pick,
+    BestLocalProposals: best_local_pick,
+}
+
+
+def commit(agent, flow_index, alternative, own_pref) -> float:
+    """Settle one accepted round for ``agent``: its true delta, taken before
+    the evaluator places the flow, then the placement, then both ledgers.
+    Returns the delta."""
+    delta = float(agent.evaluator.true_delta(flow_index, alternative))
+    agent.evaluator.commit(flow_index, alternative)
+    agent.cumulative_gain += int(own_pref)
+    agent.true_cumulative += delta
+    return delta
 
 
 class PerRoundSession(NegotiationSession):
@@ -71,6 +131,7 @@ class PerRoundSession(NegotiationSession):
         if max_rounds is None:
             max_rounds = n_f * (self.n_alternatives + 1) + 8
         reassignable = getattr(cfg.reassignment_policy, "may_change", False)
+        propose = PROPOSAL_RULES[type(cfg.proposal_policy)]
 
         cfg.reassignment_policy.mark_reassigned(0.0)
         self.agent_a.reset()
@@ -89,7 +150,7 @@ class PerRoundSession(NegotiationSession):
                 (self.agent_a.cumulative_gain, self.agent_b.cumulative_gain),
             )
             proposing_agent = self.agent_a if proposer == 0 else self.agent_b
-            if proposing_agent.wants_to_stop(remaining, reassignable=reassignable):
+            if wants_to_stop(proposing_agent, remaining, reassignable):
                 reason = (
                     TerminationReason.EARLY_STOP_A
                     if proposer == 0
@@ -109,9 +170,7 @@ class PerRoundSession(NegotiationSession):
                 (prefs_a, prefs_b) if proposer == 0 else (prefs_b, prefs_a)
             )
             candidates = remaining[:, np.newaxis] & ~banned
-            pick = cfg.proposal_policy.propose(
-                own, other, candidates, allow_zero=reassignable
-            )
+            pick = propose(own, other, candidates, allow_zero=reassignable)
             if pick is None:
                 reason = TerminationReason.NO_JOINT_GAIN
                 break
@@ -163,8 +222,8 @@ class PerRoundSession(NegotiationSession):
             remaining[flow_index] = False
             n_remaining -= 1
             negotiated[flow_index] = True
-            true_a = self.agent_a.commit(flow_index, alternative, pref_a)
-            true_b = self.agent_b.commit(flow_index, alternative, pref_b)
+            true_a = commit(self.agent_a, flow_index, alternative, pref_a)
+            true_b = commit(self.agent_b, flow_index, alternative, pref_b)
             record = RoundRecord(
                 round_index=round_index,
                 proposer=proposer,
@@ -206,15 +265,14 @@ class PerRoundSession(NegotiationSession):
         true_b = self.agent_b.true_cumulative
 
         rolled_back: list[int] = []
-        if cfg.rollback:
-            victims, (gain_a, gain_b, true_a, true_b) = self._rollback_victims(
-                accepted_order, (gain_a, gain_b, true_a, true_b),
-                cfg.rollback_floors,
-            )
-            for victim in victims:
-                choices[victim.flow_index] = self.defaults[victim.flow_index]
-                negotiated[victim.flow_index] = False
-                rolled_back.append(victim.round_index)
+        victims, (gain_a, gain_b, true_a, true_b) = self._rollback_victims(
+            accepted_order, (gain_a, gain_b, true_a, true_b),
+            cfg.rollback_floors,
+        )
+        for victim in victims:
+            choices[victim.flow_index] = self.defaults[victim.flow_index]
+            negotiated[victim.flow_index] = False
+            rolled_back.append(victim.round_index)
 
         return NegotiationOutcome(
             choices=choices,

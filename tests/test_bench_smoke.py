@@ -33,7 +33,7 @@ from repro.routing.flows import build_full_flowset
 from reference import evaluators as reference_evaluators
 from reference import loads as reference_loads
 from reference import tables as reference_tables
-from reference.negotiation import ScanningAgent
+from reference.negotiation import wants_to_stop
 
 pytestmark = pytest.mark.bench_smoke
 
@@ -161,18 +161,15 @@ def test_smoke_lp_assembly_and_fractional_loads(fixture):
 
 def test_smoke_incremental_stop(fixture):
     table, defaults, caps_a, _ = fixture
-    fast = NegotiationAgent(
-        "a", LoadAwareEvaluator(table, "a", caps_a, defaults)
-    )
-    slow = ScanningAgent(
+    agent = NegotiationAgent(
         "a", LoadAwareEvaluator(table, "a", caps_a, defaults)
     )
     remaining = np.ones(table.n_flows, dtype=bool)
     remaining[:: 2] = False
     for reassignable in (False, True):
-        assert fast.wants_to_stop(
-            remaining, reassignable=reassignable
-        ) == slow.wants_to_stop(remaining, reassignable=reassignable)
+        assert (not agent.gain_flows(remaining, reassignable)) == wants_to_stop(
+            agent, remaining, reassignable
+        )
 
 
 def test_smoke_sweep_runner_path(tmp_path):

@@ -104,9 +104,22 @@ class TestCheatingAgent:
 
     def test_stop_decisions_use_true_prefs(self):
         cheater, _ = self._agents()
-        # True prefs have a positive entry, so no stop — even though the
-        # disclosed matrix differs.
-        assert not cheater.wants_to_stop(np.array([True]))
+        # True prefs have a positive entry, so no stop.
+        assert cheater.gain_flows(np.array([True])) == [0]
+        # A cheater with no true gain stops, though its inflated disclosure
+        # shows one.
+        defaults = np.zeros(1, dtype=int)
+        honest = NegotiationAgent(
+            "honest", StaticPreferenceEvaluator(np.array([[0, 3, 1]]), defaults)
+        )
+        cheater = CheatingAgent(
+            "cheater",
+            StaticPreferenceEvaluator(np.array([[0, 0, -1]]), defaults),
+            opponent=honest,
+            range_=PreferenceRange(10),
+        )
+        assert cheater.disclosed_preferences().max() > 0
+        assert cheater.gain_flows(np.array([True])) == []
 
     def test_unbound_opponent_rejected(self):
         cheater = CheatingAgent(

@@ -21,6 +21,10 @@ from repro.errors import NegotiationError
 
 from reference.negotiation import outcome_signature
 
+#: Floors that roll nothing back: no class gain is below -inf, and the
+#: true-metric guard applies only at a floor of 0.
+NO_ROLLBACK = (float("-inf"), float("-inf"))
+
 
 def make_session(prefs_a, prefs_b, defaults=None, config=None, sizes=None,
                  term=TerminationMode.EARLY):
@@ -48,11 +52,11 @@ class TestBasicDynamics:
         assert out.reason == TerminationReason.EARLY_STOP_A
 
     def test_positive_sum_trade_happens_under_full_termination(self):
-        # Under full termination with rollback disabled, the socially
+        # Under full termination with no rollback floor, the socially
         # positive (but A-losing) trade completes — the social-welfare
         # configuration of the protocol.
         out = make_session([[0, -1]], [[0, 3]], term=TerminationMode.FULL,
-                           config=SessionConfig(rollback=False)).run()
+                           config=SessionConfig(rollback_floors=NO_ROLLBACK)).run()
         assert out.choices[0] == 1
         assert out.gain_a == -1 and out.gain_b == 3
 
@@ -113,8 +117,13 @@ class TestWinWinGuarantee:
         prefs_a = [[0, 5], [0, 4]]
         prefs_b = [[0, -1], [0, -1]]
         out = make_session(prefs_a, prefs_b,
-                           config=SessionConfig(rollback=False)).run()
-        assert out.gain_b < 0  # without the guard, B ends negative
+                           config=SessionConfig(rollback_floors=NO_ROLLBACK)).run()
+        # -inf floors roll nothing back, so B ends negative: the outcome
+        # a session without the rollback step reaches.
+        assert out.rolled_back == []
+        assert list(out.choices) == [1, 0]
+        assert (out.gain_a, out.gain_b) == (5, -1)
+        assert (out.true_gain_a, out.true_gain_b) == (5.0, -1.0)
 
     @settings(deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(2, 4))
@@ -289,6 +298,44 @@ class TestValidation:
         out = make_session([[0, -1]], [[0, 3]], term=TerminationMode.FULL,
                            config=config).run()
         assert out.gain_a == -1 and out.rolled_back == []
+
+    @pytest.mark.parametrize("floors", [0.0, (0.0,), (0.0, 0.0, 0.0)])
+    def test_floors_not_a_pair_rejected(self, floors):
+        # Regression: a scalar raised a bare TypeError from len().
+        with pytest.raises(NegotiationError, match="pair"):
+            SessionConfig(rollback_floors=floors)
+
+    @pytest.mark.parametrize("floors", [("x", 0.0), (0.0, None), (False, 0.0)])
+    def test_non_numeric_floor_rejected(self, floors):
+        # Regression: a string raised a bare TypeError from math.isnan.
+        with pytest.raises(NegotiationError, match="real numbers"):
+            SessionConfig(rollback_floors=floors)
+
+    @pytest.mark.parametrize(
+        "defaults", [np.array([0.7, 0.2]), np.array([True, False])]
+    )
+    def test_non_integer_defaults_rejected(self, defaults):
+        # Regression: floats were truncated to [0, 0] and a bool mask read
+        # as [1, 0].
+        with pytest.raises(NegotiationError, match="integer"):
+            make_session([[0, 1], [0, 1]], [[0, 1], [0, 1]], defaults=defaults)
+
+    def test_per_round_proposal_policy_rejected(self):
+        class PerRoundPolicy:
+            def propose(self, own, other, candidates, allow_zero=False):
+                return None
+
+        with pytest.raises(NegotiationError, match="viable_cells or pick_order"):
+            SessionConfig(proposal_policy=PerRoundPolicy())
+
+    def test_evaluator_without_commit_epoch_rejected(self):
+        class PerFlowEvaluator(StaticPreferenceEvaluator):
+            commit_epoch = None
+
+        ev = PerFlowEvaluator(np.zeros((1, 2), int), np.zeros(1, int))
+        peer = StaticPreferenceEvaluator(np.zeros((1, 2), int), np.zeros(1, int))
+        with pytest.raises(NegotiationError, match="commit_epoch"):
+            NegotiationSession(NegotiationAgent("a", ev), NegotiationAgent("b", peer))
 
     def test_negative_max_rounds_rejected(self):
         # Regression: -5 used to end the session with ROUND_LIMIT at once.

@@ -27,7 +27,7 @@ from repro.core.evaluators import StaticCostEvaluator
 from repro.core.preferences import PreferenceRange
 from repro.core.scenario_aware import ScenarioAwareEvaluator
 from repro.core.session import NegotiationSession, SessionConfig
-from repro.core.strategies import MaxCombinedProposals, ReassignEveryFraction
+from repro.core.strategies import ReassignEveryFraction
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
@@ -40,12 +40,7 @@ from reference import evaluators as reference_evaluators
 from reference import loads as reference_loads
 from reference import scenario as reference_scenario
 from reference import tables as reference_tables
-from reference.negotiation import (
-    PerRoundSession,
-    RescanningProposals,
-    ScanningAgent,
-    outcome_signature,
-)
+from reference.negotiation import PerRoundSession, outcome_signature
 
 SEEDS = [11, 202, 3033]
 
@@ -252,42 +247,37 @@ class TestSessionEquivalence:
         """Sparse + epoch loop vs reference loops + per-round rescan."""
         table, defaults, caps_a, caps_b, _ = problem
 
-        def run(evaluator_cls, agent_cls, proposals, session_cls):
+        def run(evaluator_cls, session_cls):
             session = session_cls(
-                agent_cls(
+                NegotiationAgent(
                     "a", evaluator_cls(table, "a", caps_a, defaults)
                 ),
-                agent_cls(
+                NegotiationAgent(
                     "b", evaluator_cls(table, "b", caps_b, defaults)
                 ),
                 sizes=table.flowset.sizes(),
                 defaults=defaults,
                 config=SessionConfig(
                     reassignment_policy=ReassignEveryFraction(0.05),
-                    proposal_policy=proposals,
                 ),
             )
             return session.run()
 
-        fast = outcome_signature(run(
-            LoadAwareEvaluator, NegotiationAgent, MaxCombinedProposals(),
-            NegotiationSession,
-        ))
+        fast = outcome_signature(run(LoadAwareEvaluator, NegotiationSession))
         slow = outcome_signature(run(
-            reference_evaluators.LoadAwareEvaluator, ScanningAgent,
-            RescanningProposals(), PerRoundSession,
+            reference_evaluators.LoadAwareEvaluator, PerRoundSession
         ))
         assert fast == slow
 
     def test_distance_session(self, problem):
-        """Static evaluators: incremental proposals change nothing."""
+        """Static evaluators: the epoch loop vs the per-round session."""
         table, defaults, *_ = problem
         p_range = PreferenceRange(10)
 
-        def run(proposals):
+        def run(session_cls):
             mapper = AutoScaleDeltaMapper(p_range, conservative=False,
                                           quantile=100.0)
-            session = NegotiationSession(
+            session = session_cls(
                 NegotiationAgent(
                     "a", StaticCostEvaluator(table.up_km, defaults, mapper)
                 ),
@@ -295,13 +285,12 @@ class TestSessionEquivalence:
                     "b", StaticCostEvaluator(table.down_km, defaults, mapper)
                 ),
                 defaults=defaults,
-                config=SessionConfig(proposal_policy=proposals),
             )
             return session.run()
 
         assert outcome_signature(
-            run(MaxCombinedProposals())
-        ) == outcome_signature(run(RescanningProposals()))
+            run(NegotiationSession)
+        ) == outcome_signature(run(PerRoundSession))
 
 
 # -- Hypothesis: the scalar list kernels and the live gather --------------------

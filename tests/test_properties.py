@@ -12,6 +12,8 @@ instances with hypothesis:
 4. determinism: a session is a pure function of its inputs.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,9 +134,10 @@ def test_cheater_cannot_make_truthful_lose(params):
 def test_full_termination_negotiates_at_least_as_many(params):
     prefs_a, prefs_b, defaults = _random_problem(*params)
     p = params[3]
-    cfg = SessionConfig(rollback=False)
+    # -inf floors roll nothing back.
+    cfg = SessionConfig(rollback_floors=(-math.inf, -math.inf))
     early = _session(prefs_a, prefs_b, defaults, p, config=cfg).run()
-    cfg2 = SessionConfig(rollback=False)
+    cfg2 = SessionConfig(rollback_floors=(-math.inf, -math.inf))
     full = _session(prefs_a, prefs_b, defaults, p, config=cfg2,
                     term=TerminationMode.FULL).run()
     assert full.n_negotiated >= early.n_negotiated

@@ -6,10 +6,9 @@ accepted flows in one ``commit_epoch`` call, and rolls back through per-key
 heaps. None of that may change a decision or a float: on randomly generated
 problems, a whole session must match — on every field of its outcome, on its
 message transcript and on each tracker's final loads — the same session run
-by :class:`PerRoundSession` from ``tests/reference``, which calls every
-protocol step and one ``commit`` per side every round (with
-:class:`ScanningAgent`, :class:`RescanningProposals` and the min-and-remove
-rollback where a suite asks for them).
+by :class:`PerRoundSession` from ``tests/reference``, which runs every
+protocol step every round with the reference per-round stop, proposal and
+commit rules (and the min-and-remove rollback where a suite asks for it).
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from repro.core.session import NegotiationSession, SessionConfig, rollback_victi
 from repro.core.strategies import (
     AlternatingTurns,
     AlwaysAccept,
+    BestLocalProposals,
     CoinTossTurns,
     LowerGainTurns,
     MaxCombinedProposals,
@@ -57,6 +57,7 @@ from repro.topology.generator import GeneratorConfig
 from reference import negotiation as reference
 
 P = PreferenceRange(5)
+INF = float("inf")
 
 
 # -- the rollback alone --------------------------------------------------------
@@ -178,10 +179,6 @@ class TestRollbackReference:
 # -- whole sessions ------------------------------------------------------------
 
 
-class ScanningCheater(reference.ScanningAgent, CheatingAgent):
-    """A cheating agent with the reference masked-rescan stop rule."""
-
-
 def _matrix(draw, shape, low=P.min, high=P.max):
     n_flows, n_alts = shape
     return np.asarray(
@@ -244,24 +241,19 @@ def session_problems(draw):
         ),
         "veto": (draw(st.booleans()), draw(st.booleans())),
         "cheater": draw(st.sampled_from([None, 0, 1])),
+        # (-inf, -inf) rolls nothing back.
         "floors": draw(st.sampled_from([(0.0, 0.0), (-2.0, 0.0), (0.0, -1.0),
-                                        (-3.0, -3.0)])),
-        "rollback": draw(st.sampled_from([True, True, False])),
+                                        (-3.0, -3.0), (-INF, -INF)])),
         "max_rounds": draw(st.sampled_from([None, None, 3])),
         "record_messages": draw(st.booleans()),
-        # The production session asks per-round overrides and rules too.
-        "ask": draw(st.booleans()),
+        "best_local": draw(st.booleans()),
     }
 
 
-def _run(problem, production: bool, honest_cls=None):
+def _run(problem, production: bool, honest_cls=NegotiationAgent):
     """Build the problem's session afresh (evaluators and reassignment
     policies are stateful) and run it on one engine."""
     defaults = problem["defaults"]
-    scanning = problem["ask"] or not production
-    if honest_cls is None:
-        honest_cls = reference.ScanningAgent if scanning else NegotiationAgent
-    cheater_cls = ScanningCheater if scanning else CheatingAgent
     agents = []
     for side, name in enumerate("ab"):
         stages = problem[f"stages_{name}"]
@@ -276,7 +268,7 @@ def _run(problem, production: bool, honest_cls=None):
             ),
         )
         if problem["cheater"] == side:
-            agents.append(cheater_cls(name, evaluator, range_=P, **kwargs))
+            agents.append(CheatingAgent(name, evaluator, range_=P, **kwargs))
         else:
             agents.append(honest_cls(name, evaluator, **kwargs))
     if problem["cheater"] is not None:
@@ -288,14 +280,13 @@ def _run(problem, production: bool, honest_cls=None):
             else AlternatingTurns(first=int(turns[-1]))
         ),
         proposal_policy=(
-            reference.RescanningProposals() if scanning
+            BestLocalProposals() if problem["best_local"]
             else MaxCombinedProposals()
         ),
         reassignment_policy=(
             ReassignEveryFraction(problem["fraction"])
             if problem["fraction"] else ReassignNever()
         ),
-        rollback=problem["rollback"],
         rollback_floors=problem["floors"],
         max_rounds=problem["max_rounds"],
         record_messages=problem["record_messages"],
@@ -310,27 +301,10 @@ def _run(problem, production: bool, honest_cls=None):
     return reference.outcome_signature(outcome), session.messages
 
 
-class ModestAgent(NegotiationAgent):
-    """Discloses its classes lowered by a third of its class gain so far:
-    a disclosure that changes with every accepted round."""
-
-    disclosure_changes_only_on_reassign = False
-
-    def disclosed_preferences(self):
-        prefs = self.evaluator.preferences() - self.cumulative_gain // 3
-        return np.clip(prefs, P.min, P.max)
-
-
 class PickyAgent(NegotiationAgent):
-    """Overrides both decisions with rules the stock agent does not have:
-    it vetoes every proposal on an odd flow, and stops on its turn once its
-    class gain reaches 4. A session that skipped either override would
-    decide differently from the oracle."""
-
-    def wants_to_stop(self, remaining, reassignable=False):
-        return self.cumulative_gain >= 4 or super().wants_to_stop(
-            remaining, reassignable
-        )
+    """Overrides the accept decision with a rule the stock agent does not
+    have: it vetoes every proposal on an odd flow. A session that skipped
+    the override would decide differently from the oracle."""
 
     def decide_accept(self, flow_index, alternative, other_pref):
         return flow_index % 2 == 0 and super().decide_accept(
@@ -346,20 +320,14 @@ class TestSessionDifferential:
 
     @settings(deadline=None)
     @given(problem=session_problems())
-    def test_round_varying_disclosure(self, problem):
-        # Such an agent makes every epoch one round long.
-        problem["cheater"] = None
-        assert _run(problem, True, ModestAgent) == _run(problem, False, ModestAgent)
-
-    @settings(deadline=None)
-    @given(problem=session_problems())
     def test_agent_overrides_are_asked(self, problem):
         problem["cheater"] = None
         assert _run(problem, True, PickyAgent) == _run(problem, False, PickyAgent)
 
     def test_picky_overrides_change_the_session(self):
         # Under AlwaysAccept and full termination the stock agents take
-        # every flow; picky ones veto flow 1, and B stops at class gain 4.
+        # every flow; picky ones veto flows 1 and 3, whose only joint gain
+        # is then banned.
         prefs = np.array([[0, 2], [0, 2], [0, 2], [0, 2], [0, 2]])
         problem = {
             "stages_a": [prefs],
@@ -371,18 +339,19 @@ class TestSessionDifferential:
             "termination": (TerminationMode.FULL, TerminationMode.FULL),
             "veto": (False, False),
             "cheater": None,
-            "rollback": True,
             "floors": (0.0, 0.0),
             "max_rounds": None,
             "record_messages": False,
-            "ask": False,
+            "best_local": False,
         }
         stock, _ = _run(problem, production=True)
         picky, _ = _run(problem, True, PickyAgent)
         assert picky == _run(problem, False, PickyAgent)[0]
         assert [r[6] for r in stock[6]] == [True] * 5
-        assert [(r[2], r[6]) for r in picky[6]] == [(0, True), (1, False), (2, True)]
-        assert picky[8] is TerminationReason.EARLY_STOP_B
+        assert [(r[2], r[6]) for r in picky[6]] == [
+            (0, True), (1, False), (2, True), (3, False), (4, True)
+        ]
+        assert picky[8] is TerminationReason.NO_JOINT_GAIN
 
     def test_tie_heavy_picks_lowest_cell(self):
         # Every combined score is 2. A's local preference peaks at 2 on
@@ -399,11 +368,10 @@ class TestSessionDifferential:
             "termination": (TerminationMode.FULL, TerminationMode.FULL),
             "veto": (False, False),
             "cheater": None,
-            "rollback": True,
             "floors": (0.0, 0.0),
             "max_rounds": None,
             "record_messages": True,
-            "ask": False,
+            "best_local": False,
         }
         signature, messages = _run(problem, production=True)
         assert (signature, messages) == _run(problem, production=False)
@@ -481,10 +449,10 @@ def _draw_load_problem(data, tables) -> dict:
         ),
         "veto": (data.draw(st.booleans()), data.draw(st.booleans())),
         "cheater": data.draw(st.sampled_from([None, 0, 1])),
-        # The production session asks per-round overrides and rules too.
-        "ask": data.draw(st.booleans()),
-        "floors": data.draw(st.sampled_from([(0.0, 0.0), (-2.0, 0.0), (0.0, -1.0)])),
-        "rollback": data.draw(st.sampled_from([True, True, False])),
+        # (-inf, -inf) rolls nothing back.
+        "floors": data.draw(st.sampled_from(
+            [(0.0, 0.0), (-2.0, 0.0), (0.0, -1.0), (-INF, -INF)]
+        )),
         "max_rounds": data.draw(st.sampled_from([None, None, None, 1, 4, 9])),
         "record_messages": data.draw(st.booleans()),
     }
@@ -506,9 +474,6 @@ def _run_load(tables, problem, oracle: bool):
         )
         for kind, side in zip(problem["kinds"], "ab")
     ]
-    ask = problem["ask"] and not oracle
-    honest_cls = reference.ScanningAgent if ask else NegotiationAgent
-    cheater_cls = ScanningCheater if ask else CheatingAgent
     agents = []
     for side, (name, evaluator) in enumerate(zip("ab", evaluators)):
         kwargs = dict(
@@ -518,9 +483,9 @@ def _run_load(tables, problem, oracle: bool):
             ),
         )
         if problem["cheater"] == side:
-            agents.append(cheater_cls(name, evaluator, range_=P, **kwargs))
+            agents.append(CheatingAgent(name, evaluator, range_=P, **kwargs))
         else:
-            agents.append(honest_cls(name, evaluator, **kwargs))
+            agents.append(NegotiationAgent(name, evaluator, **kwargs))
     if problem["cheater"] is not None:
         agents[problem["cheater"]].bind_opponent(agents[1 - problem["cheater"]])
     turns = problem["turns"]
@@ -530,12 +495,10 @@ def _run_load(tables, problem, oracle: bool):
             else CoinTossTurns(seed=5) if turns == "coin"
             else AlternatingTurns(first=int(turns[-1]))
         ),
-        proposal_policy=reference.RescanningProposals() if ask else MaxCombinedProposals(),
         reassignment_policy=(
             ReassignEveryFraction(problem["fraction"])
             if problem["fraction"] else ReassignNever()
         ),
-        rollback=problem["rollback"],
         rollback_floors=problem["floors"],
         max_rounds=problem["max_rounds"],
         record_messages=problem["record_messages"],
@@ -575,9 +538,7 @@ def _base_problem(**overrides) -> dict:
         "termination": (TerminationMode.EARLY, TerminationMode.EARLY),
         "veto": (False, False),
         "cheater": None,
-        "ask": False,
         "floors": (0.0, 0.0),
-        "rollback": True,
         "max_rounds": None,
         "record_messages": True,
     }

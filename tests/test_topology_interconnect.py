@@ -24,6 +24,13 @@ class TestInterconnection:
         with pytest.raises(TopologyError):
             Interconnection(index=0, city="X", pop_a=0, pop_b=0, length_km=-1)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -1.0])
+    def test_length_must_be_finite_and_non_negative(self, length):
+        # Regression: nan and inf passed the ``< 0`` check and reached every
+        # Section 5.1 total through the pair's interconnection lengths.
+        with pytest.raises(TopologyError, match="finite"):
+            Interconnection(index=0, city="X", pop_a=0, pop_b=0, length_km=length)
+
 
 class TestIspPair:
     def test_validates_cities_match(self, small_pair):
