@@ -15,8 +15,7 @@ Two kinds of kernel, each shaped by how often it runs:
   with one ratio expression and one segment-max. They run once per
   placement or disclosure, over hundreds to thousands of entries.
 * **Scalar kernels** are :class:`LoadTracker`'s single-row operations
-  (:meth:`~LoadTracker.place`, :meth:`~LoadTracker.remove`,
-  :meth:`~LoadTracker.peek_max_ratio`,
+  (:meth:`~LoadTracker.place`, :meth:`~LoadTracker.peek_max_ratio`,
   :meth:`~LoadTracker.peek_cost_increase`, and their fused run over a
   session epoch, :meth:`~LoadTracker.place_epoch`).
   They work over paths of a few links, where numpy's per-call overhead is
@@ -41,7 +40,6 @@ from repro.routing.incidence import PathIncidence, multirange_gather
 
 __all__ = [
     "link_loads",
-    "pair_link_loads",
     "validate_capacities",
     "RowGather",
     "max_ratio_rows",
@@ -121,18 +119,6 @@ def link_loads(
         bins = np.concatenate([np.arange(n_links, dtype=np.intp), bins])
         weights = np.concatenate([base, weights])
     return np.bincount(bins, weights=weights, minlength=n_links)
-
-
-def pair_link_loads(
-    table: PairCostTable,
-    choices: np.ndarray,
-    active: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loads in both ISPs: ``(loads_a, loads_b)``."""
-    return (
-        link_loads(table, choices, "a", active),
-        link_loads(table, choices, "b", active),
-    )
 
 
 def validate_capacities(
@@ -244,17 +230,16 @@ class LoadTracker:
     The loads, the flow sizes and the side's incidence rows
     (``indptr``/``indices``) are kept as Python lists, so the scalar
     kernels that every accepted round calls (:meth:`place`,
-    :meth:`remove`, :meth:`peek_max_ratio`, :meth:`peek_cost_increase`)
+    :meth:`peek_max_ratio`, :meth:`peek_cost_increase`, :meth:`place_epoch`)
     are float loops over one row's few links. The list is the only load
-    store: the batch readers (:attr:`loads`, :meth:`loads_view`,
-    :meth:`peek_max_ratio_block` and what builds on it) make an array from
-    it when called, which costs one pass over the side's links.
+    store: the batch readers (:attr:`loads`, :meth:`max_ratios` and
+    :meth:`peek_max_ratio_block`) make an array from it when called, which
+    costs one pass over the side's links.
     """
 
     def __init__(self, table: PairCostTable, side: str,
                  base_loads: np.ndarray | None = None):
         n_links = _n_links(table, side)
-        self._table = table
         self._incidence = incidence = table.incidence(side)
         self._sizes = table.flowset.sizes()
         self._size_list: list[float] = self._sizes.tolist()
@@ -280,15 +265,7 @@ class LoadTracker:
 
     @property
     def loads(self) -> np.ndarray:
-        """Current loads (a new array; mutate only through place/remove)."""
-        return np.array(self._loads)
-
-    def loads_view(self) -> np.ndarray:
-        """Current loads as an array, for batch kernels that only read them.
-
-        Built from the load list on each call, like :attr:`loads`; kept so
-        batch readers need not care which form the tracker stores.
-        """
+        """Current loads (a new array; change them only through placements)."""
         return np.array(self._loads)
 
     def place(self, flow_index: int, alternative: int) -> None:
@@ -298,14 +275,6 @@ class LoadTracker:
         loads = self._loads
         for li in self._indices[self._indptr[row] : self._indptr[row + 1]]:
             loads[li] += size
-
-    def remove(self, flow_index: int, alternative: int) -> None:
-        """Remove a previously placed flow (inverse of :meth:`place`)."""
-        row = flow_index * self._n_alt + alternative
-        size = self._size_list[flow_index]
-        loads = self._loads
-        for li in self._indices[self._indptr[row] : self._indptr[row + 1]]:
-            loads[li] -= size
 
     def peek_max_ratio(
         self, flow_index: int, alternative: int, capacities: Sequence[float]
@@ -375,36 +344,13 @@ class LoadTracker:
         """:func:`max_ratio_rows` of a gather against the current loads."""
         return max_ratio_rows(np.array(self._loads), gather)
 
-    def peek_max_ratio_all(
-        self, flow_index: int, capacities: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`peek_max_ratio` for every alternative of one flow, (I,)."""
-        return self.peek_max_ratio_block(
-            np.asarray([flow_index], dtype=np.intp), capacities
-        )[0]
-
     def peek_max_ratio_block(
         self, flows: np.ndarray, capacities: np.ndarray
     ) -> np.ndarray:
         """:meth:`peek_max_ratio` for all alternatives of ``flows``, (K, I).
 
-        The compact form of :meth:`peek_max_ratio_matrix` — row ``k`` is
-        flow ``flows[k]`` — computed as one gather and one
+        Row ``k`` is flow ``flows[k]``, computed as one gather and one
         :func:`max_ratio_rows` pass; the rows match the scalar peeks
         exactly.
         """
         return self.max_ratios(self.gather(flows, capacities))
-
-    def peek_max_ratio_matrix(
-        self, remaining: np.ndarray, capacities: np.ndarray
-    ) -> np.ndarray:
-        """The (F, I) matrix of :meth:`peek_max_ratio` for remaining flows.
-
-        Rows of flows outside ``remaining`` are left at 0.0.
-        """
-        remaining = np.asarray(remaining, dtype=bool)
-        out = np.zeros((self._table.n_flows, self._table.n_alternatives))
-        flows = np.flatnonzero(remaining)
-        if flows.size:
-            out[flows] = self.peek_max_ratio_block(flows, capacities)
-        return out

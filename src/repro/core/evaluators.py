@@ -4,35 +4,45 @@ An :class:`Evaluator` is one ISP's private machinery: it knows the ISP's
 internal optimization criterion and produces the opaque preference classes
 the protocol discloses. The session never sees the underlying metric.
 
-Three concrete evaluators:
+Four concrete evaluators share two private bases, so each states only its
+own metric. ``_Evaluator`` holds what every evaluator has: the (F, I)
+class matrix, the defaults (checked once, at construction: an integer
+array of one alternative index per flow, else :class:`PreferenceError`)
+and no-op ``commit`` and ``reassign``. Two evaluators build on it
+directly:
 
 * :class:`StaticPreferenceEvaluator` — preferences given directly (worked
   examples, tests, and the Figure 3 trace);
 * :class:`StaticCostEvaluator` — per-flow costs independent of other flows
   (the distance metric: "mapping per-flow objectives ... is straightforward
-  as the preferences for different alternatives are independent");
-* :class:`LoadAwareEvaluator` — preferences derived from current link
-  loads (the bandwidth metric), recomputed on reassignment as "preferences
-  are based on constraints such as available bandwidth that may change
-  after some flows have been negotiated".
+  as the preferences for different alternatives are independent").
+
+``_LoadEvaluator`` adds what the load-dependent metrics share: a
+:class:`~repro.capacity.loads.LoadTracker` seeded with background traffic,
+which ``commit`` places flows into, capacities checked once at
+construction (:func:`~repro.capacity.loads.validate_capacities`) and kept
+fixed, and the one class mapping each reassignment runs over the
+remaining flows' scores. Preferences "are based on constraints such as
+available bandwidth that may change after some flows have been
+negotiated", so they are recomputed on reassignment. Each subclass
+supplies its score and its unit:
+
+* :class:`LoadAwareEvaluator` — the maximum load-increase ratio along the
+  path (the bandwidth metric);
+* :class:`FortzCostEvaluator` — the increase in the Fortz-Thorup network
+  cost (the paper's alternate bandwidth metric).
+
+Their scores are a handful of array expressions over the table's compiled
+path incidence (gather, per-entry score, segment reduction) — no
+Python-level per-(flow, alternative) calls — while ``true_delta`` and
+``commit`` run the tracker's scalar list kernels. The equivalence tests
+pin them bit for bit against per-(flow, alternative) reference loops.
 
 A session settles each epoch through one ``commit_epoch`` call per side:
 the epoch's accepted flows placed in order, each with its true delta taken
-just before its placement. :class:`StaticCostEvaluator` and
-:class:`LoadAwareEvaluator` fuse it (one gather, one tracker loop); the
-others define it as :func:`commit_in_order`, one ``true_delta`` and one
-``commit`` per flow.
-
-The load-dependent evaluators (:class:`LoadAwareEvaluator`,
-:class:`FortzCostEvaluator`) recompute whole preference matrices per
-reassignment as a handful of array expressions over the table's compiled
-path incidence (gather, per-entry score, segment reduction) — no
-Python-level per-(flow, alternative) calls — while ``true_delta`` and
-``commit`` run the tracker's scalar list kernels. Both check their
-capacities once, at construction
-(:func:`~repro.capacity.loads.validate_capacities`), and keep them fixed.
-The equivalence tests pin them bit for bit against per-(flow, alternative)
-reference loops.
+just before its placement. The base defines it as :func:`commit_in_order`,
+one ``true_delta`` and one ``commit`` per flow; :class:`StaticCostEvaluator`
+and :class:`LoadAwareEvaluator` fuse it (one gather, one tracker loop).
 """
 
 from __future__ import annotations
@@ -108,34 +118,37 @@ def commit_in_order(evaluator, flows, alternatives) -> list[float]:
     return deltas
 
 
-class StaticPreferenceEvaluator:
-    """Preferences supplied directly as class matrices.
+class _Evaluator:
+    """The state every evaluator holds: the (F, I) class matrix (zeros
+    until a subclass discloses) and the checked defaults.
 
-    ``stages`` optionally provides successive matrices consumed one per
-    reassignment — exactly what the Figure 3 worked example needs (initial
-    list, then the post-reassignment list).
+    Defaults index every flow's row, so a float would be truncated, a bool
+    mask read as indices, and -1 wrap to the last alternative: anything but
+    an integer array of shape (F,) with entries in 0..I-1 raises
+    :class:`PreferenceError`. ``commit`` and ``reassign`` are no-ops here.
     """
 
     def __init__(
-        self,
-        prefs: np.ndarray,
-        defaults: np.ndarray,
-        range_: PreferenceRange | None = None,
-        stages: list[np.ndarray] | None = None,
+        self, shape: tuple[int, ...], defaults: np.ndarray, range_: PreferenceRange
     ):
-        self.range = range_ or PreferenceRange()
-        self._prefs = np.asarray(prefs, dtype=np.int64)
-        self._defaults = np.asarray(defaults, dtype=np.intp)
-        if self._prefs.ndim != 2:
-            raise PreferenceError("preference matrix must be 2-D")
-        if self._defaults.shape != (self._prefs.shape[0],):
-            raise PreferenceError("defaults shape mismatch")
-        self.range.validate_array(self._prefs)
-        self._stages = [np.asarray(s, dtype=np.int64) for s in (stages or [])]
-        for stage in self._stages:
-            if stage.shape != self._prefs.shape:
-                raise PreferenceError("stage matrices must match initial shape")
-            self.range.validate_array(stage)
+        if len(shape) != 2:
+            raise PreferenceError(
+                f"preference matrix must be 2-D, got shape {shape}"
+            )
+        n_flows, n_alternatives = shape
+        defaults = np.asarray(defaults)
+        if defaults.dtype.kind not in "iu" or defaults.shape != (n_flows,):
+            raise PreferenceError(
+                f"defaults must be an integer array of shape ({n_flows},), "
+                f"got {defaults.dtype} of shape {defaults.shape}"
+            )
+        if n_flows and (defaults.min() < 0 or defaults.max() >= n_alternatives):
+            raise PreferenceError(
+                f"defaults must be alternative indices in 0..{n_alternatives - 1}"
+            )
+        self.range = range_
+        self._defaults = defaults.astype(np.intp, copy=False)
+        self._prefs = np.zeros(shape, dtype=np.int64)
 
     @property
     def n_flows(self) -> int:
@@ -153,8 +166,40 @@ class StaticPreferenceEvaluator:
         return self._prefs
 
     def commit(self, flow_index: int, alternative: int) -> None:
-        # Stateless with respect to commitments.
         del flow_index, alternative
+
+    def reassign(self, remaining: np.ndarray) -> None:
+        del remaining
+
+    commit_epoch = commit_in_order
+
+
+class StaticPreferenceEvaluator(_Evaluator):
+    """Preferences supplied directly as class matrices.
+
+    ``stages`` optionally provides successive matrices consumed one per
+    reassignment — exactly what the Figure 3 worked example needs (initial
+    list, then the post-reassignment list). The classes and every stage
+    must be integers inside the range, checked before they are cast.
+    """
+
+    def __init__(
+        self,
+        prefs: np.ndarray,
+        defaults: np.ndarray,
+        range_: PreferenceRange | None = None,
+        stages: list[np.ndarray] | None = None,
+    ):
+        range_ = range_ or PreferenceRange()
+        prefs = range_.validate_array(prefs)
+        super().__init__(prefs.shape, defaults, range_)
+        self._prefs = prefs.astype(np.int64, copy=False)
+        self._stages = [
+            range_.validate_array(s).astype(np.int64, copy=False)
+            for s in stages or []
+        ]
+        if any(stage.shape != prefs.shape for stage in self._stages):
+            raise PreferenceError("stage matrices must match initial shape")
 
     def reassign(self, remaining: np.ndarray) -> None:
         del remaining
@@ -165,10 +210,8 @@ class StaticPreferenceEvaluator:
         # No underlying metric: the classes are the ground truth.
         return float(self._prefs[flow_index, alternative])
 
-    commit_epoch = commit_in_order
 
-
-class StaticCostEvaluator:
+class StaticCostEvaluator(_Evaluator):
     """Per-flow costs mapped to classes once (load-independent metrics)."""
 
     def __init__(
@@ -178,37 +221,8 @@ class StaticCostEvaluator:
         mapper: PreferenceMapper,
     ):
         self._costs = np.asarray(costs, dtype=float)
-        self._defaults = np.asarray(defaults, dtype=np.intp)
-        self.mapper = mapper
-        self.range = mapper.range
+        super().__init__(self._costs.shape, defaults, mapper.range)
         self._prefs = map_cost_matrix(self._costs, self._defaults, mapper)
-
-    @property
-    def n_flows(self) -> int:
-        return self._prefs.shape[0]
-
-    @property
-    def n_alternatives(self) -> int:
-        return self._prefs.shape[1]
-
-    @property
-    def defaults(self) -> np.ndarray:
-        return self._defaults
-
-    @property
-    def costs(self) -> np.ndarray:
-        """The underlying private cost matrix (never disclosed)."""
-        return self._costs
-
-    def preferences(self) -> np.ndarray:
-        return self._prefs
-
-    def commit(self, flow_index: int, alternative: int) -> None:
-        del flow_index, alternative
-
-    def reassign(self, remaining: np.ndarray) -> None:
-        # Load-independent: preferences never change.
-        del remaining
 
     def true_delta(self, flow_index: int, alternative: int) -> float:
         default = self._defaults[flow_index]
@@ -224,7 +238,76 @@ class StaticCostEvaluator:
         return deltas.tolist()
 
 
-class LoadAwareEvaluator:
+class _LoadEvaluator(_Evaluator):
+    """What the tracker-backed load metrics share.
+
+    It holds the table, the side, the checked capacities (a list copy
+    feeds the tracker's scalar kernels), the defaults as a list and a
+    :class:`LoadTracker` seeded with ``base_loads``. ``commit`` places a
+    flow in the tracker, but disclosed classes change only when
+    :meth:`reassign` runs — Nexit reassigns "after negotiating each 5% of
+    the traffic".
+
+    A subclass passes its ``unit`` (the score difference per class) and
+    supplies ``_scores(flows)``: the (K, I) internal scores of ``flows``
+    (ascending) against the current loads, lower being better. The first
+    disclosure runs at construction, so a subclass sets the state its
+    ``_scores`` reads before it calls this ``__init__``.
+    """
+
+    def __init__(
+        self,
+        table: PairCostTable,
+        side: str,
+        capacities: np.ndarray,
+        defaults: np.ndarray,
+        base_loads: np.ndarray | None,
+        range_: PreferenceRange | None,
+        unit: float,
+    ):
+        capacities = validate_capacities(table, side, capacities)
+        super().__init__(
+            (table.n_flows, table.n_alternatives), defaults,
+            range_ or PreferenceRange(),
+        )
+        self._table = table
+        self._side = side
+        self._unit = unit
+        self._capacities = capacities
+        self._cap_list = capacities.tolist()
+        self._default_list = self._defaults.tolist()
+        self._tracker = LoadTracker(table, side, base_loads=base_loads)
+        self._recompute(np.ones(table.n_flows, dtype=bool))
+
+    def commit(self, flow_index: int, alternative: int) -> None:
+        self._tracker.place(flow_index, alternative)
+
+    def reassign(self, remaining: np.ndarray) -> None:
+        self._recompute(np.asarray(remaining, dtype=bool))
+
+    def _recompute(self, remaining: np.ndarray) -> None:
+        """Refresh the remaining flows' classes from the current loads.
+
+        The one class mapping: each alternative's improvement on the
+        default's score at ``unit`` per class, rounded conservatively
+        (gains floored, losses ceiled, so a class never promises more than
+        the metric delivers) and clamped to the range. The default is 0 by
+        construction and is set so against fp noise.
+        """
+        flows = np.flatnonzero(remaining)
+        if not flows.size:
+            return
+        scores = self._scores(flows)
+        defaults = self._defaults[flows]
+        rows = np.arange(flows.size)
+        default_scores = scores[rows, defaults]
+        units = (default_scores[:, np.newaxis] - scores) / self._unit
+        prefs = self.range.clamp_array(conservative_round(units))
+        prefs[rows, defaults] = 0
+        self._prefs[flows] = prefs
+
+
+class LoadAwareEvaluator(_LoadEvaluator):
     """Bandwidth preferences: max load-increase ratio along the path.
 
     For a remaining flow ``f`` and alternative ``i``, the internal score is
@@ -232,17 +315,9 @@ class LoadAwareEvaluator:
     (f, i) path inside this ISP's network — "both ISPs using the maximum
     increase in link load along the path to map flows to preferences"
     (Section 5.2). The class is the default-relative improvement in that
-    ratio, at ``ratio_unit`` per class.
-
-    The evaluator holds a :class:`LoadTracker` seeded with background
-    (non-negotiated) traffic. Committed flows are placed into the tracker,
-    but disclosed preferences only change when :meth:`reassign` runs —
-    Nexit reassigns "after negotiating each 5% of the traffic".
-
-    Capacities are validated and copied at construction and never change
-    afterwards (a list copy feeds the tracker's scalar peeks). The tracker
-    keeps its state in Python lists, so :meth:`true_delta` and
-    :meth:`commit` cost a float loop over one path each.
+    ratio, at ``ratio_unit`` per class. The tracker keeps its state in
+    Python lists, so :meth:`true_delta` and :meth:`commit` cost a float
+    loop over one path each.
 
     Each disclosure scores a *live* flow set from one
     :class:`~repro.capacity.loads.RowGather` (link ids, entry sizes, entry
@@ -267,50 +342,14 @@ class LoadAwareEvaluator:
         base_loads: np.ndarray | None = None,
         range_: PreferenceRange | None = None,
         ratio_unit: float = 0.1,
-        conservative: bool = True,
     ):
-        self.range = range_ or PreferenceRange()
-        self.ratio_unit = check_unit(ratio_unit, "ratio_unit")
-        self.conservative = conservative
-        self._table = table
-        self._side = side
-        self._capacities = validate_capacities(table, side, capacities)
-        self._cap_list = self._capacities.tolist()
-        self._defaults = np.asarray(defaults, dtype=np.intp)
-        if self._defaults.shape != (table.n_flows,):
-            raise PreferenceError("defaults shape mismatch")
-        self._default_list = self._defaults.tolist()
-        self._tracker = LoadTracker(table, side, base_loads=base_loads)
-        self._prefs = np.zeros((table.n_flows, table.n_alternatives), dtype=np.int64)
         #: The live gather and each flow's row in it (-1 outside it).
         self._live: RowGather | None = None
         self._live_rows = np.full(table.n_flows, -1, dtype=np.intp)
-        self._recompute(np.ones(table.n_flows, dtype=bool))
-
-    @property
-    def n_flows(self) -> int:
-        return self._table.n_flows
-
-    @property
-    def n_alternatives(self) -> int:
-        return self._table.n_alternatives
-
-    @property
-    def defaults(self) -> np.ndarray:
-        return self._defaults
-
-    @property
-    def tracker(self) -> LoadTracker:
-        return self._tracker
-
-    def preferences(self) -> np.ndarray:
-        return self._prefs
-
-    def commit(self, flow_index: int, alternative: int) -> None:
-        self._tracker.place(flow_index, alternative)
-
-    def reassign(self, remaining: np.ndarray) -> None:
-        self._recompute(np.asarray(remaining, dtype=bool))
+        super().__init__(
+            table, side, capacities, defaults, base_loads, range_,
+            check_unit(ratio_unit, "ratio_unit"),
+        )
 
     def true_delta(self, flow_index: int, alternative: int) -> float:
         """Improvement in this ISP's max load-increase ratio for the flow,
@@ -327,22 +366,12 @@ class LoadAwareEvaluator:
             flows, alternatives, self._default_list, self._cap_list
         )
 
-    def _recompute(self, remaining: np.ndarray) -> None:
-        """Refresh classes for the remaining flows from current loads.
-
-        The nominal max-ratio block comes from the live gather
-        (:meth:`_nominal_block`), :meth:`_score_block` turns it into the
-        internal score, and a whole-matrix class mapping
-        (:meth:`_apply_scores`) discloses it. Subclasses override
-        :meth:`_score_block` to substitute their own internal score while
-        inheriting the gather and the class mapping unchanged.
-        """
-        flows = np.flatnonzero(remaining)
-        if not flows.size:
-            return
-        self._apply_scores(
-            flows, self._score_block(flows, self._nominal_block(flows))
-        )
+    def _scores(self, flows: np.ndarray) -> np.ndarray:
+        """The nominal max-ratio block from the live gather
+        (:meth:`_nominal_block`), turned into the internal score by
+        :meth:`_score_block`, which subclasses override to substitute
+        their own score while inheriting the gather unchanged."""
+        return self._score_block(flows, self._nominal_block(flows))
 
     def _nominal_block(self, flows: np.ndarray) -> np.ndarray:
         """(K, I) max load-increase ratios of ``flows`` (ascending).
@@ -365,21 +394,8 @@ class LoadAwareEvaluator:
         """Internal (K, I) scores of ``flows`` from their nominal block."""
         return nominal
 
-    def _apply_scores(self, flows: np.ndarray, sel: np.ndarray) -> None:
-        """Map a (K, I) score block to preference classes for ``flows``."""
-        defaults = self._defaults[flows]
-        rows = np.arange(flows.size)
-        default_scores = sel[rows, defaults]
-        units = (default_scores[:, np.newaxis] - sel) / self.ratio_unit
-        if self.conservative:
-            units = conservative_round(units)
-        prefs = self.range.clamp_array(units)
-        # The default is 0 by construction; enforce against fp noise.
-        prefs[rows, defaults] = 0
-        self._prefs[flows] = prefs
 
-
-class FortzCostEvaluator:
+class FortzCostEvaluator(_LoadEvaluator):
     """Bandwidth preferences from the Fortz-Thorup network cost.
 
     The paper's alternate ISP optimization metric: "a metric based on a
@@ -401,7 +417,6 @@ class FortzCostEvaluator:
         base_loads: np.ndarray | None = None,
         range_: PreferenceRange | None = None,
         cost_unit: float | None = None,
-        conservative: bool = True,
     ):
         from repro.metrics.fortz import (
             piecewise_link_cost,
@@ -410,48 +425,16 @@ class FortzCostEvaluator:
 
         self._piecewise = piecewise_link_cost
         self._piecewise_array = piecewise_link_cost_array
-        self.range = range_ or PreferenceRange()
-        self._table = table
-        self._side = side
-        self._capacities = validate_capacities(table, side, capacities)
-        self._cap_list = self._capacities.tolist()
-        self._defaults = np.asarray(defaults, dtype=np.intp)
-        if self._defaults.shape != (table.n_flows,):
-            raise PreferenceError("defaults shape mismatch")
-        self._default_list = self._defaults.tolist()
-        self._tracker = LoadTracker(table, side, base_loads=base_loads)
         self._sizes = table.flowset.sizes()
         # Default unit: half the cost of one mean-size flow crossing one
         # low-utilization (slope-1) link — a scale that keeps typical
         # deltas at a few classes without instance peeking.
         if cost_unit is None:
             cost_unit = max(float(self._sizes.mean()), 1e-9) * 0.5
-        self.cost_unit = check_unit(cost_unit, "cost_unit")
-        self.conservative = conservative
-        self._prefs = np.zeros((table.n_flows, table.n_alternatives),
-                               dtype=np.int64)
-        self._recompute(np.ones(table.n_flows, dtype=bool))
-
-    @property
-    def n_flows(self) -> int:
-        return self._table.n_flows
-
-    @property
-    def n_alternatives(self) -> int:
-        return self._table.n_alternatives
-
-    @property
-    def defaults(self) -> np.ndarray:
-        return self._defaults
-
-    def preferences(self) -> np.ndarray:
-        return self._prefs
-
-    def commit(self, flow_index: int, alternative: int) -> None:
-        self._tracker.place(flow_index, alternative)
-
-    def reassign(self, remaining: np.ndarray) -> None:
-        self._recompute(np.asarray(remaining, dtype=bool))
+        super().__init__(
+            table, side, capacities, defaults, base_loads, range_,
+            check_unit(cost_unit, "cost_unit"),
+        )
 
     def true_delta(self, flow_index: int, alternative: int) -> float:
         default_cost = self._placement_cost_increase(
@@ -459,8 +442,6 @@ class FortzCostEvaluator:
         )
         alt_cost = self._placement_cost_increase(flow_index, alternative)
         return default_cost - alt_cost
-
-    commit_epoch = commit_in_order
 
     def _placement_cost_increase(self, flow_index: int, alternative: int) -> float:
         """Marginal Fortz cost of placing the flow on its path links.
@@ -472,35 +453,23 @@ class FortzCostEvaluator:
             flow_index, alternative, self._cap_list, self._piecewise
         )
 
-    def _recompute(self, remaining: np.ndarray) -> None:
-        """Refresh classes from the current loads.
+    def _scores(self, flows: np.ndarray) -> np.ndarray:
+        """Marginal Fortz costs of ``flows``' alternatives, (K, I).
 
-        Gathers all remaining rows' path entries, evaluates the piecewise
-        marginal cost per entry, and segment-sums per row — three array
-        passes instead of F·I Python calls.
+        Gathers the rows' path entries, evaluates the piecewise marginal
+        cost per entry, and segment-sums per row — three array passes
+        instead of K·I Python calls.
         """
-        flows = np.flatnonzero(remaining)
-        if not flows.size:
-            return
         inc = self._tracker.incidence
         positions, row_ptr = inc.flow_entries(flows)
         links = inc.indices[positions]
-        loads = self._tracker.loads_view()[links]
+        loads = self._tracker.loads[links]
         caps = self._capacities[links]
         entry_sizes = self._sizes[inc.entry_flow[positions]]
         delta = (
             self._piecewise_array(loads + entry_sizes, caps)
             - self._piecewise_array(loads, caps)
         )
-        scores = segment_sum(delta, row_ptr).reshape(
+        return segment_sum(delta, row_ptr).reshape(
             flows.size, self.n_alternatives
         )
-        defaults = self._defaults[flows]
-        rows = np.arange(flows.size)
-        default_scores = scores[rows, defaults]
-        units = (default_scores[:, np.newaxis] - scores) / self.cost_unit
-        if self.conservative:
-            units = conservative_round(units)
-        prefs = self.range.clamp_array(units)
-        prefs[rows, defaults] = 0
-        self._prefs[flows] = prefs

@@ -525,7 +525,9 @@ class MultiSessionCoordinator:
         )
         self.provisioner = provisioner or ProportionalCapacity()
         self.order = order
-        self.seed = self.config.seed if seed is None else seed
+        self.seed = self.config.seed if seed is None else check_int(
+            seed, "seed", 0
+        )
         self.max_rounds = max_rounds
         self.transit_scale = transit_scale
         self.coord_workers = resolve_workers(coord_workers)

@@ -81,14 +81,15 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
     (0 = pure nominal, bit-identical to the parent class; 1 = pure CVaR)
     and ``tail_quantile`` the CVaR quantile ``q``.
 
-    It inherits the parent's list-backed tracker, the capacities validated
-    and fixed at construction, and the disclosure path: each disclosure
-    blends the nominal block scored from the live gather (re-gathered when
-    the remaining flows fall below half of it). :meth:`true_delta` scores
-    one flow per commit, so it gathers that flow alone instead of scoring
-    the live set, and a session settles its epochs through
-    :func:`~repro.core.evaluators.commit_in_order`: one ``true_delta`` and
-    one ``commit`` per flow.
+    It inherits the parent's tracker, capacities, class mapping and
+    disclosure path, and overrides only :meth:`_score_block`: each
+    disclosure blends the nominal block scored from the live gather
+    (re-gathered when the remaining flows fall below half of it).
+    :meth:`true_delta` scores one flow per commit, so it gathers that flow
+    alone instead of scoring the live set. The parent's fused
+    ``commit_epoch`` takes nominal deltas, so this class settles its
+    epochs through :func:`~repro.core.evaluators.commit_in_order`, one
+    blended ``true_delta`` and one ``commit`` per flow.
     """
 
     def __init__(
@@ -103,7 +104,6 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         base_loads: np.ndarray | None = None,
         range_: PreferenceRange | None = None,
         ratio_unit: float = 0.1,
-        conservative: bool = True,
     ):
         self.model = model
         self.tail_weight = check_probability(tail_weight, "tail_weight")
@@ -137,7 +137,6 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         super().__init__(
             table, side, capacities, defaults,
             base_loads=base_loads, range_=range_, ratio_unit=ratio_unit,
-            conservative=conservative,
         )
 
     # -- scoring ----------------------------------------------------------
@@ -194,6 +193,7 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
             row[self._defaults[flow_index]] - row[alternative]
         )
 
+    # The parent's fused form settles on nominal deltas.
     commit_epoch = commit_in_order
 
 

@@ -77,7 +77,6 @@ from repro.geo.cities import default_city_database
 from repro.geo.population import PopulationModel
 from repro.metrics.mel import max_excess_load
 from repro.optimal.bandwidth_lp import fractional_loads, solve_min_max_load_lp
-from repro.optimal.unilateral import solve_upstream_unilateral_lp
 from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
@@ -447,7 +446,10 @@ def run_bandwidth_case(
     )
 
     if include_unilateral:
-        uni = solve_upstream_unilateral_lp(*lp_args, solver=config.lp_solver)
+        # Figure 8: the upstream load-balances its own links alone.
+        uni = solve_min_max_load_lp(
+            *lp_args, sides=("a",), solver=config.lp_solver
+        )
         result.mel_unilateral_a, result.mel_unilateral_b = (
             case.fractional_mels(uni.fractions)
         )

@@ -63,6 +63,7 @@ class ExperimentConfig:
         )
 
         validate_choice(self.lp_solver, available_lp_solvers(), "lp_solver")
+        check_int(self.seed, "seed", 0)
         check_int(self.preference_p, "preference_p", 1)
         check_positive(self.ratio_unit, "ratio_unit")
         if not 0 < self.reassign_fraction <= 1:

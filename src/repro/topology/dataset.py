@@ -17,6 +17,7 @@ from repro.topology.generator import GeneratorConfig, TopologyGenerator
 from repro.topology.interconnect import IspPair, find_isp_pairs
 from repro.topology.isp import ISPTopology
 from repro.util.rng import RngSource
+from repro.util.validation import check_int
 
 __all__ = ["DatasetConfig", "IspDataset", "build_default_dataset"]
 
@@ -41,8 +42,8 @@ class DatasetConfig:
     name_prefix: str = "isp"
 
     def __post_init__(self) -> None:
-        if self.n_isps < 2:
-            raise ConfigurationError("n_isps must be >= 2")
+        check_int(self.n_isps, "n_isps", 2)
+        check_int(self.seed, "seed", 0)
         if not self.name_prefix:
             raise ConfigurationError("name_prefix cannot be empty")
 

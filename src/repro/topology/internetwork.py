@@ -81,6 +81,7 @@ class InternetworkConfig:
     def __post_init__(self) -> None:
         validate_choice(self.shape, _SHAPES, "shape")
         check_int(self.n_isps, "n_isps", 2)
+        check_int(self.seed, "seed", 0)
         if self.shape == "ring" and self.n_isps < 3:
             raise ConfigurationError("a ring needs n_isps >= 3")
         if self.pool_size is not None:

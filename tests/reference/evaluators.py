@@ -2,9 +2,10 @@
 
 Both subclass the production evaluators, swap in the ragged-table
 :class:`reference.loads.LoadTracker`, and replace the whole-matrix
-recompute with the per-flow loop it vectorized, rounding with the
-three-branch :func:`conservative_round` below. Every other method is
-inherited, so a difference can only come from the kernels under test.
+recompute (the load base's scores and class mapping) with the per-flow
+loop it vectorized, rounding with the three-branch
+:func:`conservative_round` below. Every other method is inherited, so a
+difference can only come from the kernels under test.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ class _LoopRecompute:
             scores = np.asarray([
                 self._score(f, i) for i in range(self.n_alternatives)
             ])
-            units = (scores[self._defaults[f]] - scores) / self._unit()
-            if self.conservative:
-                units = conservative_round(units)
-            self._prefs[f] = self.range.clamp_array(units)
+            units = (scores[self._defaults[f]] - scores) / self._unit
+            self._prefs[f] = self.range.clamp_array(conservative_round(units))
             self._prefs[f, self._defaults[f]] = 0
 
 
@@ -53,13 +52,7 @@ class LoadAwareEvaluator(_LoopRecompute, evaluators.LoadAwareEvaluator):
             flow_index, alternative, self._capacities
         )
 
-    def _unit(self) -> float:
-        return self.ratio_unit
-
 
 class FortzCostEvaluator(_LoopRecompute, evaluators.FortzCostEvaluator):
     def _score(self, flow_index, alternative) -> float:
         return self._placement_cost_increase(flow_index, alternative)
-
-    def _unit(self) -> float:
-        return self.cost_unit

@@ -96,16 +96,9 @@ class LoadTracker:
     def loads(self) -> np.ndarray:
         return self._loads.copy()
 
-    def loads_view(self) -> np.ndarray:
-        return self._loads
-
     def place(self, flow_index, alternative) -> None:
         for li in self._link_table[flow_index][alternative]:
             self._loads[li] += self._sizes[flow_index]
-
-    def remove(self, flow_index, alternative) -> None:
-        for li in self._link_table[flow_index][alternative]:
-            self._loads[li] -= self._sizes[flow_index]
 
     def peek_max_ratio(self, flow_index, alternative, capacities) -> float:
         links = self._link_table[flow_index][alternative]
@@ -138,13 +131,9 @@ class LoadTracker:
             )
         return increase
 
-    def peek_max_ratio_all(self, flow_index, capacities) -> np.ndarray:
-        return np.asarray([
-            self.peek_max_ratio(flow_index, i, capacities)
-            for i in range(self._table.n_alternatives)
-        ])
-
     def peek_max_ratio_block(self, flows, capacities) -> np.ndarray:
-        return np.asarray(
-            [self.peek_max_ratio_all(int(f), capacities) for f in flows]
-        ).reshape(len(flows), self._table.n_alternatives)
+        n_alt = self._table.n_alternatives
+        return np.asarray([
+            [self.peek_max_ratio(int(f), i, capacities) for i in range(n_alt)]
+            for f in flows
+        ]).reshape(len(flows), n_alt)

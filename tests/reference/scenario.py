@@ -64,7 +64,7 @@ class ScenarioAwareEvaluator(LoopNominalEvaluator):
             tracker = LoadTracker(
                 self._table.without_alternatives(scenario.failed),
                 self._side,
-                base_loads=self._tracker.loads_view().copy(),
+                base_loads=self._tracker.loads,
             )
             block = tracker.peek_max_ratio_block(flows, self._capacities)
             keep = np.setdiff1d(np.arange(n_alt), np.asarray(scenario.failed))

@@ -61,11 +61,13 @@ def test_smoke_link_loads(fixture):
 def test_smoke_tracker_batch_kernels(fixture):
     table, defaults, caps_a, _ = fixture
     tracker = LoadTracker(table, "a")
+    reference = reference_loads.LoadTracker(table, "a")
     tracker.place(0, int(defaults[0]))
-    remaining = np.ones(table.n_flows, dtype=bool)
-    matrix = tracker.peek_max_ratio_matrix(remaining, caps_a)
-    assert np.array_equal(matrix[1], tracker.peek_max_ratio_all(1, caps_a))
-    assert matrix.shape == (table.n_flows, table.n_alternatives)
+    reference.place(0, int(defaults[0]))
+    every = np.arange(table.n_flows)
+    block = tracker.peek_max_ratio_block(every, caps_a)
+    assert np.array_equal(block, reference.peek_max_ratio_block(every, caps_a))
+    assert block.shape == (table.n_flows, table.n_alternatives)
 
 
 @pytest.mark.parametrize("evaluator_cls", [LoadAwareEvaluator, FortzCostEvaluator])

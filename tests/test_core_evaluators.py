@@ -17,6 +17,7 @@ from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.scenarios import FailureModel
+from repro.topology.builders import build_scale_pair
 
 
 class TestStaticPreferenceEvaluator:
@@ -221,3 +222,64 @@ class TestCapacityValidation:
         caps[:] = 1e-3  # the caller's array, not the evaluator's
         ev.reassign(remaining)
         assert np.array_equal(ev.preferences(), before)
+
+
+@pytest.fixture(scope="module")
+def scale_table():
+    pair = build_scale_pair(8, n_interconnections=3, seed=11)
+    return build_pair_cost_table(pair, build_full_flowset(pair))
+
+
+def _evaluator(kind: str, table, defaults):
+    """One evaluator of each class over ``table``, side a."""
+    if kind == "static-preference":
+        prefs = np.zeros((table.n_flows, table.n_alternatives), dtype=int)
+        return StaticPreferenceEvaluator(prefs, defaults)
+    if kind == "static-cost":
+        mapper = LinearDeltaMapper(PreferenceRange(10))
+        return StaticCostEvaluator(table.up_km, defaults, mapper)
+    caps = np.full(table.pair.isp_a.n_links(), 5.0)
+    return _LOAD_EVALUATORS[kind](table, "a", caps, defaults)
+
+
+_BAD_DEFAULTS = {
+    "float": lambda defaults, n_alt: defaults + 0.7,
+    "bool": lambda defaults, n_alt: defaults == 0,
+    "short": lambda defaults, n_alt: defaults[:-1],
+    "negative": lambda defaults, n_alt: np.full_like(defaults, -1),
+    "too-large": lambda defaults, n_alt: np.full_like(defaults, n_alt),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_DEFAULTS))
+@pytest.mark.parametrize(
+    "kind", ["static-preference", "static-cost", *sorted(_LOAD_EVALUATORS)]
+)
+def test_bad_defaults_rejected_at_construction(scale_table, kind, bad):
+    """Regression: defaults were cast to intp unchecked, so -1 read the last
+    alternative as every flow's default, floats were truncated, a bool
+    mask read as indices and a too-large index raised a bare IndexError
+    (or nothing, for static preferences)."""
+    defaults = early_exit_choices(scale_table)
+    _evaluator(kind, scale_table, defaults)  # the valid ones build
+    bad_defaults = _BAD_DEFAULTS[bad](defaults, scale_table.n_alternatives)
+    with pytest.raises(PreferenceError, match="defaults"):
+        _evaluator(kind, scale_table, bad_defaults)
+
+
+@pytest.mark.parametrize("where", ["prefs", "stage"])
+@pytest.mark.parametrize(
+    "classes",
+    [[[0, 1.7], [0, -0.5]], [[0, np.nan], [0, 0]]],
+    ids=["float", "nan"],
+)
+def test_non_integer_classes_rejected(classes, where):
+    """Regression: classes and stages were cast to int64 before the dtype
+    check, so [[0, 1.7], [0, -0.5]] disclosed [[0, 1], [0, 0]] and a NaN
+    reported a range starting at -2**63."""
+    valid = np.zeros((2, 2), dtype=int)
+    prefs, stages = (classes, []) if where == "prefs" else (valid, [classes])
+    with pytest.raises(PreferenceError, match="integers"):
+        StaticPreferenceEvaluator(
+            np.asarray(prefs), np.zeros(2, dtype=int), stages=stages
+        )

@@ -281,9 +281,21 @@ class TestValidation:
             make_session([[0, 1], [0, 1]], [[0, 1], [0, 1]],
                          sizes=np.array([1.0, bad]))
 
+    @staticmethod
+    def _session(defaults):
+        """Evaluators with valid defaults; ``defaults`` reach the session
+        only (an evaluator refuses bad defaults itself)."""
+        agents = []
+        for name in "ab":
+            evaluator = StaticPreferenceEvaluator(
+                np.tile([0, 1], (2, 1)), np.zeros(2, dtype=int)
+            )
+            agents.append(NegotiationAgent(name, evaluator))
+        return NegotiationSession(*agents, defaults=defaults)
+
     def test_bad_defaults_rejected(self):
         with pytest.raises(NegotiationError):
-            make_session([[0, 1]], [[0, 1]], defaults=np.array([7]))
+            self._session(np.array([7, 0]))
 
     @pytest.mark.parametrize("floors", [(float("nan"), 0.0), (0.0, float("nan"))])
     def test_nan_floor_rejected(self, floors):
@@ -318,7 +330,7 @@ class TestValidation:
         # Regression: floats were truncated to [0, 0] and a bool mask read
         # as [1, 0].
         with pytest.raises(NegotiationError, match="integer"):
-            make_session([[0, 1], [0, 1]], [[0, 1], [0, 1]], defaults=defaults)
+            self._session(defaults)
 
     def test_per_round_proposal_policy_rejected(self):
         class PerRoundPolicy:

@@ -20,3 +20,12 @@ def test_bad_knob_rejected(knob, value):
     with pytest.raises(ConfigurationError, match=knob):
         ExperimentConfig(**{knob: value})
 
+
+@pytest.mark.parametrize("seed", [1.5, "x", True, -1])
+def test_non_integer_seed_rejected(seed):
+    # Regression: the seed reached derive_rng's int(), so 1.5 ran seed 1's
+    # experiment under a fingerprint that said 1.5, and "x" failed inside
+    # every sweep unit with a bare ValueError.
+    with pytest.raises(ConfigurationError, match="seed"):
+        ExperimentConfig.quick().with_seed(seed)
+

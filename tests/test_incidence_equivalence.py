@@ -170,45 +170,39 @@ class TestLoadKernelEquivalence:
                     ),
                 )
 
-    def test_tracker_place_remove_peek(self, problem):
+    def test_tracker_place_peek(self, problem):
         table, defaults, caps_a, _, rng = problem
         sparse = LoadTracker(table, "a")
         legacy = reference_loads.LoadTracker(table, "a")
         for _ in range(min(30, table.n_flows)):
             f = int(rng.integers(table.n_flows))
             i = int(rng.integers(table.n_alternatives))
-            if rng.random() < 0.7:
-                sparse.place(f, i)
-                legacy.place(f, i)
-            else:
-                sparse.remove(f, i)
-                legacy.remove(f, i)
+            sparse.place(f, i)
+            legacy.place(f, i)
             assert np.array_equal(sparse.loads, legacy.loads)
-        for f in range(table.n_flows):
-            scalar = np.asarray(
-                [
-                    legacy.peek_max_ratio(f, i, caps_a)
-                    for i in range(table.n_alternatives)
-                ]
-            )
-            assert np.array_equal(sparse.peek_max_ratio_all(f, caps_a), scalar)
-            assert np.array_equal(legacy.peek_max_ratio_all(f, caps_a), scalar)
+        every = np.arange(table.n_flows)
+        scalar = np.asarray([
+            [legacy.peek_max_ratio(f, i, caps_a)
+             for i in range(table.n_alternatives)]
+            for f in every
+        ])
+        assert np.array_equal(sparse.peek_max_ratio_block(every, caps_a), scalar)
+        assert np.array_equal(legacy.peek_max_ratio_block(every, caps_a), scalar)
 
     def test_tracker_matrix(self, problem):
+        """The block of the remaining flows, row by row the scalar peeks."""
         table, defaults, caps_a, _, rng = problem
         tracker = LoadTracker(table, "a")
         for f in range(0, table.n_flows, 2):
             tracker.place(f, int(defaults[f]))
-        remaining = rng.random(table.n_flows) < 0.7
-        matrix = tracker.peek_max_ratio_matrix(remaining, caps_a)
-        assert matrix.shape == (table.n_flows, table.n_alternatives)
-        for f in range(table.n_flows):
-            if remaining[f]:
-                assert np.array_equal(
-                    matrix[f], tracker.peek_max_ratio_all(f, caps_a)
-                )
-            else:
-                assert (matrix[f] == 0.0).all()
+        flows = np.flatnonzero(rng.random(table.n_flows) < 0.7)
+        block = tracker.peek_max_ratio_block(flows, caps_a)
+        assert block.shape == (flows.size, table.n_alternatives)
+        for k, f in enumerate(flows):
+            assert block[k].tolist() == [
+                tracker.peek_max_ratio(int(f), i, caps_a.tolist())
+                for i in range(table.n_alternatives)
+            ]
 
 
 _REFERENCE_EVALUATORS = {
@@ -303,17 +297,17 @@ def _empty_cells(table, side) -> list[tuple[int, int]]:
     return [(int(r) // inc.n_alternatives, int(r) % inc.n_alternatives) for r in rows]
 
 
-_TRACKER_OPS = ("place", "remove", "peek", "block", "loads", "view", "epoch")
+_TRACKER_OPS = ("place", "peek", "block", "loads", "epoch")
 
 
 class TestTrackerSequences:
     @settings(deadline=None)
     @given(data=st.data())
     def test_matches_reference_tracker(self, problem, data):
-        """Random place/remove/peek runs with interleaved batch reads.
+        """Random place/peek runs with interleaved batch reads.
 
-        Removes drive loads negative, where a maximum started from 0.0
-        instead of the first ratio would differ from the reference.
+        Base loads go negative, where a maximum started from 0.0 instead of
+        the first ratio would differ from the reference.
         """
         table, _, caps_a, caps_b, _ = problem
         side = data.draw(st.sampled_from("ab"))
@@ -341,9 +335,6 @@ class TestTrackerSequences:
             if op == "place":
                 fast.place(f, i)
                 slow.place(f, i)
-            elif op == "remove":
-                fast.remove(f, i)
-                slow.remove(f, i)
             elif op == "peek":
                 want = slow.peek_max_ratio(f, i, caps)
                 assert fast.peek_max_ratio(f, i, cap_list) == want
@@ -369,10 +360,8 @@ class TestTrackerSequences:
                 assert fast.place_epoch(
                     flows, alts, defaults, cap_list
                 ) == slow.place_epoch(flows, alts, defaults, caps)
-            elif op == "loads":
-                assert np.array_equal(fast.loads, slow.loads)
             else:
-                assert np.array_equal(fast.loads_view(), slow.loads_view())
+                assert np.array_equal(fast.loads, slow.loads)
         for f, i in empty:
             assert fast.peek_max_ratio(f, i, cap_list) == 0.0
         every = np.arange(n_flows)

@@ -82,6 +82,12 @@ class TestValidation:
                 _net(2), config=config, **{knob: value}
             )
 
+    @pytest.mark.parametrize("seed", [2.5, "7", True, -1])
+    def test_seed_override_must_be_an_integer(self, config, seed):
+        # Regression: seed=2.5 was accepted and truncated by derive_rng.
+        with pytest.raises(ConfigurationError, match="seed"):
+            MultiSessionCoordinator(_net(2), config=config, seed=seed)
+
     def test_backoff_cap_below_backoff_rejected(self, config):
         with pytest.raises(ConfigurationError, match="quarantine_backoff_cap"):
             MultiSessionCoordinator(

@@ -13,8 +13,6 @@ from repro.optimal.bandwidth_lp import (
     solve_min_max_load_lp,
 )
 from repro.optimal.solver import LpSolver, resolve_lp_solver
-from repro.optimal.distance_opt import optimal_distance_choices
-from repro.optimal.unilateral import solve_upstream_unilateral_lp
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices, optimal_exit_choices
 from repro.routing.flows import build_full_flowset
@@ -238,9 +236,9 @@ class TestAssemblyEquivalence:
 
     def test_unilateral_engines_identical(self, table, caps, monkeypatch):
         caps_a, caps_b = caps
-        sparse = solve_upstream_unilateral_lp(table, caps_a, caps_b)
+        sparse = solve_min_max_load_lp(table, caps_a, caps_b, sides=("a",))
         self._loop_assembly(monkeypatch)
-        legacy = solve_upstream_unilateral_lp(table, caps_a, caps_b)
+        legacy = solve_min_max_load_lp(table, caps_a, caps_b, sides=("a",))
         assert sparse.t == legacy.t
         assert np.array_equal(sparse.fractions, legacy.fractions)
 
@@ -277,7 +275,7 @@ class TestUnilateral:
         at least as good for the upstream alone."""
         caps_a, caps_b = caps
         joint = solve_min_max_load_lp(table, caps_a, caps_b)
-        uni = solve_upstream_unilateral_lp(table, caps_a, caps_b)
+        uni = solve_min_max_load_lp(table, caps_a, caps_b, sides=("a",))
         mel_uni_a = max_excess_load(
             fractional_loads(table, uni.fractions, "a"), caps_a
         )
@@ -288,14 +286,9 @@ class TestUnilateral:
 
 
 class TestDistanceOptimal:
-    def test_alias_of_optimal_exits(self, table):
-        assert np.array_equal(
-            optimal_distance_choices(table), optimal_exit_choices(table)
-        )
-
     def test_beats_early_exit(self, table):
         from repro.metrics.distance import total_km
 
         early = total_km(table, early_exit_choices(table))
-        optimal = total_km(table, optimal_distance_choices(table))
+        optimal = total_km(table, optimal_exit_choices(table))
         assert optimal <= early + 1e-12

@@ -58,7 +58,6 @@ from repro.optimal.solver import (
     register_lp_solver,
     resolve_lp_solver,
 )
-from repro.optimal.unilateral import solve_upstream_unilateral_lp
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import Flow, FlowSet, build_full_flowset
@@ -386,10 +385,10 @@ class TestSolverInjection:
 
     def test_unilateral_lp_threads_solver(self, lp_setup):
         table, _, caps_a, caps_b = lp_setup
-        reference = solve_upstream_unilateral_lp(table, caps_a, caps_b)
+        reference = solve_min_max_load_lp(table, caps_a, caps_b, sides=("a",))
         recorder = _RecordingSolver()
-        injected = solve_upstream_unilateral_lp(
-            table, caps_a, caps_b, solver=recorder
+        injected = solve_min_max_load_lp(
+            table, caps_a, caps_b, sides=("a",), solver=recorder
         )
         assert len(recorder.problems) == 1
         assert injected.t == reference.t
@@ -619,8 +618,9 @@ def _run_scale_spine(n_pops: int, target_flows: int):
     # The fractional joint optimum lower-bounds any integral negotiation.
     assert lp.t <= mel_neg + 1e-9
 
-    uni = solve_upstream_unilateral_lp(
-        sub_table, caps_a, caps_b, base_a, base_b, solver=config.lp_solver
+    uni = solve_min_max_load_lp(
+        sub_table, caps_a, caps_b, base_a, base_b, sides=("a",),
+        solver=config.lp_solver,
     )
     assert np.isfinite(uni.t) and uni.t >= 0.0
     return lp.t, mel_neg

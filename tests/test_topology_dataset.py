@@ -24,6 +24,16 @@ class TestDatasetConfig:
         with pytest.raises(ConfigurationError):
             DatasetConfig(name_prefix="")
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("seed", 1.5), ("seed", "x"), ("seed", -1), ("n_isps", 3.5)],
+    )
+    def test_non_integer_knob_rejected(self, knob, value):
+        # Regression: seed=1.5 built seed 1's ISPs and n_isps=3.5 raised a
+        # bare TypeError inside the build.
+        with pytest.raises(ConfigurationError, match=knob):
+            DatasetConfig(**{knob: value})
+
 
 class TestBuild:
     def test_build_count(self, tiny_dataset):

@@ -34,6 +34,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="n_isps"):
             InternetworkConfig(n_isps=1)
 
+    @pytest.mark.parametrize("seed", [1.5, "x", -1])
+    def test_non_integer_seed_rejected(self, seed):
+        # Regression: seed=1.5 built seed 1's ISPs.
+        with pytest.raises(ConfigurationError, match="seed"):
+            InternetworkConfig(seed=seed)
+
     def test_ring_needs_three(self):
         with pytest.raises(ConfigurationError, match="ring"):
             InternetworkConfig(n_isps=2, shape="ring")
