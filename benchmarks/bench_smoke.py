@@ -184,8 +184,8 @@ def _scope_setup(table, subset, incidence):
     """One failure's negotiation-scope setup, as run_bandwidth_case performs it.
 
     Both sides end with the affected-flows sub-table, its flow-size buffer
-    and both flow-level incidences (the session and the LPs read them every
-    case), so the timings compare equal amounts of delivered state.
+    and both flow-level incidences (the LPs read them every case), so the
+    timings compare equal amounts of delivered state.
     ``PairCostTable.subset`` shares the parent's compiled per-PoP CSR and
     gathers the scope's rows from it; the reference rebuilds the flowset
     flow by flow and compiles the CSR row by row from the per-flow rows.
@@ -604,8 +604,10 @@ def _scale_kernels(benches: dict) -> None:
         # too, identical on both sides, left a margin host noise could
         # read as a regression.
         lp_table = table.subset(np.flatnonzero(defaults == 0))
+        # The case's LP gathers the scope's flow-level rows itself; gather
+        # them here so the timers see only the constraint assembly.
         lp_table.incidence("a")
-        lp_table.incidence("b")  # the case's session has gathered them
+        lp_table.incidence("b")
         benches[f"lp_assembly_{preset}"] = (
             _lp_assembly(lp_table, caps_a, caps_b, _link_constraints),
             _lp_assembly(

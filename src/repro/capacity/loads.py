@@ -5,15 +5,19 @@ interconnection index per flow), these helpers accumulate per-link loads in
 each ISP. :class:`LoadTracker` supports the incremental updates the
 negotiation engine needs during preference reassignment.
 
-Two kinds of kernel, each shaped by how often it runs:
+Every kernel reads the side's *per-PoP* CSR
+(:meth:`~repro.routing.costs.PairCostTable.pop_incidence`, shared by a table
+and all its subsets) through each flow's endpoint row: flow ``f``'s row
+``i`` is row ``endpoints[f] * I + i`` there. None of them builds the
+flow-level incidence. Two kinds of kernel, each shaped by how often it
+runs:
 
-* **Batch kernels** are array expressions over the table's compiled
-  :class:`~repro.routing.incidence.PathIncidence`: :func:`link_loads` is
-  one ``bincount`` scatter-add for a whole placement, gathered from the
-  per-PoP incidence through each flow's endpoint PoP, and
-  :func:`max_ratio_rows` scores a whole gathered block of preference rows
-  with one ratio expression and one segment-max. They run once per
-  placement or disclosure, over hundreds to thousands of entries.
+* **Batch kernels** are array expressions over gathered entries:
+  :func:`link_loads` is one ``bincount`` scatter-add for a whole placement,
+  and :func:`max_ratio_rows` scores a whole :class:`RowGather` of
+  preference rows with one ratio expression and one ``np.maximum.at``
+  over each entry's row. They run once per placement or disclosure, over
+  hundreds to thousands of entries.
 * **Scalar kernels** are :class:`LoadTracker`'s single-row operations
   (:meth:`~LoadTracker.place`, :meth:`~LoadTracker.peek_max_ratio`,
   :meth:`~LoadTracker.peek_cost_increase`, and their fused run over a
@@ -150,13 +154,14 @@ def validate_capacities(
 class RowGather:
     """The path entries of every row of a set of flows, gathered once.
 
-    Row ``k * I + i`` is alternative ``i`` of flow ``flows[k]``. Each entry
-    carries its link id, its flow's size and its link's capacity;
-    ``starts`` holds the entry offset of every non-empty row and
-    ``nonempty`` marks those rows. Scoring the block against current loads
-    (:func:`max_ratio_rows`) reads nothing else, so a gather stays valid
-    for as long as its flows and the capacities do, across any number of
-    load changes.
+    Row ``k * I + i`` is alternative ``i`` of flow ``flows[k]``, read from
+    the per-PoP CSR through the flow's endpoint PoP. Each entry carries its
+    link id, its flow's size, its link's capacity and its row; ``start``
+    holds each row's starting maximum, -inf for a row with entries and 0.0
+    for an empty one. Scoring the block against current loads
+    (:func:`max_ratio_rows`) and summing per-entry scores by row read
+    nothing else, so a gather stays valid for as long as its flows and the
+    capacities do, across any number of load changes.
     """
 
     flows: np.ndarray  # (K,) flow ids
@@ -164,28 +169,34 @@ class RowGather:
     links: np.ndarray  # (nnz,) link id per entry
     sizes: np.ndarray  # (nnz,) flow size per entry
     capacities: np.ndarray  # (nnz,) link capacity per entry
-    starts: np.ndarray  # entry offset of each non-empty row
-    nonempty: np.ndarray  # (K*I,) bool
+    rows: np.ndarray  # (nnz,) row of each entry, in 0..K*I-1
+    start: np.ndarray  # (K*I,) -inf for a non-empty row, 0.0 for an empty one
 
     @classmethod
     def build(
         cls,
-        incidence: PathIncidence,
+        pop_incidence: PathIncidence,
+        endpoints: np.ndarray,
         sizes: np.ndarray,
         flows: np.ndarray,
         capacities: np.ndarray,
     ) -> "RowGather":
-        positions, row_ptr = incidence.flow_entries(flows)
-        links = incidence.indices[positions]
-        nonempty = row_ptr[1:] > row_ptr[:-1]
+        """Gather ``flows`` (any order) from ``pop_incidence``, where flow
+        ``f``'s rows are those of PoP ``endpoints[f]``, and ``sizes`` and
+        ``capacities`` are indexed by flow and link id."""
+        positions, row_ptr = pop_incidence.flow_entries(endpoints[flows])
+        links = pop_incidence.indices[positions]
+        counts = np.diff(row_ptr)
         return cls(
             flows=flows,
-            n_alternatives=incidence.n_alternatives,
+            n_alternatives=pop_incidence.n_alternatives,
             links=links,
-            sizes=sizes[incidence.entry_flow[positions]],
+            sizes=np.repeat(
+                sizes[flows], np.diff(row_ptr[:: pop_incidence.n_alternatives])
+            ),
             capacities=capacities[links],
-            starts=row_ptr[:-1][nonempty],
-            nonempty=nonempty,
+            rows=np.repeat(np.arange(counts.size, dtype=np.intp), counts),
+            start=np.where(counts > 0, -np.inf, 0.0),
         )
 
 
@@ -194,15 +205,15 @@ def max_ratio_rows(loads: np.ndarray, gather: RowGather) -> np.ndarray:
 
     An empty row (source at the interconnection) scores 0.0, as a scalar
     peek does. Each entry's ratio is the same add and divide as the scalar
-    peek's and the maximum is order-independent, so every row equals
-    :meth:`LoadTracker.peek_max_ratio` exactly. ``np.maximum.reduceat``
-    runs over the non-empty rows' starts only: empty rows own no entries,
-    so consecutive starts delimit exactly one row's entries.
+    peek's, and ``np.maximum.at`` folds them into their rows from a -inf
+    start, so a non-empty row's result is its largest entry whatever the
+    sign of the loads (a NaN propagates). A maximum is exact and
+    order-independent, so every row equals
+    :meth:`LoadTracker.peek_max_ratio`.
     """
-    out = np.zeros(gather.nonempty.size)
-    if gather.starts.size:
-        ratios = (loads[gather.links] + gather.sizes) / gather.capacities
-        out[gather.nonempty] = np.maximum.reduceat(ratios, gather.starts)
+    out = gather.start.copy()
+    ratios = (loads[gather.links] + gather.sizes) / gather.capacities
+    np.maximum.at(out, gather.rows, ratios)
     return out.reshape(gather.flows.size, gather.n_alternatives)
 
 
@@ -227,25 +238,29 @@ class LoadTracker:
     *current* expected network state: background (unaffected) flows plus
     flows already negotiated. A tracker holds that state.
 
-    The loads, the flow sizes and the side's incidence rows
-    (``indptr``/``indices``) are kept as Python lists, so the scalar
-    kernels that every accepted round calls (:meth:`place`,
-    :meth:`peek_max_ratio`, :meth:`peek_cost_increase`, :meth:`place_epoch`)
-    are float loops over one row's few links. The list is the only load
-    store: the batch readers (:attr:`loads`, :meth:`max_ratios` and
-    :meth:`peek_max_ratio_block`) make an array from it when called, which
-    costs one pass over the side's links.
+    The loads, the flow sizes, the side's per-PoP CSR
+    (:meth:`~repro.routing.costs.PairCostTable.pop_incidence`'s
+    ``indptr``/``indices``, P·I rows however many flows the table has)
+    and each flow's first row there (``row0[f] = endpoints[f] * I``) are
+    kept as Python lists, so the scalar kernels that every accepted round
+    calls (:meth:`place`, :meth:`peek_max_ratio`,
+    :meth:`peek_cost_increase`, :meth:`place_epoch`) are float loops over
+    one row's few links, row ``row0[f] + alternative``. The list is the
+    only load store: the batch readers (:attr:`loads`, :meth:`max_ratios`
+    and :meth:`peek_max_ratio_block`) make an array from it when called,
+    which costs one pass over the side's links.
     """
 
     def __init__(self, table: PairCostTable, side: str,
                  base_loads: np.ndarray | None = None):
         n_links = _n_links(table, side)
-        self._incidence = incidence = table.incidence(side)
+        self._pop = pop = table.pop_incidence(side)
+        self._endpoints = table.endpoints(side)
         self._sizes = table.flowset.sizes()
         self._size_list: list[float] = self._sizes.tolist()
-        self._indptr: list[int] = incidence.indptr.tolist()
-        self._indices: list[int] = incidence.indices.tolist()
-        self._n_alt = incidence.n_alternatives
+        self._indptr: list[int] = pop.indptr.tolist()
+        self._indices: list[int] = pop.indices.tolist()
+        self._row0: list[int] = (self._endpoints * pop.n_alternatives).tolist()
         if base_loads is None:
             self._loads = [0.0] * n_links
         else:
@@ -259,18 +274,13 @@ class LoadTracker:
             self._loads = base_loads.tolist()
 
     @property
-    def incidence(self) -> PathIncidence:
-        """The side's compiled incidence (fetched once, at construction)."""
-        return self._incidence
-
-    @property
     def loads(self) -> np.ndarray:
         """Current loads (a new array; change them only through placements)."""
         return np.array(self._loads)
 
     def place(self, flow_index: int, alternative: int) -> None:
         """Add one flow's load along its path for ``alternative``."""
-        row = flow_index * self._n_alt + alternative
+        row = self._row0[flow_index] + alternative
         size = self._size_list[flow_index]
         loads = self._loads
         for li in self._indices[self._indptr[row] : self._indptr[row + 1]]:
@@ -286,7 +296,7 @@ class LoadTracker:
         path (source at the interconnection). ``capacities`` is indexed by
         link id; a list is fastest.
         """
-        row = flow_index * self._n_alt + alternative
+        row = self._row0[flow_index] + alternative
         path = self._indices[self._indptr[row] : self._indptr[row + 1]]
         return _max_ratio(self._loads, path, self._size_list[flow_index], capacities)
 
@@ -295,14 +305,15 @@ class LoadTracker:
         :meth:`peek_max_ratio` of its ``defaults`` entry minus that of its
         alternative, both just before it is placed, as one loop."""
         loads, indices, indptr = self._loads, self._indices, self._indptr
-        size_list, n_alt = self._size_list, self._n_alt
+        size_list, row0 = self._size_list, self._row0
         gains = []
         for flow, alternative in zip(flows, alternatives):
             size = size_list[flow]
-            row = flow * n_alt + defaults[flow]
+            first = row0[flow]
+            row = first + defaults[flow]
             path = indices[indptr[row] : indptr[row + 1]]
             before = _max_ratio(loads, path, size, capacities)
-            row = flow * n_alt + alternative
+            row = first + alternative
             path = indices[indptr[row] : indptr[row + 1]]
             gains.append(before - _max_ratio(loads, path, size, capacities))
             for li in path:
@@ -319,7 +330,7 @@ class LoadTracker:
         """Sum of ``link_cost(load + size, cap) - link_cost(load, cap)``
         over the flow's path links, in path order: the marginal cost of
         placing the flow (0.0 for an empty path)."""
-        row = flow_index * self._n_alt + alternative
+        row = self._row0[flow_index] + alternative
         loads = self._loads
         size = self._size_list[flow_index]
         increase = 0.0
@@ -334,7 +345,8 @@ class LoadTracker:
     def gather(self, flows: np.ndarray, capacities: np.ndarray) -> RowGather:
         """The :class:`RowGather` of ``flows`` (any order) under ``capacities``."""
         return RowGather.build(
-            self._incidence,
+            self._pop,
+            self._endpoints,
             self._sizes,
             np.asarray(flows, dtype=np.intp),
             np.asarray(capacities, dtype=float),

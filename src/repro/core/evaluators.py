@@ -32,11 +32,13 @@ supplies its score and its unit:
 * :class:`FortzCostEvaluator` — the increase in the Fortz-Thorup network
   cost (the paper's alternate bandwidth metric).
 
-Their scores are a handful of array expressions over the table's compiled
-path incidence (gather, per-entry score, segment reduction) — no
-Python-level per-(flow, alternative) calls — while ``true_delta`` and
-``commit`` run the tracker's scalar list kernels. The equivalence tests
-pin them bit for bit against per-(flow, alternative) reference loops.
+Their scores are a handful of array expressions over one
+:class:`~repro.capacity.loads.RowGather` of the side's per-PoP path CSR,
+read through each flow's endpoint row (gather, per-entry score, per-row
+reduction) — no Python-level per-(flow, alternative) calls — while
+``true_delta`` and ``commit`` run the tracker's scalar list kernels. The
+equivalence tests pin them bit for bit against per-(flow, alternative)
+reference loops.
 
 A session settles each epoch through one ``commit_epoch`` call per side:
 the epoch's accepted flows placed in order, each with its true delta taken
@@ -54,6 +56,7 @@ import numpy as np
 from repro.capacity.loads import LoadTracker, RowGather, validate_capacities
 from repro.core.mapping import (
     PreferenceMapper,
+    check_defaults,
     check_unit,
     conservative_round,
     map_cost_matrix,
@@ -61,7 +64,6 @@ from repro.core.mapping import (
 from repro.core.preferences import PreferenceRange
 from repro.errors import PreferenceError
 from repro.routing.costs import PairCostTable
-from repro.routing.incidence import segment_sum
 
 __all__ = [
     "Evaluator",
@@ -120,12 +122,10 @@ def commit_in_order(evaluator, flows, alternatives) -> list[float]:
 
 class _Evaluator:
     """The state every evaluator holds: the (F, I) class matrix (zeros
-    until a subclass discloses) and the checked defaults.
-
-    Defaults index every flow's row, so a float would be truncated, a bool
-    mask read as indices, and -1 wrap to the last alternative: anything but
-    an integer array of shape (F,) with entries in 0..I-1 raises
-    :class:`PreferenceError`. ``commit`` and ``reassign`` are no-ops here.
+    until a subclass discloses) and the defaults, checked by
+    :func:`~repro.core.mapping.check_defaults` (an integer array of shape
+    (F,) with entries in 0..I-1, else :class:`PreferenceError`).
+    ``commit`` and ``reassign`` are no-ops here.
     """
 
     def __init__(
@@ -135,19 +135,8 @@ class _Evaluator:
             raise PreferenceError(
                 f"preference matrix must be 2-D, got shape {shape}"
             )
-        n_flows, n_alternatives = shape
-        defaults = np.asarray(defaults)
-        if defaults.dtype.kind not in "iu" or defaults.shape != (n_flows,):
-            raise PreferenceError(
-                f"defaults must be an integer array of shape ({n_flows},), "
-                f"got {defaults.dtype} of shape {defaults.shape}"
-            )
-        if n_flows and (defaults.min() < 0 or defaults.max() >= n_alternatives):
-            raise PreferenceError(
-                f"defaults must be alternative indices in 0..{n_alternatives - 1}"
-            )
         self.range = range_
-        self._defaults = defaults.astype(np.intp, copy=False)
+        self._defaults = check_defaults(defaults, *shape)
         self._prefs = np.zeros(shape, dtype=np.int64)
 
     @property
@@ -321,7 +310,7 @@ class LoadAwareEvaluator(_LoadEvaluator):
 
     Each disclosure scores a *live* flow set from one
     :class:`~repro.capacity.loads.RowGather` (link ids, entry sizes, entry
-    capacities, non-empty row starts) taken when that set was chosen: the
+    capacities, entry rows, row starts) taken when that set was chosen: the
     whole live block is scored against the current loads and the
     remaining flows' rows are picked out. The live set is re-gathered as
     the remaining flows when they fall below half of it, or when a flow
@@ -425,12 +414,14 @@ class FortzCostEvaluator(_LoadEvaluator):
 
         self._piecewise = piecewise_link_cost
         self._piecewise_array = piecewise_link_cost_array
-        self._sizes = table.flowset.sizes()
         # Default unit: half the cost of one mean-size flow crossing one
         # low-utilization (slope-1) link — a scale that keeps typical
-        # deltas at a few classes without instance peeking.
+        # deltas at a few classes without instance peeking. With no flows
+        # no class is ever computed, so any positive unit serves.
         if cost_unit is None:
-            cost_unit = max(float(self._sizes.mean()), 1e-9) * 0.5
+            sizes = table.flowset.sizes()
+            mean = float(sizes.mean()) if sizes.size else 1.0
+            cost_unit = max(mean, 1e-9) * 0.5
         super().__init__(
             table, side, capacities, defaults, base_loads, range_,
             check_unit(cost_unit, "cost_unit"),
@@ -456,20 +447,17 @@ class FortzCostEvaluator(_LoadEvaluator):
     def _scores(self, flows: np.ndarray) -> np.ndarray:
         """Marginal Fortz costs of ``flows``' alternatives, (K, I).
 
-        Gathers the rows' path entries, evaluates the piecewise marginal
-        cost per entry, and segment-sums per row — three array passes
-        instead of K·I Python calls.
+        Gathers the rows' path entries (the tracker's
+        :class:`~repro.capacity.loads.RowGather`), evaluates the piecewise
+        marginal cost per entry, and sums each row's entries with one
+        ``bincount`` over the entry rows, in path order — three array
+        passes instead of K·I Python calls.
         """
-        inc = self._tracker.incidence
-        positions, row_ptr = inc.flow_entries(flows)
-        links = inc.indices[positions]
-        loads = self._tracker.loads[links]
-        caps = self._capacities[links]
-        entry_sizes = self._sizes[inc.entry_flow[positions]]
+        gather = self._tracker.gather(flows, self._capacities)
+        loads = self._tracker.loads[gather.links]
         delta = (
-            self._piecewise_array(loads + entry_sizes, caps)
-            - self._piecewise_array(loads, caps)
+            self._piecewise_array(loads + gather.sizes, gather.capacities)
+            - self._piecewise_array(loads, gather.capacities)
         )
-        return segment_sum(delta, row_ptr).reshape(
-            flows.size, self.n_alternatives
-        )
+        sums = np.bincount(gather.rows, weights=delta, minlength=gather.start.size)
+        return sums.reshape(flows.size, self.n_alternatives)

@@ -81,25 +81,42 @@ def check_unit(value: float, name: str) -> float:
     return float(value)
 
 
+def check_defaults(
+    defaults: np.ndarray, n_flows: int, n_alternatives: int
+) -> np.ndarray:
+    """``defaults`` as intp, checked: one alternative index per flow.
+
+    Defaults index every flow's row, so a float would be truncated, a bool
+    mask read as indices, and -1 wrap to the last alternative: anything but
+    an integer array of shape (F,) with entries in 0..I-1 raises
+    :class:`PreferenceError`.
+    """
+    defaults = np.asarray(defaults)
+    if defaults.dtype.kind not in "iu" or defaults.shape != (n_flows,):
+        raise PreferenceError(
+            f"defaults must be an integer array of shape ({n_flows},), "
+            f"got {defaults.dtype} of shape {defaults.shape}"
+        )
+    if n_flows and (defaults.min() < 0 or defaults.max() >= n_alternatives):
+        raise PreferenceError(
+            f"defaults must be alternative indices in 0..{n_alternatives - 1}"
+        )
+    return defaults.astype(np.intp, copy=False)
+
+
 def delta_matrix(costs: np.ndarray, defaults: np.ndarray) -> np.ndarray:
     """Improvement of each alternative over the default: positive = better.
 
-    ``delta[f, i] = costs[f, default_f] - costs[f, i]``. A NaN delta (a NaN
-    cost, or a default and an alternative both infinite) raises
-    :class:`PreferenceError` naming the first such (flow, alternative).
+    ``delta[f, i] = costs[f, default_f] - costs[f, i]``. The defaults must
+    pass :func:`check_defaults`, so every mapper's ``map`` refuses
+    non-integer ones. A NaN delta (a NaN cost, or a default and an
+    alternative both infinite) raises :class:`PreferenceError` naming the
+    first such (flow, alternative).
     """
     costs = np.asarray(costs, dtype=float)
-    defaults = np.asarray(defaults, dtype=np.intp)
     if costs.ndim != 2:
         raise PreferenceError(f"cost matrix must be 2-D, got shape {costs.shape}")
-    if defaults.shape != (costs.shape[0],):
-        raise PreferenceError(
-            f"defaults shape {defaults.shape} does not match flows {costs.shape[0]}"
-        )
-    if costs.shape[0] and (
-        defaults.min() < 0 or defaults.max() >= costs.shape[1]
-    ):
-        raise PreferenceError("default alternative index out of range")
+    defaults = check_defaults(defaults, *costs.shape)
     default_costs = costs[np.arange(costs.shape[0]), defaults]
     with np.errstate(invalid="ignore"):
         deltas = default_costs[:, np.newaxis] - costs

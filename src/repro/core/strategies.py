@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.util.rng import RngSource, make_rng
+from repro.util.validation import check_fraction
 
 __all__ = [
     "TurnPolicy",
@@ -279,9 +280,7 @@ class ReassignEveryFraction:
     may_change = True
 
     def __init__(self, fraction: float = 0.05):
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
+        self.fraction = check_fraction(fraction, "fraction")
         self._last_threshold = 0.0
 
     def should_reassign(self, negotiated_size: float, total_size: float) -> bool:

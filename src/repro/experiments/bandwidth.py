@@ -40,9 +40,10 @@ Negotiation-scope fast path: step 3 negotiates over the affected flows
 only, and the scope it hands to the session, the joint/unilateral LPs
 and the load kernels is *derived* too — ``table.subset`` row-gathers
 the dense arrays and the flowset (an array-backed view) and shares the
-post-failure table's paths and compiled per-PoP CSR. The scope's
-flow-level incidence, which the sessions and LPs read, is the only one a
-case builds: one gather of the scope's rows. Default-routing loads are
+post-failure table's paths and compiled per-PoP CSR, which the
+sessions' load trackers read through each flow's endpoint. The scope's
+flow-level incidence, which the LPs read, is the only one a case builds:
+one gather of the scope's rows. Default-routing loads are
 likewise derived from the background loads
 (``link_loads(..., base=...)``) instead of a second full pass, and a
 failure that affects no flow short-circuits to the default MELs without

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.errors import ConfigurationError
 from repro.topology.dataset import DatasetConfig
 from repro.topology.generator import GeneratorConfig
 
@@ -57,6 +56,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         from repro.optimal.solver import available_lp_solvers
         from repro.util.validation import (
+            check_fraction,
             check_int,
             check_positive,
             validate_choice,
@@ -66,8 +66,7 @@ class ExperimentConfig:
         check_int(self.seed, "seed", 0)
         check_int(self.preference_p, "preference_p", 1)
         check_positive(self.ratio_unit, "ratio_unit")
-        if not 0 < self.reassign_fraction <= 1:
-            raise ConfigurationError("reassign_fraction must be in (0, 1]")
+        check_fraction(self.reassign_fraction, "reassign_fraction")
         for name in ("max_pairs_distance", "max_pairs_bandwidth",
                      "max_failures_per_pair"):
             value = getattr(self, name)

@@ -19,11 +19,13 @@ interconnection, so ``up_paths[i][p]`` / ``down_paths[i][p]`` (the routing
 layer's cached per-source views, shared by every table built from it) hold
 all of it. Flow ``f``'s row ``i`` is ``up_paths[i][src_f]`` upstream and
 ``down_paths[i][dst_f]`` downstream. Each side compiles one per-PoP CSR
-(:meth:`PairCostTable.pop_incidence`) on first use; placement loads gather
-from it through the flows' endpoints, and the flow-level CSR that the
-row-reading kernels use (:meth:`PairCostTable.incidence`) is one gather
-from it, also built on first use. Tables that never touch the bandwidth
-machinery pay for neither. See :mod:`repro.routing.incidence`.
+(:meth:`PairCostTable.pop_incidence`) on first use. Placement loads, the
+sessions' load trackers and their disclosure gathers read it through the
+flows' endpoints; the flow-level CSR that the LP assembly,
+``fractional_loads`` and the coordinator's scope read
+(:meth:`PairCostTable.incidence`) is one gather from it, also built on
+first use. Tables that never touch the bandwidth machinery pay for
+neither. See :mod:`repro.routing.incidence`.
 
 Failure cases never rebuild tables at all — derived tables cover both axes
 of the (F, I) space:
@@ -138,8 +140,9 @@ class PairCostTable:
         Compiled from ``up_paths``/``down_paths`` on first request and
         cached on the table; :meth:`subset` hands a compiled one on to the
         subset. Flow ``f``'s row ``i`` is row ``endpoints(side)[f] * I + i``
-        here, which is how :func:`~repro.capacity.loads.link_loads` reads a
-        placement without building per-flow rows.
+        here, which is how :func:`~repro.capacity.loads.link_loads` and
+        :class:`~repro.capacity.loads.LoadTracker` read a placement or a
+        preference row without building per-flow rows.
         """
         self.endpoints(side)  # raises RoutingError for a bad side
         paths = self.up_paths if side == "a" else self.down_paths
@@ -157,8 +160,9 @@ class PairCostTable:
         One gather of :meth:`pop_incidence` through every flow's endpoint
         PoP, built on first request and cached on the table (the table is
         immutable, so it never invalidates). The kernels that read every
-        row of a table — the sessions' trackers, the LP assembly, the
-        coordinator's scope — go through this.
+        row of a table as a matrix — the LP assembly, ``fractional_loads``
+        and the coordinator's scope — go through this; the load trackers
+        read :meth:`pop_incidence` instead.
         """
         endpoints = self.endpoints(side)
         return self._cached(

@@ -15,22 +15,23 @@ alternative``:
   weights such as flow sizes).
 
 A table compiles one *per-PoP* incidence per side (:meth:`PathIncidence.from_paths`:
-flow ``p`` is PoP ``p``), and builds the flow-level incidence from it by one
-gather through each flow's endpoint PoP (:meth:`PathIncidence.gather`).
+flow ``p`` is PoP ``p``). The load kernels and the sessions' trackers read
+it directly, each flow through its endpoint PoP's rows
+(:mod:`repro.capacity.loads`); the LP assembly, ``fractional_loads`` and
+the coordinator's scope read the flow-level incidence, one gather from it
+through every flow's endpoint PoP (:meth:`PathIncidence.gather`).
 Because a flow's ``I`` rows are contiguous, per-flow batches (all
-alternatives of a set of flows) gather as contiguous entry ranges, and the
-whole load/preference pipeline becomes a handful of array expressions:
-scatter-adds via :func:`numpy.bincount` and segment reductions
-(:func:`segment_sum` here, the max-ratio rows in
-:func:`repro.capacity.loads.max_ratio_rows`).
+alternatives of a set of flows) gather as contiguous entry ranges
+(:meth:`PathIncidence.flow_entries`), and the whole load/preference
+pipeline becomes a handful of array expressions: scatter-adds via
+:func:`numpy.bincount` and per-row maxima via ``np.maximum.at``.
 
 **Bit-exactness contract.** Entries are stored in exactly the order a
 per-flow Python loop visits them (flows ascending, path order within a
-row), the segment sum below accumulates sequentially in that order
-(``bincount`` adds entries one by one), and a maximum is
-order-independent. Every vectorized kernel built on this module therefore
-produces *bit-identical* floats to its reference loop — the equivalence
-tests assert ``==``, not ``allclose``.
+row), a ``bincount`` adds entries one by one in that order, and a maximum
+is order-independent. Every vectorized kernel built on this module
+therefore produces *bit-identical* floats to its reference loop — the
+equivalence tests assert ``==``, not ``allclose``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.errors import RoutingError
 
-__all__ = ["PathIncidence", "segment_sum", "multirange_gather"]
+__all__ = ["PathIncidence", "multirange_gather"]
 
 
 def multirange_gather(
@@ -65,21 +66,6 @@ def multirange_gather(
         starts - out_ptr, counts
     )
     return positions, counts
-
-
-def segment_sum(vals: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sum of ``vals`` delimited by row pointers ``ptr``.
-
-    Accumulates entries sequentially in storage order (``bincount``), so a
-    segment's sum is bit-identical to an ``acc = 0.0; acc += v``
-    loop over the same values.
-    """
-    counts = np.diff(ptr)
-    n_segments = counts.size
-    if not vals.size:
-        return np.zeros(n_segments)
-    segment_of = np.repeat(np.arange(n_segments, dtype=np.intp), counts)
-    return np.bincount(segment_of, weights=vals, minlength=n_segments)
 
 
 @dataclass(frozen=True)

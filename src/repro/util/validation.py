@@ -18,6 +18,7 @@ __all__ = [
     "check_non_negative",
     "check_in_range",
     "check_probability",
+    "check_fraction",
     "check_quantile",
     "check_sequence",
     "validate_choice",
@@ -103,6 +104,14 @@ def check_in_range(value: float, low: float, high: float, name: str) -> float:
 
 def check_probability(value: float, name: str) -> float:
     return check_in_range(value, 0.0, 1.0, name)
+
+
+def check_fraction(value: float, name: str) -> float:
+    """Raise unless ``value`` is a real number in (0, 1]; return it as float."""
+    value = check_finite(value, name)
+    if not 0.0 < value <= 1.0:
+        raise ConfigurationError(f"{name} must be in (0, 1], got {value}")
+    return value
 
 
 def check_quantile(value: float, name: str) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.agent import NegotiationAgent
 from repro.core.evaluators import (
     FortzCostEvaluator,
     LoadAwareEvaluator,
@@ -12,8 +13,10 @@ from repro.core.evaluators import (
 from repro.core.mapping import LinearDeltaMapper
 from repro.core.preferences import PreferenceRange
 from repro.core.scenario_aware import ScenarioAwareEvaluator
+from repro.core.session import NegotiationSession, SessionConfig
+from repro.core.strategies import ReassignEveryFraction
 from repro.errors import CapacityError, PreferenceError
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.scenarios import FailureModel
@@ -283,3 +286,48 @@ def test_non_integer_classes_rejected(classes, where):
         StaticPreferenceEvaluator(
             np.asarray(prefs), np.zeros(2, dtype=int), stages=stages
         )
+
+
+@pytest.mark.parametrize("kind", sorted(_LOAD_EVALUATORS))
+def test_zero_flow_scope(scale_table, kind):
+    """Regression: a Fortz evaluator over no flows took its default unit
+    from the mean of an empty size array, warned "Mean of empty slice" and
+    raised a PreferenceError about a ``cost_unit`` nobody passed."""
+    empty = scale_table.subset(np.empty(0, dtype=np.intp))
+    evaluator = _evaluator(kind, empty, np.empty(0, dtype=np.intp))
+    assert evaluator.preferences().shape == (0, scale_table.n_alternatives)
+    evaluator.reassign(np.zeros(0, dtype=bool))
+    assert evaluator.commit_epoch([], []) == []
+
+
+@pytest.mark.parametrize("kind", sorted(_LOAD_EVALUATORS))
+def test_sessions_read_only_the_per_pop_rows(scale_table, kind, monkeypatch):
+    """The load evaluators' trackers and disclosure gathers read the side's
+    per-PoP CSR through each flow's endpoint, so a whole session over a
+    fresh scope never asks for the flow-level incidence."""
+    defaults = early_exit_choices(scale_table)
+    flows = np.arange(1, scale_table.n_flows, 3)
+    scope = scale_table.subset(flows)
+    defaults = defaults[flows]
+
+    def refuse(table, side):
+        raise AssertionError(f"flow-level incidence of side {side} read")
+
+    monkeypatch.setattr(PairCostTable, "incidence", refuse)
+    make = _LOAD_EVALUATORS[kind]
+    evaluators = [
+        make(scope, side, np.full(scope.pair.isp(side).n_links(), 5.0), defaults)
+        for side in "ab"
+    ]
+    session = NegotiationSession(
+        NegotiationAgent("a", evaluators[0]),
+        NegotiationAgent("b", evaluators[1]),
+        defaults=defaults,
+        config=SessionConfig(reassignment_policy=ReassignEveryFraction(0.05)),
+    )
+    outcome = session.run()
+    assert outcome.reassignments > 0
+    assert outcome.gain_a >= 0 and outcome.gain_b >= 0
+    for side, evaluator in zip("ab", evaluators):
+        n_rows = scope.pair.isp(side).n_pops() * scope.n_alternatives
+        assert len(evaluator._tracker._indptr) == n_rows + 1

@@ -37,6 +37,17 @@ class TestDeltaMatrix:
         with pytest.raises(PreferenceError):
             delta_matrix(np.zeros((1, 2)), np.array([5]))
 
+    def test_float_defaults_rejected(self):
+        # Regression: defaults were cast to intp unchecked, so [0.7, 1.9]
+        # computed the deltas against defaults [0, 1].
+        with pytest.raises(PreferenceError, match="defaults"):
+            delta_matrix([[10, 6], [3, 9]], np.array([0.7, 1.9]))
+
+    def test_mapper_rejects_bool_defaults(self):
+        # Regression: a bool mask was read as the defaults [1, 0].
+        mapper = LinearDeltaMapper(PreferenceRange(10), unit=2.0)
+        with pytest.raises(PreferenceError, match="defaults"):
+            mapper.map(np.array([[10.0, 6.0], [3.0, 9.0]]), np.array([True, False]))
 
     def test_nan_delta_names_first_cell(self):
         costs = np.array([[1.0, 2.0], [np.inf, np.inf], [np.nan, 1.0]])

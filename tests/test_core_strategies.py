@@ -219,6 +219,16 @@ class TestReassignmentPolicies:
         with pytest.raises(ConfigurationError):
             ReassignEveryFraction(1.5)
 
+    @pytest.mark.parametrize("fraction", [True, "x", float("nan"), None])
+    def test_fraction_must_be_a_real_number(self, fraction):
+        # Regression: True read as 1.0, and "x" raised a bare TypeError.
+        with pytest.raises(ConfigurationError, match="fraction"):
+            ReassignEveryFraction(fraction)
+
+    @pytest.mark.parametrize("fraction", [0.05, 1])
+    def test_fraction_accepted(self, fraction):
+        assert ReassignEveryFraction(fraction).fraction == fraction
+
     def test_zero_total_never_reassigns(self):
         policy = ReassignEveryFraction(0.05)
         assert not policy.should_reassign(1.0, 0.0)

@@ -29,3 +29,17 @@ def test_non_integer_seed_rejected(seed):
     with pytest.raises(ConfigurationError, match="seed"):
         ExperimentConfig.quick().with_seed(seed)
 
+
+@pytest.mark.parametrize(
+    "fraction", [True, "x", float("nan"), float("inf"), 0, 1.5]
+)
+def test_reassign_fraction_rejected(fraction):
+    # Regression: True constructed a config that reassigned at 1.0, and
+    # "x" raised a bare TypeError.
+    with pytest.raises(ConfigurationError, match="reassign_fraction"):
+        ExperimentConfig(reassign_fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction", [0.05, 1])
+def test_reassign_fraction_accepted(fraction):
+    assert ExperimentConfig(reassign_fraction=fraction).reassign_fraction == fraction

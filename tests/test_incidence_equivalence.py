@@ -13,6 +13,8 @@ live-set re-gather threshold. All assertions here are exact
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,10 +30,11 @@ from repro.core.preferences import PreferenceRange
 from repro.core.scenario_aware import ScenarioAwareEvaluator
 from repro.core.session import NegotiationSession, SessionConfig
 from repro.core.strategies import ReassignEveryFraction
+from repro.metrics.fortz import piecewise_link_cost
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
-from repro.routing.incidence import PathIncidence, segment_sum
+from repro.routing.incidence import PathIncidence
 from repro.routing.scenarios import FailureModel
 from repro.topology.dataset import DatasetConfig, build_default_dataset
 from repro.topology.generator import GeneratorConfig
@@ -133,24 +136,118 @@ def _incidence(indptr, n_alternatives, n_links) -> PathIncidence:
 
 class TestSegmentReductions:
     def test_max_ratio_rows_with_empty_rows(self):
-        # Unit sizes and capacities: ratios 3, 1 | 5, 2 over rows holding
-        # 0, 2, 0, 2 and 0 entries.
+        # Unit sizes and capacities: ratios 3, 1 | 5, 2 over PoP rows
+        # holding 0, 2, 0, 2 and 0 entries; flows 0..5 sit at PoPs
+        # 3, 1, 0, 1, 2, 4 and come in a shuffled order.
         inc = _incidence([0, 0, 2, 2, 4, 4], 1, 4)
-        gather = RowGather.build(inc, np.ones(5), np.arange(5), np.ones(4))
+        endpoints = np.asarray([3, 1, 0, 1, 2, 4])
+        gather = RowGather.build(
+            inc, endpoints, np.ones(6), np.asarray([2, 1, 5, 0, 3, 4]), np.ones(4)
+        )
+        assert gather.rows.tolist() == [1, 1, 3, 3, 4, 4]
         assert np.array_equal(
             max_ratio_rows(np.asarray([2.0, 0.0, 4.0, 1.0]), gather),
-            np.asarray([[0.0], [3.0], [0.0], [5.0], [0.0]]),
+            np.asarray([[0.0], [3.0], [0.0], [5.0], [3.0], [0.0]]),
         )
 
     def test_max_ratio_rows_all_empty(self):
         inc = _incidence([0, 0, 0, 0], 3, 2)
-        gather = RowGather.build(inc, np.ones(1), np.arange(1), np.ones(2))
+        gather = RowGather.build(
+            inc, np.zeros(1, dtype=np.intp), np.ones(1), np.arange(1), np.ones(2)
+        )
         assert np.array_equal(max_ratio_rows(np.ones(2), gather), np.zeros((1, 3)))
 
-    def test_segment_sum_with_empty_segments(self):
-        vals = np.asarray([3.0, 1.0, 5.0])
-        ptr = np.asarray([0, 2, 2, 3])
-        assert np.array_equal(segment_sum(vals, ptr), np.asarray([4.0, 0.0, 5.0]))
+
+class _PerPopTable:
+    """The part of a :class:`PairCostTable` that a tracker and a Fortz
+    evaluator read, over a drawn per-PoP incidence (side "a" only)."""
+
+    def __init__(self, pop: PathIncidence, endpoints, sizes):
+        self._pop = pop
+        self._endpoints = endpoints
+        self.n_flows = endpoints.size
+        self.n_alternatives = pop.n_alternatives
+        self.flowset = SimpleNamespace(sizes=lambda: sizes)
+        self.pair = SimpleNamespace(
+            isp_a=SimpleNamespace(n_links=lambda: pop.n_links)
+        )
+
+    def pop_incidence(self, side):
+        return self._pop
+
+    def endpoints(self, side):
+        return self._endpoints
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _per_pop_problems(draw):
+    """A drawn per-PoP incidence (one PoP with only empty rows), flows at
+    repeated endpoints, sizes, capacities and signed loads, and a query of
+    flows in any order."""
+    n_pops = draw(st.integers(2, 12))
+    n_alt = draw(st.integers(1, 5))
+    n_links = draw(st.integers(1, 10))
+    empty_pop = draw(st.integers(0, n_pops - 1))
+    row = st.lists(
+        st.integers(0, n_links - 1), unique=True, max_size=min(6, n_links)
+    )
+    paths = [
+        [np.asarray([] if p == empty_pop else draw(row), dtype=np.intp)
+         for p in range(n_pops)]
+        for _ in range(n_alt)
+    ]
+    pop = PathIncidence.from_paths(paths, n_pops, n_links)
+    # A flow at the empty PoP, and the first drawn endpoint twice.
+    drawn = draw(st.lists(st.integers(0, n_pops - 1), min_size=1, max_size=14))
+    endpoints = np.asarray([empty_pop, *drawn, drawn[0]], dtype=np.intp)
+    n_flows = endpoints.size
+    sizes = np.asarray(draw(st.lists(_POSITIVE, min_size=n_flows, max_size=n_flows)))
+    caps = np.asarray(draw(st.lists(_POSITIVE, min_size=n_links, max_size=n_links)))
+    loads = np.asarray(draw(st.lists(
+        st.just(0.0) | st.floats(-1e3, 1e3), min_size=n_links, max_size=n_links
+    )))
+    query = np.asarray(
+        draw(st.lists(st.integers(0, n_flows - 1), unique=True)), dtype=np.intp
+    )
+    return _PerPopTable(pop, endpoints, sizes), caps, loads, query
+
+
+class TestPerPopGather:
+    """The disclosure kernels, read through each flow's endpoint row of a
+    drawn per-PoP CSR, against the tracker's scalar peeks with ``==``."""
+
+    @settings(deadline=None)
+    @given(problem=_per_pop_problems())
+    def test_max_ratio_rows_match_scalar_peeks(self, problem):
+        table, caps, loads, query = problem
+        tracker = LoadTracker(table, "a", base_loads=loads)
+        block = max_ratio_rows(tracker.loads, tracker.gather(query, caps))
+        assert block.shape == (query.size, table.n_alternatives)
+        cap_list = caps.tolist()
+        for k, f in enumerate(query.tolist()):
+            for i in range(table.n_alternatives):
+                assert block[k, i] == tracker.peek_max_ratio(f, i, cap_list)
+
+    @settings(deadline=None)
+    @given(problem=_per_pop_problems())
+    def test_fortz_scores_match_scalar_cost_increases(self, problem):
+        table, caps, loads, query = problem
+        defaults = np.zeros(table.n_flows, dtype=np.intp)
+        # The Fortz cost refuses negative loads.
+        evaluator = FortzCostEvaluator(
+            table, "a", caps, defaults, base_loads=np.abs(loads)
+        )
+        scores = evaluator._scores(query)
+        assert scores.shape == (query.size, table.n_alternatives)
+        cap_list = caps.tolist()
+        for k, f in enumerate(query.tolist()):
+            for i in range(table.n_alternatives):
+                assert scores[k, i] == evaluator._tracker.peek_cost_increase(
+                    f, i, cap_list, piecewise_link_cost
+                )
 
 
 class TestLoadKernelEquivalence:
