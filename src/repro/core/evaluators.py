@@ -7,9 +7,11 @@ the protocol discloses. The session never sees the underlying metric.
 Four concrete evaluators share two private bases, so each states only its
 own metric. ``_Evaluator`` holds what every evaluator has: the (F, I)
 class matrix, the defaults (checked once, at construction: an integer
-array of one alternative index per flow, else :class:`PreferenceError`)
-and no-op ``commit`` and ``reassign``. Two evaluators build on it
-directly:
+array of one alternative index per flow, else :class:`PreferenceError`),
+a no-op ``reassign``, and ``true_delta``, ``commit`` and ``commit_epoch``,
+which refuse a cell outside the (F, I) table before they run a subclass's
+``_true_delta``, ``_commit`` and ``_commit_epoch``. Two evaluators build
+on it directly:
 
 * :class:`StaticPreferenceEvaluator` — preferences given directly (worked
   examples, tests, and the Figure 3 trace);
@@ -42,9 +44,10 @@ reference loops.
 
 A session settles each epoch through one ``commit_epoch`` call per side:
 the epoch's accepted flows placed in order, each with its true delta taken
-just before its placement. The base defines it as :func:`commit_in_order`,
-one ``true_delta`` and one ``commit`` per flow; :class:`StaticCostEvaluator`
-and :class:`LoadAwareEvaluator` fuse it (one gather, one tracker loop).
+just before its placement. The base checks the epoch's lists once and
+settles them in order (``_commit_in_order``: one ``_true_delta`` and one
+``_commit`` per flow); :class:`StaticCostEvaluator` and
+:class:`LoadAwareEvaluator` fuse it (one gather, one tracker loop).
 """
 
 from __future__ import annotations
@@ -106,18 +109,10 @@ class Evaluator(Protocol):
         improvement from the move (positive = better than default), taken
         just before that flow's placement. The deltas serve only the ISP's
         private accounting (win-win rollback); they are never disclosed.
+        A flow outside 0..F-1, an alternative outside 0..I-1 or lists of
+        unequal length raise :class:`PreferenceError`.
         """
         ...
-
-
-def commit_in_order(evaluator, flows, alternatives) -> list[float]:
-    """``commit_epoch`` as one ``true_delta`` then one ``commit`` per flow,
-    in order; returns the deltas."""
-    deltas = []
-    for flow_index, alternative in zip(flows, alternatives):
-        deltas.append(float(evaluator.true_delta(flow_index, alternative)))
-        evaluator.commit(flow_index, alternative)
-    return deltas
 
 
 class _Evaluator:
@@ -125,7 +120,13 @@ class _Evaluator:
     until a subclass discloses) and the defaults, checked by
     :func:`~repro.core.mapping.check_defaults` (an integer array of shape
     (F,) with entries in 0..I-1, else :class:`PreferenceError`).
-    ``commit`` and ``reassign`` are no-ops here.
+
+    ``true_delta``, ``commit`` and ``commit_epoch`` refuse a flow outside
+    0..F-1, an alternative outside 0..I-1 and lists of unequal length
+    with :class:`PreferenceError` (``commit_epoch`` checks its lists once
+    per call), then run the subclass's ``_true_delta``, ``_commit`` and
+    ``_commit_epoch``. ``_commit`` and ``reassign`` are no-ops here, and
+    ``_commit_epoch`` is :meth:`_commit_in_order`.
     """
 
     def __init__(
@@ -154,13 +155,55 @@ class _Evaluator:
     def preferences(self) -> np.ndarray:
         return self._prefs
 
+    def true_delta(self, flow_index: int, alternative: int) -> float:
+        """This ISP's true metric improvement from moving the flow off its
+        default to ``alternative`` (positive = better), in the current
+        state."""
+        self._check_cell(flow_index, alternative)
+        return self._true_delta(flow_index, alternative)
+
     def commit(self, flow_index: int, alternative: int) -> None:
-        del flow_index, alternative
+        """Record that the flow was negotiated to ``alternative``."""
+        self._check_cell(flow_index, alternative)
+        self._commit(flow_index, alternative)
+
+    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """See :meth:`Evaluator.commit_epoch`."""
+        if len(flows) != len(alternatives):
+            raise PreferenceError(
+                f"commit_epoch got {len(flows)} flows and "
+                f"{len(alternatives)} alternatives"
+            )
+        if len(flows):
+            self._check_cell(min(flows), min(alternatives))
+            self._check_cell(max(flows), max(alternatives))
+        return self._commit_epoch(flows, alternatives)
 
     def reassign(self, remaining: np.ndarray) -> None:
         del remaining
 
-    commit_epoch = commit_in_order
+    def _check_cell(self, flow_index: int, alternative: int) -> None:
+        n_flows, n_alternatives = self._prefs.shape
+        if not (0 <= flow_index < n_flows and 0 <= alternative < n_alternatives):
+            raise PreferenceError(
+                f"flows must lie in 0..{n_flows - 1} and alternatives in "
+                f"0..{n_alternatives - 1}, got flow {flow_index} and "
+                f"alternative {alternative}"
+            )
+
+    def _commit(self, flow_index: int, alternative: int) -> None:
+        del flow_index, alternative
+
+    def _commit_in_order(self, flows, alternatives) -> list[float]:
+        """``commit_epoch`` as one ``_true_delta`` then one ``_commit`` per
+        flow, in order; returns the deltas."""
+        deltas = []
+        for flow_index, alternative in zip(flows, alternatives):
+            deltas.append(float(self._true_delta(flow_index, alternative)))
+            self._commit(flow_index, alternative)
+        return deltas
+
+    _commit_epoch = _commit_in_order
 
 
 class StaticPreferenceEvaluator(_Evaluator):
@@ -195,7 +238,7 @@ class StaticPreferenceEvaluator(_Evaluator):
         if self._stages:
             self._prefs = self._stages.pop(0)
 
-    def true_delta(self, flow_index: int, alternative: int) -> float:
+    def _true_delta(self, flow_index: int, alternative: int) -> float:
         # No underlying metric: the classes are the ground truth.
         return float(self._prefs[flow_index, alternative])
 
@@ -213,14 +256,14 @@ class StaticCostEvaluator(_Evaluator):
         super().__init__(self._costs.shape, defaults, mapper.range)
         self._prefs = map_cost_matrix(self._costs, self._defaults, mapper)
 
-    def true_delta(self, flow_index: int, alternative: int) -> float:
+    def _true_delta(self, flow_index: int, alternative: int) -> float:
         default = self._defaults[flow_index]
         return float(
             self._costs[flow_index, default] - self._costs[flow_index, alternative]
         )
 
-    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
-        """:func:`commit_in_order` as one gather (commits are no-ops)."""
+    def _commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """``_commit_in_order`` as one gather (commits are no-ops)."""
         flows = np.asarray(flows, dtype=np.intp)
         costs = self._costs
         deltas = costs[flows, self._defaults[flows]] - costs[flows, alternatives]
@@ -232,7 +275,7 @@ class _LoadEvaluator(_Evaluator):
 
     It holds the table, the side, the checked capacities (a list copy
     feeds the tracker's scalar kernels), the defaults as a list and a
-    :class:`LoadTracker` seeded with ``base_loads``. ``commit`` places a
+    :class:`LoadTracker` seeded with ``base_loads``. ``_commit`` places a
     flow in the tracker, but disclosed classes change only when
     :meth:`reassign` runs — Nexit reassigns "after negotiating each 5% of
     the traffic".
@@ -268,7 +311,7 @@ class _LoadEvaluator(_Evaluator):
         self._tracker = LoadTracker(table, side, base_loads=base_loads)
         self._recompute(np.ones(table.n_flows, dtype=bool))
 
-    def commit(self, flow_index: int, alternative: int) -> None:
+    def _commit(self, flow_index: int, alternative: int) -> None:
         self._tracker.place(flow_index, alternative)
 
     def reassign(self, remaining: np.ndarray) -> None:
@@ -340,7 +383,7 @@ class LoadAwareEvaluator(_LoadEvaluator):
             check_unit(ratio_unit, "ratio_unit"),
         )
 
-    def true_delta(self, flow_index: int, alternative: int) -> float:
+    def _true_delta(self, flow_index: int, alternative: int) -> float:
         """Improvement in this ISP's max load-increase ratio for the flow,
         evaluated against the *current* network state (call before
         :meth:`commit` places the flow)."""
@@ -349,8 +392,8 @@ class LoadAwareEvaluator(_LoadEvaluator):
             flow_index, self._default_list[flow_index], self._cap_list
         ) - peek(flow_index, alternative, self._cap_list)
 
-    def commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
-        """:func:`commit_in_order` as one tracker loop."""
+    def _commit_epoch(self, flows: list[int], alternatives: list[int]) -> list[float]:
+        """``_commit_in_order`` as one tracker loop."""
         return self._tracker.place_epoch(
             flows, alternatives, self._default_list, self._cap_list
         )
@@ -427,7 +470,7 @@ class FortzCostEvaluator(_LoadEvaluator):
             check_unit(cost_unit, "cost_unit"),
         )
 
-    def true_delta(self, flow_index: int, alternative: int) -> float:
+    def _true_delta(self, flow_index: int, alternative: int) -> float:
         default_cost = self._placement_cost_increase(
             flow_index, self._default_list[flow_index]
         )

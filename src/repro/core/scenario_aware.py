@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from repro.capacity.loads import LoadTracker, link_loads
-from repro.core.evaluators import LoadAwareEvaluator, commit_in_order
+from repro.core.evaluators import LoadAwareEvaluator
 from repro.core.preferences import PreferenceRange
 from repro.errors import ConfigurationError
 from repro.metrics.mel import max_excess_load
@@ -88,8 +88,8 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
     :meth:`true_delta` scores one flow per commit, so it gathers that flow
     alone instead of scoring the live set. The parent's fused
     ``commit_epoch`` takes nominal deltas, so this class settles its
-    epochs through :func:`~repro.core.evaluators.commit_in_order`, one
-    blended ``true_delta`` and one ``commit`` per flow.
+    epochs in order, one blended ``true_delta`` and one ``commit`` per
+    flow.
     """
 
     def __init__(
@@ -180,7 +180,7 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
             probs = np.append(probs, self._residual)
         return cvar_matrix(stack, probs, self.tail_quantile)
 
-    def true_delta(self, flow_index: int, alternative: int) -> float:
+    def _true_delta(self, flow_index: int, alternative: int) -> float:
         """Blended-objective improvement over the default placement.
 
         Scores the one flow from its own one-flow gather: a commit needs a
@@ -194,7 +194,7 @@ class ScenarioAwareEvaluator(LoadAwareEvaluator):
         )
 
     # The parent's fused form settles on nominal deltas.
-    commit_epoch = commit_in_order
+    _commit_epoch = LoadAwareEvaluator._commit_in_order
 
 
 def scenario_placement_mels(

@@ -7,6 +7,7 @@ from repro.optimal.bandwidth_lp import (
 )
 from repro.optimal.solver import (
     DEFAULT_LP_SOLVER,
+    CscMatrix,
     LpProblem,
     LpSolution,
     LpSolver,
@@ -21,6 +22,7 @@ __all__ = [
     "solve_min_max_load_lp",
     "fractional_loads",
     "DEFAULT_LP_SOLVER",
+    "CscMatrix",
     "LpProblem",
     "LpSolution",
     "LpSolver",

@@ -18,24 +18,26 @@ where s_f is the flow size, base_l the background load (traffic outside the
 negotiated set) and cap_l the provisioned capacity. The optimum t* is the
 best achievable joint MEL.
 
-``scipy.sparse`` is imported by the functions that assemble the constraint
-matrices, not with this module, so runs that solve no LP never load scipy.
+The constraint matrices are assembled in numpy as
+:class:`~repro.optimal.solver.CscMatrix` arrays, so this module imports no
+scipy package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import OptimizationError
-from repro.optimal.solver import LpProblem, LpSolver, resolve_lp_solver
+from repro.optimal.solver import (
+    CscMatrix,
+    LpProblem,
+    LpSolver,
+    resolve_lp_solver,
+)
 from repro.routing.costs import PairCostTable
 from repro.routing.incidence import multirange_gather
-
-if TYPE_CHECKING:
-    from scipy.sparse import csc_array
 
 __all__ = ["LpRoutingResult", "solve_min_max_load_lp", "fractional_loads"]
 
@@ -63,40 +65,45 @@ def _link_constraints(
     sides: tuple[str, ...],
     caps: list[np.ndarray],
     bases: list[np.ndarray],
-) -> tuple[csc_array, np.ndarray]:
+) -> tuple[CscMatrix, np.ndarray]:
     """``a_ub`` in CSC and ``b_ub`` of the link constraints over ``sides``.
 
-    Each side's block is its flow-level incidence read as columns:
-    x-column ``f * I + i`` holds row ``f * I + i``'s path links valued at
-    the flow's size, and the ``t`` column ``-cap`` on every link. The
-    blocks stack in side order and each column is sorted ascending
-    (``sort_indices``), which is how ``csc_array(vstack(...))`` lays out
-    the COO triplets of the reference loop (paths are simple, so no entry
-    repeats).
+    Each side's rows are its links, after the earlier sides' links. Its
+    flow-level incidence, read as columns, fills them: x-column
+    ``f * I + i`` holds row ``f * I + i``'s path links valued at the
+    flow's size, and the ``t`` column holds ``-cap`` on every link. One
+    stable argsort of ``column * rows + row`` puts the entries in sorted
+    CSC order, array for array the ``scipy.sparse`` stack of the side
+    blocks after ``sort_indices`` (paths are simple, so no entry repeats).
 
     ``table.incidence(side)`` is gathered once per table from the per-PoP
     CSR its parent shares with it, and cached, so the joint and unilateral
     LPs of one negotiation scope share it.
     """
-    from scipy.sparse import csc_array, vstack
-
     sizes = table.flowset.sizes()
     n_x = table.n_flows * table.n_alternatives
-    blocks = []
+    x_columns = np.arange(n_x, dtype=np.intp)
+    counts = np.zeros(n_x + 1, dtype=np.intp)
+    rows, columns, values = [], [], []
+    n_rows = 0
     for side, cap in zip(sides, caps):
         inc = table.incidence(side)
-        blocks.append(
-            csc_array(
-                (
-                    np.concatenate([sizes[inc.entry_flow], -cap]),
-                    np.concatenate([inc.indices, np.arange(cap.shape[0])]),
-                    np.append(inc.indptr, inc.indptr[-1] + cap.shape[0]),
-                ),
-                shape=(cap.shape[0], n_x + 1),
-            )
-        )
-    a_ub = vstack(blocks, format="csc")
-    a_ub.sort_indices()
+        per_x = np.diff(inc.indptr)
+        links = np.arange(n_rows, n_rows + cap.shape[0], dtype=np.intp)
+        rows += [inc.indices + n_rows, links]
+        columns += [np.repeat(x_columns, per_x), np.full(links.size, n_x)]
+        values += [sizes[inc.entry_flow], -cap]
+        counts[:n_x] += per_x
+        n_rows += cap.shape[0]
+    counts[n_x] = n_rows
+    rows = np.concatenate(rows)
+    order = np.argsort(np.concatenate(columns) * n_rows + rows, kind="stable")
+    a_ub = CscMatrix(
+        shape=(n_rows, n_x + 1),
+        indptr=np.concatenate([[0], np.cumsum(counts)]),
+        indices=rows[order],
+        data=np.concatenate(values)[order],
+    )
     return a_ub, -np.concatenate(bases)
 
 
@@ -164,16 +171,12 @@ def solve_min_max_load_lp(
         [caps[side] for side in sides],
         [bases[side] for side in sides],
     )
-    from scipy.sparse import csc_array
-
     # sum_i x[f, i] = 1 for every flow: one 1.0 per x-column, none for t.
-    a_eq = csc_array(
-        (
-            np.ones(n_x),
-            np.repeat(np.arange(n_f), n_i),
-            np.append(np.arange(n_x + 1), n_x),
-        ),
+    a_eq = CscMatrix(
         shape=(n_f, n_x + 1),
+        indptr=np.append(np.arange(n_x + 1), n_x),
+        indices=np.repeat(np.arange(n_f), n_i),
+        data=np.ones(n_x),
     )
     c = np.zeros(n_x + 1)
     c[n_x] = 1.0
@@ -206,7 +209,9 @@ def fractional_loads(
 ) -> np.ndarray:
     """Per-link loads in one ISP under a fractional placement.
 
-    The whole placement is one ``bincount`` scatter-add over the table's
+    ``fractions`` must be an (F, I) array of finite, non-negative shares
+    (an LP's fractions always are), else :class:`OptimizationError`. The
+    whole placement is one ``bincount`` scatter-add over the table's
     CSR incidence. The base loads are fed through the same bincount as
     leading per-link entries, so each link accumulates ``base, entry,
     entry, ...`` sequentially — the float order of a per-(flow,
@@ -217,6 +222,8 @@ def fractional_loads(
         raise OptimizationError(
             f"fractions must have shape ({table.n_flows}, {table.n_alternatives})"
         )
+    if not (np.isfinite(fractions).all() and (fractions >= 0).all()):
+        raise OptimizationError("fractions must be finite and >= 0")
     if side == "a":
         n_links = table.pair.isp_a.n_links()
     elif side == "b":

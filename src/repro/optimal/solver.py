@@ -15,8 +15,10 @@ its per-column Python loop over the basis.
 Adding a backend:
 
 1. subclass :class:`LpSolver` and implement :meth:`LpSolver.solve`; it
-   receives ``a_ub`` / ``a_eq`` as scipy sparse matrices, so a backend
-   that needs dense arrays converts them itself;
+   receives ``a_ub`` / ``a_eq`` as compressed sparse column matrices
+   (:class:`CscMatrix`, or anything with ``format == "csc"``, ``shape``,
+   ``indptr``, ``indices`` and ``data``), so a backend that needs another
+   layout converts them itself;
 2. :func:`register_lp_solver` it under a new name;
 3. select it anywhere a ``solver=`` parameter is threaded —
    ``solve_min_max_load_lp``, ``run_bandwidth_case``,
@@ -24,20 +26,26 @@ Adding a backend:
 
 Unknown solver names raise :class:`ConfigurationError` (the library-wide
 backend-selection convention); solver *failures* on a concrete problem,
-and non-finite or mis-shaped problem data, raise :class:`OptimizationError`.
+and non-finite, mis-shaped or malformed problem data, raise
+:class:`OptimizationError`.
 
-scipy is imported at the first solve, not with this module: the HiGHS
-bindings (and with them ``scipy.optimize``) and the ``scipy.sparse``
-matrices a backend stacks its constraints in. Runs that solve no LP
-(``distance``, ``multi-isp``) never load scipy at all. A scipy without the
-HiGHS module raises :class:`ConfigurationError` naming the module and the
-scipy version.
+No scipy package is imported, with this module or at a solve. The first
+solve loads the compiled HiGHS extension straight from its file in
+scipy's install directory (:func:`_highs_core`), so none of scipy's
+package ``__init__`` files run, and the constraint matrices are plain
+numpy CSC arrays, stacked in numpy. A process that later imports
+``scipy.optimize`` reuses the same extension module. A scipy without the
+extension's file raises :class:`ConfigurationError` naming the module,
+the path searched and the scipy version.
 """
 
 from __future__ import annotations
 
-import importlib
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from repro.errors import ConfigurationError, OptimizationError
 from repro.util.validation import validate_choice
 
 __all__ = [
+    "CscMatrix",
     "LpProblem",
     "LpSolution",
     "LpSolver",
@@ -61,6 +70,10 @@ DEFAULT_LP_SOLVER = "highs"
 #: scipy's HiGHS bindings: private, so a scipy release may move them.
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 
+#: The bindings' file inside scipy's install directory, less its suffix
+#: (one of ``importlib.machinery.EXTENSION_SUFFIXES``).
+_HIGHS_FILE = Path("optimize", "_highspy", "_core")
+
 #: Each ``linprog`` HiGHS method and the HiGHS ``solver`` option it sets
 #: (``None`` leaves HiGHS's own default).
 _HIGHS_SOLVERS = {"highs": None, "highs-ds": "simplex", "highs-ipm": "ipm"}
@@ -71,15 +84,39 @@ _CHECK_TOL = np.sqrt(1e-9) * 10
 
 
 @dataclass(frozen=True)
+class CscMatrix:
+    """A sparse matrix in compressed sparse column form.
+
+    Column ``j`` holds ``data[indptr[j]:indptr[j + 1]]`` in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``: the layout HiGHS reads and the
+    arrays of a scipy ``csc_array`` of the same entries.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    format = "csc"
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries."""
+        return int(self.data.shape[0])
+
+
+@dataclass(frozen=True)
 class LpProblem:
     """A solver-neutral LP: minimize ``c @ x`` subject to
 
     ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, and per-variable
     ``bounds``: an ``(n, 2)`` float array of ``(low, high)`` rows, with
     ``-inf``/``inf`` for unbounded (empty means ``linprog``'s default,
-    every variable in ``[0, inf)``). ``a_ub`` / ``a_eq`` may be scipy
-    sparse matrices or dense arrays; ``None`` means "no constraints of
-    that kind".
+    every variable in ``[0, inf)``). ``a_ub`` / ``a_eq`` are ``None``
+    ("no constraints of that kind") or CSC matrices: a
+    :class:`CscMatrix`, or any object with ``format == "csc"``, ``shape``,
+    ``indptr``, ``indices`` and ``data``, such as scipy's ``csc_array``.
+    Dense arrays and other sparse formats are refused.
     """
 
     c: np.ndarray
@@ -106,7 +143,12 @@ class LpSolution:
 
 
 class LpSolver:
-    """Base class for LP backends. Subclass and register to plug in."""
+    """Base class for LP backends. Subclass and register to plug in.
+
+    :meth:`solve` receives the :class:`LpProblem` as its caller built it:
+    ``a_ub`` / ``a_eq`` are ``None`` or CSC matrices (see
+    :class:`LpProblem`), unchecked until the backend checks them.
+    """
 
     name: str = "abstract"
 
@@ -117,24 +159,124 @@ class LpSolver:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _highs_core():
-    """scipy's HiGHS bindings, imported at the first solve."""
-    try:
-        return importlib.import_module(HIGHS_MODULE)
-    except ImportError as exc:
-        import scipy
+def _missing_highs(reason: str) -> ConfigurationError:
+    """The error for bindings that cannot load, naming the scipy version
+    (read from its metadata, so scipy is not imported)."""
+    import importlib.metadata
 
-        raise ConfigurationError(
-            f"the HiGHS LP backends need {HIGHS_MODULE}, which scipy "
-            f"{scipy.__version__} does not provide ({exc})"
-        ) from exc
+    try:
+        version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        version = "(not installed)"
+    return ConfigurationError(
+        f"the HiGHS LP backends need {HIGHS_MODULE}, which scipy {version} "
+        f"does not provide ({reason})"
+    )
+
+
+def _scipy_dir() -> Path | None:
+    """scipy's install directory, found without running its ``__init__``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    return Path(spec.submodule_search_locations[0])
+
+
+def _highs_core():
+    """scipy's HiGHS bindings, loaded from their file at the first solve.
+
+    The compiled extension is loaded by file and registered under
+    :data:`HIGHS_MODULE`, so no scipy package ``__init__`` runs; a later
+    ``import scipy.optimize`` finds it there and reuses it. A ``None``
+    in ``sys.modules`` blocks the import, as it would for ``import``.
+    """
+    if HIGHS_MODULE in sys.modules:
+        core = sys.modules[HIGHS_MODULE]
+        if core is None:
+            raise _missing_highs("its import is blocked")
+        return core
+    directory = _scipy_dir()
+    if directory is None:
+        raise _missing_highs("scipy is not installed")
+    stem = directory / _HIGHS_FILE
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise _missing_highs(f"no {stem}<suffix> file")
+    loader = importlib.machinery.ExtensionFileLoader(HIGHS_MODULE, str(path))
+    spec = importlib.util.spec_from_file_location(
+        HIGHS_MODULE, path, loader=loader
+    )
+    core = importlib.util.module_from_spec(spec)
+    loader.exec_module(core)
+    sys.modules[HIGHS_MODULE] = core
+    return core
+
+
+def _csc(matrix, n: int, kind: str) -> CscMatrix:
+    """``matrix`` as a :class:`CscMatrix` of numpy arrays, with the
+    structure checks ``csc_array(...)`` made: ``indptr`` of one start per
+    column plus one, from 0, non-decreasing, up to the entry count, and
+    every row index inside the shape. ``None`` is an empty ``(0, n)``
+    block."""
+    if matrix is None:
+        return CscMatrix(
+            (0, n), np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp),
+            np.zeros(0),
+        )
+    if getattr(matrix, "format", None) != "csc":
+        raise OptimizationError(
+            f"a_{kind} must be a CSC matrix (format 'csc' with shape, "
+            f"indptr, indices and data), got {type(matrix).__name__}"
+        )
+    rows, cols = (int(size) for size in matrix.shape)
+    indptr = np.asarray(matrix.indptr)
+    indices = np.asarray(matrix.indices)
+    data = np.asarray(matrix.data, dtype=float)
+    if not (
+        indptr.dtype.kind in "iu"
+        and indices.dtype.kind in "iu"
+        and indptr.shape == (cols + 1,)
+        and indices.ndim == 1
+        and data.shape == indices.shape
+        and indptr[0] == 0
+        and indptr[-1] == indices.shape[0]
+        and (np.diff(indptr) >= 0).all()
+        and (indices.size == 0 or (indices.min() >= 0 and indices.max() < rows))
+    ):
+        raise OptimizationError(
+            f"a_{kind} is not a valid CSC matrix of shape {(rows, cols)}: "
+            "indptr must hold one integer start per column plus one, from 0, "
+            "non-decreasing, up to len(indices) == len(data), and indices "
+            "integer rows in [0, rows)"
+        )
+    return CscMatrix((rows, cols), indptr, indices, data)
+
+
+def _vstack(top: CscMatrix, bottom: CscMatrix) -> CscMatrix:
+    """``[top; bottom]`` in CSC: each column's ``top`` entries, then its
+    ``bottom`` entries with their rows moved below ``top``'s — array for
+    array what ``scipy.sparse.vstack(..., format="csc")`` builds."""
+    n_top, n_bottom = top.nnz, bottom.nnz
+    indices = np.empty(n_top + n_bottom, dtype=np.intp)
+    data = np.empty(n_top + n_bottom)
+    at = np.arange(n_top) + np.repeat(bottom.indptr[:-1], np.diff(top.indptr))
+    indices[at] = top.indices
+    data[at] = top.data
+    at = np.arange(n_bottom) + np.repeat(top.indptr[1:], np.diff(bottom.indptr))
+    indices[at] = bottom.indices + top.shape[0]
+    data[at] = bottom.data
+    return CscMatrix(
+        (top.shape[0] + bottom.shape[0], top.shape[1]),
+        top.indptr + bottom.indptr, indices, data,
+    )
 
 
 def _constraints(matrix, rhs, n: int, kind: str):
     """One constraint block in CSC and its right-hand side, checked."""
-    from scipy.sparse import csc_array
-
-    matrix = csc_array((0, n) if matrix is None else matrix)
+    matrix = _csc(matrix, n, kind)
     rhs = np.zeros(0) if rhs is None else np.asarray(rhs, dtype=float)
     if matrix.shape[1] != n or rhs.shape != (matrix.shape[0],):
         raise OptimizationError(
@@ -203,7 +345,7 @@ class ScipyLinprogSolver(LpSolver):
     simplex) and ``"highs-ipm"`` (interior point) are registered as
     alternates for cross-backend verification and experimentation. HiGHS
     gets the rows ``[-inf, b_ub]`` then ``[b_eq, b_eq]`` over
-    ``vstack((a_ub, a_eq))`` in CSC, presolve on, the dual simplex
+    ``[a_ub; a_eq]`` in CSC (:func:`_vstack`), presolve on, the dual simplex
     strategy, no output, and the method's ``solver`` option; every vector
     goes in as a list, which pybind copies into HiGHS's vectors about
     twice as fast as an array.
@@ -216,11 +358,9 @@ class ScipyLinprogSolver(LpSolver):
         ]
 
     def solve(self, problem: LpProblem) -> LpSolution:
-        from scipy.sparse import vstack
-
         core = _highs_core()
         c, a_ub, b_ub, a_eq, b_eq, bounds = _checked(problem)
-        a = vstack((a_ub, a_eq), format="csc")
+        a = _vstack(a_ub, a_eq)
         eq = b_eq.tolist()
 
         lp = core.HighsLp()

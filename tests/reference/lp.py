@@ -3,7 +3,9 @@
 Production :class:`repro.optimal.solver.ScipyLinprogSolver` hands scipy's
 bundled HiGHS the model and options ``linprog(method=...)`` passes it and
 makes ``linprog``'s post-solve check itself. This is the backend it
-replaced, kept as it was: the differential tests solve one
+replaced, kept as it was but for one conversion: ``linprog`` takes scipy
+matrices, so a :class:`~repro.optimal.solver.CscMatrix` goes in as the
+``csc_array`` of the same arrays. The differential tests solve one
 :class:`~repro.optimal.solver.LpProblem` with both and compare ``x``, the
 objective and ``success`` with ``==``.
 """
@@ -11,8 +13,19 @@ objective and ``success`` with ``==``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csc_array
 
-from repro.optimal.solver import LpProblem, LpSolution, LpSolver
+from repro.optimal.solver import CscMatrix, LpProblem, LpSolution, LpSolver
+
+
+def _scipy_matrix(matrix):
+    """``matrix``, with a :class:`CscMatrix` as the ``csc_array`` of its
+    arrays."""
+    if isinstance(matrix, CscMatrix):
+        return csc_array(
+            (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+        )
+    return matrix
 
 
 class LinprogSolver(LpSolver):
@@ -27,9 +40,9 @@ class LinprogSolver(LpSolver):
 
         result = linprog(
             problem.c,
-            A_ub=problem.a_ub,
+            A_ub=_scipy_matrix(problem.a_ub),
             b_ub=problem.b_ub,
-            A_eq=problem.a_eq,
+            A_eq=_scipy_matrix(problem.a_eq),
             b_eq=problem.b_eq,
             bounds=list(problem.bounds),
             method=self._method,

@@ -233,6 +233,8 @@ def scale_table():
     return build_pair_cost_table(pair, build_full_flowset(pair))
 
 
+_EVALUATOR_KINDS = ["static-preference", "static-cost", *sorted(_LOAD_EVALUATORS)]
+
 def _evaluator(kind: str, table, defaults):
     """One evaluator of each class over ``table``, side a."""
     if kind == "static-preference":
@@ -255,9 +257,7 @@ _BAD_DEFAULTS = {
 
 
 @pytest.mark.parametrize("bad", sorted(_BAD_DEFAULTS))
-@pytest.mark.parametrize(
-    "kind", ["static-preference", "static-cost", *sorted(_LOAD_EVALUATORS)]
-)
+@pytest.mark.parametrize("kind", _EVALUATOR_KINDS)
 def test_bad_defaults_rejected_at_construction(scale_table, kind, bad):
     """Regression: defaults were cast to intp unchecked, so -1 read the last
     alternative as every flow's default, floats were truncated, a bool
@@ -268,6 +268,46 @@ def test_bad_defaults_rejected_at_construction(scale_table, kind, bad):
     bad_defaults = _BAD_DEFAULTS[bad](defaults, scale_table.n_alternatives)
     with pytest.raises(PreferenceError, match="defaults"):
         _evaluator(kind, scale_table, bad_defaults)
+
+
+#: Cells outside an (F, I) table, from (F, I).
+_OUTSIDE_CELLS = {
+    "alternative-past-end": lambda n_f, n_i: (0, n_i),
+    "alternative-negative": lambda n_f, n_i: (0, -1),
+    "flow-negative": lambda n_f, n_i: (-1, 0),
+    "flow-past-end": lambda n_f, n_i: (n_f, 0),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_OUTSIDE_CELLS))
+@pytest.mark.parametrize("kind", _EVALUATOR_KINDS)
+def test_cells_outside_the_table_rejected(scale_table, kind, cell):
+    """Regression: an alternative past the end read the next PoP's row, a
+    negative index wrapped to the last flow or alternative, a flow past
+    the end raised a bare IndexError, and commit_epoch took lists of
+    unequal length (the load-aware one placing the shorter list, the
+    static-cost one broadcasting one alternative to every flow)."""
+    defaults = early_exit_choices(scale_table)
+    n_f, n_i = scale_table.n_flows, scale_table.n_alternatives
+    evaluator = _evaluator(kind, scale_table, defaults)
+    flow, alternative = _OUTSIDE_CELLS[cell](n_f, n_i)
+    with pytest.raises(PreferenceError, match="must lie in"):
+        evaluator.true_delta(flow, alternative)
+    with pytest.raises(PreferenceError, match="must lie in"):
+        evaluator.commit(flow, alternative)
+    # A bad cell anywhere in an epoch fails it before anything is placed.
+    with pytest.raises(PreferenceError, match="must lie in"):
+        evaluator.commit_epoch([1, flow], [1, alternative])
+    with pytest.raises(PreferenceError, match="2 flows and 1 alternatives"):
+        evaluator.commit_epoch([0, 1], [2])
+    fresh = _evaluator(kind, scale_table, defaults)
+    cells = [(f, i) for f in range(n_f) for i in range(n_i)]
+    assert [evaluator.true_delta(*c) for c in cells] == [
+        fresh.true_delta(*c) for c in cells
+    ]
+    assert evaluator.commit_epoch([0, 1], [1, 2]) == fresh.commit_epoch(
+        [0, 1], [1, 2]
+    )
 
 
 @pytest.mark.parametrize("where", ["prefs", "stage"])

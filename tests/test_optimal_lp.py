@@ -148,6 +148,19 @@ class TestLpValidation:
                 table, np.ones((table.n_flows, table.n_alternatives)), "q"
             )
 
+    @pytest.mark.parametrize(
+        "row", [[np.nan], [np.inf], [-1.0, 1.0]], ids=["nan", "inf", "negative"]
+    )
+    def test_fractional_loads_invalid_fractions(self, table, row):
+        """Regression: a NaN row dropped its flow from the loads, and a
+        negative share was dropped while the rest of its row was kept."""
+        n_i = table.n_alternatives
+        fractions = np.full((table.n_flows, n_i), 1.0 / n_i)
+        fractions[0] = np.resize(row, n_i)
+        for side in "ab":
+            with pytest.raises(OptimizationError, match="fractions"):
+                fractional_loads(table, fractions, side)
+
 
 class _Recorder(LpSolver):
     """Solves with the default backend, keeping every problem it was handed."""

@@ -13,8 +13,9 @@ Covers the PR 8 contracts end to end:
   pair (satellite 2);
 * the LP solver registry resolves, validates and injects backends, and
   every registered backend is bit-identical to ``linprog``
-  (``tests/reference/lp.py``), with non-finite or mis-shaped problem
-  data a typed :class:`OptimizationError`;
+  (``tests/reference/lp.py``), with non-finite, mis-shaped or malformed
+  problem data a typed :class:`OptimizationError`, and the numpy stack
+  of two CSC blocks equals ``scipy.sparse.vstack``'s array for array;
 * a 200-PoP-per-ISP pair flows through the whole spine — table build,
   early-exit defaults, failure, negotiation, joint and unilateral LPs.
 """
@@ -30,7 +31,7 @@ import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array, vstack
 
 from repro.capacity.loads import link_loads
 from repro.capacity.provisioning import ProportionalCapacity
@@ -51,12 +52,14 @@ from repro.optimal.bandwidth_lp import solve_min_max_load_lp
 from repro.optimal.solver import (
     DEFAULT_LP_SOLVER,
     HIGHS_MODULE,
+    CscMatrix,
     LpProblem,
     LpSolution,
     LpSolver,
     available_lp_solvers,
     register_lp_solver,
     resolve_lp_solver,
+    _vstack,
 )
 from repro.routing.costs import build_pair_cost_table
 from repro.routing.exits import early_exit_choices
@@ -483,6 +486,22 @@ class TestBackendsMatchLinprog:
             solve_min_max_load_lp(table, caps_a, caps_b)
         assert f"scipy {scipy.__version__}" in str(info.value)
 
+    def test_missing_highs_file_is_a_configuration_error(
+        self, lp_setup, monkeypatch, tmp_path
+    ):
+        # A scipy install directory without the extension's file.
+        table, _, caps_a, caps_b = lp_setup
+        monkeypatch.delitem(sys.modules, HIGHS_MODULE)
+        monkeypatch.setattr("repro.optimal.solver._scipy_dir", lambda: tmp_path)
+        with pytest.raises(
+            ConfigurationError, match=re.escape(HIGHS_MODULE)
+        ) as info:
+            solve_min_max_load_lp(table, caps_a, caps_b)
+        message = str(info.value)
+        assert f"scipy {scipy.__version__}" in message
+        assert str(tmp_path / "optimize" / "_highspy" / "_core") in message
+        assert HIGHS_MODULE not in sys.modules
+
 
 class TestBackendInputChecks:
     """The checks ``linprog`` made on its inputs, as typed errors."""
@@ -554,6 +573,78 @@ class TestBackendInputChecks:
             resolve_lp_solver(None).solve(
                 self._problem(a_eq=csc_array([[1.0, 0.0, 0.0]]))
             )
+
+    @pytest.mark.parametrize("field", ["a_ub", "a_eq"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # indptr one start short
+            CscMatrix((1, 2), np.array([0, 1]), np.array([0]), np.array([1.0])),
+            # indptr not starting at 0
+            CscMatrix(
+                (1, 2), np.array([1, 1, 2]), np.array([0, 0]),
+                np.array([1.0, 2.0]),
+            ),
+            # indptr decreasing
+            CscMatrix(
+                (1, 2), np.array([0, 3, 2]), np.array([0, 0]),
+                np.array([1.0, 2.0]),
+            ),
+            # indptr not ending at len(indices)
+            CscMatrix(
+                (1, 2), np.array([0, 1, 1]), np.array([0, 0]),
+                np.array([1.0, 2.0]),
+            ),
+            # a row index past the last row
+            CscMatrix(
+                (1, 2), np.array([0, 1, 2]), np.array([0, 1]),
+                np.array([1.0, 2.0]),
+            ),
+            # data and indices of unequal length
+            CscMatrix(
+                (1, 2), np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0]),
+            ),
+            np.array([[1.0, -2.0]]),
+            csr_array([[1.0, -2.0]]),
+        ],
+        ids=[
+            "indptr-length", "indptr-start", "indptr-decreasing",
+            "indptr-end", "row-index", "data-length", "dense", "csr",
+        ],
+    )
+    def test_malformed_matrices(self, field, matrix):
+        for name in ("highs", "highs-ds", "highs-ipm"):
+            with pytest.raises(OptimizationError, match=field):
+                resolve_lp_solver(name).solve(self._problem(**{field: matrix}))
+
+
+@st.composite
+def _csc_blocks(draw, n_cols: int):
+    """A canonical scipy CSC block of ``n_cols`` columns, mostly zeros."""
+    n_rows = draw(st.integers(0, 5))
+    values = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 0.0, 1.0, -2.5, 0.125]),
+            min_size=n_rows * n_cols, max_size=n_rows * n_cols,
+        )
+    )
+    return csc_array(np.array(values).reshape(n_rows, n_cols))
+
+
+class TestCscStack:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy_vstack(self, data):
+        n_cols = data.draw(st.integers(1, 6))
+        top, bottom = (data.draw(_csc_blocks(n_cols)) for _ in range(2))
+        got = _vstack(
+            *(CscMatrix(m.shape, m.indptr, m.indices, m.data) for m in (top, bottom))
+        )
+        want = vstack((top, bottom), format="csc")
+        assert got.shape == want.shape
+        assert got.nnz == want.nnz
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestConfigThreading:

@@ -1,11 +1,13 @@
 """Import structure: what a process loads before it does any work.
 
-networkx is a test-only dependency, and scipy is imported at the first LP
-(``scipy.sparse`` where the LP assembles its constraints,
-``scipy.optimize`` at its solve), so neither may load with the package,
-its CLI or its experiment drivers, nor in a run that solves no LP. This
-process has long since imported both, so every check runs in a fresh
-interpreter.
+networkx is a test-only dependency, and no scipy package is ever
+imported: the first LP solve loads scipy's compiled HiGHS extension by
+file (``repro.optimal.solver._highs_core``), which adds that extension
+and its two pybind submodules to ``sys.modules`` and nothing else from
+scipy. So neither networkx nor scipy may load with the package, its CLI
+or its experiment drivers, nor in a run that solves no LP. This process
+has long since imported both through the test oracles, so every check
+runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.optimal.solver import HIGHS_MODULE
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -29,6 +32,12 @@ MODULES = (
 )
 #: Top-level packages no import may load.
 HEAVY = ("networkx", "scipy")
+
+#: The HiGHS extension and its pybind submodules: the only scipy modules a
+#: run that solves an LP loads.
+HIGHS = sorted(
+    HIGHS_MODULE + suffix for suffix in ("", ".cb", ".simplex_constants")
+)
 
 #: The verbs run without networkx, in this order; only bandwidth solves LPs.
 VERBS = (
@@ -49,11 +58,8 @@ from repro.optimal.solver import ScipyLinprogSolver
 
 
 def loaded():
-    # Whether scipy, scipy.sparse and scipy.optimize are loaded.
-    return [
-        any(m == name or m.startswith(name + ".") for m in sys.modules)
-        for name in ("scipy", "scipy.sparse", "scipy.optimize")
-    ]
+    # Every loaded scipy module, by exact name.
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
 
 assemble, solve = bandwidth_lp._link_constraints, ScipyLinprogSolver.solve
@@ -117,17 +123,62 @@ def test_imports_leave_networkx_and_scipy_optimize_out(tmp_path):
 def test_cli_runs_without_networkx_and_loads_optimize_at_first_lp(tmp_path):
     report = _run_python(CLI_SCRIPT % (VERBS,), tmp_path)
     runs = report["runs"]
-    none = [False, False, False]
-    # [exit status, LP solves so far, [scipy, .sparse, .optimize] loaded]
-    assert runs["figure1"] == [0, 0, none]
-    assert runs["distance"] == [0, 0, none]
-    assert runs["multi-isp"] == [0, 0, none]
+    # [exit status, LP solves so far, scipy modules loaded]
+    assert runs["figure1"] == [0, 0, []]
+    assert runs["distance"] == [0, 0, []]
+    assert runs["multi-isp"] == [0, 0, []]
     status, solves, after = runs["bandwidth"]
-    assert status == 0 and solves > 0 and after == [True, True, True]
-    # No scipy until the first LP assembles its constraints, which loads
-    # scipy.sparse; its solve then loads scipy.optimize, and every later
-    # LP finds both.
-    assert report["at_assembly"][0] == none
-    assert report["at_solve"] == [[True, True, False]] + [[True, True, True]] * (
-        solves - 1
-    )
+    # The first solve loads the HiGHS extension and nothing else of scipy:
+    # no scipy, scipy.sparse or scipy.optimize package, then or later.
+    assert status == 0 and solves > 0 and after == HIGHS
+    assert report["at_assembly"][0] == []
+    assert report["at_solve"] == [[]] + [HIGHS] * (solves - 1)
+
+
+LOADER_SCRIPT = """
+import json, sys
+
+import numpy as np
+
+from repro.optimal.solver import (
+    HIGHS_MODULE, CscMatrix, LpProblem, _highs_core, resolve_lp_solver,
+)
+
+core = _highs_core()
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+# min x0 + 2 x1 subject to x0 + x1 >= 1 (as -x0 - x1 <= -1), x0 <= 0.25.
+problem = LpProblem(
+    c=np.array([1.0, 2.0]),
+    a_ub=CscMatrix((1, 2), np.array([0, 1, 2]), np.array([0, 0]),
+                   np.array([-1.0, -1.0])),
+    b_ub=np.array([-1.0]),
+    bounds=np.array([[0.0, 0.25], [0.0, np.inf]]),
+)
+ours = resolve_lp_solver("highs").solve(problem)
+
+from scipy.optimize import linprog
+
+theirs = linprog(
+    problem.c, A_ub=[[-1.0, -1.0]], b_ub=problem.b_ub,
+    bounds=list(problem.bounds), method="highs",
+)
+from scipy.optimize._highspy import _core
+
+print(json.dumps({
+    "before": before,
+    "success": [ours.success, bool(theirs.success)],
+    "x": [ours.x.tolist(), theirs.x.tolist()],
+    "same_module": _core is core and sys.modules[HIGHS_MODULE] is core,
+}))
+"""
+
+
+def test_highs_extension_loads_by_file_and_serves_scipy_optimize(tmp_path):
+    report = _run_python(LOADER_SCRIPT, tmp_path)
+    # No scipy package ran: the extension and its submodules only.
+    assert report["before"] == HIGHS
+    assert report["success"] == [True, True]
+    ours, theirs = report["x"]
+    assert ours == theirs == [0.25, 0.75]
+    # scipy.optimize, imported afterwards, reuses the loaded extension.
+    assert report["same_module"]
